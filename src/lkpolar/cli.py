@@ -27,7 +27,7 @@ from . import germ as germs
 from . import plstrata
 from .geomkit import RandomSource
 from .lkmeasure import kinematic_check, lk_measure, shape_from_name
-from .polar import PolarConfig, polar_length
+from .polar import polar_length
 
 SCHEMA_VERSION = 1
 
@@ -81,10 +81,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return echo
 
 
-def _polar_config(args) -> PolarConfig:
-    return PolarConfig(alpha_mode=args.alpha_mode)
-
-
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
@@ -113,15 +109,13 @@ def cmd_measure(args) -> dict:
 
 def cmd_polar(args) -> dict:
     X = shape_from_name(args.shape)
-    cfg = _polar_config(args)
     rows = []
     csv_rows = []
     resamples = {}
     for q in _parse_orders(args.q):
         (res, ms) = _timed(
             lambda q=q: polar_length(
-                X, q, args.samples, RandomSource(args.seed, q), cfg,
-                threads=args.threads, keep_rows=args.csv is not None,
+                X, q, args.samples, RandomSource(args.seed, q), keep_rows=args.csv is not None
             )
         )
         ref = _reference(args.shape, q)
@@ -154,15 +148,12 @@ def _write_polar_csv(path, csv_rows):
 
 def cmd_verify(args) -> dict:
     X = shape_from_name(args.shape)
-    cfg = _polar_config(args)
     rows = []
     resamples = {}
     for q in _parse_orders(args.q):
         (lam, ms1) = _timed(lambda q=q: lk_measure(X, q, RandomSource(args.seed, q), n_dirs=args.samples))
         (res, ms2) = _timed(
-            lambda q=q: polar_length(
-                X, q, args.samples, RandomSource(args.seed, 1000 + q), cfg, threads=args.threads
-            )
+            lambda q=q: polar_length(X, q, args.samples, RandomSource(args.seed, 1000 + q))
         )
         pol = res.estimate
         ok = combined_pass(lam.value, lam.std_error, pol.value, pol.std_error, args.tolerance)
@@ -307,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(orders, default="", help="comma-separated orders")
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--alpha-mode", choices=["closed-form", "slice-chi"],
-                       default="closed-form", dest="alpha_mode")
         p.add_argument("--tolerance", type=float, default=3.0,
                        help="pass tolerance in combined standard errors")
         p.add_argument("--report", default=None, help="write the JSON report here")

@@ -30,11 +30,19 @@ __all__ = [
     "sample_unit_sphere",
     "sample_grassmannian",
     "sample_affine_flats_hitting_ball",
+    "simplex_volume",
+    "image_normal",
+    "DegenerateDirectionError",
     "fmean",
     "mean_estimate",
 ]
 
 ORTHO_TOL = 1e-10
+
+
+class DegenerateDirectionError(ValueError):
+    """Raised when a direction is too close to an orthogonality wall; the
+    caller is expected to resample."""
 
 
 def sphere_volume(k: int) -> float:
@@ -279,19 +287,6 @@ def sample_unit_sphere(dim: int, rng: "RandomSource | np.random.Generator") -> n
             return v / norm
 
 
-def sample_unit_sphere_many(dim: int, count: int, rng) -> np.ndarray:
-    """(count, dim) array of independent uniform unit vectors."""
-    gen = _rng_of(rng)
-    v = gen.standard_normal((count, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    bad = norms[:, 0] <= 1e-12
-    while np.any(bad):
-        v[bad] = gen.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        bad = norms[:, 0] <= 1e-12
-    return v / norms
-
-
 def sample_grassmannian(n: int, k: int, rng) -> LinearSubspace:
     """Uniform (O(n)-invariant) random k-plane in R^n.
 
@@ -308,6 +303,32 @@ def sample_grassmannian(n: int, k: int, rng) -> LinearSubspace:
         q, r = np.linalg.qr(g)
         if np.min(np.abs(np.diag(r))) > 1e-10:
             return LinearSubspace(n, q.T)
+
+
+def simplex_volume(points: np.ndarray) -> float:
+    """d-volume of the simplex on d+1 points (Gram determinant)."""
+    e = points[1:] - points[0]
+    d = len(e)
+    if d == 0:
+        return 1.0
+    return math.sqrt(max(np.linalg.det(e @ e.T), 0.0)) / math.factorial(d)
+
+
+def image_normal(vectors: np.ndarray, P: LinearSubspace) -> np.ndarray:
+    """Unit vector of P orthogonal to the projections of the given vectors:
+    the normal of the image of their span.  With no vectors it is the first
+    basis vector of P."""
+    coords = vectors @ P.basis.T  # (d, dim P)
+    if coords.shape[0] == 0:
+        nu_coords = np.zeros(P.dim)
+        nu_coords[0] = 1.0
+    else:
+        _, s, vt = np.linalg.svd(coords, full_matrices=True)
+        if s.min() < 1e-10:
+            raise DegenerateDirectionError("projection of the span is degenerate")
+        nu_coords = vt[-1]
+    nu = nu_coords @ P.basis
+    return nu / np.linalg.norm(nu)
 
 
 def sample_affine_flats_hitting_ball(

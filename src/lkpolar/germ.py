@@ -19,26 +19,27 @@ which the local identity says are all equal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geomkit import (
+    DegenerateDirectionError,
     Estimate,
     RandomSource,
     ball_volume,
+    image_normal,
     mean_estimate,
     sample_grassmannian,
     sample_unit_sphere,
-    )
+)
 from .plstrata import (
-    DegenerateDirectionError,
     StratifiedComplex,
     load_plstrat,
-    normal_link,
-    normal_morse_index,
-    normal_morse_index_many,
+    mean_normal_index,
+    pl_alpha,
 )
 
 __all__ = [
@@ -178,16 +179,16 @@ def germ_from_name(spec: str) -> ConeGerm:
 # densities
 # ---------------------------------------------------------------------------
 
-def _spherical_cell_volume(link: StratifiedComplex, cell) -> float:
-    pts = link.vertices[list(cell)]
-    d = len(cell) - 1
-    if d == 0:
+def _spherical_simplex_volume(units: np.ndarray) -> float:
+    """Volume of the spherical simplex spanned by the given unit vectors (a
+    point counts 1)."""
+    if len(units) == 1:
         return 1.0
-    if d == 1:
-        a, b = pts
+    if len(units) == 2:
+        a, b = units
         return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
-    if d == 2:
-        a, b, c = pts
+    if len(units) == 3:
+        a, b, c = units
         num = abs(float(np.linalg.det(np.stack([a, b, c]))))
         den = 1.0 + float(a @ b) + float(b @ c) + float(a @ c)
         return 2.0 * abs(math.atan2(num, den))
@@ -202,9 +203,7 @@ def _free_link_cells(link: StratifiedComplex, d: int):
         if dd <= d:
             continue
         for c in cells:
-            import itertools as _it
-
-            for f in _it.combinations(c, d + 1):
+            for f in itertools.combinations(c, d + 1):
                 higher.add(tuple(sorted(f)))
     return [c for c in link.cells.get(d, []) if c not in higher]
 
@@ -221,7 +220,7 @@ def density(X: ConeGerm, k: int) -> float:
         return 1.0 if not X.link.cells else 0.0
     total = 0.0
     for cell in _free_link_cells(X.link, k - 1):
-        total += _spherical_cell_volume(X.link, cell) / k
+        total += _spherical_simplex_volume(X.link.vertices[list(cell)]) / k
     return total / ball_volume(k)
 
 
@@ -420,32 +419,6 @@ def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> E
 # localized curvature measures
 # ---------------------------------------------------------------------------
 
-def _cone_cell_mean_index(X: ConeGerm, cell, n_dirs: int, rng: RandomSource) -> Estimate:
-    """Mean normal Morse index over the unit normal sphere of a cone cell of
-    the simplicial model (exact for empty links and 0-spheres)."""
-    T = X.model
-    n = T.ambient_dim
-    d = len(cell) - 1
-    link = normal_link(T, cell)
-    if len(link.vertex_ids) == 0:
-        return Estimate(1.0, 0.0, 1, rng.master_seed, method="empty-link")
-    span = T.cell_span(cell)
-    u, _, _ = np.linalg.svd(span.T, full_matrices=True)
-    comp = u[:, span.shape[0]:].T
-    m = n - d
-    if m == 1:
-        nu = comp[0]
-        vals = [normal_morse_index(T, cell, s * nu, link) for s in (1.0, -1.0)]
-        return Estimate(0.5 * (vals[0] + vals[1]), 0.0, 2, rng.master_seed, method="two-point")
-    gen = rng.generator()
-    g = gen.standard_normal((n_dirs, m))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    vs = g @ comp
-    idx, ok = normal_morse_index_many(T, cell, vs, link)
-    vals = idx[ok].astype(float)
-    return mean_estimate(vals.tolist(), seed=rng.master_seed, method="normal-sphere-mc")
-
-
 def local_lambda(X: ConeGerm, k: int, rng: RandomSource, eps_ladder=(1.0, 0.5, 0.25),
                  n_dirs: int = 4000) -> Estimate:
     """Lambda_k(X, X cap B_eps) / (b_k eps^k) on the truncated cone.
@@ -480,29 +453,18 @@ def _local_lambda_at(X: ConeGerm, k: int, eps: float, rng: RandomSource, n_dirs:
             return _apex_lambda0_round(X, rng, n_dirs)
         return Estimate(0.0, 0.0, 1, rng.master_seed)
     if k == 0:
-        return _apex_lambda0_pl(X, rng, n_dirs)
+        return mean_normal_index(X.model, (0,), n_dirs, rng)
     total = Estimate(0.0, 0.0, 0, rng.master_seed)
     for i, cell in enumerate(X.cone_cells()):
         if len(cell) - 1 != k:
             continue
-        link_cell = tuple(v - 1 for v in cell if v != 0)
-        vol = _spherical_cell_volume(X.link, link_cell) / k * eps**k
-        dens = _cone_cell_mean_index(X, cell, n_dirs, rng.substream(i))
+        rays = X.model.vertices[[v for v in cell if v != 0]]
+        vol = _spherical_simplex_volume(rays) / k * eps**k
+        dens = mean_normal_index(X.model, cell, n_dirs, rng.substream(i))
         total = total + dens.scaled(vol)
     if total.n_samples == 0:
         return Estimate(0.0, 0.0, 1, rng.master_seed)
     return total.scaled(1.0 / norm)
-
-
-def _apex_lambda0_pl(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate:
-    T = X.model
-    link = normal_link(T, (0,))
-    gen = rng.generator()
-    g = gen.standard_normal((n_dirs, X.ambient_dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    idx, ok = normal_morse_index_many(T, (0,), g, link)
-    return mean_estimate(idx[ok].astype(float).tolist(), seed=rng.master_seed,
-                         method="apex-lower-link")
 
 
 def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate:
@@ -556,11 +518,7 @@ def _pl_local_polar_one(X: ConeGerm, k: int, P) -> float:
     T = X.model
     total = 0.0
     if k == 0:
-        v = P.basis[0]
-        link = normal_link(T, (0,))
-        down = normal_morse_index(T, (0,), v, link)
-        up = normal_morse_index(T, (0,), -v, link)
-        return 0.5 * (down + up)
+        return pl_alpha(T, (0,), P.basis[0])
     for cell in X.cone_cells():
         if len(cell) - 1 != k:
             continue
@@ -570,41 +528,12 @@ def _pl_local_polar_one(X: ConeGerm, k: int, P) -> float:
         if np.min(norms) < 1e-8:
             raise DegenerateDirectionError("projected ray collapses")
         unit = proj / norms[:, None]
-        theta_vol = _projected_spherical_volume(unit)
-        nu = _cone_image_normal(rays, P)
-        link = normal_link(T, cell)
+        theta_vol = _spherical_simplex_volume(unit)
         # alpha is link-combinatorial, hence exactly constant along the
         # cone cell; no second-point stability probe is needed
-        alpha = 0.5 * (
-            normal_morse_index(T, cell, nu, link) + normal_morse_index(T, cell, -nu, link)
-        )
+        alpha = pl_alpha(T, cell, image_normal(rays, P))
         total += alpha * theta_vol / (k * ball_volume(k))
     return total
-
-
-def _projected_spherical_volume(unit_rays: np.ndarray) -> float:
-    """Spherical volume of the radial projection of the cone over the rays."""
-    m = len(unit_rays)
-    if m == 1:
-        return 1.0
-    if m == 2:
-        a, b = unit_rays
-        return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
-    if m == 3:
-        a, b, c = unit_rays
-        num = abs(float(np.linalg.det(np.stack([a, b, c]))))
-        den = 1.0 + float(a @ b) + float(b @ c) + float(a @ c)
-        return 2.0 * abs(math.atan2(num, den))
-    raise NotImplementedError
-
-
-def _cone_image_normal(rays: np.ndarray, P) -> np.ndarray:
-    coords = rays @ P.basis.T  # (k, k+1)
-    u_, s, vt = np.linalg.svd(coords, full_matrices=True)
-    if s.min() < 1e-10:
-        raise DegenerateDirectionError("projected cone is degenerate")
-    nu = vt[-1] @ P.basis
-    return nu / np.linalg.norm(nu)
 
 
 def _round_local_polar_one(X: ConeGerm, P) -> float:

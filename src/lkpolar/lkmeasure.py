@@ -26,7 +26,6 @@ import numpy as np
 from .geomkit import (
     Estimate,
     RandomSource,
-    fmean,
     mean_estimate,
     sample_affine_flats_hitting_ball,
     sample_unit_sphere,
@@ -36,8 +35,7 @@ from . import plstrata
 from .plstrata import (
     DegenerateDirectionError,
     StratifiedComplex,
-    normal_link,
-    normal_morse_index_many,
+    mean_normal_index,
     pl_morse_indices,
 )
 from . import smoothshape as sm
@@ -167,8 +165,10 @@ def _segment_body(length: float) -> ConvexBody:
 
 def shape_from_name(spec: str) -> Shape:
     """Build a catalog shape from its CLI name, e.g. ``torus:2:1``."""
-    head, *args = spec.split(":")
-    args = [float(a) for a in args]
+    head, _, rest = spec.partition(":")
+    if head == "pl":
+        return Shape(name=spec, pl=plstrata.load_plstrat(rest))
+    args = [float(a) for a in rest.split(":")] if rest else []
     if head == "cube":
         side = args[0] if args else 1.0
         return Shape(name=spec, pl=plstrata.solid_cube(side), convex=_cube_body(side))
@@ -196,65 +196,12 @@ def shape_from_name(spec: str) -> Shape:
     if head == "ball":
         radius = args[0] if args else 1.0
         return Shape(name=spec, smooth=sm.ball_shape(radius), convex=_ball_body(radius))
-    if head == "pl":
-        return Shape(name=spec, pl=plstrata.load_plstrat(spec.split(":", 1)[1]))
     raise ValueError(f"unknown shape {spec!r}")
 
 
 # ---------------------------------------------------------------------------
 # lambda densities
 # ---------------------------------------------------------------------------
-
-def _pl_cell_mean_index(K: StratifiedComplex, cell, n_dirs: int, rng: RandomSource) -> Estimate:
-    """Mean of the normal Morse index over the unit normal sphere of a cell."""
-    n = K.ambient_dim
-    d = len(cell) - 1
-    link = normal_link(K, cell)
-    if len(link.vertex_ids) == 0:
-        return Estimate(1.0, 0.0, 1, rng.master_seed, method="empty-link")
-    m = n - d  # dimension of the normal space
-    comp = _cell_complement(K, cell)
-    if m == 1:
-        nu = comp[0]
-        vals = []
-        for v in (nu, -nu):
-            idx, ok = normal_morse_index_many(K, cell, v[None, :], link)
-            if not ok[0]:
-                raise DegenerateDirectionError("wall-aligned facet normal")
-            vals.append(float(idx[0]))
-        return Estimate(fmean(vals), 0.0, 2, rng.master_seed, method="two-point")
-    gen = rng.generator()
-    got = 0
-    total = 0.0
-    sq = 0.0
-    attempts = 0
-    while got < n_dirs:
-        batch = max(n_dirs - got, 64)
-        g = gen.standard_normal((batch, m))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        vs = g @ comp
-        idx, ok = normal_morse_index_many(K, cell, vs, link)
-        attempts += batch
-        if attempts > 50 * n_dirs:
-            raise DegenerateDirectionError("persistent wall alignment in normal sampling")
-        vals = idx[ok].astype(float)
-        got += len(vals)
-        total += math.fsum(vals.tolist())
-        sq += math.fsum((vals * vals).tolist())
-    mean = total / got
-    var = max(sq / got - mean * mean, 0.0) * got / max(got - 1, 1)
-    return Estimate(mean, math.sqrt(var / got), got, rng.master_seed, method="normal-sphere-mc")
-
-
-def _cell_complement(K: StratifiedComplex, cell) -> np.ndarray:
-    """Orthonormal rows spanning span(cell)^perp."""
-    span = K.cell_span(cell)
-    n = K.ambient_dim
-    if span.shape[0] == 0:
-        return np.eye(n)
-    u, _, _ = np.linalg.svd(span.T, full_matrices=True)
-    return u[:, span.shape[0]:].T
-
 
 def lambda_density(X: Shape, stratum, x_params, k: int, rng: RandomSource, n_dirs: int = 2000) -> Estimate:
     """Pointwise k-th curvature density on one stratum.
@@ -273,7 +220,7 @@ def lambda_density(X: Shape, stratum, x_params, k: int, rng: RandomSource, n_dir
             return Estimate(1.0, 0.0, 1, rng.master_seed)
         if k < d:
             return Estimate(0.0, 0.0, 1, rng.master_seed, method="flat-cell")
-        return _pl_cell_mean_index(X.pl, cell, n_dirs, rng)
+        return mean_normal_index(X.pl, cell, n_dirs, rng)
     S = stratum
     if k > S.dim:
         return Estimate(0.0, 0.0, 1, rng.master_seed)
@@ -449,13 +396,13 @@ def _morse_sum_smooth(X: Shape, v: np.ndarray) -> int:
     return total
 
 
-def exchange_lambda0(X: Shape, n_dirs: int, rng: RandomSource, threads: int = 1) -> Estimate:
+def exchange_lambda0(X: Shape, n_dirs: int, rng: RandomSource) -> Estimate:
     """Mean over uniform directions of the total stratified Morse index.
 
     Equals the 0-th curvature measure; per-direction sums are exact integers,
     non-generic directions are resampled within their substream.
     """
-    values = _per_sample_values(n_dirs, rng, lambda gen: _exchange_one(X, gen), threads)
+    values = _per_sample_values(n_dirs, rng, lambda gen: _exchange_one(X, gen))
     return mean_estimate(values, seed=rng.master_seed, method="morse-counting")
 
 
@@ -471,20 +418,9 @@ def _exchange_one(X: Shape, gen: np.random.Generator) -> float:
     raise RuntimeError("resample quota exceeded in exchange formula")
 
 
-def _per_sample_values(n_samples: int, rng: RandomSource, fn, threads: int = 1) -> list[float]:
+def _per_sample_values(n_samples: int, rng: RandomSource, fn) -> list[float]:
     """Evaluate fn on one generator per sample index; order-independent."""
-    def run(i: int) -> float:
-        return fn(rng.substream(i).generator())
-
-    if threads <= 1:
-        return [run(i) for i in range(n_samples)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    out = [0.0] * n_samples
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, val in enumerate(pool.map(run, range(n_samples))):
-            out[i] = val
-    return out
+    return [fn(rng.substream(i).generator()) for i in range(n_samples)]
 
 
 # ---------------------------------------------------------------------------

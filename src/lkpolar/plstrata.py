@@ -8,6 +8,11 @@ of the closed sublevel polyhedron {<v, y> <= -eta} of a normal link equals,
 for eta below the smallest nonzero |<v, d>| over link directions d, the Euler
 characteristic of the full subcomplex spanned by the strictly-below
 directions.
+
+This module owns the normal links of a complex and the normal Morse indices
+built on them: each complex keeps the links it has built, and the curvature
+route, the polar route and the cone germs all read the normal index of a cell
+through :func:`mean_normal_index` and :func:`pl_alpha`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geomkit import (
+    DegenerateDirectionError,
+    Estimate,
+    LinearSubspace,
+    RandomSource,
+    fmean,
+    mean_estimate,
+    simplex_volume,
+)
+
 __all__ = [
     "StratifiedComplex",
     "NormalLink",
@@ -25,6 +40,8 @@ __all__ = [
     "normal_link",
     "normal_morse_index",
     "normal_morse_index_many",
+    "mean_normal_index",
+    "pl_alpha",
     "pl_morse_indices",
     "segment_complex",
     "square_boundary",
@@ -39,21 +56,19 @@ __all__ = [
 ANGLE_TOL = 1e-8
 
 
-class DegenerateDirectionError(ValueError):
-    """Raised when a direction is too close to an orthogonality wall; the
-    caller is expected to resample."""
-
-
 @dataclass(frozen=True)
 class StratifiedComplex:
     """Finite embedded simplicial complex, closed under taking faces.
 
     ``cells[d]`` lists the d-simplices as sorted vertex-index tuples.  Strata
-    are the open cells.
+    are the open cells.  The complex is immutable, so the normal links that
+    :func:`normal_link` builds are kept on it for its lifetime.
     """
 
     vertices: np.ndarray  # (V, n)
     cells: dict[int, list[tuple[int, ...]]] = field(repr=False)
+    _cell_set: frozenset = field(init=False, repr=False, compare=False)
+    _links: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
@@ -64,10 +79,12 @@ class StratifiedComplex:
             if cs
         }
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_cell_set", frozenset(c for cs in cells.values() for c in cs))
+        object.__setattr__(self, "_links", {})
         self._validate()
 
     def _validate(self):
-        have = {c for cs in self.cells.values() for c in cs}
+        have = self._cell_set
         for d, cs in self.cells.items():
             for c in cs:
                 if len(c) != d + 1:
@@ -113,8 +130,7 @@ class StratifiedComplex:
             yield from self.cells[d]
 
     def has_cell(self, cell) -> bool:
-        cell = tuple(sorted(cell))
-        return cell in set(self.cells.get(len(cell) - 1, ()))
+        return tuple(sorted(cell)) in self._cell_set
 
     def cell_span(self, cell) -> np.ndarray:
         """Orthonormal basis (rows) of the linear span of the cell's edges."""
@@ -129,13 +145,7 @@ class StratifiedComplex:
 
     def cell_volume(self, cell) -> float:
         """d-volume of the closed simplex (Gram determinant)."""
-        pts = self.vertices[list(cell)]
-        d = len(cell) - 1
-        if d == 0:
-            return 1.0
-        e = pts[1:] - pts[0]
-        gram = e @ e.T
-        return float(np.sqrt(max(np.linalg.det(gram), 0.0))) / _factorial(d)
+        return simplex_volume(self.vertices[list(cell)])
 
     def link_cells(self, cell) -> list[tuple[int, ...]]:
         """Cells c' disjoint from ``cell`` with c' + cell a cell of the complex."""
@@ -145,8 +155,7 @@ class StratifiedComplex:
         for c in self.all_cells():
             if cset & set(c):
                 continue
-            joined = tuple(sorted(cell + c))
-            if self.has_cell(joined):
+            if tuple(sorted(cell + c)) in self._cell_set:
                 out.append(c)
         return out
 
@@ -157,13 +166,6 @@ class StratifiedComplex:
         if translation is not None:
             v = v + np.asarray(translation, dtype=float)
         return StratifiedComplex(v, {d: list(cs) for d, cs in self.cells.items()})
-
-
-def _factorial(d: int) -> int:
-    out = 1
-    for i in range(2, d + 1):
-        out *= i
-    return out
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,18 @@ def euler_characteristic(K: StratifiedComplex) -> int:
 def normal_link(K: StratifiedComplex, cell) -> NormalLink:
     """Normal link of an open cell: unit projections of its link vertices onto
     span(cell)^perp, carrying the link's simplicial structure.  The cone over
-    the result is the local normal slice of the complex along the cell."""
+    the result is the local normal slice of the complex along the cell.
+
+    The link is built once per complex and cell; later calls return the same
+    object."""
     cell = tuple(sorted(cell))
+    link = K._links.get(cell)
+    if link is None:
+        link = K._links[cell] = _build_normal_link(K, cell)
+    return link
+
+
+def _build_normal_link(K: StratifiedComplex, cell: tuple[int, ...]) -> NormalLink:
     if not K.has_cell(cell):
         raise KeyError(f"cell {cell} not in complex")
     span = K.cell_span(cell)
@@ -262,6 +274,46 @@ def normal_morse_index_many(K: StratifiedComplex, cell, vs: np.ndarray, link: No
         mask = np.logical_and.reduce(below[:, list(c)], axis=1)
         chi += (-1) ** (len(c) - 1) * mask
     return 1 - chi, valid
+
+
+def mean_normal_index(K: StratifiedComplex, cell, n_dirs: int, rng: RandomSource) -> Estimate:
+    """Mean of the normal Morse index over the unit normal sphere of a cell.
+
+    Exact for an empty link (index 1) and for a single normal direction (the
+    mean of the two unit normals); otherwise a Monte-Carlo mean over at least
+    ``n_dirs`` uniform normal directions, redrawing wall-aligned ones.
+    """
+    link = normal_link(K, cell)
+    if len(link.vertex_ids) == 0:
+        return Estimate(1.0, 0.0, 1, rng.master_seed, method="empty-link")
+    comp = LinearSubspace(K.ambient_dim, K.cell_span(cell)).orthogonal_complement().basis
+    m = comp.shape[0]  # dimension of the normal space
+    if m == 1:
+        idx, ok = normal_morse_index_many(K, cell, np.stack([comp[0], -comp[0]]), link)
+        if not ok.all():
+            raise DegenerateDirectionError("wall-aligned facet normal")
+        return Estimate(fmean(idx.astype(float).tolist()), 0.0, 2, rng.master_seed,
+                        method="two-point")
+    gen = rng.generator()
+    vals: list[float] = []
+    attempts = 0
+    while len(vals) < n_dirs:
+        batch = max(n_dirs - len(vals), 64)
+        g = gen.standard_normal((batch, m))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        idx, ok = normal_morse_index_many(K, cell, g @ comp, link)
+        attempts += batch
+        if attempts > 50 * n_dirs:
+            raise DegenerateDirectionError("persistent wall alignment in normal sampling")
+        vals.extend(idx[ok].astype(float).tolist())
+    return mean_estimate(vals, seed=rng.master_seed, method="normal-sphere-mc")
+
+
+def pl_alpha(K: StratifiedComplex, cell, nu: np.ndarray) -> float:
+    """Half-sum of the normal Morse indices along nu and -nu: the weight of
+    a cell's polar image whose normal is nu."""
+    link = normal_link(K, cell)
+    return 0.5 * (normal_morse_index(K, cell, nu, link) + normal_morse_index(K, cell, -nu, link))
 
 
 def pl_morse_indices(K: StratifiedComplex, v: np.ndarray) -> dict[int, int]:

@@ -29,24 +29,20 @@ from .geomkit import (
     LinearSubspace,
     RandomSource,
     beta_coeff,
+    image_normal,
     mean_estimate,
     polar_length_constant,
     sample_affine_flats_hitting_ball,
     sample_grassmannian,
+    simplex_volume,
 )
 from .lkmeasure import Shape
-from .plstrata import (
-    DegenerateDirectionError,
-    NormalLink,
-    normal_link,
-    normal_morse_index,
-)
+from .plstrata import DegenerateDirectionError, NormalLink, pl_alpha
 from .smoothshape import (
     DegenerateHeightError,
     SmoothStratum,
     frames,
     height_critical_points,
-    second_form,
 )
 
 __all__ = [
@@ -78,7 +74,6 @@ class PolarConfig:
     overlap_fraction: float = 0.05
     span_angle_min: float = 1e-4
     span_rank_tol: float = 1e-8
-    alpha_mode: str = "closed-form"
     max_resamples: int = 100
     curvature_tol: float = 1e-7
     slice_delta: float = 1e-3
@@ -92,6 +87,8 @@ class PolarPiece:
     kind is "cell" (a flat cell taken whole), "whole" (a smooth stratum of
     dimension q taken whole), "contour" (a traced fold curve) or "points"
     (height critical points at q = 0).  ``geometry`` lives in P-coordinates.
+    A closed contour ends with a copy of its first point, so that its closing
+    segment is explicit.
     """
 
     stratum: object
@@ -100,6 +97,7 @@ class PolarPiece:
     alpha: float | None = None
     source_params: np.ndarray | None = None
     source_points: np.ndarray | None = None
+    closed: bool = False
 
 
 @dataclass(frozen=True)
@@ -176,14 +174,12 @@ def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25):
     return P
 
 
-def _snap_to_contour(S, p, u, iters=25):
-    return _snap_to_contour_batch(S, p[None, :], u, iters)[0]
-
-
 def trace_silhouette(S: SmoothStratum, u: np.ndarray, cfg: PolarConfig, diameter: float):
     """Polylines of {x in S : normal(x) orthogonal to span(u)} via a sign grid with
     bisected edge crossings, chained per cell and refined to the chord
-    tolerance.  Returns a list of (params_array, points_array, closed)."""
+    tolerance.  Returns a list of (params_array, points_array, closed); a
+    closed polyline ends with its first point, whose chart parameters are
+    unwrapped against the last one."""
     chart = S.chart
     g = cfg.grid
     lo = np.array([b[0] for b in chart.bounds])
@@ -319,10 +315,11 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, cfg: PolarConfig, diameter
 
     out = []
     for params, closed in polylines:
+        if closed:
+            params = params + [params[0]]
         params = _unwrap_params(np.array(params), lo, hi, chart.periodic)
-        params = _refine_polyline(S, params, u, cfg.chord_tol * diameter, closed)
-        pts = chart.r(params)
-        out.append((params, pts, closed))
+        params = _refine_polyline(S, params, u, cfg.chord_tol * diameter)
+        out.append((params, chart.r(params), closed))
     return out
 
 
@@ -341,10 +338,8 @@ def _unwrap_params(params, lo, hi, periodic):
     return out
 
 
-def _refine_polyline(S, params, u, tol, closed, max_depth=8):
+def _refine_polyline(S, params, u, tol, max_depth=8):
     pts = np.asarray(params, dtype=float)
-    if closed and len(pts) > 1:
-        pts = np.vstack([pts, pts[0]])
     for _ in range(max_depth):
         mids = _snap_to_contour_batch(S, 0.5 * (pts[:-1] + pts[1:]), u)
         X = S.chart.r(pts)
@@ -359,8 +354,6 @@ def _refine_polyline(S, params, u, tol, closed, max_depth=8):
                 rows.append(mids[i])
             rows.append(pts[i + 1])
         pts = np.array(rows)
-    if closed:
-        pts = pts[:-1]
     return pts
 
 
@@ -446,6 +439,7 @@ def _smooth_polar_pieces(
                 geometry=P.coords(pts),
                 source_params=params,
                 source_points=pts,
+                closed=closed,
             )
             for params, pts, closed in traced
         ]
@@ -457,10 +451,7 @@ def polar_variety(X: Shape, stratum, P: LinearSubspace, cfg: PolarConfig | None 
     cfg = cfg or PolarConfig()
     q = P.dim - 1
     if X.pl is not None:
-        K = X.pl
-        d = len(stratum) - 1
-        single = Shape(name=X.name, pl=K)
-        return [p for p in _pl_polar_pieces(single, P, q, cfg) if p.stratum == tuple(sorted(stratum))]
+        return [p for p in _pl_polar_pieces(X, P, q, cfg) if p.stratum == tuple(sorted(stratum))]
     return _smooth_polar_pieces(X, stratum, P, q, cfg, rng)
 
 
@@ -597,25 +588,7 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, cfg: PolarConfig | Non
 # the index alpha
 # ---------------------------------------------------------------------------
 
-_LINK_CACHE: dict = {}
-
-
-def _cached_link(K, cell) -> NormalLink:
-    key = (id(K), cell)
-    hit = _LINK_CACHE.get(key)
-    if hit is None or hit[0] is not K:
-        hit = (K, normal_link(K, cell))
-        _LINK_CACHE[key] = hit
-    return hit[1]
-
-
-def _pl_alpha(K, cell, nu: np.ndarray, link: NormalLink) -> float:
-    up = normal_morse_index(K, cell, nu, link)
-    down = normal_morse_index(K, cell, -nu, link)
-    return 0.5 * (up + down)
-
-
-def _geometric_normal_index(K, cell, v: np.ndarray, link: NormalLink, cfg: PolarConfig) -> int:
+def _geometric_normal_index(K, cell, v: np.ndarray, link: NormalLink) -> int:
     """Slow cross-check route for the PL normal index: clip the link cells at
     the hyperplane <v, y> = -eta, triangulate the clipped polytopes, and count
     cells of the resulting sublevel complex."""
@@ -671,31 +644,21 @@ def _half_branch_alpha(v_dot_w: float) -> float:
     return 0.5
 
 
-def _fold_alpha_closed_form(S: SmoothStratum, params, nu: np.ndarray, tau: np.ndarray, cfg) -> float:
-    """alpha at a clean fold of a top stratum from the slice-curve curvature.
-
-    The slice curve runs along the projection kernel tau; its second
-    derivative against nu decides min versus max, and the two signs cancel in
-    the half-sum: the computation is kept explicit so degenerate (cusp-like)
-    points are detected and skipped.
-    """
-    form = second_form(S, params, nu)
-    t_coords = form.tangent_frame @ tau
-    c2 = float(t_coords @ form.matrix @ t_coords)
-    if abs(c2) < cfg.curvature_tol:
-        raise DegenerateDirectionError("vanishing fold curvature (cusp)")
-    ind_down = 1 if c2 > 0 else -1  # min contributes +1, max contributes -1
-    ind_up = 1 if -c2 > 0 else -1
-    return 0.5 * (ind_down + ind_up)
-
-
-def _fold_alpha_slice_chi(X: Shape, S: SmoothStratum, params, nu, tau, P, cfg) -> float:
-    """alpha by building the slice curve and counting level-set points.
+def _fold_alpha_slice_chi(X: Shape, S: SmoothStratum, params, P, cfg) -> float:
+    """Slow cross-check route for alpha at a fold: build the slice curve and
+    count level-set points.
 
     Follows the curve through the fold along the kernel direction and counts
     solutions of <nu, y> = <nu, x> - delta inside the epsilon ball; the index
     is 1 - (that count), evaluated for both conormal signs.
     """
+    # nu: normal of the image curve inside P; at a fold it is also normal to S
+    _, normal = frames(S, params)
+    nu = normal[0] - P.orthogonal_complement().project(normal[0])
+    nrm = np.linalg.norm(nu)
+    if nrm < 1e-12:
+        raise DegenerateDirectionError("stratum normal orthogonal to the plane")
+    nu = nu / nrm
     diameter = X.diameter
     delta = cfg.slice_delta * diameter
     eps = cfg.slice_epsilon * diameter
@@ -707,7 +670,6 @@ def _fold_alpha_slice_chi(X: Shape, S: SmoothStratum, params, nu, tau, P, cfg) -
     vals = (pts - x0) @ nu
     counts = {}
     for sign in (1.0, -1.0):
-        level = -sign * delta
         f = sign * vals - (-delta)
         crossings = int(np.sum(f[:-1] * f[1:] < 0))
         counts[sign] = 1 - crossings
@@ -778,32 +740,25 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace, cfg: PolarConfig |
     cfg = cfg or PolarConfig()
     q = P.dim - 1
     if X.pl is not None:
-        cell = tuple(sorted(stratum))
         K = X.pl
-        link = _cached_link(K, cell)
-        nu = _pl_image_normal(K, cell, P)
-        if cfg.alpha_mode == "slice-chi":
-            return 0.5 * (
-                _geometric_normal_index(K, cell, nu, link, cfg)
-                + _geometric_normal_index(K, cell, -nu, link, cfg)
-            )
-        return _pl_alpha(K, cell, nu, link)
+        cell = tuple(sorted(stratum))
+        return pl_alpha(K, cell, image_normal(K.cell_span(cell), P))
     S = stratum
     params, point = source
     if S.dim == q:
         # the slice meets the stratum in the point itself
         if S.role == "top":
             return 1.0
-        nu = _smooth_image_normal(S, params, P)
+        nu = image_normal(S.chart.dr(np.asarray(params, dtype=float)), P)
         w = np.atleast_2d(S.inward_conormal(np.atleast_2d(params)))[0]
         return _half_branch_alpha(float(nu @ w))
     if q == 0:
         return _alpha_q0(S, params, P.basis[0])
     # fold point of a surface stratum
-    nu, tau = _fold_frame(S, params, P)
-    if cfg.alpha_mode == "slice-chi":
-        return _fold_alpha_slice_chi(X, S, params, nu, tau, P, cfg)
-    return _fold_alpha_closed_form(S, params, nu, tau, cfg)
+    alphas, valid = _fold_alphas_batch(S, params, P.orthogonal_complement().basis[0], cfg)
+    if not valid[0]:
+        raise DegenerateDirectionError("vanishing fold curvature (cusp)")
+    return float(alphas[0])
 
 
 def _alpha_q0(S: SmoothStratum, params, v: np.ndarray) -> float:
@@ -826,67 +781,9 @@ def _alpha_q0(S: SmoothStratum, params, v: np.ndarray) -> float:
     return 0.5 * (ind_down + ind_up)
 
 
-def _pl_image_normal(K, cell, P: LinearSubspace) -> np.ndarray:
-    """Unit vector of P orthogonal to the projected cell (the image normal)."""
-    span = K.cell_span(cell)
-    coords = span @ P.basis.T  # (d, q+1)
-    if coords.shape[0] == 0:
-        u, s, vt = np.linalg.svd(np.zeros((1, P.dim)) if P.dim else None), None, None
-    if coords.shape[0]:
-        u_, s, vt = np.linalg.svd(coords, full_matrices=True)
-        if s.size and s.min() < 1e-10:
-            raise DegenerateDirectionError("projected cell is degenerate")
-        nu_coords = vt[-1]
-    else:
-        nu_coords = np.zeros(P.dim)
-        nu_coords[0] = 1.0
-    nu = nu_coords @ P.basis
-    return nu / np.linalg.norm(nu)
-
-
-def _smooth_image_normal(S: SmoothStratum, params, P: LinearSubspace) -> np.ndarray:
-    J = S.chart.dr(np.asarray(params, dtype=float))
-    coords = J @ P.basis.T
-    u_, s, vt = np.linalg.svd(coords, full_matrices=True)
-    if s.min() < 1e-10:
-        raise DegenerateDirectionError("projected tangent is degenerate")
-    nu = vt[-1] @ P.basis
-    return nu / np.linalg.norm(nu)
-
-
-def _fold_frame(S: SmoothStratum, params, P: LinearSubspace):
-    """(image normal nu, kernel direction tau) at a fold source point."""
-    tangent, normal = frames(S, params)
-    comp = P.orthogonal_complement()
-    # tau spans T_x S meet P-perp (one-dimensional at a fold)
-    A = np.vstack([comp.basis @ tangent.T])
-    u_, s, vt = np.linalg.svd(tangent @ comp.basis.T, full_matrices=True)
-    tau_coef = u_[:, 0]
-    tau = tau_coef @ tangent
-    tau /= np.linalg.norm(tau)
-    # nu: normal of the image curve inside P; it is also normal to S
-    nu = normal[0] - P.orthogonal_complement().project(normal[0])
-    nrm = np.linalg.norm(nu)
-    if nrm < 1e-12:
-        raise DegenerateDirectionError("stratum normal orthogonal to the plane")
-    return nu / nrm, tau
-
-
 # ---------------------------------------------------------------------------
 # image integrals and polar lengths
 # ---------------------------------------------------------------------------
-
-def _simplex_volume(coords: np.ndarray) -> float:
-    d = coords.shape[0] - 1
-    if d == 0:
-        return 1.0
-    e = coords[1:] - coords[0]
-    gram = e @ e.T
-    vol = math.sqrt(max(np.linalg.det(gram), 0.0))
-    for i in range(2, d + 1):
-        vol /= i
-    return vol
-
 
 def _region_mask(X: Shape, pts: np.ndarray) -> np.ndarray:
     if X.region is None:
@@ -916,7 +813,7 @@ def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: PolarCo
         if X.region is not None:
             raise NotImplementedError("region restriction on PL polar images")
         alpha = alpha_index(X, cell, None, P, cfg)
-        return alpha * _simplex_volume(piece.geometry)
+        return alpha * simplex_volume(piece.geometry)
     if piece.kind == "points":
         if q != 0:
             return 0.0
@@ -995,17 +892,7 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: Polar
     S = piece.stratum
     seg_len = np.linalg.norm(geo[1:] - geo[:-1], axis=1)
     mids = _snap_to_contour_batch(S, 0.5 * (params[:-1] + params[1:]), u)
-    if cfg.alpha_mode == "slice-chi":
-        alphas = np.empty(len(mids))
-        valid = np.ones(len(mids), dtype=bool)
-        pts_mid = S.chart.r(mids)
-        for i, (p, x) in enumerate(zip(mids, pts_mid)):
-            try:
-                alphas[i] = alpha_index(X, S, (p, x), P, cfg)
-            except DegenerateDirectionError:
-                valid[i] = False
-    else:
-        alphas, valid = _fold_alphas_batch(S, mids, u, cfg)
+    alphas, valid = _fold_alphas_batch(S, mids, u, cfg)
     mask = np.ones(len(mids), dtype=bool)
     if X.region is not None:
         mask = np.asarray(X.region(S.chart.r(mids)), dtype=bool)
@@ -1054,7 +941,6 @@ def polar_length(
     n_planes: int,
     rng: RandomSource,
     cfg: PolarConfig | None = None,
-    threads: int = 1,
     keep_rows: bool = False,
 ) -> PolarLengthResult:
     """Monte-Carlo q-th polar length: the dimensional constant times the mean
@@ -1110,13 +996,7 @@ def polar_length(
             f"plane resample quota exceeded; rejection histogram: {reject_reasons}"
         )
 
-    if threads <= 1:
-        values = [one(i) for i in range(n_planes)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, range(n_planes)))
+    values = [one(i) for i in range(n_planes)]
 
     const = polar_length_constant(n, q)
     est = mean_estimate(values, seed=seed, method="polar-mc").scaled(const)

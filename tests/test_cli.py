@@ -61,13 +61,6 @@ def test_rerun_reproduces_bitwise():
     assert strip_times(a) == strip_times(b)
 
 
-def test_threads_reproduce_serial():
-    base = ["polar", "--shape", "cube", "--q", "1", "--samples", "80", "--seed", "5"]
-    a, _ = run(base)
-    b, _ = run(base + ["--threads", "4"])
-    assert strip_times(a)["rows"][0]["value"] == strip_times(b)["rows"][0]["value"]
-
-
 def test_doubling_samples_shrinks_se():
     argv = ["polar", "--shape", "disk:1", "--q", "1", "--seed", "11", "--samples"]
     a, _ = run(argv + ["200"])
@@ -129,3 +122,16 @@ def test_catalog_roundtrip(tmp_path):
     from lkpolar.plstrata import euler_characteristic, load_plstrat
 
     assert euler_characteristic(load_plstrat(out)) == 2
+
+
+def test_pl_file_shape_matches_catalog(tmp_path):
+    out = tmp_path / "cube.plstrat"
+    _, status = run(["catalog", "--name", "cube", "--out", str(out)])
+    assert status == 0
+    argv = ["measure", "--k", "1,3", "--samples", "400", "--seed", "6"]
+    from_file, status = run(argv + ["--shape", f"pl:{out}"])
+    assert status == 0
+    catalog, _ = run(argv + ["--shape", "cube"])
+    assert [(r["value"], r["std_error"]) for r in from_file["rows"]] == [
+        (r["value"], r["std_error"]) for r in catalog["rows"]
+    ]

@@ -16,7 +16,6 @@ from lkpolar.geomkit import (
     sample_affine_flats_hitting_ball,
     sample_grassmannian,
     sample_unit_sphere,
-    sample_unit_sphere_many,
     sphere_volume,
 )
 
@@ -94,7 +93,8 @@ def test_sample_unit_sphere_norm_and_symmetry():
     v = sample_unit_sphere(3, rng)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
-    vs = sample_unit_sphere_many(3, 100_000, RandomSource(11))
+    gen = RandomSource(11).generator()
+    vs = np.array([sample_unit_sphere(3, gen) for _ in range(100_000)])
     # componentwise mean -> 0 within 4 sigma; per-component sd is 1/sqrt(3N)
     sd = 1.0 / math.sqrt(3 * len(vs))
     assert np.all(np.abs(vs.mean(axis=0)) < 4 * sd)
@@ -103,10 +103,14 @@ def test_sample_unit_sphere_norm_and_symmetry():
 
 
 def test_random_source_determinism():
-    a = sample_unit_sphere_many(4, 32, RandomSource(123, stream_id=5))
-    b = sample_unit_sphere_many(4, 32, RandomSource(123, stream_id=5))
+    def draws(rng):
+        gen = rng.generator()
+        return np.array([sample_unit_sphere(4, gen) for _ in range(32)])
+
+    a = draws(RandomSource(123, stream_id=5))
+    b = draws(RandomSource(123, stream_id=5))
     assert np.array_equal(a, b)
-    c = sample_unit_sphere_many(4, 32, RandomSource(123, stream_id=6))
+    c = draws(RandomSource(123, stream_id=6))
     assert not np.array_equal(a, c)
     # substreams are reproducible and distinct
     s0 = sample_unit_sphere(4, RandomSource(9).substream(0))

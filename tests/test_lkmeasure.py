@@ -186,13 +186,6 @@ def test_exchange_matches_lk0_on_catalog():
         assert gap <= max(tol, 1e-6), name
 
 
-def test_exchange_threads_bitwise_equal():
-    X = shape_from_name("cube")
-    a = exchange_lambda0(X, 64, RandomSource(46), threads=1)
-    b = exchange_lambda0(X, 64, RandomSource(46), threads=4)
-    assert a.value == b.value and a.std_error == b.std_error
-
-
 # ---------------------------------------------------------------------------
 # slices and the kinematic formula
 # ---------------------------------------------------------------------------

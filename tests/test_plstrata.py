@@ -11,6 +11,7 @@ from lkpolar.plstrata import (
     cube_boundary,
     euler_characteristic,
     load_plstrat,
+    mean_normal_index,
     normal_link,
     normal_morse_index,
     normal_morse_index_many,
@@ -222,6 +223,53 @@ def test_normal_link_missing_cell():
     K = square_boundary()
     with pytest.raises(KeyError):
         normal_link(K, (0, 2))
+
+
+def test_normal_link_kept_on_the_complex():
+    K = solid_cube()
+    edge = K.cells[1][0]
+    assert normal_link(K, edge) is normal_link(K, edge)
+    assert normal_link(K, edge) is normal_link(K, tuple(reversed(edge)))
+
+
+def test_transformed_complex_gets_fresh_links():
+    K = solid_cube()
+    vertex = (0,)
+    link = normal_link(K, vertex)
+    theta = 0.6
+    rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
+                    [math.sin(theta), math.cos(theta), 0.0],
+                    [0.0, 0.0, 1.0]])
+    moved = K.transformed(rotation=rot, translation=np.array([1.0, -2.0, 0.5]))
+    moved_link = normal_link(moved, vertex)
+    assert moved_link is not link
+    assert moved_link.vertex_ids == link.vertex_ids
+    assert np.allclose(moved_link.directions, link.directions @ rot.T, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# mean normal indices
+# ---------------------------------------------------------------------------
+
+def test_mean_normal_index_empty_link_is_one():
+    K = solid_cube()
+    est = mean_normal_index(K, K.cells[3][0], 100, RandomSource(1))
+    assert (est.value, est.std_error) == (1.0, 0.0)
+
+
+def test_mean_normal_index_boundary_facet_is_half():
+    K = solid_cube()
+    facet = next(t for t in K.cells[2] if np.allclose(K.vertices[list(t)][:, 2], 0.0))
+    est = mean_normal_index(K, facet, 100, RandomSource(2))
+    assert (est.value, est.std_error) == (0.5, 0.0)
+
+
+def test_mean_normal_index_cube_corner_is_exterior_angle():
+    K = solid_cube()
+    corner = (int(np.flatnonzero(np.all(K.vertices == 0.0, axis=1))[0]),)
+    est = mean_normal_index(K, corner, 4000, RandomSource(3))
+    assert est.n_samples >= 4000
+    assert abs(est.value - 1 / 8) <= 3 * est.std_error
 
 
 # ---------------------------------------------------------------------------
