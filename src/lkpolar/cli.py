@@ -338,7 +338,9 @@ def run(argv=None) -> tuple[dict, int]:
     t0 = time.perf_counter()
     try:
         body = args.func(args)
-    except (ValueError, NotImplementedError) as err:
+    # RuntimeError: a resample quota ran out (planes, exchange directions,
+    # germ slices), which a report says as plainly as bad input
+    except (ValueError, NotImplementedError, RuntimeError) as err:
         report = {"schema": SCHEMA_VERSION, "error": str(err), "config": _config_echo(args)}
         return report, 2
     report = {

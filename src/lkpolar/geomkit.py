@@ -31,7 +31,9 @@ __all__ = [
     "sample_grassmannian",
     "sample_affine_flats_hitting_ball",
     "simplex_volume",
+    "simplex_volumes",
     "image_normal",
+    "image_normals",
     "DegenerateDirectionError",
     "fmean",
     "mean_estimate",
@@ -307,28 +309,40 @@ def sample_grassmannian(n: int, k: int, rng) -> LinearSubspace:
 
 def simplex_volume(points: np.ndarray) -> float:
     """d-volume of the simplex on d+1 points (Gram determinant)."""
-    e = points[1:] - points[0]
-    d = len(e)
-    if d == 0:
-        return 1.0
-    return math.sqrt(max(np.linalg.det(e @ e.T), 0.0)) / math.factorial(d)
+    return float(simplex_volumes(points[None])[0])
+
+
+def simplex_volumes(points: np.ndarray) -> np.ndarray:
+    """d-volumes of a stack of simplices, points of shape (C, d+1, k); a
+    point (d = 0) has volume 1.  Each simplex gets the same LAPACK call as
+    it would alone, so the values do not depend on the stack."""
+    e = points[:, 1:] - points[:, :1]
+    d = e.shape[1]
+    return np.sqrt(np.maximum(np.linalg.det(e @ e.swapaxes(1, 2)), 0.0)) / math.factorial(d)
 
 
 def image_normal(vectors: np.ndarray, P: LinearSubspace) -> np.ndarray:
     """Unit vector of P orthogonal to the projections of the given vectors:
     the normal of the image of their span.  With no vectors it is the first
     basis vector of P."""
-    coords = vectors @ P.basis.T  # (d, dim P)
-    if coords.shape[0] == 0:
-        nu_coords = np.zeros(P.dim)
-        nu_coords[0] = 1.0
+    return image_normals(np.asarray(vectors)[None], P)[0]
+
+
+def image_normals(vectors: np.ndarray, P: LinearSubspace) -> np.ndarray:
+    """:func:`image_normal` of each (d, n) block of a (C, d, n) stack, as a
+    (C, n) array.  Every step is a stacked call that treats each block as a
+    lone call would, so a block's normal does not depend on the stack."""
+    coords = vectors @ P.basis.T  # (C, d, dim P)
+    if coords.shape[1] == 0:
+        nu_coords = np.zeros((len(coords), P.dim))
+        nu_coords[:, 0] = 1.0
     else:
         _, s, vt = np.linalg.svd(coords, full_matrices=True)
-        if s.min() < 1e-10:
+        if s.size and s.min() < 1e-10:
             raise DegenerateDirectionError("projection of the span is degenerate")
-        nu_coords = vt[-1]
-    nu = nu_coords @ P.basis
-    return nu / np.linalg.norm(nu)
+        nu_coords = vt[:, -1]
+    nu = nu_coords[:, None, :] @ P.basis  # (C, 1, n)
+    return (nu / np.sqrt(nu @ nu.swapaxes(1, 2)))[:, 0]
 
 
 def sample_affine_flats_hitting_ball(

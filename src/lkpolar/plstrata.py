@@ -12,12 +12,19 @@ directions.
 This module owns the normal links of a complex and the normal Morse indices
 built on them: each complex keeps the links it has built, and the curvature
 route, the polar route and the cone germs all read the normal index of a cell
-through :func:`mean_normal_index` and :func:`pl_alpha`.
+through :func:`mean_normal_index`, :func:`pl_alpha` and :func:`pl_alpha_many`.
+
+Nothing about a cell but its projection depends on a random plane or height
+direction, so each complex also keeps a :class:`ComplexPlan`: the cells as
+vertex arrays (the Morse indices of heights read these), their orthonormal
+spans stacked per dimension, the vertex stars that link queries read, and the
+flattened links that :func:`pl_alpha_many` reads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +41,7 @@ from .geomkit import (
 
 __all__ = [
     "StratifiedComplex",
+    "ComplexPlan",
     "NormalLink",
     "DegenerateDirectionError",
     "euler_characteristic",
@@ -42,6 +50,7 @@ __all__ = [
     "normal_morse_index_many",
     "mean_normal_index",
     "pl_alpha",
+    "pl_alpha_many",
     "pl_morse_indices",
     "segment_complex",
     "square_boundary",
@@ -62,13 +71,15 @@ class StratifiedComplex:
 
     ``cells[d]`` lists the d-simplices as sorted vertex-index tuples.  Strata
     are the open cells.  The complex is immutable, so the normal links that
-    :func:`normal_link` builds are kept on it for its lifetime.
+    :func:`normal_link` builds and the :attr:`plan` are kept on it for its
+    lifetime.
     """
 
     vertices: np.ndarray  # (V, n)
     cells: dict[int, list[tuple[int, ...]]] = field(repr=False)
     _cell_set: frozenset = field(init=False, repr=False, compare=False)
     _links: dict = field(init=False, repr=False, compare=False)
+    _plan: "ComplexPlan | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
@@ -81,16 +92,22 @@ class StratifiedComplex:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "_cell_set", frozenset(c for cs in cells.values() for c in cs))
         object.__setattr__(self, "_links", {})
+        object.__setattr__(self, "_plan", None)
         self._validate()
 
     def _validate(self):
         have = self._cell_set
+        n_verts = len(self.vertices)
         for d, cs in self.cells.items():
             for c in cs:
                 if len(c) != d + 1:
                     raise ValueError(f"cell {c} listed at dimension {d}")
                 if len(set(c)) != len(c):
                     raise ValueError(f"repeated vertex in cell {c}")
+                # the plan indexes vertex arrays with these: a negative
+                # index would wrap round to another vertex
+                if not all(0 <= v < n_verts for v in c):
+                    raise ValueError(f"cell {c} names a vertex outside 0..{n_verts - 1}")
                 for f in itertools.combinations(c, len(c) - 1):
                     if len(f) and tuple(f) not in have:
                         raise ValueError(f"complex not closed under faces: missing {f} of {c}")
@@ -132,13 +149,19 @@ class StratifiedComplex:
     def has_cell(self, cell) -> bool:
         return tuple(sorted(cell)) in self._cell_set
 
+    @property
+    def plan(self) -> "ComplexPlan":
+        """The plane-independent tables of the complex, built on first use."""
+        if self._plan is None:
+            object.__setattr__(self, "_plan", ComplexPlan.build(self))
+        return self._plan
+
     def cell_span(self, cell) -> np.ndarray:
-        """Orthonormal basis (rows) of the linear span of the cell's edges."""
-        pts = self.vertices[list(cell)]
-        if len(cell) == 1:
-            return np.zeros((0, self.ambient_dim))
-        q, _ = np.linalg.qr((pts[1:] - pts[0]).T)
-        return q.T[: len(cell) - 1]
+        """Orthonormal basis (rows, read-only) of the linear span of the
+        cell's edges, read from the plan."""
+        cell = tuple(sorted(cell))
+        plan = self.plan
+        return plan.spans[len(cell) - 1][plan.rows[cell]]
 
     def barycenter(self, cell) -> np.ndarray:
         return self.vertices[list(cell)].mean(axis=0)
@@ -148,16 +171,18 @@ class StratifiedComplex:
         return simplex_volume(self.vertices[list(cell)])
 
     def link_cells(self, cell) -> list[tuple[int, ...]]:
-        """Cells c' disjoint from ``cell`` with c' + cell a cell of the complex."""
+        """Cells c' disjoint from ``cell`` with c' + cell a cell of the complex,
+        ordered as :meth:`all_cells` orders them.  They are the complements of
+        the cofaces of ``cell``, all of which lie in the star of its first
+        vertex."""
         cell = tuple(sorted(cell))
         cset = set(cell)
-        out = []
-        for c in self.all_cells():
-            if cset & set(c):
-                continue
-            if tuple(sorted(cell + c)) in self._cell_set:
-                out.append(c)
-        return out
+        out = [
+            tuple(v for v in c if v not in cset)
+            for c in self.plan.star[cell[0]]
+            if len(c) > len(cell) and cset.issubset(c)
+        ]
+        return sorted(out, key=lambda c: (len(c), c))
 
     def transformed(self, rotation: np.ndarray | None = None, translation=None, scale: float = 1.0):
         v = self.vertices * scale
@@ -166,6 +191,80 @@ class StratifiedComplex:
         if translation is not None:
             v = v + np.asarray(translation, dtype=float)
         return StratifiedComplex(v, {d: list(cs) for d, cs in self.cells.items()})
+
+
+@dataclass(frozen=True, eq=False)
+class ComplexPlan:
+    """Tables of a complex that no plane or direction changes.
+
+    Row ``i`` of ``cells[d]`` and ``spans[d]`` is the cell ``K.cells[d][i]``;
+    ``rows`` maps a cell to that row.  ``spans[d]`` stacks the orthonormal
+    bases that one QR per dimension gives, laid out as a lone QR lays out one
+    basis, so a span reads the same bits stacked or alone.  ``star[x]`` lists
+    the cells of dimension >= 1 that contain vertex ``x``.  ``link_tables``
+    fills per dimension on first use (see :func:`pl_alpha_many`).
+    """
+
+    cells: dict[int, np.ndarray]  # d -> (C_d, d + 1) vertex ids
+    spans: dict[int, np.ndarray]  # d -> (C_d, d, n), read-only
+    rows: dict[tuple[int, ...], int]
+    star: tuple[list[tuple[int, ...]], ...]
+    link_tables: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def build(cls, K: "StratifiedComplex") -> "ComplexPlan":
+        n = K.ambient_dim
+        cells, spans, rows = {}, {}, {}
+        star: tuple[list, ...] = tuple([] for _ in range(len(K.vertices)))
+        for d, cs in K.cells.items():
+            ids = np.array(cs, dtype=int).reshape(len(cs), d + 1)
+            if d == 0:
+                span = np.zeros((len(cs), 0, n))
+            else:
+                pts = K.vertices[ids]
+                q, _ = np.linalg.qr((pts[:, 1:] - pts[:, :1]).swapaxes(1, 2))
+                span = q.swapaxes(1, 2)
+            span.flags.writeable = False
+            cells[d], spans[d] = ids, span
+            rows.update((c, i) for i, c in enumerate(cs))
+        for c in K.all_cells():
+            if len(c) > 1:
+                for x in c:
+                    star[x].append(c)
+        return cls(cells=cells, spans=spans, rows=rows, star=star)
+
+
+@dataclass(frozen=True)
+class _LinkTable:
+    """The normal links of every d-cell of a complex, flattened: the
+    directions of cell after cell, and per link-cell size the link cells as
+    index rows into those directions."""
+
+    directions: np.ndarray  # (M, n)
+    owner: np.ndarray  # (M,) plan row of the cell that owns each direction
+    faces: list  # (sign (-1)^dim, (T,) owner rows, (T, size) direction rows)
+
+
+def _link_table(K: "StratifiedComplex", d: int) -> _LinkTable:
+    tables = K.plan.link_tables
+    if d not in tables:
+        links = [normal_link(K, c) for c in K.cells[d]]
+        sizes = [len(link.vertex_ids) for link in links]
+        start = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        by_size: dict[int, tuple[list, list]] = {}
+        for r, link in enumerate(links):
+            for c in link.link_cells:
+                owners, idx = by_size.setdefault(len(c), ([], []))
+                owners.append(r)
+                idx.append([start[r] + i for i in c])
+        tables[d] = _LinkTable(
+            directions=np.concatenate(
+                [link.directions for link in links] + [np.zeros((0, K.ambient_dim))]),
+            owner=np.repeat(np.arange(len(links)), sizes),
+            faces=[((-1) ** (size - 1), np.array(owners), np.array(idx))
+                   for size, (owners, idx) in sorted(by_size.items())],
+        )
+    return tables[d]
 
 
 @dataclass(frozen=True)
@@ -316,12 +415,48 @@ def pl_alpha(K: StratifiedComplex, cell, nu: np.ndarray) -> float:
     return 0.5 * (normal_morse_index(K, cell, nu, link) + normal_morse_index(K, cell, -nu, link))
 
 
+def pl_alpha_many(K: StratifiedComplex, d: int, rows, nus: np.ndarray) -> np.ndarray:
+    """:func:`pl_alpha` of the d-cells at the distinct plan rows ``rows``,
+    cell ``rows[i]`` along ``nus[i]``, in one pass of array operations.
+
+    The checks are those of :func:`normal_morse_index`: a direction that is
+    not orthogonal to its cell raises ValueError, and one within ANGLE_TOL of
+    a wall raises DegenerateDirectionError.  The two indices are read from
+    the sign of each link direction: below along nu is above along -nu.
+    """
+    rows = np.asarray(rows, dtype=int)
+    nus = np.asarray(nus, dtype=float)
+    norms = np.linalg.norm(nus, axis=1)
+    if d and np.any(np.abs(K.plan.spans[d][rows] @ nus[:, :, None]).max(axis=(1, 2))
+                    > 1e-8 * norms):
+        raise ValueError("direction is not orthogonal to the cell")
+    table = _link_table(K, d)
+    at = np.full(len(K.cells[d]), -1)
+    at[rows] = np.arange(len(rows))
+    mine = at[table.owner]  # entry -> position in rows, -1 if its cell is not asked
+    use = mine >= 0
+    dots = np.einsum("ij,ij->i", table.directions[use], nus[mine[use]])
+    if np.any(np.abs(dots) <= ANGLE_TOL * norms[mine[use]]):
+        raise DegenerateDirectionError("direction orthogonal to a link direction")
+    sign = np.zeros(len(mine))
+    sign[use] = np.sign(dots)  # 0 on the links of cells not asked
+    chi_down = np.zeros(len(rows), dtype=int)
+    chi_up = np.zeros(len(rows), dtype=int)
+    for parity, owners, idx in table.faces:
+        s = sign[idx]
+        chi_down += parity * np.bincount(at[owners[np.all(s < 0, axis=1)]], minlength=len(rows))
+        chi_up += parity * np.bincount(at[owners[np.all(s > 0, axis=1)]], minlength=len(rows))
+    return 0.5 * ((1 - chi_down) + (1 - chi_up))
+
+
 def pl_morse_indices(K: StratifiedComplex, v: np.ndarray) -> dict[int, int]:
     """Stratified Morse index of the height <v, .> at every vertex.
 
     Generic directions separate all vertex heights, so positive-dimensional
     cells carry no critical points and each vertex contributes
-    1 - chi(lower link).
+    1 - chi(lower link).  A cell lies in the lower link of exactly one of its
+    vertices, its highest, so each cell of dimension d >= 1 adds (-1)^(d-1)
+    to the lower-link chi of its top vertex.
     """
     v = np.asarray(v, dtype=float)
     heights = K.vertices @ v
@@ -330,22 +465,13 @@ def pl_morse_indices(K: StratifiedComplex, v: np.ndarray) -> dict[int, int]:
     if len(order) > 1 and np.min(np.diff(order)) <= 1e-10 * scale:
         raise DegenerateDirectionError("direction does not separate vertex heights")
 
-    star: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(len(K.vertices))}
-    for c in K.all_cells():
-        if len(c) == 1:
+    chi = np.zeros(len(K.vertices), dtype=int)
+    for d, ids in K.plan.cells.items():
+        if d == 0:
             continue
-        for x in c:
-            star[x].append(c)
-
-    out: dict[int, int] = {}
-    for x in range(len(K.vertices)):
-        chi = 0
-        for c in star[x]:
-            rest = [w for w in c if w != x]
-            if all(heights[w] < heights[x] for w in rest):
-                chi += (-1) ** (len(rest) - 1)
-        out[x] = 1 - chi
-    return out
+        top = ids[np.arange(len(ids)), np.argmax(heights[ids], axis=1)]
+        chi += (-1) ** (d - 1) * np.bincount(top, minlength=len(chi))
+    return dict(enumerate((1 - chi).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +579,41 @@ def save_plstrat(K: StratifiedComplex, path) -> None:
 
 
 def load_plstrat(path) -> StratifiedComplex:
+    """Read a PLSTRAT file.  A malformed file raises ValueError: a bad,
+    non-finite or missing token names its line, and a cell that breaks the
+    complex (vertex out of range, missing face, degenerate simplex) names the
+    cell."""
     with open(path) as fh:
-        tokens = fh.read().split()
+        tokens = [(no, tok) for no, line in enumerate(fh, 1) for tok in line.split()]
     it = iter(tokens)
-    magic = next(it)
+
+    def read(kind, what):
+        try:
+            no, tok = next(it)
+        except StopIteration:
+            last = tokens[-1][0] if tokens else 0
+            raise ValueError(f"{path}: file ends after line {last}, before the {what}") from None
+        try:
+            return no, kind(tok)
+        except ValueError:
+            raise ValueError(f"{path}, line {no}: bad {what} {tok!r}") from None
+
+    no, magic = read(str, "header")
     if magic != "PLSTRAT":
-        raise ValueError(f"not a PLSTRAT file (header {magic!r})")
-    n = int(next(it))
-    nv = int(next(it))
-    verts = np.array([[float(next(it)) for _ in range(n)] for _ in range(nv)])
-    nc = int(next(it))
+        raise ValueError(f"{path}, line {no}: not a PLSTRAT file (header {magic!r})")
+    n = read(int, "ambient dimension")[1]
+    nv = read(int, "vertex count")[1]
+    verts = np.zeros((nv, n))
+    for i in range(nv):
+        for j in range(n):
+            no, verts[i, j] = read(float, f"coordinate {j} of vertex {i}")
+            if not math.isfinite(verts[i, j]):
+                raise ValueError(f"{path}, line {no}: coordinate {j} of vertex {i} is not finite")
+    nc = read(int, "cell count")[1]
     cells: dict[int, list] = {}
-    for _ in range(nc):
-        d = int(next(it))
-        cell = tuple(int(next(it)) for _ in range(d + 1))
+    for k in range(nc):
+        d = read(int, f"dimension of cell {k}")[1]
+        cell = tuple(read(int, f"vertex {j} of cell {k}")[1] for j in range(d + 1))
         cells.setdefault(d, []).append(cell)
-    # constructor validates the face-closure invariant
+    # the constructor validates vertex ranges and the face-closure invariant
     return StratifiedComplex(verts, cells)

@@ -30,14 +30,15 @@ from .geomkit import (
     RandomSource,
     beta_coeff,
     image_normal,
+    image_normals,
     mean_estimate,
     polar_length_constant,
     sample_affine_flats_hitting_ball,
     sample_grassmannian,
-    simplex_volume,
+    simplex_volumes,
 )
 from .lkmeasure import Shape
-from .plstrata import DegenerateDirectionError, NormalLink, pl_alpha
+from .plstrata import DegenerateDirectionError, NormalLink, pl_alpha, pl_alpha_many
 from .smoothshape import (
     DegenerateHeightError,
     SmoothStratum,
@@ -362,39 +363,57 @@ def _refine_polyline(S, params, u, tol, max_depth=8):
 # ---------------------------------------------------------------------------
 
 def _pl_polar_pieces(X: Shape, P: LinearSubspace, q: int, cfg: PolarConfig) -> list[PolarPiece]:
+    """Cells of dimension <= q taken whole, in the order of ``K.cells``, after
+    the span check of every cell below the top dimension."""
     K = X.pl
+    plan = K.plan
     n = K.ambient_dim
-    comp = P.orthogonal_complement()
+    comp = P.orthogonal_complement().basis
     pieces = []
     span_flags = []
     for d, cells in K.cells.items():
         if d == n:
             continue
-        for cell in cells:
-            span = K.cell_span(cell)
-            inter_dim, clearance = _span_intersection(span, comp.basis, cfg)
-            expected = max(0, d + comp.dim - n)
-            if inter_dim > expected or (expected < min(d, comp.dim) and clearance < cfg.span_angle_min):
-                span_flags.append((cell, inter_dim, clearance))
-                continue
-            if d > q:
-                continue  # generic transversality: no polar points on the cell
-            coords = P.coords(K.vertices[list(cell)])
-            pieces.append(
-                PolarPiece(
-                    stratum=cell,
-                    kind="cell",
-                    geometry=coords,
-                    source_points=K.vertices[list(cell)],
-                )
-            )
+        flags, inter_dim, clearance = _span_flags(plan.spans[d], comp, cfg)
+        span_flags.extend(
+            (cells[i], int(inter_dim[i]), float(clearance[i])) for i in np.flatnonzero(flags))
+        if d > q or span_flags:
+            continue  # d > q: generic transversality leaves no polar points
+        pts = K.vertices[plan.cells[d]]
+        coords = pts @ P.basis.T
+        pieces.extend(
+            PolarPiece(stratum=cell, kind="cell", geometry=coords[i], source_points=pts[i])
+            for i, cell in enumerate(cells)
+        )
     if span_flags:
         raise DegeneratePlaneError(DegeneracyReport(span_flags=span_flags))
     return pieces
 
 
+def _span_flags(spans: np.ndarray, comp: np.ndarray, cfg: PolarConfig):
+    """:func:`_span_intersection` of each (d, n) span of a stack against the
+    complement ``comp`` of the plane, with one stacked SVD, and which spans
+    it flags: those meeting ``comp`` beyond the generic dimension, or within
+    ``span_angle_min`` of doing so.  Returns (flags, dims, clearances)."""
+    count, d, n = spans.shape
+    c = comp.shape[0]
+    if d == 0 or c == 0:
+        return np.zeros(count, dtype=bool), np.zeros(count, dtype=int), np.full(count, math.pi / 2)
+    sv = np.clip(np.linalg.svd(spans @ comp.T, compute_uv=False), -1.0, 1.0)
+    inter_dim = np.sum(sv > 1.0 - cfg.span_rank_tol, axis=1)
+    # singular values fall, so the first one past the intersection is the
+    # clearance; a zero column stands for "none left" (arccos 0 = pi/2)
+    rest = np.concatenate([sv, np.zeros((count, 1))], axis=1)[np.arange(count), inter_dim]
+    clearance = np.arccos(rest)
+    expected = max(0, d + c - n)
+    flags = (inter_dim > expected) | (
+        (expected < min(d, c)) & (clearance < cfg.span_angle_min))
+    return flags, inter_dim, clearance
+
+
 def _span_intersection(span_a: np.ndarray, span_b: np.ndarray, cfg: PolarConfig):
-    """(dim of intersection, clearance angle beyond it) via principal angles."""
+    """(dim of intersection, clearance angle beyond it) via principal angles;
+    the one-cell reference for :func:`_span_flags`."""
     if span_a.shape[0] == 0 or span_b.shape[0] == 0:
         return 0, math.pi / 2
     sv = np.linalg.svd(span_a @ span_b.T, compute_uv=False)
@@ -798,22 +817,40 @@ def polar_image_integral(X: Shape, stratum, P: LinearSubspace, cfg: PolarConfig 
     if pieces is None:
         pieces = polar_variety(X, stratum, P, cfg)
     total = 0.0
-    for piece in pieces:
-        total += _piece_integral(X, piece, P, cfg)
+    for val in _piece_values(X, pieces, P, cfg):
+        total += val
     return total
 
 
-def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: PolarConfig) -> float:
+def _piece_values(X: Shape, pieces, P: LinearSubspace, cfg: PolarConfig) -> list[float]:
+    """The alpha-weighted image volume of each piece, in piece order."""
+    if X.pl is not None:
+        return _pl_piece_values(X, pieces, P)
+    return [_piece_integral(X, piece, P, cfg) for piece in pieces]
+
+
+def _pl_piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
+    """Cell pieces: the q-cells get alpha times projected volume, with the
+    image normals, alphas and volumes of all of them in stacked calls; lower
+    cells get 0, since their images have measure zero."""
     q = P.dim - 1
-    if piece.kind == "cell":
-        cell = piece.stratum
-        d = len(cell) - 1
-        if d != q:
-            return 0.0  # lower-dimensional cells have measure-zero images
+    at = [i for i, piece in enumerate(pieces) if len(piece.stratum) - 1 == q]
+    vals = [0.0] * len(pieces)
+    if at:
         if X.region is not None:
             raise NotImplementedError("region restriction on PL polar images")
-        alpha = alpha_index(X, cell, None, P, cfg)
-        return alpha * simplex_volume(piece.geometry)
+        K = X.pl
+        rows = [K.plan.rows[pieces[i].stratum] for i in at]
+        alphas = pl_alpha_many(K, q, rows, image_normals(K.plan.spans[q][rows], P))
+        vols = simplex_volumes(np.stack([pieces[i].geometry for i in at]))
+        for i, val in zip(at, (alphas * vols).tolist()):
+            vals[i] = val
+    return vals
+
+
+def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: PolarConfig) -> float:
+    """One piece of a smooth shape (cell pieces go through _pl_piece_values)."""
+    q = P.dim - 1
     if piece.kind == "points":
         if q != 0:
             return 0.0
@@ -975,21 +1012,22 @@ def polar_length(
                 if keep_rows:
                     rows.append((i, P.basis.copy(), {}, "+".join(reasons)))
                 continue
-            per_stratum: dict = {}
-            m = 0.0
             try:
-                for piece in sample.pieces:
-                    val = _piece_integral(X, piece, P, cfg)
-                    key = _stratum_key(piece.stratum)
-                    per_stratum[key] = per_stratum.get(key, 0.0) + val
-                    m += val
+                vals = _piece_values(X, sample.pieces, P, cfg)
             except (DegeneratePlaneError, DegenerateDirectionError):
                 rejected[0] += 1
                 reject_reasons["alpha"] = reject_reasons.get("alpha", 0) + 1
                 if keep_rows:
                     rows.append((i, P.basis.copy(), {}, "alpha"))
                 continue
+            m = 0.0
+            for val in vals:  # in piece order, so that a fixed seed gives fixed bits
+                m += val
             if keep_rows:
+                per_stratum: dict = {}
+                for piece, val in zip(sample.pieces, vals):
+                    key = _stratum_key(piece.stratum)
+                    per_stratum[key] = per_stratum.get(key, 0.0) + val
                 rows.append((i, P.basis.copy(), per_stratum, ""))
             return m
         raise RuntimeError(

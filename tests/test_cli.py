@@ -135,3 +135,19 @@ def test_pl_file_shape_matches_catalog(tmp_path):
     assert [(r["value"], r["std_error"]) for r in from_file["rows"]] == [
         (r["value"], r["std_error"]) for r in catalog["rows"]
     ]
+
+
+def test_runtime_error_is_a_json_error(monkeypatch, capsys):
+    import lkpolar.cli as cli
+
+    def quota(*args, **kwargs):
+        raise RuntimeError("plane resample quota exceeded; rejection histogram: {'span': 100}")
+
+    monkeypatch.setattr(cli, "polar_length", quota)
+    argv = ["polar", "--shape", "cube", "--q", "1", "--samples", "5", "--seed", "1"]
+    report, status = run(argv)
+    assert status == 2
+    assert "resample quota" in report["error"]
+    assert report["config"]["shape"] == "cube"
+    assert main(argv) == 2
+    assert "resample quota" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkpolar.geomkit import RandomSource, sample_unit_sphere
 from lkpolar.plstrata import (
@@ -16,6 +20,7 @@ from lkpolar.plstrata import (
     normal_morse_index,
     normal_morse_index_many,
     octahedron_boundary,
+    pl_alpha_many,
     pl_morse_indices,
     save_plstrat,
     segment_complex,
@@ -23,6 +28,14 @@ from lkpolar.plstrata import (
     square_boundary,
     torus_7vertex,
 )
+
+
+CATALOG = (segment_complex, square_boundary, octahedron_boundary, cube_boundary, solid_cube,
+           torus_7vertex)
+
+
+def catalog_and_grid(kuhn_grid):
+    return [make() for make in CATALOG] + [kuhn_grid(3)]
 
 
 def sample_generic(K, gen):
@@ -248,6 +261,89 @@ def test_transformed_complex_gets_fresh_links():
 
 
 # ---------------------------------------------------------------------------
+# the per-complex plan
+# ---------------------------------------------------------------------------
+
+def _link_cells_by_scan(K, cell):
+    """Every cell c' disjoint from ``cell`` with c' + cell a cell, found by
+    scanning the whole complex."""
+    cell = tuple(sorted(cell))
+    out = []
+    for c in K.all_cells():
+        if set(cell) & set(c):
+            continue
+        if K.has_cell(cell + c):
+            out.append(c)
+    return out
+
+
+def test_link_cells_match_full_scan(kuhn_grid):
+    for K in catalog_and_grid(kuhn_grid):
+        for cell in K.all_cells():
+            assert K.link_cells(cell) == _link_cells_by_scan(K, cell), cell
+
+
+def test_cell_span_is_a_fresh_qr(kuhn_grid):
+    for K in catalog_and_grid(kuhn_grid):
+        for cell in K.all_cells():
+            pts = K.vertices[list(cell)]
+            if len(cell) == 1:
+                fresh = np.zeros((0, K.ambient_dim))
+            else:
+                fresh = np.linalg.qr((pts[1:] - pts[0]).T)[0].T[: len(cell) - 1]
+            span = K.cell_span(cell)
+            assert np.array_equal(span, fresh) and span.shape == fresh.shape, cell
+            assert not span.flags.writeable
+
+
+def test_transformed_complex_gets_fresh_plan():
+    K = solid_cube()
+    rot = np.linalg.qr(RandomSource(53).generator().standard_normal((3, 3)))[0]
+    edge = K.cells[1][0]
+    span = K.cell_span(edge)
+    moved = K.transformed(rotation=rot, translation=[1.0, 2.0, 3.0])
+    assert moved.plan is not K.plan
+    assert K.plan is K.plan
+    pts = moved.vertices[list(edge)]
+    assert np.array_equal(moved.cell_span(edge), np.linalg.qr((pts[1:] - pts[0]).T)[0].T)
+    assert not np.allclose(np.abs(moved.cell_span(edge)), np.abs(span))
+
+
+def test_non_normal_direction_raises():
+    K = solid_cube()
+    edge = K.cells[1][0]
+    along = K.cell_span(edge)[0]
+    with pytest.raises(ValueError, match="not orthogonal"):
+        normal_morse_index(K, edge, along)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        pl_alpha_many(K, 1, [0], along[None])
+
+
+def _morse_indices_by_star_loop(K, v):
+    """1 - chi(lower link) at each vertex, from the cells of its star."""
+    heights = K.vertices @ v
+    out = {}
+    for x in range(len(K.vertices)):
+        chi = 0
+        for c in K.all_cells():
+            if len(c) == 1 or x not in c:
+                continue
+            rest = [w for w in c if w != x]
+            if all(heights[w] < heights[x] for w in rest):
+                chi += (-1) ** (len(rest) - 1)
+        out[x] = 1 - chi
+    return out
+
+
+def test_pl_morse_indices_match_star_loop(kuhn_grid):
+    gen = RandomSource(59).generator()
+    for K in catalog_and_grid(kuhn_grid):
+        for _ in range(5):
+            v = sample_generic(K, gen)
+            assert pl_morse_indices(K, v) == _morse_indices_by_star_loop(K, v)
+
+
+# ---------------------------------------------------------------------------
 # mean normal indices
 # ---------------------------------------------------------------------------
 
@@ -409,6 +505,55 @@ def test_plstrat_roundtrip(tmp_path):
     K2 = load_plstrat(path)
     assert np.array_equal(K.vertices, K2.vertices)
     assert K.cells == K2.cells
+
+
+@st.composite
+def small_complexes(draw):
+    """Face closures of a few random simplices on points of the moment curve
+    (s, s^2, s^3) cut to R^n, shifted by arbitrary floats: any n + 1 distinct
+    points of the curve are affinely independent, so every draw is valid."""
+    n = draw(st.integers(1, 3))
+    ts = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=7, unique=True))
+    shift = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    verts = np.array([[(t / 7.0) ** (j + 1) for j in range(n)] for t in ts]) + shift
+    simplex = st.lists(st.integers(0, len(ts) - 1), min_size=1, max_size=n + 1, unique=True)
+    tops = draw(st.lists(simplex, min_size=1, max_size=5))
+    return StratifiedComplex.from_maximal_cells(verts, tops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=small_complexes())
+def test_plstrat_roundtrip_random_complexes(K):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "k.plstrat"
+        save_plstrat(K, path)
+        back = load_plstrat(path)
+    assert np.array_equal(back.vertices, K.vertices)
+    assert back.cells == K.cells
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a 0-cell on a vertex that does not exist
+        ("PLSTRAT 2\n2\n0.0 0.0\n1.0 0.0\n3\n0 0\n0 1\n0 7\n", r"\(7,\) names a vertex"),
+        # an edge to a vertex that does not exist
+        ("PLSTRAT 2\n2\n0.0 0.0\n1.0 0.0\n3\n0 0\n0 1\n1 0 7\n", r"\(0, 7\) names a vertex"),
+        ("PLSTRAT 2\n2\n0.0 0.0\n1.0 0.0\n3\n0 0\n0 1\n1 -1 1\n", r"\(-1, 1\) names a vertex"),
+        ("PLSTRAT 2\n2\n0.0 0.0\nnan 0.0\n3\n0 0\n0 1\n1 0 1\n", r"line 4: .*not finite"),
+        ("PLSTRAT 2\n2\n0.0 0.0\n1.0 inf\n3\n0 0\n0 1\n1 0 1\n", r"line 4: .*not finite"),
+        ("PLSTRAT 2\n2\n0.0 0.0\n1.0 0.0\n3\n0 0\n0 1\n1 0\n", r"ends after line 8"),
+        ("PLSTRAT 2\n2\n0.0 0.0\n", r"ends after line 3"),
+        ("PLSTRAT 2\n2\n0.0 zero\n1.0 0.0\n1\n0 0\n", r"line 3: bad coordinate"),
+    ],
+    ids=["point-out-of-range", "edge-out-of-range", "negative-vertex", "nan", "inf",
+         "truncated-cell", "truncated-vertices", "bad-token"],
+)
+def test_plstrat_bad_file_names_line_or_cell(tmp_path, text, message):
+    path = tmp_path / "bad.plstrat"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_plstrat(path)
 
 
 def test_plstrat_rejects_unclosed(tmp_path):

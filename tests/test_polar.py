@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian
-from lkpolar.geomkit import image_normal
-from lkpolar.lkmeasure import exchange_lambda0, lk_measure, shape_from_name
-from lkpolar.plstrata import normal_link
+from lkpolar.geomkit import image_normal, image_normals
+from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_name
+from lkpolar.plstrata import DegenerateDirectionError, normal_link, pl_alpha
 from lkpolar.polar import (
     PolarConfig,
     _fold_alpha_slice_chi,
     _geometric_normal_index,
+    _pl_piece_values,
+    _span_flags,
+    _span_intersection,
     alpha_index,
     check_genericity,
     crofton_volume,
@@ -149,6 +152,90 @@ def test_axis_aligned_cube_plane_flagged():
     sample = polar_sample(cube, XY_PLANE, CFG)
     assert sample.degenerate
     assert "span" in sample.report.reasons()
+    # at q = 1, P-perp is the e3 axis, which the cube's e3 edges lie in
+    verts = cube.pl.vertices
+    e3_edges = [e for e in cube.pl.cells[1]
+                if np.allclose(np.abs(verts[e[1]] - verts[e[0]]), [0.0, 0.0, 1.0])]
+    assert len(e3_edges) == 4
+    assert set(e3_edges) <= {cell for cell, _, _ in sample.report.span_flags}
+
+
+def _span_test_planes():
+    """Fixed random planes of each order, plus axis-aligned ones that flag."""
+    gen = RandomSource(41).generator()
+    planes = [sample_grassmannian(3, q + 1, gen) for q in (0, 1, 2) for _ in range(4)]
+    planes.append(XY_PLANE)
+    planes.append(LinearSubspace(3, np.array([[1.0, 0.0, 0.0]])))
+    planes.append(LinearSubspace.from_vectors(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])))
+    return planes
+
+
+def test_span_flags_match_per_cell_reference():
+    flagged = 0
+    for name in ("cube", "cube-boundary", "octahedron", "torus7"):
+        K = shape_from_name(name).pl
+        for P in _span_test_planes():
+            comp = P.orthogonal_complement().basis
+            for d, cells in K.cells.items():
+                if d == 3:
+                    continue
+                flags, dims, clearances = _span_flags(K.plan.spans[d], comp, CFG)
+                expected = max(0, d + len(comp) - 3)
+                for i, cell in enumerate(cells):
+                    dim, clearance = _span_intersection(K.cell_span(cell), comp, CFG)
+                    flag = dim > expected or (
+                        expected < min(d, len(comp)) and clearance < CFG.span_angle_min)
+                    assert (bool(flags[i]), int(dims[i])) == (flag, dim), (name, cell)
+                    assert clearances[i] == pytest.approx(clearance, abs=1e-12)
+                    flagged += flag
+    assert flagged > 0  # the axis-aligned planes exercise the flag
+
+
+def _image_normal_alone(vectors, P):
+    """The image normal of one cell, one lone numpy call at a time."""
+    coords = vectors @ P.basis.T
+    if coords.shape[0] == 0:
+        nu_coords = np.eye(P.dim)[0]
+    else:
+        _, s, vt = np.linalg.svd(coords, full_matrices=True)
+        if s.min() < 1e-10:
+            raise DegenerateDirectionError("projection of the span is degenerate")
+        nu_coords = vt[-1]
+    nu = nu_coords @ P.basis
+    return nu / np.linalg.norm(nu)
+
+
+def _volume_alone(points):
+    e = points[1:] - points[0]
+    if len(e) == 0:
+        return 1.0
+    return math.sqrt(max(np.linalg.det(e @ e.T), 0.0)) / math.factorial(len(e))
+
+
+def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
+    grid = Shape(name="grid", pl=kuhn_grid(2))
+    for X in (shape_from_name("cube"), shape_from_name("torus7"), grid):
+        K = X.pl
+        gen = RandomSource(43).generator()
+        for q in (0, 1, 2):
+            for _ in range(3):
+                P = sample_grassmannian(3, q + 1, gen)
+                sample = polar_sample(X, P, CFG)
+                if sample.degenerate:
+                    continue
+                try:
+                    reference = [
+                        pl_alpha(K, p.stratum, _image_normal_alone(K.cell_span(p.stratum), P))
+                        * _volume_alone(p.geometry) if len(p.stratum) == q + 1 else 0.0
+                        for p in sample.pieces
+                    ]
+                except DegenerateDirectionError:
+                    with pytest.raises(DegenerateDirectionError):
+                        _pl_piece_values(X, sample.pieces, P)
+                    continue
+                assert _pl_piece_values(X, sample.pieces, P) == reference
+                lone = [_image_normal_alone(K.cell_span(c), P) for c in K.cells[q]]
+                assert np.array_equal(image_normals(K.plan.spans[q], P), np.stack(lone))
 
 
 def test_uniform_rejection_rate_below_one_percent():
