@@ -76,6 +76,17 @@ def _parse_orders(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
+def _checked_orders(text: str, name: str, lo: int, hi: int) -> list[int]:
+    """The orders of ``text``, each checked against the range lo..hi that
+    shape or germ ``name`` allows, so that a bad order fails before any work."""
+    orders = _parse_orders(text)
+    bad = [k for k in orders if not lo <= k <= hi]
+    if bad:
+        raise ValueError(
+            f"order(s) {','.join(map(str, bad))} out of range for {name}: valid orders are {lo}..{hi}")
+    return orders
+
+
 def _config_echo(args: argparse.Namespace) -> dict:
     echo = {k: v for k, v in vars(args).items() if k != "func"}
     return echo
@@ -94,7 +105,7 @@ def _timed(fn):
 def cmd_measure(args) -> dict:
     X = shape_from_name(args.shape)
     rows = []
-    for k in _parse_orders(args.k):
+    for k in _checked_orders(args.k, args.shape, 0, X.ambient_dim):
         (est, ms) = _timed(lambda k=k: lk_measure(X, k, RandomSource(args.seed, k), n_dirs=args.samples))
         ref = _reference(args.shape, k)
         ok = True
@@ -112,7 +123,7 @@ def cmd_polar(args) -> dict:
     rows = []
     csv_rows = []
     resamples = {}
-    for q in _parse_orders(args.q):
+    for q in _checked_orders(args.q, args.shape, 0, X.ambient_dim):
         (res, ms) = _timed(
             lambda q=q: polar_length(
                 X, q, args.samples, RandomSource(args.seed, q), keep_rows=args.csv is not None
@@ -150,7 +161,7 @@ def cmd_verify(args) -> dict:
     X = shape_from_name(args.shape)
     rows = []
     resamples = {}
-    for q in _parse_orders(args.q):
+    for q in _checked_orders(args.q, args.shape, 0, X.ambient_dim):
         (lam, ms1) = _timed(lambda q=q: lk_measure(X, q, RandomSource(args.seed, q), n_dirs=args.samples))
         (res, ms2) = _timed(
             lambda q=q: polar_length(X, q, args.samples, RandomSource(args.seed, 1000 + q))
@@ -183,9 +194,12 @@ def cmd_kinematic(args) -> dict:
     shapes = args.shape.split("+")
     rows = []
     ratios: dict[int, list] = {}
+    checked = []
     for name in shapes:
         X = shape_from_name(name)
-        for k in _parse_orders(args.k):
+        checked.append((name, X, _checked_orders(args.k, name, 1, X.ambient_dim - 1)))
+    for name, X, orders in checked:
+        for k in orders:
             (chk, ms) = _timed(
                 lambda X=X, k=k: kinematic_check(X, k, args.samples, RandomSource(args.seed, k))
             )
@@ -223,12 +237,13 @@ def cmd_kinematic(args) -> dict:
 
 def cmd_local(args) -> dict:
     g = germs.germ_from_name(args.germ)
+    n = g.ambient_dim
+    wanted = set(_checked_orders(args.k, args.germ, 0, n)) if args.k else set(range(n + 1))
     (report, ms) = _timed(
         lambda: germs.verify_local_identities(
             g, RandomSource(args.seed), n_samples=args.samples, n_planes=args.samples
         )
     )
-    wanted = set(_parse_orders(args.k)) if args.k else set(range(g.ambient_dim + 1))
     rows = []
     for row in report.rows:
         if row.k not in wanted:

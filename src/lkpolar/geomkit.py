@@ -198,8 +198,8 @@ class LinearSubspace:
         k, n = basis.shape
         if n != self.ambient_dim or not 0 <= k <= n:
             raise ValueError(f"bad basis shape {basis.shape} for ambient dim {self.ambient_dim}")
-        gram = basis @ basis.T
-        if k and not np.allclose(gram, np.eye(k), atol=ORTHO_TOL):
+        # written so that a NaN entry fails too
+        if k and not np.max(np.abs(basis @ basis.T - np.eye(k))) <= ORTHO_TOL:
             raise ValueError("basis is not orthonormal within 1e-10")
 
     @property

@@ -167,7 +167,10 @@ def shape_from_name(spec: str) -> Shape:
     """Build a catalog shape from its CLI name, e.g. ``torus:2:1``."""
     head, _, rest = spec.partition(":")
     if head == "pl":
-        return Shape(name=spec, pl=plstrata.load_plstrat(rest))
+        try:
+            return Shape(name=spec, pl=plstrata.load_plstrat(rest))
+        except OSError as err:
+            raise ValueError(f"cannot read PLSTRAT file {rest!r}: {err.strerror or err}") from err
     args = [float(a) for a in rest.split(":")] if rest else []
     if head == "cube":
         side = args[0] if args else 1.0

@@ -605,6 +605,12 @@ def disk_shape(radius: float = 1.0) -> SmoothShape:
         row1 = np.stack([d_rhopsi, d_psipsi], axis=-2)
         return np.stack([row0, row1], axis=-3)
 
+    def unit_normal(p):
+        # the chart's normalised cross product d_rho x d_psi is (+-0, +-0, 1)
+        nu = np.zeros(np.shape(p)[:-1] + (3,))
+        nu[..., 2] = 1.0
+        return nu
+
     top_chart = _chart_2d(((1e-9, R), (0.0, 2 * math.pi)), (False, True), r, dr, d2r)
     top = SmoothStratum(
         name="disk",
@@ -612,6 +618,7 @@ def disk_shape(radius: float = 1.0) -> SmoothShape:
         chart=top_chart,
         role="top",
         implicit=lambda x: np.asarray(x, dtype=float)[..., 2:3],
+        unit_normal=unit_normal,
     )
 
     def rim_conormal(p):

@@ -151,3 +151,33 @@ def test_runtime_error_is_a_json_error(monkeypatch, capsys):
     assert report["config"]["shape"] == "cube"
     assert main(argv) == 2
     assert "resample quota" in capsys.readouterr().err
+
+
+def test_missing_pl_file_is_a_json_error(tmp_path):
+    for path in ("/no/such.plstrat", str(tmp_path)):
+        report, status = run(["measure", "--shape", f"pl:{path}", "--k", "0", "--samples", "1"])
+        assert status == 2
+        assert path in report["error"]
+        assert report["config"]["shape"] == f"pl:{path}"
+
+
+def test_out_of_range_order_fails_before_any_work(monkeypatch):
+    import lkpolar.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an order was computed before the orders were checked")
+
+    monkeypatch.setattr(cli, "lk_measure", no_work)
+    monkeypatch.setattr(cli, "polar_length", no_work)
+    monkeypatch.setattr(cli, "kinematic_check", no_work)
+    monkeypatch.setattr(cli.germs, "verify_local_identities", no_work)
+    for argv in (["verify", "--shape", "ellipse:2:1", "--q", "0,1,2,3"],
+                 ["polar", "--shape", "ellipse:2:1", "--q", "0,3"],
+                 ["measure", "--shape", "cube", "--k=-1,0"],
+                 ["kinematic", "--shape", "sphere:1+ellipse:2:1", "--k", "2"],
+                 ["local", "--germ", "rays:3", "--k", "0,3"]):
+        report, status = run(argv + ["--samples", "2"])
+        assert status == 2, argv
+        assert "valid orders are" in report["error"]
+    report, _ = run(["verify", "--shape", "ellipse:2:1", "--q", "0,1,2,3", "--samples", "2"])
+    assert "0..2" in report["error"] and "ellipse:2:1" in report["error"]

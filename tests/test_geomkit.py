@@ -81,6 +81,24 @@ def test_linear_subspace_rejects_non_orthonormal():
         LinearSubspace(3, np.array([[1.0, 1.0, 0.0]]))
 
 
+def test_linear_subspace_orthonormality_tolerance_is_absolute():
+    # |b|^2 - 1 = 2e-7 is far outside 1e-10, although within a 1e-5 relative
+    # tolerance
+    b = np.array([[math.sqrt(1.0 + 2e-7), 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="1e-10"):
+        LinearSubspace(3, b)
+    with pytest.raises(ValueError):
+        LinearSubspace(3, np.array([[np.nan, 0.0, 0.0]]))
+    gen = RandomSource(17).generator()
+    for n in (2, 3, 5):
+        for k in range(n + 1):
+            P = sample_grassmannian(n, k, gen)  # QR output
+            comp = P.orthogonal_complement()  # SVD output
+            assert comp.dim == n - k
+            LinearSubspace(n, P.basis)
+            LinearSubspace(n, comp.basis)
+
+
 def test_affine_flat_offset_orthogonality():
     d = LinearSubspace.from_vectors(np.array([[1.0, 0.0, 0.0]]))
     AffineFlat(direction=d, offset=np.array([0.0, 2.0, 0.0]))

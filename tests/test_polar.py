@@ -11,9 +11,12 @@ from lkpolar.polar import (
     PolarConfig,
     _fold_alpha_slice_chi,
     _geometric_normal_index,
+    _overlap_fraction,
     _pl_piece_values,
     _span_flags,
     _span_intersection,
+    _surface_normals,
+    _whole_stratum_integral,
     alpha_index,
     check_genericity,
     crofton_volume,
@@ -69,6 +72,38 @@ def test_sphere_silhouette_length_on_random_planes():
         pts = pieces[0].source_points
         length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
         assert abs(length - 2 * math.pi) <= 1e-5
+
+
+def _trace_grid(S, g):
+    """The chart nodes at which trace_silhouette evaluates normals."""
+    chart = S.chart
+    axes = []
+    for (lo, hi), per in zip(chart.bounds, chart.periodic):
+        axes.append(np.linspace(lo, hi, g if per else g + 1, endpoint=not per))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def test_disk_unit_normal_matches_chart_cross_product():
+    disk = shape_from_name("disk:1").smooth
+    rot = np.linalg.qr(RandomSource(49).generator().standard_normal((3, 3)))[0]
+    rot = rot * np.linalg.det(rot)  # a proper rotation keeps the cross product's sign
+    moved = disk.transformed(rotation=rot, translation=np.array([0.3, -1.0, 2.0]), scale=1.5)
+    u = _generic_plane(51).orthogonal_complement().basis[0]
+    for shape in (disk, moved):
+        S = shape.stratum("disk")
+        params = _trace_grid(S, CFG.grid)
+        J = S.chart.dr(params)
+        nu = np.cross(J[..., 0, :], J[..., 1, :])
+        nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+        closed = _surface_normals(S, params)
+        assert closed.shape == nu.shape
+        if shape is disk:
+            # equal up to the sign of zero, so the silhouette values are too
+            assert np.array_equal(closed, nu)
+            assert np.array_equal(closed @ u, nu @ u)
+        else:
+            np.testing.assert_allclose(closed, nu, rtol=0.0, atol=1e-14)
 
 
 def test_sphere_antipodal_critical_points_at_q0():
@@ -238,6 +273,81 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
                 assert np.array_equal(image_normals(K.plan.spans[q], P), np.stack(lone))
 
 
+def _dense_overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol):
+    """Reference for :func:`_overlap_fraction`: every probe against every
+    segment, in (probes, segments, dim) tensors."""
+    ka = np.linspace(0, len(a_img) - 1, min(len(a_img), 256)).astype(int)
+    kb = np.linspace(0, len(b_img) - 1, min(len(b_img), 512)).astype(int)
+    pa, sa = a_img[ka], a_src[ka]
+    qb, sb = b_img[kb], b_src[kb]
+    if len(pa) == 0 or len(qb) < 2:
+        return 0.0
+    seg_a, seg_b = qb[:-1], qb[1:]
+    seg = seg_b - seg_a
+    seg_len2 = np.maximum(np.sum(seg**2, axis=1), 1e-300)
+    rel = pa[:, None, :] - seg_a[None, :, :]
+    t = np.clip(np.einsum("nmd,md->nm", rel, seg) / seg_len2, 0.0, 1.0)
+    closest = seg_a[None, :, :] + t[..., None] * seg[None, :, :]
+    d2_img = np.sum((pa[:, None, :] - closest) ** 2, axis=2)
+    d2_src = np.minimum(
+        np.sum((sa[:, None, :] - sb[None, :-1, :]) ** 2, axis=2),
+        np.sum((sa[:, None, :] - sb[None, 1:, :]) ** 2, axis=2),
+    )
+    witness = (d2_img <= dist_tol**2) & (d2_src >= src_tol**2)
+    return float(np.mean(np.any(witness, axis=1)))
+
+
+def _overlap_cases():
+    """(a_img, a_src, b_img, b_src, dist_tol, src_tol) of the contour self
+    pairs, contour pairs and contour/rim pairs that check_genericity tests,
+    on fixed planes."""
+    gen = RandomSource(43).generator()
+    axial = LinearSubspace.from_vectors(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    tilted = LinearSubspace.from_vectors(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]]))
+    for name, extra in (("sphere:1", [XY_PLANE]), ("torus:2:1", [axial]),
+                        ("hemisphere:1", [XY_PLANE, tilted])):
+        X = shape_from_name(name)
+        dist_tol = CFG.overlap_distance * X.diameter
+        src_tol = 0.05 * X.diameter
+        rims = [S for S in X.smooth.strata if S.role == "rim"]
+        for P in [sample_grassmannian(3, 2, gen) for _ in range(3)] + extra:
+            contours = [piece for S in X.smooth.strata for piece in polar_variety(X, S, P, CFG)
+                        if piece.kind == "contour"]
+            for i, a in enumerate(contours):
+                for b in contours[i:]:
+                    yield a.geometry, a.source_points, b.geometry, b.source_points, dist_tol, src_tol
+                for rim in rims:
+                    rim_pts = rim.chart.r(rim.chart.grid(256)[0])
+                    yield (a.geometry, a.source_points, P.coords(rim_pts), rim_pts,
+                           dist_tol, src_tol)
+
+
+def _coincident_polylines():
+    """Synthetic images that overlap along a stretch, with far-apart sources."""
+    t = np.linspace(0.0, 1.0, 700)
+    line = np.stack([t, 0.5 * t], axis=-1)
+    src_a = np.stack([t, t, np.zeros_like(t)], axis=-1)
+    src_b = src_a + np.array([0.0, 0.0, 1.0])
+    yield line, src_a, line + 3e-5, src_b, 1e-4, 0.1  # coincident within tolerance
+    yield line, src_a, line[::-1][200:], src_b[::-1][200:], 1e-4, 0.1  # partial, reversed
+    bent = np.stack([t, 0.5 * t + np.where(t > 0.5, t - 0.5, 0.0)], axis=-1)
+    yield bent, src_a, line, src_b, 1e-4, 0.1  # they part half way
+    yield line, src_a, line + 3e-5, src_a, 1e-4, 0.1  # same sources: no witness
+    yield line, src_a, line[:1], src_b[:1], 1e-4, 0.1  # one point: no segment
+
+
+def test_pruned_overlap_matches_dense_reference():
+    fired = 0
+    cases = list(_overlap_cases()) + list(_coincident_polylines())
+    for a_img, a_src, b_img, b_src, dist_tol, src_tol in cases:
+        frac = _overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol)
+        assert frac == _dense_overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol)
+        fired += frac > CFG.overlap_fraction
+    assert len(cases) > 20
+    # the axial torus plane and the synthetic overlaps make the flag fire
+    assert fired >= 4
+
+
 def test_uniform_rejection_rate_below_one_percent():
     for name in ("cube", "sphere:1", "torus:2:1", "disk:1"):
         X = shape_from_name(name)
@@ -283,6 +393,63 @@ def test_disk_rim_alpha_half():
     p = np.array([0.7])
     x = rim.chart.r(p)
     assert alpha_index(disk, rim, (p, x), P, CFG) == 0.5
+
+
+def _per_node_whole_integral(X, S, P):
+    """Reference for :func:`_whole_stratum_integral`: alpha node by node,
+    with the half-branch rule written out."""
+    params, w = S.chart.grid(128 if S.dim == 1 else 64)
+    Jp = S.chart.dr(params) @ P.basis.T
+    gram = Jp @ np.swapaxes(Jp, -1, -2)
+    if S.dim == 1:
+        element = np.sqrt(np.maximum(gram[..., 0, 0], 0.0))
+    else:
+        element = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    alphas = np.zeros(len(params))
+    for i, p in enumerate(params):
+        if element[i] < 1e-14:
+            continue
+        if S.role == "top":
+            alphas[i] = 1.0
+            continue
+        nu = image_normal(S.chart.dr(p), P)
+        w_in = S.inward_conormal(np.atleast_2d(p))[0]
+        if abs(float(nu @ w_in)) < 1e-9:
+            raise DegenerateDirectionError("conormal tangent to the image normal")
+        alphas[i] = 0.5
+    return float(math.fsum((w * element * alphas).tolist()))
+
+
+def test_stacked_whole_stratum_alpha_matches_per_node_loop():
+    gen = RandomSource(45).generator()
+    for name, stratum, q in (("disk:1", "rim", 1), ("hemisphere:1", "rim", 1),
+                             ("ball:1", "boundary", 2), ("sphere:1", "sphere", 2),
+                             ("circle:1", "circle", 1)):
+        X = shape_from_name(name)
+        S = X.smooth.stratum(stratum)
+        for _ in range(4):
+            P = sample_grassmannian(3, q + 1, gen)
+            value = _whole_stratum_integral(X, S, P)
+            assert value == _per_node_whole_integral(X, S, P), (name, stratum)
+            assert value > 0.0
+
+
+def test_degenerate_rim_node_raises():
+    disk = shape_from_name("disk:1")
+    hemi = shape_from_name("hemisphere:1")
+    # with e3 in the plane, the disk rim's image normal is e3 at every node,
+    # orthogonal to the radial conormal; the hemisphere rim under the XY
+    # plane has a radial image normal, orthogonal to its conormal e3
+    vertical = LinearSubspace.from_vectors(np.array([[0.0, 0.0, 1.0], [0.8, 0.6, 0.0]]))
+    for X, P in ((disk, vertical), (hemi, XY_PLANE)):
+        rim = X.smooth.stratum("rim")
+        with pytest.raises(DegenerateDirectionError):
+            _whole_stratum_integral(X, rim, P)
+        with pytest.raises(DegenerateDirectionError):
+            _per_node_whole_integral(X, rim, P)
+        p = np.array([0.7])
+        with pytest.raises(DegenerateDirectionError):
+            alpha_index(X, rim, (p, rim.chart.r(p)), P, CFG)
 
 
 def test_cube_facet_alpha_half_at_q2():
