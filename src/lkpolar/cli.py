@@ -25,7 +25,7 @@ import numpy as np
 
 from . import germ as germs
 from . import plstrata
-from .geomkit import RandomSource
+from .geomkit import RandomSource, ball_volume
 from .lkmeasure import kinematic_check, lk_measure, shape_from_name
 from .polar import polar_length
 
@@ -199,18 +199,26 @@ def cmd_kinematic(args) -> dict:
         X = shape_from_name(name)
         checked.append((name, X, _checked_orders(args.k, name, 1, X.ambient_dim - 1)))
     for name, X, orders in checked:
+        n = X.ambient_dim
         for k in orders:
             (chk, ms) = _timed(
                 lambda X=X, k=k: kinematic_check(X, k, args.samples, RandomSource(args.seed, k))
             )
-            est = chk.ratio if chk.ratio is not None else chk.numerator
+            # the ratio is the constant b_k b_(n-k) / (C(n, k) b_n) of the
+            # kinematic formula; when Lambda_(n-k) vanishes, so does the numerator
+            if chk.ratio is not None:
+                est = chk.ratio
+                ref = ball_volume(k) * ball_volume(n - k) / (math.comb(n, k) * ball_volume(n))
+            else:
+                est, ref = chk.numerator, 0.0
             rows.append(
                 _row(
                     "kinematic_ratio" if chk.ratio is not None else "kinematic_numerator",
                     k,
                     est,
                     shape=name,
-                    ok=True,
+                    reference=ref,
+                    ok=combined_pass(est.value, est.std_error, ref, 0.0, args.tolerance),
                     extra={"wall_time_ms": ms, "flagged_division": chk.flagged_division},
                 )
             )

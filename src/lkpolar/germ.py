@@ -318,10 +318,6 @@ def _round_slice_chi(X: ConeGerm, A: np.ndarray, v: np.ndarray, delta: float) ->
     theta = X.theta
     st, ct = math.sin(theta), math.cos(theta)
     c = A @ v
-
-    def link_point(psi):
-        return np.array([st * math.cos(psi), st * math.sin(psi), ct])
-
     # h(psi) = <A u(psi), c> = a cos(psi) + b sin(psi) + d
     e1 = A @ np.array([1.0, 0.0, 0.0])
     e2 = A @ np.array([0.0, 1.0, 0.0])
@@ -419,32 +415,20 @@ def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> E
 # localized curvature measures
 # ---------------------------------------------------------------------------
 
-def local_lambda(X: ConeGerm, k: int, rng: RandomSource, eps_ladder=(1.0, 0.5, 0.25),
-                 n_dirs: int = 4000) -> Estimate:
-    """Lambda_k(X, X cap B_eps) / (b_k eps^k) on the truncated cone.
+def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> Estimate:
+    """Lambda_k(X, X cap B_1) / b_k on the cone truncated at radius 1.
 
-    For cones the ratio is exactly independent of eps; the ladder is still
-    evaluated and its flatness asserted before returning the finest value.
+    Lambda_k is homogeneous of degree k, so for a cone the ratio
+    Lambda_k(X, B_eps) / (b_k eps^k) is the same at every radius eps.
     """
     n = X.ambient_dim
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range")
-    values = [_local_lambda_at(X, k, float(e), rng, n_dirs) for e in eps_ladder]
-    vals = [v.value for v in values]
-    spread = max(vals) - min(vals)
-    se = max(v.std_error for v in values)
-    if spread > 5 * se + 1e-9:
-        raise RuntimeError(f"eps ladder not flat: {vals}")
-    return values[0]
-
-
-def _local_lambda_at(X: ConeGerm, k: int, eps: float, rng: RandomSource, n_dirs: int) -> Estimate:
-    n = X.ambient_dim
-    norm = ball_volume(k) * eps**k
+    norm = ball_volume(k)
     if X.is_round:
         if k == 2:
-            # flat normal slices on the sheet: lambda_2 = 1, area pi eps^2 sin(theta)
-            area = math.pi * eps**2 * math.sin(X.theta)
+            # flat normal slices on the sheet: lambda_2 = 1, area pi sin(theta)
+            area = math.pi * math.sin(X.theta)
             return Estimate(area / norm, 0.0, 1, rng.master_seed, method="round-exact")
         if k == 1:
             # sigma_1(II) integrates to zero over the two-point normal sphere
@@ -459,7 +443,7 @@ def _local_lambda_at(X: ConeGerm, k: int, eps: float, rng: RandomSource, n_dirs:
         if len(cell) - 1 != k:
             continue
         rays = X.model.vertices[[v for v in cell if v != 0]]
-        vol = _spherical_simplex_volume(rays) / k * eps**k
+        vol = _spherical_simplex_volume(rays) / k
         dens = mean_normal_index(X.model, cell, n_dirs, rng.substream(i))
         total = total + dens.scaled(vol)
     if total.n_samples == 0:
@@ -497,6 +481,10 @@ def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) ->
         return Estimate(density(X, n), 0.0, 1, rng.master_seed, method="density")
     if k > X.dim:
         return Estimate(0.0, 0.0, 1, rng.master_seed)
+    if X.is_round and k == 1:
+        # fold rays of the round cone: the slice curve has a minimum for one
+        # normal sign and a maximum for the other, so alpha = 0 on them
+        return Estimate(0.0, 0.0, 1, rng.master_seed, method="round-exact")
 
     def one(i: int) -> float:
         gen = rng.substream(i).generator()
@@ -537,43 +525,14 @@ def _pl_local_polar_one(X: ConeGerm, k: int, P) -> float:
 
 
 def _round_local_polar_one(X: ConeGerm, P) -> float:
-    k = P.dim - 1
-    theta = X.theta
-    if k == 2:
+    """One plane at k = 2 or k = 0 (k = 1 is exactly 0)."""
+    if P.dim == 3:
         # identity projection: one sheet component, point slices, alpha = 1
         return density(X, 2)
-    if k == 1:
-        # fold rays of the cone silhouette; a clean fold makes the slice
-        # curve a min for one conormal sign and a max for the other
-        u = P.orthogonal_complement().basis[0]
-        st, ct = math.sin(theta), math.cos(theta)
-        # normals n(psi) = (ct cos psi, ct sin psi, -st); folds solve <n,u> = 0
-        amp = ct * math.hypot(u[0], u[1])
-        if amp < 1e-12:
-            raise DegenerateDirectionError("axis-aligned projection")
-        val = st * u[2] / amp
-        if abs(val) >= 1.0 - 1e-9:
-            raise DegenerateDirectionError("tangent fold circle")
-        phase = math.atan2(u[1], u[0])
-        total = 0.0
-        for root in (math.acos(val), -math.acos(val)):
-            psi = phase + root
-            ray = np.array([st * math.cos(psi), st * math.sin(psi), ct])
-            # circumferential component of u: the fold is clean iff nonzero
-            circ = np.array([-math.sin(psi), math.cos(psi), 0.0])
-            b = float(u @ circ)
-            if abs(b) < 1e-7:
-                raise DegenerateDirectionError("view tangent to a fold ray")
-            ind_plus, ind_minus = 1, -1  # min and max along the slice curve
-            alpha = 0.5 * (ind_plus + ind_minus)
-            total += alpha * 0.5  # ray density is one half
-        return total
-    if k == 0:
-        v = P.basis[0]
-        down = 1 - slice_chi_stabilized(X, v[None, :], -v)
-        up = 1 - slice_chi_stabilized(X, v[None, :], v)
-        return 0.5 * (down + up)
-    return 0.0
+    v = P.basis[0]
+    down = 1 - slice_chi_stabilized(X, v[None, :], -v)
+    up = 1 - slice_chi_stabilized(X, v[None, :], v)
+    return 0.5 * (down + up)
 
 
 # ---------------------------------------------------------------------------

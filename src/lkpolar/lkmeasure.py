@@ -7,12 +7,14 @@ of the local density
                       ind_nor(v) * sigma_(d_S - k)(II_{x,v}) dv,
 
 where ind_nor is the normal Morse index of the downward slice.  Flat cells
-only contribute at k = dim(cell); smooth interior strata have ind_nor = 1;
-boundary strata use the half-branch rule ind_nor(v) = [<v, inward> > 0],
-whose sigma_0 / sigma_1 weighted integrals over half-circles are evaluated in
-closed form.  The module also hosts the independent checks: the exchange
-formula (Morse counting over random heights), the linear kinematic formula
-(random flats), and the Steiner dilation-volume oracle for convex bodies.
+only contribute at k = dim(cell).  On a smooth stratum ind_nor is the
+half-branch rule of :func:`lkpolar.smoothshape.normal_index`: 1 on a top
+stratum, [<v, inward> > 0] on a rim or a solid boundary.  The normal sphere of
+a hypersurface is the two points +-nu; over the normal circle of a curve in
+R^3 the weighted sigma_0 and sigma_1 integrals are closed forms.  The module
+also hosts the independent checks: the exchange formula (Morse counting over
+random heights), the linear kinematic formula (random flats), and the Steiner
+dilation-volume oracle for convex bodies.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ from .smoothshape import (
     SmoothShape,
     SmoothStratum,
     height_critical_points,
+    hypersurface_normals,
     integrate_stratum,
-    lkw_curvature,
+    normal_circle_moments,
+    normal_index,
     rim_curvature_vector,
-    sigma_of_form,
 )
 
 __all__ = [
@@ -114,7 +117,7 @@ class Shape:
             center = 0.5 * (v.max(axis=0) + v.min(axis=0))
             radius = float(np.max(np.linalg.norm(v - center, axis=1)))
             return center, radius
-        return np.zeros(self.ambient_dim), self.smooth.diameter / 2.0
+        return self.smooth.bounding_ball()
 
     def with_region(self, region: Callable) -> "Shape":
         return replace(self, region=region)
@@ -229,63 +232,42 @@ def lambda_density(X: Shape, stratum, x_params, k: int, rng: RandomSource, n_dir
         return Estimate(0.0, 0.0, 1, rng.master_seed)
     if S.role == "solid":
         return Estimate(1.0 if k == n else 0.0, 0.0, 1, rng.master_seed)
-    value = _smooth_lambda_value(n, S, np.asarray(x_params, dtype=float), k)
+    value = float(_smooth_lambda_batch(n, S, np.asarray(x_params, dtype=float), k)[0])
     return Estimate(value, 0.0, 1, rng.master_seed, method="closed-form")
 
 
 def _smooth_lambda_batch(n: int, S: SmoothStratum, params: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized lambda_k over a batch of chart points (surfaces in R^3)."""
+    """lambda_k at a stack of chart points of a smooth stratum.
+
+    The density integrates ind_nor(v) sigma_i(II_{x,v}), i = dim S - k, over
+    the unit normal sphere, with ind_nor from :func:`normal_index`.  A
+    hypersurface has the two normals +-nu, and sigma_i(II_{x,-nu}) is
+    (-1)^i sigma_i(II_{x,nu}).  On the normal circle of a curve in R^3,
+    sigma_0 = 1 and sigma_1(II_{x,v}) = <kappa, v>, so the density is closed
+    in the moments of :func:`normal_circle_moments`.
+    """
     params = np.atleast_2d(params)
-    if not (S.dim == 2 and n == 3 and S.role in ("top", "solid_boundary")):
-        return np.array([_smooth_lambda_value(n, S, p, k) for p in params])
+    d, i = S.dim, S.dim - k
     norm = sphere_volume(n - k - 1)
-    J = S.chart.dr(params)  # (N, 2, 3)
-    nu = np.cross(J[:, 0], J[:, 1])
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    H = np.einsum("pijn,pn->pij", S.chart.d2r(params), nu)  # (N, 2, 2)
-    r = np.linalg.qr(np.swapaxes(J, -1, -2))[1]  # (N, 2, 2) upper triangular
-    rinv = np.linalg.inv(np.swapaxes(r, -1, -2))
-    M = rinv @ H @ np.swapaxes(rinv, -1, -2)
-    i = S.dim - k
-    if i == 0:
-        sig = np.ones(len(params))
-    elif i == 1:
-        sig = np.trace(M, axis1=-2, axis2=-1)
-    else:
-        sig = np.linalg.det(M)
-    if S.role == "top":
-        # both normal directions; odd orders cancel
-        return sig * (1.0 + (-1.0) ** i) / norm
-    w = np.atleast_2d(S.inward_conormal(params))
-    sign = np.sign(np.einsum("pn,pn->p", w, nu))
-    return sig * sign**i / norm
-
-
-def _smooth_lambda_value(n: int, S: SmoothStratum, params, k: int) -> float:
-    """Exact lambda_k at a chart point of a smooth stratum."""
-    d = S.dim
-    norm = sphere_volume(n - k - 1)
-    if S.role == "top":
-        # interior point: the normal slice is the point itself, ind_nor = 1
-        return lkw_curvature(S, params, d - k) / norm
-    if S.role == "solid_boundary":
-        # only the inward normal sees an empty downward slice
-        w = np.atleast_2d(S.inward_conormal(np.atleast_2d(params)))[0]
-        return sigma_of_form(S, params, w, d - k) / norm
-    if S.role == "rim":
-        w = np.atleast_2d(S.inward_conormal(np.atleast_2d(params)))[0]
-        if k == d:
-            # sigma_0 = 1 over the half normal sphere {<v, w> > 0}
-            return 0.5 * sphere_volume(n - d - 1) / norm
-        if k == d - 1:
-            # Int_{half sphere} <kappa, v> dv = 2 b_(n-d-1)-type moment; in the
-            # catalog the rim is a curve in R^3, where the moment is 2 <kappa, w>
-            if n != 3 or d != 1:
-                raise NotImplementedError("rim strata supported for curves in R^3")
-            kappa = rim_curvature_vector(S, params)
-            return 2.0 * float(kappa @ w) / norm
-        return 0.0
-    raise ValueError(f"unknown stratum role {S.role}")
+    if n - d == 1:
+        J = S.chart.dr(params)  # (N, d, n)
+        nu = hypersurface_normals(J)
+        if i == 0:
+            sig = np.ones(len(params))
+        else:
+            H = np.einsum("pijn,pn->pij", S.chart.d2r(params), nu)  # (N, d, d)
+            r = np.linalg.qr(np.swapaxes(J, -1, -2))[1]  # (N, d, d) upper triangular
+            rinv = np.linalg.inv(np.swapaxes(r, -1, -2))
+            M = rinv @ H @ np.swapaxes(rinv, -1, -2)
+            sig = np.trace(M, axis1=-2, axis2=-1) if i == 1 else np.linalg.det(M)
+        weight = normal_index(S, params, nu) + normal_index(S, params, -nu) * (-1.0) ** i
+        return sig * weight / norm
+    if n == 3 and d == 1:
+        m0, m1 = normal_circle_moments(S, params)
+        if i == 0:
+            return m0 / norm
+        return np.einsum("pn,pn->p", rim_curvature_vector(S, params), m1) / norm
+    raise NotImplementedError(f"curvature density of a {d}-stratum in R^{n}")
 
 
 def lk_measure(X: Shape, k: int, rng: RandomSource, n_dirs: int = 4000, resolution: int = 64) -> Estimate:
@@ -321,7 +303,6 @@ def _lk_measure_pl(X: Shape, k: int, rng: RandomSource, n_dirs: int) -> Estimate
 def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> Estimate:
     n = X.ambient_dim
     total = Estimate(0.0, 0.0, 0, rng.master_seed)
-    method = ""
     for S in X.smooth.strata:
         if k > S.dim:
             continue
@@ -331,8 +312,6 @@ def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> 
                     raise NotImplementedError("region restriction on solid strata")
                 total = total + Estimate(S.volume, 0.0, 1, rng.master_seed, method="volume")
             continue
-        if S.role == "rim" and k == S.dim - 1 and n == 3:
-            method = method or "rim-closed-form"
 
         def dens(pts, params, S=S):
             return _smooth_lambda_batch(n, S, params, k)
@@ -384,18 +363,11 @@ def _morse_sum_smooth(X: Shape, v: np.ndarray) -> int:
     for S in X.smooth.strata:
         if S.role == "solid":
             continue  # a linear height has no interior critical points
-        crits = height_critical_points(S, v, scale=scale)
-        for c in crits:
-            if X.region is not None and not np.asarray(X.region(c.point[None, :]))[0]:
-                continue
-            ind = c.tangential_index
-            if S.role in ("rim", "solid_boundary"):
-                w = np.atleast_2d(S.inward_conormal(np.atleast_2d(c.params)))[0]
-                dot = float(v @ w)
-                if abs(dot) < 1e-9:
-                    raise DegenerateHeightError("height tangent to the inward conormal")
-                ind *= 1 if dot > 0 else 0
-            total += ind
+        crits = [c for c in height_critical_points(S, v, scale=scale)
+                 if X.region is None or np.asarray(X.region(c.point[None, :]))[0]]
+        if crits:
+            ind = normal_index(S, np.array([c.params for c in crits]), v)
+            total += sum(c.tangential_index * int(i) for c, i in zip(crits, ind))
     return total
 
 
@@ -523,13 +495,14 @@ def slice_euler_characteristic(X: Shape, flat) -> int:
         if k == 1:
             return _chi_slice_pl_line(X.pl, flat.offset, flat.direction.basis[0])
         raise NotImplementedError(f"PL slice for flat dimension {k}")
-    name = X.smooth.name.split(":")[0]
-    if name == "ball":
-        radius = float(X.smooth.name.split(":")[1])
-        return 1 if flat.distance_to(np.zeros(n)) < radius - 1e-12 else 0
-    if name == "sphere":
-        radius = float(X.smooth.name.split(":")[1])
-        d = flat.distance_to(np.zeros(n))
+    # round catalog shapes: the ball and the sphere fill their bounding ball
+    # and bound it, so its centre and radius are theirs
+    kind = X.smooth.name.split(":")[0]
+    center, radius = X.smooth.bounding_ball()
+    if kind == "ball":
+        return 1 if flat.distance_to(center) < radius - 1e-12 else 0
+    if kind == "sphere":
+        d = flat.distance_to(center)
         if abs(d - radius) < 1e-9:
             raise DegenerateSliceError("tangent flat")
         if d > radius:

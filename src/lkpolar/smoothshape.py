@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geomkit import Estimate
+from .geomkit import DegenerateDirectionError, Estimate, sphere_volume
 
 __all__ = [
     "Chart",
@@ -27,6 +27,9 @@ __all__ = [
     "DegenerateHeightError",
     "frames",
     "second_form",
+    "hypersurface_normals",
+    "normal_index",
+    "normal_circle_moments",
     "lkw_curvature",
     "integrate_stratum",
     "height_critical_points",
@@ -109,10 +112,15 @@ class SmoothStratum:
 
 @dataclass(frozen=True)
 class SmoothShape:
+    """Strata of one shape.  The shape lies in the ball of radius
+    ``diameter / 2`` about ``center`` (the origin when None), which
+    :meth:`transformed` moves with the shape."""
+
     ambient_dim: int
     strata: tuple[SmoothStratum, ...]
     name: str
     diameter: float
+    center: tuple[float, ...] | None = None
 
     def stratum(self, name: str) -> SmoothStratum:
         for s in self.strata:
@@ -124,38 +132,39 @@ class SmoothShape:
     def dim(self) -> int:
         return max(s.dim for s in self.strata)
 
+    def bounding_ball(self) -> tuple[np.ndarray, float]:
+        center = np.zeros(self.ambient_dim) if self.center is None else np.array(self.center)
+        return center, self.diameter / 2.0
+
     def transformed(self, rotation=None, translation=None, scale: float = 1.0) -> "SmoothShape":
         rot = None if rotation is None else np.asarray(rotation, dtype=float)
         tr = None if translation is None else np.asarray(translation, dtype=float)
-        strata = tuple(_transform_stratum(s, rot, tr, scale, self.ambient_dim) for s in self.strata)
-        return SmoothShape(self.ambient_dim, strata, f"{self.name}*", self.diameter * scale)
+        strata = tuple(_transform_stratum(s, rot, tr, scale) for s in self.strata)
+        center = _moved(self.bounding_ball()[0], rot, tr, scale)
+        return SmoothShape(self.ambient_dim, strata, f"{self.name}*", self.diameter * scale,
+                           tuple(center.tolist()))
 
 
-def _transform_stratum(s: SmoothStratum, rot, tr, scale, n) -> SmoothStratum:
+def _moved(x, rot, tr, scale):
+    """x scaled, then rotated, then translated (tr is None for vectors)."""
+    y = scale * x
+    if rot is not None:
+        y = y @ rot.T
+    if tr is not None:
+        y = y + tr
+    return y
+
+
+def _transform_stratum(s: SmoothStratum, rot, tr, scale) -> SmoothStratum:
     if s.chart is None:
         vol = None if s.volume is None else s.volume * scale**s.dim
         return replace(s, volume=vol, implicit=None, implicit_jac=None)
     base = s.chart
-
-    def apply_pt(x):
-        y = scale * x
-        if rot is not None:
-            y = y @ rot.T
-        if tr is not None:
-            y = y + tr
-        return y
-
-    def apply_vec(x):
-        y = scale * x
-        if rot is not None:
-            y = y @ rot.T
-        return y
-
     chart = replace(
         base,
-        r=lambda p: apply_pt(base.r(p)),
-        dr=lambda p: apply_vec(base.dr(p)),
-        d2r=lambda p: apply_vec(base.d2r(p)),
+        r=lambda p: _moved(base.r(p), rot, tr, scale),
+        dr=lambda p: _moved(base.dr(p), rot, None, scale),
+        d2r=lambda p: _moved(base.d2r(p), rot, None, scale),
     )
     def rotated_field(inner):
         def field(p, _inner=inner):
@@ -192,7 +201,6 @@ def frames(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndarray]:
     if np.min(np.abs(np.diag(r))) <= 1e-10:
         raise ValueError("rank-deficient chart Jacobian (degenerate chart point)")
     tangent = q.T  # (d, n)
-    n = J.shape[1]
     u, _, _ = np.linalg.svd(tangent.T, full_matrices=True)
     normal = u[:, S.dim :].T
     return tangent, normal
@@ -223,6 +231,54 @@ def second_form(S: SmoothStratum, params, v: np.ndarray) -> SecondFormAt:
     )
 
 
+def hypersurface_normals(J: np.ndarray) -> np.ndarray:
+    """Unit normals of a codimension-one stratum from a stack of chart
+    Jacobians: the cross product of the two tangents of a surface in R^3, or
+    the tangent of a curve in the plane turned by a right angle."""
+    if J.shape[-2:] == (2, 3):
+        nu = np.cross(J[..., 0, :], J[..., 1, :])
+    elif J.shape[-2:] == (1, 2):
+        nu = np.stack([-J[..., 0, 1], J[..., 0, 0]], axis=-1)
+    else:
+        raise NotImplementedError(f"hypersurface normals for Jacobians of shape {J.shape[-2:]}")
+    return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+
+
+def normal_index(S: SmoothStratum, params, vs) -> np.ndarray:
+    """Normal Morse index of the stratum at each of a stack of chart points,
+    along the normal direction given for it (one direction may serve all).
+
+    This is the half-branch rule, the smooth counterpart of
+    :func:`lkpolar.plstrata.normal_morse_index`: the index is 1 - chi of the
+    part of the normal slice below the point along v.  A top stratum has the
+    point itself as normal slice, so the index is 1.  A rim or a solid
+    boundary has the half-line along the inward conormal w, whose lower part
+    is empty exactly when <v, w> > 0, so the index is 1 or 0 by that sign.  A
+    direction with |<v, w>| < 1e-9 raises DegenerateDirectionError.
+    """
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    if S.role == "top":
+        return np.ones(len(params))
+    w = np.atleast_2d(S.inward_conormal(params))
+    dots = np.einsum("ij,ij->i", np.broadcast_to(vs, w.shape), w)
+    if np.any(np.abs(dots) < 1e-9):
+        raise DegenerateDirectionError("direction tangent to the inward conormal")
+    return (dots > 0).astype(float)
+
+
+def normal_circle_moments(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of ind(v) and of ind(v) v over the unit normal circle of a
+    curve in R^3, at each of a stack of chart points, with ind the
+    half-branch rule of :func:`normal_index`: (2 pi, 0) on a top curve, and
+    (pi, 2 w) on a rim, whose half circle {<v, w> > 0} has its centroid
+    along the inward conormal w."""
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    if S.role == "top":
+        return np.full(len(params), sphere_volume(1)), np.zeros((len(params), 3))
+    w = np.atleast_2d(S.inward_conormal(params))
+    return np.full(len(params), 0.5 * sphere_volume(1)), 2.0 * w
+
+
 def elementary_symmetric(eigenvalues: np.ndarray, i: int) -> float:
     """i-th elementary symmetric function of the given values."""
     e = np.zeros(i + 1)
@@ -240,7 +296,9 @@ def sigma_of_form(S: SmoothStratum, params, v: np.ndarray, i: int) -> float:
 
 
 def lkw_curvature(S: SmoothStratum, params, i: int, circle_rule: int = 64) -> float:
-    """Integral of sigma_i(II_{x,v}) over the unit normal sphere at the point.
+    """Integral of sigma_i(II_{x,v}) over the unit normal sphere at the point,
+    one point and one direction at a time: the test oracle of the stacked
+    curvature densities.
 
     Codimension 1 uses the exact two-point rule; a curve in R^3 uses a uniform
     circle rule, exact here because the integrand is a trigonometric
@@ -306,12 +364,14 @@ def integrate_stratum(
 
 
 def rim_curvature_vector(S: SmoothStratum, params) -> np.ndarray:
-    """Curvature vector of a 1-dimensional stratum at a chart point."""
-    J = S.chart.dr(np.asarray(params, dtype=float))[0]
-    H = S.chart.d2r(np.asarray(params, dtype=float))[0, 0]
-    speed2 = float(J @ J)
-    tang = J / math.sqrt(speed2)
-    return (H - (H @ tang) * tang) / speed2
+    """Curvature vector of a 1-dimensional stratum at a chart point, or at
+    each of a stack of them."""
+    params = np.asarray(params, dtype=float)
+    J = S.chart.dr(params)[..., 0, :]
+    H = S.chart.d2r(params)[..., 0, 0, :]
+    speed2 = np.sum(J * J, axis=-1, keepdims=True)
+    tang = J / np.sqrt(speed2)
+    return (H - np.sum(H * tang, axis=-1, keepdims=True) * tang) / speed2
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,11 @@ def test_criterion_3_intrinsic_volumes_and_steiner():
         ("disk:1", (1.0, math.pi, math.pi), 800),
         ("sphere:1", (2.0, 0.0, 4 * math.pi), 500),
         ("torus:2:1", (0.0, 0.0, 8 * math.pi**2), 500),
+        # the other smooth catalog shapes at every order, with planes per
+        # order near the benchmark's budgets
+        ("ball:1", (1.0, 4.0, 2 * math.pi, 4 * math.pi / 3), (10, 3, 3, 1)),
+        ("hemisphere:1", (1.0, math.pi, 2 * math.pi, 0.0), (10, 60, 10, 1)),
+        ("circle:1", (0.0, 2 * math.pi, 0.0, 0.0), (10, 300, 10, 1)),
     ],
 )
 def test_criterion_4_main_theorem(shape, refs, n_planes):
@@ -112,7 +117,8 @@ def test_criterion_4_main_theorem(shape, refs, n_planes):
     detail = []
     for q, ref in enumerate(refs):
         lam = lk_measure(X, q, RandomSource(105, q), n_dirs=8000)
-        pol = polar_length(X, q, n_planes, RandomSource(106, q), CFG).estimate
+        planes = n_planes[q] if isinstance(n_planes, tuple) else n_planes
+        pol = polar_length(X, q, planes, RandomSource(106, q), CFG).estimate
         good = combined_ok(lam, pol)
         # both routes must also sit on the closed form
         scale = 1.0 + abs(ref)

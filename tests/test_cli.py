@@ -181,3 +181,28 @@ def test_out_of_range_order_fails_before_any_work(monkeypatch):
         assert "valid orders are" in report["error"]
     report, _ = run(["verify", "--shape", "ellipse:2:1", "--q", "0,1,2,3", "--samples", "2"])
     assert "0..2" in report["error"] and "ellipse:2:1" in report["error"]
+
+
+def test_kinematic_row_fails_on_a_wrong_ratio(monkeypatch):
+    import lkpolar.cli as cli
+    from lkpolar.geomkit import Estimate
+    from lkpolar.lkmeasure import KinematicCheck
+
+    def fixed(value):
+        # b_1 b_2 / (C(3, 1) b_3) = 1/2 in R^3
+        def check(X, k, n_flats, rng):
+            est = Estimate(value, 0.01, n_flats, rng.master_seed)
+            return KinematicCheck(numerator=est, denominator=est, ratio=est,
+                                  flagged_division=False)
+        return check
+
+    argv = ["kinematic", "--shape", "ball:1", "--k", "1", "--samples", "10"]
+    monkeypatch.setattr(cli, "kinematic_check", fixed(0.51))
+    report, status = run(argv)
+    assert status == 0
+    assert report["rows"][0]["reference"] == pytest.approx(0.5, rel=1e-12)
+    monkeypatch.setattr(cli, "kinematic_check", fixed(0.6))
+    report, status = run(argv)
+    assert status == 1
+    assert not report["rows"][0]["pass"]
+    assert report["rows"][-1]["pass"]  # one shape: the constancy row still passes

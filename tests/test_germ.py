@@ -108,12 +108,20 @@ def test_local_lambda_halfplane():
     assert within(local_lambda(g, 0, RandomSource(13), n_dirs=5000), 0.0)
 
 
-def test_local_lambda_scale_invariance():
-    # the eps ladder is exactly flat for cones
-    g = rays_germ(5)
-    a = local_lambda(g, 1, RandomSource(14), eps_ladder=(1.0, 0.5, 0.25))
-    b = local_lambda(g, 1, RandomSource(14), eps_ladder=(2.0, 1.0))
-    assert a.value == pytest.approx(b.value, rel=1e-12)
+def test_truncated_cone_measures_scale_with_radius():
+    # Lambda_k is homogeneous of degree k: the cone model truncated at radius
+    # 1/2 has 0.5^k times the measures of the unit one, which is why
+    # local_lambda evaluates the unit radius only
+    from lkpolar.lkmeasure import Shape, lk_measure
+
+    for g in (rays_germ(5), halfplane_germ(3)):
+        unit = Shape(name=g.name, pl=g.model)
+        half = Shape(name=g.name + "/2", pl=g.model.transformed(scale=0.5))
+        for k in range(g.ambient_dim + 1):
+            a = lk_measure(unit, k, RandomSource(14, k), n_dirs=2000)
+            b = lk_measure(half, k, RandomSource(14, k), n_dirs=2000)
+            assert b.value == pytest.approx(0.5**k * a.value, rel=1e-12, abs=1e-15), (g.name, k)
+            assert b.std_error == pytest.approx(0.5**k * a.std_error, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,26 @@ def test_disk_rim_density():
     assert est.value == pytest.approx(0.5, abs=1e-12)
 
 
+def test_stacked_density_matches_point_oracle():
+    # lambda_k of the stacked density against lkw_curvature, which integrates
+    # sigma_i over the normal sphere one point and one direction at a time
+    from lkpolar.geomkit import sphere_volume
+    from lkpolar.lkmeasure import _smooth_lambda_batch
+    from lkpolar.smoothshape import lkw_curvature
+
+    gen = RandomSource(3).generator()
+    for name in ("sphere:2", "torus:2:1", "ellipse:2:1", "circle:1"):
+        X = shape_from_name(name)
+        S = X.smooth.strata[0]
+        n = X.ambient_dim
+        lo, hi = np.array(S.chart.bounds).T
+        params = lo + (hi - lo) * gen.uniform(0.1, 0.9, size=(5, S.dim))
+        for k in range(S.dim + 1):
+            stacked = _smooth_lambda_batch(n, S, params, k)
+            oracle = [lkw_curvature(S, p, S.dim - k) / sphere_volume(n - k - 1) for p in params]
+            np.testing.assert_allclose(stacked, oracle, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 def test_density_vanishes_above_dimension():
     cube = shape_from_name("cube")
     edge = cube.pl.cells[1][0]
@@ -223,6 +243,19 @@ def test_kinematic_constant_shape_independent():
     ref = ball_volume(1) * ball_volume(2) / (3 * ball_volume(3))
     for v in results.values():
         assert v == pytest.approx(ref, rel=0.05)
+
+
+def test_kinematic_ratio_of_moved_ball():
+    # the slice Euler characteristic and the flat sampler read the centre and
+    # radius of the moved ball, not its name "ball:1*"
+    base = shape_from_name("ball:1")
+    moved = base.transformed(scale=2, translation=(1, 0, 0))
+    center, radius = moved.bounding_ball()
+    assert np.allclose(center, [1.0, 0.0, 0.0]) and radius == 2.0
+    for k in (1, 2):
+        a = kinematic_check(base, k, 400, RandomSource(49)).ratio
+        b = kinematic_check(moved, k, 400, RandomSource(49)).ratio
+        assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error) + 1e-9, k
 
 
 def test_kinematic_flagged_when_denominator_vanishes():

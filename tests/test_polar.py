@@ -517,6 +517,19 @@ def test_cube_q2_image_integral_three():
     assert total == pytest.approx(3.0, abs=1e-12)
 
 
+def test_ball_boundary_q1_image_integral_is_pi():
+    # the silhouette of the unit sphere is a great circle, whose image has
+    # length 2 pi; on a solid boundary only the inward side counts, so
+    # alpha = 1/2 along it, and the midpoint-corrected length is exact to
+    # far below the inscribed polyline's O(h^2) shortfall
+    ball = shape_from_name("ball:1")
+    S = ball.smooth.stratum("boundary")
+    gen = RandomSource(53).generator()
+    for _ in range(2):
+        P = sample_grassmannian(3, 2, gen)
+        assert abs(polar_image_integral(ball, S, P, CFG) - math.pi) <= 1e-10
+
+
 def test_closed_surface_q1_integral_zero():
     for name in ("sphere:1", "torus:2:1"):
         X = shape_from_name(name)
