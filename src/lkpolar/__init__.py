@@ -28,7 +28,7 @@ from .plstrata import (
     pl_morse_indices,
     save_plstrat,
 )
-from .smoothshape import SmoothShape, frames, lkw_curvature, second_form
+from .smoothshape import SmoothShape, frames, second_form
 from .lkmeasure import (
     Shape,
     exchange_lambda0,
@@ -42,7 +42,6 @@ from .polar import (
     PolarConfig,
     alpha_index,
     check_genericity,
-    crofton_volume,
     polar_image_integral,
     polar_length,
     polar_sample,
@@ -72,7 +71,6 @@ __all__ = [
     "ball_volume",
     "beta_coeff",
     "check_genericity",
-    "crofton_volume",
     "density",
     "euler_characteristic",
     "exchange_lambda0",
@@ -81,7 +79,6 @@ __all__ = [
     "kinematic_check",
     "lambda_density",
     "lk_measure",
-    "lkw_curvature",
     "load_plstrat",
     "local_lambda",
     "local_polar_length",

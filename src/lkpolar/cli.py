@@ -106,7 +106,7 @@ def cmd_measure(args) -> dict:
     X = shape_from_name(args.shape)
     rows = []
     for k in _checked_orders(args.k, args.shape, 0, X.ambient_dim):
-        (est, ms) = _timed(lambda k=k: lk_measure(X, k, RandomSource(args.seed, k), n_dirs=args.samples))
+        (est, ms) = _timed(lambda k=k: lk_measure(X, k, RandomSource(args.seed, k)))
         ref = _reference(args.shape, k)
         ok = True
         if ref is not None:
@@ -162,7 +162,7 @@ def cmd_verify(args) -> dict:
     rows = []
     resamples = {}
     for q in _checked_orders(args.q, args.shape, 0, X.ambient_dim):
-        (lam, ms1) = _timed(lambda q=q: lk_measure(X, q, RandomSource(args.seed, q), n_dirs=args.samples))
+        (lam, ms1) = _timed(lambda q=q: lk_measure(X, q, RandomSource(args.seed, q)))
         (res, ms2) = _timed(
             lambda q=q: polar_length(X, q, args.samples, RandomSource(args.seed, 1000 + q))
         )

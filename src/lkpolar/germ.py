@@ -436,19 +436,19 @@ def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> 
         if k == 0:
             return _apex_lambda0_round(X, rng, n_dirs)
         return Estimate(0.0, 0.0, 1, rng.master_seed)
-    if k == 0:
-        return mean_normal_index(X.model, (0,), n_dirs, rng)
-    total = Estimate(0.0, 0.0, 0, rng.master_seed)
-    for i, cell in enumerate(X.cone_cells()):
-        if len(cell) - 1 != k:
-            continue
-        rays = X.model.vertices[[v for v in cell if v != 0]]
-        vol = _spherical_simplex_volume(rays) / k
-        dens = mean_normal_index(X.model, cell, n_dirs, rng.substream(i))
-        total = total + dens.scaled(vol)
-    if total.n_samples == 0:
+    T = X.model
+    if k not in T.cells:
         return Estimate(0.0, 0.0, 1, rng.master_seed)
-    return total.scaled(1.0 / norm)
+    # the apex (0,) is plan row 0 of the 0-cells, and a cone k-cell of the
+    # unit cone has volume (spherical volume of its rays) / k
+    dens = mean_normal_index(T, k)
+    if k == 0:
+        value = float(dens[0])
+    else:
+        value = math.fsum(
+            dens[T.plan.rows[cell]] * _spherical_simplex_volume(T.vertices[list(cell[1:])]) / k
+            for cell in X.cone_cells() if len(cell) - 1 == k) / norm
+    return Estimate(value, 0.0, 1, rng.master_seed, method="exterior-angle")
 
 
 def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate:

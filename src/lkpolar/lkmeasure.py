@@ -7,11 +7,13 @@ of the local density
                       ind_nor(v) * sigma_(d_S - k)(II_{x,v}) dv,
 
 where ind_nor is the normal Morse index of the downward slice.  Flat cells
-only contribute at k = dim(cell).  On a smooth stratum ind_nor is the
-half-branch rule of :func:`lkpolar.smoothshape.normal_index`: 1 on a top
-stratum, [<v, inward> > 0] on a rim or a solid boundary.  The normal sphere of
-a hypersurface is the two points +-nu; over the normal circle of a curve in
-R^3 the weighted sigma_0 and sigma_1 integrals are closed forms.  The module
+only contribute at k = dim(cell), where the integral is the exterior-angle
+mean of ind_nor, exact from the link's pairwise angles.  On a smooth stratum
+ind_nor is the half-branch rule of :func:`lkpolar.smoothshape.normal_index`:
+1 on a top stratum, [<v, inward> > 0] on a rim or a solid boundary.  The
+normal sphere of a hypersurface is the two points +-nu; over the normal
+circle of a curve in R^3 the weighted sigma_0 and sigma_1 integrals are
+closed forms.  The module
 also hosts the independent checks: the exchange formula (Morse counting over
 random heights), the linear kinematic formula (random flats), and the Steiner
 dilation-volume oracle for convex bodies.
@@ -31,6 +33,7 @@ from .geomkit import (
     mean_estimate,
     sample_affine_flats_hitting_ball,
     sample_unit_sphere,
+    simplex_volumes,
     sphere_volume,
 )
 from . import plstrata
@@ -209,12 +212,13 @@ def shape_from_name(spec: str) -> Shape:
 # lambda densities
 # ---------------------------------------------------------------------------
 
-def lambda_density(X: Shape, stratum, x_params, k: int, rng: RandomSource, n_dirs: int = 2000) -> Estimate:
+def lambda_density(X: Shape, stratum, x_params, k: int, rng: RandomSource) -> Estimate:
     """Pointwise k-th curvature density on one stratum.
 
     PL cells have flat geometry, so the density is constant on the open cell
-    and only k = dim(cell) contributes (x_params is ignored); smooth strata
-    evaluate at the given chart point.
+    and only k = dim(cell) contributes (x_params is ignored): it is the exact
+    mean normal index of :func:`lkpolar.plstrata.mean_normal_index`.  Smooth
+    strata evaluate at the given chart point.
     """
     n = X.ambient_dim
     if X.pl is not None:
@@ -222,11 +226,10 @@ def lambda_density(X: Shape, stratum, x_params, k: int, rng: RandomSource, n_dir
         d = len(cell) - 1
         if k > d:
             return Estimate(0.0, 0.0, 1, rng.master_seed)
-        if d == n and k == n:
-            return Estimate(1.0, 0.0, 1, rng.master_seed)
         if k < d:
             return Estimate(0.0, 0.0, 1, rng.master_seed, method="flat-cell")
-        return mean_normal_index(X.pl, cell, n_dirs, rng)
+        dens = mean_normal_index(X.pl, d)[X.pl.plan.rows[tuple(sorted(cell))]]
+        return Estimate(float(dens), 0.0, 1, rng.master_seed, method="exterior-angle")
     S = stratum
     if k > S.dim:
         return Estimate(0.0, 0.0, 1, rng.master_seed)
@@ -273,9 +276,10 @@ def _smooth_lambda_batch(n: int, S: SmoothStratum, params: np.ndarray, k: int) -
 def lk_measure(X: Shape, k: int, rng: RandomSource, n_dirs: int = 4000, resolution: int = 64) -> Estimate:
     """Total k-th curvature measure of the shape over its region.
 
-    PL cells integrate exactly (densities are constant per cell); only the
-    normal-sphere Monte-Carlo contributes error.  Smooth strata use chart
-    quadrature of the closed-form densities.
+    PL k-cells integrate exactly: cell volume times the exact mean normal
+    index, so the estimate has se 0.  Smooth strata use chart quadrature of
+    the closed-form densities.  ``n_dirs`` is read by nothing; it stays so
+    that callers that pass it keep working.
     """
     n = X.ambient_dim
     if not 0 <= k <= n:
@@ -283,21 +287,17 @@ def lk_measure(X: Shape, k: int, rng: RandomSource, n_dirs: int = 4000, resoluti
     if k > X.dim:
         return Estimate(0.0, 0.0, 1, rng.master_seed, method="dimension")
     if X.pl is not None:
-        return _lk_measure_pl(X, k, rng, n_dirs)
+        return _lk_measure_pl(X, k, rng)
     return _lk_measure_smooth(X, k, rng, resolution)
 
 
-def _lk_measure_pl(X: Shape, k: int, rng: RandomSource, n_dirs: int) -> Estimate:
+def _lk_measure_pl(X: Shape, k: int, rng: RandomSource) -> Estimate:
     if X.region is not None:
         raise NotImplementedError("region restriction on PL shapes is not supported")
     K = X.pl
-    total = Estimate(0.0, 0.0, 0, rng.master_seed, method="pl-cells")
-    cells = K.cells.get(k, [])
-    for i, cell in enumerate(cells):
-        vol = K.cell_volume(cell)
-        dens = lambda_density(X, cell, None, k, rng.substream(i), n_dirs=n_dirs)
-        total = total + dens.scaled(vol)
-    return replace(total, n_samples=max(total.n_samples, 1), seed=rng.master_seed)
+    vols = simplex_volumes(K.vertices[K.plan.cells[k]])
+    value = math.fsum((vols * mean_normal_index(K, k)).tolist())
+    return Estimate(value, 0.0, 1, rng.master_seed, method="exterior-angle")
 
 
 def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> Estimate:
@@ -335,10 +335,11 @@ class LkVector:
         return self.values[k]
 
 
-def lk_vector(X: Shape, rng: RandomSource, n_dirs: int = 4000, resolution: int = 64) -> LkVector:
+def lk_vector(X: Shape, rng: RandomSource, resolution: int = 64) -> LkVector:
     return LkVector(
         tuple(
-            lk_measure(X, k, RandomSource(rng.master_seed, rng.stream_id + 31 * k), n_dirs, resolution)
+            lk_measure(X, k, RandomSource(rng.master_seed, rng.stream_id + 31 * k),
+                       resolution=resolution)
             for k in range(X.ambient_dim + 1)
         )
     )
@@ -371,13 +372,13 @@ def _morse_sum_smooth(X: Shape, v: np.ndarray) -> int:
     return total
 
 
-def exchange_lambda0(X: Shape, n_dirs: int, rng: RandomSource) -> Estimate:
+def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     """Mean over uniform directions of the total stratified Morse index.
 
     Equals the 0-th curvature measure; per-direction sums are exact integers,
     non-generic directions are resampled within their substream.
     """
-    values = _per_sample_values(n_dirs, rng, lambda gen: _exchange_one(X, gen))
+    values = _per_sample_values(n_heights, rng, lambda gen: _exchange_one(X, gen))
     return mean_estimate(values, seed=rng.master_seed, method="morse-counting")
 
 
@@ -521,7 +522,7 @@ class KinematicCheck:
 
 
 def kinematic_check(
-    X: Shape, k: int, n_flats: int, rng: RandomSource, n_dirs: int = 4000
+    X: Shape, k: int, n_flats: int, rng: RandomSource
 ) -> KinematicCheck:
     """Monte-Carlo check of the linear kinematic formula at codimension k.
 
@@ -548,7 +549,7 @@ def kinematic_check(
     numer = mean_estimate(
         _per_sample_values(n_flats, rng, one), seed=rng.master_seed, method="flat-mc"
     )
-    denom = lk_measure(X, n - k, RandomSource(rng.master_seed, rng.stream_id + 7919), n_dirs=n_dirs)
+    denom = lk_measure(X, n - k, RandomSource(rng.master_seed, rng.stream_id + 7919))
     flagged = abs(denom.value) <= max(5.0 * denom.std_error, 1e-9)
     ratio = None
     if not flagged:

@@ -18,7 +18,8 @@ Nothing about a cell but its projection depends on a random plane or height
 direction, so each complex also keeps a :class:`ComplexPlan`: the cells as
 vertex arrays (the Morse indices of heights read these), their orthonormal
 spans stacked per dimension, the vertex stars that link queries read, and the
-flattened links that :func:`pl_alpha_many` reads.
+flattened links that :func:`pl_alpha_many` and :func:`mean_normal_index`
+read.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geomkit import (
-    DegenerateDirectionError,
-    Estimate,
-    LinearSubspace,
-    RandomSource,
-    fmean,
-    mean_estimate,
-    simplex_volume,
-)
+from .geomkit import DegenerateDirectionError, simplex_volume
 
 __all__ = [
     "StratifiedComplex",
@@ -202,7 +195,8 @@ class ComplexPlan:
     bases that one QR per dimension gives, laid out as a lone QR lays out one
     basis, so a span reads the same bits stacked or alone.  ``star[x]`` lists
     the cells of dimension >= 1 that contain vertex ``x``.  ``link_tables``
-    fills per dimension on first use (see :func:`pl_alpha_many`).
+    fills per dimension on first use (see :func:`pl_alpha_many` and
+    :func:`mean_normal_index`).
     """
 
     cells: dict[int, np.ndarray]  # d -> (C_d, d + 1) vertex ids
@@ -375,37 +369,40 @@ def normal_morse_index_many(K: StratifiedComplex, cell, vs: np.ndarray, link: No
     return 1 - chi, valid
 
 
-def mean_normal_index(K: StratifiedComplex, cell, n_dirs: int, rng: RandomSource) -> Estimate:
-    """Mean of the normal Morse index over the unit normal sphere of a cell.
+def mean_normal_index(K: StratifiedComplex, d: int) -> np.ndarray:
+    """Mean of the normal Morse index over the unit normal sphere of every
+    d-cell, in plan row order, exactly.
 
-    Exact for an empty link (index 1) and for a single normal direction (the
-    mean of the two unit normals); otherwise a Monte-Carlo mean over at least
-    ``n_dirs`` uniform normal directions, redrawing wall-aligned ones.
+    The index along v is 1 - sum over link cells s of (-1)^dim s times
+    [every direction of s points down along v], so by linearity its mean is
+    1 - sum (-1)^dim s P(s), with P(s) the chance that a uniform normal
+    direction has a negative product with every direction of s: Banchoff's
+    exterior angles.  Only signs matter, so v may be taken Gaussian, and
+    Sheppard's orthant formula gives P(s) from the pairwise angles of the
+    directions: 1/2, 1/2 - theta/2pi and 1/2 - (theta_12 + theta_13 +
+    theta_23)/4pi for 1, 2 and 3 directions, also when they span less than
+    the normal space.  A link cell of 4 or more directions (a coface 3
+    dimensions up, in R^4 and higher) has no such closed form and raises
+    NotImplementedError naming the cell.
     """
-    link = normal_link(K, cell)
-    if len(link.vertex_ids) == 0:
-        return Estimate(1.0, 0.0, 1, rng.master_seed, method="empty-link")
-    comp = LinearSubspace(K.ambient_dim, K.cell_span(cell)).orthogonal_complement().basis
-    m = comp.shape[0]  # dimension of the normal space
-    if m == 1:
-        idx, ok = normal_morse_index_many(K, cell, np.stack([comp[0], -comp[0]]), link)
-        if not ok.all():
-            raise DegenerateDirectionError("wall-aligned facet normal")
-        return Estimate(fmean(idx.astype(float).tolist()), 0.0, 2, rng.master_seed,
-                        method="two-point")
-    gen = rng.generator()
-    vals: list[float] = []
-    attempts = 0
-    while len(vals) < n_dirs:
-        batch = max(n_dirs - len(vals), 64)
-        g = gen.standard_normal((batch, m))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        idx, ok = normal_morse_index_many(K, cell, g @ comp, link)
-        attempts += batch
-        if attempts > 50 * n_dirs:
-            raise DegenerateDirectionError("persistent wall alignment in normal sampling")
-        vals.extend(idx[ok].astype(float).tolist())
-    return mean_estimate(vals, seed=rng.master_seed, method="normal-sphere-mc")
+    table = _link_table(K, d)
+    index = np.ones(len(K.cells[d]))
+    for parity, owners, idx in table.faces:
+        size = idx.shape[1]
+        if size > 3:
+            raise NotImplementedError(
+                f"exterior angle of cell {K.cells[d][owners[0]]}: its normal link has a cell "
+                f"of {size} directions, and closed forms stop at 3")
+        dirs = table.directions[idx]  # (T, size, n)
+        theta = np.zeros(len(owners))
+        for i, j in itertools.combinations(range(size), 2):
+            # 2 atan2(|a - b|, |a + b|) keeps every digit near 0 and pi, where
+            # arccos of the dot product loses half of them
+            a, b = dirs[:, i], dirs[:, j]
+            theta += 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
+        down = 0.5 - theta / (2.0 * math.pi * max(size - 1, 1))
+        index -= parity * np.bincount(owners, weights=down, minlength=len(index))
+    return index
 
 
 def pl_alpha(K: StratifiedComplex, cell, nu: np.ndarray) -> float:

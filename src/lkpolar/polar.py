@@ -18,7 +18,6 @@ that identity is what the verification suite checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,21 +27,18 @@ from .geomkit import (
     Estimate,
     LinearSubspace,
     RandomSource,
-    beta_coeff,
     image_normal,
     image_normals,
     mean_estimate,
     polar_length_constant,
-    sample_affine_flats_hitting_ball,
     sample_grassmannian,
     simplex_volumes,
 )
 from .lkmeasure import Shape
-from .plstrata import DegenerateDirectionError, NormalLink, pl_alpha, pl_alpha_many
+from .plstrata import DegenerateDirectionError, pl_alpha, pl_alpha_many
 from .smoothshape import (
     DegenerateHeightError,
     SmoothStratum,
-    frames,
     height_critical_points,
     hypersurface_normals,
     normal_index,
@@ -60,8 +56,6 @@ __all__ = [
     "polar_image_integral",
     "polar_length",
     "PolarLengthResult",
-    "crofton_volume",
-    "projected_volume",
 ]
 
 
@@ -79,8 +73,6 @@ class PolarConfig:
     span_rank_tol: float = 1e-8
     max_resamples: int = 100
     curvature_tol: float = 1e-7
-    slice_delta: float = 1e-3
-    slice_epsilon: float = 1e-1
 
 
 @dataclass(frozen=True)
@@ -391,7 +383,7 @@ def _pl_polar_pieces(X: Shape, P: LinearSubspace, q: int, cfg: PolarConfig) -> l
 
 
 def _span_flags(spans: np.ndarray, comp: np.ndarray, cfg: PolarConfig):
-    """:func:`_span_intersection` of each (d, n) span of a stack against the
+    """The principal angles of each (d, n) span of a stack against the
     complement ``comp`` of the plane, with one stacked SVD, and which spans
     it flags: those meeting ``comp`` beyond the generic dimension, or within
     ``span_angle_min`` of doing so.  Returns (flags, dims, clearances)."""
@@ -409,19 +401,6 @@ def _span_flags(spans: np.ndarray, comp: np.ndarray, cfg: PolarConfig):
     flags = (inter_dim > expected) | (
         (expected < min(d, c)) & (clearance < cfg.span_angle_min))
     return flags, inter_dim, clearance
-
-
-def _span_intersection(span_a: np.ndarray, span_b: np.ndarray, cfg: PolarConfig):
-    """(dim of intersection, clearance angle beyond it) via principal angles;
-    the one-cell reference for :func:`_span_flags`."""
-    if span_a.shape[0] == 0 or span_b.shape[0] == 0:
-        return 0, math.pi / 2
-    sv = np.linalg.svd(span_a @ span_b.T, compute_uv=False)
-    sv = np.clip(sv, -1.0, 1.0)
-    dim = int(np.sum(sv > 1.0 - cfg.span_rank_tol))
-    rest = sv[dim:] if dim < len(sv) else np.array([])
-    clearance = math.acos(float(rest[0])) if len(rest) else math.pi / 2
-    return dim, clearance
 
 
 def _smooth_polar_pieces(
@@ -615,55 +594,6 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, cfg: PolarConfig | Non
 # the index alpha
 # ---------------------------------------------------------------------------
 
-def _geometric_normal_index(K, cell, v: np.ndarray, link: NormalLink) -> int:
-    """Slow cross-check route for the PL normal index: clip the link cells at
-    the hyperplane <v, y> = -eta, triangulate the clipped polytopes, and count
-    cells of the resulting sublevel complex."""
-    if len(link.vertex_ids) == 0:
-        return 1
-    vals = link.directions @ v
-    if np.min(np.abs(vals)) <= 1e-8 * np.linalg.norm(v):
-        raise DegenerateDirectionError("wall-aligned direction")
-    eta = 0.5 * float(np.min(np.abs(vals)))
-    simplices: set = set()
-    cut_id: dict = {}
-
-    def cut_vertex(i, j):
-        key = ("c", min(i, j), max(i, j))
-        return cut_id.setdefault(key, key)
-
-    def add_closure(ids):
-        ids = tuple(sorted(ids, key=repr))
-        for size in range(1, len(ids) + 1):
-            for f in itertools.combinations(ids, size):
-                simplices.add(f)
-
-    for c in link.link_cells:
-        below = [i for i in c if vals[i] <= -eta]
-        above = [i for i in c if vals[i] > -eta]
-        if not below:
-            continue
-        if not above:
-            add_closure([("v", i) for i in c])
-            continue
-        if len(c) == 2:
-            add_closure([("v", below[0]), cut_vertex(below[0], above[0])])
-        elif len(c) == 3:
-            if len(below) == 1:
-                b = below[0]
-                add_closure([("v", b), cut_vertex(b, above[0]), cut_vertex(b, above[1])])
-            else:
-                b0, b1 = below
-                a = above[0]
-                c0, c1 = cut_vertex(b0, a), cut_vertex(b1, a)
-                add_closure([("v", b0), ("v", b1), c0])
-                add_closure([("v", b1), c0, c1])
-        else:
-            raise NotImplementedError("geometric sublevel supports links of dimension <= 2")
-    chi = sum((-1) ** (len(s) - 1) for s in simplices)
-    return 1 - chi
-
-
 def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, J: np.ndarray, P: LinearSubspace) -> np.ndarray:
     """alpha at a stack of points of a stratum of dimension q, with chart
     Jacobians J: the slice meets the stratum in the point itself, whose
@@ -672,93 +602,6 @@ def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, J: np.ndarray, P: Linear
     boundary.  The image is a hypersurface of P, so nu is its normal there."""
     nu = hypersurface_normals(J @ P.basis.T) @ P.basis
     return 0.5 * (normal_index(S, params, nu) + normal_index(S, params, -nu))
-
-
-def _fold_alpha_slice_chi(X: Shape, S: SmoothStratum, params, P, cfg) -> float:
-    """Slow cross-check route for alpha at a fold: build the slice curve and
-    count level-set points.
-
-    Follows the curve through the fold along the kernel direction and counts
-    solutions of <nu, y> = <nu, x> - delta inside the epsilon ball; the index
-    is 1 - (that count), evaluated for both conormal signs.
-    """
-    # nu: normal of the image curve inside P; at a fold it is also normal to S
-    _, normal = frames(S, params)
-    nu = normal[0] - P.orthogonal_complement().project(normal[0])
-    nrm = np.linalg.norm(nu)
-    if nrm < 1e-12:
-        raise DegenerateDirectionError("stratum normal orthogonal to the plane")
-    nu = nu / nrm
-    diameter = X.diameter
-    delta = cfg.slice_delta * diameter
-    eps = cfg.slice_epsilon * diameter
-    x0 = S.chart.r(np.asarray(params, dtype=float))
-    # march the slice curve in the chart: directions solving the constraints
-    # <w_j, y - x0> = 0 for w_j spanning P meet nu-perp
-    w_dirs = _slice_constraint_dirs(P, nu)
-    pts = _march_slice_curve(S, params, w_dirs, x0, eps, diameter)
-    vals = (pts - x0) @ nu
-    counts = {}
-    for sign in (1.0, -1.0):
-        f = sign * vals - (-delta)
-        crossings = int(np.sum(f[:-1] * f[1:] < 0))
-        counts[sign] = 1 - crossings
-    return 0.5 * (counts[1.0] + counts[-1.0])
-
-
-def _slice_constraint_dirs(P: LinearSubspace, nu: np.ndarray) -> np.ndarray:
-    basis = P.basis
-    coords = basis @ nu
-    # orthonormal directions of P orthogonal to nu
-    u, s, vt = np.linalg.svd(coords[None, :], full_matrices=True)
-    rest = vt[1:]
-    return rest @ basis
-
-
-def _march_slice_curve(S, params0, w_dirs, x0, eps, diameter, steps=400):
-    chart = S.chart
-    h = eps / 60.0
-    out = []
-    for direction in (1.0, -1.0):
-        p = np.asarray(params0, dtype=float).copy()
-        prev_t = None
-        side = []
-        for _ in range(steps):
-            J = chart.dr(p)
-            # tangent of the slice curve in the chart: kernel of w_dirs . J^T
-            A = w_dirs @ J.T  # (n_constraints, 2)
-            _, _, vt = np.linalg.svd(A)
-            t = vt[-1]
-            if prev_t is not None and float(t @ prev_t) < 0:
-                t = -t
-            elif prev_t is None:
-                t = t * direction
-            prev_t = t
-            p = p + h * t / max(float(np.linalg.norm(J.T @ t)), 1e-12)
-            p = _project_onto_constraints(S, p, w_dirs, x0)
-            x = chart.r(p)
-            if np.linalg.norm(x - x0) > eps:
-                break
-            side.append(x)
-        if direction == 1.0:
-            out = side[::-1] + [x0]
-        else:
-            out = out + side
-    return np.array(out)
-
-
-def _project_onto_constraints(S, p, w_dirs, x0, iters=25):
-    chart = S.chart
-    for _ in range(iters):
-        x = chart.r(p)
-        c = w_dirs @ (x - x0)
-        if np.max(np.abs(c)) < 1e-12:
-            break
-        J = chart.dr(p)
-        A = w_dirs @ J.T
-        step, *_ = np.linalg.lstsq(A, -c, rcond=None)
-        p = p + step
-    return p
 
 
 def alpha_index(X: Shape, stratum, source, P: LinearSubspace, cfg: PolarConfig | None = None) -> float:
@@ -1071,92 +914,3 @@ def _top_volume(X: Shape) -> float:
                 raise NotImplementedError("region restriction on solid volumes")
             total += S.volume
     return total
-
-
-# ---------------------------------------------------------------------------
-# Cauchy-Crofton and multiplicity-free projected volumes
-# ---------------------------------------------------------------------------
-
-def crofton_volume(segments: np.ndarray, ambient_dim: int, n_lines: int, rng: RandomSource,
-                   radius: float | None = None) -> Estimate:
-    """Length (codimension-1 volume for triangles) of a piecewise-linear set
-    by counting intersections with random affine lines.
-
-    ``segments`` is (S, 2, m) for polylines in the plane (m = 2) or
-    (S, 3, 3) for triangles in space.  The Crofton normalization divides the
-    weighted crossing count by the mean projection coefficient.
-    """
-    segments = np.asarray(segments, dtype=float)
-    if segments.size == 0:
-        return Estimate(0.0, 0.0, max(n_lines, 1), rng.master_seed, method="crofton")
-    m = ambient_dim
-    if radius is None:
-        radius = float(np.max(np.linalg.norm(segments.reshape(-1, m), axis=1))) + 1e-9
-
-    def one(i: int) -> float:
-        gen = rng.substream(i).generator()
-        flat, weight = sample_affine_flats_hitting_ball(m, 1, radius, gen)
-        o = flat.offset
-        d = flat.direction.basis[0]
-        if m == 2:
-            return weight * _count_segment_crossings(segments, o, d)
-        return weight * _count_triangle_crossings(segments, o, d)
-
-    vals = [one(i) for i in range(n_lines)]
-    est = mean_estimate(vals, seed=rng.master_seed, method="crofton")
-    return est.scaled(1.0 / beta_coeff(m, 1))
-
-
-def _count_segment_crossings(segments, o, d) -> int:
-    a = segments[:, 0]
-    b = segments[:, 1]
-    nrm = np.array([-d[1], d[0]])
-    fa = (a - o) @ nrm
-    fb = (b - o) @ nrm
-    cross = fa * fb < 0
-    # crossing parameter along the line must exist (always does for a line)
-    return int(np.sum(cross))
-
-
-def _count_triangle_crossings(triangles, o, d) -> int:
-    count = 0
-    for tri in triangles:
-        n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        nn = np.linalg.norm(n)
-        if nn < 1e-15:
-            continue
-        n = n / nn
-        denom = float(n @ d)
-        if abs(denom) < 1e-12:
-            continue
-        t = float(n @ (tri[0] - o)) / denom
-        p = o + t * d
-        A = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)
-        sol, *_ = np.linalg.lstsq(A, p - tri[0], rcond=None)
-        u, w = sol
-        if u > 0 and w > 0 and u + w < 1:
-            count += 1
-    return count
-
-
-def projected_volume(X: Shape, n_planes: int, rng: RandomSource) -> Estimate:
-    """Mean projected volume route to vol(X): for a d-dimensional shape the
-    average d-volume of its image over planes of dimension d+1, times the
-    polar-length constant, recovers the volume (injective projections)."""
-    if X.smooth is None or X.dim != 1:
-        raise NotImplementedError("projected volumes implemented for smooth curves")
-    n = X.ambient_dim
-    d = X.dim
-    S = [s for s in X.smooth.strata if s.dim == 1][0]
-    params, w = S.chart.grid(256)
-
-    def one(i: int) -> float:
-        gen = rng.substream(i).generator()
-        P = sample_grassmannian(n, d + 1, gen)
-        J = S.chart.dr(params) @ P.basis.T
-        element = np.linalg.norm(J[:, 0, :], axis=1)
-        return float(math.fsum((w * element).tolist()))
-
-    vals = [one(i) for i in range(n_planes)]
-    est = mean_estimate(vals, seed=rng.master_seed, method="projected-volume")
-    return est.scaled(polar_length_constant(n, d))

@@ -30,7 +30,6 @@ __all__ = [
     "hypersurface_normals",
     "normal_index",
     "normal_circle_moments",
-    "lkw_curvature",
     "integrate_stratum",
     "height_critical_points",
     "rim_curvature_vector",
@@ -277,47 +276,6 @@ def normal_circle_moments(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndar
         return np.full(len(params), sphere_volume(1)), np.zeros((len(params), 3))
     w = np.atleast_2d(S.inward_conormal(params))
     return np.full(len(params), 0.5 * sphere_volume(1)), 2.0 * w
-
-
-def elementary_symmetric(eigenvalues: np.ndarray, i: int) -> float:
-    """i-th elementary symmetric function of the given values."""
-    e = np.zeros(i + 1)
-    e[0] = 1.0
-    for lam in np.atleast_1d(eigenvalues):
-        upper = min(i, len(e) - 1)
-        for j in range(upper, 0, -1):
-            e[j] += lam * e[j - 1]
-    return float(e[i])
-
-
-def sigma_of_form(S: SmoothStratum, params, v: np.ndarray, i: int) -> float:
-    m = second_form(S, params, v).matrix
-    return elementary_symmetric(np.linalg.eigvalsh(m), i)
-
-
-def lkw_curvature(S: SmoothStratum, params, i: int, circle_rule: int = 64) -> float:
-    """Integral of sigma_i(II_{x,v}) over the unit normal sphere at the point,
-    one point and one direction at a time: the test oracle of the stacked
-    curvature densities.
-
-    Codimension 1 uses the exact two-point rule; a curve in R^3 uses a uniform
-    circle rule, exact here because the integrand is a trigonometric
-    polynomial of degree <= 1 in the normal angle.
-    """
-    if not 0 <= i <= S.dim:
-        raise ValueError(f"curvature order {i} out of range for dim {S.dim}")
-    _, normal = frames(S, params)
-    codim = normal.shape[0]
-    if codim == 1:
-        nu = normal[0]
-        return sigma_of_form(S, params, nu, i) + sigma_of_form(S, params, -nu, i)
-    if codim == 2 and S.dim == 1:
-        total = 0.0
-        for t in np.arange(circle_rule) * (2 * math.pi / circle_rule):
-            v = math.cos(t) * normal[0] + math.sin(t) * normal[1]
-            total += sigma_of_form(S, params, v, i)
-        return total * (2 * math.pi / circle_rule)
-    raise NotImplementedError(f"normal sphere quadrature for codimension {codim}")
 
 
 def area_element(S: SmoothStratum, params_batch: np.ndarray) -> np.ndarray:

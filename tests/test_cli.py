@@ -161,6 +161,25 @@ def test_missing_pl_file_is_a_json_error(tmp_path):
         assert report["config"]["shape"] == f"pl:{path}"
 
 
+def test_four_simplex_vertex_is_a_json_error(tmp_path):
+    # the vertex links of a 4-simplex in R^4 are tetrahedra, past the
+    # closed-form exterior angles; the edges' links are triangles
+    import numpy as np
+
+    from lkpolar.plstrata import StratifiedComplex, save_plstrat
+
+    path = tmp_path / "simplex4.plstrat"
+    save_plstrat(StratifiedComplex.from_maximal_cells(
+        np.vstack([np.zeros(4), np.eye(4)]), [(0, 1, 2, 3, 4)]), path)
+    report, status = run(["measure", "--shape", f"pl:{path}", "--k", "0"])
+    assert status == 2
+    assert "cell (0,)" in json.loads(json.dumps(report))["error"]
+    report, status = run(["measure", "--shape", f"pl:{path}", "--k", "1,4"])
+    assert status == 0
+    assert [r["std_error"] for r in report["rows"]] == [0.0, 0.0]
+    assert report["rows"][1]["value"] == pytest.approx(1 / 24, rel=1e-12)
+
+
 def test_out_of_range_order_fails_before_any_work(monkeypatch):
     import lkpolar.cli as cli
 

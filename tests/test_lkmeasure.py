@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkpolar.geomkit import RandomSource, ball_volume
+from lkpolar.plstrata import StratifiedComplex
 from lkpolar.lkmeasure import (
     DegenerateSliceError,
     Shape,
@@ -44,10 +47,10 @@ def test_cube_edge_density():
     cube = shape_from_name("cube")
     vidx = {tuple(v): i for i, v in enumerate(cube.pl.vertices)}
     edge = tuple(sorted((vidx[(0.0, 0.0, 0.0)], vidx[(0.0, 0.0, 1.0)])))
-    est = lambda_density(cube, edge, None, 1, RandomSource(5), n_dirs=10_000)
+    est = lambda_density(cube, edge, None, 1, RandomSource(5))
     # external angle of a square wedge: a quarter of the normal circle
-    assert abs(est.value - 0.25) <= 3 * est.std_error
-    assert est.std_error < 0.01
+    assert abs(est.value - 0.25) <= 1e-12
+    assert (est.std_error, est.method) == (0.0, "exterior-angle")
 
 
 def test_disk_rim_density():
@@ -62,7 +65,7 @@ def test_stacked_density_matches_point_oracle():
     # sigma_i over the normal sphere one point and one direction at a time
     from lkpolar.geomkit import sphere_volume
     from lkpolar.lkmeasure import _smooth_lambda_batch
-    from lkpolar.smoothshape import lkw_curvature
+    from oracles import lkw_curvature
 
     gen = RandomSource(3).generator()
     for name in ("sphere:2", "torus:2:1", "ellipse:2:1", "circle:1"):
@@ -93,8 +96,9 @@ def test_cube_intrinsic_volumes():
     cube = shape_from_name("cube")
     expected = [1.0, 3.0, 3.0, 1.0]
     for k, ref in enumerate(expected):
-        est = lk_measure(cube, k, RandomSource(11, k), n_dirs=4000)
-        assert abs(est.value - ref) <= max(0.01 * ref, 3 * est.std_error), (k, est)
+        est = lk_measure(cube, k, RandomSource(11, k))
+        assert abs(est.value - ref) <= 1e-12, (k, est)
+        assert est.std_error == 0.0
 
 
 def test_sphere_measures():
@@ -160,8 +164,8 @@ def test_rigid_motion_invariance():
         base = shape_from_name(name)
         moved = base.transformed(rotation=rot, translation=shift)
         for k in range(4):
-            a = lk_measure(base, k, RandomSource(7, k), n_dirs=3000)
-            b = lk_measure(moved, k, RandomSource(8, k), n_dirs=3000)
+            a = lk_measure(base, k, RandomSource(7, k))
+            b = lk_measure(moved, k, RandomSource(8, k))
             gap, tol = combined_gap(a, b)
             assert gap <= max(tol, 1e-6), (name, k)
 
@@ -171,11 +175,68 @@ def test_scaling_law():
         base = shape_from_name(name)
         scaled = base.transformed(scale=t)
         for k in range(4):
-            a = lk_measure(base, k, RandomSource(9, k), n_dirs=3000)
-            b = lk_measure(scaled, k, RandomSource(10, k), n_dirs=3000)
+            a = lk_measure(base, k, RandomSource(9, k))
+            b = lk_measure(scaled, k, RandomSource(10, k))
             gap = abs(b.value - t**k * a.value)
             tol = 3 * math.hypot(b.std_error, t**k * a.std_error) + 1e-9
             assert gap <= tol, (name, t, k)
+
+
+def test_exact_pl_measures(kuhn_grid):
+    # the exterior-angle route: every value to 1e-12, with se 0
+    grid = Shape(name="grid", pl=kuhn_grid(3))
+    cases = [(shape_from_name("cube"), {0: 1.0, 1: 3.0, 2: 3.0, 3: 1.0}),
+             (grid, {0: 1.0, 1: 3.0, 2: 3.0, 3: 1.0}),
+             (shape_from_name("cube-boundary"), {0: 2.0, 1: 0.0}),
+             (shape_from_name("octahedron"), {0: 2.0, 1: 0.0}),
+             (shape_from_name("torus7"), {0: 0.0, 1: 0.0})]
+    for X, refs in cases:
+        for k, ref in refs.items():
+            est = lk_measure(X, k, RandomSource(12, k))
+            assert abs(est.value - ref) <= 1e-12, (X.name, k, est)
+            assert (est.std_error, est.method) == (0.0, "exterior-angle")
+
+
+def _rotation(seed):
+    q, r = np.linalg.qr(RandomSource(seed).generator().standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       scale=st.floats(0.1, 10.0))
+def test_pl_measures_under_similarity(seed, shift, scale):
+    # Lambda_k of s R X + t is s^k Lambda_k(X): rotation, translation and scale
+    # move only the rounding of the exterior angles and the cell volumes
+    for name in ("cube", "cube-boundary", "octahedron", "torus7"):
+        X = shape_from_name(name)
+        moved = X.transformed(rotation=_rotation(seed), translation=shift, scale=scale)
+        for k in range(4):
+            a = lk_measure(X, k, RandomSource(13, k)).value
+            b = lk_measure(moved, k, RandomSource(13, k)).value
+            assert abs(b - scale**k * a) <= 1e-12 * scale**k * (1.0 + abs(a)), (name, k)
+
+
+def _four_simplex():
+    return StratifiedComplex.from_maximal_cells(
+        np.vstack([np.zeros(4), np.eye(4)]), [(0, 1, 2, 3, 4)])
+
+
+def test_four_simplex_edges_match_oracle_and_vertices_raise():
+    # an edge of a 4-simplex has a triangle for its normal link, which the
+    # exterior-angle sum covers; a vertex has a tetrahedron, which it does not
+    from oracles import sampled_mean_normal_index
+
+    X = Shape(name="4-simplex", pl=_four_simplex())
+    lam1 = lk_measure(X, 1, RandomSource(14))
+    terms = [sampled_mean_normal_index(X.pl, e, 4000, RandomSource(15, i)).scaled(
+        X.pl.cell_volume(e)) for i, e in enumerate(X.pl.cells[1])]
+    oracle = math.fsum(t.value for t in terms)
+    se = math.sqrt(math.fsum(t.std_error**2 for t in terms))
+    assert se > 0 and abs(lam1.value - oracle) <= 3 * se, (lam1, oracle, se)
+    with pytest.raises(NotImplementedError, match=r"cell \(0,\).* 4 directions"):
+        lk_measure(X, 0, RandomSource(14))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +262,7 @@ def test_exchange_matches_lk0_on_catalog():
     for name in ("cube", "disk:1", "hemisphere:1", "ball:1", "circle:1", "ellipse:2:1"):
         X = shape_from_name(name)
         a = exchange_lambda0(X, 80, RandomSource(44))
-        b = lk_measure(X, 0, RandomSource(45), n_dirs=4000)
+        b = lk_measure(X, 0, RandomSource(45))
         gap, tol = combined_gap(a, b)
         assert gap <= max(tol, 1e-6), name
 
@@ -233,7 +294,7 @@ def test_kinematic_constant_shape_independent():
     for name in ("cube", "ball:1", "ball:2"):
         X = shape_from_name(name)
         for k in (1, 2):
-            r = kinematic_check(X, k, 1500, RandomSource(47), n_dirs=3000)
+            r = kinematic_check(X, k, 1500, RandomSource(47))
             assert not r.flagged_division
             results[(name, k)] = r.ratio.value
     for k in (1, 2):

@@ -29,6 +29,8 @@ from lkpolar.plstrata import (
     torus_7vertex,
 )
 
+from oracles import sampled_mean_normal_index
+
 
 CATALOG = (segment_complex, square_boundary, octahedron_boundary, cube_boundary, solid_cube,
            torus_7vertex)
@@ -349,23 +351,51 @@ def test_pl_morse_indices_match_star_loop(kuhn_grid):
 
 def test_mean_normal_index_empty_link_is_one():
     K = solid_cube()
-    est = mean_normal_index(K, K.cells[3][0], 100, RandomSource(1))
-    assert (est.value, est.std_error) == (1.0, 0.0)
+    assert mean_normal_index(K, 3).tolist() == [1.0] * len(K.cells[3])
 
 
 def test_mean_normal_index_boundary_facet_is_half():
     K = solid_cube()
     facet = next(t for t in K.cells[2] if np.allclose(K.vertices[list(t)][:, 2], 0.0))
-    est = mean_normal_index(K, facet, 100, RandomSource(2))
-    assert (est.value, est.std_error) == (0.5, 0.0)
+    assert mean_normal_index(K, 2)[K.plan.rows[facet]] == 0.5
 
 
 def test_mean_normal_index_cube_corner_is_exterior_angle():
+    # the normal cone of the corner is the opposite octant
     K = solid_cube()
     corner = (int(np.flatnonzero(np.all(K.vertices == 0.0, axis=1))[0]),)
-    est = mean_normal_index(K, corner, 4000, RandomSource(3))
-    assert est.n_samples >= 4000
-    assert abs(est.value - 1 / 8) <= 3 * est.std_error
+    assert abs(mean_normal_index(K, 0)[K.plan.rows[corner]] - 1 / 8) <= 1e-12
+
+
+def test_mean_normal_index_keeps_digits_at_antipodal_links():
+    # a triangle of the plane whose angle at vertex 0 is pi - 2 atan(delta):
+    # its two link directions are nearly antipodal, and the vertex's mean
+    # index is the exterior angle over 2 pi, atan(delta) / pi.  The arccos
+    # of their dot product, -1 + 2 delta^2 up to rounding, would give 0.
+    delta = 1e-9
+    K = StratifiedComplex.from_maximal_cells(
+        np.array([[0.0, 0.0], [1.0, delta], [-1.0, delta]]), [(0, 1, 2)])
+    assert mean_normal_index(K, 0)[0] == pytest.approx(math.atan(delta) / math.pi, rel=1e-6)
+
+
+def test_mean_normal_index_matches_sampling_oracle(kuhn_grid):
+    # every cell of every catalog complex, the rotated Kuhn grid and three
+    # cone models: the exterior-angle sum against the normal-sphere sampler,
+    # within 3 se, or within 1e-12 where the sampler is exact
+    from lkpolar.germ import germ_from_name
+
+    complexes = catalog_and_grid(kuhn_grid) + [
+        germ_from_name(name).model for name in ("rays:3", "rays:5", "halfplane:3")]
+    pairs = []
+    for K in complexes:
+        for d in K.cells:
+            exact = mean_normal_index(K, d)
+            for i, cell in enumerate(K.cells[d]):
+                pairs.append((exact[i], sampled_mean_normal_index(
+                    K, cell, 1500, RandomSource(71, len(pairs)))))
+    for exact, est in pairs:
+        assert abs(exact - est.value) <= 3 * est.std_error + 1e-12, (exact, est)
+    assert sum(est.std_error > 0 for _, est in pairs) > 100
 
 
 # ---------------------------------------------------------------------------

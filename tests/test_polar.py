@@ -9,23 +9,26 @@ from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_na
 from lkpolar.plstrata import DegenerateDirectionError, normal_link, pl_alpha
 from lkpolar.polar import (
     PolarConfig,
-    _fold_alpha_slice_chi,
-    _geometric_normal_index,
     _overlap_fraction,
     _pl_piece_values,
     _span_flags,
-    _span_intersection,
     _surface_normals,
     _whole_stratum_integral,
     alpha_index,
     check_genericity,
-    crofton_volume,
     polar_image_integral,
     polar_length,
     polar_sample,
     polar_variety,
-    projected_volume,
     trace_silhouette,
+)
+
+from oracles import (
+    crofton_volume,
+    fold_alpha_slice_chi,
+    geometric_normal_index,
+    projected_volume,
+    span_intersection,
 )
 
 CFG = PolarConfig()
@@ -40,8 +43,8 @@ def _slice_chi_alpha(K, cell, P):
     """alpha of a PL cell by the geometric sublevel route."""
     nu = image_normal(K.cell_span(cell), P)
     link = normal_link(K, cell)
-    return 0.5 * (_geometric_normal_index(K, cell, nu, link)
-                  + _geometric_normal_index(K, cell, -nu, link))
+    return 0.5 * (geometric_normal_index(K, cell, nu, link)
+                  + geometric_normal_index(K, cell, -nu, link))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,7 @@ def test_span_flags_match_per_cell_reference():
                 flags, dims, clearances = _span_flags(K.plan.spans[d], comp, CFG)
                 expected = max(0, d + len(comp) - 3)
                 for i, cell in enumerate(cells):
-                    dim, clearance = _span_intersection(K.cell_span(cell), comp, CFG)
+                    dim, clearance = span_intersection(K.cell_span(cell), comp, CFG)
                     flag = dim > expected or (
                         expected < min(d, len(comp)) and clearance < CFG.span_angle_min)
                     assert (bool(flags[i]), int(dims[i])) == (flag, dim), (name, cell)
@@ -383,7 +386,7 @@ def test_fold_alpha_slice_chi_mode_agrees():
     pts = pieces[0].source_points
     i = len(params) // 3
     assert alpha_index(sph, S, (params[i], pts[i]), XY_PLANE, CFG) == 0.0
-    assert _fold_alpha_slice_chi(sph, S, params[i], XY_PLANE, CFG) == 0.0
+    assert fold_alpha_slice_chi(sph, S, params[i], XY_PLANE) == 0.0
 
 
 def test_disk_rim_alpha_half():

@@ -12,7 +12,6 @@ from lkpolar.smoothshape import (
     frames,
     hemisphere_shape,
     integrate_stratum,
-    lkw_curvature,
     normal_circle_moments,
     normal_index,
     rim_curvature_vector,
@@ -20,6 +19,8 @@ from lkpolar.smoothshape import (
     sphere_shape,
     torus_shape,
 )
+
+from oracles import lkw_curvature
 
 ALL_SHAPES = [
     sphere_shape(1.0),
