@@ -39,7 +39,6 @@ from .lkmeasure import (
     steiner_oracle,
 )
 from .polar import (
-    PolarConfig,
     alpha_index,
     check_genericity,
     polar_image_integral,
@@ -62,7 +61,6 @@ __all__ = [
     "ConeGerm",
     "Estimate",
     "LinearSubspace",
-    "PolarConfig",
     "RandomSource",
     "Shape",
     "SmoothShape",

@@ -108,11 +108,7 @@ def cmd_measure(args) -> dict:
     for k in _checked_orders(args.k, args.shape, 0, X.ambient_dim):
         (est, ms) = _timed(lambda k=k: lk_measure(X, k, RandomSource(args.seed, k)))
         ref = _reference(args.shape, k)
-        ok = True
-        if ref is not None:
-            ok = abs(est.value - ref) <= max(
-                args.tolerance * est.std_error, 0.01 * (1 + abs(ref))
-            )
+        ok = ref is None or combined_pass(est.value, est.std_error, ref, 0.0, args.tolerance)
         rows.append(_row("Lambda", k, est, shape=args.shape, reference=ref, ok=ok,
                          extra={"wall_time_ms": ms}))
     return {"rows": rows}
@@ -130,12 +126,9 @@ def cmd_polar(args) -> dict:
             )
         )
         ref = _reference(args.shape, q)
-        ok = True
-        if ref is not None:
-            ok = abs(res.estimate.value - ref) <= max(
-                args.tolerance * res.estimate.std_error, 0.01 * (1 + abs(ref))
-            )
-        rows.append(_row("L", q, res.estimate, shape=args.shape, reference=ref, ok=ok,
+        est = res.estimate
+        ok = ref is None or combined_pass(est.value, est.std_error, ref, 0.0, args.tolerance)
+        rows.append(_row("L", q, est, shape=args.shape, reference=ref, ok=ok,
                          extra={"wall_time_ms": ms, "n_rejected": res.n_rejected}))
         resamples[str(q)] = res.reject_reasons
         for i, basis, per_stratum, reason in res.per_plane:

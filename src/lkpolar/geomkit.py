@@ -37,9 +37,11 @@ __all__ = [
     "DegenerateDirectionError",
     "fmean",
     "mean_estimate",
+    "per_sample_values",
 ]
 
 ORTHO_TOL = 1e-10
+MAX_REDRAWS = 200  # draws per sample before a Monte-Carlo route gives up
 
 
 class DegenerateDirectionError(ValueError):
@@ -175,6 +177,32 @@ class RandomSource:
         return RandomSource(
             self.master_seed, self.stream_id, self.substream_path + (index,)
         )
+
+
+def per_sample_values(n: int, rng: RandomSource, trial, retry, what: str) -> list[float]:
+    """The value of ``trial(i, gen)`` for each sample i = 0..n-1, where gen is
+    the generator of ``rng.substream(i)``, so the values do not depend on the
+    order in which samples run.
+
+    A trial that raises one of the exceptions ``retry`` drew a non-generic
+    plane, direction or flat (a measure-zero event); it is drawn again from
+    the same generator.  After MAX_REDRAWS draws for one sample the route
+    ``what`` gives up with a RuntimeError.
+    """
+    values = []
+    for i in range(n):
+        gen = rng.substream(i).generator()
+        for _ in range(MAX_REDRAWS):
+            try:
+                values.append(trial(i, gen))
+                break
+            except retry as err:
+                last = err
+        else:
+            raise RuntimeError(
+                f"{what}: resample quota of {MAX_REDRAWS} draws exceeded at sample {i}; "
+                f"last: {last}")
+    return values
 
 
 def _rng_of(rng: "RandomSource | np.random.Generator") -> np.random.Generator:

@@ -32,6 +32,7 @@ from .geomkit import (
     ball_volume,
     image_normal,
     mean_estimate,
+    per_sample_values,
     sample_grassmannian,
     sample_unit_sphere,
 )
@@ -57,7 +58,8 @@ __all__ = [
     "LocalIdentityRow",
 ]
 
-MAX_RESAMPLES = 200
+SLICE_DELTA = 1e-3  # first slice offset of slice_chi_stabilized
+SLICE_HALVINGS = 10  # halvings of the offset before a slice counts as unstable
 
 
 @dataclass(frozen=True)
@@ -366,13 +368,12 @@ def _trig_superlevel_chi(a: float, b: float, d: float, delta: float) -> int:
     return 1  # one arc
 
 
-def slice_chi_stabilized(X: ConeGerm, A: np.ndarray, v: np.ndarray, delta0: float = 1e-3,
-                         halvings: int = 10) -> int:
+def slice_chi_stabilized(X: ConeGerm, A: np.ndarray, v: np.ndarray) -> int:
     """chi of the slice at delta and delta/2 must agree; halve until it does."""
     fn = _round_slice_chi if X.is_round else _pl_slice_chi
-    delta = delta0
+    delta = SLICE_DELTA
     prev = fn(X, A, v, delta)
-    for _ in range(halvings):
+    for _ in range(SLICE_HALVINGS):
         cur = fn(X, A, v, delta / 2)
         if cur == prev:
             return cur
@@ -394,20 +395,12 @@ def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> E
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range")
 
-    def one(i: int) -> float:
-        gen = rng.substream(i).generator()
-        for _ in range(MAX_RESAMPLES):
-            Hperp = sample_grassmannian(n, k, gen)
-            A = Hperp.basis
-            w = sample_unit_sphere(k, gen)
-            v = w @ A
-            try:
-                return float(slice_chi_stabilized(X, A, v))
-            except SliceUnstableError:
-                continue
-        raise RuntimeError("slice resample quota exceeded")
+    def one(_, gen: np.random.Generator) -> float:
+        A = sample_grassmannian(n, k, gen).basis
+        v = sample_unit_sphere(k, gen) @ A
+        return float(slice_chi_stabilized(X, A, v))
 
-    vals = [one(i) for i in range(n_samples)]
+    vals = per_sample_values(n_samples, rng, one, SliceUnstableError, "affine slices")
     return mean_estimate(vals, seed=rng.master_seed, method="affine-slices")
 
 
@@ -452,18 +445,11 @@ def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> 
 
 
 def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate:
-    def one(i: int) -> float:
-        gen = rng.substream(i).generator()
-        for _ in range(MAX_RESAMPLES):
-            v = sample_unit_sphere(3, gen)
-            try:
-                chi = slice_chi_stabilized(X, v[None, :], -v)
-                return 1.0 - chi
-            except SliceUnstableError:
-                continue
-        raise RuntimeError("apex slice quota exceeded")
+    def one(_, gen: np.random.Generator) -> float:
+        v = sample_unit_sphere(3, gen)
+        return 1.0 - slice_chi_stabilized(X, v[None, :], -v)
 
-    vals = [one(i) for i in range(n_dirs)]
+    vals = per_sample_values(n_dirs, rng, one, SliceUnstableError, "apex slices")
     return mean_estimate(vals, seed=rng.master_seed, method="apex-slices")
 
 
@@ -486,19 +472,14 @@ def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) ->
         # normal sign and a maximum for the other, so alpha = 0 on them
         return Estimate(0.0, 0.0, 1, rng.master_seed, method="round-exact")
 
-    def one(i: int) -> float:
-        gen = rng.substream(i).generator()
-        for _ in range(MAX_RESAMPLES):
-            P = sample_grassmannian(n, k + 1, gen)
-            try:
-                if X.is_round:
-                    return _round_local_polar_one(X, P)
-                return _pl_local_polar_one(X, k, P)
-            except (DegenerateDirectionError, SliceUnstableError):
-                continue
-        raise RuntimeError("plane resample quota exceeded")
+    def one(_, gen: np.random.Generator) -> float:
+        P = sample_grassmannian(n, k + 1, gen)
+        if X.is_round:
+            return _round_local_polar_one(X, P)
+        return _pl_local_polar_one(X, k, P)
 
-    vals = [one(i) for i in range(n_planes)]
+    vals = per_sample_values(n_planes, rng, one, (DegenerateDirectionError, SliceUnstableError),
+                             "local polar planes")
     return mean_estimate(vals, seed=rng.master_seed, method="local-polar-mc")
 
 

@@ -31,6 +31,7 @@ from .geomkit import (
     Estimate,
     RandomSource,
     mean_estimate,
+    per_sample_values,
     sample_affine_flats_hitting_ball,
     sample_unit_sphere,
     simplex_volumes,
@@ -70,8 +71,6 @@ __all__ = [
     "steiner_oracle",
     "slice_euler_characteristic",
 ]
-
-MAX_RESAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -376,27 +375,19 @@ def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     """Mean over uniform directions of the total stratified Morse index.
 
     Equals the 0-th curvature measure; per-direction sums are exact integers,
-    non-generic directions are resampled within their substream.
+    non-generic directions are redrawn within their substream.
     """
-    values = _per_sample_values(n_heights, rng, lambda gen: _exchange_one(X, gen))
+    values = per_sample_values(n_heights, rng, lambda _, gen: _exchange_one(X, gen),
+                               (DegenerateDirectionError, DegenerateHeightError),
+                               "exchange formula")
     return mean_estimate(values, seed=rng.master_seed, method="morse-counting")
 
 
 def _exchange_one(X: Shape, gen: np.random.Generator) -> float:
-    for _ in range(MAX_RESAMPLES):
-        v = sample_unit_sphere(X.ambient_dim, gen)
-        try:
-            if X.pl is not None:
-                return float(_morse_sum_pl(X, v))
-            return float(_morse_sum_smooth(X, v))
-        except (DegenerateDirectionError, DegenerateHeightError):
-            continue
-    raise RuntimeError("resample quota exceeded in exchange formula")
-
-
-def _per_sample_values(n_samples: int, rng: RandomSource, fn) -> list[float]:
-    """Evaluate fn on one generator per sample index; order-independent."""
-    return [fn(rng.substream(i).generator()) for i in range(n_samples)]
+    v = sample_unit_sphere(X.ambient_dim, gen)
+    if X.pl is not None:
+        return float(_morse_sum_pl(X, v))
+    return float(_morse_sum_smooth(X, v))
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +526,15 @@ def kinematic_check(
         raise ValueError("flat dimension k must be in 1..n-1")
     center, radius = X.bounding_ball()
 
-    def one(gen: np.random.Generator) -> float:
-        for _ in range(MAX_RESAMPLES):
-            flat, weight = sample_affine_flats_hitting_ball(n, k, radius, gen)
-            shifted = type(flat)(direction=flat.direction, offset=flat.offset + (
-                center - flat.direction.project(center)))
-            try:
-                return weight * slice_euler_characteristic(X, shifted)
-            except DegenerateSliceError:
-                continue
-        raise RuntimeError("resample quota exceeded in kinematic check")
+    def one(_, gen: np.random.Generator) -> float:
+        flat, weight = sample_affine_flats_hitting_ball(n, k, radius, gen)
+        shifted = type(flat)(direction=flat.direction, offset=flat.offset + (
+            center - flat.direction.project(center)))
+        return weight * slice_euler_characteristic(X, shifted)
 
     numer = mean_estimate(
-        _per_sample_values(n_flats, rng, one), seed=rng.master_seed, method="flat-mc"
+        per_sample_values(n_flats, rng, one, DegenerateSliceError, "kinematic check"),
+        seed=rng.master_seed, method="flat-mc",
     )
     denom = lk_measure(X, n - k, RandomSource(rng.master_seed, rng.stream_id + 7919))
     flagged = abs(denom.value) <= max(5.0 * denom.std_error, 1e-9)

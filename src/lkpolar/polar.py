@@ -30,6 +30,7 @@ from .geomkit import (
     image_normal,
     image_normals,
     mean_estimate,
+    per_sample_values,
     polar_length_constant,
     sample_grassmannian,
     simplex_volumes,
@@ -37,15 +38,16 @@ from .geomkit import (
 from .lkmeasure import Shape
 from .plstrata import DegenerateDirectionError, pl_alpha, pl_alpha_many
 from .smoothshape import (
+    CriticalPoint,
     DegenerateHeightError,
     SmoothStratum,
     height_critical_points,
+    height_hessian_eigenvalues,
     hypersurface_normals,
     normal_index,
 )
 
 __all__ = [
-    "PolarConfig",
     "PolarPiece",
     "PolarSample",
     "DegeneracyReport",
@@ -59,20 +61,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarConfig:
-    """Thresholds of the polar pipeline (angles in radians, distances are
-    relative to the shape diameter)."""
-
-    grid: int = 256
-    chord_tol: float = 1e-6
-    fold_angle_min: float = 1e-4
-    overlap_distance: float = 1e-4
-    overlap_fraction: float = 0.05
-    span_angle_min: float = 1e-4
-    span_rank_tol: float = 1e-8
-    max_resamples: int = 100
-    curvature_tol: float = 1e-7
+# Thresholds of the polar pipeline (angles in radians, distances relative to
+# the shape diameter)
+TRACE_GRID = 256  # sign-grid cells per chart axis of silhouette tracing
+CHORD_TOL = 1e-6  # largest gap between a traced polyline and its fold
+FOLD_ANGLE_MIN = 1e-4  # fold tangents this close to P-perp are aligned
+OVERLAP_DISTANCE = 1e-4  # image points this close coincide
+OVERLAP_FRACTION = 0.05  # share of coinciding or aligned points that flags a plane
+SPAN_ANGLE_MIN = 1e-4  # cell spans this close to meeting P-perp are flagged
+SPAN_RANK_TOL = 1e-8  # cosines within this of 1 count as a shared direction
+CURVATURE_TOL = 1e-7  # fold slice curvature below this is a cusp
 
 
 @dataclass(frozen=True)
@@ -81,18 +79,18 @@ class PolarPiece:
 
     kind is "cell" (a flat cell taken whole), "whole" (a smooth stratum of
     dimension q taken whole), "contour" (a traced fold curve) or "points"
-    (height critical points at q = 0).  ``geometry`` lives in P-coordinates.
-    A closed contour ends with a copy of its first point, so that its closing
-    segment is explicit.
+    (height critical points at q = 0, with their Morse indices).
+    ``geometry`` lives in P-coordinates.  A closed contour ends with a copy
+    of its first point, so that its closing segment is explicit.
     """
 
     stratum: object
     kind: str
     geometry: np.ndarray
-    alpha: float | None = None
     source_params: np.ndarray | None = None
     source_points: np.ndarray | None = None
     closed: bool = False
+    morse_indices: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -167,14 +165,14 @@ def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25):
     return P
 
 
-def trace_silhouette(S: SmoothStratum, u: np.ndarray, cfg: PolarConfig, diameter: float):
+def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float):
     """Polylines of {x in S : normal(x) orthogonal to span(u)} via a sign grid with
     bisected edge crossings, chained per cell and refined to the chord
     tolerance.  Returns a list of (params_array, points_array, closed); a
     closed polyline ends with its first point, whose chart parameters are
     unwrapped against the last one."""
     chart = S.chart
-    g = cfg.grid
+    g = TRACE_GRID
     lo = np.array([b[0] for b in chart.bounds])
     hi = np.array([b[1] for b in chart.bounds])
     nx = [g if chart.periodic[i] else g + 1 for i in range(2)]
@@ -311,7 +309,7 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, cfg: PolarConfig, diameter
         if closed:
             params = params + [params[0]]
         params = _unwrap_params(np.array(params), lo, hi, chart.periodic)
-        params = _refine_polyline(S, params, u, cfg.chord_tol * diameter)
+        params = _refine_polyline(S, params, u, CHORD_TOL * diameter)
         out.append((params, chart.r(params), closed))
     return out
 
@@ -354,7 +352,7 @@ def _refine_polyline(S, params, u, tol, max_depth=8):
 # polar varieties
 # ---------------------------------------------------------------------------
 
-def _pl_polar_pieces(X: Shape, P: LinearSubspace, q: int, cfg: PolarConfig) -> list[PolarPiece]:
+def _pl_polar_pieces(X: Shape, P: LinearSubspace, q: int) -> list[PolarPiece]:
     """Cells of dimension <= q taken whole, in the order of ``K.cells``, after
     the span check of every cell below the top dimension."""
     K = X.pl
@@ -366,7 +364,7 @@ def _pl_polar_pieces(X: Shape, P: LinearSubspace, q: int, cfg: PolarConfig) -> l
     for d, cells in K.cells.items():
         if d == n:
             continue
-        flags, inter_dim, clearance = _span_flags(plan.spans[d], comp, cfg)
+        flags, inter_dim, clearance = _span_flags(plan.spans[d], comp)
         span_flags.extend(
             (cells[i], int(inter_dim[i]), float(clearance[i])) for i in np.flatnonzero(flags))
         if d > q or span_flags:
@@ -382,30 +380,28 @@ def _pl_polar_pieces(X: Shape, P: LinearSubspace, q: int, cfg: PolarConfig) -> l
     return pieces
 
 
-def _span_flags(spans: np.ndarray, comp: np.ndarray, cfg: PolarConfig):
+def _span_flags(spans: np.ndarray, comp: np.ndarray):
     """The principal angles of each (d, n) span of a stack against the
     complement ``comp`` of the plane, with one stacked SVD, and which spans
     it flags: those meeting ``comp`` beyond the generic dimension, or within
-    ``span_angle_min`` of doing so.  Returns (flags, dims, clearances)."""
+    SPAN_ANGLE_MIN of doing so.  Returns (flags, dims, clearances)."""
     count, d, n = spans.shape
     c = comp.shape[0]
     if d == 0 or c == 0:
         return np.zeros(count, dtype=bool), np.zeros(count, dtype=int), np.full(count, math.pi / 2)
     sv = np.clip(np.linalg.svd(spans @ comp.T, compute_uv=False), -1.0, 1.0)
-    inter_dim = np.sum(sv > 1.0 - cfg.span_rank_tol, axis=1)
+    inter_dim = np.sum(sv > 1.0 - SPAN_RANK_TOL, axis=1)
     # singular values fall, so the first one past the intersection is the
     # clearance; a zero column stands for "none left" (arccos 0 = pi/2)
     rest = np.concatenate([sv, np.zeros((count, 1))], axis=1)[np.arange(count), inter_dim]
     clearance = np.arccos(rest)
     expected = max(0, d + c - n)
     flags = (inter_dim > expected) | (
-        (expected < min(d, c)) & (clearance < cfg.span_angle_min))
+        (expected < min(d, c)) & (clearance < SPAN_ANGLE_MIN))
     return flags, inter_dim, clearance
 
 
-def _smooth_polar_pieces(
-    X: Shape, S: SmoothStratum, P: LinearSubspace, q: int, cfg: PolarConfig
-) -> list[PolarPiece]:
+def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int) -> list[PolarPiece]:
     n = X.ambient_dim
     if S.role == "solid":
         return []
@@ -425,11 +421,12 @@ def _smooth_polar_pieces(
                 geometry=P.coords(pts),
                 source_params=np.array([c.params for c in crits]),
                 source_points=pts,
+                morse_indices=np.array([c.morse_index for c in crits]),
             )
         ]
     if S.dim == 2 and n == 3 and q == 1:
         u = P.orthogonal_complement().basis[0]
-        traced = trace_silhouette(S, u, cfg, X.diameter)
+        traced = trace_silhouette(S, u, X.diameter)
         return [
             PolarPiece(
                 stratum=S,
@@ -444,13 +441,12 @@ def _smooth_polar_pieces(
     raise NotImplementedError(f"polar set for stratum dim {S.dim}, q={q}")
 
 
-def polar_variety(X: Shape, stratum, P: LinearSubspace, cfg: PolarConfig | None = None):
+def polar_variety(X: Shape, stratum, P: LinearSubspace):
     """Polar pieces of one stratum under the projection onto P."""
-    cfg = cfg or PolarConfig()
     q = P.dim - 1
     if X.pl is not None:
-        return [p for p in _pl_polar_pieces(X, P, q, cfg) if p.stratum == tuple(sorted(stratum))]
-    return _smooth_polar_pieces(X, stratum, P, q, cfg)
+        return [p for p in _pl_polar_pieces(X, P, q) if p.stratum == tuple(sorted(stratum))]
+    return _smooth_polar_pieces(X, stratum, P, q)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +514,7 @@ def _overlap_fraction(
     return float(np.mean(hit))
 
 
-def check_genericity(X: Shape, P: LinearSubspace, pieces, cfg: PolarConfig | None = None) -> DegeneracyReport:
+def check_genericity(X: Shape, P: LinearSubspace, pieces) -> DegeneracyReport:
     """Clearance checks on the polar pieces of a sampled plane.
 
     Isolated transversal contacts (image crossings, endpoint adjacency) are
@@ -526,12 +522,11 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, cfg: PolarConfig | Non
     coincidences: wall-aligned cell spans, fold tangents aligned with P-perp
     along a stretch, and image overlap over a length fraction.
     """
-    cfg = cfg or PolarConfig()
     fold_violations = []
     double_points = []
     limit_adjacency = []
     diameter = X.diameter
-    dist_tol = cfg.overlap_distance * diameter
+    dist_tol = OVERLAP_DISTANCE * diameter
 
     contours = [p for p in pieces if p.kind == "contour"]
     if contours and X.smooth is not None:
@@ -543,7 +538,7 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, cfg: PolarConfig | Non
             angles = np.arccos(np.clip(np.abs(tangents @ u), 0.0, 1.0))
             bad = float(np.min(angles))
             # a single near-tangency is a cusp (generic); a stretch is not
-            if np.mean(angles < cfg.fold_angle_min) > cfg.overlap_fraction:
+            if np.mean(angles < FOLD_ANGLE_MIN) > OVERLAP_FRACTION:
                 fold_violations.append((piece.stratum.name, bad))
 
     # pairwise image overlap within each stratum, and self-overlap: flags fire
@@ -558,13 +553,13 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, cfg: PolarConfig | Non
             frac = _overlap_fraction(
                 a.geometry, a.source_points, a.geometry, a.source_points, dist_tol, src_tol
             )
-            if frac > cfg.overlap_fraction:
+            if frac > OVERLAP_FRACTION:
                 double_points.append(("self", frac))
             for b in plist[i + 1:]:
                 frac = _overlap_fraction(
                     a.geometry, a.source_points, b.geometry, b.source_points, dist_tol, src_tol
                 )
-                if frac > cfg.overlap_fraction:
+                if frac > OVERLAP_FRACTION:
                     double_points.append(("pair", frac))
 
     # adjacency of contour images to images of frontier-stratum polar sets;
@@ -579,7 +574,7 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, cfg: PolarConfig | Non
                 frac = _overlap_fraction(
                     piece.geometry, piece.source_points, rim_img, rim_pts, dist_tol, src_tol
                 )
-                if frac > cfg.overlap_fraction:
+                if frac > OVERLAP_FRACTION:
                     limit_adjacency.append((piece.stratum.name, rim.name, frac))
 
     return DegeneracyReport(
@@ -598,19 +593,21 @@ def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, J: np.ndarray, P: Linear
     """alpha at a stack of points of a stratum of dimension q, with chart
     Jacobians J: the slice meets the stratum in the point itself, whose
     index is 1 along both image normals +-nu, so alpha is the half-sum of the
-    normal indices along +-nu: 1 on a top stratum and 1/2 on a rim or solid
-    boundary.  The image is a hypersurface of P, so nu is its normal there."""
+    normal indices along +-nu: 1 on a top stratum, where the normal index is
+    1 along every direction, and 1/2 on a rim or solid boundary.  The image
+    is a hypersurface of P, so nu is its normal there."""
+    if S.role == "top":
+        return np.ones(len(params))
     nu = hypersurface_normals(J @ P.basis.T) @ P.basis
     return 0.5 * (normal_index(S, params, nu) + normal_index(S, params, -nu))
 
 
-def alpha_index(X: Shape, stratum, source, P: LinearSubspace, cfg: PolarConfig | None = None) -> float:
+def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     """The image weight at one regular polar point.
 
     ``source`` is a cell for PL shapes, or (chart params, ambient point) for
     smooth strata.  The result is a half-integer.
     """
-    cfg = cfg or PolarConfig()
     q = P.dim - 1
     if X.pl is not None:
         K = X.pl
@@ -622,24 +619,24 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace, cfg: PolarConfig |
         params = np.atleast_2d(np.asarray(params, dtype=float))
         return float(_dim_q_alphas(S, params, S.chart.dr(params), P)[0])
     if q == 0:
-        return _alpha_q0(S, params, P.basis[0])
+        v = P.basis[0]
+        crit = CriticalPoint(params, point, height_hessian_eigenvalues(S, params, v))
+        return float(_q0_alphas(S, params, v, crit.morse_index)[0])
     # fold point of a surface stratum
-    alphas, valid = _fold_alphas_batch(S, params, P.orthogonal_complement().basis[0], cfg)
+    alphas, valid = _fold_alphas_batch(S, params, P.orthogonal_complement().basis[0])
     if not valid[0]:
         raise DegenerateDirectionError("vanishing fold curvature (cusp)")
     return float(alphas[0])
 
 
-def _alpha_q0(S: SmoothStratum, params, v: np.ndarray) -> float:
-    H = S.chart.d2r(np.asarray(params, dtype=float)) @ v
-    J = S.chart.dr(np.asarray(params, dtype=float))
-    q, r = np.linalg.qr(J.T)
-    rinv = np.linalg.inv(r.T)
-    eig = np.linalg.eigvalsh(rinv @ H @ rinv.T)
-    lam = int(np.sum(eig < 0))
-    ind_down = (-1) ** lam * normal_index(S, params, v)[0]
-    ind_up = (-1) ** (S.dim - lam) * normal_index(S, params, -v)[0]
-    return 0.5 * (ind_down + ind_up)
+def _q0_alphas(S: SmoothStratum, params, v: np.ndarray, morse_indices) -> np.ndarray:
+    """alpha at a stack of critical points of the height <v, .> with the
+    given Morse indices lam: the half-sum of the downward slice index
+    (-1)^lam times the normal index along v and the upward one
+    (-1)^(dim - lam) times the normal index along -v."""
+    down = (-1.0) ** morse_indices * normal_index(S, params, v)
+    up = (-1.0) ** (S.dim - morse_indices) * normal_index(S, params, -v)
+    return 0.5 * (down + up)
 
 
 # ---------------------------------------------------------------------------
@@ -652,23 +649,21 @@ def _region_mask(X: Shape, pts: np.ndarray) -> np.ndarray:
     return np.asarray(X.region(pts), dtype=bool)
 
 
-def polar_image_integral(X: Shape, stratum, P: LinearSubspace, cfg: PolarConfig | None = None,
-                         pieces=None) -> float:
+def polar_image_integral(X: Shape, stratum, P: LinearSubspace, pieces=None) -> float:
     """Integral of alpha over the polar image of one stratum (q-volume)."""
-    cfg = cfg or PolarConfig()
     if pieces is None:
-        pieces = polar_variety(X, stratum, P, cfg)
+        pieces = polar_variety(X, stratum, P)
     total = 0.0
-    for val in _piece_values(X, pieces, P, cfg):
+    for val in _piece_values(X, pieces, P):
         total += val
     return total
 
 
-def _piece_values(X: Shape, pieces, P: LinearSubspace, cfg: PolarConfig) -> list[float]:
+def _piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
     """The alpha-weighted image volume of each piece, in piece order."""
     if X.pl is not None:
         return _pl_piece_values(X, pieces, P)
-    return [_piece_integral(X, piece, P, cfg) for piece in pieces]
+    return [_piece_integral(X, piece, P) for piece in pieces]
 
 
 def _pl_piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
@@ -690,23 +685,19 @@ def _pl_piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
     return vals
 
 
-def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: PolarConfig) -> float:
+def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
     """One piece of a smooth shape (cell pieces go through _pl_piece_values)."""
     q = P.dim - 1
     if piece.kind == "points":
         if q != 0:
             return 0.0
-        total = 0.0
-        mask = _region_mask(X, piece.source_points)
-        for params, point, keep in zip(piece.source_params, piece.source_points, mask):
-            if not keep:
-                continue
-            total += alpha_index(X, piece.stratum, (params, point), P, cfg)
-        return total
+        keep = _region_mask(X, piece.source_points)
+        return float(np.sum(_q0_alphas(piece.stratum, piece.source_params[keep], P.basis[0],
+                                       piece.morse_indices[keep])))
     if piece.kind == "whole":
         return _whole_stratum_integral(X, piece.stratum, P)
     if piece.kind == "contour":
-        return _contour_integral(X, piece, P, cfg)
+        return _contour_integral(X, piece, P)
     raise ValueError(f"unknown piece kind {piece.kind}")
 
 
@@ -732,7 +723,7 @@ def _whole_stratum_integral(X: Shape, S: SmoothStratum, P: LinearSubspace) -> fl
     return float(math.fsum((w * element * alphas * mask).tolist()))
 
 
-def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, cfg: PolarConfig):
+def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray):
     """(alphas, valid) at a batch of fold points of a surface stratum.
 
     At a fold the projection kernel is spanned by u itself, so the slice
@@ -754,7 +745,7 @@ def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, cfg:
     # normalize against |u_tangential|^2 so the cusp test is scale-free
     tang2 = np.einsum("pi,pij,pj->p", c, G, c)
     curv = c2 / np.maximum(tang2, 1e-300)
-    valid = np.abs(curv) > cfg.curvature_tol
+    valid = np.abs(curv) > CURVATURE_TOL
     ind_plus = np.where(curv > 0, 1.0, -1.0)  # +nu conormal: min -> +1, max -> -1
     ind_minus = np.where(-curv > 0, 1.0, -1.0)
     alphas = 0.5 * (ind_plus * normal_index(S, params, nu)
@@ -762,7 +753,7 @@ def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, cfg:
     return alphas, valid
 
 
-def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: PolarConfig) -> float:
+def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
     """alpha times image length over a traced fold curve.  Each segment a-b
     is measured with its midpoint m snapped onto the fold, by the Richardson
     step (4 (|a - m| + |m - b|) - |a - b|) / 3 of the inscribed polyline,
@@ -779,7 +770,7 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: Polar
     chord = np.linalg.norm(geo[1:] - geo[:-1], axis=1)
     halves = np.linalg.norm(m - geo[:-1], axis=1) + np.linalg.norm(geo[1:] - m, axis=1)
     seg_len = (4.0 * halves - chord) / 3.0
-    alphas, valid = _fold_alphas_batch(S, mids, u, cfg)
+    alphas, valid = _fold_alphas_batch(S, mids, u)
     mask = _region_mask(X, mid_pts)
     length = float(np.sum(seg_len))
     skipped = float(np.sum(seg_len[~valid]))
@@ -789,23 +780,22 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, cfg: Polar
     return float(math.fsum((alphas[keep] * seg_len[keep]).tolist()))
 
 
-def polar_sample(X: Shape, P: LinearSubspace, cfg: PolarConfig | None = None) -> PolarSample:
+def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
     """All polar pieces of the shape for one plane, with genericity checks
-    and alpha weights attached."""
-    cfg = cfg or PolarConfig()
+    attached."""
     q = P.dim - 1
     try:
         if X.pl is not None:
-            pieces = _pl_polar_pieces(X, P, q, cfg)
+            pieces = _pl_polar_pieces(X, P, q)
         else:
             pieces = []
             for S in X.smooth.strata:
-                pieces.extend(_smooth_polar_pieces(X, S, P, q, cfg))
+                pieces.extend(_smooth_polar_pieces(X, S, P, q))
     except (DegeneratePlaneError,) as err:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=err.report)
     except (DegenerateDirectionError, DegenerateHeightError):
         return PolarSample(plane=P, pieces=(), degenerate=True, report=DegeneracyReport(fold_violations=["height"]))
-    report = check_genericity(X, P, pieces, cfg)
+    report = check_genericity(X, P, pieces)
     if not report.clean:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=report)
     return PolarSample(plane=P, pieces=tuple(pieces), degenerate=False, report=report)
@@ -820,17 +810,10 @@ class PolarLengthResult:
     reject_reasons: dict
 
 
-def polar_length(
-    X: Shape,
-    q: int,
-    n_planes: int,
-    rng: RandomSource,
-    cfg: PolarConfig | None = None,
-    keep_rows: bool = False,
-) -> PolarLengthResult:
+def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
+                 keep_rows: bool = False) -> PolarLengthResult:
     """Monte-Carlo q-th polar length: the dimensional constant times the mean
     over uniform planes of the alpha-weighted polar image volume."""
-    cfg = cfg or PolarConfig()
     n = X.ambient_dim
     if not 0 <= q <= n:
         raise ValueError(f"q={q} out of range")
@@ -845,51 +828,47 @@ def polar_length(
 
     reject_reasons: dict = {}
     rows = []
-    rejected = [0]
+    n_rejected = 0
 
-    def one(i: int):
-        gen = rng.substream(i).generator()
-        for _ in range(cfg.max_resamples):
-            P = sample_grassmannian(n, q + 1, gen)
-            sample = polar_sample(X, P, cfg)
-            if sample.degenerate:
-                rejected[0] += 1
-                reasons = sample.report.reasons() or ["other"]
-                for r in reasons:
-                    reject_reasons[r] = reject_reasons.get(r, 0) + 1
-                if keep_rows:
-                    rows.append((i, P.basis.copy(), {}, "+".join(reasons)))
-                continue
-            try:
-                vals = _piece_values(X, sample.pieces, P, cfg)
-            except (DegeneratePlaneError, DegenerateDirectionError):
-                rejected[0] += 1
-                reject_reasons["alpha"] = reject_reasons.get("alpha", 0) + 1
-                if keep_rows:
-                    rows.append((i, P.basis.copy(), {}, "alpha"))
-                continue
-            m = 0.0
-            for val in vals:  # in piece order, so that a fixed seed gives fixed bits
-                m += val
-            if keep_rows:
-                per_stratum: dict = {}
-                for piece, val in zip(sample.pieces, vals):
-                    key = _stratum_key(piece.stratum)
-                    per_stratum[key] = per_stratum.get(key, 0.0) + val
-                rows.append((i, P.basis.copy(), per_stratum, ""))
-            return m
-        raise RuntimeError(
-            f"plane resample quota exceeded; rejection histogram: {reject_reasons}"
-        )
+    def reject(i: int, P: LinearSubspace, reasons: list[str]) -> None:
+        nonlocal n_rejected
+        n_rejected += 1
+        for r in reasons:
+            reject_reasons[r] = reject_reasons.get(r, 0) + 1
+        if keep_rows:
+            rows.append((i, P.basis.copy(), {}, "+".join(reasons)))
 
-    values = [one(i) for i in range(n_planes)]
+    def one(i: int, gen) -> float:
+        P = sample_grassmannian(n, q + 1, gen)
+        sample = polar_sample(X, P)
+        if sample.degenerate:
+            reasons = sample.report.reasons() or ["other"]
+            reject(i, P, reasons)
+            raise DegeneratePlaneError(sample.report, "degenerate plane: " + "+".join(reasons))
+        try:
+            vals = _piece_values(X, sample.pieces, P)
+        except (DegeneratePlaneError, DegenerateDirectionError):
+            reject(i, P, ["alpha"])
+            raise
+        m = 0.0
+        for val in vals:  # in piece order, so that a fixed seed gives fixed bits
+            m += val
+        if keep_rows:
+            per_stratum: dict = {}
+            for piece, val in zip(sample.pieces, vals):
+                key = _stratum_key(piece.stratum)
+                per_stratum[key] = per_stratum.get(key, 0.0) + val
+            rows.append((i, P.basis.copy(), per_stratum, ""))
+        return m
 
+    values = per_sample_values(n_planes, rng, one, (DegeneratePlaneError, DegenerateDirectionError),
+                               "polar planes")
     const = polar_length_constant(n, q)
     est = mean_estimate(values, seed=seed, method="polar-mc").scaled(const)
     return PolarLengthResult(
         estimate=est,
         n_planes=n_planes,
-        n_rejected=rejected[0],
+        n_rejected=n_rejected,
         per_plane=rows,
         reject_reasons=reject_reasons,
     )

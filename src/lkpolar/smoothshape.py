@@ -32,6 +32,7 @@ __all__ = [
     "normal_circle_moments",
     "integrate_stratum",
     "height_critical_points",
+    "height_hessian_eigenvalues",
     "rim_curvature_vector",
     "sphere_shape",
     "torus_shape",
@@ -351,20 +352,30 @@ class DegenerateHeightError(ValueError):
     """Height function is non-Morse on the stratum for this direction."""
 
 
-def height_critical_points(
-    S: SmoothStratum,
-    v: np.ndarray,
-    starts_per_axis: int = 12,
-    newton_iters: int = 60,
-    scale: float = 1.0,
-    cluster_tol: float = 1e-6,
-) -> list[CriticalPoint]:
+# multistart Newton of height_critical_points
+NEWTON_STARTS_PER_AXIS = 12
+NEWTON_ITERS = 60
+CLUSTER_TOL = 1e-6  # critical points this close (relative to scale) are one
+
+
+def height_hessian_eigenvalues(S: SmoothStratum, params, v: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hessian of the height <v, .> on the stratum at a
+    critical point, in an orthonormal tangent frame of the chart."""
+    params = np.asarray(params, dtype=float)
+    H = S.chart.d2r(params) @ v
+    r = np.linalg.qr(S.chart.dr(params).T)[1]
+    rinv = np.linalg.inv(r.T)
+    return np.linalg.eigvalsh(rinv @ H @ rinv.T)
+
+
+def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) -> list[CriticalPoint]:
     """Critical points of the height <v, .> on the stratum by multistart Newton.
 
     Uses the exact chart gradient <v, dr> and Hessian <v, d2r>; duplicates are
-    merged by ambient distance.  Directions whose critical points drift into a
-    chart edge, or whose Hessian is near-singular, raise
-    DegenerateHeightError so the caller can resample.
+    merged by ambient distance, relative to ``scale`` (the shape diameter).
+    Directions whose critical points drift into a chart edge, or whose
+    Hessian is near-singular, raise DegenerateHeightError so the caller can
+    redraw.
     """
     v = np.asarray(v, dtype=float)
     chart = S.chart
@@ -372,7 +383,7 @@ def height_critical_points(
     lo = np.array([b[0] for b in chart.bounds])
     hi = np.array([b[1] for b in chart.bounds])
     axes = [
-        np.linspace(lo[i], hi[i], starts_per_axis, endpoint=not chart.periodic[i])
+        np.linspace(lo[i], hi[i], NEWTON_STARTS_PER_AXIS, endpoint=not chart.periodic[i])
         for i in range(d)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -382,7 +393,7 @@ def height_critical_points(
     # iterate only the still-moving starts; quadratic convergence settles the
     # useful ones quickly while strays are cut off by the iteration cap
     active = np.ones(len(P), dtype=bool)
-    for _ in range(newton_iters):
+    for _ in range(NEWTON_ITERS):
         Q0 = P[active]
         g = chart.dr(Q0) @ v  # (M, d)
         H = chart.d2r(Q0) @ v  # (M, d, d)
@@ -435,13 +446,10 @@ def height_critical_points(
     out: list[CriticalPoint] = []
     taken: list[np.ndarray] = []
     for p, x in zip(P, pts):
-        if any(np.linalg.norm(x - y) < cluster_tol * max(scale, 1.0) for y in taken):
+        if any(np.linalg.norm(x - y) < CLUSTER_TOL * max(scale, 1.0) for y in taken):
             continue
         taken.append(x)
-        H = chart.d2r(p) @ v
-        q, r = np.linalg.qr(chart.dr(p).T)
-        rinv = np.linalg.inv(r.T)
-        eig = np.linalg.eigvalsh(rinv @ H @ rinv.T)
+        eig = height_hessian_eigenvalues(S, p, v)
         if np.min(np.abs(eig)) < 1e-8 * max(scale, 1.0):
             raise DegenerateHeightError("near-degenerate height critical point")
         out.append(CriticalPoint(params=p, point=x, hessian_eigenvalues=eig))

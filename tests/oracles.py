@@ -39,7 +39,7 @@ from lkpolar.geomkit import (
 )
 from lkpolar.lkmeasure import Shape
 from lkpolar.plstrata import NormalLink, StratifiedComplex, normal_link, normal_morse_index_many
-from lkpolar.polar import PolarConfig
+from lkpolar.polar import SPAN_RANK_TOL
 from lkpolar.smoothshape import SmoothStratum, frames, second_form
 
 
@@ -134,14 +134,14 @@ def geometric_normal_index(K, cell, v: np.ndarray, link: NormalLink) -> int:
 # principal angles of one cell
 # ---------------------------------------------------------------------------
 
-def span_intersection(span_a: np.ndarray, span_b: np.ndarray, cfg: PolarConfig):
+def span_intersection(span_a: np.ndarray, span_b: np.ndarray):
     """(dim of intersection, clearance angle beyond it) via principal angles;
     the one-cell reference for ``polar._span_flags``."""
     if span_a.shape[0] == 0 or span_b.shape[0] == 0:
         return 0, math.pi / 2
     sv = np.linalg.svd(span_a @ span_b.T, compute_uv=False)
     sv = np.clip(sv, -1.0, 1.0)
-    dim = int(np.sum(sv > 1.0 - cfg.span_rank_tol))
+    dim = int(np.sum(sv > 1.0 - SPAN_RANK_TOL))
     rest = sv[dim:] if dim < len(sv) else np.array([])
     clearance = math.acos(float(rest[0])) if len(rest) else math.pi / 2
     return dim, clearance

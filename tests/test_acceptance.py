@@ -27,9 +27,7 @@ from lkpolar.plstrata import (
     pl_morse_indices,
     torus_7vertex,
 )
-from lkpolar.polar import PolarConfig, polar_length, polar_sample
-
-CFG = PolarConfig()
+from lkpolar.polar import polar_length, polar_sample
 
 
 def _report(name, ok, elapsed, detail=""):
@@ -118,7 +116,7 @@ def test_criterion_4_main_theorem(shape, refs, n_planes):
     for q, ref in enumerate(refs):
         lam = lk_measure(X, q, RandomSource(105, q))
         planes = n_planes[q] if isinstance(n_planes, tuple) else n_planes
-        pol = polar_length(X, q, planes, RandomSource(106, q), CFG).estimate
+        pol = polar_length(X, q, planes, RandomSource(106, q)).estimate
         good = combined_ok(lam, pol)
         # both routes must also sit on the closed form
         scale = 1.0 + abs(ref)
@@ -146,7 +144,7 @@ def test_criterion_4_closed_pl_surfaces(shape):
     detail = []
     for q, ref in enumerate((euler_characteristic(K), 0.0, area)):
         lam = lk_measure(X, q, RandomSource(112, q))
-        pol = polar_length(X, q, 90, RandomSource(113, q), CFG).estimate
+        pol = polar_length(X, q, 90, RandomSource(113, q)).estimate
         scale = 1.0 + abs(ref)
         ok &= abs(lam.value - ref) <= 1e-12 * scale and lam.std_error == 0.0
         ok &= abs(pol.value - ref) <= 3 * pol.std_error + 1e-9 * scale
@@ -215,7 +213,7 @@ def test_criterion_7_degeneracy_discipline():
         rejected = 0
         for _ in range(n):
             P = sample_grassmannian(3, 2, gen)
-            rejected += polar_sample(X, P, CFG).degenerate
+            rejected += polar_sample(X, P).degenerate
         ok &= rejected / n < 0.01
         detail.append(f"{name}:{rejected}/{n}")
     # deliberately degenerate planes are flagged every time
@@ -226,12 +224,12 @@ def test_criterion_7_degeneracy_discipline():
         [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
     ):
         P = LinearSubspace(3, np.array(basis))
-        ok &= polar_sample(cube, P, CFG).degenerate
+        ok &= polar_sample(cube, P).degenerate
     torus = shape_from_name("torus:2:1")
     for t in np.linspace(0.0, math.pi, 8, endpoint=False):
         w = np.array([math.cos(t), math.sin(t), 0.0])
         P = LinearSubspace.from_vectors(np.array([[0.0, 0.0, 1.0], w]))
-        ok &= polar_sample(torus, P, CFG).degenerate
+        ok &= polar_sample(torus, P).degenerate
     elapsed = time.perf_counter() - t0
     _report("7 (degeneracy discipline)", ok, elapsed, ", ".join(detail))
 
@@ -252,8 +250,8 @@ def test_criterion_8_determinism():
     ok &= strip(a) == strip(b)
     # estimator-level bitwise check, rerun with the same seed
     X = shape_from_name("disk:1")
-    r1 = polar_length(X, 1, 60, RandomSource(110), CFG)
-    r2 = polar_length(X, 1, 60, RandomSource(110), CFG)
+    r1 = polar_length(X, 1, 60, RandomSource(110))
+    r2 = polar_length(X, 1, 60, RandomSource(110))
     ok &= r1.estimate.value == r2.estimate.value
     ok &= r1.estimate.std_error == r2.estimate.std_error
     e1 = exchange_lambda0(X, 80, RandomSource(111))

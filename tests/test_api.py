@@ -7,8 +7,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import lkpolar
-from lkpolar import lkmeasure
+from lkpolar import cli, germ, lkmeasure, polar
 from lkpolar.plstrata import StratifiedComplex
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -39,6 +41,24 @@ def test_public_names_import():
     assert set(lkpolar.__all__) <= set(namespace)
 
 
-def test_lk_measure_still_takes_n_dirs():
-    # the benchmark's verify rows pass it; PL and smooth routes both ignore it
-    assert "n_dirs" in inspect.signature(lkmeasure.lk_measure).parameters
+# every call into lkpolar that perfbench/workloads.py makes, with arguments of
+# the same shape: (function, positional arguments, keyword arguments)
+BENCHMARK_CALLS = {
+    "polar_length": (polar.polar_length, ("X", 1, 10, "rng"), {}),
+    # the verify rows pass n_dirs; PL and smooth routes both ignore it
+    "lk_measure": (lkmeasure.lk_measure, ("X", 1, "rng"), {"n_dirs": 4000}),
+    "exchange_lambda0": (lkmeasure.exchange_lambda0, ("X", 40, "rng"), {}),
+    "verify_local_identities": (germ.verify_local_identities, ("X", "rng"),
+                                {"n_samples": 1300, "n_planes": 1300}),
+    "combined_pass": (cli.combined_pass, (1.0, 0.1, 1.0, 0.1, 3.0), {}),
+    "shape_from_name": (lkmeasure.shape_from_name, ("cube",), {}),
+    "germ_from_name": (germ.germ_from_name, ("rays:3",), {}),
+    "Shape": (lkmeasure.Shape, (), {"name": "grid", "pl": "K"}),
+    "from_maximal_cells": (StratifiedComplex.from_maximal_cells, ("verts", "tets"), {}),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_CALLS))
+def test_benchmark_call_sites_bind(name):
+    fn, args, kwargs = BENCHMARK_CALLS[name]
+    inspect.signature(fn).bind(*args, **kwargs)

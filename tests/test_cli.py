@@ -225,3 +225,30 @@ def test_kinematic_row_fails_on_a_wrong_ratio(monkeypatch):
     assert status == 1
     assert not report["rows"][0]["pass"]
     assert report["rows"][-1]["pass"]  # one shape: the constancy row still passes
+
+
+def test_measure_row_fails_on_a_one_percent_error(monkeypatch):
+    # lk_measure is exact on the cube (se 0), so a 1% error is many se away
+    import lkpolar.cli as cli
+
+    argv = ["measure", "--shape", "cube", "--k", "0,1,2,3"]
+    assert run(argv)[1] == 0
+    exact = cli.lk_measure
+    monkeypatch.setattr(cli, "lk_measure", lambda X, k, rng: exact(X, k, rng).scaled(1.01))
+    report, status = run(argv)
+    assert status == 1
+    assert not any(row["pass"] for row in report["rows"])
+
+
+def test_exhausted_plane_quota_is_a_json_error(monkeypatch):
+    from lkpolar import polar
+    from lkpolar.geomkit import MAX_REDRAWS, DegenerateDirectionError
+
+    def cusp(*args):
+        raise DegenerateDirectionError("vanishing fold curvature (cusp)")
+
+    monkeypatch.setattr(polar, "_piece_values", cusp)
+    report, status = run(["polar", "--shape", "cube", "--q", "1", "--samples", "3"])
+    assert status == 2
+    assert "resample quota" in report["error"] and f"{MAX_REDRAWS} draws" in report["error"]
+    assert report["config"]["shape"] == "cube"

@@ -197,9 +197,13 @@ def test_exact_pl_measures(kuhn_grid):
             assert (est.std_error, est.method) == (0.0, "exterior-angle")
 
 
-def _rotation(seed):
-    q, r = np.linalg.qr(RandomSource(seed).generator().standard_normal((3, 3)))
+def _rotation(seed, n=3):
+    q, r = np.linalg.qr(RandomSource(seed).generator().standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+SIMILARITY_SHAPES = ("cube", "cube-boundary", "octahedron", "torus7", "sphere:1", "torus:2:1",
+                     "disk:1", "hemisphere:1", "ball:1", "circle:1", "ellipse:2:1")
 
 
 @settings(max_examples=20, deadline=None)
@@ -208,11 +212,13 @@ def _rotation(seed):
        scale=st.floats(0.1, 10.0))
 def test_pl_measures_under_similarity(seed, shift, scale):
     # Lambda_k of s R X + t is s^k Lambda_k(X): rotation, translation and scale
-    # move only the rounding of the exterior angles and the cell volumes
-    for name in ("cube", "cube-boundary", "octahedron", "torus7"):
+    # move only the rounding of the exterior angles, the cell volumes and the
+    # chart quadrature, on PL and smooth shapes alike
+    for name in SIMILARITY_SHAPES:
         X = shape_from_name(name)
-        moved = X.transformed(rotation=_rotation(seed), translation=shift, scale=scale)
-        for k in range(4):
+        n = X.ambient_dim
+        moved = X.transformed(rotation=_rotation(seed, n), translation=shift[:n], scale=scale)
+        for k in range(n + 1):
             a = lk_measure(X, k, RandomSource(13, k)).value
             b = lk_measure(moved, k, RandomSource(13, k)).value
             assert abs(b - scale**k * a) <= 1e-12 * scale**k * (1.0 + abs(a)), (name, k)

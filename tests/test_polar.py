@@ -7,8 +7,8 @@ from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian
 from lkpolar.geomkit import image_normal, image_normals
 from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_name
 from lkpolar.plstrata import DegenerateDirectionError, normal_link, pl_alpha
+from lkpolar import polar
 from lkpolar.polar import (
-    PolarConfig,
     _overlap_fraction,
     _pl_piece_values,
     _span_flags,
@@ -31,7 +31,6 @@ from oracles import (
     span_intersection,
 )
 
-CFG = PolarConfig()
 XY_PLANE = LinearSubspace(3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
@@ -53,7 +52,7 @@ def _slice_chi_alpha(K, cell, P):
 
 def test_sphere_silhouette_is_equator():
     sph = shape_from_name("sphere:1")
-    pieces = polar_variety(sph, sph.smooth.stratum("sphere"), XY_PLANE, CFG)
+    pieces = polar_variety(sph, sph.smooth.stratum("sphere"), XY_PLANE)
     assert len(pieces) == 1 and pieces[0].kind == "contour"
     pts = pieces[0].source_points
     err = max(
@@ -70,7 +69,7 @@ def test_sphere_silhouette_length_on_random_planes():
     gen = RandomSource(5).generator()
     for _ in range(4):
         P = sample_grassmannian(3, 2, gen)
-        pieces = polar_variety(sph, S, P, CFG)
+        pieces = polar_variety(sph, S, P)
         assert len(pieces) == 1 and pieces[0].closed
         pts = pieces[0].source_points
         length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
@@ -95,7 +94,7 @@ def test_disk_unit_normal_matches_chart_cross_product():
     u = _generic_plane(51).orthogonal_complement().basis[0]
     for shape in (disk, moved):
         S = shape.stratum("disk")
-        params = _trace_grid(S, CFG.grid)
+        params = _trace_grid(S, polar.TRACE_GRID)
         J = S.chart.dr(params)
         nu = np.cross(J[..., 0, :], J[..., 1, :])
         nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
@@ -114,7 +113,7 @@ def test_sphere_antipodal_critical_points_at_q0():
     v = np.array([0.2, -0.3, 0.93])
     v /= np.linalg.norm(v)
     P = LinearSubspace(3, v[None, :])
-    pieces = polar_variety(sph, sph.smooth.stratum("sphere"), P, CFG)
+    pieces = polar_variety(sph, sph.smooth.stratum("sphere"), P)
     assert len(pieces) == 1 and pieces[0].kind == "points"
     pts = pieces[0].source_points
     assert len(pts) == 2
@@ -130,13 +129,13 @@ def test_sphere_chart_seam_direction_resampled():
     sph = shape_from_name("sphere:1")
     P = LinearSubspace(3, np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(DegenerateHeightError):
-        polar_variety(sph, sph.smooth.stratum("sphere"), P, CFG)
+        polar_variety(sph, sph.smooth.stratum("sphere"), P)
 
 
 def test_cube_polar_pieces_are_low_cells():
     cube = shape_from_name("cube")
     P = _generic_plane(3)
-    sample = polar_sample(cube, P, CFG)
+    sample = polar_sample(cube, P)
     assert not sample.degenerate
     dims = sorted({len(p.stratum) - 1 for p in sample.pieces})
     assert dims == [0, 1]  # vertices and edges; no face or volume pieces
@@ -152,7 +151,7 @@ def test_cube_diagonal_cells_weigh_nothing():
     for cell in K.cells[1]:
         a, b = verts[list(cell)]
         is_cube_edge = np.sum(np.abs(a - b) > 1e-12) == 1
-        alpha = alpha_index(cube, cell, None, P, CFG)
+        alpha = alpha_index(cube, cell, None, P)
         if not is_cube_edge:
             assert alpha == 0.0, cell
         else:
@@ -161,7 +160,7 @@ def test_cube_diagonal_cells_weigh_nothing():
 
 def test_flat_disk_top_stratum_has_empty_polar_set():
     disk = shape_from_name("disk:1")
-    pieces = polar_variety(disk, disk.smooth.stratum("disk"), _generic_plane(7), CFG)
+    pieces = polar_variety(disk, disk.smooth.stratum("disk"), _generic_plane(7))
     assert pieces == []
 
 
@@ -171,7 +170,7 @@ def test_flat_disk_top_stratum_has_empty_polar_set():
 
 def test_sphere_equator_plane_clean():
     sph = shape_from_name("sphere:1")
-    sample = polar_sample(sph, XY_PLANE, CFG)
+    sample = polar_sample(sph, XY_PLANE)
     assert not sample.degenerate
     assert sample.report.clean
 
@@ -181,13 +180,13 @@ def test_axial_torus_plane_flagged():
     for t in (0.0, 0.4, 1.1):
         w = np.array([math.cos(t), math.sin(t), 0.0])
         P = LinearSubspace.from_vectors(np.array([[0.0, 0.0, 1.0], w]))
-        sample = polar_sample(tor, P, CFG)
+        sample = polar_sample(tor, P)
         assert sample.degenerate
 
 
 def test_axis_aligned_cube_plane_flagged():
     cube = shape_from_name("cube")
-    sample = polar_sample(cube, XY_PLANE, CFG)
+    sample = polar_sample(cube, XY_PLANE)
     assert sample.degenerate
     assert "span" in sample.report.reasons()
     # at q = 1, P-perp is the e3 axis, which the cube's e3 edges lie in
@@ -217,12 +216,12 @@ def test_span_flags_match_per_cell_reference():
             for d, cells in K.cells.items():
                 if d == 3:
                     continue
-                flags, dims, clearances = _span_flags(K.plan.spans[d], comp, CFG)
+                flags, dims, clearances = _span_flags(K.plan.spans[d], comp)
                 expected = max(0, d + len(comp) - 3)
                 for i, cell in enumerate(cells):
-                    dim, clearance = span_intersection(K.cell_span(cell), comp, CFG)
+                    dim, clearance = span_intersection(K.cell_span(cell), comp)
                     flag = dim > expected or (
-                        expected < min(d, len(comp)) and clearance < CFG.span_angle_min)
+                        expected < min(d, len(comp)) and clearance < polar.SPAN_ANGLE_MIN)
                     assert (bool(flags[i]), int(dims[i])) == (flag, dim), (name, cell)
                     assert clearances[i] == pytest.approx(clearance, abs=1e-12)
                     flagged += flag
@@ -258,7 +257,7 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
         for q in (0, 1, 2):
             for _ in range(3):
                 P = sample_grassmannian(3, q + 1, gen)
-                sample = polar_sample(X, P, CFG)
+                sample = polar_sample(X, P)
                 if sample.degenerate:
                     continue
                 try:
@@ -310,11 +309,11 @@ def _overlap_cases():
     for name, extra in (("sphere:1", [XY_PLANE]), ("torus:2:1", [axial]),
                         ("hemisphere:1", [XY_PLANE, tilted])):
         X = shape_from_name(name)
-        dist_tol = CFG.overlap_distance * X.diameter
+        dist_tol = polar.OVERLAP_DISTANCE * X.diameter
         src_tol = 0.05 * X.diameter
         rims = [S for S in X.smooth.strata if S.role == "rim"]
         for P in [sample_grassmannian(3, 2, gen) for _ in range(3)] + extra:
-            contours = [piece for S in X.smooth.strata for piece in polar_variety(X, S, P, CFG)
+            contours = [piece for S in X.smooth.strata for piece in polar_variety(X, S, P)
                         if piece.kind == "contour"]
             for i, a in enumerate(contours):
                 for b in contours[i:]:
@@ -345,7 +344,7 @@ def test_pruned_overlap_matches_dense_reference():
     for a_img, a_src, b_img, b_src, dist_tol, src_tol in cases:
         frac = _overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol)
         assert frac == _dense_overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol)
-        fired += frac > CFG.overlap_fraction
+        fired += frac > polar.OVERLAP_FRACTION
     assert len(cases) > 20
     # the axial torus plane and the synthetic overlaps make the flag fire
     assert fired >= 4
@@ -359,7 +358,7 @@ def test_uniform_rejection_rate_below_one_percent():
         n = 120
         for _ in range(n):
             P = sample_grassmannian(3, 2, gen)
-            rejected += polar_sample(X, P, CFG).degenerate
+            rejected += polar_sample(X, P).degenerate
         assert rejected / n < 0.01, name
 
 
@@ -370,22 +369,22 @@ def test_uniform_rejection_rate_below_one_percent():
 def test_sphere_fold_alpha_zero():
     sph = shape_from_name("sphere:1")
     S = sph.smooth.stratum("sphere")
-    pieces = polar_variety(sph, S, XY_PLANE, CFG)
+    pieces = polar_variety(sph, S, XY_PLANE)
     params = pieces[0].source_params
     pts = pieces[0].source_points
     for i in (3, len(params) // 2):
-        a = alpha_index(sph, S, (params[i], pts[i]), XY_PLANE, CFG)
+        a = alpha_index(sph, S, (params[i], pts[i]), XY_PLANE)
         assert a == 0.0
 
 
 def test_fold_alpha_slice_chi_mode_agrees():
     sph = shape_from_name("sphere:1")
     S = sph.smooth.stratum("sphere")
-    pieces = polar_variety(sph, S, XY_PLANE, CFG)
+    pieces = polar_variety(sph, S, XY_PLANE)
     params = pieces[0].source_params
     pts = pieces[0].source_points
     i = len(params) // 3
-    assert alpha_index(sph, S, (params[i], pts[i]), XY_PLANE, CFG) == 0.0
+    assert alpha_index(sph, S, (params[i], pts[i]), XY_PLANE) == 0.0
     assert fold_alpha_slice_chi(sph, S, params[i], XY_PLANE) == 0.0
 
 
@@ -395,7 +394,7 @@ def test_disk_rim_alpha_half():
     P = _generic_plane(13)
     p = np.array([0.7])
     x = rim.chart.r(p)
-    assert alpha_index(disk, rim, (p, x), P, CFG) == 0.5
+    assert alpha_index(disk, rim, (p, x), P) == 0.5
 
 
 def _per_node_whole_integral(X, S, P):
@@ -437,6 +436,25 @@ def test_stacked_whole_stratum_alpha_matches_per_node_loop():
             assert value > 0.0
 
 
+def test_critical_point_alphas_match_per_point_loop():
+    # the points piece sums alpha from the Morse index its Newton solve found;
+    # alpha_index finds the index again from the chart Hessian at each point
+    gen = RandomSource(53).generator()
+    points = 0
+    for name in ("sphere:1", "torus:2:1", "disk:1", "hemisphere:1", "ball:1", "circle:1"):
+        X = shape_from_name(name)
+        for _ in range(3):
+            P = sample_grassmannian(3, 1, gen)
+            for S in X.smooth.strata:
+                for piece in polar_variety(X, S, P):
+                    loop = 0.0
+                    for params, point in zip(piece.source_params, piece.source_points):
+                        loop += alpha_index(X, S, (params, point), P)
+                    assert polar_image_integral(X, S, P, pieces=[piece]) == loop, name
+                    points += len(piece.source_points)
+    assert points > 30
+
+
 def test_degenerate_rim_node_raises():
     disk = shape_from_name("disk:1")
     hemi = shape_from_name("hemisphere:1")
@@ -452,7 +470,7 @@ def test_degenerate_rim_node_raises():
             _per_node_whole_integral(X, rim, P)
         p = np.array([0.7])
         with pytest.raises(DegenerateDirectionError):
-            alpha_index(X, rim, (p, rim.chart.r(p)), P, CFG)
+            alpha_index(X, rim, (p, rim.chart.r(p)), P)
 
 
 def test_cube_facet_alpha_half_at_q2():
@@ -461,7 +479,7 @@ def test_cube_facet_alpha_half_at_q2():
     facet = next(
         t for t in cube.pl.cells[2] if np.allclose(cube.pl.vertices[list(t)][:, 2], 0.0)
     )
-    assert alpha_index(cube, facet, None, P, CFG) == 0.5
+    assert alpha_index(cube, facet, None, P) == 0.5
     assert _slice_chi_alpha(cube.pl, facet, P) == 0.5
 
 
@@ -473,7 +491,7 @@ def test_pl_alpha_slice_chi_matches_closed_form():
         P = sample_grassmannian(3, 2, gen)
         for cell in K.cells[1][:8]:
             try:
-                a = alpha_index(cube, cell, None, P, CFG)
+                a = alpha_index(cube, cell, None, P)
                 b = _slice_chi_alpha(K, cell, P)
             except Exception:
                 continue
@@ -485,12 +503,12 @@ def test_fold_alpha_locally_constant():
     tor = shape_from_name("torus:2:1")
     S = tor.smooth.stratum("torus")
     P = _generic_plane(19)
-    pieces = polar_variety(tor, S, P, CFG)
+    pieces = polar_variety(tor, S, P)
     piece = max(pieces, key=lambda p: len(p.source_params))
     params = piece.source_params
     i = len(params) // 4
-    a1 = alpha_index(tor, S, (params[i], piece.source_points[i]), P, CFG)
-    a2 = alpha_index(tor, S, (params[i + 1], piece.source_points[i + 1]), P, CFG)
+    a1 = alpha_index(tor, S, (params[i], piece.source_points[i]), P)
+    a2 = alpha_index(tor, S, (params[i + 1], piece.source_points[i + 1]), P)
     assert a1 == a2
 
 
@@ -502,7 +520,7 @@ def test_disk_rim_image_integral_is_half_projection_length():
     disk = shape_from_name("disk:1")
     rim = disk.smooth.stratum("rim")
     P = _generic_plane(23)
-    m = polar_image_integral(disk, rim, P, CFG)
+    m = polar_image_integral(disk, rim, P)
     # independent oracle: half the perimeter of the projected rim ellipse
     t = np.linspace(0.0, 2 * math.pi, 20000, endpoint=False)
     ring = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
@@ -516,7 +534,7 @@ def test_cube_q2_image_integral_three():
     P = LinearSubspace.full(3)
     total = 0.0
     for cell in cube.pl.cells[2]:
-        total += polar_image_integral(cube, cell, P, CFG)
+        total += polar_image_integral(cube, cell, P)
     assert total == pytest.approx(3.0, abs=1e-12)
 
 
@@ -530,7 +548,7 @@ def test_ball_boundary_q1_image_integral_is_pi():
     gen = RandomSource(53).generator()
     for _ in range(2):
         P = sample_grassmannian(3, 2, gen)
-        assert abs(polar_image_integral(ball, S, P, CFG) - math.pi) <= 1e-10
+        assert abs(polar_image_integral(ball, S, P) - math.pi) <= 1e-10
 
 
 def test_closed_surface_q1_integral_zero():
@@ -538,7 +556,7 @@ def test_closed_surface_q1_integral_zero():
         X = shape_from_name(name)
         S = X.smooth.strata[0]
         P = _generic_plane(29)
-        m = polar_image_integral(X, S, P, CFG)
+        m = polar_image_integral(X, S, P)
         assert m == 0.0
 
 
@@ -549,38 +567,38 @@ def test_closed_surface_q1_integral_zero():
 def test_polar_length_cube_vector():
     cube = shape_from_name("cube")
     refs = [1.0, 3.0, 3.0, 1.0]
-    r0 = polar_length(cube, 0, 200, RandomSource(31), CFG)
+    r0 = polar_length(cube, 0, 200, RandomSource(31))
     assert r0.estimate.value == pytest.approx(1.0, abs=1e-12)
-    r1 = polar_length(cube, 1, 800, RandomSource(32), CFG)
+    r1 = polar_length(cube, 1, 800, RandomSource(32))
     assert abs(r1.estimate.value - 3.0) <= 3 * r1.estimate.std_error
-    r2 = polar_length(cube, 2, 1, RandomSource(33), CFG)
+    r2 = polar_length(cube, 2, 1, RandomSource(33))
     assert r2.estimate.value == pytest.approx(3.0, abs=1e-12)
-    r3 = polar_length(cube, 3, 1, RandomSource(34), CFG)
+    r3 = polar_length(cube, 3, 1, RandomSource(34))
     assert r3.estimate.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_polar_length_disk():
     disk = shape_from_name("disk:1")
-    r0 = polar_length(disk, 0, 150, RandomSource(35), CFG)
+    r0 = polar_length(disk, 0, 150, RandomSource(35))
     assert r0.estimate.value == pytest.approx(1.0, abs=1e-9)
-    r1 = polar_length(disk, 1, 250, RandomSource(36), CFG)
+    r1 = polar_length(disk, 1, 250, RandomSource(36))
     assert abs(r1.estimate.value - math.pi) <= 3 * r1.estimate.std_error
-    r2 = polar_length(disk, 2, 1, RandomSource(37), CFG)
+    r2 = polar_length(disk, 2, 1, RandomSource(37))
     assert r2.estimate.value == pytest.approx(math.pi, rel=1e-9)
 
 
 def test_polar_length_equals_exchange_at_q0():
     for name in ("sphere:1", "torus:2:1", "cube"):
         X = shape_from_name(name)
-        a = polar_length(X, 0, 60, RandomSource(38), CFG).estimate
+        a = polar_length(X, 0, 60, RandomSource(38)).estimate
         b = exchange_lambda0(X, 60, RandomSource(39))
         assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error) + 1e-9
 
 
 def test_polar_length_determinism():
     cube = shape_from_name("cube")
-    a = polar_length(cube, 1, 50, RandomSource(40), CFG)
-    b = polar_length(cube, 1, 50, RandomSource(40), CFG)
+    a = polar_length(cube, 1, 50, RandomSource(40))
+    b = polar_length(cube, 1, 50, RandomSource(40))
     assert a.estimate.value == b.estimate.value
 
 
@@ -595,8 +613,8 @@ def test_polar_length_rotation_invariance():
     )
     cube = shape_from_name("cube")
     moved = cube.transformed(rotation=rot, translation=np.array([0.2, -0.4, 0.9]))
-    a = polar_length(cube, 1, 500, RandomSource(41), CFG).estimate
-    b = polar_length(moved, 1, 500, RandomSource(42), CFG).estimate
+    a = polar_length(cube, 1, 500, RandomSource(41)).estimate
+    b = polar_length(moved, 1, 500, RandomSource(42)).estimate
     assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
 
 
