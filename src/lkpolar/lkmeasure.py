@@ -55,6 +55,7 @@ from .smoothshape import (
     normal_circle_moments,
     normal_index,
     rim_curvature_vector,
+    tangent_frame_form,
 )
 
 __all__ = [
@@ -258,9 +259,7 @@ def _smooth_lambda_batch(n: int, S: SmoothStratum, params: np.ndarray, k: int) -
             sig = np.ones(len(params))
         else:
             H = np.einsum("pijn,pn->pij", S.chart.d2r(params), nu)  # (N, d, d)
-            r = np.linalg.qr(np.swapaxes(J, -1, -2))[1]  # (N, d, d) upper triangular
-            rinv = np.linalg.inv(np.swapaxes(r, -1, -2))
-            M = rinv @ H @ np.swapaxes(rinv, -1, -2)
+            M = tangent_frame_form(J, H)[1]
             sig = np.trace(M, axis1=-2, axis2=-1) if i == 1 else np.linalg.det(M)
         weight = normal_index(S, params, nu) + normal_index(S, params, -nu) * (-1.0) ** i
         return sig * weight / norm

@@ -147,22 +147,30 @@ def _silhouette_value(S: SmoothStratum, params: np.ndarray, u: np.ndarray) -> np
     return _surface_normals(S, np.atleast_2d(params)) @ u
 
 
-def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25):
-    """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched."""
+def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25, min_steps=0):
+    """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched.
+
+    Every point takes the same steps, which stop once all of them lie within
+    1e-12 of the contour, but not before step ``min_steps``.  Returns the
+    points and, for each, the first step at which it lay within 1e-12
+    (``iters`` if none)."""
     P = np.atleast_2d(np.asarray(P, dtype=float)).copy()
+    first = np.full(len(P), iters)
     h = 1e-7
     e0 = np.array([h, 0.0])
     e1 = np.array([0.0, h])
-    for _ in range(iters):
+    for k in range(iters):
         g = _silhouette_value(S, P, u)
-        if np.max(np.abs(g)) < 1e-12:
+        near = np.abs(g) < 1e-12
+        first[near & (first == iters)] = k
+        if k >= min_steps and np.all(near):
             break
         g0 = (_silhouette_value(S, P + e0, u) - _silhouette_value(S, P - e0, u)) / (2 * h)
         g1 = (_silhouette_value(S, P + e1, u) - _silhouette_value(S, P - e1, u)) / (2 * h)
         n2 = np.maximum(g0 * g0 + g1 * g1, 1e-18)
         P[:, 0] -= g * g0 / n2
         P[:, 1] -= g * g1 / n2
-    return P
+    return P, first
 
 
 def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float):
@@ -170,100 +178,97 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float):
     bisected edge crossings, chained per cell and refined to the chord
     tolerance.  Returns a list of (params_array, points_array, closed); a
     closed polyline ends with its first point, whose chart parameters are
-    unwrapped against the last one."""
+    unwrapped against the last one.
+
+    Cells and edges are classified as arrays.  Node (i, j) of the grid is
+    i * nx1 + j; the edge from it along axis 0 has that id, the edge along
+    axis 1 that id plus nx0 * nx1, with indices wrapped on periodic axes."""
     chart = S.chart
     g = TRACE_GRID
     lo = np.array([b[0] for b in chart.bounds])
     hi = np.array([b[1] for b in chart.bounds])
-    nx = [g if chart.periodic[i] else g + 1 for i in range(2)]
-    axes = [np.linspace(lo[i], hi[i], nx[i], endpoint=not chart.periodic[i]) for i in range(2)]
-    steps = [(hi[i] - lo[i]) / (nx[i] if chart.periodic[i] else nx[i] - 1) for i in range(2)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = _silhouette_value(S, P, u).reshape(nx[0], nx[1])
+    per = chart.periodic
+    nx0, nx1 = nx = [g if p else g + 1 for p in per]
+    axes = [np.linspace(lo[i], hi[i], nx[i], endpoint=not per[i]) for i in range(2)]
+    steps = (hi - lo) / g
+    P = np.empty((nx0, nx1, 2))
+    P[..., 0] = axes[0][:, None]
+    P[..., 1] = axes[1]
+    vals = _silhouette_value(S, P.reshape(-1, 2), u).reshape(nx0, nx1)
 
-    def node(i, j):
-        ii = i % nx[0] if chart.periodic[0] else i
-        jj = j % nx[1] if chart.periodic[1] else j
-        return ii, jj
+    # corner signs of every cell, on views of the grid padded by its first
+    # row or column along a periodic axis
+    ext = vals
+    if per[0]:
+        ext = np.concatenate([ext, ext[:1]], axis=0)
+    if per[1]:
+        ext = np.concatenate([ext, ext[:, :1]], axis=1)
+    neg, pos = ext < 0, ext > 0
+    active = ((neg[:-1, :-1] | neg[1:, :-1] | neg[1:, 1:] | neg[:-1, 1:])
+              & (pos[:-1, :-1] | pos[1:, :-1] | pos[1:, 1:] | pos[:-1, 1:]))
+    ci, cj = np.divmod(np.flatnonzero(active), active.shape[1])
+    if len(ci) == 0:
+        return []
+    f = np.stack([ext[ci, cj], ext[ci + 1, cj], ext[ci + 1, cj + 1], ext[ci, cj + 1]], axis=1)
+    ip = (ci + 1) % nx0 if per[0] else ci + 1
+    jp = (cj + 1) % nx1 if per[1] else cj + 1
+    off = nx0 * nx1
+    # the cell's edges in the order bottom, right, top, left
+    ids = np.stack([ci * nx1 + cj, off + ip * nx1 + cj, ci * nx1 + jp, off + ci * nx1 + cj], axis=1)
+    crossed = f[:, [0, 1, 3, 0]] * f[:, [1, 2, 2, 3]] < 0
+    count = crossed.sum(axis=1)
 
-    def node_param(i, j):
-        return np.array([lo[0] + i * steps[0], lo[1] + j * steps[1]])
+    # one segment per two-crossing cell, two per saddle cell, paired by the
+    # sign at the cell centre
+    segs = np.zeros((len(ci), 2, 2), dtype=np.int64)
+    keep = np.zeros((len(ci), 2), dtype=bool)
+    two = np.flatnonzero(count == 2)
+    pair = np.argsort(~crossed[two], axis=1, kind="stable")[:, :2]
+    segs[two, 0] = np.take_along_axis(ids[two], pair, axis=1)
+    keep[two, 0] = True
+    four = np.flatnonzero(count == 4)
+    if len(four):
+        centre = lo + (np.stack([ci[four], cj[four]], axis=1) + 0.5) * steps
+        same = (_silhouette_value(S, centre, u) > 0) == (f[four, 0] > 0)
+        e = ids[four]
+        segs[four, 0] = np.where(same[:, None], e[:, [0, 1]], e[:, [0, 3]])
+        segs[four, 1] = np.where(same[:, None], e[:, [2, 3]], e[:, [1, 2]])
+        keep[four] = True
+    segments = segs[keep].tolist()
 
-    ncells = [nx[0] if chart.periodic[0] else nx[0] - 1, nx[1] if chart.periodic[1] else nx[1] - 1]
-
-    # wrap-aware corner value grids over the cell lattice
-    i0 = np.arange(ncells[0])
-    j0 = np.arange(ncells[1])
-    ip = (i0 + 1) % nx[0] if chart.periodic[0] else i0 + 1
-    jp = (j0 + 1) % nx[1] if chart.periodic[1] else j0 + 1
-    f00 = vals[np.ix_(i0, j0)]
-    f10 = vals[np.ix_(ip, j0)]
-    f11 = vals[np.ix_(ip, jp)]
-    f01 = vals[np.ix_(i0, jp)]
-    fmin = np.minimum(np.minimum(f00, f10), np.minimum(f11, f01))
-    fmax = np.maximum(np.maximum(f00, f10), np.maximum(f11, f01))
-    active = np.argwhere((fmin < 0) & (fmax > 0))
-
-    def canon(edge):
-        kind, i, j = edge
-        if kind == "v" and chart.periodic[0]:
-            i = i % nx[0]
-        if kind == "h" and chart.periodic[1]:
-            j = j % nx[1]
-        return (kind, i, j)
-
-    crossings: dict = {}
-    segments = []
-    pending_edges = []
-    for i, j in active:
-        f = [f00[i, j], f10[i, j], f11[i, j], f01[i, j]]
-        edges = [
-            canon(("h", i, j)),
-            canon(("v", i + 1, j)),
-            canon(("h", i, j + 1)),
-            canon(("v", i, j)),
-        ]
-        fpairs = [(f[0], f[1]), (f[1], f[2]), (f[3], f[2]), (f[0], f[3])]
-        crossed = [e for e, (fa, fb) in zip(edges, fpairs) if fa * fb < 0]
-        if len(crossed) == 2:
-            segments.append(tuple(crossed))
-        elif len(crossed) == 4:
-            # saddle cell: pair by the sign at the center
-            center = node_param(i + 0.5, j + 0.5)
-            fc = float(_silhouette_value(S, center, u)[0])
-            if (fc > 0) == (f[0] > 0):
-                segments.append((edges[0], edges[1]))
-                segments.append((edges[2], edges[3]))
-            else:
-                segments.append((edges[0], edges[3]))
-                segments.append((edges[1], edges[2]))
-        for e in crossed:
-            if e not in crossings:
-                crossings[e] = None
-                pending_edges.append(e)
-
-    # batched bisection of all crossed edges
-    if pending_edges:
-        A = np.empty((len(pending_edges), 2))
-        B = np.empty((len(pending_edges), 2))
-        FA = np.empty(len(pending_edges))
-        for idx, (kind, i, j) in enumerate(pending_edges):
-            A[idx] = node_param(i, j)
-            B[idx] = node_param(i + 1, j) if kind == "h" else node_param(i, j + 1)
-            FA[idx] = vals[node(i, j)]
-        for _ in range(40):
-            M = 0.5 * (A + B)
-            FM = _silhouette_value(S, M, u)
-            right = FA * FM <= 0
-            B[right] = M[right]
-            A[~right] = M[~right]
-            FA[~right] = FM[~right]
+    # bisection of every crossed edge, in the order the cells first name them
+    named = ids[crossed]
+    _, first_seen = np.unique(named, return_index=True)
+    pending = named[np.sort(first_seen)]
+    i, j = np.divmod(pending % off, nx1)
+    along1 = pending >= off
+    A = lo + np.stack([i, j], axis=1) * steps
+    B = lo + np.stack([i + ~along1, j + along1], axis=1) * steps
+    FA = vals[i, j]
+    for _ in range(40):
         M = 0.5 * (A + B)
-        for idx, e in enumerate(pending_edges):
-            crossings[e] = M[idx]
+        FM = _silhouette_value(S, M, u)
+        right = FA * FM <= 0
+        np.copyto(B, M, where=right[:, None])
+        np.copyto(A, M, where=~right[:, None])
+        np.copyto(FA, FM, where=~right)
+    M = 0.5 * (A + B)
+    row = np.empty(2 * off, dtype=np.int64)
+    row[pending] = np.arange(len(pending))
 
-    # chain segments into polylines
+    out = []
+    for chain, closed in _chain_segments(segments):
+        if closed:
+            chain.append(chain[0])
+        params = _unwrap_params(M[row[chain]], lo, hi, per)
+        params = _refine_polyline(S, params, u, CHORD_TOL * diameter)
+        out.append((params, chart.r(params), closed))
+    return out
+
+
+def _chain_segments(segments: list) -> list:
+    """Chain segments (pairs of edge ids) into maximal walks: open ones from
+    their ends first, then closed loops.  Returns (edge ids, closed) pairs."""
     adjacency: dict = {}
     for a, b in segments:
         adjacency.setdefault(a, []).append(b)
@@ -278,7 +283,7 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float):
         while True:
             cur = chain[-1]
             nxt = None
-            for cand in adjacency.get(cur, []):
+            for cand in adjacency[cur]:
                 if (cur, cand) in unused:
                     nxt = cand
                     break
@@ -291,60 +296,60 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float):
             chain.append(nxt)
 
     ends = [e for e, nb in adjacency.items() if len(nb) == 1]
-    polylines = []
-    visited_edges = set()
+    chains = []
+    visited = set()
     for start in ends + list(adjacency):
-        if start in visited_edges or start not in adjacency:
-            continue
-        has_free = any((start, c) in unused for c in adjacency[start])
-        if not has_free:
+        if start in visited or not any((start, c) in unused for c in adjacency[start]):
             continue
         chain, closed = walk(start)
-        visited_edges.update(chain)
-        params = [crossings[e] for e in chain]
-        polylines.append((params, closed))
-
-    out = []
-    for params, closed in polylines:
-        if closed:
-            params = params + [params[0]]
-        params = _unwrap_params(np.array(params), lo, hi, chart.periodic)
-        params = _refine_polyline(S, params, u, CHORD_TOL * diameter)
-        out.append((params, chart.r(params), closed))
-    return out
+        visited.update(chain)
+        chains.append((chain, closed))
+    return chains
 
 
 def _unwrap_params(params, lo, hi, periodic):
+    """Shift chart parameters by whole periods so that no step along the
+    polyline jumps by more than half a period."""
     out = params.copy()
     for i in range(params.shape[1]):
         if not periodic[i]:
             continue
         span = hi[i] - lo[i]
-        for r in range(1, len(out)):
-            d = out[r, i] - out[r - 1, i]
-            if d > span / 2:
-                out[r:, i] -= span
-            elif d < -span / 2:
-                out[r:, i] += span
+        d = np.diff(params[:, i])
+        for r in np.flatnonzero(np.abs(d) > span / 2) + 1:
+            out[r:, i] += span if d[r - 1] < 0 else -span
     return out
 
 
 def _refine_polyline(S, params, u, tol, max_depth=8):
+    """Split every segment whose snapped midpoint lies farther than tol from
+    its chord, for up to max_depth rounds.
+
+    Only open segments are snapped: every segment in the first round, then
+    the two halves of each split one, since a segment that passed keeps its
+    endpoints.  The snap of a round still takes as many steps as the slowest
+    midpoint of the whole polyline took to settle, so the points equal those
+    of re-snapping every midpoint in every round."""
     pts = np.asarray(params, dtype=float)
+    X = S.chart.r(pts)
+    seg = np.arange(len(pts) - 1)  # the open segments
+    took = np.zeros(len(seg), dtype=int)  # steps each segment's midpoint took to settle
     for _ in range(max_depth):
-        mids = _snap_to_contour_batch(S, 0.5 * (pts[:-1] + pts[1:]), u)
-        X = S.chart.r(pts)
+        passed = np.ones(len(took), dtype=bool)
+        passed[seg] = False
+        mids, took[seg] = _snap_to_contour_batch(
+            S, 0.5 * (pts[seg] + pts[seg + 1]), u, min_steps=took[passed].max(initial=0))
         Xm = S.chart.r(mids)
-        err = np.linalg.norm(Xm - 0.5 * (X[:-1] + X[1:]), axis=1)
-        split = err > tol
+        split = np.linalg.norm(Xm - 0.5 * (X[seg] + X[seg + 1]), axis=1) > tol
         if not np.any(split):
             break
-        rows = [pts[0]]
-        for i in range(len(pts) - 1):
-            if split[i]:
-                rows.append(mids[i])
-            rows.append(pts[i + 1])
-        pts = np.array(rows)
+        at = seg[split] + 1
+        pts = np.insert(pts, at, mids[split], axis=0)
+        X = np.insert(X, at, Xm[split], axis=0)
+        took = np.insert(took, at, 0)
+        # a split segment k becomes k + s and k + s + 1, s splits before it
+        seg = at - 1 + np.arange(len(at))
+        seg = np.stack([seg, seg + 1], axis=1).ravel()
     return pts
 
 
@@ -764,7 +769,7 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
         return 0.0
     u = P.orthogonal_complement().basis[0]
     S = piece.stratum
-    mids = _snap_to_contour_batch(S, 0.5 * (params[:-1] + params[1:]), u)
+    mids, _ = _snap_to_contour_batch(S, 0.5 * (params[:-1] + params[1:]), u)
     mid_pts = S.chart.r(mids)
     m = P.coords(mid_pts)
     chord = np.linalg.norm(geo[1:] - geo[:-1], axis=1)

@@ -10,6 +10,7 @@ Gauss-Legendre nodes otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -27,6 +28,7 @@ __all__ = [
     "DegenerateHeightError",
     "frames",
     "second_form",
+    "tangent_frame_form",
     "hypersurface_normals",
     "normal_index",
     "normal_circle_moments",
@@ -42,6 +44,16 @@ __all__ = [
     "ellipse_shape",
     "ball_shape",
 ]
+
+
+@functools.lru_cache(maxsize=8)
+def _leggauss(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only; the polar
+    route asks for the same few resolutions on every plane."""
+    t, w = np.polynomial.legendre.leggauss(resolution)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,7 @@ class Chart:
                 x = np.linspace(lo, hi, resolution, endpoint=False)
                 w = np.full(resolution, (hi - lo) / resolution)
             else:
-                t, w = np.polynomial.legendre.leggauss(resolution)
+                t, w = _leggauss(resolution)
                 x = 0.5 * (hi - lo) * (t + 1.0) + lo
                 w = 0.5 * (hi - lo) * w
             axes.append(x)
@@ -214,14 +226,9 @@ def second_form(S: SmoothStratum, params, v: np.ndarray) -> SecondFormAt:
     """
     params = np.asarray(params, dtype=float)
     v = np.asarray(v, dtype=float)
-    J = S.chart.dr(params)  # (d, n)
-    H = S.chart.d2r(params) @ v  # (d, d)
-    q, r = np.linalg.qr(J.T)
-    tangent = q.T
+    tangent, mat = tangent_frame_form(S.chart.dr(params), S.chart.d2r(params) @ v)
     if np.max(np.abs(tangent @ v)) > 1e-8 * np.linalg.norm(v):
         raise ValueError("direction is not normal to the stratum")
-    rinv = np.linalg.inv(r.T)  # J = r.T @ tangent
-    mat = rinv @ H @ rinv.T
     mat = 0.5 * (mat + mat.T)
     return SecondFormAt(
         point=S.chart.r(params),
@@ -229,6 +236,19 @@ def second_form(S: SmoothStratum, params, v: np.ndarray) -> SecondFormAt:
         normal_direction=v,
         matrix=mat,
     )
+
+
+def tangent_frame_form(J: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent frames, and second-derivative matrices carried
+    into them, at a chart point or a stack of them.
+
+    J (..., d, n) holds chart Jacobians and H (..., d, d) matrices of second
+    derivatives in chart coordinates.  With J^T = Q R, the rows of Q^T are an
+    orthonormal tangent frame, J = R^T Q^T, and R^-T H R^-1 is H in that
+    frame.  Returns (Q^T, R^-T H R^-1)."""
+    q, r = np.linalg.qr(np.swapaxes(J, -1, -2))
+    rinv = np.linalg.inv(np.swapaxes(r, -1, -2))
+    return np.swapaxes(q, -1, -2), rinv @ H @ np.swapaxes(rinv, -1, -2)
 
 
 def hypersurface_normals(J: np.ndarray) -> np.ndarray:
@@ -362,10 +382,7 @@ def height_hessian_eigenvalues(S: SmoothStratum, params, v: np.ndarray) -> np.nd
     """Eigenvalues of the Hessian of the height <v, .> on the stratum at a
     critical point, in an orthonormal tangent frame of the chart."""
     params = np.asarray(params, dtype=float)
-    H = S.chart.d2r(params) @ v
-    r = np.linalg.qr(S.chart.dr(params).T)[1]
-    rinv = np.linalg.inv(r.T)
-    return np.linalg.eigvalsh(rinv @ H @ rinv.T)
+    return np.linalg.eigvalsh(tangent_frame_form(S.chart.dr(params), S.chart.d2r(params) @ v)[1])
 
 
 def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) -> list[CriticalPoint]:

@@ -15,7 +15,10 @@ the package computes faster, or by another formula:
   Cauchy-Crofton line counts and by averaged projections;
 - :func:`lkw_curvature` integrates sigma_i of the second fundamental form
   over the normal sphere one point and one direction at a time, against the
-  stacked smooth densities.
+  stacked smooth densities;
+- :func:`trace_silhouette_loop` classifies the cells of the sign grid one at
+  a time and re-snaps every segment midpoint in each refinement round,
+  against the array-based ``polar.trace_silhouette``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ from lkpolar.geomkit import (
 )
 from lkpolar.lkmeasure import Shape
 from lkpolar.plstrata import NormalLink, StratifiedComplex, normal_link, normal_morse_index_many
-from lkpolar.polar import SPAN_RANK_TOL
+from lkpolar.polar import (
+    CHORD_TOL,
+    SPAN_RANK_TOL,
+    TRACE_GRID,
+    _silhouette_value,
+)
 from lkpolar.smoothshape import SmoothStratum, frames, second_form
 
 
@@ -368,3 +376,212 @@ def projected_volume(X: Shape, n_planes: int, rng: RandomSource) -> Estimate:
     vals = [one(i) for i in range(n_planes)]
     est = mean_estimate(vals, seed=rng.master_seed, method="projected-volume")
     return est.scaled(polar_length_constant(n, d))
+
+
+# ---------------------------------------------------------------------------
+# silhouette tracing, one cell at a time
+# ---------------------------------------------------------------------------
+
+def trace_silhouette_loop(S: SmoothStratum, u: np.ndarray, diameter: float):
+    """The reference tracer of ``polar.trace_silhouette``: a Python loop over
+    the active cells of the sign grid, with edges named by tuples, and a
+    refinement that re-snaps the midpoint of every segment in every round.
+    Same signature and result."""
+    chart = S.chart
+    g = TRACE_GRID
+    lo = np.array([b[0] for b in chart.bounds])
+    hi = np.array([b[1] for b in chart.bounds])
+    nx = [g if chart.periodic[i] else g + 1 for i in range(2)]
+    axes = [np.linspace(lo[i], hi[i], nx[i], endpoint=not chart.periodic[i]) for i in range(2)]
+    steps = [(hi[i] - lo[i]) / (nx[i] if chart.periodic[i] else nx[i] - 1) for i in range(2)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    P = np.stack([m.ravel() for m in mesh], axis=-1)
+    vals = _silhouette_value(S, P, u).reshape(nx[0], nx[1])
+
+    def node(i, j):
+        ii = i % nx[0] if chart.periodic[0] else i
+        jj = j % nx[1] if chart.periodic[1] else j
+        return ii, jj
+
+    def node_param(i, j):
+        return np.array([lo[0] + i * steps[0], lo[1] + j * steps[1]])
+
+    ncells = [nx[0] if chart.periodic[0] else nx[0] - 1, nx[1] if chart.periodic[1] else nx[1] - 1]
+
+    # wrap-aware corner value grids over the cell lattice
+    i0 = np.arange(ncells[0])
+    j0 = np.arange(ncells[1])
+    ip = (i0 + 1) % nx[0] if chart.periodic[0] else i0 + 1
+    jp = (j0 + 1) % nx[1] if chart.periodic[1] else j0 + 1
+    f00 = vals[np.ix_(i0, j0)]
+    f10 = vals[np.ix_(ip, j0)]
+    f11 = vals[np.ix_(ip, jp)]
+    f01 = vals[np.ix_(i0, jp)]
+    fmin = np.minimum(np.minimum(f00, f10), np.minimum(f11, f01))
+    fmax = np.maximum(np.maximum(f00, f10), np.maximum(f11, f01))
+    active = np.argwhere((fmin < 0) & (fmax > 0))
+
+    def canon(edge):
+        kind, i, j = edge
+        if kind == "v" and chart.periodic[0]:
+            i = i % nx[0]
+        if kind == "h" and chart.periodic[1]:
+            j = j % nx[1]
+        return (kind, i, j)
+
+    crossings: dict = {}
+    segments = []
+    pending_edges = []
+    for i, j in active:
+        f = [f00[i, j], f10[i, j], f11[i, j], f01[i, j]]
+        edges = [
+            canon(("h", i, j)),
+            canon(("v", i + 1, j)),
+            canon(("h", i, j + 1)),
+            canon(("v", i, j)),
+        ]
+        fpairs = [(f[0], f[1]), (f[1], f[2]), (f[3], f[2]), (f[0], f[3])]
+        crossed = [e for e, (fa, fb) in zip(edges, fpairs) if fa * fb < 0]
+        if len(crossed) == 2:
+            segments.append(tuple(crossed))
+        elif len(crossed) == 4:
+            # saddle cell: pair by the sign at the center
+            center = node_param(i + 0.5, j + 0.5)
+            fc = float(_silhouette_value(S, center, u)[0])
+            if (fc > 0) == (f[0] > 0):
+                segments.append((edges[0], edges[1]))
+                segments.append((edges[2], edges[3]))
+            else:
+                segments.append((edges[0], edges[3]))
+                segments.append((edges[1], edges[2]))
+        for e in crossed:
+            if e not in crossings:
+                crossings[e] = None
+                pending_edges.append(e)
+
+    # batched bisection of all crossed edges
+    if pending_edges:
+        A = np.empty((len(pending_edges), 2))
+        B = np.empty((len(pending_edges), 2))
+        FA = np.empty(len(pending_edges))
+        for idx, (kind, i, j) in enumerate(pending_edges):
+            A[idx] = node_param(i, j)
+            B[idx] = node_param(i + 1, j) if kind == "h" else node_param(i, j + 1)
+            FA[idx] = vals[node(i, j)]
+        for _ in range(40):
+            M = 0.5 * (A + B)
+            FM = _silhouette_value(S, M, u)
+            right = FA * FM <= 0
+            B[right] = M[right]
+            A[~right] = M[~right]
+            FA[~right] = FM[~right]
+        M = 0.5 * (A + B)
+        for idx, e in enumerate(pending_edges):
+            crossings[e] = M[idx]
+
+    # chain segments into polylines
+    adjacency: dict = {}
+    for a, b in segments:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    unused = set()
+    for a, b in segments:
+        unused.add((a, b))
+        unused.add((b, a))
+
+    def walk(start):
+        chain = [start]
+        while True:
+            cur = chain[-1]
+            nxt = None
+            for cand in adjacency.get(cur, []):
+                if (cur, cand) in unused:
+                    nxt = cand
+                    break
+            if nxt is None:
+                return chain, False
+            unused.discard((cur, nxt))
+            unused.discard((nxt, cur))
+            if nxt == chain[0]:
+                return chain, True
+            chain.append(nxt)
+
+    ends = [e for e, nb in adjacency.items() if len(nb) == 1]
+    polylines = []
+    visited_edges = set()
+    for start in ends + list(adjacency):
+        if start in visited_edges or start not in adjacency:
+            continue
+        has_free = any((start, c) in unused for c in adjacency[start])
+        if not has_free:
+            continue
+        chain, closed = walk(start)
+        visited_edges.update(chain)
+        params = [crossings[e] for e in chain]
+        polylines.append((params, closed))
+
+    out = []
+    for params, closed in polylines:
+        if closed:
+            params = params + [params[0]]
+        params = unwrap_params_loop(np.array(params), lo, hi, chart.periodic)
+        params = refine_polyline_all(S, params, u, CHORD_TOL * diameter)
+        out.append((params, chart.r(params), closed))
+    return out
+
+
+def unwrap_params_loop(params, lo, hi, periodic):
+    """Shift chart parameters by whole periods, row by row, so that no step
+    along the polyline jumps by more than half a period."""
+    out = params.copy()
+    for i in range(params.shape[1]):
+        if not periodic[i]:
+            continue
+        span = hi[i] - lo[i]
+        for r in range(1, len(out)):
+            d = out[r, i] - out[r - 1, i]
+            if d > span / 2:
+                out[r:, i] -= span
+            elif d < -span / 2:
+                out[r:, i] += span
+    return out
+
+
+def refine_polyline_all(S, params, u, tol, max_depth=8):
+    """Split every segment whose snapped midpoint lies farther than tol from
+    its chord, re-snapping the midpoint of every segment in every round."""
+    pts = np.asarray(params, dtype=float)
+    for _ in range(max_depth):
+        mids = snap_to_contour_all(S, 0.5 * (pts[:-1] + pts[1:]), u)
+        X = S.chart.r(pts)
+        Xm = S.chart.r(mids)
+        err = np.linalg.norm(Xm - 0.5 * (X[:-1] + X[1:]), axis=1)
+        split = err > tol
+        if not np.any(split):
+            break
+        rows = [pts[0]]
+        for i in range(len(pts) - 1):
+            if split[i]:
+                rows.append(mids[i])
+            rows.append(pts[i + 1])
+        pts = np.array(rows)
+    return pts
+
+
+def snap_to_contour_all(S, P: np.ndarray, u, iters=25):
+    """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched:
+    every point steps until all of them lie within 1e-12 of the contour."""
+    P = np.atleast_2d(np.asarray(P, dtype=float)).copy()
+    h = 1e-7
+    e0 = np.array([h, 0.0])
+    e1 = np.array([0.0, h])
+    for _ in range(iters):
+        g = _silhouette_value(S, P, u)
+        if np.max(np.abs(g)) < 1e-12:
+            break
+        g0 = (_silhouette_value(S, P + e0, u) - _silhouette_value(S, P - e0, u)) / (2 * h)
+        g1 = (_silhouette_value(S, P + e1, u) - _silhouette_value(S, P - e1, u)) / (2 * h)
+        n2 = np.maximum(g0 * g0 + g1 * g1, 1e-18)
+        P[:, 0] -= g * g0 / n2
+        P[:, 1] -= g * g1 / n2
+    return P

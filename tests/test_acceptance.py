@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ellipe
 
 from lkpolar.cli import run as cli_run
 from lkpolar.geomkit import RandomSource, ball_volume, sample_grassmannian, sample_unit_sphere
@@ -106,6 +107,8 @@ def test_criterion_3_intrinsic_volumes_and_steiner():
         ("ball:1", (1.0, 4.0, 2 * math.pi, 4 * math.pi / 3), (10, 3, 3, 1)),
         ("hemisphere:1", (1.0, math.pi, 2 * math.pi, 0.0), (10, 60, 10, 1)),
         ("circle:1", (0.0, 2 * math.pi, 0.0, 0.0), (10, 300, 10, 1)),
+        # a plane curve: Lambda_1 is the perimeter 4 a E(1 - b^2 / a^2)
+        ("ellipse:2:1", (0.0, 8.0 * ellipe(0.75), 0.0), (10, 10, 1)),
     ],
 )
 def test_criterion_4_main_theorem(shape, refs, n_planes):

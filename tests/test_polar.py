@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian
 from lkpolar.geomkit import image_normal, image_normals
@@ -9,7 +11,9 @@ from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_na
 from lkpolar.plstrata import DegenerateDirectionError, normal_link, pl_alpha
 from lkpolar import polar
 from lkpolar.polar import (
+    DegeneratePlaneError,
     _overlap_fraction,
+    _piece_values,
     _pl_piece_values,
     _span_flags,
     _surface_normals,
@@ -23,12 +27,15 @@ from lkpolar.polar import (
     trace_silhouette,
 )
 
+from lkpolar.smoothshape import Chart, SmoothStratum
+
 from oracles import (
     crofton_volume,
     fold_alpha_slice_chi,
     geometric_normal_index,
     projected_volume,
     span_intersection,
+    trace_silhouette_loop,
 )
 
 XY_PLANE = LinearSubspace(3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
@@ -106,6 +113,78 @@ def test_disk_unit_normal_matches_chart_cross_product():
             assert np.array_equal(closed @ u, nu @ u)
         else:
             np.testing.assert_allclose(closed, nu, rtol=0.0, atol=1e-14)
+
+
+def _same_polylines(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(pa, pb) and np.array_equal(xa, xb) and ca == cb
+        for (pa, xa, ca), (pb, xb, cb) in zip(a, b))
+
+
+TRACED_STRATA = [("sphere:1", "sphere"), ("torus:2:1", "torus"), ("disk:1", "disk"),
+                 ("hemisphere:1", "cap"), ("ball:1", "boundary")]
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("name,stratum", TRACED_STRATA)
+def test_trace_silhouette_matches_cell_loop(name, stratum, moved):
+    # the array tracer returns the per-cell loop's polylines bit for bit, on
+    # seeded planes, the XY plane and the axial torus plane
+    X = shape_from_name(name).smooth
+    if moved:
+        rot = np.linalg.qr(RandomSource(57).generator().standard_normal((3, 3)))[0]
+        X = X.transformed(rotation=rot, translation=np.array([0.3, -0.2, 1.0]), scale=1.7)
+    S = X.stratum(stratum)
+    gen = RandomSource(59).generator()
+    normals = [sample_grassmannian(3, 2, gen).orthogonal_complement().basis[0] for _ in range(8)]
+    normals += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])]
+    for k, u in enumerate(normals):
+        traced = trace_silhouette(S, u, X.diameter)
+        assert _same_polylines(traced, trace_silhouette_loop(S, u, X.diameter)), u
+        if k < 8 and name != "disk:1":
+            assert traced  # a seeded plane sees a fold on every curved stratum
+
+
+def _saddle_stratum(s0, t0):
+    """The flat square [-1/2, 1/2]^2 in the plane z = 0, with a closed-form
+    unit normal field nu(s, t) = (sqrt(1 - f^2), 0, f), f = (s - s0)(t - t0):
+    along u = e3 its silhouette is the cross s = s0, t = t0."""
+    def r(p):
+        p = np.asarray(p, dtype=float)
+        return np.stack([p[..., 0], p[..., 1], np.zeros_like(p[..., 0])], axis=-1)
+
+    def unit_normal(p):
+        p = np.asarray(p, dtype=float)
+        f = (p[..., 0] - s0) * (p[..., 1] - t0)
+        return np.stack([np.sqrt(1.0 - f * f), np.zeros_like(f), f], axis=-1)
+
+    flat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    chart = Chart(dim=2, bounds=((-0.5, 0.5), (-0.5, 0.5)), periodic=(False, False), r=r,
+                  dr=lambda p: np.broadcast_to(flat, np.shape(p)[:-1] + (2, 3)),
+                  d2r=lambda p: np.zeros(np.shape(p)[:-1] + (2, 2, 3)))
+    return SmoothStratum(name="saddle", dim=2, chart=chart, unit_normal=unit_normal)
+
+
+def test_trace_silhouette_pairs_saddle_cell_by_centre_sign():
+    # (s0, t0) lies inside one grid cell, whose corners alternate in sign;
+    # the centre value has the sign opposite to the corner (i, j), so that
+    # cell pairs its bottom edge with its left one and its right edge with
+    # its top one: two bent polylines, where skipping the cell would leave
+    # four straight ones ending at it
+    step = 1.0 / polar.TRACE_GRID
+    s0 = -0.5 + 128.3 * step
+    t0 = -0.5 + 100.6 * step
+    S = _saddle_stratum(s0, t0)
+    u = np.array([0.0, 0.0, 1.0])
+    traced = trace_silhouette(S, u, math.sqrt(2.0))
+    assert _same_polylines(traced, trace_silhouette_loop(S, u, math.sqrt(2.0)))
+    assert len(traced) == 2 and not any(closed for _, _, closed in traced)
+
+    def ends(a, b):
+        return sorted(np.round([a, b], 9).tolist())
+
+    assert sorted(ends(p[0], p[-1]) for p, _, _ in traced) == sorted(
+        [ends((s0, -0.5), (-0.5, t0)), ends((s0, 0.5), (0.5, t0))])
 
 
 def test_sphere_antipodal_critical_points_at_q0():
@@ -616,6 +695,43 @@ def test_polar_length_rotation_invariance():
     a = polar_length(cube, 1, 500, RandomSource(41)).estimate
     b = polar_length(moved, 1, 500, RandomSource(42)).estimate
     assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
+
+
+SIMILAR_SHAPES = ("sphere:1", "torus:2:1", "disk:1", "hemisphere:1", "ball:1", "circle:1")
+
+
+def _plane_value(X, P):
+    """The alpha-weighted polar image volume of X on P, or None when either
+    the plane or its alphas are rejected."""
+    sample = polar_sample(X, P)
+    if sample.degenerate:
+        return None
+    try:
+        return sum(_piece_values(X, sample.pieces, P))
+    except (DegeneratePlaneError, DegenerateDirectionError):
+        return None
+
+
+@pytest.mark.parametrize("name", SIMILAR_SHAPES)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1),
+       shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       scale=st.floats(0.1, 10.0))
+def test_polar_image_integral_under_similarity(name, seed, shift, scale):
+    # the image of s R X + t on R P is s times the image of X on P, moved, so
+    # its alpha-weighted q-volume is s^q times that of X on P
+    X = shape_from_name(name)
+    gen = RandomSource(seed).generator()
+    q_, r_ = np.linalg.qr(gen.standard_normal((3, 3)))
+    rot = q_ * np.sign(np.diag(r_))
+    moved = X.transformed(rotation=rot, translation=shift, scale=scale)
+    for q in range(3):
+        P = sample_grassmannian(3, q + 1, gen)
+        a = _plane_value(X, P)
+        b = _plane_value(moved, LinearSubspace(3, P.basis @ rot.T))
+        if a is None or b is None:
+            continue
+        assert abs(b - scale**q * a) <= 1e-9 * scale**q * abs(a), (name, q, a, b)
 
 
 # ---------------------------------------------------------------------------

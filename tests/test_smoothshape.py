@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lkpolar.geomkit import RandomSource, sphere_volume
+from lkpolar import smoothshape
 from lkpolar.smoothshape import (
     ball_shape,
     circle_shape,
@@ -197,6 +198,27 @@ def test_integrate_stratum_areas():
     assert disk.value == pytest.approx(math.pi, abs=1e-9)
     ell = integrate_stratum(ellipse_shape(1.0, 1.0).stratum("ellipse"), one)
     assert ell.value == pytest.approx(2 * math.pi, abs=1e-9)
+
+
+def test_chart_grid_reuses_read_only_gauss_legendre_rule():
+    # the memoised rule gives the grid that a fresh leggauss call gives, bit
+    # for bit, and a caller cannot write into the shared nodes or weights
+    cap = hemisphere_shape(1.0).stratum("cap")
+    (lo, hi), per = cap.chart.bounds[1], cap.chart.periodic[1]
+    assert not per
+    for res in (16, 64, 64):
+        params, w = cap.chart.grid(res)
+        t, wt = np.polynomial.legendre.leggauss(res)
+        x = 0.5 * (hi - lo) * (t + 1.0) + lo
+        assert np.array_equal(params[:res, 1], x)
+        assert np.array_equal(w[:res], np.full(res, 2 * math.pi / res) * (0.5 * (hi - lo) * wt))
+    nodes, weights = smoothshape._leggauss(64)
+    assert smoothshape._leggauss(64)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    assert smoothshape._leggauss.cache_info().maxsize == 8
 
 
 def test_gauss_bonnet_smoke():
