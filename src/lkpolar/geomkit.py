@@ -270,10 +270,6 @@ class LinearSubspace:
         u, _, _ = np.linalg.svd(self.basis.T, full_matrices=True)
         return LinearSubspace(n, u[:, k:].T)
 
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(np.linalg.norm(v - self.project(v)) <= tol * max(1.0, np.linalg.norm(v)))
-
 
 @dataclass(frozen=True)
 class AffineFlat:
@@ -295,10 +291,6 @@ class AffineFlat:
     @property
     def ambient_dim(self) -> int:
         return self.direction.ambient_dim
-
-    def point(self, coords: np.ndarray) -> np.ndarray:
-        """Ambient point at the given direction coordinates."""
-        return self.offset + np.asarray(coords, dtype=float) @ self.direction.basis
 
     def distance_to(self, x: np.ndarray) -> float:
         d = np.asarray(x, dtype=float) - self.offset

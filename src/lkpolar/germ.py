@@ -4,8 +4,9 @@ curvature measures and localized polar lengths.
 Germs are restricted to exact cones: a PL link on the unit sphere (the germ
 is the polyhedral cone over it) or the round circular cone.  Cones are
 scale-invariant, which turns the iterated limits of the local theory into
-finite computations: affine slices reduce radially to sub-level sets of the
-link, densities are spherical cell volumes, and the truncated-cone curvature
+finite computations: affine slices near the apex are slices of the cone
+truncated at radius 1 (for the round cone, arcs of its link circle),
+densities are spherical cell volumes, and the truncated-cone curvature
 measures are exact in the truncation radius.
 
 The three quantities the verification table compares are
@@ -37,10 +38,12 @@ from .geomkit import (
     sample_unit_sphere,
 )
 from .plstrata import (
+    DegenerateSliceError,
     StratifiedComplex,
     load_plstrat,
     mean_normal_index,
     pl_alpha,
+    slice_chi,
 )
 
 __all__ = [
@@ -186,6 +189,8 @@ def _spherical_simplex_volume(units: np.ndarray) -> float:
     point counts 1)."""
     if len(units) == 1:
         return 1.0
+    if units.shape[1] > 3:
+        raise NotImplementedError(f"spherical volumes in R^{units.shape[1]}: closed forms stop at R^3")
     if len(units) == 2:
         a, b = units
         return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
@@ -230,90 +235,6 @@ def density(X: ConeGerm, k: int) -> float:
 # exact affine slices of cones
 # ---------------------------------------------------------------------------
 
-class SliceUnstableError(RuntimeError):
-    pass
-
-
-def _pl_slice_chi(X: ConeGerm, A: np.ndarray, v: np.ndarray, delta: float) -> int:
-    """chi((H + delta v) cap X cap B_1), where H^perp has orthonormal row
-    basis A and v is a unit vector of H^perp.
-
-    Radial reduction: y = t u with u on the link and t in (0, 1] solves
-    A y = delta (A v) exactly when h(u) := <A u, A v> >= delta (k = 1), or
-    when u further satisfies the alignment equations (k >= 2); the slice is
-    homeomorphic to that subset of the link polyhedron.
-    """
-    link = X.link
-    k = A.shape[0]
-    n = X.ambient_dim
-    c = A @ v  # unit coordinates of v in H^perp
-    if k == n:
-        return _point_membership_chi(X, v)
-    Au = link.vertices @ A.T  # (V, k)
-    h = Au @ c
-    if k == 1:
-        return _superlevel_chi(link, h, delta)
-    if k == 2 and n == 3:
-        # split the condition A u || c into {g = 0} and {h >= delta}
-        c_perp = np.array([-c[1], c[0]])
-        g = Au @ c_perp
-        return _hyperplane_superlevel_chi(link, g, h, delta)
-    raise NotImplementedError(f"slice for codimension k={k} in R^{n}")
-
-
-def _superlevel_chi(link: StratifiedComplex, h: np.ndarray, delta: float) -> int:
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.min(np.abs(h - delta)) < 1e-12 * scale:
-        raise SliceUnstableError("vertex value at the slice level")
-    chi = 0
-    for d, cells in link.cells.items():
-        for cell in cells:
-            if all(h[i] > delta for i in cell):
-                chi += (-1) ** d
-    return chi
-
-
-def _hyperplane_superlevel_chi(link, g, h, delta) -> int:
-    """chi of {g = 0, h >= delta} on the link polyhedron (additivity of the
-    compact-support Euler characteristic over open link cells)."""
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if np.min(np.abs(g)) < 1e-12 * scale:
-        raise SliceUnstableError("vertex on the alignment hyperplane")
-    chi = 0
-    for d, cells in link.cells.items():
-        for cell in cells:
-            gs = g[list(cell)]
-            if gs.min() > 0 or gs.max() < 0:
-                continue  # the hyperplane misses the open cell
-            # crossing points on the below/above vertex pairs
-            vals = []
-            for i in cell:
-                for j in cell:
-                    if g[i] < 0 < g[j]:
-                        t = -g[i] / (g[j] - g[i])
-                        vals.append(h[i] + t * (h[j] - h[i]))
-            if not vals:
-                continue
-            if min(vals) > delta:
-                chi += (-1) ** (d - 1)
-            # a piece cut by {h = delta} or entirely below contributes 0
-    return chi
-
-
-def _point_membership_chi(X: ConeGerm, v: np.ndarray) -> int:
-    """chi of the zero-dimensional slice {delta v} cap X: is v in the cone?"""
-    link = X.link
-    for d, cells in link.cells.items():
-        for cell in cells:
-            D = link.vertices[list(cell)].T  # (n, d+1)
-            t, res, *_ = np.linalg.lstsq(D, v, rcond=None)
-            if np.linalg.norm(D @ t - v) > 1e-9:
-                continue
-            if np.all(t > 1e-9):
-                return 1
-    return 0
-
-
 def _round_slice_chi(X: ConeGerm, A: np.ndarray, v: np.ndarray, delta: float) -> int:
     """Slices of the round cone: radial reduction onto the link circle."""
     k = A.shape[0]
@@ -339,7 +260,7 @@ def _round_slice_chi(X: ConeGerm, A: np.ndarray, v: np.ndarray, delta: float) ->
         dh = ct * float(e3 @ c)
         amp = math.hypot(ag, bg)
         if amp < 1e-12:
-            raise SliceUnstableError("alignment function is constant")
+            raise DegenerateSliceError("alignment function is constant")
         phase = math.atan2(bg, ag)
         val = -dg / amp
         if abs(val) >= 1.0 - 1e-12:
@@ -360,7 +281,7 @@ def _trig_superlevel_chi(a: float, b: float, d: float, delta: float) -> int:
     amp = math.hypot(a, b)
     lo, hi = d - amp, d + amp
     if abs(lo - delta) < 1e-12 or abs(hi - delta) < 1e-12:
-        raise SliceUnstableError("tangent slice level")
+        raise DegenerateSliceError("tangent slice level")
     if lo > delta:
         return 0  # the whole circle
     if hi < delta:
@@ -369,17 +290,28 @@ def _trig_superlevel_chi(a: float, b: float, d: float, delta: float) -> int:
 
 
 def slice_chi_stabilized(X: ConeGerm, A: np.ndarray, v: np.ndarray) -> int:
-    """chi of the slice at delta and delta/2 must agree; halve until it does."""
-    fn = _round_slice_chi if X.is_round else _pl_slice_chi
+    """chi((H + delta v) cap X cap B_1), where H^perp has orthonormal row
+    basis A and v is a unit vector of H^perp.  The slice at delta and
+    delta/2 must agree; halve until it does.
+
+    A PL germ's cone model is the cone over the link polyhedron truncated at
+    radius 1, so its slice is :func:`lkpolar.plstrata.slice_chi` of the
+    model by {A x = delta A v}.
+    """
+    def fn(delta):
+        if X.is_round:
+            return _round_slice_chi(X, A, v, delta)
+        return slice_chi(X.model, A, delta * (A @ v))
+
     delta = SLICE_DELTA
-    prev = fn(X, A, v, delta)
+    prev = fn(delta)
     for _ in range(SLICE_HALVINGS):
-        cur = fn(X, A, v, delta / 2)
+        cur = fn(delta / 2)
         if cur == prev:
             return cur
         prev = cur
         delta /= 2
-    raise SliceUnstableError("slice Euler characteristic failed to stabilize")
+    raise DegenerateSliceError("slice Euler characteristic failed to stabilize")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +332,7 @@ def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> E
         v = sample_unit_sphere(k, gen) @ A
         return float(slice_chi_stabilized(X, A, v))
 
-    vals = per_sample_values(n_samples, rng, one, SliceUnstableError, "affine slices")
+    vals = per_sample_values(n_samples, rng, one, DegenerateSliceError, "affine slices")
     return mean_estimate(vals, seed=rng.master_seed, method="affine-slices")
 
 
@@ -449,7 +381,7 @@ def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate
         v = sample_unit_sphere(3, gen)
         return 1.0 - slice_chi_stabilized(X, v[None, :], -v)
 
-    vals = per_sample_values(n_dirs, rng, one, SliceUnstableError, "apex slices")
+    vals = per_sample_values(n_dirs, rng, one, DegenerateSliceError, "apex slices")
     return mean_estimate(vals, seed=rng.master_seed, method="apex-slices")
 
 
@@ -478,7 +410,7 @@ def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) ->
             return _round_local_polar_one(X, P)
         return _pl_local_polar_one(X, k, P)
 
-    vals = per_sample_values(n_planes, rng, one, (DegenerateDirectionError, SliceUnstableError),
+    vals = per_sample_values(n_planes, rng, one, (DegenerateDirectionError, DegenerateSliceError),
                              "local polar planes")
     return mean_estimate(vals, seed=rng.master_seed, method="local-polar-mc")
 

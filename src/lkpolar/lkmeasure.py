@@ -40,9 +40,11 @@ from .geomkit import (
 from . import plstrata
 from .plstrata import (
     DegenerateDirectionError,
+    DegenerateSliceError,
     StratifiedComplex,
     mean_normal_index,
     pl_morse_indices,
+    slice_chi,
 )
 from . import smoothshape as sm
 from .smoothshape import (
@@ -178,6 +180,8 @@ def shape_from_name(spec: str) -> Shape:
         except OSError as err:
             raise ValueError(f"cannot read PLSTRAT file {rest!r}: {err.strerror or err}") from err
     args = [float(a) for a in rest.split(":")] if rest else []
+    if not all(math.isfinite(a) and a > 0 for a in args):
+        raise ValueError(f"shape {spec!r}: every parameter must be finite and > 0")
     if head == "cube":
         side = args[0] if args else 1.0
         return Shape(name=spec, pl=plstrata.solid_cube(side), convex=_cube_body(side))
@@ -393,99 +397,13 @@ def _exchange_one(X: Shape, gen: np.random.Generator) -> float:
 # slice Euler characteristics and the kinematic formula
 # ---------------------------------------------------------------------------
 
-class DegenerateSliceError(ValueError):
-    pass
-
-
-def _chi_slice_pl_hyperplane(K: StratifiedComplex, normal: np.ndarray, level: float) -> int:
-    """chi of (complex intersect {<normal, x> = level}).
-
-    Additivity of chi over open cells: an open d-cell cut by the hyperplane
-    contributes (-1)^(d-1); cells on one side contribute nothing.
-    """
-    heights = K.vertices @ normal - level
-    scale = max(1.0, float(np.max(np.abs(K.vertices @ normal))))
-    if np.min(np.abs(heights)) < 1e-9 * scale:
-        raise DegenerateSliceError("vertex on the slicing hyperplane")
-    chi = 0
-    for d, cells in K.cells.items():
-        if d == 0:
-            continue
-        for c in cells:
-            h = heights[list(c)]
-            if h.min() < 0.0 < h.max():
-                chi += (-1) ** (d - 1)
-    return chi
-
-
-def _chi_slice_pl_line(K: StratifiedComplex, origin: np.ndarray, direction: np.ndarray) -> int:
-    """chi of (complex intersect line): crossings of open triangles count +1,
-    open chords of tetrahedra count -1."""
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(K.vertices))))
-    chi = 0
-    for tri in K.cells.get(2, []):
-        pts = K.vertices[list(tri)]
-        n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        nn = np.linalg.norm(n)
-        n = n / nn
-        denom = float(n @ direction)
-        if abs(denom) < 1e-9:
-            raise DegenerateSliceError("line nearly parallel to a triangle")
-        t = float(n @ (pts[0] - origin)) / denom
-        p = origin + t * direction
-        # barycentric membership, strictly interior
-        A = np.stack([pts[1] - pts[0], pts[2] - pts[0]], axis=1)
-        sol, res, _, _ = np.linalg.lstsq(A, p - pts[0], rcond=None)
-        resid = np.linalg.norm(A @ sol - (p - pts[0]))
-        if resid > tol:
-            continue
-        u, w = sol
-        edge_margin = min(u, w, 1.0 - u - w)
-        if abs(edge_margin) < 1e-9:
-            raise DegenerateSliceError("line grazes a triangle edge")
-        if edge_margin < 0:
-            continue
-        chi += 1
-    for tet in K.cells.get(3, []):
-        pts = K.vertices[list(tet)]
-        tmin, tmax = -np.inf, np.inf
-        ok = True
-        for i in range(4):
-            face = np.delete(np.arange(4), i)
-            q = pts[face]
-            n = np.cross(q[1] - q[0], q[2] - q[0])
-            if n @ (pts[i] - q[0]) < 0:
-                n = -n
-            n = n / np.linalg.norm(n)
-            denom = float(n @ direction)
-            offset = float(n @ (q[0] - origin))
-            if abs(denom) < 1e-12:
-                if offset < 0:
-                    ok = False
-                    break
-                continue
-            t = offset / denom
-            if denom > 0:
-                tmin = max(tmin, t)
-            else:
-                tmax = min(tmax, t)
-        if ok and tmax - tmin > 1e-9:
-            chi -= 1
-    return chi
-
-
 def slice_euler_characteristic(X: Shape, flat) -> int:
-    """chi of the compact slice of the shape by an affine flat."""
-    n = X.ambient_dim
-    k = flat.direction.dim
+    """chi of the compact slice of the shape by an affine flat; PL shapes
+    take flats of every dimension (:func:`lkpolar.plstrata.slice_chi`)."""
     if X.pl is not None:
-        if k == n - 1:
-            normal = flat.direction.orthogonal_complement().basis[0]
-            level = float(normal @ flat.offset)
-            return _chi_slice_pl_hyperplane(X.pl, normal, level)
-        if k == 1:
-            return _chi_slice_pl_line(X.pl, flat.offset, flat.direction.basis[0])
-        raise NotImplementedError(f"PL slice for flat dimension {k}")
+        A = flat.direction.orthogonal_complement().basis
+        return slice_chi(X.pl, A, A @ flat.offset)
+    k = flat.direction.dim
     # round catalog shapes: the ball and the sphere fill their bounding ball
     # and bound it, so its centre and radius are theirs
     kind = X.smooth.name.split(":")[0]

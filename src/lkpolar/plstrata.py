@@ -19,7 +19,11 @@ direction, so each complex also keeps a :class:`ComplexPlan`: the cells as
 vertex arrays (the Morse indices of heights read these), their orthonormal
 spans stacked per dimension, the vertex stars that link queries read, and the
 flattened links that :func:`pl_alpha_many` and :func:`mean_normal_index`
-read.
+read, and the face tables that :func:`slice_chi` reads.
+
+The Euler characteristic of the complex cut by an affine flat, which the
+kinematic check and the polar invariants of cone germs average, is one rule,
+:func:`slice_chi`: additivity over the open cells that the flat meets.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "ComplexPlan",
     "NormalLink",
     "DegenerateDirectionError",
+    "DegenerateSliceError",
     "euler_characteristic",
     "normal_link",
     "normal_morse_index",
@@ -45,6 +50,7 @@ __all__ = [
     "pl_alpha",
     "pl_alpha_many",
     "pl_morse_indices",
+    "slice_chi",
     "segment_complex",
     "square_boundary",
     "octahedron_boundary",
@@ -56,6 +62,12 @@ __all__ = [
 ]
 
 ANGLE_TOL = 1e-8
+SLICE_TOL = 1e-12  # clearance of a slicing flat from a face boundary, per unit^c
+
+
+class DegenerateSliceError(ValueError):
+    """A slicing flat runs through a face boundary or along a face it meets,
+    where the Euler characteristic of the slice jumps; callers redraw it."""
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,8 @@ class ComplexPlan:
     basis, so a span reads the same bits stacked or alone.  ``star[x]`` lists
     the cells of dimension >= 1 that contain vertex ``x``.  ``link_tables``
     fills per dimension on first use (see :func:`pl_alpha_many` and
-    :func:`mean_normal_index`).
+    :func:`mean_normal_index`), and ``face_tables`` per flat codimension
+    (see :func:`slice_chi`).
     """
 
     cells: dict[int, np.ndarray]  # d -> (C_d, d + 1) vertex ids
@@ -204,6 +217,7 @@ class ComplexPlan:
     rows: dict[tuple[int, ...], int]
     star: tuple[list[tuple[int, ...]], ...]
     link_tables: dict = field(default_factory=dict, repr=False)
+    face_tables: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, K: "StratifiedComplex") -> "ComplexPlan":
@@ -270,10 +284,6 @@ class NormalLink:
     directions: np.ndarray  # (m, n) unit vectors orthogonal to the base span
     link_cells: list[tuple[int, ...]]  # index tuples into ``directions``
     vertex_ids: tuple[int, ...]  # original vertex indices of the directions
-
-    @property
-    def dims(self) -> np.ndarray:
-        return np.array([len(c) - 1 for c in self.link_cells], dtype=int)
 
 
 def euler_characteristic(K: StratifiedComplex) -> int:
@@ -469,6 +479,57 @@ def pl_morse_indices(K: StratifiedComplex, v: np.ndarray) -> dict[int, int]:
         top = ids[np.arange(len(ids)), np.argmax(heights[ids], axis=1)]
         chi += (-1) ** (d - 1) * np.bincount(top, minlength=len(chi))
     return dict(enumerate((1 - chi).tolist()))
+
+
+def _face_table(K: StratifiedComplex, c: int):
+    """For flats of codimension c: the vertex ids of the c + 1 minors of
+    every c-face (each drops one vertex) and their signs, and for every cell
+    of dimension d >= c the plan rows of its c-faces (a short row repeats its
+    first face) and its weight (-1)^(d - c)."""
+    tables = K.plan.face_tables
+    if c not in tables:
+        drop = [[j for j in range(c + 1) if j != i] for i in range(c + 1)]
+        minors = K.plan.cells[c][:, np.array(drop, dtype=int).reshape(c + 1, c)]
+        width = math.comb(K.dim + 1, c + 1)
+        faces, weights = [], []
+        for d, cs in K.cells.items():
+            if d >= c:
+                for cell in cs:
+                    rows = [K.plan.rows[f] for f in itertools.combinations(cell, c + 1)]
+                    faces.append(rows + rows[:1] * (width - len(rows)))
+                weights += [(-1) ** (d - c)] * len(cs)
+        tables[c] = (minors, (-1.0) ** np.arange(c + 1), np.array(faces), np.array(weights))
+    return tables[c]
+
+
+def slice_chi(K: StratifiedComplex, A: np.ndarray, b: np.ndarray) -> int:
+    """Euler characteristic of the slice of K by the flat {x : A x = b}, of
+    codimension c = len(A) (independent rows).
+
+    chi is additive over open cells, and a flat that meets an open d-cell
+    generically cuts it in an open (d - c)-cell, which adds (-1)^(d - c).  A
+    d-cell meets the flat exactly when one of its c-faces does, and a c-face
+    meets it exactly when b lies inside the face's image under A: when the
+    barycentric coordinates of b there, the signed c x c minors of the image
+    translated by -b, all have one sign.  A flat through a face boundary, or
+    along a face it meets, leaves the minors of a c-face with no sign against
+    the others and one of them within SLICE_TOL (per unit^c of the largest
+    image coordinate) of 0, and raises DegenerateSliceError.  A face that is
+    parallel to the flat but off it has minors of both signs and is missed.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    c = len(A)
+    if c not in K.cells:
+        return 0  # no cell of dimension c or more
+    minors, signs, faces, weights = _face_table(K, c)
+    q = K.vertices @ A.T - np.asarray(b, dtype=float)  # (V, c)
+    det = np.linalg.det(q[minors]) * signs  # (F, c + 1)
+    margin = np.maximum(det.min(axis=1), -det.max(axis=1))
+    tol = SLICE_TOL * max(1.0, float(np.abs(q).max(initial=0.0))) ** c
+    if np.any(np.abs(margin) <= tol):
+        face = K.cells[c][int(np.argmin(np.abs(margin)))]
+        raise DegenerateSliceError(f"flat through the boundary of face {face}, or along it")
+    return int(weights @ (margin > 0.0)[faces].any(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -534,10 +534,12 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces) -> DegeneracyReport:
     dist_tol = OVERLAP_DISTANCE * diameter
 
     contours = [p for p in pieces if p.kind == "contour"]
-    if contours and X.smooth is not None:
-        u = P.orthogonal_complement().basis[0] if P.dim == X.ambient_dim - 1 else None
+    if contours:
+        # contours are traced on surfaces in R^3 at q = 1 only, so P is a
+        # plane with one normal u
+        u = P.orthogonal_complement().basis[0]
         for piece in contours:
-            if u is None or len(piece.source_points) < 3:
+            if len(piece.source_points) < 3:
                 continue
             tangents = _polyline_tangents(piece.source_points)
             angles = np.arccos(np.clip(np.abs(tangents @ u), 0.0, 1.0))
@@ -569,18 +571,19 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces) -> DegeneracyReport:
 
     # adjacency of contour images to images of frontier-stratum polar sets;
     # the source-separation condition excludes the generic endpoint contact
-    if X.smooth is not None:
-        rims = [S for S in X.smooth.strata if S.role == "rim"]
-        for piece in contours:
-            for rim in rims:
-                params, _ = rim.chart.grid(256)
-                rim_pts = rim.chart.r(params)
-                rim_img = P.coords(rim_pts)
-                frac = _overlap_fraction(
-                    piece.geometry, piece.source_points, rim_img, rim_pts, dist_tol, src_tol
-                )
-                if frac > OVERLAP_FRACTION:
-                    limit_adjacency.append((piece.stratum.name, rim.name, frac))
+    rims = []
+    if contours:
+        for rim in X.smooth.strata:
+            if rim.role == "rim":
+                rim_pts = rim.chart.r(rim.chart.grid(256)[0])
+                rims.append((rim.name, rim_pts, P.coords(rim_pts)))
+    for piece in contours:
+        for name, rim_pts, rim_img in rims:
+            frac = _overlap_fraction(
+                piece.geometry, piece.source_points, rim_img, rim_pts, dist_tol, src_tol
+            )
+            if frac > OVERLAP_FRACTION:
+                limit_adjacency.append((piece.stratum.name, name, frac))
 
     return DegeneracyReport(
         fold_violations=fold_violations,

@@ -11,6 +11,10 @@ the package computes faster, or by another formula:
   against the half-branch rule of ``alpha_index``;
 - :func:`span_intersection` takes principal angles of one cell, against the
   stacked ``polar._span_flags``;
+- :func:`pl_slice_chi` (cone germs, by radial reduction onto the link) and
+  :func:`chi_slice_pl_hyperplane` and :func:`chi_slice_pl_line` (hyperplanes
+  and lines in R^3) count slice cells one cell at a time, against the one
+  slice rule ``plstrata.slice_chi``;
 - :func:`crofton_volume` and :func:`projected_volume` measure lengths by
   Cauchy-Crofton line counts and by averaged projections;
 - :func:`lkw_curvature` integrates sigma_i of the second fundamental form
@@ -41,7 +45,13 @@ from lkpolar.geomkit import (
     sample_grassmannian,
 )
 from lkpolar.lkmeasure import Shape
-from lkpolar.plstrata import NormalLink, StratifiedComplex, normal_link, normal_morse_index_many
+from lkpolar.plstrata import (
+    DegenerateSliceError,
+    NormalLink,
+    StratifiedComplex,
+    normal_link,
+    normal_morse_index_many,
+)
 from lkpolar.polar import (
     CHORD_TOL,
     SPAN_RANK_TOL,
@@ -153,6 +163,167 @@ def span_intersection(span_a: np.ndarray, span_b: np.ndarray):
     rest = sv[dim:] if dim < len(sv) else np.array([])
     clearance = math.acos(float(rest[0])) if len(rest) else math.pi / 2
     return dim, clearance
+
+
+# ---------------------------------------------------------------------------
+# PL slice Euler characteristics, one cell at a time
+# ---------------------------------------------------------------------------
+
+def pl_slice_chi(X, A: np.ndarray, v: np.ndarray, delta: float) -> int:
+    """chi((H + delta v) cap X cap B_1), where H^perp has orthonormal row
+    basis A and v is a unit vector of H^perp.
+
+    Radial reduction: y = t u with u on the link and t in (0, 1] solves
+    A y = delta (A v) exactly when h(u) := <A u, A v> >= delta (k = 1), or
+    when u further satisfies the alignment equations (k >= 2); the slice is
+    homeomorphic to that subset of the link polyhedron.
+    """
+    link = X.link
+    k = A.shape[0]
+    n = X.ambient_dim
+    c = A @ v  # unit coordinates of v in H^perp
+    if k == n:
+        return point_membership_chi(X, v)
+    Au = link.vertices @ A.T  # (V, k)
+    h = Au @ c
+    if k == 1:
+        return superlevel_chi(link, h, delta)
+    if k == 2 and n == 3:
+        # split the condition A u || c into {g = 0} and {h >= delta}
+        c_perp = np.array([-c[1], c[0]])
+        g = Au @ c_perp
+        return hyperplane_superlevel_chi(link, g, h, delta)
+    raise NotImplementedError(f"slice for codimension k={k} in R^{n}")
+
+
+def superlevel_chi(link: StratifiedComplex, h: np.ndarray, delta: float) -> int:
+    scale = max(1.0, float(np.max(np.abs(h))))
+    if np.min(np.abs(h - delta)) < 1e-12 * scale:
+        raise DegenerateSliceError("vertex value at the slice level")
+    chi = 0
+    for d, cells in link.cells.items():
+        for cell in cells:
+            if all(h[i] > delta for i in cell):
+                chi += (-1) ** d
+    return chi
+
+
+def hyperplane_superlevel_chi(link, g, h, delta) -> int:
+    """chi of {g = 0, h >= delta} on the link polyhedron (additivity of the
+    compact-support Euler characteristic over open link cells)."""
+    scale = max(1.0, float(np.max(np.abs(g))))
+    if np.min(np.abs(g)) < 1e-12 * scale:
+        raise DegenerateSliceError("vertex on the alignment hyperplane")
+    chi = 0
+    for d, cells in link.cells.items():
+        for cell in cells:
+            gs = g[list(cell)]
+            if gs.min() > 0 or gs.max() < 0:
+                continue  # the hyperplane misses the open cell
+            # crossing points on the below/above vertex pairs
+            vals = []
+            for i in cell:
+                for j in cell:
+                    if g[i] < 0 < g[j]:
+                        t = -g[i] / (g[j] - g[i])
+                        vals.append(h[i] + t * (h[j] - h[i]))
+            if not vals:
+                continue
+            if min(vals) > delta:
+                chi += (-1) ** (d - 1)
+            # a piece cut by {h = delta} or entirely below contributes 0
+    return chi
+
+
+def point_membership_chi(X, v: np.ndarray) -> int:
+    """chi of the zero-dimensional slice {delta v} cap X: is v in the cone?"""
+    link = X.link
+    for d, cells in link.cells.items():
+        for cell in cells:
+            D = link.vertices[list(cell)].T  # (n, d+1)
+            t, res, *_ = np.linalg.lstsq(D, v, rcond=None)
+            if np.linalg.norm(D @ t - v) > 1e-9:
+                continue
+            if np.all(t > 1e-9):
+                return 1
+    return 0
+
+
+def chi_slice_pl_hyperplane(K: StratifiedComplex, normal: np.ndarray, level: float) -> int:
+    """chi of (complex intersect {<normal, x> = level}).
+
+    Additivity of chi over open cells: an open d-cell cut by the hyperplane
+    contributes (-1)^(d-1); cells on one side contribute nothing.
+    """
+    heights = K.vertices @ normal - level
+    scale = max(1.0, float(np.max(np.abs(K.vertices @ normal))))
+    if np.min(np.abs(heights)) < 1e-9 * scale:
+        raise DegenerateSliceError("vertex on the slicing hyperplane")
+    chi = 0
+    for d, cells in K.cells.items():
+        if d == 0:
+            continue
+        for c in cells:
+            h = heights[list(c)]
+            if h.min() < 0.0 < h.max():
+                chi += (-1) ** (d - 1)
+    return chi
+
+
+def chi_slice_pl_line(K: StratifiedComplex, origin: np.ndarray, direction: np.ndarray) -> int:
+    """chi of (complex intersect line): crossings of open triangles count +1,
+    open chords of tetrahedra count -1."""
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(K.vertices))))
+    chi = 0
+    for tri in K.cells.get(2, []):
+        pts = K.vertices[list(tri)]
+        n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+        nn = np.linalg.norm(n)
+        n = n / nn
+        denom = float(n @ direction)
+        if abs(denom) < 1e-9:
+            raise DegenerateSliceError("line nearly parallel to a triangle")
+        t = float(n @ (pts[0] - origin)) / denom
+        p = origin + t * direction
+        # barycentric membership, strictly interior
+        A = np.stack([pts[1] - pts[0], pts[2] - pts[0]], axis=1)
+        sol, res, _, _ = np.linalg.lstsq(A, p - pts[0], rcond=None)
+        resid = np.linalg.norm(A @ sol - (p - pts[0]))
+        if resid > tol:
+            continue
+        u, w = sol
+        edge_margin = min(u, w, 1.0 - u - w)
+        if abs(edge_margin) < 1e-9:
+            raise DegenerateSliceError("line grazes a triangle edge")
+        if edge_margin < 0:
+            continue
+        chi += 1
+    for tet in K.cells.get(3, []):
+        pts = K.vertices[list(tet)]
+        tmin, tmax = -np.inf, np.inf
+        ok = True
+        for i in range(4):
+            face = np.delete(np.arange(4), i)
+            q = pts[face]
+            n = np.cross(q[1] - q[0], q[2] - q[0])
+            if n @ (pts[i] - q[0]) < 0:
+                n = -n
+            n = n / np.linalg.norm(n)
+            denom = float(n @ direction)
+            offset = float(n @ (q[0] - origin))
+            if abs(denom) < 1e-12:
+                if offset < 0:
+                    ok = False
+                    break
+                continue
+            t = offset / denom
+            if denom > 0:
+                tmin = max(tmin, t)
+            else:
+                tmax = min(tmax, t)
+        if ok and tmax - tmin > 1e-9:
+            chi -= 1
+    return chi
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The names that other code reaches into lkpolar by: the public API and the
 functions that the benchmark's tracer wraps.  A rename or a move that breaks
-``perfbench/run.py --trace 1`` fails here first."""
+``perfbench/run.py --trace 1`` fails here first.  Also: no module keeps state
+of its own that could grow."""
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,16 @@ BENCHMARK_CALLS = {
 def test_benchmark_call_sites_bind(name):
     fn, args, kwargs = BENCHMARK_CALLS[name]
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_no_module_level_containers():
+    # a dict, list or set held by a module outlives every shape and every
+    # call, so a cache there grows without bound; tables built from a shape
+    # belong on the shape (as ``K.plan`` holds them)
+    found = []
+    for info in pkgutil.iter_modules(lkpolar.__path__):
+        module = importlib.import_module(f"lkpolar.{info.name}")
+        found += [f"{info.name}.{name}" for name, value in vars(module).items()
+                  if isinstance(value, (dict, list, set))
+                  and not (name.startswith("__") and name.endswith("__")) and not name.isupper()]
+    assert not found

@@ -108,6 +108,14 @@ def test_unknown_shape_nonzero_exit():
     assert "error" in report
 
 
+@pytest.mark.parametrize("spec", ["cube:0", "cube-boundary:0", "cube:nan", "disk:0", "circle:0",
+                                  "sphere:inf", "sphere:0", "ball:0", "hemisphere:-2"])
+def test_bad_catalog_parameter_is_a_json_error(spec):
+    report, status = run(["measure", "--shape", spec, "--k", "1", "--samples", "10"])
+    assert status == 2
+    assert spec in report["error"]
+
+
 def test_main_prints_rows(capsys):
     status = main(["measure", "--shape", "sphere:1", "--k", "0", "--samples", "1", "--seed", "1"])
     captured = capsys.readouterr()

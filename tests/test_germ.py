@@ -83,6 +83,19 @@ def test_sigma_halfplane():
     assert sigma_invariant(g, 3, 500, RandomSource(6)).value == 0.0
 
 
+def test_halfplane_germ_in_r4():
+    # a 2-flat near the apex meets the plane of the germ in one point, inside
+    # the half-plane half the time; flats of dimension 1 and 0 miss it
+    g = halfplane_germ(4)
+    assert within(sigma_invariant(g, 1, 500, RandomSource(4)), 1.0)
+    assert within(sigma_invariant(g, 2, 1000, RandomSource(5)), 0.5)
+    assert sigma_invariant(g, 3, 300, RandomSource(6)).value == 0.0
+    assert sigma_invariant(g, 4, 300, RandomSource(7)).value == 0.0
+    # its density is a spherical volume in R^4, past the closed forms
+    with pytest.raises(NotImplementedError, match=r"R\^4"):
+        density(g, 2)
+
+
 def test_sigma_smooth_point_sanity():
     # the full line through the origin is smooth at 0
     g = rays_germ(2)

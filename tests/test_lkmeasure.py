@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkpolar.geomkit import RandomSource, ball_volume
-from lkpolar.plstrata import StratifiedComplex
+from lkpolar.geomkit import LinearSubspace, RandomSource, ball_volume
+from lkpolar.plstrata import DegenerateSliceError, StratifiedComplex, slice_chi
 from lkpolar.lkmeasure import (
-    DegenerateSliceError,
     Shape,
-    _chi_slice_pl_hyperplane,
-    _chi_slice_pl_line,
     exchange_lambda0,
     kinematic_check,
     lambda_density,
@@ -279,20 +276,21 @@ def test_exchange_matches_lk0_on_catalog():
 
 def test_pl_hyperplane_slice_chi():
     cube = shape_from_name("cube").pl
-    assert _chi_slice_pl_hyperplane(cube, np.array([0.0, 0.0, 1.0]), 0.5) == 1
-    assert _chi_slice_pl_hyperplane(cube, np.array([0.0, 0.0, 1.0]), 2.0) == 0
+    assert slice_chi(cube, [[0.0, 0.0, 1.0]], [0.5]) == 1
+    assert slice_chi(cube, [[0.0, 0.0, 1.0]], [2.0]) == 0
     n = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
-    assert _chi_slice_pl_hyperplane(cube, n, 0.3) == 1
+    assert slice_chi(cube, [n], [0.3]) == 1
     with pytest.raises(DegenerateSliceError):
-        _chi_slice_pl_hyperplane(cube, np.array([0.0, 0.0, 1.0]), 1.0)
+        slice_chi(cube, [[0.0, 0.0, 1.0]], [1.0])
 
 
 def test_pl_line_slice_chi():
     cube = shape_from_name("cube").pl
     d = np.array([0.013, 0.027, 1.0])
     d /= np.linalg.norm(d)
-    assert _chi_slice_pl_line(cube, np.array([0.47, 0.52, -1.0]), d) == 1
-    assert _chi_slice_pl_line(cube, np.array([5.0, 5.0, -1.0]), d) == 0
+    A = LinearSubspace(3, d[None, :]).orthogonal_complement().basis
+    assert slice_chi(cube, A, A @ np.array([0.47, 0.52, -1.0])) == 1
+    assert slice_chi(cube, A, A @ np.array([5.0, 5.0, -1.0])) == 0
 
 
 def test_kinematic_constant_shape_independent():

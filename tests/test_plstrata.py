@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkpolar.geomkit import RandomSource, sample_unit_sphere
+from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian, sample_unit_sphere
+from lkpolar.germ import ConeGerm, germ_from_name
 from lkpolar.plstrata import (
     DegenerateDirectionError,
+    DegenerateSliceError,
     StratifiedComplex,
     cube_boundary,
     euler_characteristic,
@@ -24,12 +26,18 @@ from lkpolar.plstrata import (
     pl_morse_indices,
     save_plstrat,
     segment_complex,
+    slice_chi,
     solid_cube,
     square_boundary,
     torus_7vertex,
 )
 
-from oracles import sampled_mean_normal_index
+from oracles import (
+    chi_slice_pl_hyperplane,
+    chi_slice_pl_line,
+    pl_slice_chi,
+    sampled_mean_normal_index,
+)
 
 
 CATALOG = (segment_complex, square_boundary, octahedron_boundary, cube_boundary, solid_cube,
@@ -597,3 +605,124 @@ def test_validation_rejects_degenerate_simplex():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
         StratifiedComplex.from_maximal_cells(verts, [(0, 1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# slices by affine flats
+# ---------------------------------------------------------------------------
+
+def _chi_or_reject(fn):
+    try:
+        return fn()
+    except DegenerateSliceError:
+        return "reject"
+
+
+def _random_flat(K, c, gen):
+    """A uniform flat of codimension c whose offset lies within the
+    complex's vertex radius of its centroid."""
+    centre = K.vertices.mean(axis=0)
+    radius = float(np.max(np.linalg.norm(K.vertices - centre, axis=1)))
+    A = sample_grassmannian(K.ambient_dim, c, gen).basis
+    return A, A @ centre + radius * gen.uniform(-1.1, 1.1, size=c)
+
+
+@pytest.mark.parametrize("make", CATALOG)
+def test_slice_chi_matches_per_cell_oracles(make):
+    K = make()
+    n = K.ambient_dim
+    gen = RandomSource(71).generator()
+    for c in (1, 2) if n == 3 else (1,):
+        for _ in range(300):
+            A, b = _random_flat(K, c, gen)
+            if c == 1:
+                oracle = lambda: chi_slice_pl_hyperplane(K, A[0], float(b[0]))
+            else:
+                d = LinearSubspace(n, A).orthogonal_complement().basis[0]
+                oracle = lambda: chi_slice_pl_line(K, A.T @ b, d)
+            assert _chi_or_reject(lambda: slice_chi(K, A, b)) == _chi_or_reject(oracle)
+
+
+def _triangle_cone():
+    # a germ whose link has a 2-cell: the cone over a spherical triangle
+    link = StratifiedComplex.from_maximal_cells(np.eye(3), [(0, 1, 2)])
+    return ConeGerm(name="triangle-cone", ambient_dim=3, link=link)
+
+
+@pytest.mark.parametrize("germ", ["rays:3", "rays:5", "halfplane:3", "triangle"])
+def test_slice_chi_on_cone_models_matches_radial_oracle(germ):
+    X = _triangle_cone() if germ == "triangle" else germ_from_name(germ)
+    n = X.ambient_dim
+    gen = RandomSource(72).generator()
+    values = set()
+    for k in range(1, n + 1):
+        for delta in (1e-3, 5e-4):
+            for _ in range(150):
+                A = sample_grassmannian(n, k, gen).basis
+                v = sample_unit_sphere(k, gen) @ A
+                a = _chi_or_reject(lambda: slice_chi(X.model, A, delta * (A @ v)))
+                assert a == _chi_or_reject(lambda: pl_slice_chi(X, A, v, delta)), (k, delta)
+                values.add((k, a))
+    if germ == "triangle":  # a point slice inside the solid cone counts
+        assert (3, 1) in values and (3, 0) in values
+
+
+def test_slice_chi_rejects_flats_through_face_boundaries():
+    cube, octa = solid_cube(), octahedron_boundary()
+    normal = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+    corner = np.ones(3)
+    with pytest.raises(DegenerateSliceError):  # a plane through a vertex
+        slice_chi(cube, [normal], [normal @ corner])
+    line = LinearSubspace(3, normal[None, :]).orthogonal_complement().basis
+    with pytest.raises(DegenerateSliceError):  # a line through a vertex
+        slice_chi(cube, line, line @ corner)
+    with pytest.raises(DegenerateSliceError):  # a line along an edge
+        slice_chi(cube, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0])
+    # a line in the plane of the face (0, 2, 4) of the octahedron, through its
+    # centre and across two of its edges
+    along = np.array([1.0, -0.3, -0.7])
+    A = LinearSubspace(3, along[None, :] / np.linalg.norm(along)).orthogonal_complement().basis
+    with pytest.raises(DegenerateSliceError):
+        slice_chi(octa, A, A @ np.full(3, 1 / 3))
+    # parallel to faces but off them: the cube's top and bottom faces, and
+    # its y and z faces along an x-parallel line that misses every edge
+    assert slice_chi(cube, [[0.0, 0.0, 1.0]], [0.5]) == 1
+    assert slice_chi(cube, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.3, 0.6]) == 1
+    assert slice_chi(cube_boundary(), [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.3, 0.6]) == 2
+
+
+def test_slice_chi_on_the_four_simplex():
+    # the boundary of a 4-simplex is a 3-sphere, cut by a flat of codimension
+    # c in a (3 - c)-sphere or nothing
+    verts = np.vstack([np.zeros(4), np.eye(4)])
+    sphere = StratifiedComplex.from_maximal_cells(verts, list(itertools.combinations(range(5), 4)))
+    gen = RandomSource(73).generator()
+    seen = {c: set() for c in range(1, 5)}
+    for c in range(1, 5):
+        for _ in range(200):
+            seen[c].add(_chi_or_reject(lambda: slice_chi(sphere, *_random_flat(sphere, c, gen))))
+    assert seen == {1: {0, 2}, 2: {0}, 3: {0, 2}, 4: {0}}
+    solid = StratifiedComplex.from_maximal_cells(verts, [tuple(range(5))])
+    assert slice_chi(solid, np.eye(4), np.full(4, 0.1)) == 1
+    assert slice_chi(solid, np.eye(4), np.full(4, 0.3)) == 0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1),
+       shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       scale=st.floats(0.1, 10.0))
+def test_slice_chi_under_similarity(seed, shift, scale):
+    # the flat {A x = b} moves with x -> s R x + t to {A R^T y = s b + A R^T t}
+    gen = RandomSource(seed).generator()
+    q_, r_ = np.linalg.qr(gen.standard_normal((3, 3)))
+    rot = q_ * np.sign(np.diag(r_))
+    for make in (octahedron_boundary, cube_boundary, solid_cube, torus_7vertex):
+        K = make()
+        moved = K.transformed(rotation=rot, translation=shift, scale=scale)
+        for c in (1, 2, 3):
+            A, b = _random_flat(K, c, gen)
+            before = _chi_or_reject(lambda: slice_chi(K, A, b))
+            if before == "reject":
+                continue
+            after = slice_chi(moved, A @ rot.T, scale * b + A @ rot.T @ np.asarray(shift))
+            assert after == before, (make.__name__, c)
