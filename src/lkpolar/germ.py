@@ -31,7 +31,7 @@ from .geomkit import (
     Estimate,
     RandomSource,
     ball_volume,
-    image_normal,
+    image_normals,
     mean_estimate,
     per_sample_values,
     sample_grassmannian,
@@ -42,7 +42,7 @@ from .plstrata import (
     StratifiedComplex,
     load_plstrat,
     mean_normal_index,
-    pl_alpha,
+    pl_alpha_many,
     slice_chi,
 )
 
@@ -104,13 +104,6 @@ class ConeGerm:
         if not self.link.cells:
             return 0
         return self.link.dim + 1
-
-    def cone_cells(self):
-        """Cells of the simplicial model that contain the apex (index 0)."""
-        for d in sorted(self.model.cells):
-            for cell in self.model.cells[d]:
-                if 0 in cell and d >= 1:
-                    yield cell
 
 
 def _cone_model(link: StratifiedComplex) -> StratifiedComplex:
@@ -176,7 +169,10 @@ def germ_from_name(spec: str) -> ConeGerm:
     if head == "cone-circle":
         return round_cone_germ(float(rest))
     if head == "cone-link":
-        return cone_link_germ(rest)
+        try:
+            return cone_link_germ(rest)
+        except OSError as err:
+            raise ValueError(f"cannot read cone link file {rest!r}: {err.strerror or err}") from err
     raise ValueError(f"unknown germ {spec!r}")
 
 
@@ -371,8 +367,8 @@ def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> 
         value = float(dens[0])
     else:
         value = math.fsum(
-            dens[T.plan.rows[cell]] * _spherical_simplex_volume(T.vertices[list(cell[1:])]) / k
-            for cell in X.cone_cells() if len(cell) - 1 == k) / norm
+            dens[r] * _spherical_simplex_volume(T.vertices[T.plan.cells[k][r, 1:]]) / k
+            for r in _cone_rows(T, k)) / norm
     return Estimate(value, 0.0, 1, rng.master_seed, method="exterior-angle")
 
 
@@ -415,25 +411,28 @@ def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) ->
     return mean_estimate(vals, seed=rng.master_seed, method="local-polar-mc")
 
 
+def _cone_rows(T: StratifiedComplex, k: int) -> np.ndarray:
+    """Plan rows of the k-cells of a cone model that contain the apex
+    (vertex 0, the first of every such cell)."""
+    return np.flatnonzero(T.plan.cells[k][:, 0] == 0)
+
+
 def _pl_local_polar_one(X: ConeGerm, k: int, P) -> float:
     T = X.model
-    total = 0.0
     if k == 0:
-        return pl_alpha(T, (0,), P.basis[0])
-    for cell in X.cone_cells():
-        if len(cell) - 1 != k:
-            continue
-        rays = T.vertices[[v for v in cell if v != 0]]
-        proj = rays @ P.basis.T  # ray directions inside P
-        norms = np.linalg.norm(proj, axis=1)
-        if np.min(norms) < 1e-8:
-            raise DegenerateDirectionError("projected ray collapses")
-        unit = proj / norms[:, None]
-        theta_vol = _spherical_simplex_volume(unit)
-        # alpha is link-combinatorial, hence exactly constant along the
-        # cone cell; no second-point stability probe is needed
-        alpha = pl_alpha(T, cell, image_normal(rays, P))
-        total += alpha * theta_vol / (k * ball_volume(k))
+        return float(pl_alpha_many(T, 0, [0], P.basis[:1])[0])
+    rows = _cone_rows(T, k)
+    rays = T.vertices[T.plan.cells[k][rows, 1:]]  # (C, k, n)
+    proj = rays @ P.basis.T  # ray directions inside P
+    norms = np.linalg.norm(proj, axis=2)
+    if np.min(norms) < 1e-8:
+        raise DegenerateDirectionError("projected ray collapses")
+    # alpha is link-combinatorial, hence exactly constant along the cone
+    # cell; no second-point stability probe is needed
+    alphas = pl_alpha_many(T, k, rows, image_normals(T.plan.spans[k][rows], P))
+    total = 0.0
+    for alpha, unit in zip(alphas, proj / norms[:, :, None]):
+        total += alpha * _spherical_simplex_volume(unit) / (k * ball_volume(k))
     return total
 
 

@@ -179,7 +179,14 @@ def shape_from_name(spec: str) -> Shape:
             return Shape(name=spec, pl=plstrata.load_plstrat(rest))
         except OSError as err:
             raise ValueError(f"cannot read PLSTRAT file {rest!r}: {err.strerror or err}") from err
+    arity = {"cube": 1, "octahedron": 0, "cube-boundary": 1, "torus7": 0, "segment": 1,
+             "sphere": 1, "torus": 2, "circle": 1, "disk": 1, "hemisphere": 1, "ellipse": 2,
+             "ball": 1}
+    if head not in arity:
+        raise ValueError(f"unknown shape {spec!r}")
     args = [float(a) for a in rest.split(":")] if rest else []
+    if len(args) > arity[head]:
+        raise ValueError(f"shape {spec!r}: {head} takes at most {arity[head]} parameters")
     if not all(math.isfinite(a) and a > 0 for a in args):
         raise ValueError(f"shape {spec!r}: every parameter must be finite and > 0")
     if head == "cube":
@@ -206,10 +213,8 @@ def shape_from_name(spec: str) -> Shape:
         return Shape(name=spec, smooth=sm.hemisphere_shape(*(args or [1.0])))
     if head == "ellipse":
         return Shape(name=spec, smooth=sm.ellipse_shape(*(args or [2.0, 1.0])))
-    if head == "ball":
-        radius = args[0] if args else 1.0
-        return Shape(name=spec, smooth=sm.ball_shape(radius), convex=_ball_body(radius))
-    raise ValueError(f"unknown shape {spec!r}")
+    radius = args[0] if args else 1.0  # the ball
+    return Shape(name=spec, smooth=sm.ball_shape(radius), convex=_ball_body(radius))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,19 @@ characteristic of the full subcomplex spanned by the strictly-below
 directions.
 
 This module owns the normal links of a complex and the normal Morse indices
-built on them: each complex keeps the links it has built, and the curvature
-route, the polar route and the cone germs all read the normal index of a cell
-through :func:`mean_normal_index`, :func:`pl_alpha` and :func:`pl_alpha_many`.
+built on them: each complex keeps the links it has built.  The index along a
+direction is read by one kernel over the flattened links, which
+:func:`normal_morse_index`, :func:`normal_morse_index_many` and
+:func:`pl_alpha_many` (the polar-image weight alpha, for the polar route and
+the cone germs) view; the curvature route reads its exact mean over the
+normal sphere, :func:`mean_normal_index`.
 
 Nothing about a cell but its projection depends on a random plane or height
 direction, so each complex also keeps a :class:`ComplexPlan`: the cells as
 vertex arrays (the Morse indices of heights read these), their orthonormal
-spans stacked per dimension, the vertex stars that link queries read, and the
-flattened links that :func:`pl_alpha_many` and :func:`mean_normal_index`
-read, and the face tables that :func:`slice_chi` reads.
+spans stacked per dimension, the vertex stars that link queries read, the
+flattened links that the normal indices and :func:`mean_normal_index` read,
+and the face tables that :func:`slice_chi` reads.
 
 The Euler characteristic of the complex cut by an affine flat, which the
 kinematic check and the polar invariants of cone germs average, is one rule,
@@ -47,7 +50,6 @@ __all__ = [
     "normal_morse_index",
     "normal_morse_index_many",
     "mean_normal_index",
-    "pl_alpha",
     "pl_alpha_many",
     "pl_morse_indices",
     "slice_chi",
@@ -207,7 +209,7 @@ class ComplexPlan:
     bases that one QR per dimension gives, laid out as a lone QR lays out one
     basis, so a span reads the same bits stacked or alone.  ``star[x]`` lists
     the cells of dimension >= 1 that contain vertex ``x``.  ``link_tables``
-    fills per dimension on first use (see :func:`pl_alpha_many` and
+    fills per dimension on first use (see :func:`normal_morse_index` and
     :func:`mean_normal_index`), and ``face_tables`` per flat codimension
     (see :func:`slice_chi`).
     """
@@ -326,57 +328,77 @@ def _build_normal_link(K: StratifiedComplex, cell: tuple[int, ...]) -> NormalLin
     return NormalLink(base_cell=cell, directions=dirs, link_cells=cells, vertex_ids=vertex_ids)
 
 
-def _lower_subcomplex_chi(link: NormalLink, below: np.ndarray) -> int:
-    """chi of the full subcomplex of the link spanned by the flagged vertices."""
-    chi = 0
-    for c in link.link_cells:
-        if all(below[i] for i in c):
-            chi += (-1) ** (len(c) - 1)
-    return chi
+def _normal_indices(K: StratifiedComplex, d: int, rows, vs: np.ndarray):
+    """Normal Morse indices of the d-cells at the distinct plan rows
+    ``rows``, cell ``rows[i]`` along every direction ``vs[i, j]`` of an
+    (R, N, n) stack, in one pass over their part of the flattened links.
+
+    The index along v is 1 - chi of the full subcomplex of the link spanned
+    by the directions below v; along -v the directions above v span it.
+    Returns (index along v, index along -v, wall), each flat over the pairs
+    (i, j) at j * R + i; wall marks directions within ANGLE_TOL of
+    orthogonality to a link direction, where the index jumps.  A direction
+    not orthogonal to its cell (again within ANGLE_TOL) raises ValueError.
+    """
+    rows = np.asarray(rows, dtype=int)
+    n_rows, n_dirs = vs.shape[:2]
+    tol = ANGLE_TOL * np.sqrt((vs * vs).sum(axis=2)).T  # (N, R), as below
+    if d and np.any(np.abs(K.plan.spans[d][rows] @ vs.swapaxes(1, 2)).T > tol[:, None]):
+        raise ValueError("direction is not orthogonal to the cell")
+    table = _link_table(K, d)
+    at = np.full(len(K.cells[d]), -1)
+    at[rows] = np.arange(n_rows)
+    directions, owner = table.directions, at[table.owner]  # owner: position in rows
+    faces = [(parity, at[owners], idx) for parity, owners, idx in table.faces]
+    if n_rows < len(at):  # keep the links of the asked cells only
+        ent = np.flatnonzero(owner >= 0)
+        column = np.empty(len(owner), dtype=int)
+        column[ent] = np.arange(len(ent))
+        directions, owner = directions[ent], owner[ent]
+        faces = [(parity, pos[pos >= 0], column[idx[pos >= 0]]) for parity, pos, idx in faces]
+    dots = (vs[owner] @ directions[:, :, None])[:, :, 0].T  # (N, M)
+    # direction j of position i counts in flat bin j * R + i
+    first = np.arange(0, n_rows * n_dirs, n_rows)[:, None]
+    near = np.abs(dots) <= tol[:, owner]
+    wall = np.bincount((first + owner)[near], minlength=n_rows * n_dirs) > 0
+    sign = np.sign(dots)
+    down = np.ones(n_rows * n_dirs, dtype=int)
+    up = np.ones(n_rows * n_dirs, dtype=int)
+    for parity, pos, idx in faces:
+        # the signs of a link cell sum to -size (+size) when every direction
+        # of it is below (above) v
+        total = sign[:, idx].sum(axis=2)  # (N, T)
+        bins = first + pos
+        down -= parity * np.bincount(bins[total == -idx.shape[1]], minlength=len(down))
+        up -= parity * np.bincount(bins[total == idx.shape[1]], minlength=len(up))
+    return down, up, wall
 
 
-def normal_morse_index(K: StratifiedComplex, cell, v: np.ndarray, link: NormalLink | None = None) -> int:
+def normal_morse_index(K: StratifiedComplex, cell, v: np.ndarray) -> int:
     """Normal Morse index 1 - chi of the downward normal slice along the cell.
 
     ``v`` must be orthogonal to the span of the cell; directions within
     ANGLE_TOL of an orthogonality wall raise DegenerateDirectionError so the
     caller can resample.
     """
+    cell = tuple(sorted(cell))
     v = np.asarray(v, dtype=float)
-    if link is None:
-        link = normal_link(K, cell)
-    span = K.cell_span(cell)
-    if span.size and np.max(np.abs(span @ v)) > 1e-8 * np.linalg.norm(v):
-        raise ValueError("direction is not orthogonal to the cell")
-    if len(link.vertex_ids) == 0:
-        return 1  # empty link: the slice is empty
-    dots = link.directions @ v
-    if np.min(np.abs(dots)) <= ANGLE_TOL * np.linalg.norm(v):
+    index, _, wall = _normal_indices(K, len(cell) - 1, [K.plan.rows[cell]], v[None, None])
+    if wall[0]:
         raise DegenerateDirectionError("direction orthogonal to a link direction")
-    return 1 - _lower_subcomplex_chi(link, dots < 0.0)
+    return int(index[0])
 
 
-def normal_morse_index_many(K: StratifiedComplex, cell, vs: np.ndarray, link: NormalLink | None = None):
-    """Vectorized :func:`normal_morse_index` over rows of ``vs``.
+def normal_morse_index_many(K: StratifiedComplex, cell, vs: np.ndarray):
+    """:func:`normal_morse_index` along each row of ``vs``.
 
     Returns (indices, valid): non-generic rows are marked invalid instead of
     raising.
     """
-    if link is None:
-        link = normal_link(K, cell)
+    cell = tuple(sorted(cell))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    n_dirs = vs.shape[0]
-    if len(link.vertex_ids) == 0:
-        return np.ones(n_dirs, dtype=int), np.ones(n_dirs, dtype=bool)
-    dots = vs @ link.directions.T  # (N, m)
-    norms = np.linalg.norm(vs, axis=1)
-    valid = np.min(np.abs(dots), axis=1) > ANGLE_TOL * norms
-    below = dots < 0.0
-    chi = np.zeros(n_dirs, dtype=int)
-    for c in link.link_cells:
-        mask = np.logical_and.reduce(below[:, list(c)], axis=1)
-        chi += (-1) ** (len(c) - 1) * mask
-    return 1 - chi, valid
+    index, _, wall = _normal_indices(K, len(cell) - 1, [K.plan.rows[cell]], vs[None])
+    return index, ~wall
 
 
 def mean_normal_index(K: StratifiedComplex, d: int) -> np.ndarray:
@@ -415,45 +437,19 @@ def mean_normal_index(K: StratifiedComplex, d: int) -> np.ndarray:
     return index
 
 
-def pl_alpha(K: StratifiedComplex, cell, nu: np.ndarray) -> float:
-    """Half-sum of the normal Morse indices along nu and -nu: the weight of
-    a cell's polar image whose normal is nu."""
-    link = normal_link(K, cell)
-    return 0.5 * (normal_morse_index(K, cell, nu, link) + normal_morse_index(K, cell, -nu, link))
-
-
 def pl_alpha_many(K: StratifiedComplex, d: int, rows, nus: np.ndarray) -> np.ndarray:
-    """:func:`pl_alpha` of the d-cells at the distinct plan rows ``rows``,
-    cell ``rows[i]`` along ``nus[i]``, in one pass of array operations.
+    """Half-sums of the normal Morse indices along nu and -nu, the weights
+    of polar images with normal nu, of the d-cells at the distinct plan rows
+    ``rows``, cell ``rows[i]`` along ``nus[i]``.
 
     The checks are those of :func:`normal_morse_index`: a direction that is
     not orthogonal to its cell raises ValueError, and one within ANGLE_TOL of
-    a wall raises DegenerateDirectionError.  The two indices are read from
-    the sign of each link direction: below along nu is above along -nu.
+    a wall raises DegenerateDirectionError.
     """
-    rows = np.asarray(rows, dtype=int)
-    nus = np.asarray(nus, dtype=float)
-    norms = np.linalg.norm(nus, axis=1)
-    if d and np.any(np.abs(K.plan.spans[d][rows] @ nus[:, :, None]).max(axis=(1, 2))
-                    > 1e-8 * norms):
-        raise ValueError("direction is not orthogonal to the cell")
-    table = _link_table(K, d)
-    at = np.full(len(K.cells[d]), -1)
-    at[rows] = np.arange(len(rows))
-    mine = at[table.owner]  # entry -> position in rows, -1 if its cell is not asked
-    use = mine >= 0
-    dots = np.einsum("ij,ij->i", table.directions[use], nus[mine[use]])
-    if np.any(np.abs(dots) <= ANGLE_TOL * norms[mine[use]]):
+    down, up, wall = _normal_indices(K, d, rows, np.asarray(nus, dtype=float)[:, None])
+    if wall.any():
         raise DegenerateDirectionError("direction orthogonal to a link direction")
-    sign = np.zeros(len(mine))
-    sign[use] = np.sign(dots)  # 0 on the links of cells not asked
-    chi_down = np.zeros(len(rows), dtype=int)
-    chi_up = np.zeros(len(rows), dtype=int)
-    for parity, owners, idx in table.faces:
-        s = sign[idx]
-        chi_down += parity * np.bincount(at[owners[np.all(s < 0, axis=1)]], minlength=len(rows))
-        chi_up += parity * np.bincount(at[owners[np.all(s > 0, axis=1)]], minlength=len(rows))
-    return 0.5 * ((1 - chi_down) + (1 - chi_up))
+    return 0.5 * (down + up)
 
 
 def pl_morse_indices(K: StratifiedComplex, v: np.ndarray) -> dict[int, int]:
@@ -536,11 +532,9 @@ def slice_chi(K: StratifiedComplex, A: np.ndarray, b: np.ndarray) -> int:
 # catalog complexes
 # ---------------------------------------------------------------------------
 
-def segment_complex(length: float = 1.0, ambient_dim: int = 2) -> StratifiedComplex:
-    """A single segment [0, length] on the first axis of R^ambient_dim."""
-    v = np.zeros((2, ambient_dim))
-    v[1, 0] = length
-    return StratifiedComplex.from_maximal_cells(v, [(0, 1)])
+def segment_complex(length: float = 1.0) -> StratifiedComplex:
+    """A single segment [0, length] on the first axis of R^2."""
+    return StratifiedComplex.from_maximal_cells([[0.0, 0.0], [length, 0.0]], [(0, 1)])
 
 
 def square_boundary(side: float = 1.0) -> StratifiedComplex:

@@ -27,7 +27,6 @@ from .geomkit import (
     Estimate,
     LinearSubspace,
     RandomSource,
-    image_normal,
     image_normals,
     mean_estimate,
     per_sample_values,
@@ -36,7 +35,7 @@ from .geomkit import (
     simplex_volumes,
 )
 from .lkmeasure import Shape
-from .plstrata import DegenerateDirectionError, pl_alpha, pl_alpha_many
+from .plstrata import DegenerateDirectionError, pl_alpha_many
 from .smoothshape import (
     CriticalPoint,
     DegenerateHeightError,
@@ -620,7 +619,8 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     if X.pl is not None:
         K = X.pl
         cell = tuple(sorted(stratum))
-        return pl_alpha(K, cell, image_normal(K.cell_span(cell), P))
+        d, rows = len(cell) - 1, [K.plan.rows[cell]]
+        return float(pl_alpha_many(K, d, rows, image_normals(K.plan.spans[d][rows], P))[0])
     S = stratum
     params, point = source
     if S.dim == q:

@@ -115,8 +115,6 @@ class SmoothStratum:
     dim: int
     chart: Chart | None
     role: str = "top"
-    implicit: Callable | None = None  # maps (..., n) -> (..., codim)
-    implicit_jac: Callable | None = None
     inward_conormal: Callable | None = None  # params -> unit vector into the shape
     volume: float | None = None  # for role == "solid"
     unit_normal: Callable | None = None  # params -> unit normal (codim 1)
@@ -170,7 +168,7 @@ def _moved(x, rot, tr, scale):
 def _transform_stratum(s: SmoothStratum, rot, tr, scale) -> SmoothStratum:
     if s.chart is None:
         vol = None if s.volume is None else s.volume * scale**s.dim
-        return replace(s, volume=vol, implicit=None, implicit_jac=None)
+        return replace(s, volume=vol)
     base = s.chart
     chart = replace(
         base,
@@ -189,10 +187,7 @@ def _transform_stratum(s: SmoothStratum, rot, tr, scale) -> SmoothStratum:
 
     conormal = None if s.inward_conormal is None else rotated_field(s.inward_conormal)
     normal = None if s.unit_normal is None else rotated_field(s.unit_normal)
-    return replace(
-        s, chart=chart, inward_conormal=conormal, unit_normal=normal,
-        implicit=None, implicit_jac=None,
-    )
+    return replace(s, chart=chart, inward_conormal=conormal, unit_normal=normal)
 
 
 @dataclass(frozen=True)
@@ -515,8 +510,6 @@ def sphere_shape(radius: float = 1.0) -> SmoothShape:
         dim=2,
         chart=chart,
         role="top",
-        implicit=lambda x: (np.sum(np.asarray(x) ** 2, axis=-1) - R * R)[..., None],
-        implicit_jac=lambda x: 2.0 * np.asarray(x)[..., None, :],
         unit_normal=lambda p: r(p) / R,
     )
     return SmoothShape(3, (stratum,), f"sphere:{radius:g}", 2 * R)
@@ -554,24 +547,6 @@ def torus_shape(R: float = 2.0, r: float = 1.0) -> SmoothShape:
         row1 = np.stack([d_thph, d_phph], axis=-2)
         return np.stack([row0, row1], axis=-3)
 
-    def implicit(x):
-        x = np.asarray(x, dtype=float)
-        rho = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
-        return ((rho - R) ** 2 + x[..., 2] ** 2 - r * r)[..., None]
-
-    def implicit_jac(x):
-        x = np.asarray(x, dtype=float)
-        rho = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
-        g = np.stack(
-            [
-                2 * (rho - R) * x[..., 0] / rho,
-                2 * (rho - R) * x[..., 1] / rho,
-                2 * x[..., 2],
-            ],
-            axis=-1,
-        )
-        return g[..., None, :]
-
     def unit_normal(p):
         p = np.asarray(p, dtype=float)
         th, ph = p[..., 0], p[..., 1]
@@ -580,45 +555,32 @@ def torus_shape(R: float = 2.0, r: float = 1.0) -> SmoothShape:
         )
 
     chart = _chart_2d(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True), rr, dr, d2r)
-    stratum = SmoothStratum(
-        name="torus", dim=2, chart=chart, role="top", implicit=implicit,
-        implicit_jac=implicit_jac, unit_normal=unit_normal,
-    )
+    stratum = SmoothStratum(name="torus", dim=2, chart=chart, role="top", unit_normal=unit_normal)
     return SmoothShape(3, (stratum,), f"torus:{R:g}:{r:g}", 2 * (R + r))
 
 
-def _circle_chart(R: float, z: float = 0.0, ambient: int = 3) -> Chart:
+def _circle_chart(R: float) -> Chart:
+    """The circle of radius R about the origin of the xy-plane of R^3."""
     def r(p):
         t = np.asarray(p, dtype=float)[..., 0]
-        out = np.stack([R * np.cos(t), R * np.sin(t)] + [np.full_like(t, z)] * (ambient - 2), axis=-1)
-        return out
+        return np.stack([R * np.cos(t), R * np.sin(t), np.zeros_like(t)], axis=-1)
 
     def dr(p):
         t = np.asarray(p, dtype=float)[..., 0]
-        out = np.stack([-R * np.sin(t), R * np.cos(t)] + [np.zeros_like(t)] * (ambient - 2), axis=-1)
-        return out[..., None, :]
+        return np.stack([-R * np.sin(t), R * np.cos(t), np.zeros_like(t)], axis=-1)[..., None, :]
 
     def d2r(p):
         t = np.asarray(p, dtype=float)[..., 0]
-        out = np.stack([-R * np.cos(t), -R * np.sin(t)] + [np.zeros_like(t)] * (ambient - 2), axis=-1)
-        return out[..., None, None, :]
+        return np.stack([-R * np.cos(t), -R * np.sin(t), np.zeros_like(t)], axis=-1)[..., None, None, :]
 
     return Chart(dim=1, bounds=((0.0, 2 * math.pi),), periodic=(True,), r=r, dr=dr, d2r=d2r)
 
 
-def circle_shape(radius: float = 1.0, ambient_dim: int = 3) -> SmoothShape:
+def circle_shape(radius: float = 1.0) -> SmoothShape:
+    """The circle of the given radius in the xy-plane of R^3."""
     R = float(radius)
-
-    def implicit(x):
-        x = np.asarray(x, dtype=float)
-        parts = [x[..., 0] ** 2 + x[..., 1] ** 2 - R * R]
-        parts += [x[..., i] for i in range(2, ambient_dim)]
-        return np.stack(parts, axis=-1)
-
-    stratum = SmoothStratum(
-        name="circle", dim=1, chart=_circle_chart(R, ambient=ambient_dim), role="top", implicit=implicit
-    )
-    return SmoothShape(ambient_dim, (stratum,), f"circle:{radius:g}", 2 * R)
+    stratum = SmoothStratum(name="circle", dim=1, chart=_circle_chart(R), role="top")
+    return SmoothShape(3, (stratum,), f"circle:{radius:g}", 2 * R)
 
 
 def disk_shape(radius: float = 1.0) -> SmoothShape:
@@ -660,7 +622,6 @@ def disk_shape(radius: float = 1.0) -> SmoothShape:
         dim=2,
         chart=top_chart,
         role="top",
-        implicit=lambda x: np.asarray(x, dtype=float)[..., 2:3],
         unit_normal=unit_normal,
     )
 
@@ -674,13 +635,6 @@ def disk_shape(radius: float = 1.0) -> SmoothShape:
         chart=_circle_chart(R),
         role="rim",
         inward_conormal=rim_conormal,
-        implicit=lambda x: np.stack(
-            [
-                np.asarray(x)[..., 0] ** 2 + np.asarray(x)[..., 1] ** 2 - R * R,
-                np.asarray(x)[..., 2],
-            ],
-            axis=-1,
-        ),
     )
     return SmoothShape(3, (top, rim), f"disk:{radius:g}", 2 * R)
 
@@ -704,13 +658,6 @@ def hemisphere_shape(radius: float = 1.0) -> SmoothShape:
         chart=_circle_chart(R),
         role="rim",
         inward_conormal=rim_conormal,
-        implicit=lambda x: np.stack(
-            [
-                np.asarray(x)[..., 0] ** 2 + np.asarray(x)[..., 1] ** 2 - R * R,
-                np.asarray(x)[..., 2],
-            ],
-            axis=-1,
-        ),
     )
     return SmoothShape(3, (top, rim), f"hemisphere:{radius:g}", 2 * R)
 
@@ -736,9 +683,6 @@ def ellipse_shape(a: float = 2.0, b: float = 1.0) -> SmoothShape:
         dim=1,
         chart=chart,
         role="top",
-        implicit=lambda x: (
-            (np.asarray(x)[..., 0] / a) ** 2 + (np.asarray(x)[..., 1] / b) ** 2 - 1.0
-        )[..., None],
     )
     return SmoothShape(2, (stratum,), f"ellipse:{a:g}:{b:g}", 2 * max(a, b))
 

@@ -79,7 +79,7 @@ def sampled_mean_normal_index(K: StratifiedComplex, cell, n_dirs: int, rng: Rand
     comp = LinearSubspace(K.ambient_dim, K.cell_span(cell)).orthogonal_complement().basis
     m = comp.shape[0]  # dimension of the normal space
     if m == 1:
-        idx, ok = normal_morse_index_many(K, cell, np.stack([comp[0], -comp[0]]), link)
+        idx, ok = normal_morse_index_many(K, cell, np.stack([comp[0], -comp[0]]))
         if not ok.all():
             raise DegenerateDirectionError("wall-aligned facet normal")
         return Estimate(fmean(idx.astype(float).tolist()), 0.0, 2, rng.master_seed,
@@ -91,7 +91,7 @@ def sampled_mean_normal_index(K: StratifiedComplex, cell, n_dirs: int, rng: Rand
         batch = max(n_dirs - len(vals), 64)
         g = gen.standard_normal((batch, m))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        idx, ok = normal_morse_index_many(K, cell, g @ comp, link)
+        idx, ok = normal_morse_index_many(K, cell, g @ comp)
         attempts += batch
         if attempts > 50 * n_dirs:
             raise DegenerateDirectionError("persistent wall alignment in normal sampling")

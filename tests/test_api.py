@@ -43,6 +43,16 @@ def test_public_names_import():
     assert set(lkpolar.__all__) <= set(namespace)
 
 
+def test_every_exported_name_exists():
+    # a deleted function must not stay in the __all__ of its module
+    missing = []
+    for info in pkgutil.iter_modules(lkpolar.__path__):
+        module = importlib.import_module(f"lkpolar.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert not missing
+
+
 # every call into lkpolar that perfbench/workloads.py makes, with arguments of
 # the same shape: (function, positional arguments, keyword arguments)
 BENCHMARK_CALLS = {

@@ -116,6 +116,22 @@ def test_bad_catalog_parameter_is_a_json_error(spec):
     assert spec in report["error"]
 
 
+@pytest.mark.parametrize("spec", ["sphere:1:2", "torus:2:1:3", "disk:1:1", "cube:1:2",
+                                  "octahedron:1", "ellipse:2:1:1"])
+def test_extra_catalog_parameter_is_a_json_error(spec):
+    report, status = run(["measure", "--shape", spec, "--k", "1", "--samples", "10"])
+    assert status == 2
+    assert spec in report["error"] and "at most" in report["error"]
+
+
+def test_missing_cone_link_file_is_a_json_error(tmp_path):
+    for path in ("/no/such.plstrat", str(tmp_path)):
+        report, status = run(["local", "--germ", f"cone-link:{path}", "--samples", "10"])
+        assert status == 2
+        assert path in report["error"]
+        assert report["config"]["germ"] == f"cone-link:{path}"
+
+
 def test_main_prints_rows(capsys):
     status = main(["measure", "--shape", "sphere:1", "--k", "0", "--samples", "1", "--seed", "1"])
     captured = capsys.readouterr()

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lkpolar.geomkit import RandomSource
+from lkpolar.geomkit import RandomSource, ball_volume, sample_grassmannian
 from lkpolar.germ import (
     ConeGerm,
+    _pl_local_polar_one,
     density,
     germ_from_name,
     halfplane_germ,
@@ -16,7 +17,9 @@ from lkpolar.germ import (
     sigma_invariant,
     verify_local_identities,
 )
-from lkpolar.plstrata import StratifiedComplex, save_plstrat
+from lkpolar.plstrata import StratifiedComplex, normal_link, save_plstrat
+
+from oracles import geometric_normal_index
 
 
 def within(e, ref, floor=1e-9):
@@ -178,6 +181,48 @@ def test_local_polar_halfplane():
     assert within(l1, 0.5)
     l0 = local_polar_length(g, 0, 1500, RandomSource(19))
     assert within(l0, 0.0)
+
+
+def _oracle_local_polar_one(X, k, P):
+    """One plane of the local polar length, cone cell by cone cell: alpha by
+    the geometric sublevel route along the image normal (a right angle in
+    the plane of P for a ray, a cross product in P for a 2-cell), times the
+    angle of the projected rays over k b_k."""
+    T = X.model
+    if k == 0:
+        cells, normals, weights = [(0,)], [P.basis[0]], [1.0]  # the apex alone
+    else:
+        cells = [c for c in T.cells[k] if 0 in c]
+        normals, weights = [], []
+        for cell in cells:
+            coords = T.vertices[list(cell[1:])] @ P.basis.T
+            if k == 1:
+                w, angle = np.array([-coords[0, 1], coords[0, 0]]), 1.0
+            else:
+                w = np.cross(coords[0], coords[1])
+                a, b = coords / np.linalg.norm(coords, axis=1)[:, None]
+                angle = math.acos(float(np.clip(a @ b, -1.0, 1.0)))
+            nu = w @ P.basis
+            normals.append(nu / np.linalg.norm(nu))
+            weights.append(angle / (k * ball_volume(k)))
+    total = 0.0
+    for cell, nu, weight in zip(cells, normals, weights):
+        link = normal_link(T, cell)
+        alpha = 0.5 * (geometric_normal_index(T, cell, nu, link)
+                       + geometric_normal_index(T, cell, -nu, link))
+        total += alpha * weight
+    return total
+
+
+@pytest.mark.parametrize("name", ["rays:5", "halfplane:3"])
+def test_pl_local_polar_one_matches_oracle(name):
+    X = germ_from_name(name)
+    gen = RandomSource(61).generator()
+    for k in range(X.dim + 1):
+        for _ in range(8):
+            P = sample_grassmannian(X.ambient_dim, k + 1, gen)
+            assert _pl_local_polar_one(X, k, P) == pytest.approx(
+                _oracle_local_polar_one(X, k, P), rel=1e-12, abs=1e-15), (k, P.basis)
 
 
 def test_local_polar_round_cone():

@@ -155,7 +155,7 @@ def test_normal_morse_index_matches_refinement_oracle():
                     continue
                 eta = 0.5 * np.min(np.abs(vals))
                 expected = 1 - sublevel_chi_by_refinement(link, v, eta)
-                assert normal_morse_index(K, cell, v, link) == expected
+                assert normal_morse_index(K, cell, v) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_normal_link_top_cell_empty():
     nl = normal_link(K, K.cells[3][0])
     assert len(nl.vertex_ids) == 0
     # empty link: the slice is empty, so the index is 1 for any direction
-    assert normal_morse_index(K, K.cells[3][0], np.zeros(3), link=nl) == 1
+    assert normal_morse_index(K, K.cells[3][0], np.zeros(3)) == 1
 
 
 def test_normal_link_missing_cell():
@@ -430,12 +430,11 @@ def test_interior_cells_have_zero_mean_index():
     assert interior_tris
     gen = RandomSource(17).generator()
     for t in interior_tris:
-        link = normal_link(K, t)
         span = K.cell_span(t)
         normal = np.cross(span[0], span[1])
         # both sides see a disk slice: index 0 each
-        assert normal_morse_index(K, t, normal, link) == 0
-        assert normal_morse_index(K, t, -normal, link) == 0
+        assert normal_morse_index(K, t, normal) == 0
+        assert normal_morse_index(K, t, -normal) == 0
 
 
 def test_degenerate_direction_raises():
@@ -462,7 +461,7 @@ def test_index_depends_only_on_sign_pattern():
         vals = link.directions @ v
         if np.min(np.abs(vals)) < 1e-3:
             continue
-        base = normal_morse_index(K, edge, v, link)
+        base = normal_morse_index(K, edge, v)
         # perturb without crossing any wall
         for _ in range(5):
             dv = 1e-4 * sample_unit_sphere(3, gen)
@@ -470,22 +469,34 @@ def test_index_depends_only_on_sign_pattern():
             w /= np.linalg.norm(w)
             if np.min(np.abs(link.directions @ w)) < 1e-6:
                 continue
-            assert normal_morse_index(K, edge, w, link) == base
+            assert normal_morse_index(K, edge, w) == base
 
 
 def test_normal_morse_index_many_matches_scalar():
+    # the batched indices against the refinement oracle, one direction at a
+    # time, on cells of every dimension with a nonempty link; below the
+    # facets the last four directions lie on a wall (orthogonal to a link
+    # direction)
     K = solid_cube()
-    vidx = {tuple(v): i for i, v in enumerate(K.vertices)}
-    edge = tuple(sorted((vidx[(0.0, 0.0, 0.0)], vidx[(0.0, 0.0, 1.0)])))
-    link = normal_link(K, edge)
     gen = RandomSource(29).generator()
-    th = gen.uniform(0, 2 * math.pi, 64)
-    vs = np.stack([np.cos(th), np.sin(th), np.zeros(64)], axis=1)
-    many, valid = normal_morse_index_many(K, edge, vs, link)
-    for v, idx, ok in zip(vs, many, valid):
-        if not ok:
-            continue
-        assert normal_morse_index(K, edge, v, link) == idx
+    checked = 0
+    for d in (0, 1, 2):
+        for cell in K.cells[d][::3]:
+            link = normal_link(K, cell)
+            comp = LinearSubspace(3, K.cell_span(cell)).orthogonal_complement().basis
+            vs = gen.standard_normal((20, len(comp))) @ comp
+            u = link.directions[gen.integers(len(link.directions), size=4)]
+            if d < 2:
+                vs[16:] -= np.sum(vs[16:] * u, axis=1, keepdims=True) * u
+            many, valid = normal_morse_index_many(K, cell, vs)
+            assert d == 2 or not valid[16:].any()
+            for v, idx, ok in zip(vs, many, valid):
+                vals = link.directions @ v
+                assert ok == (np.min(np.abs(vals)) > 1e-8 * np.linalg.norm(v))
+                if ok:
+                    assert idx == 1 - sublevel_chi_by_refinement(link, v, 0.5 * np.min(np.abs(vals)))
+                    checked += 1
+    assert checked > 200
 
 
 # ---------------------------------------------------------------------------

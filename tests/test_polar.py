@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian
 from lkpolar.geomkit import image_normal, image_normals
 from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_name
-from lkpolar.plstrata import DegenerateDirectionError, normal_link, pl_alpha
+from lkpolar.plstrata import DegenerateDirectionError, normal_link
 from lkpolar import polar
 from lkpolar.polar import (
     DegeneratePlaneError,
@@ -45,12 +45,15 @@ def _generic_plane(seed, n=3, k=2):
     return sample_grassmannian(n, k, RandomSource(seed).generator())
 
 
-def _slice_chi_alpha(K, cell, P):
-    """alpha of a PL cell by the geometric sublevel route."""
-    nu = image_normal(K.cell_span(cell), P)
+def _oracle_alpha(K, cell, nu):
+    """alpha of a PL cell along nu by the geometric sublevel route."""
     link = normal_link(K, cell)
     return 0.5 * (geometric_normal_index(K, cell, nu, link)
                   + geometric_normal_index(K, cell, -nu, link))
+
+
+def _slice_chi_alpha(K, cell, P):
+    return _oracle_alpha(K, cell, image_normal(K.cell_span(cell), P))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +344,7 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
                     continue
                 try:
                     reference = [
-                        pl_alpha(K, p.stratum, _image_normal_alone(K.cell_span(p.stratum), P))
+                        _oracle_alpha(K, p.stratum, _image_normal_alone(K.cell_span(p.stratum), P))
                         * _volume_alone(p.geometry) if len(p.stratum) == q + 1 else 0.0
                         for p in sample.pieces
                     ]
