@@ -29,19 +29,22 @@ __all__ = [
     "polar_length_constant",
     "sample_unit_sphere",
     "sample_grassmannian",
+    "draw_grassmannian",
+    "grassmannian_bases",
     "sample_affine_flats_hitting_ball",
     "simplex_volume",
     "simplex_volumes",
-    "image_normal",
     "image_normals",
     "DegenerateDirectionError",
     "fmean",
     "mean_estimate",
     "per_sample_values",
+    "each_draw",
 ]
 
 ORTHO_TOL = 1e-10
 MAX_REDRAWS = 200  # draws per sample before a Monte-Carlo route gives up
+BLOCK = 256  # samples per values() call of per_sample_values; one block of generators is alive
 
 
 class DegenerateDirectionError(ValueError):
@@ -179,29 +182,57 @@ class RandomSource:
         )
 
 
-def per_sample_values(n: int, rng: RandomSource, trial, retry, what: str) -> list[float]:
-    """The value of ``trial(i, gen)`` for each sample i = 0..n-1, where gen is
-    the generator of ``rng.substream(i)``, so the values do not depend on the
-    order in which samples run.
+def per_sample_values(n: int, rng: RandomSource, draw, values, what: str) -> list[float]:
+    """The value of each sample i = 0..n-1.
 
-    A trial that raises one of the exceptions ``retry`` drew a non-generic
-    plane, direction or flat (a measure-zero event); it is drawn again from
-    the same generator.  After MAX_REDRAWS draws for one sample the route
-    ``what`` gives up with a RuntimeError.
+    Sample i draws ``draw(gen)`` from the generator of ``rng.substream(i)``.
+    The samples run in blocks of at most BLOCK: ``values(samples, draws)``
+    evaluates the draws of a block, in one stacked call where the route has
+    one, and returns their values and a redraw mask.  A flagged draw was a
+    non-generic plane, direction or flat (a measure-zero event): its sample
+    draws again from its own generator, and only the flagged samples are
+    evaluated again.  A value is that of its sample's first unflagged draw,
+    so the values depend neither on the order of the samples nor on the
+    block.  After MAX_REDRAWS draws for one sample the route ``what`` gives
+    up with a RuntimeError that names the lowest such sample.
     """
-    values = []
-    for i in range(n):
-        gen = rng.substream(i).generator()
-        for _ in range(MAX_REDRAWS):
-            try:
-                values.append(trial(i, gen))
+    out: list[float] = []
+    for start in range(0, n, BLOCK):
+        gens = [rng.substream(i).generator() for i in range(start, min(start + BLOCK, n))]
+        vals = np.empty(len(gens))
+        todo = np.arange(len(gens))  # block positions without a value yet
+        draws = [draw(gen) for gen in gens]
+        for attempt in range(1, MAX_REDRAWS + 1):
+            got, redraw = values((start + todo).tolist(), draws)
+            redraw = np.asarray(redraw, dtype=bool)
+            vals[todo[~redraw]] = np.asarray(got, dtype=float)[~redraw]
+            todo = todo[redraw]
+            if not len(todo):
                 break
-            except retry as err:
-                last = err
+            if attempt < MAX_REDRAWS:
+                draws = [draw(gens[j]) for j in todo]
         else:
-            raise RuntimeError(
-                f"{what}: resample quota of {MAX_REDRAWS} draws exceeded at sample {i}; "
-                f"last: {last}")
+            raise RuntimeError(f"{what}: resample quota of {MAX_REDRAWS} draws exceeded at "
+                               f"sample {start + todo[0]}")
+        out += vals.tolist()
+    return out
+
+
+def each_draw(fn, retry):
+    """A ``values`` for :func:`per_sample_values` that evaluates
+    ``fn(sample, draw)`` one draw at a time and flags the draws whose
+    evaluation raises one of the exceptions ``retry``."""
+
+    def values(samples, draws):
+        vals = np.zeros(len(draws))
+        redraw = np.zeros(len(draws), dtype=bool)
+        for j, (i, d) in enumerate(zip(samples, draws)):
+            try:
+                vals[j] = fn(i, d)
+            except retry:
+                redraw[j] = True
+        return vals, redraw
+
     return values
 
 
@@ -209,6 +240,13 @@ def _rng_of(rng: "RandomSource | np.random.Generator") -> np.random.Generator:
     if isinstance(rng, RandomSource):
         return rng.generator()
     return rng
+
+
+def _orthonormal(bases: np.ndarray) -> np.ndarray:
+    """Whether the rows of each (k, n) basis of a stack are orthonormal
+    within ORTHO_TOL; written so that a NaN entry fails too."""
+    gram = bases @ bases.swapaxes(-1, -2)
+    return np.abs(gram - np.eye(bases.shape[-2])).max(axis=(-2, -1)) <= ORTHO_TOL
 
 
 @dataclass(frozen=True)
@@ -226,8 +264,7 @@ class LinearSubspace:
         k, n = basis.shape
         if n != self.ambient_dim or not 0 <= k <= n:
             raise ValueError(f"bad basis shape {basis.shape} for ambient dim {self.ambient_dim}")
-        # written so that a NaN entry fails too
-        if k and not np.max(np.abs(basis @ basis.T - np.eye(k))) <= ORTHO_TOL:
+        if k and not _orthonormal(basis):
             raise ValueError("basis is not orthonormal within 1e-10")
 
     @property
@@ -310,21 +347,41 @@ def sample_unit_sphere(dim: int, rng: "RandomSource | np.random.Generator") -> n
 
 
 def sample_grassmannian(n: int, k: int, rng) -> LinearSubspace:
-    """Uniform (O(n)-invariant) random k-plane in R^n.
-
-    Orthonormalizes k independent standard Gaussian vectors; invariance follows
-    from the rotation invariance of the Gaussian ensemble.
-    """
+    """Uniform (O(n)-invariant) random k-plane in R^n: the one-sample view
+    of :func:`draw_grassmannian` and :func:`grassmannian_bases`, which
+    redraws a draw of deficient rank."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     if k == 0:
         return LinearSubspace(n, np.zeros((0, n)))
     gen = _rng_of(rng)
     while True:
-        g = gen.standard_normal((n, k))
-        q, r = np.linalg.qr(g)
-        if np.min(np.abs(np.diag(r))) > 1e-10:
-            return LinearSubspace(n, q.T)
+        bases, full = grassmannian_bases(draw_grassmannian(n, k, gen)[None])
+        if full[0]:
+            return LinearSubspace(n, bases[0])
+
+
+def draw_grassmannian(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
+    """The k standard Gaussian vectors of R^n, as the columns of an (n, k)
+    matrix, whose span is one uniform k-plane; invariance follows from the
+    rotation invariance of the Gaussian ensemble."""
+    return gen.standard_normal((n, k))
+
+
+def grassmannian_bases(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal row bases (S, k, n) of the spans of a stack of draws
+    (S, n, k) of :func:`draw_grassmannian`, and a mask of the draws of full
+    rank (every |r_ii| of their QR above 1e-10); a draw outside it is to be
+    redrawn.  One stacked QR gives each draw the bits of a lone QR, and a
+    basis is the transposed view of its Q, as a lone plane holds it.  A
+    full-rank basis that fails the orthonormality check of LinearSubspace
+    raises ValueError."""
+    q, r = np.linalg.qr(draws)
+    full = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 1e-10
+    bases = q.swapaxes(1, 2)
+    if not _orthonormal(bases[full]).all():
+        raise ValueError("basis is not orthonormal within 1e-10")
+    return bases, full
 
 
 def simplex_volume(points: np.ndarray) -> float:
@@ -341,28 +398,27 @@ def simplex_volumes(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.det(e @ e.swapaxes(1, 2)), 0.0)) / math.factorial(d)
 
 
-def image_normal(vectors: np.ndarray, P: LinearSubspace) -> np.ndarray:
-    """Unit vector of P orthogonal to the projections of the given vectors:
-    the normal of the image of their span.  With no vectors it is the first
-    basis vector of P."""
-    return image_normals(np.asarray(vectors)[None], P)[0]
-
-
-def image_normals(vectors: np.ndarray, P: LinearSubspace) -> np.ndarray:
-    """:func:`image_normal` of each (d, n) block of a (C, d, n) stack, as a
-    (C, n) array.  Every step is a stacked call that treats each block as a
-    lone call would, so a block's normal does not depend on the stack."""
-    coords = vectors @ P.basis.T  # (C, d, dim P)
-    if coords.shape[1] == 0:
-        nu_coords = np.zeros((len(coords), P.dim))
-        nu_coords[:, 0] = 1.0
+def image_normals(vectors: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vector of the plane with orthonormal row basis ``basis`` (m, n)
+    orthogonal to the projections of the d vectors of a (d, n) block: the
+    normal of the image of their span, and with no vectors the first basis
+    vector.  Leading axes of ``vectors`` (..., d, n) and ``basis``
+    (..., m, n) broadcast.  Returns the (..., n) normals and a (...) mask of
+    the blocks whose projected span is degenerate (a singular value below
+    1e-10), whose normal is not to be used.  Every step is a stacked call
+    that treats each block as a lone call would, so a normal does not
+    depend on the stack."""
+    coords = vectors @ basis.swapaxes(-1, -2)  # (..., d, m)
+    if coords.shape[-2] == 0:
+        nu_coords = np.zeros(coords.shape[:-2] + (basis.shape[-2],))
+        nu_coords[..., 0] = 1.0
+        degenerate = np.zeros(coords.shape[:-2], dtype=bool)
     else:
         _, s, vt = np.linalg.svd(coords, full_matrices=True)
-        if s.size and s.min() < 1e-10:
-            raise DegenerateDirectionError("projection of the span is degenerate")
-        nu_coords = vt[:, -1]
-    nu = nu_coords[:, None, :] @ P.basis  # (C, 1, n)
-    return (nu / np.sqrt(nu @ nu.swapaxes(1, 2)))[:, 0]
+        degenerate = s.min(axis=-1) < 1e-10
+        nu_coords = vt[..., -1, :]
+    nu = nu_coords[..., None, :] @ basis  # (..., 1, n)
+    return (nu / np.sqrt(nu @ nu.swapaxes(-1, -2)))[..., 0, :], degenerate
 
 
 def sample_affine_flats_hitting_ball(

@@ -27,23 +27,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geomkit import (
-    DegenerateDirectionError,
     Estimate,
     RandomSource,
     ball_volume,
+    draw_grassmannian,
+    grassmannian_bases,
     image_normals,
     mean_estimate,
     per_sample_values,
-    sample_grassmannian,
     sample_unit_sphere,
 )
 from .plstrata import (
     DegenerateSliceError,
     StratifiedComplex,
+    _normal_indices,
     load_plstrat,
     mean_normal_index,
-    pl_alpha_many,
-    slice_chi,
+    slice_chi_many,
 )
 
 __all__ = [
@@ -180,22 +180,36 @@ def germ_from_name(spec: str) -> ConeGerm:
 # densities
 # ---------------------------------------------------------------------------
 
-def _spherical_simplex_volume(units: np.ndarray) -> float:
-    """Volume of the spherical simplex spanned by the given unit vectors (a
-    point counts 1)."""
-    if len(units) == 1:
-        return 1.0
-    if units.shape[1] > 3:
-        raise NotImplementedError(f"spherical volumes in R^{units.shape[1]}: closed forms stop at R^3")
-    if len(units) == 2:
-        a, b = units
-        return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
-    if len(units) == 3:
-        a, b, c = units
-        num = abs(float(np.linalg.det(np.stack([a, b, c]))))
-        den = 1.0 + float(a @ b) + float(b @ c) + float(a @ c)
-        return 2.0 * abs(math.atan2(num, den))
-    raise NotImplementedError("spherical volumes implemented up to dimension 2")
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of two stacks of vectors, by the kernel that a lone
+    ``a @ b`` of two vectors calls, so each has the lone bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _spherical_simplex_volumes(units: np.ndarray) -> np.ndarray:
+    """Volumes of a stack (..., m, n) of spherical simplices, each spanned
+    by m unit vectors (a point counts 1).  The angles come from
+    ``math.atan2`` one simplex at a time: numpy's arctan2 differs from it
+    in the last bit."""
+    m, n = units.shape[-2:]
+    if m == 1:
+        return np.ones(units.shape[:-2])
+    if n > 3:
+        raise NotImplementedError(f"spherical volumes in R^{n}: closed forms stop at R^3")
+    if m == 2:
+        a, b = units[..., 0, :], units[..., 1, :]
+        w = np.cross(a, b)
+        num, den = np.sqrt(_dot(w, w)), _dot(a, b)
+        scale = 1.0
+    elif m == 3:
+        a, b, c = units[..., 0, :], units[..., 1, :], units[..., 2, :]
+        num = np.abs(np.linalg.det(units))
+        den = 1.0 + _dot(a, b) + _dot(b, c) + _dot(a, c)
+        scale = 2.0
+    else:
+        raise NotImplementedError("spherical volumes implemented up to dimension 2")
+    angles = [abs(math.atan2(y, x)) for y, x in zip(num.ravel().tolist(), den.ravel().tolist())]
+    return scale * np.array(angles).reshape(num.shape)
 
 
 def _free_link_cells(link: StratifiedComplex, d: int):
@@ -223,7 +237,7 @@ def density(X: ConeGerm, k: int) -> float:
         return 1.0 if not X.link.cells else 0.0
     total = 0.0
     for cell in _free_link_cells(X.link, k - 1):
-        total += _spherical_simplex_volume(X.link.vertices[list(cell)]) / k
+        total += float(_spherical_simplex_volumes(X.link.vertices[list(cell)])) / k
     return total / ball_volume(k)
 
 
@@ -231,83 +245,113 @@ def density(X: ConeGerm, k: int) -> float:
 # exact affine slices of cones
 # ---------------------------------------------------------------------------
 
-def _round_slice_chi(X: ConeGerm, A: np.ndarray, v: np.ndarray, delta: float) -> int:
-    """Slices of the round cone: radial reduction onto the link circle."""
-    k = A.shape[0]
+def _round_slices(X: ConeGerm, A: np.ndarray, v: np.ndarray):
+    """The slices of the round cone by a stack of flats (A (S, k, 3), v
+    (S, 3), as in :func:`_slice_chi_stabilized_many`), as a function
+    ``chis(live, delta)`` that returns chi and a degenerate mask for the
+    flats ``live`` at the offset delta.
+
+    Radial reduction onto the link circle: the slice is a superlevel set of
+    a trigonometric height (k = 1), or the points of an alignment function's
+    zero set that pass a height test (k = 2); a tangent level or a constant
+    alignment function is degenerate.  Everything but the comparison with
+    delta is computed once.  The hypot, atan2 and acos values come from
+    ``math`` one flat at a time, as numpy's differ from them in the last
+    bit."""
+    k = A.shape[1]
     theta = X.theta
     st, ct = math.sin(theta), math.cos(theta)
-    c = A @ v
-    # h(psi) = <A u(psi), c> = a cos(psi) + b sin(psi) + d
-    e1 = A @ np.array([1.0, 0.0, 0.0])
-    e2 = A @ np.array([0.0, 1.0, 0.0])
-    e3 = A @ np.array([0.0, 0.0, 1.0])
+    c = (A @ v[:, :, None])[:, :, 0]
+    # h(psi) = <A u(psi), c> = a cos(psi) + b sin(psi) + d; A e_j is column j of A
+    e1, e2, e3 = np.ascontiguousarray(A.transpose(2, 0, 1))
     if k == 1:
-        a = st * float(np.dot(e1, c))
-        b = st * float(np.dot(e2, c))
-        d = ct * float(np.dot(e3, c))
-        return _trig_superlevel_chi(a, b, d, delta)
+        a = st * (e1[:, 0] * c[:, 0])
+        b = st * (e2[:, 0] * c[:, 0])
+        d = ct * (e3[:, 0] * c[:, 0])
+        amp = np.array([math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        lo, hi = d - amp, d + amp
+
+        def chis(live, delta):
+            # 0 on the whole circle (lo > delta) or on none of it (hi < delta), 1 on an arc
+            degenerate = (np.abs(lo[live] - delta) < 1e-12) | (np.abs(hi[live] - delta) < 1e-12)
+            return ((lo[live] <= delta) & (hi[live] >= delta)).astype(int), degenerate
+
+        return chis
     if k == 2:
-        c_perp = np.array([-c[1], c[0]])
-        ag = st * float(e1 @ c_perp)
-        bg = st * float(e2 @ c_perp)
-        dg = ct * float(e3 @ c_perp)
-        ah = st * float(e1 @ c)
-        bh = st * float(e2 @ c)
-        dh = ct * float(e3 @ c)
-        amp = math.hypot(ag, bg)
-        if amp < 1e-12:
-            raise DegenerateSliceError("alignment function is constant")
-        phase = math.atan2(bg, ag)
-        val = -dg / amp
-        if abs(val) >= 1.0 - 1e-12:
-            return 0
-        roots = [phase + math.acos(val), phase - math.acos(val)]
-        count = 0
-        for psi in roots:
-            if ah * math.cos(psi) + bh * math.sin(psi) + dh > delta:
-                count += 1
-        return count
+        c_perp = np.stack([-c[:, 1], c[:, 0]], axis=1)
+        ag, bg, dg = st * _dot(e1, c_perp), st * _dot(e2, c_perp), ct * _dot(e3, c_perp)
+        ah, bh, dh = st * _dot(e1, c), st * _dot(e2, c), ct * _dot(e3, c)
+        amp = np.array([math.hypot(x, y) for x, y in zip(ag.tolist(), bg.tolist())])
+        flat = amp < 1e-12
+        phase = np.array([math.atan2(y, x) for x, y in zip(ag.tolist(), bg.tolist())])
+        val = -dg / np.where(flat, 1.0, amp)
+        cuts = ~flat & (np.abs(val) < 1.0 - 1e-12)
+        turn = np.array([math.acos(x) if cut else 0.0 for x, cut in zip(val.tolist(), cuts)])
+        heights = [np.where(cuts, ah * np.cos(psi) + bh * np.sin(psi) + dh, -np.inf)
+                   for psi in (phase + turn, phase - turn)]
+
+        def chis(live, delta):
+            return (heights[0][live] > delta) + (heights[1][live] > delta).astype(int), flat[live]
+
+        return chis
     if k == 3:
-        return 0  # the slice point misses the two-dimensional cone surface
+        # the slice point misses the two-dimensional cone surface
+        return lambda live, delta: (np.zeros(len(live), dtype=int),
+                                    np.zeros(len(live), dtype=bool))
     raise NotImplementedError
-
-
-def _trig_superlevel_chi(a: float, b: float, d: float, delta: float) -> int:
-    """chi of {psi : a cos(psi) + b sin(psi) + d >= delta} on the circle."""
-    amp = math.hypot(a, b)
-    lo, hi = d - amp, d + amp
-    if abs(lo - delta) < 1e-12 or abs(hi - delta) < 1e-12:
-        raise DegenerateSliceError("tangent slice level")
-    if lo > delta:
-        return 0  # the whole circle
-    if hi < delta:
-        return 0  # empty
-    return 1  # one arc
 
 
 def slice_chi_stabilized(X: ConeGerm, A: np.ndarray, v: np.ndarray) -> int:
     """chi((H + delta v) cap X cap B_1), where H^perp has orthonormal row
-    basis A and v is a unit vector of H^perp.  The slice at delta and
-    delta/2 must agree; halve until it does.
+    basis A and v is a unit vector of H^perp: the one-flat view of
+    :func:`_slice_chi_stabilized_many`.  A degenerate or unsettled slice
+    raises DegenerateSliceError."""
+    chi, unstable = _slice_chi_stabilized_many(X, np.asarray(A)[None], np.asarray(v)[None])
+    if unstable[0]:
+        raise DegenerateSliceError("slice through a face boundary, or failed to stabilize")
+    return int(chi[0])
+
+
+def _slice_chi_stabilized_many(X: ConeGerm, A: np.ndarray, v: np.ndarray):
+    """chi((H + delta v) cap X cap B_1) for a stack of flats: A (S, k, n) the
+    orthonormal row bases of the H^perp, v (S, n) unit vectors of them.  The
+    slice at delta and delta/2 must agree; halve until it does, starting
+    from SLICE_DELTA.  Only the flats that have not settled are sliced
+    again.
 
     A PL germ's cone model is the cone over the link polyhedron truncated at
-    radius 1, so its slice is :func:`lkpolar.plstrata.slice_chi` of the
-    model by {A x = delta A v}.
+    radius 1, so its slice is :func:`lkpolar.plstrata.slice_chi_many` of the
+    model by {A x = delta A v}.  Returns chi (S,) and a mask of the flats to
+    redraw: degenerate at some offset, or unsettled after SLICE_HALVINGS
+    halvings.
     """
-    def fn(delta):
-        if X.is_round:
-            return _round_slice_chi(X, A, v, delta)
-        return slice_chi(X.model, A, delta * (A @ v))
+    if X.is_round:
+        chis = _round_slices(X, A, v)
+    else:
+        images = X.model.vertices @ A.swapaxes(1, 2)  # (S, V, k), shared by every offset
+        Av = (A @ v[:, :, None])[:, :, 0]
 
+        def chis(live, delta):
+            chi, wall = slice_chi_many(X.model, images[live] - (delta * Av[live])[:, None, :])
+            return chi, wall >= 0
+
+    chi = np.zeros(len(A), dtype=int)
+    unstable = np.zeros(len(A), dtype=bool)
+    live = np.arange(len(A))
     delta = SLICE_DELTA
-    prev = fn(delta)
+    prev, degenerate = chis(live, delta)
     for _ in range(SLICE_HALVINGS):
-        cur = fn(delta / 2)
-        if cur == prev:
-            return cur
-        prev = cur
+        unstable[live[degenerate]] = True
+        live, prev = live[~degenerate], prev[~degenerate]
+        if not len(live):
+            break
+        cur, degenerate = chis(live, delta / 2)
+        settled = ~degenerate & (cur == prev)
+        chi[live[settled]] = cur[settled]
+        live, prev, degenerate = live[~settled], cur[~settled], degenerate[~settled]
         delta /= 2
-    raise DegenerateSliceError("slice Euler characteristic failed to stabilize")
+    unstable[live] = True
+    return chi, unstable
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +360,25 @@ def slice_chi_stabilized(X: ConeGerm, A: np.ndarray, v: np.ndarray) -> int:
 
 def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> Estimate:
     """Mean over (H, v) of the Euler characteristic of the slice
-    (H + delta v) cap X cap B_1, H uniform of codimension k."""
+    (H + delta v) cap X cap B_1, H uniform of codimension k.  A block of
+    samples is sliced in stacked calls: one QR, one slice kernel per
+    halving."""
     n = X.ambient_dim
     if k == 0:
         return Estimate(1.0, 0.0, 1, rng.master_seed, method="definition")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range")
 
-    def one(_, gen: np.random.Generator) -> float:
-        A = sample_grassmannian(n, k, gen).basis
-        v = sample_unit_sphere(k, gen) @ A
-        return float(slice_chi_stabilized(X, A, v))
+    def draw(gen: np.random.Generator):
+        return draw_grassmannian(n, k, gen), sample_unit_sphere(k, gen)
 
-    vals = per_sample_values(n_samples, rng, one, DegenerateSliceError, "affine slices")
+    def values(_, draws):
+        A, full = grassmannian_bases(np.stack([g for g, _ in draws]))
+        w = np.stack([u for _, u in draws])
+        chi, unstable = _slice_chi_stabilized_many(X, A, (w[:, None, :] @ A)[:, 0])
+        return chi, unstable | ~full
+
+    vals = per_sample_values(n_samples, rng, draw, values, "affine slices")
     return mean_estimate(vals, seed=rng.master_seed, method="affine-slices")
 
 
@@ -366,18 +416,20 @@ def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> 
     if k == 0:
         value = float(dens[0])
     else:
-        value = math.fsum(
-            dens[r] * _spherical_simplex_volume(T.vertices[T.plan.cells[k][r, 1:]]) / k
-            for r in _cone_rows(T, k)) / norm
+        rows = _cone_rows(T, k)
+        vols = _spherical_simplex_volumes(T.vertices[T.plan.cells[k][rows, 1:]])
+        value = math.fsum(dens[r] * vol / k for r, vol in zip(rows, vols)) / norm
     return Estimate(value, 0.0, 1, rng.master_seed, method="exterior-angle")
 
 
 def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate:
-    def one(_, gen: np.random.Generator) -> float:
-        v = sample_unit_sphere(3, gen)
-        return 1.0 - slice_chi_stabilized(X, v[None, :], -v)
+    def values(_, draws):
+        V = np.stack(draws)
+        chi, unstable = _slice_chi_stabilized_many(X, V[:, None, :], -V)
+        return 1.0 - chi, unstable
 
-    vals = per_sample_values(n_dirs, rng, one, DegenerateSliceError, "apex slices")
+    vals = per_sample_values(n_dirs, rng, lambda gen: sample_unit_sphere(3, gen), values,
+                             "apex slices")
     return mean_estimate(vals, seed=rng.master_seed, method="apex-slices")
 
 
@@ -387,7 +439,7 @@ def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate
 
 def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) -> Estimate:
     """Mean over planes P of dimension k+1 of the weighted densities of the
-    projected polar cone components."""
+    projected polar cone components, a block of planes per stacked call."""
     n = X.ambient_dim
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range")
@@ -400,13 +452,15 @@ def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) ->
         # normal sign and a maximum for the other, so alpha = 0 on them
         return Estimate(0.0, 0.0, 1, rng.master_seed, method="round-exact")
 
-    def one(_, gen: np.random.Generator) -> float:
-        P = sample_grassmannian(n, k + 1, gen)
+    def values(_, draws):
+        bases, full = grassmannian_bases(np.stack(draws))
         if X.is_round:
-            return _round_local_polar_one(X, P)
-        return _pl_local_polar_one(X, k, P)
+            vals, redraw = _round_local_polar_many(X, bases)
+        else:
+            vals, redraw = _pl_local_polar_many(X, k, bases)
+        return vals, redraw | ~full
 
-    vals = per_sample_values(n_planes, rng, one, (DegenerateDirectionError, DegenerateSliceError),
+    vals = per_sample_values(n_planes, rng, lambda gen: draw_grassmannian(n, k + 1, gen), values,
                              "local polar planes")
     return mean_estimate(vals, seed=rng.master_seed, method="local-polar-mc")
 
@@ -417,34 +471,48 @@ def _cone_rows(T: StratifiedComplex, k: int) -> np.ndarray:
     return np.flatnonzero(T.plan.cells[k][:, 0] == 0)
 
 
-def _pl_local_polar_one(X: ConeGerm, k: int, P) -> float:
+def _pl_local_polar_many(X: ConeGerm, k: int, bases: np.ndarray):
+    """The local polar value of each plane of a stack, with orthonormal row
+    bases (S, k + 1, n), and a mask of the planes to redraw: a projected ray
+    collapses, the image of a cone cell is degenerate, or an image normal
+    lies on a wall of its link.  The normal indices of all planes are one
+    kernel call, with the cone cells as rows and the planes as directions;
+    a direction not normal to its cell raises ValueError."""
     T = X.model
     if k == 0:
-        return float(pl_alpha_many(T, 0, [0], P.basis[:1])[0])
+        # the apex alone, along the line of each plane
+        down, up, wall = _normal_indices(T, 0, [0], bases[None, :, 0])
+        return 0.5 * (down + up), wall
     rows = _cone_rows(T, k)
     rays = T.vertices[T.plan.cells[k][rows, 1:]]  # (C, k, n)
-    proj = rays @ P.basis.T  # ray directions inside P
-    norms = np.linalg.norm(proj, axis=2)
-    if np.min(norms) < 1e-8:
-        raise DegenerateDirectionError("projected ray collapses")
+    proj = rays @ bases[:, None].swapaxes(-1, -2)  # (S, C, k, k + 1): ray directions inside P
+    norms = np.linalg.norm(proj, axis=3)
+    nus, degenerate = image_normals(T.plan.spans[k][rows], bases[:, None])  # (S, C, n)
+    redraw = (norms.min(axis=(1, 2)) < 1e-8) | degenerate.any(axis=1)
     # alpha is link-combinatorial, hence exactly constant along the cone
     # cell; no second-point stability probe is needed
-    alphas = pl_alpha_many(T, k, rows, image_normals(T.plan.spans[k][rows], P))
-    total = 0.0
-    for alpha, unit in zip(alphas, proj / norms[:, :, None]):
-        total += alpha * _spherical_simplex_volume(unit) / (k * ball_volume(k))
-    return total
+    ok = np.flatnonzero(~redraw)
+    down, up, wall = _normal_indices(T, k, rows, nus[ok].swapaxes(0, 1))  # plane j, cell i at j C + i
+    alphas = np.zeros((len(bases), len(rows)))
+    alphas[ok] = (0.5 * (down + up)).reshape(len(ok), len(rows))
+    redraw[ok] |= wall.reshape(len(ok), len(rows)).any(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a collapsed ray of a flagged plane
+        vols = _spherical_simplex_volumes(proj / norms[..., None])  # (S, C)
+    total = np.zeros(len(bases))
+    for alpha, vol in zip(alphas.T, vols.T):  # in cell order: a plane's running sum, bit for bit
+        total += alpha * vol / (k * ball_volume(k))
+    return total, redraw
 
 
-def _round_local_polar_one(X: ConeGerm, P) -> float:
-    """One plane at k = 2 or k = 0 (k = 1 is exactly 0)."""
-    if P.dim == 3:
+def _round_local_polar_many(X: ConeGerm, bases: np.ndarray):
+    """Planes of dimension 3 or 1 (k = 2 or k = 0; k = 1 is exactly 0)."""
+    if bases.shape[1] == 3:
         # identity projection: one sheet component, point slices, alpha = 1
-        return density(X, 2)
-    v = P.basis[0]
-    down = 1 - slice_chi_stabilized(X, v[None, :], -v)
-    up = 1 - slice_chi_stabilized(X, v[None, :], v)
-    return 0.5 * (down + up)
+        return np.full(len(bases), density(X, 2)), np.zeros(len(bases), dtype=bool)
+    v = bases[:, 0]
+    down, bad_down = _slice_chi_stabilized_many(X, bases, -v)
+    up, bad_up = _slice_chi_stabilized_many(X, bases, v)
+    return 0.5 * ((1 - down) + (1 - up)), bad_down | bad_up
 
 
 # ---------------------------------------------------------------------------

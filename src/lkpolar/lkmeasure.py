@@ -30,6 +30,7 @@ import numpy as np
 from .geomkit import (
     Estimate,
     RandomSource,
+    each_draw,
     mean_estimate,
     per_sample_values,
     sample_affine_flats_hitting_ball,
@@ -179,9 +180,9 @@ def shape_from_name(spec: str) -> Shape:
             return Shape(name=spec, pl=plstrata.load_plstrat(rest))
         except OSError as err:
             raise ValueError(f"cannot read PLSTRAT file {rest!r}: {err.strerror or err}") from err
-    arity = {"cube": 1, "octahedron": 0, "cube-boundary": 1, "torus7": 0, "segment": 1,
-             "sphere": 1, "torus": 2, "circle": 1, "disk": 1, "hemisphere": 1, "ellipse": 2,
-             "ball": 1}
+    arity = {"cube": 1, "octahedron": 0, "cube-boundary": 1, "square": 1, "torus7": 0,
+             "segment": 1, "sphere": 1, "torus": 2, "circle": 1, "disk": 1, "hemisphere": 1,
+             "ellipse": 2, "ball": 1}
     if head not in arity:
         raise ValueError(f"unknown shape {spec!r}")
     args = [float(a) for a in rest.split(":")] if rest else []
@@ -196,6 +197,8 @@ def shape_from_name(spec: str) -> Shape:
         return Shape(name=spec, pl=plstrata.octahedron_boundary())
     if head == "cube-boundary":
         return Shape(name=spec, pl=plstrata.cube_boundary(args[0] if args else 1.0))
+    if head == "square":
+        return Shape(name=spec, pl=plstrata.square_boundary(args[0] if args else 1.0))
     if head == "torus7":
         return Shape(name=spec, pl=plstrata.torus_7vertex())
     if head == "segment":
@@ -385,17 +388,12 @@ def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     Equals the 0-th curvature measure; per-direction sums are exact integers,
     non-generic directions are redrawn within their substream.
     """
-    values = per_sample_values(n_heights, rng, lambda _, gen: _exchange_one(X, gen),
-                               (DegenerateDirectionError, DegenerateHeightError),
-                               "exchange formula")
+    morse_sum = _morse_sum_pl if X.pl is not None else _morse_sum_smooth
+    values = per_sample_values(
+        n_heights, rng, lambda gen: sample_unit_sphere(X.ambient_dim, gen),
+        each_draw(lambda _, v: morse_sum(X, v), (DegenerateDirectionError, DegenerateHeightError)),
+        "exchange formula")
     return mean_estimate(values, seed=rng.master_seed, method="morse-counting")
-
-
-def _exchange_one(X: Shape, gen: np.random.Generator) -> float:
-    v = sample_unit_sphere(X.ambient_dim, gen)
-    if X.pl is not None:
-        return float(_morse_sum_pl(X, v))
-    return float(_morse_sum_smooth(X, v))
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +446,16 @@ def kinematic_check(
         raise ValueError("flat dimension k must be in 1..n-1")
     center, radius = X.bounding_ball()
 
-    def one(_, gen: np.random.Generator) -> float:
-        flat, weight = sample_affine_flats_hitting_ball(n, k, radius, gen)
+    def one(_, draw) -> float:
+        flat, weight = draw
         shifted = type(flat)(direction=flat.direction, offset=flat.offset + (
             center - flat.direction.project(center)))
         return weight * slice_euler_characteristic(X, shifted)
 
     numer = mean_estimate(
-        per_sample_values(n_flats, rng, one, DegenerateSliceError, "kinematic check"),
+        per_sample_values(n_flats, rng,
+                          lambda gen: sample_affine_flats_hitting_ball(n, k, radius, gen),
+                          each_draw(one, DegenerateSliceError), "kinematic check"),
         seed=rng.master_seed, method="flat-mc",
     )
     denom = lk_measure(X, n - k, RandomSource(rng.master_seed, rng.stream_id + 7919))

@@ -22,11 +22,12 @@ direction, so each complex also keeps a :class:`ComplexPlan`: the cells as
 vertex arrays (the Morse indices of heights read these), their orthonormal
 spans stacked per dimension, the vertex stars that link queries read, the
 flattened links that the normal indices and :func:`mean_normal_index` read,
-and the face tables that :func:`slice_chi` reads.
+and the face tables that :func:`slice_chi_many` reads.
 
 The Euler characteristic of the complex cut by an affine flat, which the
 kinematic check and the polar invariants of cone germs average, is one rule,
-:func:`slice_chi`: additivity over the open cells that the flat meets.
+:func:`slice_chi_many` over a stack of flats (:func:`slice_chi` is its
+one-flat view): additivity over the open cells that the flat meets.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "pl_alpha_many",
     "pl_morse_indices",
     "slice_chi",
+    "slice_chi_many",
     "segment_complex",
     "square_boundary",
     "octahedron_boundary",
@@ -211,7 +213,7 @@ class ComplexPlan:
     the cells of dimension >= 1 that contain vertex ``x``.  ``link_tables``
     fills per dimension on first use (see :func:`normal_morse_index` and
     :func:`mean_normal_index`), and ``face_tables`` per flat codimension
-    (see :func:`slice_chi`).
+    (see :func:`slice_chi_many`).
     """
 
     cells: dict[int, np.ndarray]  # d -> (C_d, d + 1) vertex ids
@@ -500,32 +502,50 @@ def _face_table(K: StratifiedComplex, c: int):
 
 def slice_chi(K: StratifiedComplex, A: np.ndarray, b: np.ndarray) -> int:
     """Euler characteristic of the slice of K by the flat {x : A x = b}, of
-    codimension c = len(A) (independent rows).
+    codimension c = len(A) (independent rows): the one-flat view of
+    :func:`slice_chi_many`.  A flat through a face boundary, or along a face
+    it meets, raises DegenerateSliceError."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    chi, wall = slice_chi_many(K, (K.vertices @ A.T - np.asarray(b, dtype=float))[None])
+    if wall[0] >= 0:
+        face = K.cells[len(A)][wall[0]]
+        raise DegenerateSliceError(f"flat through the boundary of face {face}, or along it")
+    return int(chi[0])
+
+
+def slice_chi_many(K: StratifiedComplex, images: np.ndarray):
+    """Euler characteristics of the slices of K by a stack of flats
+    {x : A x = b} of one codimension c, given by the images of the vertices
+    under x -> A x - b: an (S, V, c) stack, where A has independent rows.
+    Flats that share A (offsets along one direction) share K.vertices @ A.T.
 
     chi is additive over open cells, and a flat that meets an open d-cell
     generically cuts it in an open (d - c)-cell, which adds (-1)^(d - c).  A
     d-cell meets the flat exactly when one of its c-faces does, and a c-face
-    meets it exactly when b lies inside the face's image under A: when the
-    barycentric coordinates of b there, the signed c x c minors of the image
-    translated by -b, all have one sign.  A flat through a face boundary, or
-    along a face it meets, leaves the minors of a c-face with no sign against
-    the others and one of them within SLICE_TOL (per unit^c of the largest
-    image coordinate) of 0, and raises DegenerateSliceError.  A face that is
-    parallel to the flat but off it has minors of both signs and is missed.
+    meets it exactly when 0 lies inside the face's image: when the
+    barycentric coordinates of 0 there, the signed c x c minors of the
+    image, all have one sign.  A flat through a face boundary, or along a
+    face it meets, leaves the minors of a c-face with no sign against the
+    others and one of them within SLICE_TOL (per unit^c of the largest image
+    coordinate) of 0: the flat is degenerate, and its slice is not to be
+    used.  A face that is parallel to the flat but off it has minors of
+    both signs and is missed.
+
+    Returns chi (S,) and wall (S,): for a degenerate flat the plan row of
+    the c-face nearest to sign-less, for a generic one -1.  The minors of
+    every flat are one stacked determinant call, which gives each the bits
+    of a lone call.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    c = len(A)
+    S, c = len(images), images.shape[2]
     if c not in K.cells:
-        return 0  # no cell of dimension c or more
+        return np.zeros(S, dtype=int), np.full(S, -1)  # no cell of dimension c or more
     minors, signs, faces, weights = _face_table(K, c)
-    q = K.vertices @ A.T - np.asarray(b, dtype=float)  # (V, c)
-    det = np.linalg.det(q[minors]) * signs  # (F, c + 1)
-    margin = np.maximum(det.min(axis=1), -det.max(axis=1))
-    tol = SLICE_TOL * max(1.0, float(np.abs(q).max(initial=0.0))) ** c
-    if np.any(np.abs(margin) <= tol):
-        face = K.cells[c][int(np.argmin(np.abs(margin)))]
-        raise DegenerateSliceError(f"flat through the boundary of face {face}, or along it")
-    return int(weights @ (margin > 0.0)[faces].any(axis=1))
+    det = np.linalg.det(images[:, minors]) * signs  # (S, F, c + 1)
+    margin = np.maximum(det.min(axis=2), -det.max(axis=2))  # > 0 where the flat meets a face
+    tol = SLICE_TOL * np.maximum(1.0, np.abs(images).max(axis=(1, 2), initial=0.0)) ** c
+    near = np.abs(margin)
+    wall = np.where((near <= tol[:, None]).any(axis=1), near.argmin(axis=1), -1)
+    return (margin > 0.0)[:, faces].any(axis=2) @ weights, wall
 
 
 # ---------------------------------------------------------------------------

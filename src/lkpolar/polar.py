@@ -27,6 +27,7 @@ from .geomkit import (
     Estimate,
     LinearSubspace,
     RandomSource,
+    each_draw,
     image_normals,
     mean_estimate,
     per_sample_values,
@@ -619,8 +620,7 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     if X.pl is not None:
         K = X.pl
         cell = tuple(sorted(stratum))
-        d, rows = len(cell) - 1, [K.plan.rows[cell]]
-        return float(pl_alpha_many(K, d, rows, image_normals(K.plan.spans[d][rows], P))[0])
+        return float(_pl_alphas(K, len(cell) - 1, [K.plan.rows[cell]], P)[0])
     S = stratum
     params, point = source
     if S.dim == q:
@@ -635,6 +635,15 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     if not valid[0]:
         raise DegenerateDirectionError("vanishing fold curvature (cusp)")
     return float(alphas[0])
+
+
+def _pl_alphas(K, d: int, rows, P: LinearSubspace) -> np.ndarray:
+    """alpha of the d-cells at the plan rows ``rows`` on the plane P: the
+    half-sums of their normal indices along +-(image normal)."""
+    nus, degenerate = image_normals(K.plan.spans[d][rows], P.basis)
+    if degenerate.any():
+        raise DegenerateDirectionError("projection of the span is degenerate")
+    return pl_alpha_many(K, d, rows, nus)
 
 
 def _q0_alphas(S: SmoothStratum, params, v: np.ndarray, morse_indices) -> np.ndarray:
@@ -686,7 +695,7 @@ def _pl_piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
             raise NotImplementedError("region restriction on PL polar images")
         K = X.pl
         rows = [K.plan.rows[pieces[i].stratum] for i in at]
-        alphas = pl_alpha_many(K, q, rows, image_normals(K.plan.spans[q][rows], P))
+        alphas = _pl_alphas(K, q, rows, P)
         vols = simplex_volumes(np.stack([pieces[i].geometry for i in at]))
         for i, val in zip(at, (alphas * vols).tolist()):
             vals[i] = val
@@ -846,8 +855,7 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         if keep_rows:
             rows.append((i, P.basis.copy(), {}, "+".join(reasons)))
 
-    def one(i: int, gen) -> float:
-        P = sample_grassmannian(n, q + 1, gen)
+    def one(i: int, P: LinearSubspace) -> float:
         sample = polar_sample(X, P)
         if sample.degenerate:
             reasons = sample.report.reasons() or ["other"]
@@ -869,8 +877,10 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
             rows.append((i, P.basis.copy(), per_stratum, ""))
         return m
 
-    values = per_sample_values(n_planes, rng, one, (DegeneratePlaneError, DegenerateDirectionError),
-                               "polar planes")
+    values = per_sample_values(
+        n_planes, rng, lambda gen: sample_grassmannian(n, q + 1, gen),
+        each_draw(one, (DegeneratePlaneError, DegenerateDirectionError)), "polar planes")
+    rows.sort(key=lambda row: row[0])  # a block evaluates its redraws after its first draws
     const = polar_length_constant(n, q)
     est = mean_estimate(values, seed=seed, method="polar-mc").scaled(const)
     return PolarLengthResult(

@@ -117,11 +117,21 @@ def test_bad_catalog_parameter_is_a_json_error(spec):
 
 
 @pytest.mark.parametrize("spec", ["sphere:1:2", "torus:2:1:3", "disk:1:1", "cube:1:2",
-                                  "octahedron:1", "ellipse:2:1:1"])
+                                  "octahedron:1", "ellipse:2:1:1", "square:1:2"])
 def test_extra_catalog_parameter_is_a_json_error(spec):
     report, status = run(["measure", "--shape", spec, "--k", "1", "--samples", "10"])
     assert status == 2
     assert spec in report["error"] and "at most" in report["error"]
+
+
+@pytest.mark.parametrize("spec, side", [("square", 1.0), ("square:2.5", 2.5)])
+def test_measure_square(spec, side):
+    # the boundary of a square: Euler characteristic 0 and its length, exactly
+    report, status = run(["measure", "--shape", spec, "--k", "0,1", "--samples", "10"])
+    assert status == 0
+    rows = report["rows"]
+    assert [(r["k"], r["value"], r["std_error"]) for r in rows] == [(0, 0.0, 0.0),
+                                                                  (1, 4 * side, 0.0)]
 
 
 def test_missing_cone_link_file_is_a_json_error(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from lkpolar.geomkit import RandomSource, ball_volume, sample_grassmannian
 from lkpolar.germ import (
     ConeGerm,
-    _pl_local_polar_one,
+    _pl_local_polar_many,
     density,
     germ_from_name,
     halfplane_germ,
@@ -15,9 +15,11 @@ from lkpolar.germ import (
     rays_germ,
     round_cone_germ,
     sigma_invariant,
+    slice_chi_stabilized,
     verify_local_identities,
 )
-from lkpolar.plstrata import StratifiedComplex, normal_link, save_plstrat
+from lkpolar import germ
+from lkpolar.plstrata import DegenerateSliceError, StratifiedComplex, normal_link, save_plstrat
 
 from oracles import geometric_normal_index
 
@@ -99,6 +101,40 @@ def test_halfplane_germ_in_r4():
         density(g, 2)
 
 
+@pytest.mark.parametrize("name", ["rays:3", "halfplane:3", "cone-circle:0.6"])
+def test_stacked_stabilized_slices_are_lone_slices(name):
+    X = germ_from_name(name)
+    gen = RandomSource(65).generator()
+    for k in range(1, X.ambient_dim + 1):
+        planes = [sample_grassmannian(X.ambient_dim, k, gen).basis for _ in range(40)]
+        vs = [gen.standard_normal(k) @ A for A in planes]
+        vs = [v / np.linalg.norm(v) for v in vs]
+        chi, unstable = germ._slice_chi_stabilized_many(X, np.stack(planes), np.stack(vs))
+        for A, v, x, bad in zip(planes, vs, chi, unstable):
+            try:
+                assert not bad and x == slice_chi_stabilized(X, A, v)
+            except DegenerateSliceError:
+                assert bad
+
+
+def test_degenerate_and_unsettled_slices_are_redrawn(monkeypatch):
+    X = rays_germ(3)
+    ray = X.link.vertices[0]
+    # a line of R^2 at distance SLICE_DELTA from the apex through the end of
+    # a ray of the cone model: degenerate at the first offset
+    phi = math.atan2(ray[1], ray[0]) + math.acos(germ.SLICE_DELTA)
+    v = np.array([math.cos(phi), math.sin(phi)])
+    with pytest.raises(DegenerateSliceError):
+        slice_chi_stabilized(X, v[None], v)
+    assert slice_chi_stabilized(X, v[None], -v) in (0, 1, 2, 3)
+    # with no halving allowed, no slice can settle
+    monkeypatch.setattr(germ, "SLICE_HALVINGS", 0)
+    with pytest.raises(DegenerateSliceError):
+        slice_chi_stabilized(X, v[None], -v)
+    with pytest.raises(RuntimeError, match="resample quota"):
+        sigma_invariant(X, 1, 2, RandomSource(66))
+
+
 def test_sigma_smooth_point_sanity():
     # the full line through the origin is smooth at 0
     g = rays_germ(2)
@@ -144,23 +180,24 @@ def test_truncated_cone_measures_scale_with_radius():
 def test_round_cone_closed_forms():
     # the cone over a circle of spherical radius theta: its slices give
     # sigma_1 = sigma_2 = sin(theta), the apex carries 1 - sin(theta), the
-    # fold rays carry alpha = 0, and the sheet has density sin(theta)
-    theta = 0.6
-    s = math.sin(theta)
-    g = round_cone_germ(theta)
-    rng = RandomSource(64)
-    checks = [
-        (sigma_invariant(g, 1, 2000, rng.substream(1)), s),
-        (sigma_invariant(g, 2, 2000, rng.substream(2)), s),
-        (local_lambda(g, 0, rng.substream(3), n_dirs=2000), 1 - s),
-        (local_polar_length(g, 0, 2000, rng.substream(4)), 1 - s),
-        (local_lambda(g, 1, rng.substream(5)), 0.0),
-        (local_polar_length(g, 1, 2000, rng.substream(6)), 0.0),
-        (local_lambda(g, 2, rng.substream(7)), s),
-        (local_polar_length(g, 2, 200, rng.substream(8)), s),
-    ]
-    for i, (est, ref) in enumerate(checks):
-        assert within(est, ref, floor=1e-12), (i, est, ref)
+    # fold rays carry alpha = 0, and the sheet has density sin(theta); a
+    # narrow, the benchmark's and a wide cone, each from its own stream
+    for stream, theta in enumerate((0.6, 0.3, 1.2)):
+        s = math.sin(theta)
+        g = round_cone_germ(theta)
+        rng = RandomSource(64, stream)
+        checks = [
+            (sigma_invariant(g, 1, 2000, rng.substream(1)), s),
+            (sigma_invariant(g, 2, 2000, rng.substream(2)), s),
+            (local_lambda(g, 0, rng.substream(3), n_dirs=2000), 1 - s),
+            (local_polar_length(g, 0, 2000, rng.substream(4)), 1 - s),
+            (local_lambda(g, 1, rng.substream(5)), 0.0),
+            (local_polar_length(g, 1, 2000, rng.substream(6)), 0.0),
+            (local_lambda(g, 2, rng.substream(7)), s),
+            (local_polar_length(g, 2, 200, rng.substream(8)), s),
+        ]
+        for i, (est, ref) in enumerate(checks):
+            assert within(est, ref, floor=1e-12), (theta, i, est, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +253,33 @@ def _oracle_local_polar_one(X, k, P):
 
 @pytest.mark.parametrize("name", ["rays:5", "halfplane:3"])
 def test_pl_local_polar_one_matches_oracle(name):
+    # every plane of a stack, against the oracle one plane at a time
     X = germ_from_name(name)
     gen = RandomSource(61).generator()
     for k in range(X.dim + 1):
-        for _ in range(8):
-            P = sample_grassmannian(X.ambient_dim, k + 1, gen)
-            assert _pl_local_polar_one(X, k, P) == pytest.approx(
+        planes = [sample_grassmannian(X.ambient_dim, k + 1, gen) for _ in range(8)]
+        vals, redraw = _pl_local_polar_many(X, k, np.stack([P.basis for P in planes]))
+        assert not redraw.any()
+        for P, val in zip(planes, vals):
+            assert val == pytest.approx(
                 _oracle_local_polar_one(X, k, P), rel=1e-12, abs=1e-15), (k, P.basis)
+
+
+def test_degenerate_local_polar_planes_are_flagged():
+    # rays:3: an apex line orthogonal to a ray lies on a wall of the apex link
+    X = rays_germ(3)
+    ray = X.link.vertices[0]
+    lines = np.array([[[-ray[1], ray[0]]], [[0.6, 0.8]]])
+    assert _pl_local_polar_many(X, 0, lines)[1].tolist() == [True, False]
+    # halfplane:3, sheets over e1, e2 and -e1: a plane orthogonal to e2
+    # collapses that ray (and the image of its cone cell); one through e3
+    # and (0.6, 0.8, 0) has e3 as the image normal of the cell over e2,
+    # which is orthogonal to its link directions +-e1
+    X = halfplane_germ(3)
+    planes = np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                       [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
+                       [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]])
+    assert _pl_local_polar_many(X, 1, planes)[1].tolist() == [True, True, False]
 
 
 def test_local_polar_round_cone():

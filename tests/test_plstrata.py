@@ -27,6 +27,7 @@ from lkpolar.plstrata import (
     save_plstrat,
     segment_complex,
     slice_chi,
+    slice_chi_many,
     solid_cube,
     square_boundary,
     torus_7vertex,
@@ -700,6 +701,24 @@ def test_slice_chi_rejects_flats_through_face_boundaries():
     assert slice_chi(cube, [[0.0, 0.0, 1.0]], [0.5]) == 1
     assert slice_chi(cube, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.3, 0.6]) == 1
     assert slice_chi(cube_boundary(), [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.3, 0.6]) == 2
+
+
+@pytest.mark.parametrize("make", CATALOG)
+def test_stacked_slices_are_lone_slices(make):
+    # a stack of random flats, and one through a vertex, against the
+    # one-flat view flat by flat: the same chi, and a wall row exactly where
+    # the lone slice is degenerate
+    K = make()
+    gen = RandomSource(73).generator()
+    for c in (1, 2) if K.ambient_dim == 3 else (1,):
+        flats = [_random_flat(K, c, gen) for _ in range(60)]
+        A = flats[0][0]
+        flats.append((A, A @ K.vertices[0]))
+        chi, wall = slice_chi_many(K, np.stack([K.vertices @ A.T - b for A, b in flats]))
+        assert wall[-1] >= 0
+        for (A, b), x, w in zip(flats, chi, wall):
+            lone = _chi_or_reject(lambda: slice_chi(K, A, b))
+            assert (x if w < 0 else "reject") == lone
 
 
 def test_slice_chi_on_the_four_simplex():

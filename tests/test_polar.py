@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian
-from lkpolar.geomkit import image_normal, image_normals
+from lkpolar.geomkit import image_normals
 from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_name
 from lkpolar.plstrata import DegenerateDirectionError, normal_link
 from lkpolar import polar
@@ -53,7 +53,7 @@ def _oracle_alpha(K, cell, nu):
 
 
 def _slice_chi_alpha(K, cell, P):
-    return _oracle_alpha(K, cell, image_normal(K.cell_span(cell), P))
+    return _oracle_alpha(K, cell, image_normals(K.cell_span(cell)[None], P.basis)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,8 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
                     continue
                 assert _pl_piece_values(X, sample.pieces, P) == reference
                 lone = [_image_normal_alone(K.cell_span(c), P) for c in K.cells[q]]
-                assert np.array_equal(image_normals(K.plan.spans[q], P), np.stack(lone))
+                normals, degenerate = image_normals(K.plan.spans[q], P.basis)
+                assert np.array_equal(normals, np.stack(lone)) and not degenerate.any()
 
 
 def _dense_overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol):
@@ -496,7 +497,7 @@ def _per_node_whole_integral(X, S, P):
         if S.role == "top":
             alphas[i] = 1.0
             continue
-        nu = image_normal(S.chart.dr(p), P)
+        nu = image_normals(S.chart.dr(p)[None], P.basis)[0][0]
         w_in = S.inward_conormal(np.atleast_2d(p))[0]
         if abs(float(nu @ w_in)) < 1e-9:
             raise DegenerateDirectionError("conormal tangent to the image normal")
