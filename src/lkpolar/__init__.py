@@ -36,7 +36,6 @@ from .lkmeasure import (
     lambda_density,
     lk_measure,
     shape_from_name,
-    steiner_oracle,
 )
 from .polar import (
     alpha_index,
@@ -96,7 +95,6 @@ __all__ = [
     "shape_from_name",
     "sigma_invariant",
     "sphere_volume",
-    "steiner_oracle",
     "verify_local_identities",
 ]
 

@@ -15,8 +15,9 @@ normal sphere of a hypersurface is the two points +-nu; over the normal
 circle of a curve in R^3 the weighted sigma_0 and sigma_1 integrals are
 closed forms.  The module
 also hosts the independent checks: the exchange formula (Morse counting over
-random heights), the linear kinematic formula (random flats), and the Steiner
-dilation-volume oracle for convex bodies.
+random heights) and the linear kinematic formula (random flats).  The
+Steiner dilation-volume oracle for convex bodies lives with the other test
+oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -64,27 +65,13 @@ from .smoothshape import (
 __all__ = [
     "Shape",
     "shape_from_name",
-    "LkVector",
     "lambda_density",
     "lk_measure",
-    "lk_vector",
     "exchange_lambda0",
     "KinematicCheck",
     "kinematic_check",
-    "SteinerFit",
-    "steiner_oracle",
     "slice_euler_characteristic",
 ]
-
-
-@dataclass(frozen=True)
-class ConvexBody:
-    """Distance oracle for the Steiner fit."""
-
-    ambient_dim: int
-    distance: Callable  # (N, n) points -> (N,) distances to the body
-    bbox_lo: np.ndarray
-    bbox_hi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,6 @@ class Shape:
     pl: StratifiedComplex | None = None
     smooth: SmoothShape | None = None
     region: Callable | None = None  # (N, n) points -> (N,) bools
-    convex: ConvexBody | None = None
 
     def __post_init__(self):
         if (self.pl is None) == (self.smooth is None):
@@ -134,42 +120,12 @@ class Shape:
                 self,
                 name=self.name + "*",
                 pl=self.pl.transformed(rotation, translation, scale),
-                convex=None,
             )
         return replace(
             self,
             name=self.name + "*",
             smooth=self.smooth.transformed(rotation, translation, scale),
-            convex=None,
         )
-
-
-def _cube_body(side: float) -> ConvexBody:
-    lo, hi = np.zeros(3), np.full(3, side)
-
-    def dist(pts):
-        pts = np.atleast_2d(pts)
-        excess = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-        return np.linalg.norm(excess, axis=1)
-
-    return ConvexBody(3, dist, lo, hi)
-
-
-def _ball_body(radius: float) -> ConvexBody:
-    def dist(pts):
-        pts = np.atleast_2d(pts)
-        return np.maximum(np.linalg.norm(pts, axis=1) - radius, 0.0)
-
-    return ConvexBody(3, dist, -radius * np.ones(3), radius * np.ones(3))
-
-
-def _segment_body(length: float) -> ConvexBody:
-    def dist(pts):
-        pts = np.atleast_2d(pts)
-        t = np.clip(pts[:, 0], 0.0, length)
-        return np.hypot(pts[:, 0] - t, pts[:, 1])
-
-    return ConvexBody(2, dist, np.array([0.0, 0.0]), np.array([length, 0.0]))
 
 
 def shape_from_name(spec: str) -> Shape:
@@ -191,8 +147,7 @@ def shape_from_name(spec: str) -> Shape:
     if not all(math.isfinite(a) and a > 0 for a in args):
         raise ValueError(f"shape {spec!r}: every parameter must be finite and > 0")
     if head == "cube":
-        side = args[0] if args else 1.0
-        return Shape(name=spec, pl=plstrata.solid_cube(side), convex=_cube_body(side))
+        return Shape(name=spec, pl=plstrata.solid_cube(args[0] if args else 1.0))
     if head == "octahedron":
         return Shape(name=spec, pl=plstrata.octahedron_boundary())
     if head == "cube-boundary":
@@ -202,8 +157,7 @@ def shape_from_name(spec: str) -> Shape:
     if head == "torus7":
         return Shape(name=spec, pl=plstrata.torus_7vertex())
     if head == "segment":
-        length = args[0] if args else 1.0
-        return Shape(name=spec, pl=plstrata.segment_complex(length), convex=_segment_body(length))
+        return Shape(name=spec, pl=plstrata.segment_complex(args[0] if args else 1.0))
     if head == "sphere":
         return Shape(name=spec, smooth=sm.sphere_shape(*(args or [1.0])))
     if head == "torus":
@@ -216,8 +170,7 @@ def shape_from_name(spec: str) -> Shape:
         return Shape(name=spec, smooth=sm.hemisphere_shape(*(args or [1.0])))
     if head == "ellipse":
         return Shape(name=spec, smooth=sm.ellipse_shape(*(args or [2.0, 1.0])))
-    radius = args[0] if args else 1.0  # the ball
-    return Shape(name=spec, smooth=sm.ball_shape(radius), convex=_ball_body(radius))
+    return Shape(name=spec, smooth=sm.ball_shape(*(args or [1.0])))  # the ball
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +288,6 @@ def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> 
     return replace(total, seed=rng.master_seed)
 
 
-@dataclass(frozen=True)
-class LkVector:
-    """All curvature measures of one shape, index 0..n."""
-
-    values: tuple[Estimate, ...]
-
-    def __getitem__(self, k: int) -> Estimate:
-        return self.values[k]
-
-
-def lk_vector(X: Shape, rng: RandomSource, resolution: int = 64) -> LkVector:
-    return LkVector(
-        tuple(
-            lk_measure(X, k, RandomSource(rng.master_seed, rng.stream_id + 31 * k),
-                       resolution=resolution)
-            for k in range(X.ambient_dim + 1)
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # exchange formula
 # ---------------------------------------------------------------------------
@@ -466,64 +399,3 @@ def kinematic_check(
         se = math.hypot(numer.std_error / denom.value, r * denom.std_error / denom.value)
         ratio = Estimate(r, se, numer.n_samples, rng.master_seed, method="kinematic-ratio")
     return KinematicCheck(numerator=numer, denominator=denom, ratio=ratio, flagged_division=flagged)
-
-
-# ---------------------------------------------------------------------------
-# Steiner dilation oracle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SteinerFit:
-    coefficients: np.ndarray  # c_k multiplying eps^(n-k), k = 0..n
-    volumes: np.ndarray
-    epsilons: np.ndarray
-    condition_number: float
-    n_samples: int
-    seed: int
-
-
-def steiner_oracle(X: Shape, epsilons, n_mc: int, rng: RandomSource) -> SteinerFit:
-    """Fit the dilation-volume polynomial of a convex catalog body.
-
-    Samples points in a common bounding box, measures vol(X_eps) for each
-    dilation radius by point counting, and least-squares fits
-    sum_k c_k eps^(n-k); for convex bodies c_k recovers Lambda_k * b_(n-k).
-    """
-    if X.convex is None:
-        raise ValueError(f"shape {X.name} has no convex-body oracle")
-    eps = np.asarray(sorted(float(e) for e in epsilons))
-    if len(eps) < X.ambient_dim + 1 or len(set(eps.tolist())) != len(eps):
-        raise ValueError("need at least n+1 distinct dilation radii")
-    if eps[0] <= 0:
-        raise ValueError("dilation radii must be positive")
-    body = X.convex
-    n = body.ambient_dim
-    # each dilation gets its own tight box: the hit fraction stays near one
-    # for small radii, which keeps the fit's input volumes sharp
-    vols = np.empty(len(eps))
-    ses = np.empty(len(eps))
-    for j, e in enumerate(eps):
-        lo = body.bbox_lo - e
-        hi = body.bbox_hi + e
-        boxvol = float(np.prod(hi - lo))
-        gen = rng.substream(j).generator()
-        pts = lo + (hi - lo) * gen.uniform(size=(n_mc, n))
-        p = float(np.mean(body.distance(pts) <= e))
-        vols[j] = boxvol * p
-        ses[j] = boxvol * math.sqrt(max(p * (1.0 - p), 1e-12) / n_mc)
-    design = np.stack([eps ** (n - k) for k in range(n + 1)], axis=1)
-    cond = float(np.linalg.cond(design))
-    if cond > 1e8:
-        raise ValueError(
-            f"ill-conditioned dilation fit (cond={cond:.2e}); spread the radii ladder"
-        )
-    w = 1.0 / ses
-    coeffs, *_ = np.linalg.lstsq(design * w[:, None], vols * w, rcond=None)
-    return SteinerFit(
-        coefficients=coeffs,
-        volumes=vols,
-        epsilons=eps,
-        condition_number=cond,
-        n_samples=n_mc,
-        seed=rng.master_seed,
-    )

@@ -3,8 +3,11 @@
 For a projection plane P of dimension q+1 the per-stratum pipeline is:
 
   1. find the polar set of each stratum (critical locus of the projection):
-     whole cells/strata of dimension <= q, the traced silhouette for a
-     surface stratum seen along P-perp, height critical points at q = 0;
+     whole strata of dimension <= q, the traced silhouette for a surface
+     stratum seen along P-perp, height critical points at q = 0.  On a PL
+     shape, after the span check of every cell below the top dimension,
+     only the q-cells are projected and valued, as one stack in plan-row
+     order: a lower cell is polar whole too, but its image has no q-volume;
   2. run degeneracy clearances (wall alignment, image overlap, limit
      adjacency) and resample the plane when one trips - the bad planes form
      measure-zero sets, so a uniform plane essentially never trips them;
@@ -77,9 +80,10 @@ CURVATURE_TOL = 1e-7  # fold slice curvature below this is a cusp
 class PolarPiece:
     """One connected piece of the polar set of one stratum.
 
-    kind is "cell" (a flat cell taken whole), "whole" (a smooth stratum of
-    dimension q taken whole), "contour" (a traced fold curve) or "points"
-    (height critical points at q = 0, with their Morse indices).
+    kind is "cell" (a PL cell taken whole, from :func:`polar_variety`),
+    "whole" (a smooth stratum of dimension <= q taken whole), "contour" (a
+    traced fold curve) or "points" (height critical points at q = 0, with
+    their Morse indices).
     ``geometry`` lives in P-coordinates.  A closed contour ends with a copy
     of its first point, so that its closing segment is explicit.
     """
@@ -102,29 +106,20 @@ class DegeneracyReport:
 
     @property
     def clean(self) -> bool:
-        return not (
-            self.fold_violations or self.double_points or self.limit_adjacency or self.span_flags
-        )
+        return not self.reasons()
 
     def reasons(self) -> list[str]:
-        out = []
-        if self.fold_violations:
-            out.append("fold")
-        if self.double_points:
-            out.append("double")
-        if self.limit_adjacency:
-            out.append("limit")
-        if self.span_flags:
-            out.append("span")
-        return out
+        flags = (self.fold_violations, self.double_points, self.limit_adjacency, self.span_flags)
+        return [name for name, flag in zip(("fold", "double", "limit", "span"), flags) if flag]
 
 
 @dataclass(frozen=True)
 class PolarSample:
     plane: LinearSubspace
-    pieces: tuple[PolarPiece, ...]
+    pieces: tuple[PolarPiece, ...]  # of a smooth shape
     degenerate: bool
     report: DegeneracyReport
+    cell_images: np.ndarray | None = None  # of a PL shape's q-cells, in plan-row order
 
 
 class DegeneratePlaneError(ValueError):
@@ -357,32 +352,19 @@ def _refine_polyline(S, params, u, tol, max_depth=8):
 # polar varieties
 # ---------------------------------------------------------------------------
 
-def _pl_polar_pieces(X: Shape, P: LinearSubspace, q: int) -> list[PolarPiece]:
-    """Cells of dimension <= q taken whole, in the order of ``K.cells``, after
-    the span check of every cell below the top dimension."""
-    K = X.pl
-    plan = K.plan
-    n = K.ambient_dim
+def _pl_span_check(K, P: LinearSubspace) -> None:
+    """Raise DegeneratePlaneError if the span of a cell below the top
+    dimension is flagged against P-perp (see :func:`_span_flags`)."""
     comp = P.orthogonal_complement().basis
-    pieces = []
     span_flags = []
     for d, cells in K.cells.items():
-        if d == n:
+        if d == K.ambient_dim:
             continue
-        flags, inter_dim, clearance = _span_flags(plan.spans[d], comp)
+        flags, inter_dim, clearance = _span_flags(K.plan.spans[d], comp)
         span_flags.extend(
             (cells[i], int(inter_dim[i]), float(clearance[i])) for i in np.flatnonzero(flags))
-        if d > q or span_flags:
-            continue  # d > q: generic transversality leaves no polar points
-        pts = K.vertices[plan.cells[d]]
-        coords = pts @ P.basis.T
-        pieces.extend(
-            PolarPiece(stratum=cell, kind="cell", geometry=coords[i], source_points=pts[i])
-            for i, cell in enumerate(cells)
-        )
     if span_flags:
         raise DegeneratePlaneError(DegeneracyReport(span_flags=span_flags))
-    return pieces
 
 
 def _span_flags(spans: np.ndarray, comp: np.ndarray):
@@ -447,11 +429,19 @@ def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int) 
 
 
 def polar_variety(X: Shape, stratum, P: LinearSubspace):
-    """Polar pieces of one stratum under the projection onto P."""
+    """Polar pieces of one stratum under the projection onto P.  A PL cell
+    of dimension <= q is polar whole; above q, generic transversality
+    leaves no polar points."""
     q = P.dim - 1
-    if X.pl is not None:
-        return [p for p in _pl_polar_pieces(X, P, q) if p.stratum == tuple(sorted(stratum))]
-    return _smooth_polar_pieces(X, stratum, P, q)
+    if X.pl is None:
+        return _smooth_polar_pieces(X, stratum, P, q)
+    K = X.pl
+    cell = tuple(sorted(stratum))
+    _pl_span_check(K, P)
+    if cell not in K.plan.rows or len(cell) - 1 > q:
+        return []
+    pts = K.vertices[list(cell)]
+    return [PolarPiece(stratum=cell, kind="cell", geometry=pts @ P.basis.T, source_points=pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -670,40 +660,37 @@ def polar_image_integral(X: Shape, stratum, P: LinearSubspace, pieces=None) -> f
     """Integral of alpha over the polar image of one stratum (q-volume)."""
     if pieces is None:
         pieces = polar_variety(X, stratum, P)
-    total = 0.0
-    for val in _piece_values(X, pieces, P):
-        total += val
-    return total
+    if X.pl is None:
+        return _sum_in_order(_piece_values(X, pieces, P))
+    cells = [p for p in pieces if len(p.stratum) == P.dim]  # lower images have no q-volume
+    if not cells:
+        return 0.0
+    rows = [X.pl.plan.rows[p.stratum] for p in cells]
+    return _sum_in_order(_pl_cell_values(X, np.stack([p.geometry for p in cells]), rows, P))
+
+
+def _sum_in_order(values) -> float:
+    """0.0 plus each value in turn, so that a fixed seed gives fixed bits
+    (cumsum adds in order; np.sum adds pairwise)."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
+def _pl_cell_values(X: Shape, images: np.ndarray, rows, P: LinearSubspace) -> np.ndarray:
+    """alpha times image q-volume of the q-cells at the plan rows ``rows``,
+    whose (C, q + 1, q + 1) images on P are ``images``, in stacked calls."""
+    if X.region is not None:
+        raise NotImplementedError("region restriction on PL polar images")
+    return _pl_alphas(X.pl, P.dim - 1, rows, P) * simplex_volumes(images)
 
 
 def _piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
-    """The alpha-weighted image volume of each piece, in piece order."""
-    if X.pl is not None:
-        return _pl_piece_values(X, pieces, P)
+    """The alpha-weighted image volume of each piece of a smooth shape, in
+    piece order."""
     return [_piece_integral(X, piece, P) for piece in pieces]
 
 
-def _pl_piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
-    """Cell pieces: the q-cells get alpha times projected volume, with the
-    image normals, alphas and volumes of all of them in stacked calls; lower
-    cells get 0, since their images have measure zero."""
-    q = P.dim - 1
-    at = [i for i, piece in enumerate(pieces) if len(piece.stratum) - 1 == q]
-    vals = [0.0] * len(pieces)
-    if at:
-        if X.region is not None:
-            raise NotImplementedError("region restriction on PL polar images")
-        K = X.pl
-        rows = [K.plan.rows[pieces[i].stratum] for i in at]
-        alphas = _pl_alphas(K, q, rows, P)
-        vols = simplex_volumes(np.stack([pieces[i].geometry for i in at]))
-        for i, val in zip(at, (alphas * vols).tolist()):
-            vals[i] = val
-    return vals
-
-
 def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
-    """One piece of a smooth shape (cell pieces go through _pl_piece_values)."""
+    """The alpha-weighted image volume of one piece of a smooth shape."""
     q = P.dim - 1
     if piece.kind == "points":
         if q != 0:
@@ -798,24 +785,29 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
 
 
 def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
-    """All polar pieces of the shape for one plane, with genericity checks
+    """The polar set of the shape for one plane, with genericity checks
     attached."""
     q = P.dim - 1
+    pieces = []
+    images = None
     try:
         if X.pl is not None:
-            pieces = _pl_polar_pieces(X, P, q)
+            K = X.pl
+            _pl_span_check(K, P)
+            cells = K.plan.cells.get(q, np.zeros((0, q + 1), dtype=int))
+            images = K.vertices[cells] @ P.basis.T
         else:
-            pieces = []
             for S in X.smooth.strata:
                 pieces.extend(_smooth_polar_pieces(X, S, P, q))
-    except (DegeneratePlaneError,) as err:
+    except DegeneratePlaneError as err:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=err.report)
     except (DegenerateDirectionError, DegenerateHeightError):
         return PolarSample(plane=P, pieces=(), degenerate=True, report=DegeneracyReport(fold_violations=["height"]))
     report = check_genericity(X, P, pieces)
     if not report.clean:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=report)
-    return PolarSample(plane=P, pieces=tuple(pieces), degenerate=False, report=report)
+    return PolarSample(plane=P, pieces=tuple(pieces), degenerate=False, report=report,
+                       cell_images=images)
 
 
 @dataclass(frozen=True)
@@ -823,7 +815,7 @@ class PolarLengthResult:
     estimate: Estimate
     n_planes: int
     n_rejected: int
-    per_plane: list  # (plane basis flattened, {stratum: m}, degenerate reasons)
+    per_plane: list  # (sample, plane basis, {stratum or q-cell: m}, degenerate reasons)
     reject_reasons: dict
 
 
@@ -846,6 +838,9 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
     reject_reasons: dict = {}
     rows = []
     n_rejected = 0
+    if X.pl is not None:  # the plan rows of the q-cells, and their CSV keys
+        q_rows = np.arange(len(X.pl.cells[q]))
+        q_keys = [_stratum_key(cell) for cell in X.pl.cells[q]]
 
     def reject(i: int, P: LinearSubspace, reasons: list[str]) -> None:
         nonlocal n_rejected
@@ -862,20 +857,20 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
             reject(i, P, reasons)
             raise DegeneratePlaneError(sample.report, "degenerate plane: " + "+".join(reasons))
         try:
-            vals = _piece_values(X, sample.pieces, P)
+            if X.pl is not None:
+                vals = _pl_cell_values(X, sample.cell_images, q_rows, P)
+            else:
+                vals = _piece_values(X, sample.pieces, P)
         except (DegeneratePlaneError, DegenerateDirectionError):
             reject(i, P, ["alpha"])
             raise
-        m = 0.0
-        for val in vals:  # in piece order, so that a fixed seed gives fixed bits
-            m += val
         if keep_rows:
+            keys = q_keys if X.pl is not None else [_stratum_key(p.stratum) for p in sample.pieces]
             per_stratum: dict = {}
-            for piece, val in zip(sample.pieces, vals):
-                key = _stratum_key(piece.stratum)
+            for key, val in zip(keys, np.asarray(vals).tolist()):
                 per_stratum[key] = per_stratum.get(key, 0.0) + val
             rows.append((i, P.basis.copy(), per_stratum, ""))
-        return m
+        return _sum_in_order(vals)
 
     values = per_sample_values(
         n_planes, rng, lambda gen: sample_grassmannian(n, q + 1, gen),

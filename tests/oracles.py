@@ -22,13 +22,18 @@ the package computes faster, or by another formula:
   stacked smooth densities;
 - :func:`trace_silhouette_loop` classifies the cells of the sign grid one at
   a time and re-snaps every segment midpoint in each refinement round,
-  against the array-based ``polar.trace_silhouette``.
+  against the array-based ``polar.trace_silhouette``;
+- :func:`steiner_oracle` fits the dilation-volume polynomial of a convex
+  catalog body (cube, segment, ball) by point counting, against the
+  intrinsic volumes of ``lk_measure``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -756,3 +761,108 @@ def snap_to_contour_all(S, P: np.ndarray, u, iters=25):
         P[:, 0] -= g * g0 / n2
         P[:, 1] -= g * g1 / n2
     return P
+
+
+# ---------------------------------------------------------------------------
+# Steiner dilation oracle
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConvexBody:
+    """Distance oracle for the Steiner fit."""
+
+    ambient_dim: int
+    distance: Callable  # (N, n) points -> (N,) distances to the body
+    bbox_lo: np.ndarray
+    bbox_hi: np.ndarray
+
+
+def _cube_body(side: float) -> ConvexBody:
+    lo, hi = np.zeros(3), np.full(3, side)
+
+    def dist(pts):
+        pts = np.atleast_2d(pts)
+        excess = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+        return np.linalg.norm(excess, axis=1)
+
+    return ConvexBody(3, dist, lo, hi)
+
+
+def _ball_body(radius: float) -> ConvexBody:
+    def dist(pts):
+        pts = np.atleast_2d(pts)
+        return np.maximum(np.linalg.norm(pts, axis=1) - radius, 0.0)
+
+    return ConvexBody(3, dist, -radius * np.ones(3), radius * np.ones(3))
+
+
+def _segment_body(length: float) -> ConvexBody:
+    def dist(pts):
+        pts = np.atleast_2d(pts)
+        t = np.clip(pts[:, 0], 0.0, length)
+        return np.hypot(pts[:, 0] - t, pts[:, 1])
+
+    return ConvexBody(2, dist, np.array([0.0, 0.0]), np.array([length, 0.0]))
+
+
+# catalog name -> convex body of the given size (default 1); a moved shape,
+# whose name ends in "*", has none
+CONVEX_BODIES = {"cube": _cube_body, "ball": _ball_body, "segment": _segment_body}
+
+
+@dataclass(frozen=True)
+class SteinerFit:
+    coefficients: np.ndarray  # c_k multiplying eps^(n-k), k = 0..n
+    volumes: np.ndarray
+    epsilons: np.ndarray
+    condition_number: float
+    n_samples: int
+    seed: int
+
+
+def steiner_oracle(X: Shape, epsilons, n_mc: int, rng: RandomSource) -> SteinerFit:
+    """Fit the dilation-volume polynomial of a convex catalog body.
+
+    Samples points in a common bounding box, measures vol(X_eps) for each
+    dilation radius by point counting, and least-squares fits
+    sum_k c_k eps^(n-k); for convex bodies c_k recovers Lambda_k * b_(n-k).
+    """
+    head, _, rest = X.name.partition(":")
+    if head not in CONVEX_BODIES or X.name.endswith("*"):
+        raise ValueError(f"shape {X.name} has no convex-body oracle")
+    body = CONVEX_BODIES[head](float(rest) if rest else 1.0)
+    eps = np.asarray(sorted(float(e) for e in epsilons))
+    if len(eps) < X.ambient_dim + 1 or len(set(eps.tolist())) != len(eps):
+        raise ValueError("need at least n+1 distinct dilation radii")
+    if eps[0] <= 0:
+        raise ValueError("dilation radii must be positive")
+    n = body.ambient_dim
+    # each dilation gets its own tight box: the hit fraction stays near one
+    # for small radii, which keeps the fit's input volumes sharp
+    vols = np.empty(len(eps))
+    ses = np.empty(len(eps))
+    for j, e in enumerate(eps):
+        lo = body.bbox_lo - e
+        hi = body.bbox_hi + e
+        boxvol = float(np.prod(hi - lo))
+        gen = rng.substream(j).generator()
+        pts = lo + (hi - lo) * gen.uniform(size=(n_mc, n))
+        p = float(np.mean(body.distance(pts) <= e))
+        vols[j] = boxvol * p
+        ses[j] = boxvol * math.sqrt(max(p * (1.0 - p), 1e-12) / n_mc)
+    design = np.stack([eps ** (n - k) for k in range(n + 1)], axis=1)
+    cond = float(np.linalg.cond(design))
+    if cond > 1e8:
+        raise ValueError(
+            f"ill-conditioned dilation fit (cond={cond:.2e}); spread the radii ladder"
+        )
+    w = 1.0 / ses
+    coeffs, *_ = np.linalg.lstsq(design * w[:, None], vols * w, rcond=None)
+    return SteinerFit(
+        coefficients=coeffs,
+        volumes=vols,
+        epsilons=eps,
+        condition_number=cond,
+        n_samples=n_mc,
+        seed=rng.master_seed,
+    )

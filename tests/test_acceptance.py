@@ -18,7 +18,6 @@ from lkpolar.lkmeasure import (
     kinematic_check,
     lk_measure,
     shape_from_name,
-    steiner_oracle,
 )
 from lkpolar.plstrata import (
     DegenerateDirectionError,
@@ -29,6 +28,8 @@ from lkpolar.plstrata import (
     torus_7vertex,
 )
 from lkpolar.polar import polar_length, polar_sample
+
+from oracles import steiner_oracle
 
 
 def _report(name, ok, elapsed, detail=""):

@@ -37,7 +37,11 @@ PINS = {
     ('cone-circle:0.6', 'polar', 2): ('0x1.2118d17a54159p-1', '0x0.0p+0'),
     ('cone-circle:0.6', 'polar', 3): ('0x0.0p+0', '0x0.0p+0'),
     ('cone-circle:0.6', 'lambda', 0): ('0x1.bf258bf258bf2p-2', '0x1.d5f08d016442fp-6'),
+    ('cube', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
     ('cube', 'polar_length', 1): ('0x1.7df48307dc728p+1', '0x1.5868e4966a275p-6'),
+    ('cube', 'polar_length', 2): ('0x1.8000000000000p+1', '0x1.54277f40d6cb6p-54'),
+    ('torus7', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
+    ('cube-boundary', 'polar_length', 2): ('0x1.8000000000000p+2', '0x1.54277f40d6cb6p-53'),
     ('disk:1', 'polar_length', 1): ('0x1.963c4cf6a998cp+1', '0x1.715b10afc4f10p-3'),
     ('octahedron', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     ('sphere:1', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),

@@ -85,6 +85,16 @@ def test_polar_csv_schema(tmp_path):
     assert len(lines) >= 26
 
 
+def test_polar_csv_has_one_column_per_q_cell(tmp_path):
+    # cells below dimension q have images of no q-volume, so no column
+    path = tmp_path / "planes.csv"
+    _, status = run(["polar", "--shape", "cube", "--q", "1", "--samples", "25", "--seed", "2",
+                     "--csv", str(path)])
+    assert status == 0
+    header = path.read_text().splitlines()[0].split(",")
+    assert len([name for name in header if name.startswith("m:")]) == 19  # one per edge
+
+
 def test_emit_plot_data(tmp_path):
     report, _ = run(
         ["verify", "--shape", "cube", "--q", "0,1,2,3", "--samples", "200", "--seed", "4"]
@@ -281,7 +291,7 @@ def test_exhausted_plane_quota_is_a_json_error(monkeypatch):
     def cusp(*args):
         raise DegenerateDirectionError("vanishing fold curvature (cusp)")
 
-    monkeypatch.setattr(polar, "_piece_values", cusp)
+    monkeypatch.setattr(polar, "_pl_cell_values", cusp)
     report, status = run(["polar", "--shape", "cube", "--q", "1", "--samples", "3"])
     assert status == 2
     assert "resample quota" in report["error"] and f"{MAX_REDRAWS} draws" in report["error"]

@@ -14,7 +14,7 @@ from lkpolar.polar import (
     DegeneratePlaneError,
     _overlap_fraction,
     _piece_values,
-    _pl_piece_values,
+    _pl_cell_values,
     _span_flags,
     _surface_normals,
     _whole_stratum_integral,
@@ -216,13 +216,23 @@ def test_sphere_chart_seam_direction_resampled():
 
 def test_cube_polar_pieces_are_low_cells():
     cube = shape_from_name("cube")
+    K = cube.pl
     P = _generic_plane(3)
     sample = polar_sample(cube, P)
     assert not sample.degenerate
-    dims = sorted({len(p.stratum) - 1 for p in sample.pieces})
-    assert dims == [0, 1]  # vertices and edges; no face or volume pieces
-    edges = [p for p in sample.pieces if len(p.stratum) == 2]
+    # vertices and edges are polar whole; no face or volume pieces
+    pieces = {cell: polar_variety(cube, cell, P) for cell in K.all_cells()}
+    dims = sorted({len(cell) - 1 for cell, found in pieces.items() if found})
+    assert dims == [0, 1]
+    for cell, found in pieces.items():
+        if found:
+            (piece,) = found
+            assert piece.stratum == cell and piece.kind == "cell"
+            assert np.array_equal(piece.geometry, K.vertices[list(cell)] @ P.basis.T)
+    edges = [cell for cell, found in pieces.items() if found and len(cell) == 2]
     assert len(edges) == 19  # 12 cube edges + 6 face diagonals + main diagonal
+    # the sample carries the images of the q-cells alone, in plan-row order
+    assert sample.pieces == () and sample.cell_images.shape == (19, 2, 2)
 
 
 def test_cube_diagonal_cells_weigh_nothing():
@@ -337,22 +347,30 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
         K = X.pl
         gen = RandomSource(43).generator()
         for q in (0, 1, 2):
+            rows = np.arange(len(K.cells[q]))
             for _ in range(3):
                 P = sample_grassmannian(3, q + 1, gen)
                 sample = polar_sample(X, P)
                 if sample.degenerate:
                     continue
+                images = sample.cell_images
                 try:
                     reference = [
-                        _oracle_alpha(K, p.stratum, _image_normal_alone(K.cell_span(p.stratum), P))
-                        * _volume_alone(p.geometry) if len(p.stratum) == q + 1 else 0.0
-                        for p in sample.pieces
+                        _oracle_alpha(K, cell, _image_normal_alone(K.cell_span(cell), P))
+                        * _volume_alone(images[i])
+                        for i, cell in enumerate(K.cells[q])
                     ]
                 except DegenerateDirectionError:
                     with pytest.raises(DegenerateDirectionError):
-                        _pl_piece_values(X, sample.pieces, P)
+                        _pl_cell_values(X, images, rows, P)
                     continue
-                assert _pl_piece_values(X, sample.pieces, P) == reference
+                values = _pl_cell_values(X, images, rows, P).tolist()
+                assert values == reference
+                # the one-cell views read the same rows, bit for bit
+                for i, cell in enumerate(K.cells[q]):
+                    assert polar_image_integral(X, cell, P) == values[i]
+                    (piece,) = polar_variety(X, cell, P)
+                    assert np.array_equal(piece.geometry, images[i])
                 lone = [_image_normal_alone(K.cell_span(c), P) for c in K.cells[q]]
                 normals, degenerate = image_normals(K.plan.spans[q], P.basis)
                 assert np.array_equal(normals, np.stack(lone)) and not degenerate.any()

@@ -110,7 +110,7 @@ def _flag_all(*args):
 ROUTES = {
     "polar_length": (
         lambda: polar.polar_length(lkmeasure.shape_from_name("cube"), 1, 3, RandomSource(1)),
-        (polar, "_piece_values", _raise(DegenerateDirectionError), DegenerateDirectionError),
+        (polar, "_pl_cell_values", _raise(DegenerateDirectionError), DegenerateDirectionError),
         (polar, "sample_grassmannian")),
     "exchange_lambda0": (
         lambda: lkmeasure.exchange_lambda0(lkmeasure.shape_from_name("cube"), 3, RandomSource(2)),
@@ -155,7 +155,7 @@ def test_every_quota_can_run_out(route, monkeypatch):
 
 def test_rejected_planes_are_counted_and_kept(monkeypatch):
     # the first plane of every sample fails its alpha step, the second is used
-    values = polar._piece_values
+    values = polar._pl_cell_values
     sample = polar.sample_grassmannian
     first = []  # the first plane drawn from each generator
     seen = set()
@@ -167,13 +167,13 @@ def test_rejected_planes_are_counted_and_kept(monkeypatch):
             first.append(P)
         return P
 
-    def fails_first(X, pieces, P):
+    def fails_first(X, images, rows, P):
         if any(P is Q for Q in first):
             raise DegenerateDirectionError("vanishing fold curvature (cusp)")
-        return values(X, pieces, P)
+        return values(X, images, rows, P)
 
     monkeypatch.setattr(polar, "sample_grassmannian", tagged)
-    monkeypatch.setattr(polar, "_piece_values", fails_first)
+    monkeypatch.setattr(polar, "_pl_cell_values", fails_first)
     res = polar.polar_length(lkmeasure.shape_from_name("cube"), 1, 4, RandomSource(7),
                              keep_rows=True)
     assert (res.n_rejected, res.reject_reasons) == (4, {"alpha": 4})
