@@ -50,14 +50,14 @@ from .plstrata import (
 )
 from . import smoothshape as sm
 from .smoothshape import (
-    DegenerateHeightError,
     SmoothShape,
     SmoothStratum,
-    height_critical_points,
+    height_critical_points_many,
     hypersurface_normals,
     integrate_stratum,
     normal_circle_moments,
     normal_index,
+    normal_index_many,
     rim_curvature_vector,
     tangent_frame_form,
 )
@@ -110,6 +110,12 @@ class Shape:
             radius = float(np.max(np.linalg.norm(v - center, axis=1)))
             return center, radius
         return self.smooth.bounding_ball()
+
+    def in_region(self, pts: np.ndarray) -> np.ndarray:
+        """Which of the (N, n) points lie in the region: all without one."""
+        if self.region is None:
+            return np.ones(len(pts), dtype=bool)
+        return np.asarray(self.region(pts), dtype=bool)
 
     def with_region(self, region: Callable) -> "Shape":
         return replace(self, region=region)
@@ -301,30 +307,43 @@ def _morse_sum_pl(X: Shape, v: np.ndarray) -> int:
     return sum(val for vert, val in idx.items() if keep[vert])
 
 
-def _morse_sum_smooth(X: Shape, v: np.ndarray) -> int:
-    total = 0
-    scale = X.diameter
+def _morse_sums_smooth(X: Shape, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The total stratified Morse index of the height along each direction of
+    a (B, n) stack, with one stacked Newton solve per stratum, and a mask of
+    the directions to redraw: non-Morse heights, and directions on the wall
+    of a normal index."""
+    totals = np.zeros(len(V), dtype=int)
+    redraw = np.zeros(len(V), dtype=bool)
     for S in X.smooth.strata:
         if S.role == "solid":
             continue  # a linear height has no interior critical points
-        crits = [c for c in height_critical_points(S, v, scale=scale)
-                 if X.region is None or np.asarray(X.region(c.point[None, :]))[0]]
-        if crits:
-            ind = normal_index(S, np.array([c.params for c in crits]), v)
-            total += sum(c.tangential_index * int(i) for c, i in zip(crits, ind))
-    return total
+        crit = height_critical_points_many(S, V, scale=X.diameter)
+        redraw |= crit.degenerate
+        keep = X.in_region(crit.points)
+        own = crit.direction[keep]
+        index, wall = normal_index_many(S, crit.params[keep], V[own])
+        redraw[own[wall]] = True
+        tangential = np.where(crit.morse_indices[keep] % 2, -1, 1)
+        np.add.at(totals, own, tangential * index.astype(int))
+    return totals, redraw
 
 
 def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     """Mean over uniform directions of the total stratified Morse index.
 
     Equals the 0-th curvature measure; per-direction sums are exact integers,
-    non-generic directions are redrawn within their substream.
+    non-generic directions are redrawn within their substream.  A smooth
+    shape evaluates a block of directions at once.
     """
-    morse_sum = _morse_sum_pl if X.pl is not None else _morse_sum_smooth
+    def heights(_, draws):
+        return _morse_sums_smooth(X, np.array(draws))
+
+    if X.pl is not None:
+        values = each_draw(lambda _, v: _morse_sum_pl(X, v), DegenerateDirectionError)
+    else:
+        values = heights
     values = per_sample_values(
-        n_heights, rng, lambda gen: sample_unit_sphere(X.ambient_dim, gen),
-        each_draw(lambda _, v: morse_sum(X, v), (DegenerateDirectionError, DegenerateHeightError)),
+        n_heights, rng, lambda gen: sample_unit_sphere(X.ambient_dim, gen), values,
         "exchange formula")
     return mean_estimate(values, seed=rng.master_seed, method="morse-counting")
 

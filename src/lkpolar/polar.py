@@ -12,8 +12,14 @@ For a projection plane P of dimension q+1 the per-stratum pipeline is:
      adjacency) and resample the plane when one trips - the bad planes form
      measure-zero sets, so a uniform plane essentially never trips them;
   3. weight each regular image point with the index alpha (half-sum of the
-     downward and upward slice Morse indices) and integrate over the image;
+     downward and upward slice Morse indices) and integrate over the image.
+     A fold of a top stratum is not integrated: alpha is 0 all along it, as
+     the normal index is 1 along both normals +-nu, so its value is 0.0;
   4. average over uniform planes and apply the dimensional constant.
+
+A polar call on a smooth shape shares what does not depend on the plane:
+at q = 1 each surface stratum's trace-grid normals are built once per call,
+and at q = 0 a block of lines runs one stacked Newton solve per stratum.
 
 The q-th polar length obtained this way equals the q-th curvature measure;
 that identity is what the verification suite checks.
@@ -45,9 +51,11 @@ from .smoothshape import (
     DegenerateHeightError,
     SmoothStratum,
     height_critical_points,
+    height_critical_points_many,
     height_hessian_eigenvalues,
     hypersurface_normals,
     normal_index,
+    normal_index_many,
 )
 
 __all__ = [
@@ -168,13 +176,33 @@ def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25, min_steps=0):
     return P, first
 
 
-def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float):
+def _trace_grid_normals(S: SmoothStratum) -> np.ndarray:
+    """The unit normals of a surface stratum at the nodes of its sign grid,
+    (i, j) at row i * nx1 + j.  They do not depend on the plane, so a polar
+    call builds them once per stratum."""
+    chart = S.chart
+    lo = np.array([b[0] for b in chart.bounds])
+    hi = np.array([b[1] for b in chart.bounds])
+    per = chart.periodic
+    nx0, nx1 = nx = [TRACE_GRID if p else TRACE_GRID + 1 for p in per]
+    axes = [np.linspace(lo[i], hi[i], nx[i], endpoint=not per[i]) for i in range(2)]
+    P = np.empty((nx0, nx1, 2))
+    P[..., 0] = axes[0][:, None]
+    P[..., 1] = axes[1]
+    return _surface_normals(S, P.reshape(-1, 2))
+
+
+def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
+                     normals: np.ndarray | None = None):
     """Polylines of {x in S : normal(x) orthogonal to span(u)} via a sign grid with
     bisected edge crossings, chained per cell and refined to the chord
     tolerance.  Returns a list of (params_array, points_array, closed); a
     closed polyline ends with its first point, whose chart parameters are
     unwrapped against the last one.
 
+    The sign grid is ``normals @ u``, from the grid normals of
+    :func:`_trace_grid_normals`, which a polar call builds once for all its
+    planes; they are built here when not given, with the same bits.
     Cells and edges are classified as arrays.  Node (i, j) of the grid is
     i * nx1 + j; the edge from it along axis 0 has that id, the edge along
     axis 1 that id plus nx0 * nx1, with indices wrapped on periodic axes."""
@@ -183,13 +211,11 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float):
     lo = np.array([b[0] for b in chart.bounds])
     hi = np.array([b[1] for b in chart.bounds])
     per = chart.periodic
-    nx0, nx1 = nx = [g if p else g + 1 for p in per]
-    axes = [np.linspace(lo[i], hi[i], nx[i], endpoint=not per[i]) for i in range(2)]
+    nx0, nx1 = [g if p else g + 1 for p in per]
     steps = (hi - lo) / g
-    P = np.empty((nx0, nx1, 2))
-    P[..., 0] = axes[0][:, None]
-    P[..., 1] = axes[1]
-    vals = _silhouette_value(S, P.reshape(-1, 2), u).reshape(nx0, nx1)
+    if normals is None:
+        normals = _trace_grid_normals(S)
+    vals = (normals @ u).reshape(nx0, nx1)
 
     # corner signs of every cell, on views of the grid padded by its first
     # row or column along a periodic axis
@@ -388,7 +414,11 @@ def _span_flags(spans: np.ndarray, comp: np.ndarray):
     return flags, inter_dim, clearance
 
 
-def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int) -> list[PolarPiece]:
+def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
+                         grids: dict) -> list[PolarPiece]:
+    """The polar pieces of one smooth stratum.  ``grids`` holds the trace-grid
+    normals of the surface strata by name; a missing entry is built and
+    kept there, so that the planes of one polar call share it."""
     n = X.ambient_dim
     if S.role == "solid":
         return []
@@ -413,7 +443,9 @@ def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int) 
         ]
     if S.dim == 2 and n == 3 and q == 1:
         u = P.orthogonal_complement().basis[0]
-        traced = trace_silhouette(S, u, X.diameter)
+        if S.name not in grids:
+            grids[S.name] = _trace_grid_normals(S)
+        traced = trace_silhouette(S, u, X.diameter, normals=grids[S.name])
         return [
             PolarPiece(
                 stratum=S,
@@ -434,7 +466,7 @@ def polar_variety(X: Shape, stratum, P: LinearSubspace):
     leaves no polar points."""
     q = P.dim - 1
     if X.pl is None:
-        return _smooth_polar_pieces(X, stratum, P, q)
+        return _smooth_polar_pieces(X, stratum, P, q, {})
     K = X.pl
     cell = tuple(sorted(stratum))
     _pl_span_check(K, P)
@@ -650,12 +682,6 @@ def _q0_alphas(S: SmoothStratum, params, v: np.ndarray, morse_indices) -> np.nda
 # image integrals and polar lengths
 # ---------------------------------------------------------------------------
 
-def _region_mask(X: Shape, pts: np.ndarray) -> np.ndarray:
-    if X.region is None:
-        return np.ones(len(pts), dtype=bool)
-    return np.asarray(X.region(pts), dtype=bool)
-
-
 def polar_image_integral(X: Shape, stratum, P: LinearSubspace, pieces=None) -> float:
     """Integral of alpha over the polar image of one stratum (q-volume)."""
     if pieces is None:
@@ -695,12 +721,14 @@ def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
     if piece.kind == "points":
         if q != 0:
             return 0.0
-        keep = _region_mask(X, piece.source_points)
+        keep = X.in_region(piece.source_points)
         return float(np.sum(_q0_alphas(piece.stratum, piece.source_params[keep], P.basis[0],
                                        piece.morse_indices[keep])))
     if piece.kind == "whole":
         return _whole_stratum_integral(X, piece.stratum, P)
     if piece.kind == "contour":
+        if piece.stratum.role == "top":
+            return 0.0  # alpha is 0 at every fold of a top stratum
         return _contour_integral(X, piece, P)
     raise ValueError(f"unknown piece kind {piece.kind}")
 
@@ -719,7 +747,7 @@ def _whole_stratum_integral(X: Shape, S: SmoothStratum, P: LinearSubspace) -> fl
         element = np.sqrt(np.maximum(gram[..., 0, 0], 0.0))
     else:
         element = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-    mask = _region_mask(X, pts)
+    mask = X.in_region(pts)
     keep = mask & (element >= 1e-14)
     alphas = np.zeros(len(params))
     if np.any(keep):
@@ -775,7 +803,7 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
     halves = np.linalg.norm(m - geo[:-1], axis=1) + np.linalg.norm(geo[1:] - m, axis=1)
     seg_len = (4.0 * halves - chord) / 3.0
     alphas, valid = _fold_alphas_batch(S, mids, u)
-    mask = _region_mask(X, mid_pts)
+    mask = X.in_region(mid_pts)
     length = float(np.sum(seg_len))
     skipped = float(np.sum(seg_len[~valid]))
     if length > 0 and skipped > 0.05 * length:
@@ -784,10 +812,45 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
     return float(math.fsum((alphas[keep] * seg_len[keep]).tolist()))
 
 
-def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
+def _q0_values(X: Shape, V: np.ndarray):
+    """The q = 0 value of each line of a stack, with unit directions V
+    (B, n), on a smooth shape: the alpha sum over the critical points of the
+    height along it, from one stacked Newton solve per stratum.
+
+    Returns (values, fold, wall, parts).  ``fold`` flags a non-Morse height,
+    the "fold" rejection of :func:`polar_sample`; ``wall`` a critical point
+    in the region on the wall of a normal index, where :func:`_q0_alphas`
+    raises.  ``parts`` holds (stratum name, has points, alpha sum) for each
+    stratum: the one "points" piece of a line, when it has points.  Alphas
+    are half-integers, so every sum is exact in any order."""
+    values = np.zeros(len(V))
+    fold = np.zeros(len(V), dtype=bool)
+    wall = np.zeros(len(V), dtype=bool)
+    parts = []
+    for S in X.smooth.strata:
+        if S.role == "solid":
+            continue
+        crit = height_critical_points_many(S, V, scale=X.diameter)
+        fold |= crit.degenerate
+        keep = X.in_region(crit.points)
+        own = crit.direction[keep]
+        lam = crit.morse_indices[keep]
+        down, at_wall = normal_index_many(S, crit.params[keep], V[own])
+        up, _ = normal_index_many(S, crit.params[keep], -V[own])
+        wall[own[at_wall]] = True
+        alphas = 0.5 * ((-1.0) ** lam * down + (-1.0) ** (S.dim - lam) * up)
+        part = np.bincount(own, weights=alphas, minlength=len(V))
+        parts.append((S.name, np.bincount(crit.direction, minlength=len(V)) > 0, part))
+        values += part
+    return values, fold, wall, parts
+
+
+def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> PolarSample:
     """The polar set of the shape for one plane, with genericity checks
-    attached."""
+    attached.  ``grids`` holds the trace-grid normals of a polar call's
+    planes (see :func:`_smooth_polar_pieces`); a lone plane builds its own."""
     q = P.dim - 1
+    grids = {} if grids is None else grids
     pieces = []
     images = None
     try:
@@ -798,12 +861,13 @@ def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
             images = K.vertices[cells] @ P.basis.T
         else:
             for S in X.smooth.strata:
-                pieces.extend(_smooth_polar_pieces(X, S, P, q))
+                pieces.extend(_smooth_polar_pieces(X, S, P, q, grids))
     except DegeneratePlaneError as err:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=err.report)
     except (DegenerateDirectionError, DegenerateHeightError):
         return PolarSample(plane=P, pieces=(), degenerate=True, report=DegeneracyReport(fold_violations=["height"]))
-    report = check_genericity(X, P, pieces)
+    # the checks read traced contours only, and a PL shape has none
+    report = DegeneracyReport() if X.pl is not None else check_genericity(X, P, pieces)
     if not report.clean:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=report)
     return PolarSample(plane=P, pieces=tuple(pieces), degenerate=False, report=report,
@@ -850,8 +914,10 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         if keep_rows:
             rows.append((i, P.basis.copy(), {}, "+".join(reasons)))
 
+    grids: dict = {}  # trace-grid normals of the surface strata, for every plane
+
     def one(i: int, P: LinearSubspace) -> float:
-        sample = polar_sample(X, P)
+        sample = polar_sample(X, P, grids=grids)
         if sample.degenerate:
             reasons = sample.report.reasons() or ["other"]
             reject(i, P, reasons)
@@ -872,9 +938,22 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
             rows.append((i, P.basis.copy(), per_stratum, ""))
         return _sum_in_order(vals)
 
+    def lines(samples: list[int], planes: list[LinearSubspace]):
+        vals, fold, wall, parts = _q0_values(X, np.array([P.basis[0] for P in planes]))
+        for j, (i, P) in enumerate(zip(samples, planes)):
+            if fold[j] or wall[j]:
+                reject(i, P, ["fold" if fold[j] else "alpha"])
+            elif keep_rows:
+                rows.append((i, P.basis.copy(),
+                             {name: float(part[j]) for name, has, part in parts if has[j]}, ""))
+        return vals, fold | wall
+
+    if X.pl is None and q == 0:
+        values = lines
+    else:
+        values = each_draw(one, (DegeneratePlaneError, DegenerateDirectionError))
     values = per_sample_values(
-        n_planes, rng, lambda gen: sample_grassmannian(n, q + 1, gen),
-        each_draw(one, (DegeneratePlaneError, DegenerateDirectionError)), "polar planes")
+        n_planes, rng, lambda gen: sample_grassmannian(n, q + 1, gen), values, "polar planes")
     rows.sort(key=lambda row: row[0])  # a block evaluates its redraws after its first draws
     const = polar_length_constant(n, q)
     est = mean_estimate(values, seed=seed, method="polar-mc").scaled(const)

@@ -26,14 +26,17 @@ __all__ = [
     "SecondFormAt",
     "CriticalPoint",
     "DegenerateHeightError",
+    "HeightCriticalPoints",
     "frames",
     "second_form",
     "tangent_frame_form",
     "hypersurface_normals",
     "normal_index",
+    "normal_index_many",
     "normal_circle_moments",
     "integrate_stratum",
     "height_critical_points",
+    "height_critical_points_many",
     "height_hessian_eigenvalues",
     "rim_curvature_vector",
     "sphere_shape",
@@ -271,14 +274,22 @@ def normal_index(S: SmoothStratum, params, vs) -> np.ndarray:
     is empty exactly when <v, w> > 0, so the index is 1 or 0 by that sign.  A
     direction with |<v, w>| < 1e-9 raises DegenerateDirectionError.
     """
+    index, wall = normal_index_many(S, params, vs)
+    if np.any(wall):
+        raise DegenerateDirectionError("direction tangent to the inward conormal")
+    return index
+
+
+def normal_index_many(S: SmoothStratum, params, vs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normal_index` at a stack of points, and a mask of the points
+    whose direction lies within 1e-9 of the wall <v, w> = 0, where
+    normal_index raises; their index is not to be used."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if S.role == "top":
-        return np.ones(len(params))
+        return np.ones(len(params)), np.zeros(len(params), dtype=bool)
     w = np.atleast_2d(S.inward_conormal(params))
     dots = np.einsum("ij,ij->i", np.broadcast_to(vs, w.shape), w)
-    if np.any(np.abs(dots) < 1e-9):
-        raise DegenerateDirectionError("direction tangent to the inward conormal")
-    return (dots > 0).astype(float)
+    return (dots > 0).astype(float), np.abs(dots) < 1e-9
 
 
 def normal_circle_moments(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndarray]:
@@ -380,16 +391,39 @@ def height_hessian_eigenvalues(S: SmoothStratum, params, v: np.ndarray) -> np.nd
     return np.linalg.eigvalsh(tangent_frame_form(S.chart.dr(params), S.chart.d2r(params) @ v)[1])
 
 
-def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) -> list[CriticalPoint]:
-    """Critical points of the height <v, .> on the stratum by multistart Newton.
+@dataclass(frozen=True)
+class HeightCriticalPoints:
+    """Critical points of the heights along a stack of D directions, in
+    direction order, then start order.  Row k is a critical point of the
+    height along direction ``direction[k]``.  A direction flagged in
+    ``degenerate`` is to be redrawn and has no rows."""
 
-    Uses the exact chart gradient <v, dr> and Hessian <v, d2r>; duplicates are
-    merged by ambient distance, relative to ``scale`` (the shape diameter).
-    Directions whose critical points drift into a chart edge, or whose
-    Hessian is near-singular, raise DegenerateHeightError so the caller can
-    redraw.
+    direction: np.ndarray  # (K,) direction of each point
+    params: np.ndarray  # (K, d)
+    points: np.ndarray  # (K, n)
+    hessian_eigenvalues: np.ndarray  # (K, d)
+    degenerate: np.ndarray  # (D,) bools
+
+    @property
+    def morse_indices(self) -> np.ndarray:
+        return np.sum(self.hessian_eigenvalues < 0.0, axis=1)
+
+
+def height_critical_points_many(S: SmoothStratum, V, scale: float = 1.0) -> HeightCriticalPoints:
+    """Critical points of the heights <v, .> on the stratum along each row v
+    of a (D, n) stack, by one multistart Newton over (direction, start).
+
+    Uses the exact chart gradient <v, dr> and Hessian <v, d2r>; every start
+    steps until its clamped position stops moving.  Duplicates are merged
+    greedily in start order, by ambient distance relative to ``scale`` (the
+    shape diameter): each direction takes its first remaining start and
+    drops the starts within CLUSTER_TOL of it, for all directions at once.
+    A direction whose critical points drift into a chart edge, or whose
+    Hessian is near-singular at a kept point, is flagged degenerate so the
+    caller can redraw it.  Every stacked call treats a row as a lone one
+    would, so each direction gets the points of a stack of one.
     """
-    v = np.asarray(v, dtype=float)
+    V = np.atleast_2d(np.asarray(V, dtype=float))
     chart = S.chart
     d = chart.dim
     lo = np.array([b[0] for b in chart.bounds])
@@ -399,18 +433,23 @@ def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) 
         for i in range(d)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([m.ravel() for m in mesh], axis=-1)
+    starts = np.stack([m.ravel() for m in mesh], axis=-1)
+    D, N = len(V), len(starts)
+    P = np.broadcast_to(starts, (D, N, d)).copy()
     caps = 0.2 * (hi - lo)
+    unit = max(scale, 1.0)
 
     # iterate only the still-moving starts; quadratic convergence settles the
     # useful ones quickly while strays are cut off by the iteration cap
-    active = np.ones(len(P), dtype=bool)
+    active = np.ones((D, N), dtype=bool)
     for _ in range(NEWTON_ITERS):
-        Q0 = P[active]
-        g = chart.dr(Q0) @ v  # (M, d)
-        H = chart.d2r(Q0) @ v  # (M, d, d)
+        rows = np.nonzero(active)
+        Q0 = P[rows]
+        v = V[rows[0]]
+        g = (chart.dr(Q0) @ v[:, :, None])[..., 0]  # (M, d)
+        H = (chart.d2r(Q0) @ v[:, None, :, None])[..., 0]  # (M, d, d)
         dets = np.abs(np.linalg.det(H))
-        ok = dets > 1e-14 * max(scale, 1.0) ** d
+        ok = dets > 1e-14 * unit ** d
         step = np.zeros_like(Q0)
         if np.any(ok):
             step[ok] = np.linalg.solve(H[ok], -g[ok][..., None])[..., 0]
@@ -422,7 +461,7 @@ def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) 
                 Q[:, i] = lo[i] + np.mod(Q[:, i] - lo[i], span)
             else:
                 Q[:, i] = np.clip(Q[:, i], lo[i], hi[i])
-        P[active] = Q
+        P[rows] = Q
         # a start is done when its clamped position stops moving (this also
         # freezes strays pressed against a chart edge)
         moved = np.zeros(len(Q))
@@ -431,41 +470,55 @@ def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) 
             if chart.periodic[i]:
                 di = np.minimum(di, (hi[i] - lo[i]) - di)
             moved = np.maximum(moved, di)
-        settled = moved < 1e-13 * max(scale, 1.0)
-        idx = np.flatnonzero(active)
-        active[idx[settled]] = False
+        settled = moved < 1e-13 * unit
+        active[rows[0][settled], rows[1][settled]] = False
         if not np.any(active):
             break
 
     # criticality is judged by the chart-independent tangential component of v
-    J = chart.dr(P)  # (N, d, n)
-    q_all = np.linalg.qr(np.swapaxes(J, -1, -2))[0]  # (N, n, d)
-    tang_norm = np.linalg.norm(np.einsum("pnd,n->pd", q_all, v), axis=1)
-    inside = np.ones(len(P), dtype=bool)
+    q_all = np.linalg.qr(np.swapaxes(chart.dr(P), -1, -2))[0]  # (D, N, n, d)
+    tang_norm = np.linalg.norm(np.einsum("dpnk,dn->dpk", q_all, V), axis=-1)
+    inside = np.ones((D, N), dtype=bool)
     for i in range(d):
         if not chart.periodic[i]:
             margin = 1e-5 * (hi[i] - lo[i])
-            inside &= (P[:, i] > lo[i] + margin) & (P[:, i] < hi[i] - margin)
+            inside &= (P[..., i] > lo[i] + margin) & (P[..., i] < hi[i] - margin)
+    vnorm = np.linalg.norm(V, axis=1)[:, None]
     # a near-critical point pressed against a chart edge means the direction
     # is unresolvable in this chart: resample rather than silently miss it
-    if np.any((tang_norm < 1e-4 * np.linalg.norm(v)) & ~inside):
-        raise DegenerateHeightError("critical point at a chart edge")
-    P = P[(tang_norm < 1e-9 * np.linalg.norm(v)) & inside]
-    if len(P) == 0:
-        return []
+    degenerate = np.any((tang_norm < 1e-4 * vnorm) & ~inside, axis=1)
+    remaining = (tang_norm < 1e-9 * vnorm) & inside
+    pts = np.zeros(P.shape[:2] + (V.shape[1],))
+    pts[remaining] = chart.r(P[remaining])
 
-    pts = chart.r(P)
-    out: list[CriticalPoint] = []
-    taken: list[np.ndarray] = []
-    for p, x in zip(P, pts):
-        if any(np.linalg.norm(x - y) < CLUSTER_TOL * max(scale, 1.0) for y in taken):
-            continue
-        taken.append(x)
-        eig = height_hessian_eigenvalues(S, p, v)
-        if np.min(np.abs(eig)) < 1e-8 * max(scale, 1.0):
-            raise DegenerateHeightError("near-degenerate height critical point")
-        out.append(CriticalPoint(params=p, point=x, hessian_eigenvalues=eig))
-    return out
+    kept = np.zeros((D, N), dtype=bool)
+    while np.any(remaining):
+        dirs = np.flatnonzero(remaining.any(axis=1))
+        first = remaining[dirs].argmax(axis=1)
+        kept[dirs, first] = True
+        near = np.linalg.norm(pts[dirs] - pts[dirs, first][:, None], axis=-1) < CLUSTER_TOL * unit
+        remaining[dirs] &= ~near
+
+    own, at = np.nonzero(kept)
+    params = P[own, at]
+    v = V[own]
+    eig = np.linalg.eigvalsh(tangent_frame_form(
+        chart.dr(params), (chart.d2r(params) @ v[:, None, :, None])[..., 0])[1])
+    degenerate[own[np.min(np.abs(eig), axis=1, initial=np.inf) < 1e-8 * unit]] = True
+    good = ~degenerate[own]
+    return HeightCriticalPoints(direction=own[good], params=params[good], points=pts[own, at][good],
+                                hessian_eigenvalues=eig[good], degenerate=degenerate)
+
+
+def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) -> list[CriticalPoint]:
+    """Critical points of the height <v, .> on the stratum: the one-direction
+    view of :func:`height_critical_points_many`.  A degenerate direction
+    raises DegenerateHeightError so the caller can redraw."""
+    crit = height_critical_points_many(S, np.asarray(v, dtype=float)[None], scale)
+    if crit.degenerate[0]:
+        raise DegenerateHeightError("critical point at a chart edge, or a degenerate one")
+    return [CriticalPoint(params=p, point=x, hessian_eigenvalues=e)
+            for p, x, e in zip(crit.params, crit.points, crit.hessian_eigenvalues)]
 
 
 # ---------------------------------------------------------------------------

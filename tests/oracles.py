@@ -23,6 +23,9 @@ the package computes faster, or by another formula:
 - :func:`trace_silhouette_loop` classifies the cells of the sign grid one at
   a time and re-snaps every segment midpoint in each refinement round,
   against the array-based ``polar.trace_silhouette``;
+- :func:`height_critical_points_loop` runs the multistart Newton of one
+  direction at a time and merges duplicates point by point, against the
+  stacked ``smoothshape.height_critical_points_many``;
 - :func:`steiner_oracle` fits the dilation-volume polynomial of a convex
   catalog body (cube, segment, ball) by point counting, against the
   intrinsic volumes of ``lk_measure``.
@@ -63,7 +66,17 @@ from lkpolar.polar import (
     TRACE_GRID,
     _silhouette_value,
 )
-from lkpolar.smoothshape import SmoothStratum, frames, second_form
+from lkpolar.smoothshape import (
+    CLUSTER_TOL,
+    NEWTON_ITERS,
+    NEWTON_STARTS_PER_AXIS,
+    CriticalPoint,
+    DegenerateHeightError,
+    SmoothStratum,
+    frames,
+    height_hessian_eigenvalues,
+    second_form,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +774,98 @@ def snap_to_contour_all(S, P: np.ndarray, u, iters=25):
         P[:, 0] -= g * g0 / n2
         P[:, 1] -= g * g1 / n2
     return P
+
+
+# ---------------------------------------------------------------------------
+# height critical points, one direction at a time
+# ---------------------------------------------------------------------------
+
+def height_critical_points_loop(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) -> list[CriticalPoint]:
+    """Critical points of the height <v, .> on the stratum by multistart Newton.
+
+    Uses the exact chart gradient <v, dr> and Hessian <v, d2r>; duplicates are
+    merged by ambient distance, relative to ``scale`` (the shape diameter).
+    Directions whose critical points drift into a chart edge, or whose
+    Hessian is near-singular, raise DegenerateHeightError so the caller can
+    redraw.
+    """
+    v = np.asarray(v, dtype=float)
+    chart = S.chart
+    d = chart.dim
+    lo = np.array([b[0] for b in chart.bounds])
+    hi = np.array([b[1] for b in chart.bounds])
+    axes = [
+        np.linspace(lo[i], hi[i], NEWTON_STARTS_PER_AXIS, endpoint=not chart.periodic[i])
+        for i in range(d)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    P = np.stack([m.ravel() for m in mesh], axis=-1)
+    caps = 0.2 * (hi - lo)
+
+    # iterate only the still-moving starts; quadratic convergence settles the
+    # useful ones quickly while strays are cut off by the iteration cap
+    active = np.ones(len(P), dtype=bool)
+    for _ in range(NEWTON_ITERS):
+        Q0 = P[active]
+        g = chart.dr(Q0) @ v  # (M, d)
+        H = chart.d2r(Q0) @ v  # (M, d, d)
+        dets = np.abs(np.linalg.det(H))
+        ok = dets > 1e-14 * max(scale, 1.0) ** d
+        step = np.zeros_like(Q0)
+        if np.any(ok):
+            step[ok] = np.linalg.solve(H[ok], -g[ok][..., None])[..., 0]
+        step = np.clip(step, -caps, caps)
+        Q = Q0 + step
+        for i in range(d):
+            if chart.periodic[i]:
+                span = hi[i] - lo[i]
+                Q[:, i] = lo[i] + np.mod(Q[:, i] - lo[i], span)
+            else:
+                Q[:, i] = np.clip(Q[:, i], lo[i], hi[i])
+        P[active] = Q
+        # a start is done when its clamped position stops moving (this also
+        # freezes strays pressed against a chart edge)
+        moved = np.zeros(len(Q))
+        for i in range(d):
+            di = np.abs(Q[:, i] - Q0[:, i])
+            if chart.periodic[i]:
+                di = np.minimum(di, (hi[i] - lo[i]) - di)
+            moved = np.maximum(moved, di)
+        settled = moved < 1e-13 * max(scale, 1.0)
+        idx = np.flatnonzero(active)
+        active[idx[settled]] = False
+        if not np.any(active):
+            break
+
+    # criticality is judged by the chart-independent tangential component of v
+    J = chart.dr(P)  # (N, d, n)
+    q_all = np.linalg.qr(np.swapaxes(J, -1, -2))[0]  # (N, n, d)
+    tang_norm = np.linalg.norm(np.einsum("pnd,n->pd", q_all, v), axis=1)
+    inside = np.ones(len(P), dtype=bool)
+    for i in range(d):
+        if not chart.periodic[i]:
+            margin = 1e-5 * (hi[i] - lo[i])
+            inside &= (P[:, i] > lo[i] + margin) & (P[:, i] < hi[i] - margin)
+    # a near-critical point pressed against a chart edge means the direction
+    # is unresolvable in this chart: resample rather than silently miss it
+    if np.any((tang_norm < 1e-4 * np.linalg.norm(v)) & ~inside):
+        raise DegenerateHeightError("critical point at a chart edge")
+    P = P[(tang_norm < 1e-9 * np.linalg.norm(v)) & inside]
+    if len(P) == 0:
+        return []
+
+    pts = chart.r(P)
+    out: list[CriticalPoint] = []
+    taken: list[np.ndarray] = []
+    for p, x in zip(P, pts):
+        if any(np.linalg.norm(x - y) < CLUSTER_TOL * max(scale, 1.0) for y in taken):
+            continue
+        taken.append(x)
+        eig = height_hessian_eigenvalues(S, p, v)
+        if np.min(np.abs(eig)) < 1e-8 * max(scale, 1.0):
+            raise DegenerateHeightError("near-degenerate height critical point")
+        out.append(CriticalPoint(params=p, point=x, hessian_eigenvalues=eig))
+    return out
 
 
 # ---------------------------------------------------------------------------

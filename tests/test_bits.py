@@ -1,9 +1,10 @@
 """Bit pins of seeded estimates, and the premise that keeps them: a stacked
 numpy call gives every block the bits of a lone call.
 
-The germ routes evaluate a block of up to 256 samples per kernel call.  The
-pins below were recorded when every sample was still evaluated alone, one
-numpy call per plane; a stacked route that moves a last bit fails here.  If
+The germ routes, smooth exchange and smooth polar lengths at q=0 evaluate a
+block of up to 256 samples per kernel call.  The pins below were recorded
+when every sample was still evaluated alone, one numpy call per plane or
+direction; a stacked route that moves a last bit fails here.  If
 a numpy or BLAS change breaks the stacking premise, the guard tests fail
 too, and name the kernel, instead of the pins moving silently."""
 
@@ -43,8 +44,14 @@ PINS = {
     ('torus7', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
     ('cube-boundary', 'polar_length', 2): ('0x1.8000000000000p+2', '0x1.54277f40d6cb6p-53'),
     ('disk:1', 'polar_length', 1): ('0x1.963c4cf6a998cp+1', '0x1.715b10afc4f10p-3'),
+    ('hemisphere:1', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
+    ('hemisphere:1', 'polar_length', 1): ('0x1.963c4cf6a998cp+1', '0x1.715b10afc4f10p-3'),
+    ('ball:1', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
+    ('ball:1', 'polar_length', 1): ('0x1.ffffffffffe79p+1', '0x1.9206c2f5d60dcp-45'),
+    ('torus:2:1', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
     ('octahedron', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     ('sphere:1', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
+    ('torus:2:1', 'exchange', 0): ('0x0.0p+0', '0x0.0p+0'),
     # generic angles between the projected rays: the spherical volumes pass
     # through atan2
     ('triangle-rim', 'sigma', 2): ('0x1.962fc962fc963p-1', '0x1.7a336c2c4b842p-5'),

@@ -17,6 +17,7 @@ from lkpolar.polar import (
     _pl_cell_values,
     _span_flags,
     _surface_normals,
+    _trace_grid_normals,
     _whole_stratum_integral,
     alpha_index,
     check_genericity,
@@ -132,7 +133,9 @@ TRACED_STRATA = [("sphere:1", "sphere"), ("torus:2:1", "torus"), ("disk:1", "dis
 @pytest.mark.parametrize("name,stratum", TRACED_STRATA)
 def test_trace_silhouette_matches_cell_loop(name, stratum, moved):
     # the array tracer returns the per-cell loop's polylines bit for bit, on
-    # seeded planes, the XY plane and the axial torus plane
+    # seeded planes, the XY plane and the axial torus plane; so does tracing
+    # the seeded planes from one build of the grid normals, as a polar call
+    # does
     X = shape_from_name(name).smooth
     if moved:
         rot = np.linalg.qr(RandomSource(57).generator().standard_normal((3, 3)))[0]
@@ -146,6 +149,10 @@ def test_trace_silhouette_matches_cell_loop(name, stratum, moved):
         assert _same_polylines(traced, trace_silhouette_loop(S, u, X.diameter)), u
         if k < 8 and name != "disk:1":
             assert traced  # a seeded plane sees a fold on every curved stratum
+    grid = _trace_grid_normals(S)
+    for u in normals[:8]:
+        assert _same_polylines(trace_silhouette(S, u, X.diameter, normals=grid),
+                               trace_silhouette_loop(S, u, X.diameter)), u
 
 
 def _saddle_stratum(s0, t0):
@@ -694,6 +701,70 @@ def test_polar_length_equals_exchange_at_q0():
         a = polar_length(X, 0, 60, RandomSource(38)).estimate
         b = exchange_lambda0(X, 60, RandomSource(39))
         assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error) + 1e-9
+
+
+@pytest.mark.parametrize("name", ["sphere:1", "torus:2:1", "circle:1", "disk:1",
+                                  "hemisphere:1", "ball:1"])
+def test_stacked_q0_route_matches_one_plane_route(name):
+    # a block of lines through one stacked Newton solve per stratum gives
+    # every line the rejection or the per-stratum values of polar_sample and
+    # its pieces, one line at a time; half the hemisphere is cut away, so
+    # the region mask is read too
+    X = shape_from_name(name)
+    if name == "hemisphere:1":
+        X = X.with_region(lambda pts: pts[:, 0] > 0.1)
+    # the axes include non-Morse heights: e3 on every shape, e1 and e2 on the
+    # hemisphere, whose cap then has critical points on its chart edge
+    V = np.concatenate([np.eye(3), [[0.6, 0.0, 0.8]]])
+    vals, fold, _, _ = polar._q0_values(X, V)
+    assert fold[2]
+    for v, val, flagged in zip(V, vals, fold):
+        sample = polar_sample(X, LinearSubspace(3, v[None]))
+        assert sample.degenerate == flagged
+        if not flagged:
+            assert val == polar._sum_in_order(_piece_values(X, sample.pieces, sample.plane))
+    res = polar_length(X, 0, 40, RandomSource(41), keep_rows=True)
+    assert len(res.per_plane) == 40 + res.n_rejected
+    for _, basis, per_stratum, reasons in res.per_plane:
+        P = LinearSubspace(3, basis)
+        sample = polar_sample(X, P)
+        if reasons:
+            assert sample.degenerate == (reasons == "fold")
+            if reasons == "alpha":
+                with pytest.raises(DegenerateDirectionError):
+                    _piece_values(X, sample.pieces, P)
+            continue
+        assert not sample.degenerate
+        keys = [p.stratum.name for p in sample.pieces]
+        assert per_stratum == dict(zip(keys, _piece_values(X, sample.pieces, P)))
+
+
+def test_polar_call_builds_each_trace_grid_once(monkeypatch):
+    # the grid normals do not depend on the plane: one build per surface
+    # stratum and polar call, none for the rim, which is polar whole at q=1
+    built = []
+    build = polar._trace_grid_normals
+    monkeypatch.setattr(polar, "_trace_grid_normals", lambda S: built.append(S.name) or build(S))
+    polar_length(shape_from_name("hemisphere:1"), 1, 5, RandomSource(42))
+    assert built == ["cap"]
+    polar_sample(shape_from_name("torus:2:1"), _generic_plane(43))
+    assert built == ["cap", "torus"]
+
+
+def test_zero_weight_folds_and_pl_planes_skip_their_constants(monkeypatch):
+    # alpha is 0 at every fold of a top stratum, and the genericity checks
+    # read traced contours only, which a PL plane has none of
+    def never(*args):
+        raise AssertionError("computed a provable constant")
+
+    monkeypatch.setattr(polar, "_fold_alphas_batch", never)
+    for name in ("sphere:1", "torus:2:1"):
+        res = polar_length(shape_from_name(name), 1, 5, RandomSource(44))
+        assert res.estimate.value == 0.0 and res.n_rejected == 0
+    monkeypatch.setattr(polar, "check_genericity", never)
+    sample = polar_sample(shape_from_name("cube"), _generic_plane(45))
+    assert sample.report.clean and not sample.degenerate
+    assert polar_length(shape_from_name("cube"), 1, 5, RandomSource(46)).n_rejected == 0
 
 
 def test_polar_length_determinism():

@@ -15,6 +15,7 @@ from lkpolar.geomkit import (
     per_sample_values,
 )
 from lkpolar.plstrata import DegenerateSliceError
+from lkpolar.smoothshape import DegenerateHeightError, HeightCriticalPoints
 
 
 class _Flaky(ValueError):
@@ -105,6 +106,15 @@ def _flag_all(*args):
     return np.zeros(len(args[-1])), np.ones(len(args[-1]), dtype=bool)
 
 
+def _no_morse_height(S, V, scale=1.0):
+    # a stacked Newton solve that flags every direction of the stack
+    V = np.atleast_2d(V)
+    return HeightCriticalPoints(
+        direction=np.zeros(0, dtype=int), params=np.zeros((0, S.dim)),
+        points=np.zeros((0, V.shape[1])), hessian_eigenvalues=np.zeros((0, S.dim)),
+        degenerate=np.ones(len(V), dtype=bool))
+
+
 # route name, call, (module, evaluated step, stand-in that always rejects,
 # error the route retries on), (module, sampler called once per draw)
 ROUTES = {
@@ -116,6 +126,15 @@ ROUTES = {
         lambda: lkmeasure.exchange_lambda0(lkmeasure.shape_from_name("cube"), 3, RandomSource(2)),
         (lkmeasure, "_morse_sum_pl", _raise(DegenerateDirectionError), DegenerateDirectionError),
         (lkmeasure, "sample_unit_sphere")),
+    "smooth exchange_lambda0": (
+        lambda: lkmeasure.exchange_lambda0(lkmeasure.shape_from_name("sphere:1"), 3,
+                                           RandomSource(10)),
+        (lkmeasure, "height_critical_points_many", _no_morse_height, DegenerateHeightError),
+        (lkmeasure, "sample_unit_sphere")),
+    "smooth polar_length q=0": (
+        lambda: polar.polar_length(lkmeasure.shape_from_name("sphere:1"), 0, 3, RandomSource(11)),
+        (polar, "height_critical_points_many", _no_morse_height, DegenerateHeightError),
+        (polar, "sample_grassmannian")),
     "kinematic_check": (
         lambda: lkmeasure.kinematic_check(lkmeasure.shape_from_name("ball:1"), 1, 3,
                                           RandomSource(3)),

@@ -21,7 +21,7 @@ from lkpolar.smoothshape import (
     torus_shape,
 )
 
-from oracles import lkw_curvature
+from oracles import height_critical_points_loop, lkw_curvature
 
 ALL_SHAPES = [
     sphere_shape(1.0),
@@ -338,3 +338,47 @@ def test_transformed_shape_consistency():
     nu /= np.linalg.norm(nu)
     eig = np.linalg.eigvalsh(second_form(s, p, nu).matrix)
     assert np.allclose(eig, -0.5, atol=1e-9)
+
+
+def _moved(X):
+    """A rotated, shifted and scaled copy of a catalog shape."""
+    n = X.ambient_dim
+    rot = np.linalg.qr(RandomSource(3).generator().standard_normal((n, n)))[0]
+    return X.transformed(rotation=rot, translation=np.full(n, 0.3), scale=1.7)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("X", ALL_SHAPES + [ball_shape(1.0)], ids=lambda X: X.name)
+def test_stacked_newton_matches_per_direction_loop(X, moved):
+    # one Newton solve over (direction, start) finds, for every direction,
+    # the points of a solve of that direction alone, in the same order, and
+    # flags exactly the directions where the lone solve raises
+    if moved:
+        X = _moved(X)
+    n = X.ambient_dim
+    V = RandomSource(61).generator().standard_normal((50, n))
+    V = np.concatenate([V / np.linalg.norm(V, axis=1)[:, None], np.eye(n)])
+    tol = 1e-12 * X.diameter
+    for S in X.strata:
+        if S.chart is None:
+            continue
+        many = smoothshape.height_critical_points_many(S, V, scale=X.diameter)
+        for j, v in enumerate(V):
+            try:
+                loop = height_critical_points_loop(S, v, scale=X.diameter)
+            except smoothshape.DegenerateHeightError:
+                assert many.degenerate[j], (S.name, j)
+                continue
+            assert not many.degenerate[j], (S.name, j)
+            own = many.direction == j
+            assert own.sum() == len(loop), (S.name, j)
+            if loop:
+                np.testing.assert_allclose(many.params[own], [c.params for c in loop],
+                                           rtol=0.0, atol=tol)
+                np.testing.assert_allclose(many.points[own], [c.point for c in loop],
+                                           rtol=0.0, atol=tol)
+                assert many.morse_indices[own].tolist() == [c.morse_index for c in loop]
+        # the one-direction view raises where the stack flags
+        for j in np.flatnonzero(many.degenerate)[:3]:
+            with pytest.raises(smoothshape.DegenerateHeightError):
+                smoothshape.height_critical_points(S, V[j], scale=X.diameter)
