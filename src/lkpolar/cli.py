@@ -26,7 +26,7 @@ import numpy as np
 from . import germ as germs
 from . import plstrata
 from .geomkit import RandomSource, ball_volume
-from .lkmeasure import kinematic_check, lk_measure, shape_from_name
+from .lkmeasure import CATALOG, kinematic_check, lk_measure, shape_from_name
 from .polar import polar_length
 
 SCHEMA_VERSION = 1
@@ -72,14 +72,10 @@ def _row(quantity, k, est, *, shape=None, reference=None, ok=True, extra=None):
     return row
 
 
-def _parse_orders(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
-
-
 def _checked_orders(text: str, name: str, lo: int, hi: int) -> list[int]:
     """The orders of ``text``, each checked against the range lo..hi that
     shape or germ ``name`` allows, so that a bad order fails before any work."""
-    orders = _parse_orders(text)
+    orders = [int(t) for t in text.split(",") if t != ""]
     bad = [k for k in orders if not lo <= k <= hi]
     if bad:
         raise ValueError(
@@ -254,31 +250,20 @@ def cmd_local(args) -> dict:
             ("L_loc", row.polar),
             ("lambda_loc", row.curvature),
         ):
-            rows.append(_row(name, row.k, est, shape=args.germ, ok=row.passes,
+            rows.append(_row(name, row.k, est, shape=args.germ, ok=row.agrees(args.tolerance),
                              extra={"wall_time_ms": ms}))
-    refined_ok = (
-        abs(report.refined_lhs.value - report.refined_rhs.value)
-        <= args.tolerance
-        * math.hypot(report.refined_lhs.std_error, report.refined_rhs.std_error)
-        + 1e-9
-    )
+    ok = germs.agree(report.refined_lhs, report.refined_rhs, args.tolerance)
     rows.append(_row("refined_L0", 0, report.refined_lhs, shape=args.germ,
-                     reference=report.refined_rhs.value, ok=refined_ok))
+                     reference=report.refined_rhs.value, ok=ok))
     return {"rows": rows}
 
 
 def cmd_catalog(args) -> dict:
-    builders = {
-        "cube": plstrata.solid_cube,
-        "cube-boundary": plstrata.cube_boundary,
-        "octahedron": plstrata.octahedron_boundary,
-        "torus7": plstrata.torus_7vertex,
-        "square": plstrata.square_boundary,
-        "segment": plstrata.segment_complex,
-    }
-    if args.name not in builders:
+    if args.name not in CATALOG:
         raise ValueError(f"unknown catalog complex {args.name!r}")
-    K = builders[args.name]()
+    K = CATALOG[args.name][0]()
+    if not isinstance(K, plstrata.StratifiedComplex):
+        raise ValueError(f"{args.name!r} is a smooth shape, not a catalog complex")
     plstrata.save_plstrat(K, args.out)
     return {"rows": [{"quantity": "catalog", "k": 0, "value": float(len(K.vertices)),
                       "std_error": 0.0, "n_samples": 1, "seed": 0, "pass": True,
@@ -353,6 +338,9 @@ def run(argv=None) -> tuple[dict, int]:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        tolerance = getattr(args, "tolerance", 1.0)
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"--tolerance must be finite and > 0, not {tolerance!r}")
         body = args.func(args)
     # RuntimeError: a resample quota ran out (planes, exchange directions,
     # germ slices), which a report says as plainly as bad input

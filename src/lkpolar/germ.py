@@ -59,6 +59,7 @@ __all__ = [
     "local_polar_length",
     "verify_local_identities",
     "LocalIdentityRow",
+    "agree",
 ]
 
 SLICE_DELTA = 1e-3  # first slice offset of slice_chi_stabilized
@@ -519,6 +520,12 @@ def _round_local_polar_many(X: ConeGerm, bases: np.ndarray):
 # verification table
 # ---------------------------------------------------------------------------
 
+def agree(a: Estimate, b: Estimate, tolerance: float = 3.0) -> bool:
+    """Whether two estimates agree within ``tolerance`` combined standard
+    errors, with 1e-9 of slack for exact values."""
+    return abs(a.value - b.value) <= tolerance * math.hypot(a.std_error, b.std_error) + 1e-9
+
+
 @dataclass(frozen=True)
 class LocalIdentityRow:
     k: int
@@ -526,16 +533,14 @@ class LocalIdentityRow:
     polar: Estimate
     curvature: Estimate
 
+    def agrees(self, tolerance: float = 3.0) -> bool:
+        """Whether every pair of the row's three estimates agrees."""
+        return all(agree(a, b, tolerance) for a, b in
+                   itertools.combinations((self.sigma_diff, self.polar, self.curvature), 2))
+
     @property
     def passes(self) -> bool:
-        vals = [self.sigma_diff, self.polar, self.curvature]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                gap = abs(vals[i].value - vals[j].value)
-                tol = 3 * math.hypot(vals[i].std_error, vals[j].std_error) + 1e-9
-                if gap > tol:
-                    return False
-        return True
+        return self.agrees()
 
 
 @dataclass(frozen=True)
@@ -548,12 +553,9 @@ class LocalIdentityReport:
 
     @property
     def passes(self) -> bool:
-        ok = all(r.passes for r in self.rows)
-        gap = abs(self.sigma_top.value - self.density_top)
-        ok &= gap <= 3 * self.sigma_top.std_error + 1e-9
-        gap = abs(self.refined_lhs.value - self.refined_rhs.value)
-        tol = 3 * math.hypot(self.refined_lhs.std_error, self.refined_rhs.std_error) + 1e-9
-        return ok and gap <= tol
+        top = Estimate(self.density_top, 0.0, 1, self.sigma_top.seed)
+        return (all(r.passes for r in self.rows) and agree(self.sigma_top, top)
+                and agree(self.refined_lhs, self.refined_rhs))
 
 
 def verify_local_identities(

@@ -134,6 +134,18 @@ class Shape:
         )
 
 
+# name -> (builder, most parameters); the builder's defaults stand in for
+# the parameters a name leaves out
+CATALOG = {
+    "cube": (plstrata.solid_cube, 1), "octahedron": (plstrata.octahedron_boundary, 0),
+    "cube-boundary": (plstrata.cube_boundary, 1), "square": (plstrata.square_boundary, 1),
+    "torus7": (plstrata.torus_7vertex, 0), "segment": (plstrata.segment_complex, 1),
+    "sphere": (sm.sphere_shape, 1), "torus": (sm.torus_shape, 2), "circle": (sm.circle_shape, 1),
+    "disk": (sm.disk_shape, 1), "hemisphere": (sm.hemisphere_shape, 1),
+    "ellipse": (sm.ellipse_shape, 2), "ball": (sm.ball_shape, 1),
+}
+
+
 def shape_from_name(spec: str) -> Shape:
     """Build a catalog shape from its CLI name, e.g. ``torus:2:1``."""
     head, _, rest = spec.partition(":")
@@ -142,41 +154,18 @@ def shape_from_name(spec: str) -> Shape:
             return Shape(name=spec, pl=plstrata.load_plstrat(rest))
         except OSError as err:
             raise ValueError(f"cannot read PLSTRAT file {rest!r}: {err.strerror or err}") from err
-    arity = {"cube": 1, "octahedron": 0, "cube-boundary": 1, "square": 1, "torus7": 0,
-             "segment": 1, "sphere": 1, "torus": 2, "circle": 1, "disk": 1, "hemisphere": 1,
-             "ellipse": 2, "ball": 1}
-    if head not in arity:
+    if head not in CATALOG:
         raise ValueError(f"unknown shape {spec!r}")
+    build, most = CATALOG[head]
     args = [float(a) for a in rest.split(":")] if rest else []
-    if len(args) > arity[head]:
-        raise ValueError(f"shape {spec!r}: {head} takes at most {arity[head]} parameters")
+    if len(args) > most:
+        raise ValueError(f"shape {spec!r}: {head} takes at most {most} parameters")
     if not all(math.isfinite(a) and a > 0 for a in args):
         raise ValueError(f"shape {spec!r}: every parameter must be finite and > 0")
-    if head == "cube":
-        return Shape(name=spec, pl=plstrata.solid_cube(args[0] if args else 1.0))
-    if head == "octahedron":
-        return Shape(name=spec, pl=plstrata.octahedron_boundary())
-    if head == "cube-boundary":
-        return Shape(name=spec, pl=plstrata.cube_boundary(args[0] if args else 1.0))
-    if head == "square":
-        return Shape(name=spec, pl=plstrata.square_boundary(args[0] if args else 1.0))
-    if head == "torus7":
-        return Shape(name=spec, pl=plstrata.torus_7vertex())
-    if head == "segment":
-        return Shape(name=spec, pl=plstrata.segment_complex(args[0] if args else 1.0))
-    if head == "sphere":
-        return Shape(name=spec, smooth=sm.sphere_shape(*(args or [1.0])))
-    if head == "torus":
-        return Shape(name=spec, smooth=sm.torus_shape(*(args or [2.0, 1.0])))
-    if head == "circle":
-        return Shape(name=spec, smooth=sm.circle_shape(*(args or [1.0])))
-    if head == "disk":
-        return Shape(name=spec, smooth=sm.disk_shape(*(args or [1.0])))
-    if head == "hemisphere":
-        return Shape(name=spec, smooth=sm.hemisphere_shape(*(args or [1.0])))
-    if head == "ellipse":
-        return Shape(name=spec, smooth=sm.ellipse_shape(*(args or [2.0, 1.0])))
-    return Shape(name=spec, smooth=sm.ball_shape(*(args or [1.0])))  # the ball
+    made = build(*args)
+    if isinstance(made, StratifiedComplex):
+        return Shape(name=spec, pl=made)
+    return Shape(name=spec, smooth=made)
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +289,36 @@ def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> 
 
 def _morse_sum_pl(X: Shape, v: np.ndarray) -> int:
     idx = pl_morse_indices(X.pl, v)
-    if X.region is None:
-        return sum(idx.values())
-    pts = X.pl.vertices
-    keep = np.asarray(X.region(pts), dtype=bool)
+    keep = X.in_region(X.pl.vertices)
     return sum(val for vert, val in idx.items() if keep[vert])
 
 
-def _morse_sums_smooth(X: Shape, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The total stratified Morse index of the height along each direction of
-    a (B, n) stack, with one stacked Newton solve per stratum, and a mask of
-    the directions to redraw: non-Morse heights, and directions on the wall
-    of a normal index."""
-    totals = np.zeros(len(V), dtype=int)
-    redraw = np.zeros(len(V), dtype=bool)
+def _height_sums(X: Shape, V: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """One stacked Newton solve per stratum for the heights along a (B, n)
+    stack of unit directions on a smooth shape.  Returns (parts, fold, wall):
+    per stratum, (stratum, has points, sum of (-1)^lam ind(v), sum of
+    (-1)^(d - lam) ind(-v)) over the critical points in the region, per
+    direction.  The first sum is the Morse index of the exchange formula;
+    alpha, at q = 0, is half the two.  ``fold`` flags a non-Morse height,
+    ``wall`` a point whose v is on the wall of its normal index.  The sums
+    are of integers, so exact in any order."""
+    fold = np.zeros(len(V), dtype=bool)
+    wall = np.zeros(len(V), dtype=bool)
+    parts = []
     for S in X.smooth.strata:
         if S.role == "solid":
             continue  # a linear height has no interior critical points
         crit = height_critical_points_many(S, V, scale=X.diameter)
-        redraw |= crit.degenerate
+        fold |= crit.degenerate
         keep = X.in_region(crit.points)
-        own = crit.direction[keep]
-        index, wall = normal_index_many(S, crit.params[keep], V[own])
-        redraw[own[wall]] = True
-        tangential = np.where(crit.morse_indices[keep] % 2, -1, 1)
-        np.add.at(totals, own, tangential * index.astype(int))
-    return totals, redraw
+        own, lam, params = crit.direction[keep], crit.morse_indices[keep], crit.params[keep]
+        down, at_wall = normal_index_many(S, params, V[own])
+        up, _ = normal_index_many(S, params, -V[own])
+        wall[own[at_wall]] = True
+        parts.append((S, np.bincount(crit.direction, minlength=len(V)) > 0,
+                      np.bincount(own, weights=(-1.0) ** lam * down, minlength=len(V)),
+                      np.bincount(own, weights=(-1.0) ** (S.dim - lam) * up, minlength=len(V))))
+    return parts, fold, wall
 
 
 def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
@@ -336,7 +329,8 @@ def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     shape evaluates a block of directions at once.
     """
     def heights(_, draws):
-        return _morse_sums_smooth(X, np.array(draws))
+        parts, fold, wall = _height_sums(X, np.array(draws))
+        return sum((morse for _, _, morse, _ in parts), np.zeros(len(draws))), fold | wall
 
     if X.pl is not None:
         values = each_draw(lambda _, v: _morse_sum_pl(X, v), DegenerateDirectionError)

@@ -44,18 +44,16 @@ from .geomkit import (
     sample_grassmannian,
     simplex_volumes,
 )
-from .lkmeasure import Shape
+from .lkmeasure import Shape, _height_sums
 from .plstrata import DegenerateDirectionError, pl_alpha_many
 from .smoothshape import (
     CriticalPoint,
     DegenerateHeightError,
     SmoothStratum,
     height_critical_points,
-    height_critical_points_many,
     height_hessian_eigenvalues,
     hypersurface_normals,
     normal_index,
-    normal_index_many,
 )
 
 __all__ = [
@@ -814,35 +812,14 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
 
 def _q0_values(X: Shape, V: np.ndarray):
     """The q = 0 value of each line of a stack, with unit directions V
-    (B, n), on a smooth shape: the alpha sum over the critical points of the
-    height along it, from one stacked Newton solve per stratum.
-
-    Returns (values, fold, wall, parts).  ``fold`` flags a non-Morse height,
-    the "fold" rejection of :func:`polar_sample`; ``wall`` a critical point
-    in the region on the wall of a normal index, where :func:`_q0_alphas`
-    raises.  ``parts`` holds (stratum name, has points, alpha sum) for each
-    stratum: the one "points" piece of a line, when it has points.  Alphas
-    are half-integers, so every sum is exact in any order."""
-    values = np.zeros(len(V))
-    fold = np.zeros(len(V), dtype=bool)
-    wall = np.zeros(len(V), dtype=bool)
-    parts = []
-    for S in X.smooth.strata:
-        if S.role == "solid":
-            continue
-        crit = height_critical_points_many(S, V, scale=X.diameter)
-        fold |= crit.degenerate
-        keep = X.in_region(crit.points)
-        own = crit.direction[keep]
-        lam = crit.morse_indices[keep]
-        down, at_wall = normal_index_many(S, crit.params[keep], V[own])
-        up, _ = normal_index_many(S, crit.params[keep], -V[own])
-        wall[own[at_wall]] = True
-        alphas = 0.5 * ((-1.0) ** lam * down + (-1.0) ** (S.dim - lam) * up)
-        part = np.bincount(own, weights=alphas, minlength=len(V))
-        parts.append((S.name, np.bincount(crit.direction, minlength=len(V)) > 0, part))
-        values += part
-    return values, fold, wall, parts
+    (B, n), on a smooth shape: the alpha sum of :func:`lkmeasure._height_sums`.
+    Returns (values, fold, wall, parts): ``fold`` is the "fold" rejection of
+    :func:`polar_sample`, ``wall`` the points where :func:`_q0_alphas`
+    raises, and ``parts`` (stratum name, has points, alpha sum) per stratum,
+    the one "points" piece of a line when it has points."""
+    sums, fold, wall = _height_sums(X, V)
+    parts = [(S.name, has, 0.5 * (down + up)) for S, has, down, up in sums]
+    return sum((part for _, _, part in parts), np.zeros(len(V))), fold, wall, parts
 
 
 def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> PolarSample:

@@ -369,10 +369,6 @@ class CriticalPoint:
     def morse_index(self) -> int:
         return int(np.sum(self.hessian_eigenvalues < 0.0))
 
-    @property
-    def tangential_index(self) -> int:
-        return (-1) ** self.morse_index
-
 
 class DegenerateHeightError(ValueError):
     """Height function is non-Morse on the stratum for this direction."""

@@ -87,3 +87,21 @@ def test_no_module_level_containers():
                   if isinstance(value, (dict, list, set))
                   and not (name.startswith("__") and name.endswith("__")) and not name.isupper()]
     assert not found
+
+
+def test_benchmark_reads_still_exist():
+    # perfbench reads these attributes as well as calling the functions
+    # above: the closed-form references of the verify rows, and the germ
+    # table's verdicts as bools (a method there would be truthy and pass
+    # every row)
+    assert isinstance(cli.REFERENCES, dict)
+    assert set(cli.REFERENCES) == {"cube", "sphere:1", "torus:2:1", "disk:1", "hemisphere:1",
+                                   "ball:1", "circle:1"}
+    est = lkpolar.Estimate(1.0, 0.1, 10, 0)
+    row = germ.LocalIdentityRow(k=0, sigma_diff=est, polar=est, curvature=est)
+    report = germ.LocalIdentityReport(rows=(row,), sigma_top=est, density_top=5.0,
+                                      refined_lhs=est, refined_rhs=est)
+    for owner, verdict, expected in ((germ.LocalIdentityRow, row.passes, True),
+                                     (germ.LocalIdentityReport, report.passes, False)):
+        assert isinstance(owner.__dict__["passes"], property)
+        assert verdict is expected

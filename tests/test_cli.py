@@ -1,9 +1,12 @@
+import inspect
 import json
 import math
 
 import pytest
 
 from lkpolar.cli import emit_plot_data, main, run
+from lkpolar.lkmeasure import CATALOG
+from lkpolar.plstrata import StratifiedComplex
 
 
 def strip_times(report):
@@ -126,8 +129,14 @@ def test_bad_catalog_parameter_is_a_json_error(spec):
     assert spec in report["error"]
 
 
-@pytest.mark.parametrize("spec", ["sphere:1:2", "torus:2:1:3", "disk:1:1", "cube:1:2",
-                                  "octahedron:1", "ellipse:2:1:1", "square:1:2"])
+def _one_too_many(name):
+    # the builder's defaults, then one parameter past the most it takes
+    build, most = CATALOG[name]
+    defaults = [p.default for p in inspect.signature(build).parameters.values()][:most]
+    return ":".join([name] + [f"{a:g}" for a in defaults] + [str(most + 1)])
+
+
+@pytest.mark.parametrize("spec", [_one_too_many(name) for name in CATALOG])
 def test_extra_catalog_parameter_is_a_json_error(spec):
     report, status = run(["measure", "--shape", spec, "--k", "1", "--samples", "10"])
     assert status == 2
@@ -168,17 +177,59 @@ def test_catalog_roundtrip(tmp_path):
     assert euler_characteristic(load_plstrat(out)) == 2
 
 
-def test_pl_file_shape_matches_catalog(tmp_path):
-    out = tmp_path / "cube.plstrat"
-    _, status = run(["catalog", "--name", "cube", "--out", str(out)])
+COMPLEXES = [name for name, (build, _) in CATALOG.items()
+             if isinstance(build(), StratifiedComplex)]
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_every_catalog_complex_round_trips(name, tmp_path):
+    # a written complex measures to the same bits as the catalog shape, at
+    # every order
+    out = tmp_path / f"{name}.plstrat"
+    _, status = run(["catalog", "--name", name, "--out", str(out)])
     assert status == 0
-    argv = ["measure", "--k", "1,3", "--samples", "400", "--seed", "6"]
-    from_file, status = run(argv + ["--shape", f"pl:{out}"])
+    orders = ",".join(map(str, range(CATALOG[name][0]().ambient_dim + 1)))
+    from_file, status = run(["measure", "--shape", f"pl:{out}", "--k", orders])
     assert status == 0
-    catalog, _ = run(argv + ["--shape", "cube"])
-    assert [(r["value"], r["std_error"]) for r in from_file["rows"]] == [
-        (r["value"], r["std_error"]) for r in catalog["rows"]
-    ]
+    catalog, _ = run(["measure", "--shape", name, "--k", orders])
+    bits = [[(r["k"], r["value"], r["std_error"]) for r in report["rows"]]
+            for report in (from_file, catalog)]
+    assert bits[0] == bits[1]
+
+
+def test_smooth_name_is_not_a_catalog_complex(tmp_path):
+    out = tmp_path / "sphere.plstrat"
+    report, status = run(["catalog", "--name", "sphere", "--out", str(out)])
+    assert status == 2
+    assert "sphere" in report["error"] and not out.exists()
+
+
+def test_local_judges_every_row_at_the_tolerance():
+    argv = ["local", "--germ", "rays:3", "--k", "1", "--samples", "300"]
+    report, status = run(argv)
+    assert status == 0
+    report, status = run(argv + ["--tolerance", "0.001"])
+    assert status == 1
+    sigma = next(r for r in report["rows"] if r["quantity"] == "sigma_diff")
+    assert sigma["std_error"] > 0 and not sigma["pass"]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_fails_before_any_work(tolerance, monkeypatch):
+    import lkpolar.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an order was computed before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "lk_measure", no_work)
+    monkeypatch.setattr(cli, "kinematic_check", no_work)
+    monkeypatch.setattr(cli.germs, "verify_local_identities", no_work)
+    for argv in (["measure", "--shape", "cube", "--k", "1"],
+                 ["kinematic", "--shape", "ball:1", "--k", "1"],
+                 ["local", "--germ", "rays:3", "--k", "1"]):
+        report, status = run(argv + [f"--tolerance={tolerance}"])
+        assert status == 2, argv
+        assert "--tolerance" in report["error"]
 
 
 def test_runtime_error_is_a_json_error(monkeypatch, capsys):

@@ -133,7 +133,7 @@ ROUTES = {
         (lkmeasure, "sample_unit_sphere")),
     "smooth polar_length q=0": (
         lambda: polar.polar_length(lkmeasure.shape_from_name("sphere:1"), 0, 3, RandomSource(11)),
-        (polar, "height_critical_points_many", _no_morse_height, DegenerateHeightError),
+        (lkmeasure, "height_critical_points_many", _no_morse_height, DegenerateHeightError),
         (polar, "sample_grassmannian")),
     "kinematic_check": (
         lambda: lkmeasure.kinematic_check(lkmeasure.shape_from_name("ball:1"), 1, 3,
