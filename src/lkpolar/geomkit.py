@@ -31,6 +31,7 @@ __all__ = [
     "sample_grassmannian",
     "draw_grassmannian",
     "grassmannian_bases",
+    "orthogonal_complements",
     "sample_affine_flats_hitting_ball",
     "simplex_volume",
     "simplex_volumes",
@@ -301,11 +302,7 @@ class LinearSubspace:
         n, k = self.ambient_dim, self.dim
         if k == 0:
             return LinearSubspace.full(n)
-        if k == n:
-            return LinearSubspace(n, np.zeros((0, n)))
-        # the trailing left-singular vectors span the complement exactly
-        u, _, _ = np.linalg.svd(self.basis.T, full_matrices=True)
-        return LinearSubspace(n, u[:, k:].T)
+        return LinearSubspace(n, orthogonal_complements(self.basis[None])[0])
 
 
 @dataclass(frozen=True)
@@ -384,18 +381,31 @@ def grassmannian_bases(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bases, full
 
 
+def orthogonal_complements(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal row bases (S, n - k, n) of the orthogonal complements of a
+    stack of k-planes with orthonormal row bases (S, k, n), k >= 1: the
+    trailing left-singular vectors, which span each complement exactly.  One
+    stacked SVD gives each plane the bits of a lone SVD, and a complement is
+    laid out as a lone one is."""
+    S, k, n = bases.shape
+    if k == n:
+        return np.zeros((S, 0, n))
+    u = np.linalg.svd(bases.swapaxes(1, 2), full_matrices=True)[0]
+    return u[:, :, k:].swapaxes(1, 2)
+
+
 def simplex_volume(points: np.ndarray) -> float:
     """d-volume of the simplex on d+1 points (Gram determinant)."""
     return float(simplex_volumes(points[None])[0])
 
 
 def simplex_volumes(points: np.ndarray) -> np.ndarray:
-    """d-volumes of a stack of simplices, points of shape (C, d+1, k); a
+    """d-volumes of a stack of simplices, points of shape (..., d+1, k); a
     point (d = 0) has volume 1.  Each simplex gets the same LAPACK call as
     it would alone, so the values do not depend on the stack."""
-    e = points[:, 1:] - points[:, :1]
-    d = e.shape[1]
-    return np.sqrt(np.maximum(np.linalg.det(e @ e.swapaxes(1, 2)), 0.0)) / math.factorial(d)
+    e = points[..., 1:, :] - points[..., :1, :]
+    d = e.shape[-2]
+    return np.sqrt(np.maximum(np.linalg.det(e @ e.swapaxes(-1, -2)), 0.0)) / math.factorial(d)
 
 
 def image_normals(vectors: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,7 @@ from .geomkit import (
     RandomSource,
     each_draw,
     mean_estimate,
+    orthogonal_complements,
     per_sample_values,
     sample_affine_flats_hitting_ball,
     sample_unit_sphere,
@@ -41,12 +42,13 @@ from .geomkit import (
 )
 from . import plstrata
 from .plstrata import (
-    DegenerateDirectionError,
     DegenerateSliceError,
     StratifiedComplex,
     mean_normal_index,
-    pl_morse_indices,
+    pl_morse_indices_many,
+    sample_chunks,
     slice_chi,
+    slice_chi_many,
 )
 from . import smoothshape as sm
 from .smoothshape import (
@@ -287,12 +289,6 @@ def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> 
 # exchange formula
 # ---------------------------------------------------------------------------
 
-def _morse_sum_pl(X: Shape, v: np.ndarray) -> int:
-    idx = pl_morse_indices(X.pl, v)
-    keep = X.in_region(X.pl.vertices)
-    return sum(val for vert, val in idx.items() if keep[vert])
-
-
 def _height_sums(X: Shape, V: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """One stacked Newton solve per stratum for the heights along a (B, n)
     stack of unit directions on a smooth shape.  Returns (parts, fold, wall):
@@ -325,15 +321,26 @@ def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     """Mean over uniform directions of the total stratified Morse index.
 
     Equals the 0-th curvature measure; per-direction sums are exact integers,
-    non-generic directions are redrawn within their substream.  A smooth
-    shape evaluates a block of directions at once.
+    non-generic directions are redrawn within their substream.  A block of
+    directions is evaluated at once: on a complex, one stacked Morse pass
+    per chunk of directions (:func:`lkpolar.plstrata.pl_morse_indices_many`)
+    sums the indices of the vertices in the region.
     """
     def heights(_, draws):
         parts, fold, wall = _height_sums(X, np.array(draws))
         return sum((morse for _, _, morse, _ in parts), np.zeros(len(draws))), fold | wall
 
+    def pl_heights(_, draws):
+        V = np.array(draws)
+        sums, degenerate = np.zeros(len(V)), np.zeros(len(V), dtype=bool)
+        for part in sample_chunks(X.pl, len(V)):
+            index, degenerate[part] = pl_morse_indices_many(X.pl, V[part])
+            sums[part] = index[:, keep].sum(axis=1)
+        return sums, degenerate
+
     if X.pl is not None:
-        values = each_draw(lambda _, v: _morse_sum_pl(X, v), DegenerateDirectionError)
+        keep = X.in_region(X.pl.vertices)
+        values = pl_heights
     else:
         values = heights
     values = per_sample_values(
@@ -385,7 +392,9 @@ def kinematic_check(
 
     Estimates the flat integral of chi(X ∩ E) over k-flats meeting the
     bounding ball and divides by Lambda_(n-k); the formula says the ratio is
-    a constant depending only on (n, k).
+    a constant depending only on (n, k).  On a complex, a block of flats is
+    sliced in stacked calls: one SVD for their normal spaces and one
+    :func:`lkpolar.plstrata.slice_chi_many` per chunk of flats.
     """
     n = X.ambient_dim
     if not 1 <= k <= n - 1:
@@ -398,10 +407,22 @@ def kinematic_check(
             center - flat.direction.project(center)))
         return weight * slice_euler_characteristic(X, shifted)
 
+    def pl_flats(_, draws):
+        # the flat through center + offset along D is {x : A x = A (center + offset)}
+        D = np.stack([flat.direction.basis for flat, _ in draws])  # (S, k, n)
+        A = orthogonal_complements(D)
+        at = center + np.stack([flat.offset for flat, _ in draws])
+        images = X.pl.vertices @ A.swapaxes(1, 2) - (A @ at[:, :, None]).swapaxes(1, 2)
+        chi, wall = np.zeros(len(draws), dtype=int), np.zeros(len(draws), dtype=int)
+        for part in sample_chunks(X.pl, len(draws)):
+            chi[part], wall[part] = slice_chi_many(X.pl, images[part])
+        return np.array([weight for _, weight in draws]) * chi, wall >= 0
+
+    values = pl_flats if X.pl is not None else each_draw(one, DegenerateSliceError)
     numer = mean_estimate(
         per_sample_values(n_flats, rng,
                           lambda gen: sample_affine_flats_hitting_ball(n, k, radius, gen),
-                          each_draw(one, DegenerateSliceError), "kinematic check"),
+                          values, "kinematic check"),
         seed=rng.master_seed, method="flat-mc",
     )
     denom = lk_measure(X, n - k, RandomSource(rng.master_seed, rng.stream_id + 7919))

@@ -12,14 +12,15 @@ directions.
 This module owns the normal links of a complex and the normal Morse indices
 built on them: each complex keeps the links it has built.  The index along a
 direction is read by one kernel over the flattened links, which
-:func:`normal_morse_index`, :func:`normal_morse_index_many` and
-:func:`pl_alpha_many` (the polar-image weight alpha, for the polar route and
-the cone germs) view; the curvature route reads its exact mean over the
-normal sphere, :func:`mean_normal_index`.
+:func:`normal_morse_index` and :func:`normal_morse_index_many` view and
+which the polar-image weight alpha of the polar route and the cone germs
+reads for a stack of cells and planes; the curvature route reads its exact
+mean over the normal sphere, :func:`mean_normal_index`.
 
 Nothing about a cell but its projection depends on a random plane or height
 direction, so each complex also keeps a :class:`ComplexPlan`: the cells as
-vertex arrays (the Morse indices of heights read these), their orthonormal
+vertex arrays (:func:`pl_morse_indices_many` reads the Morse indices of a
+stack of heights from these), their orthonormal
 spans stacked per dimension, the vertex stars that link queries read, the
 flattened links that the normal indices and :func:`mean_normal_index` read,
 and the face tables that :func:`slice_chi_many` reads.
@@ -28,6 +29,9 @@ The Euler characteristic of the complex cut by an affine flat, which the
 kinematic check and the polar invariants of cone germs average, is one rule,
 :func:`slice_chi_many` over a stack of flats (:func:`slice_chi` is its
 one-flat view): additivity over the open cells that the flat meets.
+
+The stacked routes of a complex take their samples in chunks
+(:func:`sample_chunks`) of at most PAIR_CAP (sample, cell) pairs.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ __all__ = [
     "normal_morse_index",
     "normal_morse_index_many",
     "mean_normal_index",
-    "pl_alpha_many",
     "pl_morse_indices",
+    "pl_morse_indices_many",
+    "sample_chunks",
     "slice_chi",
     "slice_chi_many",
     "segment_complex",
@@ -67,6 +72,9 @@ __all__ = [
 
 ANGLE_TOL = 1e-8
 SLICE_TOL = 1e-12  # clearance of a slicing flat from a face boundary, per unit^c
+# (sample, cell) pairs in the largest stack of one stacked call over a chunk
+# of planes, directions or flats; it bounds the memory of large complexes
+PAIR_CAP = 16384
 
 
 class DegenerateSliceError(ValueError):
@@ -368,8 +376,9 @@ def _normal_indices(K: StratifiedComplex, d: int, rows, vs: np.ndarray):
     up = np.ones(n_rows * n_dirs, dtype=int)
     for parity, pos, idx in faces:
         # the signs of a link cell sum to -size (+size) when every direction
-        # of it is below (above) v
-        total = sign[:, idx].sum(axis=2)  # (N, T)
+        # of it is below (above) v; a sum of small integers is exact, and one
+        # gather per column is faster than a sum over a short axis
+        total = sum(sign[:, idx[:, k]] for k in range(idx.shape[1]))  # (N, T)
         bins = first + pos
         down -= parity * np.bincount(bins[total == -idx.shape[1]], minlength=len(down))
         up -= parity * np.bincount(bins[total == idx.shape[1]], minlength=len(up))
@@ -439,44 +448,51 @@ def mean_normal_index(K: StratifiedComplex, d: int) -> np.ndarray:
     return index
 
 
-def pl_alpha_many(K: StratifiedComplex, d: int, rows, nus: np.ndarray) -> np.ndarray:
-    """Half-sums of the normal Morse indices along nu and -nu, the weights
-    of polar images with normal nu, of the d-cells at the distinct plan rows
-    ``rows``, cell ``rows[i]`` along ``nus[i]``.
-
-    The checks are those of :func:`normal_morse_index`: a direction that is
-    not orthogonal to its cell raises ValueError, and one within ANGLE_TOL of
-    a wall raises DegenerateDirectionError.
-    """
-    down, up, wall = _normal_indices(K, d, rows, np.asarray(nus, dtype=float)[:, None])
-    if wall.any():
-        raise DegenerateDirectionError("direction orthogonal to a link direction")
-    return 0.5 * (down + up)
-
-
 def pl_morse_indices(K: StratifiedComplex, v: np.ndarray) -> dict[int, int]:
-    """Stratified Morse index of the height <v, .> at every vertex.
+    """Stratified Morse index of the height <v, .> at every vertex: the
+    one-direction view of :func:`pl_morse_indices_many`.  A direction that
+    does not separate the vertex heights raises DegenerateDirectionError."""
+    index, degenerate = pl_morse_indices_many(K, np.asarray(v, dtype=float)[None])
+    if degenerate[0]:
+        raise DegenerateDirectionError("direction does not separate vertex heights")
+    return dict(enumerate(index[0].tolist()))
+
+
+def pl_morse_indices_many(K: StratifiedComplex, V: np.ndarray):
+    """Stratified Morse indices of the heights along a (B, n) stack of
+    directions at every vertex: (B, vertices) integers, and a mask of the
+    directions whose indices are not to be used, since two vertex heights
+    lie within 1e-10 (relative to the largest |height|, or 1) of each other.
 
     Generic directions separate all vertex heights, so positive-dimensional
     cells carry no critical points and each vertex contributes
     1 - chi(lower link).  A cell lies in the lower link of exactly one of its
     vertices, its highest, so each cell of dimension d >= 1 adds (-1)^(d-1)
-    to the lower-link chi of its top vertex.
+    to the lower-link chi of its top vertex.  The heights of the block are
+    one product, and each cell dimension one argmax and one bincount.
     """
-    v = np.asarray(v, dtype=float)
-    heights = K.vertices @ v
-    order = np.sort(heights)
-    scale = max(1.0, float(np.max(np.abs(heights))))
-    if len(order) > 1 and np.min(np.diff(order)) <= 1e-10 * scale:
-        raise DegenerateDirectionError("direction does not separate vertex heights")
-
-    chi = np.zeros(len(K.vertices), dtype=int)
+    heights = K.vertices @ V.T  # (vertices, B)
+    n_verts, n_dirs = heights.shape
+    degenerate = np.zeros(n_dirs, dtype=bool)
+    if n_verts > 1:
+        scale = np.maximum(1.0, np.abs(heights).max(axis=0))
+        degenerate = np.diff(np.sort(heights, axis=0), axis=0).min(axis=0) <= 1e-10 * scale
+    chi = np.zeros(n_dirs * n_verts, dtype=int)  # direction b, vertex x at b * vertices + x
     for d, ids in K.plan.cells.items():
         if d == 0:
             continue
-        top = ids[np.arange(len(ids)), np.argmax(heights[ids], axis=1)]
-        chi += (-1) ** (d - 1) * np.bincount(top, minlength=len(chi))
-    return dict(enumerate((1 - chi).tolist()))
+        top = ids[np.arange(len(ids))[:, None], np.argmax(heights[ids], axis=1)]  # (cells, B)
+        bins = np.arange(0, n_dirs * n_verts, n_verts) + top
+        chi += (-1) ** (d - 1) * np.bincount(bins.ravel(), minlength=len(chi))
+    return (1 - chi).reshape(n_dirs, n_verts), degenerate
+
+
+def sample_chunks(K: StratifiedComplex, n: int) -> list[slice]:
+    """Consecutive slices of n samples (planes, directions or flats) for the
+    stacked kernels of K, each of at most PAIR_CAP (sample, cell) pairs
+    against the largest cell dimension of K, and of one sample at least."""
+    size = max(1, PAIR_CAP // max(map(len, K.cells.values())))
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def _face_table(K: StratifiedComplex, c: int):

@@ -7,7 +7,11 @@ For a projection plane P of dimension q+1 the per-stratum pipeline is:
      stratum seen along P-perp, height critical points at q = 0.  On a PL
      shape, after the span check of every cell below the top dimension,
      only the q-cells are projected and valued, as one stack in plan-row
-     order: a lower cell is polar whole too, but its image has no q-volume;
+     order: a lower cell is polar whole too, but its image has no q-volume.
+     That stack spans a chunk of planes: one SVD for their complements and
+     one per cell dimension for the span check, one projection, one
+     image-normal, normal-index and volume call each, and a running sum per
+     plane, with at most plstrata.PAIR_CAP (plane, cell) pairs per stack;
   2. run degeneracy clearances (wall alignment, image overlap, limit
      adjacency) and resample the plane when one trips - the bad planes form
      measure-zero sets, so a uniform plane essentially never trips them;
@@ -39,13 +43,14 @@ from .geomkit import (
     each_draw,
     image_normals,
     mean_estimate,
+    orthogonal_complements,
     per_sample_values,
     polar_length_constant,
     sample_grassmannian,
     simplex_volumes,
 )
 from .lkmeasure import Shape, _height_sums
-from .plstrata import DegenerateDirectionError, pl_alpha_many
+from .plstrata import DegenerateDirectionError, _normal_indices, sample_chunks
 from .smoothshape import (
     CriticalPoint,
     DegenerateHeightError,
@@ -376,40 +381,58 @@ def _refine_polyline(S, params, u, tol, max_depth=8):
 # polar varieties
 # ---------------------------------------------------------------------------
 
+def _pl_span_flags(K, bases: np.ndarray) -> dict:
+    """The span check of a stack of planes with orthonormal row bases
+    (S, q + 1, n): for each cell dimension below the ambient one, the
+    (flags, dims, clearances) of :func:`_span_flags` against the plane
+    complements, (S, C_d) each, from one stacked SVD per dimension."""
+    comps = orthogonal_complements(bases)
+    return {d: _span_flags(K.plan.spans[d], comps) for d in K.cells if d != K.ambient_dim}
+
+
 def _pl_span_check(K, P: LinearSubspace) -> None:
     """Raise DegeneratePlaneError if the span of a cell below the top
-    dimension is flagged against P-perp (see :func:`_span_flags`)."""
-    comp = P.orthogonal_complement().basis
-    span_flags = []
-    for d, cells in K.cells.items():
-        if d == K.ambient_dim:
-            continue
-        flags, inter_dim, clearance = _span_flags(K.plan.spans[d], comp)
-        span_flags.extend(
-            (cells[i], int(inter_dim[i]), float(clearance[i])) for i in np.flatnonzero(flags))
+    dimension is flagged against P-perp: the one-plane view of
+    :func:`_pl_span_flags`."""
+    span_flags = [
+        (K.cells[d][i], int(dims[0, i]), float(clearances[0, i]))
+        for d, (flags, dims, clearances) in _pl_span_flags(K, P.basis[None]).items()
+        for i in np.flatnonzero(flags[0])
+    ]
     if span_flags:
         raise DegeneratePlaneError(DegeneracyReport(span_flags=span_flags))
 
 
-def _span_flags(spans: np.ndarray, comp: np.ndarray):
-    """The principal angles of each (d, n) span of a stack against the
-    complement ``comp`` of the plane, with one stacked SVD, and which spans
-    it flags: those meeting ``comp`` beyond the generic dimension, or within
-    SPAN_ANGLE_MIN of doing so.  Returns (flags, dims, clearances)."""
+def _span_flags(spans: np.ndarray, comps: np.ndarray):
+    """The principal angles of each (d, n) span of a stack (C, d, n) against
+    the complement ``comps`` (c, n) of a plane, or each of a stack of them
+    (..., c, n), with one stacked SVD, and which spans it flags: those
+    meeting the complement beyond the generic dimension, or within
+    SPAN_ANGLE_MIN of doing so.  Returns (flags, dims, clearances), each
+    (..., C)."""
     count, d, n = spans.shape
-    c = comp.shape[0]
+    c = comps.shape[-2]
+    shape = comps.shape[:-2] + (count,)
     if d == 0 or c == 0:
-        return np.zeros(count, dtype=bool), np.zeros(count, dtype=int), np.full(count, math.pi / 2)
-    sv = np.clip(np.linalg.svd(spans @ comp.T, compute_uv=False), -1.0, 1.0)
-    inter_dim = np.sum(sv > 1.0 - SPAN_RANK_TOL, axis=1)
+        return np.zeros(shape, dtype=bool), np.zeros(shape, dtype=int), np.full(shape, math.pi / 2)
+    sv = np.linalg.svd(spans @ comps[..., None, :, :].swapaxes(-1, -2), compute_uv=False)
+    sv = np.clip(sv, -1.0, 1.0)
+    inter_dim = np.sum(sv > 1.0 - SPAN_RANK_TOL, axis=-1)
     # singular values fall, so the first one past the intersection is the
     # clearance; a zero column stands for "none left" (arccos 0 = pi/2)
-    rest = np.concatenate([sv, np.zeros((count, 1))], axis=1)[np.arange(count), inter_dim]
-    clearance = np.arccos(rest)
+    rest = np.concatenate([sv, np.zeros(shape + (1,))], axis=-1)
+    clearance = np.arccos(np.take_along_axis(rest, inter_dim[..., None], axis=-1)[..., 0])
     expected = max(0, d + c - n)
     flags = (inter_dim > expected) | (
         (expected < min(d, c)) & (clearance < SPAN_ANGLE_MIN))
     return flags, inter_dim, clearance
+
+
+def _pl_images(K, q: int, bases: np.ndarray) -> np.ndarray:
+    """The images (S, C_q, q + 1, q + 1) of the q-cells, in plan-row order,
+    on a stack of planes with orthonormal row bases (S, q + 1, n)."""
+    cells = K.plan.cells.get(q, np.zeros((0, q + 1), dtype=int))
+    return K.vertices[cells] @ bases[:, None].swapaxes(-1, -2)
 
 
 def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
@@ -640,7 +663,10 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     if X.pl is not None:
         K = X.pl
         cell = tuple(sorted(stratum))
-        return float(_pl_alphas(K, len(cell) - 1, [K.plan.rows[cell]], P)[0])
+        alphas, degenerate = _pl_alphas_many(K, len(cell) - 1, [K.plan.rows[cell]], P.basis[None])
+        if degenerate[0]:
+            raise DegenerateDirectionError("image normal degenerate or on a wall of its link")
+        return float(alphas[0, 0])
     S = stratum
     params, point = source
     if S.dim == q:
@@ -657,13 +683,24 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     return float(alphas[0])
 
 
-def _pl_alphas(K, d: int, rows, P: LinearSubspace) -> np.ndarray:
-    """alpha of the d-cells at the plan rows ``rows`` on the plane P: the
-    half-sums of their normal indices along +-(image normal)."""
-    nus, degenerate = image_normals(K.plan.spans[d][rows], P.basis)
-    if degenerate.any():
-        raise DegenerateDirectionError("projection of the span is degenerate")
-    return pl_alpha_many(K, d, rows, nus)
+def _pl_alphas_many(K, d: int, rows, bases: np.ndarray):
+    """alpha of the d-cells at the plan rows ``rows`` on each plane of a
+    stack with orthonormal row bases (S, q + 1, n): the half-sums of their
+    normal indices along +-(image normal), (S, R), and a mask of the planes
+    on which an image normal is degenerate or on a wall of its link, whose
+    alphas are 0 and not to be used.  The normal indices of all planes are
+    one kernel call, with the cells as rows and the planes as directions."""
+    rows = np.asarray(rows, dtype=int)
+    nus, degenerate = image_normals(K.plan.spans[d][rows], bases[:, None])  # (S, R, n)
+    flagged = degenerate.any(axis=1)
+    alphas = np.zeros((len(bases), len(rows)))
+    ok = np.flatnonzero(~flagged)  # a degenerate normal need not be normal to its cell
+    if len(ok):
+        # plane j, cell i at j R + i
+        down, up, wall = _normal_indices(K, d, rows, nus[ok].swapaxes(0, 1))
+        alphas[ok] = (0.5 * (down + up)).reshape(len(ok), len(rows))
+        flagged[ok] = wall.reshape(len(ok), len(rows)).any(axis=1)
+    return alphas, flagged
 
 
 def _q0_alphas(S: SmoothStratum, params, v: np.ndarray, morse_indices) -> np.ndarray:
@@ -696,15 +733,34 @@ def polar_image_integral(X: Shape, stratum, P: LinearSubspace, pieces=None) -> f
 def _sum_in_order(values) -> float:
     """0.0 plus each value in turn, so that a fixed seed gives fixed bits
     (cumsum adds in order; np.sum adds pairwise)."""
-    return float(np.cumsum(np.append(0.0, values))[-1])
+    return float(_sums_in_order(np.asarray(values, dtype=float)[None])[0])
+
+
+def _sums_in_order(values: np.ndarray) -> np.ndarray:
+    """:func:`_sum_in_order` of each row of a stack (S, C)."""
+    return np.cumsum(np.concatenate([np.zeros((len(values), 1)), values], axis=1), axis=1)[:, -1]
 
 
 def _pl_cell_values(X: Shape, images: np.ndarray, rows, P: LinearSubspace) -> np.ndarray:
     """alpha times image q-volume of the q-cells at the plan rows ``rows``,
-    whose (C, q + 1, q + 1) images on P are ``images``, in stacked calls."""
+    whose (C, q + 1, q + 1) images on P are ``images``: the one-plane view
+    of :func:`_pl_cell_values_many`, which raises DegenerateDirectionError
+    where that flags the plane."""
+    values, degenerate = _pl_cell_values_many(X, images[None], rows, P.basis[None])
+    if degenerate[0]:
+        raise DegenerateDirectionError("image normal degenerate or on a wall of its link")
+    return values[0]
+
+
+def _pl_cell_values_many(X: Shape, images: np.ndarray, rows, bases: np.ndarray):
+    """alpha times image q-volume of the q-cells at the plan rows ``rows`` on
+    each plane of a stack with orthonormal row bases (S, q + 1, n), whose
+    images there are ``images`` (S, R, q + 1, q + 1): values (S, R), and the
+    mask of :func:`_pl_alphas_many`."""
     if X.region is not None:
         raise NotImplementedError("region restriction on PL polar images")
-    return _pl_alphas(X.pl, P.dim - 1, rows, P) * simplex_volumes(images)
+    alphas, degenerate = _pl_alphas_many(X.pl, bases.shape[1] - 1, rows, bases)
+    return alphas * simplex_volumes(images), degenerate
 
 
 def _piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
@@ -832,10 +888,8 @@ def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> P
     images = None
     try:
         if X.pl is not None:
-            K = X.pl
-            _pl_span_check(K, P)
-            cells = K.plan.cells.get(q, np.zeros((0, q + 1), dtype=int))
-            images = K.vertices[cells] @ P.basis.T
+            _pl_span_check(X.pl, P)
+            images = _pl_images(X.pl, q, P.basis[None])[0]
         else:
             for S in X.smooth.strata:
                 pieces.extend(_smooth_polar_pieces(X, S, P, q, grids))
@@ -881,7 +935,7 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
     n_rejected = 0
     if X.pl is not None:  # the plan rows of the q-cells, and their CSV keys
         q_rows = np.arange(len(X.pl.cells[q]))
-        q_keys = [_stratum_key(cell) for cell in X.pl.cells[q]]
+        q_keys = [_stratum_key(cell) for cell in X.pl.cells[q]] if keep_rows else []
 
     def reject(i: int, P: LinearSubspace, reasons: list[str]) -> None:
         nonlocal n_rejected
@@ -900,20 +954,41 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
             reject(i, P, reasons)
             raise DegeneratePlaneError(sample.report, "degenerate plane: " + "+".join(reasons))
         try:
-            if X.pl is not None:
-                vals = _pl_cell_values(X, sample.cell_images, q_rows, P)
-            else:
-                vals = _piece_values(X, sample.pieces, P)
+            vals = _piece_values(X, sample.pieces, P)
         except (DegeneratePlaneError, DegenerateDirectionError):
             reject(i, P, ["alpha"])
             raise
         if keep_rows:
-            keys = q_keys if X.pl is not None else [_stratum_key(p.stratum) for p in sample.pieces]
             per_stratum: dict = {}
-            for key, val in zip(keys, np.asarray(vals).tolist()):
+            for piece, val in zip(sample.pieces, vals):
+                key = _stratum_key(piece.stratum)
                 per_stratum[key] = per_stratum.get(key, 0.0) + val
             rows.append((i, P.basis.copy(), per_stratum, ""))
         return _sum_in_order(vals)
+
+    def pl_planes(samples: list[int], planes: list[LinearSubspace]):
+        K = X.pl
+        # each basis laid out as a lone plane holds it: the transposed view of its Q
+        bases = np.stack([P.basis.T for P in planes]).swapaxes(1, 2)
+        vals = np.zeros(len(planes))
+        span = np.zeros(len(planes), dtype=bool)
+        alpha = np.zeros(len(planes), dtype=bool)
+        for part in sample_chunks(K, len(planes)):
+            flags = _pl_span_flags(K, bases[part]).values()
+            span[part] = np.any([f.any(axis=1) for f, _, _ in flags], axis=0)
+            live = np.arange(len(planes))[part][~span[part]]  # the span check passed
+            cells, alpha[live] = _pl_cell_values_many(X, _pl_images(K, q, bases[live]), q_rows,
+                                                      bases[live])
+            vals[live] = _sums_in_order(cells)
+            if keep_rows:
+                for j, values in zip(live, cells.tolist()):
+                    if not alpha[j]:
+                        # 0.0 + value, as the running sum of a plane starts
+                        rows.append((samples[j], planes[j].basis.copy(),
+                                     {key: 0.0 + val for key, val in zip(q_keys, values)}, ""))
+        for j in np.flatnonzero(span | alpha):  # in block order, as one plane at a time
+            reject(samples[j], planes[j], ["span" if span[j] else "alpha"])
+        return vals, span | alpha
 
     def lines(samples: list[int], planes: list[LinearSubspace]):
         vals, fold, wall, parts = _q0_values(X, np.array([P.basis[0] for P in planes]))
@@ -925,7 +1000,9 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
                              {name: float(part[j]) for name, has, part in parts if has[j]}, ""))
         return vals, fold | wall
 
-    if X.pl is None and q == 0:
+    if X.pl is not None:
+        values = pl_planes
+    elif q == 0:
         values = lines
     else:
         values = each_draw(one, (DegeneratePlaneError, DegenerateDirectionError))

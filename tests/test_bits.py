@@ -1,8 +1,9 @@
 """Bit pins of seeded estimates, and the premise that keeps them: a stacked
 numpy call gives every block the bits of a lone call.
 
-The germ routes, smooth exchange and smooth polar lengths at q=0 evaluate a
-block of up to 256 samples per kernel call.  The pins below were recorded
+The germ routes, exchange, smooth polar lengths at q=0 and PL polar lengths
+evaluate a block of up to 256 samples per kernel call (a PL route in chunks
+of at most ``plstrata.PAIR_CAP`` (sample, cell) pairs).  The pins below were recorded
 when every sample was still evaluated alone, one numpy call per plane or
 direction; a stacked route that moves a last bit fails here.  If
 a numpy or BLAS change breaks the stacking premise, the guard tests fail
@@ -11,8 +12,15 @@ too, and name the kernel, instead of the pins moving silently."""
 import numpy as np
 import pytest
 
-from lkpolar import germ, lkmeasure, polar
-from lkpolar.geomkit import RandomSource
+from lkpolar import germ, lkmeasure, plstrata, polar
+from lkpolar.geomkit import (
+    DegenerateDirectionError,
+    LinearSubspace,
+    RandomSource,
+    mean_estimate,
+    polar_length_constant,
+    sample_grassmannian,
+)
 from lkpolar.plstrata import StratifiedComplex
 
 # (name, quantity, k) -> (value.hex(), std_error.hex()); germs at 300 samples,
@@ -52,6 +60,10 @@ PINS = {
     ('octahedron', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     ('sphere:1', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     ('torus:2:1', 'exchange', 0): ('0x0.0p+0', '0x0.0p+0'),
+    ('torus7', 'exchange', 0): ('0x0.0p+0', '0x0.0p+0'),
+    ('cube', 'exchange', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
+    ('octahedron', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
+    ('cube-boundary', 'polar_length', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     # generic angles between the projected rays: the spherical volumes pass
     # through atan2
     ('triangle-rim', 'sigma', 2): ('0x1.962fc962fc963p-1', '0x1.7a336c2c4b842p-5'),
@@ -87,6 +99,76 @@ def _estimate(name, quantity, k):
 def test_estimates_keep_their_bits(key):
     est = _estimate(*key)
     assert (est.value.hex(), est.std_error.hex()) == PINS[key]
+
+
+# planes that the span check of the cube flags: axis lines, and the
+# axis-aligned planes of the degeneracy criterion; the whole space is not
+# flagged by it
+AXIS_PLANES = {
+    0: [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]],
+    1: [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]],
+    2: [np.eye(3)],
+}
+
+
+def _lone_plane(X, q, P):
+    """(reason, values) of one plane, through the one-plane views."""
+    sample = polar.polar_sample(X, P)
+    if sample.degenerate:
+        return "+".join(sample.report.reasons()), None
+    try:
+        return "", polar._pl_cell_values(X, sample.cell_images, np.arange(len(X.pl.cells[q])), P)
+    except DegenerateDirectionError:
+        return "alpha", None
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_a_chunk_of_pl_planes_gives_each_plane_its_lone_bits(q, monkeypatch):
+    X = lkmeasure.shape_from_name("cube")
+    gen = RandomSource(36, q).generator()
+    generic = [sample_grassmannian(3, q + 1, gen) for _ in range(9)]
+    axis = [LinearSubspace(3, np.array(basis, dtype=float)) for basis in AXIS_PLANES[q]]
+    first = generic[:2] + axis[:1] + generic[2:6] + axis[1:] + generic[6:]
+    sample = polar.sample_grassmannian
+
+    def run(cap):
+        monkeypatch.setattr(plstrata, "PAIR_CAP", cap)
+        gens, drawn = [], []
+
+        def draw(n, k, g):  # a sample's first plane from the list, a redraw from its generator
+            if not any(g is h for h in gens):
+                gens.append(g)
+                drawn.append(first[len(gens) - 1])
+            else:
+                drawn.append(sample(n, k, g))
+            return drawn[-1]
+
+        monkeypatch.setattr(polar, "sample_grassmannian", draw)
+        return polar.polar_length(X, q, len(first), RandomSource(37, q), keep_rows=True), drawn
+
+    res, drawn = run(plstrata.PAIR_CAP)
+    accepted = []
+    for i, basis, cells, reason in res.per_plane:
+        (P,) = [P for P in drawn if np.array_equal(P.basis, basis)]
+        lone_reason, lone = _lone_plane(X, q, P)
+        assert reason == lone_reason
+        if not reason:
+            assert [v.hex() for v in cells.values()] == [v.hex() for v in lone.tolist()]
+            accepted.append(polar._sum_in_order(lone))
+    if q < 2:
+        assert res.reject_reasons == {"span": len(axis)}
+    lone_est = mean_estimate(accepted, seed=37).scaled(polar_length_constant(3, q))
+    assert (res.estimate.value.hex(), res.estimate.std_error.hex()) == (
+        lone_est.value.hex(), lone_est.std_error.hex())
+    # one plane per chunk, and two (the cube has at most 19 cells a dimension)
+    for cap in (1, 40):
+        other, _ = run(cap)
+        assert (other.estimate.value.hex(), other.estimate.std_error.hex()) == (
+            res.estimate.value.hex(), res.estimate.std_error.hex())
+        assert [(i, b.tobytes(), [v.hex() for v in c.values()], r)
+                for i, b, c, r in other.per_plane] == [
+            (i, b.tobytes(), [v.hex() for v in c.values()], r) for i, b, c, r in res.per_plane]
 
 
 def _stack(gen, shape):

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lkpolar.cli import emit_plot_data, main, run
@@ -337,12 +338,13 @@ def test_measure_row_fails_on_a_one_percent_error(monkeypatch):
 
 def test_exhausted_plane_quota_is_a_json_error(monkeypatch):
     from lkpolar import polar
-    from lkpolar.geomkit import MAX_REDRAWS, DegenerateDirectionError
+    from lkpolar.geomkit import MAX_REDRAWS
 
-    def cusp(*args):
-        raise DegenerateDirectionError("vanishing fold curvature (cusp)")
+    def cusp(X, images, rows, bases):
+        # every plane of the stack is flagged by its alpha step
+        return np.zeros((len(bases), len(rows))), np.ones(len(bases), dtype=bool)
 
-    monkeypatch.setattr(polar, "_pl_cell_values", cusp)
+    monkeypatch.setattr(polar, "_pl_cell_values_many", cusp)
     report, status = run(["polar", "--shape", "cube", "--q", "1", "--samples", "3"])
     assert status == 2
     assert "resample quota" in report["error"] and f"{MAX_REDRAWS} draws" in report["error"]

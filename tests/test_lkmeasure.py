@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkpolar.geomkit import LinearSubspace, RandomSource, ball_volume
+from lkpolar import plstrata
+from lkpolar.geomkit import (
+    AffineFlat,
+    LinearSubspace,
+    RandomSource,
+    ball_volume,
+    each_draw,
+    mean_estimate,
+    per_sample_values,
+    sample_affine_flats_hitting_ball,
+)
 from lkpolar.plstrata import DegenerateSliceError, StratifiedComplex, slice_chi
 from lkpolar.lkmeasure import (
     Shape,
@@ -308,6 +318,29 @@ def test_kinematic_constant_shape_independent():
     ref = ball_volume(1) * ball_volume(2) / (3 * ball_volume(3))
     for v in results.values():
         assert v == pytest.approx(ref, rel=0.05)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pl_flats_in_chunks_are_the_one_flat_slices(k, monkeypatch):
+    # the kinematic route on a complex slices a block of flats in stacked
+    # calls; each flat keeps the bits of the one-flat loop, at one flat per
+    # chunk, two (the cube has at most 19 cells a dimension) and the default
+    X = shape_from_name("cube")
+    center, radius = X.bounding_ball()
+
+    def one(_, draw):
+        flat, weight = draw
+        shifted = AffineFlat(flat.direction, flat.offset + center - flat.direction.project(center))
+        return weight * slice_euler_characteristic(X, shifted)
+
+    loop = mean_estimate(
+        per_sample_values(300, RandomSource(50, k),
+                          lambda gen: sample_affine_flats_hitting_ball(3, k, radius, gen),
+                          each_draw(one, DegenerateSliceError), "one flat at a time"), seed=50)
+    for cap in (1, 40, plstrata.PAIR_CAP):
+        monkeypatch.setattr(plstrata, "PAIR_CAP", cap)
+        got = kinematic_check(X, k, 300, RandomSource(50, k)).numerator
+        assert (got.value.hex(), got.std_error.hex()) == (loop.value.hex(), loop.std_error.hex())
 
 
 def test_kinematic_ratio_of_moved_ball():

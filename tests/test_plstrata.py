@@ -22,8 +22,8 @@ from lkpolar.plstrata import (
     normal_morse_index,
     normal_morse_index_many,
     octahedron_boundary,
-    pl_alpha_many,
     pl_morse_indices,
+    pl_morse_indices_many,
     save_plstrat,
     segment_complex,
     slice_chi,
@@ -327,7 +327,7 @@ def test_non_normal_direction_raises():
     with pytest.raises(ValueError, match="not orthogonal"):
         normal_morse_index(K, edge, along)
     with pytest.raises(ValueError, match="not orthogonal"):
-        pl_alpha_many(K, 1, [0], along[None])
+        normal_morse_index_many(K, edge, along[None])
 
 
 def _morse_indices_by_star_loop(K, v):
@@ -349,9 +349,17 @@ def _morse_indices_by_star_loop(K, v):
 def test_pl_morse_indices_match_star_loop(kuhn_grid):
     gen = RandomSource(59).generator()
     for K in catalog_and_grid(kuhn_grid):
-        for _ in range(5):
-            v = sample_generic(K, gen)
+        V = [sample_generic(K, gen) for _ in range(5)]
+        for v in V:
             assert pl_morse_indices(K, v) == _morse_indices_by_star_loop(K, v)
+        # one stacked pass gives every direction its lone indices, and flags
+        # a direction along which vertices 0 and 1 have one height
+        e = K.vertices[1] - K.vertices[0]
+        tie = V[0] - (V[0] @ e) / (e @ e) * e
+        index, degenerate = pl_morse_indices_many(K, np.array(V + [tie / np.linalg.norm(tie)]))
+        assert degenerate.tolist() == [False] * 5 + [True]
+        assert [dict(enumerate(row)) for row in index[:5].tolist()] == [
+            _morse_indices_by_star_loop(K, v) for v in V]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,16 @@ def _flag_all(*args):
     return np.zeros(len(args[-1])), np.ones(len(args[-1]), dtype=bool)
 
 
+def _no_cell_values(X, images, rows, bases):
+    # a stacked alpha step that flags every plane of the stack
+    return np.zeros((len(bases), len(rows))), np.ones(len(bases), dtype=bool)
+
+
+def _no_separating_height(K, V):
+    # a stacked Morse pass that flags every direction of the stack
+    return np.zeros((len(V), len(K.vertices)), dtype=int), np.ones(len(V), dtype=bool)
+
+
 def _no_morse_height(S, V, scale=1.0):
     # a stacked Newton solve that flags every direction of the stack
     V = np.atleast_2d(V)
@@ -120,11 +130,11 @@ def _no_morse_height(S, V, scale=1.0):
 ROUTES = {
     "polar_length": (
         lambda: polar.polar_length(lkmeasure.shape_from_name("cube"), 1, 3, RandomSource(1)),
-        (polar, "_pl_cell_values", _raise(DegenerateDirectionError), DegenerateDirectionError),
+        (polar, "_pl_cell_values_many", _no_cell_values, DegenerateDirectionError),
         (polar, "sample_grassmannian")),
     "exchange_lambda0": (
         lambda: lkmeasure.exchange_lambda0(lkmeasure.shape_from_name("cube"), 3, RandomSource(2)),
-        (lkmeasure, "_morse_sum_pl", _raise(DegenerateDirectionError), DegenerateDirectionError),
+        (lkmeasure, "pl_morse_indices_many", _no_separating_height, DegenerateDirectionError),
         (lkmeasure, "sample_unit_sphere")),
     "smooth exchange_lambda0": (
         lambda: lkmeasure.exchange_lambda0(lkmeasure.shape_from_name("sphere:1"), 3,
@@ -140,6 +150,11 @@ ROUTES = {
                                           RandomSource(3)),
         (lkmeasure, "slice_euler_characteristic", _raise(DegenerateSliceError),
          DegenerateSliceError),
+        (lkmeasure, "sample_affine_flats_hitting_ball")),
+    "PL kinematic_check": (
+        lambda: lkmeasure.kinematic_check(lkmeasure.shape_from_name("cube"), 1, 3,
+                                          RandomSource(3)),
+        (lkmeasure, "slice_chi_many", _flag_all, DegenerateSliceError),
         (lkmeasure, "sample_affine_flats_hitting_ball")),
     "sigma_invariant": (
         lambda: germ.sigma_invariant(germ.germ_from_name("rays:3"), 1, 3, RandomSource(4)),
@@ -174,25 +189,24 @@ def test_every_quota_can_run_out(route, monkeypatch):
 
 def test_rejected_planes_are_counted_and_kept(monkeypatch):
     # the first plane of every sample fails its alpha step, the second is used
-    values = polar._pl_cell_values
+    values = polar._pl_cell_values_many
     sample = polar.sample_grassmannian
-    first = []  # the first plane drawn from each generator
+    first = []  # the basis of the first plane drawn from each generator
     seen = set()
 
     def tagged(n, k, gen):
         P = sample(n, k, gen)
         if id(gen) not in seen:
             seen.add(id(gen))
-            first.append(P)
+            first.append(P.basis)
         return P
 
-    def fails_first(X, images, rows, P):
-        if any(P is Q for Q in first):
-            raise DegenerateDirectionError("vanishing fold curvature (cusp)")
-        return values(X, images, rows, P)
+    def fails_first(X, images, rows, bases):
+        vals, flagged = values(X, images, rows, bases)
+        return vals, flagged | [any(np.array_equal(B, F) for F in first) for B in bases]
 
     monkeypatch.setattr(polar, "sample_grassmannian", tagged)
-    monkeypatch.setattr(polar, "_pl_cell_values", fails_first)
+    monkeypatch.setattr(polar, "_pl_cell_values_many", fails_first)
     res = polar.polar_length(lkmeasure.shape_from_name("cube"), 1, 4, RandomSource(7),
                              keep_rows=True)
     assert (res.n_rejected, res.reject_reasons) == (4, {"alpha": 4})
