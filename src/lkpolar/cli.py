@@ -167,7 +167,8 @@ def cmd_verify(args) -> dict:
                 "std_error": lam.std_error,
                 "value_b": pol.value,
                 "std_error_b": pol.std_error,
-                "n_samples": args.samples,
+                "n_samples": lam.n_samples,
+                "n_samples_b": pol.n_samples,
                 "seed": args.seed,
                 "reference": ref,
                 "pass": ok,

@@ -24,6 +24,13 @@ For a projection plane P of dimension q+1 the per-stratum pipeline is:
 A polar call on a smooth shape shares what does not depend on the plane:
 at q = 1 each surface stratum's trace-grid normals are built once per call,
 and at q = 0 a block of lines runs one stacked Newton solve per stratum.
+Inside :func:`polar_sample` a fold of a top stratum is traced only as far
+as the genericity checks read it, to the sign grid and its bisected edge
+crossings, without the refinement to the chord tolerance, since its value
+is 0.0 whatever the trace; :func:`polar_variety` still refines it.
+
+At q = n - 1 the plane P is all of R^n, so every plane gives the same
+value: :func:`polar_length` values P = R^n once, with no draw and se 0.
 
 The q-th polar length obtained this way equals the q-th curvature measure;
 that identity is what the verification suite checks.
@@ -196,12 +203,12 @@ def _trace_grid_normals(S: SmoothStratum) -> np.ndarray:
 
 
 def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
-                     normals: np.ndarray | None = None):
+                     normals: np.ndarray | None = None, refine: bool = True):
     """Polylines of {x in S : normal(x) orthogonal to span(u)} via a sign grid with
-    bisected edge crossings, chained per cell and refined to the chord
-    tolerance.  Returns a list of (params_array, points_array, closed); a
-    closed polyline ends with its first point, whose chart parameters are
-    unwrapped against the last one.
+    bisected edge crossings, chained per cell and, unless ``refine`` is
+    false, refined to the chord tolerance.  Returns a list of
+    (params_array, points_array, closed); a closed polyline ends with its
+    first point, whose chart parameters are unwrapped against the last one.
 
     The sign grid is ``normals @ u``, from the grid normals of
     :func:`_trace_grid_normals`, which a polar call builds once for all its
@@ -285,7 +292,8 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
         if closed:
             chain.append(chain[0])
         params = _unwrap_params(M[row[chain]], lo, hi, per)
-        params = _refine_polyline(S, params, u, CHORD_TOL * diameter)
+        if refine:
+            params = _refine_polyline(S, params, u, CHORD_TOL * diameter)
         out.append((params, chart.r(params), closed))
     return out
 
@@ -436,10 +444,12 @@ def _pl_images(K, q: int, bases: np.ndarray) -> np.ndarray:
 
 
 def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
-                         grids: dict) -> list[PolarPiece]:
+                         grids: dict, *, top_flags_only: bool = False) -> list[PolarPiece]:
     """The polar pieces of one smooth stratum.  ``grids`` holds the trace-grid
     normals of the surface strata by name; a missing entry is built and
-    kept there, so that the planes of one polar call share it."""
+    kept there, so that the planes of one polar call share it.  With
+    ``top_flags_only`` the folds of a top stratum, whose value is 0.0, are
+    traced without refinement: far enough for the genericity checks."""
     n = X.ambient_dim
     if S.role == "solid":
         return []
@@ -466,7 +476,8 @@ def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
         u = P.orthogonal_complement().basis[0]
         if S.name not in grids:
             grids[S.name] = _trace_grid_normals(S)
-        traced = trace_silhouette(S, u, X.diameter, normals=grids[S.name])
+        traced = trace_silhouette(S, u, X.diameter, normals=grids[S.name],
+                                  refine=not (top_flags_only and S.role == "top"))
         return [
             PolarPiece(
                 stratum=S,
@@ -881,7 +892,12 @@ def _q0_values(X: Shape, V: np.ndarray):
 def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> PolarSample:
     """The polar set of the shape for one plane, with genericity checks
     attached.  ``grids`` holds the trace-grid normals of a polar call's
-    planes (see :func:`_smooth_polar_pieces`); a lone plane builds its own."""
+    planes (see :func:`_smooth_polar_pieces`); a lone plane builds its own.
+
+    The folds of a top stratum are traced for their genericity flags only:
+    the sign grid and its bisected crossings, not refined to the chord
+    tolerance, since alpha is 0 all along them.  :func:`polar_variety`
+    still refines them, for a fold length."""
     q = P.dim - 1
     grids = {} if grids is None else grids
     pieces = []
@@ -892,7 +908,7 @@ def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> P
             images = _pl_images(X.pl, q, P.basis[None])[0]
         else:
             for S in X.smooth.strata:
-                pieces.extend(_smooth_polar_pieces(X, S, P, q, grids))
+                pieces.extend(_smooth_polar_pieces(X, S, P, q, grids, top_flags_only=True))
     except DegeneratePlaneError as err:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=err.report)
     except (DegenerateDirectionError, DegenerateHeightError):
@@ -917,7 +933,13 @@ class PolarLengthResult:
 def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
                  keep_rows: bool = False) -> PolarLengthResult:
     """Monte-Carlo q-th polar length: the dimensional constant times the mean
-    over uniform planes of the alpha-weighted polar image volume."""
+    over uniform planes of the alpha-weighted polar image volume.
+
+    At q = n - 1 the plane is all of R^n, the same on every draw, so the
+    one plane R^n (identity basis) is valued with no draw: the estimate has
+    se 0, one sample and method "full-space", and ``n_planes`` is ignored.
+    A flag on that plane would flag every plane, so it raises
+    DegeneratePlaneError."""
     n = X.ambient_dim
     if not 0 <= q <= n:
         raise ValueError(f"q={q} out of range")
@@ -1006,6 +1028,14 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         values = lines
     else:
         values = each_draw(one, (DegeneratePlaneError, DegenerateDirectionError))
+    if q == n - 1:
+        vals, flagged = values([0], [LinearSubspace.full(n)])
+        if flagged[0]:
+            raise DegeneratePlaneError(msg=f"the whole space is degenerate at q = {q}: "
+                                           + "+".join(reject_reasons))
+        # the dimensional constant is 1 at q = n - 1
+        est = Estimate(float(vals[0]), 0.0, 1, seed, method="full-space")
+        return PolarLengthResult(est, 1, 0, rows, {})
     values = per_sample_values(
         n_planes, rng, lambda gen: sample_grassmannian(n, q + 1, gen), values, "polar planes")
     rows.sort(key=lambda row: row[0])  # a block evaluates its redraws after its first draws

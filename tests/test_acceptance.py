@@ -123,10 +123,12 @@ def test_criterion_4_main_theorem(shape, refs, n_planes):
         pol = polar_length(X, q, planes, RandomSource(106, q)).estimate
         good = combined_ok(lam, pol)
         # both routes must also sit on the closed form; the curvature route
-        # is exact up to quadrature, far inside 1e-9 of the scale
+        # is exact up to quadrature, far inside 1e-9 of the scale, and so is
+        # the polar route at q = n - 1, which values the one plane R^n
         scale = 1.0 + abs(ref)
         good &= abs(lam.value - ref) <= 3 * lam.std_error + 1e-9 * scale
-        good &= abs(pol.value - ref) <= 3 * pol.std_error + 0.01 * scale
+        slack = 1e-9 if q == X.ambient_dim - 1 else 0.01
+        good &= abs(pol.value - ref) <= 3 * pol.std_error + slack * scale
         ok &= good
         detail.append(f"q{q}: {lam.value:.4f}|{pol.value:.4f}")
     elapsed = time.perf_counter() - t0

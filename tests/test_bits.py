@@ -48,9 +48,9 @@ PINS = {
     ('cone-circle:0.6', 'lambda', 0): ('0x1.bf258bf258bf2p-2', '0x1.d5f08d016442fp-6'),
     ('cube', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
     ('cube', 'polar_length', 1): ('0x1.7df48307dc728p+1', '0x1.5868e4966a275p-6'),
-    ('cube', 'polar_length', 2): ('0x1.8000000000000p+1', '0x1.54277f40d6cb6p-54'),
+    ('cube', 'polar_length', 2): ('0x1.8000000000000p+1', '0x0.0p+0'),
     ('torus7', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
-    ('cube-boundary', 'polar_length', 2): ('0x1.8000000000000p+2', '0x1.54277f40d6cb6p-53'),
+    ('cube-boundary', 'polar_length', 2): ('0x1.8000000000000p+2', '0x0.0p+0'),
     ('disk:1', 'polar_length', 1): ('0x1.963c4cf6a998cp+1', '0x1.715b10afc4f10p-3'),
     ('hemisphere:1', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
     ('hemisphere:1', 'polar_length', 1): ('0x1.963c4cf6a998cp+1', '0x1.715b10afc4f10p-3'),
@@ -102,13 +102,11 @@ def test_estimates_keep_their_bits(key):
 
 
 # planes that the span check of the cube flags: axis lines, and the
-# axis-aligned planes of the degeneracy criterion; the whole space is not
-# flagged by it
+# axis-aligned planes of the degeneracy criterion
 AXIS_PLANES = {
     0: [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]],
     1: [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]],
-    2: [np.eye(3)],
 }
 
 
@@ -123,7 +121,7 @@ def _lone_plane(X, q, P):
         return "alpha", None
 
 
-@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("q", [0, 1])
 def test_a_chunk_of_pl_planes_gives_each_plane_its_lone_bits(q, monkeypatch):
     X = lkmeasure.shape_from_name("cube")
     gen = RandomSource(36, q).generator()
@@ -156,8 +154,7 @@ def test_a_chunk_of_pl_planes_gives_each_plane_its_lone_bits(q, monkeypatch):
         if not reason:
             assert [v.hex() for v in cells.values()] == [v.hex() for v in lone.tolist()]
             accepted.append(polar._sum_in_order(lone))
-    if q < 2:
-        assert res.reject_reasons == {"span": len(axis)}
+    assert res.reject_reasons == {"span": len(axis)}
     lone_est = mean_estimate(accepted, seed=37).scaled(polar_length_constant(3, q))
     assert (res.estimate.value.hex(), res.estimate.std_error.hex()) == (
         lone_est.value.hex(), lone_est.std_error.hex())
@@ -169,6 +166,36 @@ def test_a_chunk_of_pl_planes_gives_each_plane_its_lone_bits(q, monkeypatch):
         assert [(i, b.tobytes(), [v.hex() for v in c.values()], r)
                 for i, b, c, r in other.per_plane] == [
             (i, b.tobytes(), [v.hex() for v in c.values()], r) for i, b, c, r in res.per_plane]
+
+
+@pytest.mark.parametrize("name", [*lkmeasure.CATALOG, "grid"])
+def test_the_full_space_value_is_the_value_of_every_plane(name, kuhn_grid):
+    # at q = n - 1 the plane is all of R^n: the one plane valued with no
+    # draw gives what polar_sample and its valuation give on random planes
+    if name == "grid":
+        X = lkmeasure.Shape(name=name, pl=kuhn_grid(3))
+    else:
+        X = lkmeasure.shape_from_name(name)
+    n = X.ambient_dim
+    q = n - 1
+    res = polar.polar_length(X, q, 500, RandomSource(38, q), keep_rows=True)
+    est = res.estimate
+    assert (est.std_error, est.n_samples, res.n_rejected) == (0.0, 1, 0)
+    if q <= X.dim:
+        assert est.method == "full-space" and est.value > 0.0
+        (row,) = res.per_plane
+        assert row[0] == 0 and np.array_equal(row[1], np.eye(n)) and row[3] == ""
+    gen = RandomSource(39, q).generator()
+    for _ in range(20):
+        P = sample_grassmannian(n, q + 1, gen)
+        if X.pl is not None:
+            reason, values = _lone_plane(X, q, P)
+            assert reason == ""
+        else:
+            sample = polar.polar_sample(X, P)
+            assert not sample.degenerate
+            values = polar._piece_values(X, sample.pieces, P)
+        assert abs(polar._sum_in_order(values) - est.value) <= 1e-13 * abs(est.value)
 
 
 def _stack(gen, shape):

@@ -99,6 +99,33 @@ def test_polar_csv_has_one_column_per_q_cell(tmp_path):
     assert len([name for name in header if name.startswith("m:")]) == 19  # one per edge
 
 
+@pytest.mark.parametrize("shape", ["sphere:1", "cube"])
+def test_polar_csv_at_q_n_minus_1_is_one_identity_row(tmp_path, shape):
+    # P = R^3 at q = 2: one plane is valued, whatever --samples says
+    path = tmp_path / "planes.csv"
+    report, status = run(["polar", "--shape", shape, "--q", "2", "--samples", "50",
+                          "--csv", str(path)])
+    assert status == 0
+    row = report["rows"][0]
+    assert (row["n_samples"], row["std_error"], row["method"]) == (1, 0.0, "full-space")
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 2
+    fields = lines[1].split(",")
+    assert fields[:2] == ["2", "0"] and fields[-1] == "ok"
+    assert [float(x) for x in fields[2].split(";")] == np.eye(3).ravel().tolist()
+    assert sum(float(x) for x in fields[3:-1] if x) == pytest.approx(row["value"], rel=1e-12)
+
+
+def test_verify_rows_report_each_routes_sample_count():
+    report, status = run(["verify", "--shape", "cube", "--q", "1,2", "--samples", "40",
+                          "--seed", "5"])
+    assert status == 0
+    q1, q2 = report["rows"]
+    assert (q1["n_samples"], q1["n_samples_b"]) == (1, 40)  # exact curvature, 40 planes
+    assert (q2["n_samples"], q2["n_samples_b"]) == (1, 1)  # and one plane, R^3
+    assert q2["std_error_b"] == 0.0
+
+
 def test_emit_plot_data(tmp_path):
     report, _ = run(
         ["verify", "--shape", "cube", "--q", "0,1,2,3", "--samples", "200", "--seed", "4"]
@@ -349,3 +376,16 @@ def test_exhausted_plane_quota_is_a_json_error(monkeypatch):
     assert status == 2
     assert "resample quota" in report["error"] and f"{MAX_REDRAWS} draws" in report["error"]
     assert report["config"]["shape"] == "cube"
+
+
+def test_flagged_full_space_is_a_json_error(monkeypatch):
+    # at q = n - 1 every plane is R^n, so a flag on it cannot be redrawn away
+    from lkpolar import polar
+
+    def cusp(X, images, rows, bases):
+        return np.zeros((len(bases), len(rows))), np.ones(len(bases), dtype=bool)
+
+    monkeypatch.setattr(polar, "_pl_cell_values_many", cusp)
+    report, status = run(["polar", "--shape", "cube", "--q", "2", "--samples", "3"])
+    assert status == 2
+    assert "whole space is degenerate at q = 2: alpha" in report["error"]

@@ -470,6 +470,33 @@ def test_uniform_rejection_rate_below_one_percent():
         assert rejected / n < 0.01, name
 
 
+@pytest.mark.parametrize("name", ["sphere:1", "torus:2:1", "hemisphere:1"])
+def test_flags_only_folds_keep_the_flags_of_refined_folds(name):
+    # polar_sample traces the folds of a top stratum without refinement, for
+    # their flags only.  On the hemisphere, whose rim is valued, a changed
+    # flag could move an estimate, so the reasons must be those of
+    # check_genericity on the refined pieces of polar_variety.  On the
+    # sphere and the torus every plane is worth 0.0 whatever its flags; the
+    # coarser polyline may gain a self-overlap flag there, but lose none
+    X = shape_from_name(name)
+    gen = RandomSource(47).generator()
+    axial = [LinearSubspace.from_vectors(np.array([[0.0, 0.0, 1.0], [math.cos(t), math.sin(t), 0.0]]))
+             for t in (0.0, 0.4, 1.1)]
+    tilted = LinearSubspace.from_vectors(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]]))
+    planes = [sample_grassmannian(3, 2, gen) for _ in range(200)] + [XY_PLANE, *axial, tilted]
+    differ = []
+    for P in planes:
+        flags_only = polar_sample(X, P).report.reasons()
+        pieces = [piece for S in X.smooth.strata for piece in polar_variety(X, S, P)]
+        refined = check_genericity(X, P, pieces).reasons()
+        if flags_only != refined:
+            differ.append((flags_only, refined))
+    if name == "hemisphere:1":
+        assert differ == []
+    else:
+        assert all(a == ["double"] and b == [] for a, b in differ), differ
+
+
 # ---------------------------------------------------------------------------
 # alpha indices
 # ---------------------------------------------------------------------------
