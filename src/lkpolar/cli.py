@@ -342,6 +342,9 @@ def run(argv=None) -> tuple[dict, int]:
         tolerance = getattr(args, "tolerance", 1.0)
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ValueError(f"--tolerance must be finite and > 0, not {tolerance!r}")
+        seed = getattr(args, "seed", 0)
+        if seed < 0:
+            raise ValueError(f"--seed must be >= 0, not {seed}")
         body = args.func(args)
     # RuntimeError: a resample quota ran out (planes, exchange directions,
     # germ slices), which a report says as plainly as bad input

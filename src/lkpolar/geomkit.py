@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "Estimate",
@@ -157,6 +158,97 @@ def mean_estimate(samples, seed: int, method: str = "") -> Estimate:
     return Estimate(value=m, std_error=se, n_samples=n, seed=seed, method=method)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
+# pool of 4 uint32 words
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(x: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative int, low word first."""
+    out = [x & _MASK32]
+    while x := x >> 32:
+        out.append(x & _MASK32)
+    return out
+
+
+def _pcg64_seed_words(entropy: list) -> list:
+    """The 8 uint32 words of ``generate_state(4, uint64)`` of the SeedSequence
+    whose assembled entropy is ``entropy``: numpy's mix into a 4-word pool,
+    then its output hash.  A word is an int, the same for every key, or a
+    uint32 array with one word per key.  The hash constants step the same way
+    for every key, so with arrays each step is one op over all the keys.
+    ``entropy`` has at least 4 words, as numpy pads it when a spawn key
+    follows the seed."""
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = (v ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h = _INIT_B
+    out = []
+    for j in range(8):
+        v = (pool[j % _POOL] ^ h) * (h := h * _MULT_B & _MASK32) & _MASK32
+        out.append(v ^ v >> 16)
+    return out
+
+
+class _PCG64Seed(ISeedSequence):
+    """The seed sequence of one substream, reduced to the PCG64 seed that
+    was computed for it; asked for anything else, it raises."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a substream seed holds only the 4 uint64 words of a PCG64 seed")
+        return self.state
+
+
+def _generators(master_seed: int, key: tuple[int, ...], start: int, stop: int) -> list:
+    """The generators ``default_rng(SeedSequence(master_seed, spawn_key=(*key, i)))``
+    for i in range(start, stop), seeded in one pass: the words shared by every
+    key are hashed as ints, and the words of i as one array per word.  Each
+    key gets its own Generator."""
+    seed_words = _words(master_seed)
+    # a spawn key follows, so numpy pads the seed's words to the pool size
+    shared = seed_words + [0] * (_POOL - len(seed_words)) + [w for k in key for w in _words(k)]
+    gens = []
+    lo = start
+    while lo < stop:  # a run of indices with the same number of words
+        n_words = max(1, -(-lo.bit_length() // 32))
+        hi = min(stop, 1 << 32 * n_words)
+        if hi - lo == 1:  # one key: the int hash beats ops on one-element arrays
+            index = _words(lo)
+        else:
+            i = np.arange(lo, hi, dtype=object)
+            index = [(i >> 32 * j & _MASK32).astype(np.uint32) for j in range(n_words)]
+        # (keys, 8) little-endian words, read in pairs as uint64, as numpy does
+        words = np.array(_pcg64_seed_words(shared + index), dtype="<u4").reshape(8, -1).T.copy()
+        seeds = words.view("<u8").astype(np.uint64)
+        gens += [np.random.Generator(np.random.PCG64(_PCG64Seed(s))) for s in seeds]
+        lo = hi
+    return gens
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """Seeded, platform-stable stream of randomness.
@@ -164,18 +256,34 @@ class RandomSource:
     Identical (master_seed, stream_id, substream_path) always produce
     identical sample sequences; ``substream(i)`` derives the i-th independent
     child stream, so per-sample work can be farmed out in any order and still
-    reproduce the serial run bitwise.
+    reproduce the serial run bitwise.  Every part is a non-negative int, of
+    any size.
+
+    The generator of a source is bit-equal to numpy's
+    ``default_rng(SeedSequence(master_seed, spawn_key=(stream_id,
+    *substream_path)))``; :meth:`substream_generators` seeds a whole range of
+    substreams in one vectorised pass of the same hash, and
+    :meth:`generator` is its one-stream view.  Should numpy change that
+    hash, the oracle test against numpy's own construction fails; the draws
+    do not drift silently.
     """
 
     master_seed: int
     stream_id: int = 0
     substream_path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if min(self.master_seed, self.stream_id, *self.substream_path) < 0:
+            raise ValueError(f"the master seed, stream id and substream path must be "
+                             f"non-negative, got {self}")
+
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_id, *self.substream_path)
-        )
-        return np.random.default_rng(ss)
+        *head, last = (self.stream_id, *self.substream_path)
+        return _generators(self.master_seed, tuple(head), last, last + 1)[0]
+
+    def substream_generators(self, start: int, stop: int) -> list[np.random.Generator]:
+        """The generators of ``substream(i)`` for i in range(start, stop)."""
+        return _generators(self.master_seed, (self.stream_id, *self.substream_path), start, stop)
 
     def substream(self, index: int) -> "RandomSource":
         return RandomSource(
@@ -187,6 +295,10 @@ def per_sample_values(n: int, rng: RandomSource, draw, values, what: str) -> lis
     """The value of each sample i = 0..n-1.
 
     Sample i draws ``draw(gen)`` from the generator of ``rng.substream(i)``.
+    A block's generators are seeded in one pass
+    (:meth:`RandomSource.substream_generators`), each bit-equal to numpy's
+    ``SeedSequence(master_seed, spawn_key=(stream_id, *path, i))``, and each
+    sample keeps its own Generator.
     The samples run in blocks of at most BLOCK: ``values(samples, draws)``
     evaluates the draws of a block, in one stacked call where the route has
     one, and returns their values and a redraw mask.  A flagged draw was a
@@ -199,7 +311,7 @@ def per_sample_values(n: int, rng: RandomSource, draw, values, what: str) -> lis
     """
     out: list[float] = []
     for start in range(0, n, BLOCK):
-        gens = [rng.substream(i).generator() for i in range(start, min(start + BLOCK, n))]
+        gens = rng.substream_generators(start, min(start + BLOCK, n))
         vals = np.empty(len(gens))
         todo = np.arange(len(gens))  # block positions without a value yet
         draws = [draw(gen) for gen in gens]
@@ -338,7 +450,7 @@ def sample_unit_sphere(dim: int, rng: "RandomSource | np.random.Generator") -> n
     gen = _rng_of(rng)
     while True:
         v = gen.standard_normal(dim)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v.dot(v))  # the bits of np.linalg.norm on a vector
         if norm > 1e-12:
             return v / norm
 

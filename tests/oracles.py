@@ -28,7 +28,10 @@ the package computes faster, or by another formula:
   stacked ``smoothshape.height_critical_points_many``;
 - :func:`steiner_oracle` fits the dilation-volume polynomial of a convex
   catalog body (cube, segment, ball) by point counting, against the
-  intrinsic volumes of ``lk_measure``.
+  intrinsic volumes of ``lk_measure``;
+- :func:`reference_generator` seeds a generator by numpy's own
+  ``SeedSequence``, against the vectorised seeding of
+  ``RandomSource.substream_generators``.
 """
 
 from __future__ import annotations
@@ -77,6 +80,13 @@ from lkpolar.smoothshape import (
     height_hessian_eigenvalues,
     second_form,
 )
+
+
+def reference_generator(rng: RandomSource) -> np.random.Generator:
+    """The generator of a random source as numpy builds it: its SeedSequence
+    hashes the master seed and the spawn key (stream id, *substream path)."""
+    ss = np.random.SeedSequence(rng.master_seed, spawn_key=(rng.stream_id, *rng.substream_path))
+    return np.random.default_rng(ss)
 
 
 # ---------------------------------------------------------------------------

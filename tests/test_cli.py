@@ -260,6 +260,21 @@ def test_bad_tolerance_fails_before_any_work(tolerance, monkeypatch):
         assert "--tolerance" in report["error"]
 
 
+@pytest.mark.parametrize("argv", [["measure", "--shape", "cube", "--k", "0"],
+                                  ["polar", "--shape", "cube", "--q", "1", "--samples", "5"]])
+def test_negative_seed_fails_before_any_work(argv, monkeypatch):
+    import lkpolar.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an order was computed before the seed was checked")
+
+    monkeypatch.setattr(cli, "lk_measure", no_work)
+    monkeypatch.setattr(cli, "polar_length", no_work)
+    report, status = run(argv + ["--seed=-1"])
+    assert status == 2
+    assert "--seed" in report["error"]
+
+
 def test_runtime_error_is_a_json_error(monkeypatch, capsys):
     import lkpolar.cli as cli
 

@@ -12,12 +12,14 @@ from lkpolar.geomkit import (
     ball_volume,
     beta_coeff,
     mean_estimate,
+    per_sample_values,
     polar_length_constant,
     sample_affine_flats_hitting_ball,
     sample_grassmannian,
     sample_unit_sphere,
     sphere_volume,
 )
+from oracles import reference_generator
 
 
 def test_sphere_volume_known_values():
@@ -242,3 +244,60 @@ def test_mean_estimate_matches_definition():
     assert e.value == pytest.approx(2.5)
     assert e.std_error == pytest.approx(np.std(vals, ddof=1) / 2.0)
     assert e.n_samples == 4
+
+
+# master seeds of one to three words; (stream id, path) keys with paths of
+# length 0-3 and entries of two words; index ranges up to, and across, 2^32
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70 + 5)
+KEYS = ((0, ()), (2**32, (7,)), (3, (2**32 + 1, 5)), (1, (0, 2**40, 2**32 - 1)))
+RANGES = ((0, 3), (250, 520), (2**32 - 5, 2**32), (2**32 - 2, 2**32 + 2))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substream_generators_are_numpys(seed):
+    for stream, path in KEYS:
+        rng = RandomSource(seed, stream, path)
+        ref = reference_generator(rng)
+        gen = rng.generator()
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert gen.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+        for start, stop in RANGES:
+            gens = rng.substream_generators(start, stop)
+            assert len(gens) == stop - start
+            assert len({id(g) for g in gens}) == len(gens)  # one Generator per sample
+            for i, gen in zip(range(start, stop), gens):
+                ref = reference_generator(rng.substream(i))
+                assert gen.bit_generator.state == ref.bit_generator.state
+                assert gen.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+
+
+def test_a_substream_seed_gives_only_the_pcg64_seed():
+    seed_seq = RandomSource(5).substream_generators(0, 2)[1].bit_generator.seed_seq
+    state = seed_seq.generate_state(4, np.uint64)
+    ref = np.random.SeedSequence(5, spawn_key=(0, 1)).generate_state(4, np.uint64)
+    assert state.tolist() == ref.tolist()
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="PCG64"):
+            seed_seq.generate_state(n_words, dtype)
+
+
+def test_per_sample_values_draws_sample_i_from_substream_i():
+    rng = RandomSource(2**64 + 3, 4, (2**32,))
+    gens = []
+
+    def draw(gen):
+        gens.append(gen)
+        return gen.standard_normal()
+
+    def values(samples, draws):
+        return np.array(draws), np.zeros(len(draws), dtype=bool)
+
+    got = per_sample_values(600, rng, draw, values, "test")
+    assert got == [rng.substream(i).generator().standard_normal() for i in range(600)]
+    assert len({id(g) for g in gens}) == 600
+
+
+@pytest.mark.parametrize("parts", [(-1,), (0, -1), (0, 0, (2, -1)), (-(2**70), 0)])
+def test_random_source_rejects_negative_parts(parts):
+    with pytest.raises(ValueError, match="non-negative"):
+        RandomSource(*parts)
