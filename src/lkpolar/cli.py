@@ -345,6 +345,9 @@ def run(argv=None) -> tuple[dict, int]:
         seed = getattr(args, "seed", 0)
         if seed < 0:
             raise ValueError(f"--seed must be >= 0, not {seed}")
+        samples = getattr(args, "samples", 1)
+        if samples < 1:
+            raise ValueError(f"--samples must be >= 1, not {samples}")
         body = args.func(args)
     # RuntimeError: a resample quota ran out (planes, exchange directions,
     # germ slices), which a report says as plainly as bad input

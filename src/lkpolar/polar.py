@@ -22,12 +22,14 @@ For a projection plane P of dimension q+1 the per-stratum pipeline is:
   4. average over uniform planes and apply the dimensional constant.
 
 A polar call on a smooth shape shares what does not depend on the plane:
-at q = 1 each surface stratum's trace-grid normals are built once per call,
-and at q = 0 a block of lines runs one stacked Newton solve per stratum.
-Inside :func:`polar_sample` a fold of a top stratum is traced only as far
-as the genericity checks read it, to the sign grid and its bisected edge
-crossings, without the refinement to the chord tolerance, since its value
-is 0.0 whatever the trace; :func:`polar_variety` still refines it.
+each surface stratum's trace-grid normals, each rim's samples for the
+overlap test and the quadrature of each stratum valued whole are built once
+per call (see :func:`_plane_free`), and at q = 0 a block of lines runs one
+stacked Newton solve per stratum.  Inside :func:`polar_sample` a fold of a
+top stratum is traced only as far as the genericity checks read it, to the
+sign grid and its edge crossings, without the refinement to the chord
+tolerance, since its value is 0.0 whatever the trace; :func:`polar_variety`
+still refines it.
 
 At q = n - 1 the plane P is all of R^n, so every plane gives the same
 value: :func:`polar_length` values P = R^n once, with no draw and se 0.
@@ -86,6 +88,8 @@ __all__ = [
 # the shape diameter)
 TRACE_GRID = 256  # sign-grid cells per chart axis of silhouette tracing
 CHORD_TOL = 1e-6  # largest gap between a traced polyline and its fold
+CROSSING_BRACKET = 2.0**-40  # a fold crossing's last bracket, as a share of its edge
+CROSSING_EVALS = 40  # most evaluations of <nu, u> per fold crossing
 FOLD_ANGLE_MIN = 1e-4  # fold tangents this close to P-perp are aligned
 OVERLAP_DISTANCE = 1e-4  # image points this close coincide
 OVERLAP_FRACTION = 0.05  # share of coinciding or aligned points that flags a plane
@@ -157,33 +161,35 @@ def _surface_normals(S: SmoothStratum, params: np.ndarray) -> np.ndarray:
 
 
 def _silhouette_value(S: SmoothStratum, params: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return _surface_normals(S, np.atleast_2d(params)) @ u
+    """<nu, u> at a stack of chart points, summed point by point: a point's
+    bits then do not depend on its batch, as those of a gemv can."""
+    N = _surface_normals(S, np.atleast_2d(params))
+    return N[:, 0] * u[0] + N[:, 1] * u[1] + N[:, 2] * u[2]
 
 
-def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25, min_steps=0):
+def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25):
     """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched.
 
-    Every point takes the same steps, which stop once all of them lie within
-    1e-12 of the contour, but not before step ``min_steps``.  Returns the
-    points and, for each, the first step at which it lay within 1e-12
-    (``iters`` if none)."""
+    Each point stops on its own once it lies within 1e-12 of the contour,
+    after at most ``iters`` steps, so its bits do not depend on its batch."""
     P = np.atleast_2d(np.asarray(P, dtype=float)).copy()
-    first = np.full(len(P), iters)
+    live = np.arange(len(P))
     h = 1e-7
     e0 = np.array([h, 0.0])
     e1 = np.array([0.0, h])
-    for k in range(iters):
-        g = _silhouette_value(S, P, u)
-        near = np.abs(g) < 1e-12
-        first[near & (first == iters)] = k
-        if k >= min_steps and np.all(near):
+    for _ in range(iters):
+        Q = P[live]
+        g = _silhouette_value(S, Q, u)
+        far = np.abs(g) >= 1e-12
+        if not np.any(far):
             break
-        g0 = (_silhouette_value(S, P + e0, u) - _silhouette_value(S, P - e0, u)) / (2 * h)
-        g1 = (_silhouette_value(S, P + e1, u) - _silhouette_value(S, P - e1, u)) / (2 * h)
+        live, Q, g = live[far], Q[far], g[far]
+        g0 = (_silhouette_value(S, Q + e0, u) - _silhouette_value(S, Q - e0, u)) / (2 * h)
+        g1 = (_silhouette_value(S, Q + e1, u) - _silhouette_value(S, Q - e1, u)) / (2 * h)
         n2 = np.maximum(g0 * g0 + g1 * g1, 1e-18)
-        P[:, 0] -= g * g0 / n2
-        P[:, 1] -= g * g1 / n2
-    return P, first
+        P[live, 0] = Q[:, 0] - g * g0 / n2
+        P[live, 1] = Q[:, 1] - g * g1 / n2
+    return P
 
 
 def _trace_grid_normals(S: SmoothStratum) -> np.ndarray:
@@ -205,10 +211,11 @@ def _trace_grid_normals(S: SmoothStratum) -> np.ndarray:
 def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
                      normals: np.ndarray | None = None, refine: bool = True):
     """Polylines of {x in S : normal(x) orthogonal to span(u)} via a sign grid with
-    bisected edge crossings, chained per cell and, unless ``refine`` is
-    false, refined to the chord tolerance.  Returns a list of
-    (params_array, points_array, closed); a closed polyline ends with its
-    first point, whose chart parameters are unwrapped against the last one.
+    edge crossings found by :func:`_fold_crossings`, chained per cell and,
+    unless ``refine`` is false, refined to the chord tolerance.  Returns a
+    list of (params_array, points_array, closed); a closed polyline ends with
+    its first point, whose chart parameters are unwrapped against the last
+    one.
 
     The sign grid is ``normals @ u``, from the grid normals of
     :func:`_trace_grid_normals`, which a polar call builds once for all its
@@ -265,32 +272,25 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
         segs[four, 0] = np.where(same[:, None], e[:, [0, 1]], e[:, [0, 3]])
         segs[four, 1] = np.where(same[:, None], e[:, [2, 3]], e[:, [1, 2]])
         keep[four] = True
-    segments = segs[keep].tolist()
 
-    # bisection of every crossed edge, in the order the cells first name them
+    # the crossing of every crossed edge, in the order the cells first name
+    # them, from the grid values at its two ends
     named = ids[crossed]
     _, first_seen = np.unique(named, return_index=True)
     pending = named[np.sort(first_seen)]
     i, j = np.divmod(pending % off, nx1)
     along1 = pending >= off
+    i1, j1 = i + ~along1, j + along1
     A = lo + np.stack([i, j], axis=1) * steps
-    B = lo + np.stack([i + ~along1, j + along1], axis=1) * steps
-    FA = vals[i, j]
-    for _ in range(40):
-        M = 0.5 * (A + B)
-        FM = _silhouette_value(S, M, u)
-        right = FA * FM <= 0
-        np.copyto(B, M, where=right[:, None])
-        np.copyto(A, M, where=~right[:, None])
-        np.copyto(FA, FM, where=~right)
-    M = 0.5 * (A + B)
+    B = lo + np.stack([i1, j1], axis=1) * steps
+    M, _ = _fold_crossings(S, u, A, B, vals[i, j], vals[i1 % nx0, j1 % nx1])
     row = np.empty(2 * off, dtype=np.int64)
     row[pending] = np.arange(len(pending))
 
     out = []
-    for chain, closed in _chain_segments(segments):
+    for chain, closed in _chain_segments(segs[keep]):
         if closed:
-            chain.append(chain[0])
+            chain = np.append(chain, chain[0])
         params = _unwrap_params(M[row[chain]], lo, hi, per)
         if refine:
             params = _refine_polyline(S, params, u, CHORD_TOL * diameter)
@@ -298,44 +298,79 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
     return out
 
 
-def _chain_segments(segments: list) -> list:
-    """Chain segments (pairs of edge ids) into maximal walks: open ones from
-    their ends first, then closed loops.  Returns (edge ids, closed) pairs."""
-    adjacency: dict = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    unused = set()
-    for a, b in segments:
-        unused.add((a, b))
-        unused.add((b, a))
+def _fold_crossings(S: SmoothStratum, u: np.ndarray, A: np.ndarray, B: np.ndarray,
+                    FA: np.ndarray, FB: np.ndarray):
+    """The zeros of <nu, u> on the chart segments A-B, whose values FA and FB
+    at the ends have opposite signs, by the Illinois variant of regula falsi
+    (Dowell and Jarratt, BIT 11, 1971), which keeps a bracket and converges
+    superlinearly.  A point at A + t (B - A) keeps its bracket [a, b] in t
+    with b the newest point; a new point on the same side as b halves the
+    value kept at a.  Each segment stops on its own once its bracket is at
+    most CROSSING_BRACKET or its value is exactly 0, after at most
+    CROSSING_EVALS evaluations, so its bits do not depend on its batch.
+    Returns the crossings (the newest points) and the evaluations each took."""
+    D = B - A
+    a = np.zeros(len(A))
+    b = np.ones(len(A))
+    fa = np.array(FA, dtype=float)
+    fb = np.array(FB, dtype=float)
+    evals = np.zeros(len(A), dtype=int)
+    live = np.arange(len(A))
+    for _ in range(CROSSING_EVALS):
+        la, lb, lfa, lfb = a[live], b[live], fa[live], fb[live]
+        t = lb - lfb * (lb - la) / (lfb - lfa)
+        ft = _silhouette_value(S, A[live] + t[:, None] * D[live], u)
+        evals[live] += 1
+        flip = ft * lfb < 0  # the root lies between b and t: b becomes a
+        a[live] = np.where(flip, lb, la)
+        fa[live] = np.where(flip, lfb, 0.5 * lfa)
+        b[live] = t
+        fb[live] = ft
+        live = live[(np.abs(t - a[live]) > CROSSING_BRACKET) & (ft != 0)]
+        if not len(live):
+            break
+    return A + b[:, None] * D, evals
+
+
+def _chain_segments(segments: np.ndarray) -> list:
+    """Chain segments (k, 2) of edge ids into maximal walks over neighbour
+    arrays, with nodes labelled in the order the segments first name them
+    and each node's neighbours in segment order.  Open walks come first,
+    each from the end named first; then closed loops, each from its node
+    named first toward that node's first neighbour.  Returns (edge ids,
+    closed) pairs."""
+    ids, first, inv = np.unique(segments.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    src = rank[inv.ravel()]
+    dst = src.reshape(-1, 2)[:, ::-1].ravel()
+    by_src = np.argsort(src, kind="stable")
+    degree = np.bincount(src, minlength=len(ids))
+    slot = np.arange(len(src)) - (np.cumsum(degree) - degree)[src[by_src]]
+    nb = np.full((len(ids), 2), -1, dtype=np.int64)
+    nb[src[by_src], slot] = dst[by_src]
+    # a walk entering a node from one neighbour leaves to the other, the
+    # sum of both less the first (-1 past an end)
+    first_nb, both = nb[:, 0].tolist(), nb.sum(axis=1).tolist()
+    seen = np.zeros(len(ids), dtype=bool)
+    chains = []
 
     def walk(start):
         chain = [start]
-        while True:
-            cur = chain[-1]
-            nxt = None
-            for cand in adjacency[cur]:
-                if (cur, cand) in unused:
-                    nxt = cand
-                    break
-            if nxt is None:
-                return chain, False
-            unused.discard((cur, nxt))
-            unused.discard((nxt, cur))
-            if nxt == chain[0]:
-                return chain, True
-            chain.append(nxt)
+        prev, cur = start, first_nb[start]
+        while cur >= 0 and cur != start:
+            chain.append(cur)
+            prev, cur = cur, both[cur] - prev
+        chain = np.array(chain)
+        seen[chain] = True
+        chains.append((ids[order[chain]], cur == start))
 
-    ends = [e for e, nb in adjacency.items() if len(nb) == 1]
-    chains = []
-    visited = set()
-    for start in ends + list(adjacency):
-        if start in visited or not any((start, c) in unused for c in adjacency[start]):
-            continue
-        chain, closed = walk(start)
-        visited.update(chain)
-        chains.append((chain, closed))
+    for end in np.flatnonzero(degree == 1).tolist():
+        if not seen[end]:
+            walk(end)
+    while not seen.all():
+        walk(int(np.argmin(seen)))
     return chains
 
 
@@ -359,18 +394,12 @@ def _refine_polyline(S, params, u, tol, max_depth=8):
 
     Only open segments are snapped: every segment in the first round, then
     the two halves of each split one, since a segment that passed keeps its
-    endpoints.  The snap of a round still takes as many steps as the slowest
-    midpoint of the whole polyline took to settle, so the points equal those
-    of re-snapping every midpoint in every round."""
+    endpoints, and a snapped point does not depend on its batch."""
     pts = np.asarray(params, dtype=float)
     X = S.chart.r(pts)
     seg = np.arange(len(pts) - 1)  # the open segments
-    took = np.zeros(len(seg), dtype=int)  # steps each segment's midpoint took to settle
     for _ in range(max_depth):
-        passed = np.ones(len(took), dtype=bool)
-        passed[seg] = False
-        mids, took[seg] = _snap_to_contour_batch(
-            S, 0.5 * (pts[seg] + pts[seg + 1]), u, min_steps=took[passed].max(initial=0))
+        mids = _snap_to_contour_batch(S, 0.5 * (pts[seg] + pts[seg + 1]), u)
         Xm = S.chart.r(mids)
         split = np.linalg.norm(Xm - 0.5 * (X[seg] + X[seg + 1]), axis=1) > tol
         if not np.any(split):
@@ -378,7 +407,6 @@ def _refine_polyline(S, params, u, tol, max_depth=8):
         at = seg[split] + 1
         pts = np.insert(pts, at, mids[split], axis=0)
         X = np.insert(X, at, Xm[split], axis=0)
-        took = np.insert(took, at, 0)
         # a split segment k becomes k + s and k + s + 1, s splits before it
         seg = at - 1 + np.arange(len(at))
         seg = np.stack([seg, seg + 1], axis=1).ravel()
@@ -443,19 +471,39 @@ def _pl_images(K, q: int, bases: np.ndarray) -> np.ndarray:
     return K.vertices[cells] @ bases[:, None].swapaxes(-1, -2)
 
 
+def _plane_free(grids: dict, key: tuple, build):
+    """The entry ``key`` of a polar call's plane-free geometry: built by
+    ``build`` when missing and kept in ``grids``, so that the planes of one
+    call share it, and freed with the call."""
+    if key not in grids:
+        grids[key] = build()
+    return grids[key]
+
+
+def _chart_grid(S: SmoothStratum, resolution: int, grids: dict):
+    """The quadrature params and weights of a stratum's chart at a
+    resolution, and their points, once per polar call."""
+    def build():
+        params, w = S.chart.grid(resolution)
+        return params, w, S.chart.r(params)
+
+    return _plane_free(grids, ("grid", S.name, resolution), build)
+
+
 def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
                          grids: dict, *, top_flags_only: bool = False) -> list[PolarPiece]:
-    """The polar pieces of one smooth stratum.  ``grids`` holds the trace-grid
-    normals of the surface strata by name; a missing entry is built and
-    kept there, so that the planes of one polar call share it.  With
-    ``top_flags_only`` the folds of a top stratum, whose value is 0.0, are
-    traced without refinement: far enough for the genericity checks."""
+    """The polar pieces of one smooth stratum.  ``grids`` holds the
+    plane-free geometry of a polar call (see :func:`_plane_free`): the
+    trace-grid normals of the surface strata and the grid points of the
+    whole ones.  With ``top_flags_only`` the folds of a top stratum, whose
+    value is 0.0, are traced without refinement: far enough for the
+    genericity checks."""
     n = X.ambient_dim
     if S.role == "solid":
         return []
     if S.dim <= q:
-        params, _ = S.chart.grid(64)
-        return [PolarPiece(stratum=S, kind="whole", geometry=P.coords(S.chart.r(params)))]
+        _, _, pts = _chart_grid(S, 64, grids)
+        return [PolarPiece(stratum=S, kind="whole", geometry=P.coords(pts))]
     if q == 0:
         v = P.basis[0]
         crits = height_critical_points(S, v, scale=X.diameter)
@@ -474,9 +522,8 @@ def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
         ]
     if S.dim == 2 and n == 3 and q == 1:
         u = P.orthogonal_complement().basis[0]
-        if S.name not in grids:
-            grids[S.name] = _trace_grid_normals(S)
-        traced = trace_silhouette(S, u, X.diameter, normals=grids[S.name],
+        normals = _plane_free(grids, ("normals", S.name), lambda: _trace_grid_normals(S))
+        traced = trace_silhouette(S, u, X.diameter, normals=normals,
                                   refine=not (top_flags_only and S.role == "top"))
         return [
             PolarPiece(
@@ -541,7 +588,11 @@ def _overlap_fraction(
     adjacent samples, endpoint contacts) and do not witness double points.
     A probe within dist_tol of a segment lies within dist_tol plus half its
     length of the segment midpoint, so the closest-point and source tests
-    run only on the probe/segment pairs that pass this cheaper test."""
+    run only on the probe/segment pairs that pass this cheaper test.  Its
+    candidates are windowed: with the midpoints sorted along the first image
+    axis, each probe takes those within the largest reach of it there (two
+    binary searches), widened by a few ulps of the coordinates for rounding,
+    and only those pairs get the midpoint distance, summed axis by axis."""
     ka = _decimate(np.arange(len(a_img)), 256)
     kb = _decimate(np.arange(len(b_img)), 512)
     pa, sa = a_img[ka], a_src[ka]
@@ -554,10 +605,19 @@ def _overlap_fraction(
     seg_len2 = np.maximum(seg2, 1e-300)
     mid = 0.5 * (seg_a + seg_b)
     reach = (dist_tol + 0.5 * np.sqrt(seg2)) * (1 + 1e-9)
-    d2_mid = np.zeros((len(pa), len(mid)))
+    by_x = np.argsort(mid[:, 0], kind="stable")
+    xs = mid[by_x, 0]
+    widest = reach.max()
+    window = widest + 4 * np.spacing(max(np.abs(xs).max(), np.abs(pa[:, 0]).max()) + widest)
+    lo = np.searchsorted(xs, pa[:, 0] - window, side="left")
+    count = np.searchsorted(xs, pa[:, 0] + window, side="right") - lo
+    n = np.repeat(np.arange(len(pa)), count)
+    m = by_x[np.arange(len(n)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    d2_mid = np.zeros(len(n))
     for k in range(pa.shape[1]):
-        d2_mid += (pa[:, k, None] - mid[None, :, k]) ** 2
-    n, m = np.nonzero(d2_mid <= reach**2)
+        d2_mid += (pa[n, k] - mid[m, k]) ** 2
+    near = d2_mid <= reach[m] ** 2
+    n, m = n[near], m[near]
     hit = np.zeros(len(pa), dtype=bool)
     if len(n):
         rel = pa[n] - seg_a[m]  # (K, dim)
@@ -573,14 +633,18 @@ def _overlap_fraction(
     return float(np.mean(hit))
 
 
-def check_genericity(X: Shape, P: LinearSubspace, pieces) -> DegeneracyReport:
+def check_genericity(X: Shape, P: LinearSubspace, pieces, *,
+                     grids: dict | None = None) -> DegeneracyReport:
     """Clearance checks on the polar pieces of a sampled plane.
 
     Isolated transversal contacts (image crossings, endpoint adjacency) are
     the generic picture and pass; flags fire on near-positive-dimensional
     coincidences: wall-aligned cell spans, fold tangents aligned with P-perp
-    along a stretch, and image overlap over a length fraction.
+    along a stretch, and image overlap over a length fraction.  ``grids``
+    holds the rim samples of a polar call's planes, as in
+    :func:`polar_sample`; a lone plane builds its own.
     """
+    grids = {} if grids is None else grids
     fold_violations = []
     double_points = []
     limit_adjacency = []
@@ -629,7 +693,7 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces) -> DegeneracyReport:
     if contours:
         for rim in X.smooth.strata:
             if rim.role == "rim":
-                rim_pts = rim.chart.r(rim.chart.grid(256)[0])
+                _, _, rim_pts = _chart_grid(rim, 256, grids)
                 rims.append((rim.name, rim_pts, P.coords(rim_pts)))
     for piece in contours:
         for name, rim_pts, rim_img in rims:
@@ -774,13 +838,14 @@ def _pl_cell_values_many(X: Shape, images: np.ndarray, rows, bases: np.ndarray):
     return alphas * simplex_volumes(images), degenerate
 
 
-def _piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
+def _piece_values(X: Shape, pieces, P: LinearSubspace, grids: dict | None = None) -> list[float]:
     """The alpha-weighted image volume of each piece of a smooth shape, in
-    piece order."""
-    return [_piece_integral(X, piece, P) for piece in pieces]
+    piece order; ``grids`` holds a polar call's plane-free quadrature (see
+    :func:`_plane_free`), built here when not given."""
+    return [_piece_integral(X, piece, P, grids) for piece in pieces]
 
 
-def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
+def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, grids: dict | None) -> float:
     """The alpha-weighted image volume of one piece of a smooth shape."""
     q = P.dim - 1
     if piece.kind == "points":
@@ -790,7 +855,7 @@ def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
         return float(np.sum(_q0_alphas(piece.stratum, piece.source_params[keep], P.basis[0],
                                        piece.morse_indices[keep])))
     if piece.kind == "whole":
-        return _whole_stratum_integral(X, piece.stratum, P)
+        return _whole_stratum_integral(X, piece.stratum, P, grids)
     if piece.kind == "contour":
         if piece.stratum.role == "top":
             return 0.0  # alpha is 0 at every fold of a top stratum
@@ -798,14 +863,19 @@ def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
     raise ValueError(f"unknown piece kind {piece.kind}")
 
 
-def _whole_stratum_integral(X: Shape, S: SmoothStratum, P: LinearSubspace) -> float:
+def _whole_stratum_integral(X: Shape, S: SmoothStratum, P: LinearSubspace,
+                            grids: dict | None = None) -> float:
+    """alpha times the image q-volume of a stratum of dimension q, by
+    quadrature on its chart; the nodes, weights, points and chart
+    Jacobians do not depend on the plane, so ``grids`` keeps them for a
+    polar call (see :func:`_plane_free`)."""
     q = P.dim - 1
     if S.dim != q:
         return 0.0  # image of a lower-dimensional stratum has measure zero
+    grids = {} if grids is None else grids
     res = 128 if S.dim == 1 else 64
-    params, w = S.chart.grid(res)
-    pts = S.chart.r(params)
-    J = S.chart.dr(params)  # (N, d, n)
+    params, w, pts = _chart_grid(S, res, grids)
+    J = _plane_free(grids, ("dr", S.name, res), lambda: S.chart.dr(params))  # (N, d, n)
     Jp = J @ P.basis.T  # projected chart Jacobian
     gram = Jp @ np.swapaxes(Jp, -1, -2)
     if S.dim == 1:
@@ -861,7 +931,7 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
         return 0.0
     u = P.orthogonal_complement().basis[0]
     S = piece.stratum
-    mids, _ = _snap_to_contour_batch(S, 0.5 * (params[:-1] + params[1:]), u)
+    mids = _snap_to_contour_batch(S, 0.5 * (params[:-1] + params[1:]), u)
     mid_pts = S.chart.r(mids)
     m = P.coords(mid_pts)
     chord = np.linalg.norm(geo[1:] - geo[:-1], axis=1)
@@ -891,11 +961,11 @@ def _q0_values(X: Shape, V: np.ndarray):
 
 def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> PolarSample:
     """The polar set of the shape for one plane, with genericity checks
-    attached.  ``grids`` holds the trace-grid normals of a polar call's
-    planes (see :func:`_smooth_polar_pieces`); a lone plane builds its own.
+    attached.  ``grids`` holds the plane-free geometry of a polar call's
+    planes (see :func:`_plane_free`); a lone plane builds its own.
 
     The folds of a top stratum are traced for their genericity flags only:
-    the sign grid and its bisected crossings, not refined to the chord
+    the sign grid and its edge crossings, not refined to the chord
     tolerance, since alpha is 0 all along them.  :func:`polar_variety`
     still refines them, for a fold length."""
     q = P.dim - 1
@@ -914,7 +984,10 @@ def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> P
     except (DegenerateDirectionError, DegenerateHeightError):
         return PolarSample(plane=P, pieces=(), degenerate=True, report=DegeneracyReport(fold_violations=["height"]))
     # the checks read traced contours only, and a PL shape has none
-    report = DegeneracyReport() if X.pl is not None else check_genericity(X, P, pieces)
+    if X.pl is not None:
+        report = DegeneracyReport()
+    else:
+        report = check_genericity(X, P, pieces, grids=grids)
     if not report.clean:
         return PolarSample(plane=P, pieces=(), degenerate=True, report=report)
     return PolarSample(plane=P, pieces=tuple(pieces), degenerate=False, report=report,
@@ -967,7 +1040,7 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         if keep_rows:
             rows.append((i, P.basis.copy(), {}, "+".join(reasons)))
 
-    grids: dict = {}  # trace-grid normals of the surface strata, for every plane
+    grids: dict = {}  # plane-free geometry of the strata, for every plane
 
     def one(i: int, P: LinearSubspace) -> float:
         sample = polar_sample(X, P, grids=grids)
@@ -976,7 +1049,7 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
             reject(i, P, reasons)
             raise DegeneratePlaneError(sample.report, "degenerate plane: " + "+".join(reasons))
         try:
-            vals = _piece_values(X, sample.pieces, P)
+            vals = _piece_values(X, sample.pieces, P, grids)
         except (DegeneratePlaneError, DegenerateDirectionError):
             reject(i, P, ["alpha"])
             raise

@@ -158,11 +158,18 @@ class SmoothShape:
                            tuple(center.tolist()))
 
 
+def _rotated(x, rot):
+    """x @ rot.T, summed column by column: a row's bits then do not depend
+    on how many rows share the call, as a one-row matmul takes another
+    BLAS path."""
+    return sum(x[..., j, None] * rot[:, j] for j in range(rot.shape[1]))
+
+
 def _moved(x, rot, tr, scale):
     """x scaled, then rotated, then translated (tr is None for vectors)."""
     y = scale * x
     if rot is not None:
-        y = y @ rot.T
+        y = _rotated(y, rot)
     if tr is not None:
         y = y + tr
     return y
@@ -183,7 +190,7 @@ def _transform_stratum(s: SmoothStratum, rot, tr, scale) -> SmoothStratum:
         def field(p, _inner=inner):
             w = _inner(p)
             if rot is not None:
-                w = w @ rot.T
+                w = _rotated(w, rot)
             return w
 
         return field

@@ -21,8 +21,14 @@ the package computes faster, or by another formula:
   over the normal sphere one point and one direction at a time, against the
   stacked smooth densities;
 - :func:`trace_silhouette_loop` classifies the cells of the sign grid one at
-  a time and re-snaps every segment midpoint in each refinement round,
-  against the array-based ``polar.trace_silhouette``;
+  a time, finds each edge crossing on its own and re-snaps every segment
+  midpoint in each refinement round, against the array-based
+  ``polar.trace_silhouette``; :func:`halving_crossings` halves every bracket
+  40 times, the precision reference of its Illinois crossings;
+- :func:`chain_segments_sets` chains segments through a set of edge tuples,
+  and :func:`overlap_fraction_dense` prefilters every probe against every
+  segment, against the neighbour-array walk and the windowed prefilter of
+  ``polar``;
 - :func:`height_critical_points_loop` runs the multistart Newton of one
   direction at a time and merges duplicates point by point, against the
   stacked ``smoothshape.height_critical_points_many``;
@@ -65,9 +71,12 @@ from lkpolar.plstrata import (
 )
 from lkpolar.polar import (
     CHORD_TOL,
+    CROSSING_BRACKET,
+    CROSSING_EVALS,
     SPAN_RANK_TOL,
     TRACE_GRID,
     _silhouette_value,
+    _surface_normals,
 )
 from lkpolar.smoothshape import (
     CLUSTER_TOL,
@@ -581,11 +590,14 @@ def projected_volume(X: Shape, n_planes: int, rng: RandomSource) -> Estimate:
 # silhouette tracing, one cell at a time
 # ---------------------------------------------------------------------------
 
-def trace_silhouette_loop(S: SmoothStratum, u: np.ndarray, diameter: float):
+def trace_silhouette_loop(S: SmoothStratum, u: np.ndarray, diameter: float, *,
+                          crossing_rule=None, refine: bool = True):
     """The reference tracer of ``polar.trace_silhouette``: a Python loop over
-    the active cells of the sign grid, with edges named by tuples, and a
-    refinement that re-snaps the midpoint of every segment in every round.
-    Same signature and result."""
+    the active cells of the sign grid, with edges named by tuples, the
+    crossing of each edge found on its own (:func:`illinois_crossings_loop`
+    unless ``crossing_rule`` names another rule, such as
+    :func:`halving_crossings`), and a refinement that re-snaps the midpoint
+    of every segment in every round.  Same result as ``trace_silhouette``."""
     chart = S.chart
     g = TRACE_GRID
     lo = np.array([b[0] for b in chart.bounds])
@@ -595,7 +607,7 @@ def trace_silhouette_loop(S: SmoothStratum, u: np.ndarray, diameter: float):
     steps = [(hi[i] - lo[i]) / (nx[i] if chart.periodic[i] else nx[i] - 1) for i in range(2)]
     mesh = np.meshgrid(*axes, indexing="ij")
     P = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = _silhouette_value(S, P, u).reshape(nx[0], nx[1])
+    vals = (_surface_normals(S, P) @ u).reshape(nx[0], nx[1])  # one gemv, as the tracer's grid
 
     def node(i, j):
         ii = i % nx[0] if chart.periodic[0] else i
@@ -658,75 +670,73 @@ def trace_silhouette_loop(S: SmoothStratum, u: np.ndarray, diameter: float):
                 crossings[e] = None
                 pending_edges.append(e)
 
-    # batched bisection of all crossed edges
+    # the crossing of every crossed edge, from the grid values at its ends
     if pending_edges:
         A = np.empty((len(pending_edges), 2))
         B = np.empty((len(pending_edges), 2))
         FA = np.empty(len(pending_edges))
+        FB = np.empty(len(pending_edges))
         for idx, (kind, i, j) in enumerate(pending_edges):
             A[idx] = node_param(i, j)
             B[idx] = node_param(i + 1, j) if kind == "h" else node_param(i, j + 1)
             FA[idx] = vals[node(i, j)]
-        for _ in range(40):
-            M = 0.5 * (A + B)
-            FM = _silhouette_value(S, M, u)
-            right = FA * FM <= 0
-            B[right] = M[right]
-            A[~right] = M[~right]
-            FA[~right] = FM[~right]
-        M = 0.5 * (A + B)
+            FB[idx] = vals[node(i + 1, j) if kind == "h" else node(i, j + 1)]
+        M = (crossing_rule or illinois_crossings_loop)(S, u, A, B, FA, FB)
         for idx, e in enumerate(pending_edges):
             crossings[e] = M[idx]
 
     # chain segments into polylines
-    adjacency: dict = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    unused = set()
-    for a, b in segments:
-        unused.add((a, b))
-        unused.add((b, a))
-
-    def walk(start):
-        chain = [start]
-        while True:
-            cur = chain[-1]
-            nxt = None
-            for cand in adjacency.get(cur, []):
-                if (cur, cand) in unused:
-                    nxt = cand
-                    break
-            if nxt is None:
-                return chain, False
-            unused.discard((cur, nxt))
-            unused.discard((nxt, cur))
-            if nxt == chain[0]:
-                return chain, True
-            chain.append(nxt)
-
-    ends = [e for e, nb in adjacency.items() if len(nb) == 1]
-    polylines = []
-    visited_edges = set()
-    for start in ends + list(adjacency):
-        if start in visited_edges or start not in adjacency:
-            continue
-        has_free = any((start, c) in unused for c in adjacency[start])
-        if not has_free:
-            continue
-        chain, closed = walk(start)
-        visited_edges.update(chain)
-        params = [crossings[e] for e in chain]
-        polylines.append((params, closed))
+    polylines = [([crossings[e] for e in chain], closed)
+                 for chain, closed in chain_segments_sets(segments)]
 
     out = []
     for params, closed in polylines:
         if closed:
             params = params + [params[0]]
         params = unwrap_params_loop(np.array(params), lo, hi, chart.periodic)
-        params = refine_polyline_all(S, params, u, CHORD_TOL * diameter)
+        if refine:
+            params = refine_polyline_all(S, params, u, CHORD_TOL * diameter)
         out.append((params, chart.r(params), closed))
     return out
+
+
+def illinois_crossings_loop(S, u, A, B, FA, FB):
+    """The crossing rule of ``polar._fold_crossings``, one edge at a time:
+    Illinois regula falsi on A + t (B - A) from the values FA, FB at the
+    ends, with one evaluation of <nu, u> per step, until the bracket is at
+    most CROSSING_BRACKET or the value is 0, for at most CROSSING_EVALS
+    steps."""
+    out = np.empty_like(A)
+    for idx in range(len(A)):
+        a, b, fa, fb = 0.0, 1.0, float(FA[idx]), float(FB[idx])
+        d = B[idx] - A[idx]
+        for _ in range(CROSSING_EVALS):
+            t = b - fb * (b - a) / (fb - fa)
+            ft = float(_silhouette_value(S, A[idx] + t * d, u)[0])
+            if ft * fb < 0:
+                a, fa = b, fb
+            else:
+                fa = 0.5 * fa
+            b, fb = t, ft
+            if abs(b - a) <= CROSSING_BRACKET or ft == 0:
+                break
+        out[idx] = A[idx] + b * d
+    return out
+
+
+def halving_crossings(S, u, A, B, FA, FB):
+    """The crossings of the same edges by 40 halvings of every bracket, the
+    precision reference of the Illinois rule: the midpoint of a final
+    bracket 2^-40 of its edge long."""
+    A, B, FA = A.copy(), B.copy(), FA.copy()
+    for _ in range(40):
+        M = 0.5 * (A + B)
+        FM = _silhouette_value(S, M, u)
+        right = FA * FM <= 0
+        B[right] = M[right]
+        A[~right] = M[~right]
+        FA[~right] = FM[~right]
+    return 0.5 * (A + B)
 
 
 def unwrap_params_loop(params, lo, hi, periodic):
@@ -768,22 +778,104 @@ def refine_polyline_all(S, params, u, tol, max_depth=8):
 
 
 def snap_to_contour_all(S, P: np.ndarray, u, iters=25):
-    """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched:
-    every point steps until all of them lie within 1e-12 of the contour."""
+    """Gradient-step refinement of chart points onto {<nu, u> = 0}: every
+    point of the batch is evaluated and stepped at each round, except those
+    that already lay within 1e-12 of the contour, which stay put."""
     P = np.atleast_2d(np.asarray(P, dtype=float)).copy()
+    settled = np.zeros(len(P), dtype=bool)
     h = 1e-7
     e0 = np.array([h, 0.0])
     e1 = np.array([0.0, h])
     for _ in range(iters):
         g = _silhouette_value(S, P, u)
-        if np.max(np.abs(g)) < 1e-12:
+        settled |= np.abs(g) < 1e-12
+        if np.all(settled):
             break
         g0 = (_silhouette_value(S, P + e0, u) - _silhouette_value(S, P - e0, u)) / (2 * h)
         g1 = (_silhouette_value(S, P + e1, u) - _silhouette_value(S, P - e1, u)) / (2 * h)
         n2 = np.maximum(g0 * g0 + g1 * g1, 1e-18)
-        P[:, 0] -= g * g0 / n2
-        P[:, 1] -= g * g1 / n2
+        step = ~settled
+        P[step, 0] -= (g * g0 / n2)[step]
+        P[step, 1] -= (g * g1 / n2)[step]
     return P
+
+
+def chain_segments_sets(segments: list) -> list:
+    """The reference of ``polar._chain_segments``: segments (pairs of edge
+    ids) chained into maximal walks through a dict of neighbour lists and a
+    set of unused (edge, edge) tuples, open ones from their ends first, then
+    closed loops.  Returns (edge ids, closed) pairs."""
+    adjacency: dict = {}
+    for a, b in segments:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    unused = set()
+    for a, b in segments:
+        unused.add((a, b))
+        unused.add((b, a))
+
+    def walk(start):
+        chain = [start]
+        while True:
+            cur = chain[-1]
+            nxt = None
+            for cand in adjacency[cur]:
+                if (cur, cand) in unused:
+                    nxt = cand
+                    break
+            if nxt is None:
+                return chain, False
+            unused.discard((cur, nxt))
+            unused.discard((nxt, cur))
+            if nxt == chain[0]:
+                return chain, True
+            chain.append(nxt)
+
+    ends = [e for e, nb in adjacency.items() if len(nb) == 1]
+    chains = []
+    visited = set()
+    for start in ends + list(adjacency):
+        if start in visited or not any((start, c) in unused for c in adjacency[start]):
+            continue
+        chain, closed = walk(start)
+        visited.update(chain)
+        chains.append((chain, closed))
+    return chains
+
+
+def overlap_fraction_dense(a_img, a_src, b_img, b_src, dist_tol, src_tol) -> float:
+    """The reference of ``polar._overlap_fraction``, with its midpoint
+    prefilter taken densely: every probe against every segment midpoint, in
+    one (probes, segments) distance array summed axis by axis, before the
+    closest-point and source tests of the pairs that pass."""
+    ka = np.linspace(0, len(a_img) - 1, min(len(a_img), 256)).astype(int)
+    kb = np.linspace(0, len(b_img) - 1, min(len(b_img), 512)).astype(int)
+    pa, sa = a_img[ka], a_src[ka]
+    qb, sb = b_img[kb], b_src[kb]
+    if len(pa) == 0 or len(qb) < 2:
+        return 0.0
+    seg_a, seg_b = qb[:-1], qb[1:]
+    seg = seg_b - seg_a
+    seg2 = np.sum(seg**2, axis=1)
+    seg_len2 = np.maximum(seg2, 1e-300)
+    mid = 0.5 * (seg_a + seg_b)
+    reach = (dist_tol + 0.5 * np.sqrt(seg2)) * (1 + 1e-9)
+    d2_mid = np.zeros((len(pa), len(mid)))
+    for k in range(pa.shape[1]):
+        d2_mid += (pa[:, k, None] - mid[None, :, k]) ** 2
+    n, m = np.nonzero(d2_mid <= reach**2)
+    hit = np.zeros(len(pa), dtype=bool)
+    if len(n):
+        rel = pa[n] - seg_a[m]
+        t = np.clip(np.einsum("kd,kd->k", rel, seg[m]) / seg_len2[m], 0.0, 1.0)
+        closest = seg_a[m] + t[:, None] * seg[m]
+        d2_img = np.sum((pa[n] - closest) ** 2, axis=1)
+        d2_src = np.minimum(
+            np.sum((sa[n] - sb[m]) ** 2, axis=1),
+            np.sum((sa[n] - sb[m + 1]) ** 2, axis=1),
+        )
+        hit[n[(d2_img <= dist_tol**2) & (d2_src >= src_tol**2)]] = True
+    return float(np.mean(hit))
 
 
 # ---------------------------------------------------------------------------

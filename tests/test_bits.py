@@ -55,7 +55,7 @@ PINS = {
     ('hemisphere:1', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
     ('hemisphere:1', 'polar_length', 1): ('0x1.963c4cf6a998cp+1', '0x1.715b10afc4f10p-3'),
     ('ball:1', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
-    ('ball:1', 'polar_length', 1): ('0x1.ffffffffffe79p+1', '0x1.9206c2f5d60dcp-45'),
+    ('ball:1', 'polar_length', 1): ('0x1.ffffffffffe79p+1', '0x1.91ce8f44d84b6p-45'),
     ('torus:2:1', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
     ('octahedron', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     ('sphere:1', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),

@@ -275,6 +275,24 @@ def test_negative_seed_fails_before_any_work(argv, monkeypatch):
     assert "--seed" in report["error"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--shape", "cube", "--q", "2", "--samples", "-3"],
+                                  ["measure", "--shape", "sphere:1", "--k", "0", "--samples", "-3"],
+                                  ["polar", "--shape", "cube", "--q", "1", "--samples", "0"]])
+def test_bad_samples_fail_before_any_work(argv, monkeypatch):
+    # q = n - 1 and the curvature route draw nothing, so only the check in
+    # run catches a count below 1 there
+    import lkpolar.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an order was computed before the sample count was checked")
+
+    monkeypatch.setattr(cli, "lk_measure", no_work)
+    monkeypatch.setattr(cli, "polar_length", no_work)
+    report, status = run(argv)
+    assert status == 2
+    assert "--samples" in report["error"]
+
+
 def test_runtime_error_is_a_json_error(monkeypatch, capsys):
     import lkpolar.cli as cli
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,12 @@ from lkpolar.polar import (
 from lkpolar.smoothshape import Chart, SmoothStratum
 
 from oracles import (
+    chain_segments_sets,
     crofton_volume,
     fold_alpha_slice_chi,
     geometric_normal_index,
+    halving_crossings,
+    overlap_fraction_dense,
     projected_volume,
     span_intersection,
     trace_silhouette_loop,
@@ -195,6 +199,109 @@ def test_trace_silhouette_pairs_saddle_cell_by_centre_sign():
 
     assert sorted(ends(p[0], p[-1]) for p, _, _ in traced) == sorted(
         [ends((s0, -0.5), (-0.5, t0)), ends((s0, 0.5), (0.5, t0))])
+
+
+def _swept_stratum(name, stratum, moved):
+    """A traced stratum of the sweep, as the cell-loop test moves it, and
+    its seeded plane normals plus the two axial ones."""
+    X = shape_from_name(name).smooth
+    if moved:
+        rot = np.linalg.qr(RandomSource(57).generator().standard_normal((3, 3)))[0]
+        X = X.transformed(rotation=rot, translation=np.array([0.3, -0.2, 1.0]), scale=1.7)
+    gen = RandomSource(59).generator()
+    normals = [sample_grassmannian(3, 2, gen).orthogonal_complement().basis[0] for _ in range(8)]
+    return X, X.stratum(stratum), normals + [np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])]
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("name,stratum", TRACED_STRATA)
+def test_fold_crossings_keep_the_precision_of_halving(name, stratum, moved, monkeypatch):
+    # each Illinois crossing lies within 1e-13 chart units of the crossing
+    # that 40 halvings of its edge give, none needs the cap on its
+    # evaluations, and the chains are those of the set-of-tuples walk
+    X, S, normals = _swept_stratum(name, stratum, moved)
+    evals, chains = [], []
+    crossings, chain = polar._fold_crossings, polar._chain_segments
+
+    def spy_crossings(*args):
+        M, taken = crossings(*args)
+        evals.append(taken)
+        return M, taken
+
+    def spy_chains(segments):
+        out = chain(segments)
+        chains.append((segments, out))
+        return out
+
+    monkeypatch.setattr(polar, "_fold_crossings", spy_crossings)
+    monkeypatch.setattr(polar, "_chain_segments", spy_chains)
+    for u in normals:
+        traced = trace_silhouette(S, u, X.diameter, refine=False)
+        halved = trace_silhouette_loop(S, u, X.diameter, crossing_rule=halving_crossings,
+                                       refine=False)
+        assert [closed for _, _, closed in traced] == [closed for _, _, closed in halved]
+        for (a, _, _), (b, _, _) in zip(traced, halved):
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13, u
+    assert all(e.max(initial=0) < polar.CROSSING_EVALS for e in evals)
+    for segments, out in chains:
+        reference = chain_segments_sets(segments.tolist())
+        assert [(c.tolist(), closed) for c, closed in out] == reference
+
+
+@pytest.mark.parametrize("name,stratum", [("torus:2:1", "torus"), ("hemisphere:1", "cap")])
+@pytest.mark.parametrize("moved", [False, True])
+def test_a_fold_crossing_keeps_its_bits_alone(name, stratum, moved, monkeypatch):
+    # a crossing and its evaluation count do not depend on the other edges
+    # of its batch: each edge solved alone, and in runs of 2 and 5, gives
+    # the bits it has among all the edges of the trace
+    X, S, normals = _swept_stratum(name, stratum, moved)
+    batches = []
+    crossings = polar._fold_crossings
+    monkeypatch.setattr(polar, "_fold_crossings",
+                        lambda *args: batches.append(args) or crossings(*args))
+    trace_silhouette(S, normals[0], X.diameter, refine=False)
+    (S, u, A, B, FA, FB), = batches
+    M, taken = crossings(S, u, A, B, FA, FB)
+    assert len(M) > 100
+    for size in (1, 2, 5):
+        for k in range(0, len(M), 3 * size):
+            part = slice(k, k + size)
+            alone, steps = crossings(S, u, A[part], B[part], FA[part], FB[part])
+            assert np.array_equal(alone, M[part]) and np.array_equal(steps, taken[part])
+
+
+@st.composite
+def _segment_sets(draw):
+    """Segments (pairs of distinct edge ids) of disjoint open paths and
+    closed loops, in a drawn order and orientation: the shapes a sign grid
+    chains.  A saddle cell names its two segments side by side, each in its
+    own chain; so do up to three drawn pairs of segments of two chains."""
+    sizes = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 12)), min_size=1, max_size=6))
+    ids = iter(draw(st.permutations(range(10_000, 10_000 + sum(n + 2 for _, n in sizes)))))
+    chains = []
+    for closed, n in sizes:
+        nodes = [next(ids) for _ in range(n + 2 if closed else n + 1)]
+        chains.append(list(zip(nodes, nodes[1:] + nodes[:1] if closed else nodes[1:])))
+    segments = [seg for chain in chains for seg in chain]
+    order = draw(st.permutations(range(len(segments))))
+    flips = draw(st.lists(st.booleans(), min_size=len(segments), max_size=len(segments)))
+    segments = [segments[i][::-1] if f else segments[i] for i, f in zip(order, flips)]
+    if len(chains) > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            pair = draw(st.lists(st.integers(0, len(chains) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            a, b = [{frozenset(seg) for seg in chains[c]} for c in pair]
+            ka = next(k for k, seg in enumerate(segments) if frozenset(seg) in a)
+            kb = next(k for k, seg in enumerate(segments) if frozenset(seg) in b)
+            segments.insert(ka + (kb > ka), segments.pop(kb))  # b's next to a's
+    return segments
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(segments=_segment_sets())
+def test_chain_walk_matches_the_set_walk(segments):
+    out = polar._chain_segments(np.array(segments, dtype=np.int64))
+    assert [(c.tolist(), closed) for c, closed in out] == chain_segments_sets(segments)
 
 
 def test_sphere_antipodal_critical_points_at_q0():
@@ -456,6 +563,47 @@ def test_pruned_overlap_matches_dense_reference():
     assert len(cases) > 20
     # the axial torus plane and the synthetic overlaps make the flag fire
     assert fired >= 4
+
+
+def test_windowed_overlap_matches_the_dense_prefilter():
+    # the candidates of the windowed prefilter are the pairs of the dense one,
+    # on the recorded contour, cap/rim and torus inputs, bit for bit
+    cases = list(_overlap_cases()) + list(_coincident_polylines())
+    for case in cases:
+        assert _overlap_fraction(*case) == overlap_fraction_dense(*case)
+
+
+@st.composite
+def _overlapping_polylines(draw):
+    """Two image polylines in the plane and their sources in R^3: a random
+    walk a, and b made of a stretch of a shifted within or past the
+    tolerance, with a repeated point (a zero-length segment) and a tail of
+    its own."""
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    a = np.array(draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=80)))
+    start = draw(st.integers(0, len(a) - 1))
+    stop = draw(st.integers(start, len(a)))
+    shift = np.array(draw(st.tuples(st.floats(-3e-4, 3e-4), st.floats(-3e-4, 3e-4))))
+    tail = np.array(draw(st.lists(st.tuples(coords, coords), min_size=0, max_size=20))).reshape(-1, 2)
+    b = np.concatenate([a[start:stop] + shift, tail])
+    if len(b):
+        at = draw(st.integers(0, len(b) - 1))
+        b = np.insert(b, at, b[at], axis=0)
+    lift = draw(st.floats(0.0, 1.0))
+    a_src = np.column_stack([a, np.zeros(len(a))])
+    b_src = np.column_stack([b, np.full(len(b), lift)])
+    dist_tol = draw(st.floats(1e-5, 1e-2))
+    src_tol = draw(st.floats(0.0, 0.5))
+    return a, a_src, b, b_src, dist_tol, src_tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_overlapping_polylines())
+def test_windowed_overlap_matches_the_dense_prefilter_on_drawn_polylines(case):
+    a, a_src, b, b_src, dist_tol, src_tol = case
+    assert _overlap_fraction(*case) == overlap_fraction_dense(*case)
+    assert _overlap_fraction(a, a_src, a, a_src, dist_tol, src_tol) == overlap_fraction_dense(
+        a, a_src, a, a_src, dist_tol, src_tol)
 
 
 def test_uniform_rejection_rate_below_one_percent():
@@ -776,6 +924,34 @@ def test_polar_call_builds_each_trace_grid_once(monkeypatch):
     assert built == ["cap"]
     polar_sample(shape_from_name("torus:2:1"), _generic_plane(43))
     assert built == ["cap", "torus"]
+
+
+@pytest.mark.parametrize("name", ["hemisphere:1", "circle:1"])
+def test_a_polar_call_builds_its_plane_free_geometry_once(name, monkeypatch):
+    # the quadrature of a whole stratum, the grid points of its piece and the
+    # rim samples of the overlap test do not depend on the plane: a call of
+    # 20 planes asks each curve's chart for them once per resolution
+    X = shape_from_name(name)
+    calls = []
+
+    def counted(S):
+        r = S.chart.r
+        chart = replace(S.chart, r=lambda p: calls.append(("r", S.name, len(p))) or r(p))
+        return replace(S, chart=chart)
+
+    strata = tuple(counted(S) if S.dim == 1 else S for S in X.smooth.strata)
+    X = replace(X, smooth=replace(X.smooth, strata=strata))
+    names = {id(S.chart): S.name for S in strata}
+    grid = Chart.grid
+    monkeypatch.setattr(Chart, "grid", lambda chart, res: calls.append(
+        ("grid", names.get(id(chart)), res)) or grid(chart, res))
+    res = polar_length(X, 1, 20, RandomSource(48))
+    assert res.n_planes == 20 and res.estimate.value > 0.0
+    curve = "rim" if name == "hemisphere:1" else "circle"
+    expected = [64, 128, 256] if name == "hemisphere:1" else [64, 128]
+    for kind in ("grid", "r"):
+        assert sorted(n for k, stratum, n in calls if k == kind and stratum == curve) == expected
+    assert all(stratum == curve for _, stratum, _ in calls)
 
 
 def test_zero_weight_folds_and_pl_planes_skip_their_constants(monkeypatch):
