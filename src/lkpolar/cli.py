@@ -73,9 +73,9 @@ def _row(quantity, k, est, *, shape=None, reference=None, ok=True, extra=None):
 
 
 def _checked_orders(text: str, name: str, lo: int, hi: int) -> list[int]:
-    """The orders of ``text``, each checked against the range lo..hi that
-    shape or germ ``name`` allows, so that a bad order fails before any work."""
-    orders = [int(t) for t in text.split(",") if t != ""]
+    """The orders of ``text`` (all of lo..hi if it names none), each checked
+    against the range that ``name`` allows, so a bad order fails before any work."""
+    orders = [int(t) for t in text.split(",") if t != ""] or list(range(lo, hi + 1))
     bad = [k for k in orders if not lo <= k <= hi]
     if bad:
         raise ValueError(
@@ -236,7 +236,7 @@ def cmd_kinematic(args) -> dict:
 def cmd_local(args) -> dict:
     g = germs.germ_from_name(args.germ)
     n = g.ambient_dim
-    wanted = set(_checked_orders(args.k, args.germ, 0, n)) if args.k else set(range(n + 1))
+    wanted = set(_checked_orders(args.k, args.germ, 0, n))
     (report, ms) = _timed(
         lambda: germs.verify_local_identities(
             g, RandomSource(args.seed), n_samples=args.samples, n_planes=args.samples
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, shape=True, orders="--k"):
         if shape:
             p.add_argument("--shape", required=True, help="catalog shape, e.g. torus:2:1")
-        p.add_argument(orders, default="", help="comma-separated orders")
+        p.add_argument(orders, default="", help="comma-separated orders (default: all valid)")
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tolerance", type=float, default=3.0,

@@ -32,7 +32,6 @@ from .geomkit import (
     ball_volume,
     draw_grassmannian,
     grassmannian_bases,
-    image_normals,
     mean_estimate,
     per_sample_values,
     sample_unit_sphere,
@@ -40,7 +39,7 @@ from .geomkit import (
 from .plstrata import (
     DegenerateSliceError,
     StratifiedComplex,
-    _normal_indices,
+    _pl_alphas_many,
     load_plstrat,
     mean_normal_index,
     slice_chi_many,
@@ -475,28 +474,20 @@ def _cone_rows(T: StratifiedComplex, k: int) -> np.ndarray:
 def _pl_local_polar_many(X: ConeGerm, k: int, bases: np.ndarray):
     """The local polar value of each plane of a stack, with orthonormal row
     bases (S, k + 1, n), and a mask of the planes to redraw: a projected ray
-    collapses, the image of a cone cell is degenerate, or an image normal
-    lies on a wall of its link.  The normal indices of all planes are one
-    kernel call, with the cone cells as rows and the planes as directions;
-    a direction not normal to its cell raises ValueError."""
+    collapses, or :func:`lkpolar.plstrata._pl_alphas_many` flags the plane.
+    alpha is link-combinatorial, hence exactly constant along a cone cell;
+    no second-point stability probe is needed."""
     T = X.model
     if k == 0:
         # the apex alone, along the line of each plane
-        down, up, wall = _normal_indices(T, 0, [0], bases[None, :, 0])
-        return 0.5 * (down + up), wall
+        alphas, redraw = _pl_alphas_many(T, 0, [0], bases)
+        return alphas[:, 0], redraw
     rows = _cone_rows(T, k)
     rays = T.vertices[T.plan.cells[k][rows, 1:]]  # (C, k, n)
     proj = rays @ bases[:, None].swapaxes(-1, -2)  # (S, C, k, k + 1): ray directions inside P
     norms = np.linalg.norm(proj, axis=3)
-    nus, degenerate = image_normals(T.plan.spans[k][rows], bases[:, None])  # (S, C, n)
-    redraw = (norms.min(axis=(1, 2)) < 1e-8) | degenerate.any(axis=1)
-    # alpha is link-combinatorial, hence exactly constant along the cone
-    # cell; no second-point stability probe is needed
-    ok = np.flatnonzero(~redraw)
-    down, up, wall = _normal_indices(T, k, rows, nus[ok].swapaxes(0, 1))  # plane j, cell i at j C + i
-    alphas = np.zeros((len(bases), len(rows)))
-    alphas[ok] = (0.5 * (down + up)).reshape(len(ok), len(rows))
-    redraw[ok] |= wall.reshape(len(ok), len(rows)).any(axis=1)
+    alphas, redraw = _pl_alphas_many(T, k, rows, bases)
+    redraw |= norms.min(axis=(1, 2)) < 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):  # a collapsed ray of a flagged plane
         vols = _spherical_simplex_volumes(proj / norms[..., None])  # (S, C)
     total = np.zeros(len(bases))

@@ -394,11 +394,14 @@ def kinematic_check(
     bounding ball and divides by Lambda_(n-k); the formula says the ratio is
     a constant depending only on (n, k).  On a complex, a block of flats is
     sliced in stacked calls: one SVD for their normal spaces and one
-    :func:`lkpolar.plstrata.slice_chi_many` per chunk of flats.
+    :func:`lkpolar.plstrata.slice_chi_many` per chunk of flats.  A region
+    raises NotImplementedError: the slices would count all of X.
     """
     n = X.ambient_dim
     if not 1 <= k <= n - 1:
         raise ValueError("flat dimension k must be in 1..n-1")
+    if X.region is not None:
+        raise NotImplementedError("region restriction on kinematic slices")
     center, radius = X.bounding_ball()
 
     def one(_, draw) -> float:

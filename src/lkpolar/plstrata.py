@@ -13,9 +13,10 @@ This module owns the normal links of a complex and the normal Morse indices
 built on them: each complex keeps the links it has built.  The index along a
 direction is read by one kernel over the flattened links, which
 :func:`normal_morse_index` and :func:`normal_morse_index_many` view and
-which the polar-image weight alpha of the polar route and the cone germs
-reads for a stack of cells and planes; the curvature route reads its exact
-mean over the normal sphere, :func:`mean_normal_index`.
+which :func:`_pl_alphas_many` reads for the polar-image weight alpha of a
+stack of cells and planes, for the polar route and the cone germs; the
+curvature route reads its exact mean over the normal sphere,
+:func:`mean_normal_index`.
 
 Nothing about a cell but its projection depends on a random plane or height
 direction, so each complex also keeps a :class:`ComplexPlan`: the cells as
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geomkit import DegenerateDirectionError, simplex_volume
+from .geomkit import DegenerateDirectionError, image_normals, simplex_volume
 
 __all__ = [
     "StratifiedComplex",
@@ -385,6 +386,26 @@ def _normal_indices(K: StratifiedComplex, d: int, rows, vs: np.ndarray):
     return down, up, wall
 
 
+def _pl_alphas_many(K: StratifiedComplex, d: int, rows, bases: np.ndarray):
+    """alpha of the d-cells at the plan rows ``rows`` on each plane of a
+    stack with orthonormal row bases (S, q + 1, n): the half-sums of their
+    normal indices along +-(image normal), (S, R), and a mask of the planes
+    on which an image normal is degenerate or on a wall of its link, whose
+    alphas are 0 and not to be used.  The normal indices of all planes are
+    one kernel call, with the cells as rows and the planes as directions."""
+    rows = np.asarray(rows, dtype=int)
+    nus, degenerate = image_normals(K.plan.spans[d][rows], bases[:, None])  # (S, R, n)
+    flagged = degenerate.any(axis=1)
+    alphas = np.zeros((len(bases), len(rows)))
+    ok = np.flatnonzero(~flagged)  # a degenerate normal need not be normal to its cell
+    if len(ok):
+        # plane j, cell i at j R + i
+        down, up, wall = _normal_indices(K, d, rows, nus[ok].swapaxes(0, 1))
+        alphas[ok] = (0.5 * (down + up)).reshape(len(ok), len(rows))
+        flagged[ok] = wall.reshape(len(ok), len(rows)).any(axis=1)
+    return alphas, flagged
+
+
 def normal_morse_index(K: StratifiedComplex, cell, v: np.ndarray) -> int:
     """Normal Morse index 1 - chi of the downward normal slice along the cell.
 
@@ -392,10 +413,8 @@ def normal_morse_index(K: StratifiedComplex, cell, v: np.ndarray) -> int:
     ANGLE_TOL of an orthogonality wall raise DegenerateDirectionError so the
     caller can resample.
     """
-    cell = tuple(sorted(cell))
-    v = np.asarray(v, dtype=float)
-    index, _, wall = _normal_indices(K, len(cell) - 1, [K.plan.rows[cell]], v[None, None])
-    if wall[0]:
+    index, valid = normal_morse_index_many(K, cell, np.asarray(v, dtype=float)[None])
+    if not valid[0]:
         raise DegenerateDirectionError("direction orthogonal to a link direction")
     return int(index[0])
 

@@ -49,8 +49,6 @@ from .geomkit import (
     Estimate,
     LinearSubspace,
     RandomSource,
-    each_draw,
-    image_normals,
     mean_estimate,
     orthogonal_complements,
     per_sample_values,
@@ -59,7 +57,7 @@ from .geomkit import (
     simplex_volumes,
 )
 from .lkmeasure import Shape, _height_sums
-from .plstrata import DegenerateDirectionError, _normal_indices, sample_chunks
+from .plstrata import DegenerateDirectionError, _pl_alphas_many, sample_chunks
 from .smoothshape import (
     CriticalPoint,
     DegenerateHeightError,
@@ -139,15 +137,15 @@ class DegeneracyReport:
 class PolarSample:
     plane: LinearSubspace
     pieces: tuple[PolarPiece, ...]  # of a smooth shape
-    degenerate: bool
     report: DegeneracyReport
-    cell_images: np.ndarray | None = None  # of a PL shape's q-cells, in plan-row order
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.report.clean
 
 
 class DegeneratePlaneError(ValueError):
-    def __init__(self, report: DegeneracyReport | None = None, msg: str = "degenerate plane"):
-        super().__init__(msg)
-        self.report = report or DegeneracyReport()
+    """A plane whose polar image cannot be valued; a random one is redrawn."""
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +424,6 @@ def _pl_span_flags(K, bases: np.ndarray) -> dict:
     return {d: _span_flags(K.plan.spans[d], comps) for d in K.cells if d != K.ambient_dim}
 
 
-def _pl_span_check(K, P: LinearSubspace) -> None:
-    """Raise DegeneratePlaneError if the span of a cell below the top
-    dimension is flagged against P-perp: the one-plane view of
-    :func:`_pl_span_flags`."""
-    span_flags = [
-        (K.cells[d][i], int(dims[0, i]), float(clearances[0, i]))
-        for d, (flags, dims, clearances) in _pl_span_flags(K, P.basis[None]).items()
-        for i in np.flatnonzero(flags[0])
-    ]
-    if span_flags:
-        raise DegeneratePlaneError(DegeneracyReport(span_flags=span_flags))
-
-
 def _span_flags(spans: np.ndarray, comps: np.ndarray):
     """The principal angles of each (d, n) span of a stack (C, d, n) against
     the complement ``comps`` (c, n) of a plane, or each of a stack of them
@@ -542,13 +527,13 @@ def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
 def polar_variety(X: Shape, stratum, P: LinearSubspace):
     """Polar pieces of one stratum under the projection onto P.  A PL cell
     of dimension <= q is polar whole; above q, generic transversality
-    leaves no polar points."""
+    leaves no polar points.  Like a smooth stratum's, a cell's pieces come
+    with no genericity check: :func:`polar_sample` flags the plane."""
     q = P.dim - 1
     if X.pl is None:
         return _smooth_polar_pieces(X, stratum, P, q, {})
     K = X.pl
     cell = tuple(sorted(stratum))
-    _pl_span_check(K, P)
     if cell not in K.plan.rows or len(cell) - 1 > q:
         return []
     pts = K.vertices[list(cell)]
@@ -707,7 +692,6 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, *,
         fold_violations=fold_violations,
         double_points=double_points,
         limit_adjacency=limit_adjacency,
-        span_flags=[],
     )
 
 
@@ -758,26 +742,6 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     return float(alphas[0])
 
 
-def _pl_alphas_many(K, d: int, rows, bases: np.ndarray):
-    """alpha of the d-cells at the plan rows ``rows`` on each plane of a
-    stack with orthonormal row bases (S, q + 1, n): the half-sums of their
-    normal indices along +-(image normal), (S, R), and a mask of the planes
-    on which an image normal is degenerate or on a wall of its link, whose
-    alphas are 0 and not to be used.  The normal indices of all planes are
-    one kernel call, with the cells as rows and the planes as directions."""
-    rows = np.asarray(rows, dtype=int)
-    nus, degenerate = image_normals(K.plan.spans[d][rows], bases[:, None])  # (S, R, n)
-    flagged = degenerate.any(axis=1)
-    alphas = np.zeros((len(bases), len(rows)))
-    ok = np.flatnonzero(~flagged)  # a degenerate normal need not be normal to its cell
-    if len(ok):
-        # plane j, cell i at j R + i
-        down, up, wall = _normal_indices(K, d, rows, nus[ok].swapaxes(0, 1))
-        alphas[ok] = (0.5 * (down + up)).reshape(len(ok), len(rows))
-        flagged[ok] = wall.reshape(len(ok), len(rows)).any(axis=1)
-    return alphas, flagged
-
-
 def _q0_alphas(S: SmoothStratum, params, v: np.ndarray, morse_indices) -> np.ndarray:
     """alpha at a stack of critical points of the height <v, .> with the
     given Morse indices lam: the half-sum of the downward slice index
@@ -802,7 +766,11 @@ def polar_image_integral(X: Shape, stratum, P: LinearSubspace, pieces=None) -> f
     if not cells:
         return 0.0
     rows = [X.pl.plan.rows[p.stratum] for p in cells]
-    return _sum_in_order(_pl_cell_values(X, np.stack([p.geometry for p in cells]), rows, P))
+    values, degenerate = _pl_cell_values_many(X, np.stack([p.geometry for p in cells])[None], rows,
+                                              P.basis[None])
+    if degenerate[0]:
+        raise DegenerateDirectionError("image normal degenerate or on a wall of its link")
+    return _sum_in_order(values[0])
 
 
 def _sum_in_order(values) -> float:
@@ -814,17 +782,6 @@ def _sum_in_order(values) -> float:
 def _sums_in_order(values: np.ndarray) -> np.ndarray:
     """:func:`_sum_in_order` of each row of a stack (S, C)."""
     return np.cumsum(np.concatenate([np.zeros((len(values), 1)), values], axis=1), axis=1)[:, -1]
-
-
-def _pl_cell_values(X: Shape, images: np.ndarray, rows, P: LinearSubspace) -> np.ndarray:
-    """alpha times image q-volume of the q-cells at the plan rows ``rows``,
-    whose (C, q + 1, q + 1) images on P are ``images``: the one-plane view
-    of :func:`_pl_cell_values_many`, which raises DegenerateDirectionError
-    where that flags the plane."""
-    values, degenerate = _pl_cell_values_many(X, images[None], rows, P.basis[None])
-    if degenerate[0]:
-        raise DegenerateDirectionError("image normal degenerate or on a wall of its link")
-    return values[0]
 
 
 def _pl_cell_values_many(X: Shape, images: np.ndarray, rows, bases: np.ndarray):
@@ -942,7 +899,7 @@ def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
     length = float(np.sum(seg_len))
     skipped = float(np.sum(seg_len[~valid]))
     if length > 0 and skipped > 0.05 * length:
-        raise DegeneratePlaneError(msg="too much of a fold image near cusps")
+        raise DegeneratePlaneError("too much of a fold image near cusps")
     keep = valid & mask
     return float(math.fsum((alphas[keep] * seg_len[keep]).tolist()))
 
@@ -967,31 +924,25 @@ def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> P
     The folds of a top stratum are traced for their genericity flags only:
     the sign grid and its edge crossings, not refined to the chord
     tolerance, since alpha is 0 all along them.  :func:`polar_variety`
-    still refines them, for a fold length."""
+    still refines them, for a fold length.  On a complex the sample is the
+    span check alone, with no pieces: :func:`polar_variety` gives a cell's."""
     q = P.dim - 1
-    grids = {} if grids is None else grids
-    pieces = []
-    images = None
-    try:
-        if X.pl is not None:
-            _pl_span_check(X.pl, P)
-            images = _pl_images(X.pl, q, P.basis[None])[0]
-        else:
-            for S in X.smooth.strata:
-                pieces.extend(_smooth_polar_pieces(X, S, P, q, grids, top_flags_only=True))
-    except DegeneratePlaneError as err:
-        return PolarSample(plane=P, pieces=(), degenerate=True, report=err.report)
-    except (DegenerateDirectionError, DegenerateHeightError):
-        return PolarSample(plane=P, pieces=(), degenerate=True, report=DegeneracyReport(fold_violations=["height"]))
-    # the checks read traced contours only, and a PL shape has none
     if X.pl is not None:
-        report = DegeneracyReport()
-    else:
-        report = check_genericity(X, P, pieces, grids=grids)
-    if not report.clean:
-        return PolarSample(plane=P, pieces=(), degenerate=True, report=report)
-    return PolarSample(plane=P, pieces=tuple(pieces), degenerate=False, report=report,
-                       cell_images=images)
+        K = X.pl
+        span_flags = [
+            (K.cells[d][i], int(dims[0, i]), float(clearances[0, i]))
+            for d, (flags, dims, clearances) in _pl_span_flags(K, P.basis[None]).items()
+            for i in np.flatnonzero(flags[0])
+        ]
+        return PolarSample(plane=P, pieces=(), report=DegeneracyReport(span_flags=span_flags))
+    grids = {} if grids is None else grids
+    try:
+        pieces = [piece for S in X.smooth.strata
+                  for piece in _smooth_polar_pieces(X, S, P, q, grids, top_flags_only=True)]
+    except (DegenerateDirectionError, DegenerateHeightError):
+        return PolarSample(plane=P, pieces=(), report=DegeneracyReport(fold_violations=["height"]))
+    report = check_genericity(X, P, pieces, grids=grids)
+    return PolarSample(plane=P, pieces=tuple(pieces) if report.clean else (), report=report)
 
 
 @dataclass(frozen=True)
@@ -1007,6 +958,10 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
                  keep_rows: bool = False) -> PolarLengthResult:
     """Monte-Carlo q-th polar length: the dimensional constant times the mean
     over uniform planes of the alpha-weighted polar image volume.
+
+    The route of the shape and q values a block of planes, with a reason
+    for each ("" when it is used) and, under ``keep_rows``, its per-stratum
+    parts; one ledger counts the rejections and keeps the rows.
 
     At q = n - 1 the plane is all of R^n, the same on every draw, so the
     one plane R^n (identity basis) is valued with no draw: the estimate has
@@ -1025,87 +980,85 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         est = Estimate(0.0, 0.0, 1, seed, method="dimension")
         return PolarLengthResult(est, 0, 0, [], {})
 
-    reject_reasons: dict = {}
-    rows = []
-    n_rejected = 0
-    if X.pl is not None:  # the plan rows of the q-cells, and their CSV keys
-        q_rows = np.arange(len(X.pl.cells[q]))
-        q_keys = [_stratum_key(cell) for cell in X.pl.cells[q]] if keep_rows else []
-
-    def reject(i: int, P: LinearSubspace, reasons: list[str]) -> None:
-        nonlocal n_rejected
-        n_rejected += 1
-        for r in reasons:
-            reject_reasons[r] = reject_reasons.get(r, 0) + 1
-        if keep_rows:
-            rows.append((i, P.basis.copy(), {}, "+".join(reasons)))
-
     grids: dict = {}  # plane-free geometry of the strata, for every plane
 
-    def one(i: int, P: LinearSubspace) -> float:
-        sample = polar_sample(X, P, grids=grids)
-        if sample.degenerate:
-            reasons = sample.report.reasons() or ["other"]
-            reject(i, P, reasons)
-            raise DegeneratePlaneError(sample.report, "degenerate plane: " + "+".join(reasons))
-        try:
-            vals = _piece_values(X, sample.pieces, P, grids)
-        except (DegeneratePlaneError, DegenerateDirectionError):
-            reject(i, P, ["alpha"])
-            raise
-        if keep_rows:
-            per_stratum: dict = {}
-            for piece, val in zip(sample.pieces, vals):
-                key = _stratum_key(piece.stratum)
-                per_stratum[key] = per_stratum.get(key, 0.0) + val
-            rows.append((i, P.basis.copy(), per_stratum, ""))
-        return _sum_in_order(vals)
+    def smooth_planes(planes: list[LinearSubspace]):
+        vals = np.zeros(len(planes))
+        reasons, parts = [], []
+        for j, P in enumerate(planes):
+            sample = polar_sample(X, P, grids=grids)
+            reason, per_stratum = "+".join(sample.report.reasons()), {}
+            if not reason:
+                try:
+                    piece_vals = _piece_values(X, sample.pieces, P, grids)
+                except (DegeneratePlaneError, DegenerateDirectionError):
+                    reason = "alpha"
+                else:
+                    vals[j] = _sum_in_order(piece_vals)
+                    for piece, val in zip(sample.pieces, piece_vals if keep_rows else ()):
+                        key = _stratum_key(piece.stratum)
+                        per_stratum[key] = per_stratum.get(key, 0.0) + val
+            reasons.append(reason)
+            parts.append(per_stratum)
+        return vals, reasons, parts
 
-    def pl_planes(samples: list[int], planes: list[LinearSubspace]):
+    def pl_planes(planes: list[LinearSubspace]):
         K = X.pl
+        q_rows = np.arange(len(K.cells[q]))  # the plan rows of the q-cells, and their CSV keys
+        q_keys = [_stratum_key(cell) for cell in K.cells[q]] if keep_rows else []
         # each basis laid out as a lone plane holds it: the transposed view of its Q
         bases = np.stack([P.basis.T for P in planes]).swapaxes(1, 2)
         vals = np.zeros(len(planes))
-        span = np.zeros(len(planes), dtype=bool)
-        alpha = np.zeros(len(planes), dtype=bool)
+        reasons, parts = np.full(len(planes), "", dtype=object), [{}] * len(planes)
         for part in sample_chunks(K, len(planes)):
             flags = _pl_span_flags(K, bases[part]).values()
-            span[part] = np.any([f.any(axis=1) for f, _, _ in flags], axis=0)
-            live = np.arange(len(planes))[part][~span[part]]  # the span check passed
-            cells, alpha[live] = _pl_cell_values_many(X, _pl_images(K, q, bases[live]), q_rows,
-                                                      bases[live])
+            span = np.any([f.any(axis=1) for f, _, _ in flags], axis=0)
+            chunk = np.arange(len(planes))[part]
+            live = chunk[~span]  # the span check passed
+            cells, alpha = _pl_cell_values_many(X, _pl_images(K, q, bases[live]), q_rows,
+                                                bases[live])
             vals[live] = _sums_in_order(cells)
+            reasons[chunk[span]] = "span"
+            reasons[live[alpha]] = "alpha"
             if keep_rows:
                 for j, values in zip(live, cells.tolist()):
-                    if not alpha[j]:
-                        # 0.0 + value, as the running sum of a plane starts
-                        rows.append((samples[j], planes[j].basis.copy(),
-                                     {key: 0.0 + val for key, val in zip(q_keys, values)}, ""))
-        for j in np.flatnonzero(span | alpha):  # in block order, as one plane at a time
-            reject(samples[j], planes[j], ["span" if span[j] else "alpha"])
-        return vals, span | alpha
+                    # 0.0 + value, as the running sum of a plane starts
+                    parts[j] = {key: 0.0 + val for key, val in zip(q_keys, values)}
+        return vals, reasons, parts
 
-    def lines(samples: list[int], planes: list[LinearSubspace]):
+    def lines(planes: list[LinearSubspace]):
         vals, fold, wall, parts = _q0_values(X, np.array([P.basis[0] for P in planes]))
-        for j, (i, P) in enumerate(zip(samples, planes)):
-            if fold[j] or wall[j]:
-                reject(i, P, ["fold" if fold[j] else "alpha"])
-            elif keep_rows:
-                rows.append((i, P.basis.copy(),
-                             {name: float(part[j]) for name, has, part in parts if has[j]}, ""))
-        return vals, fold | wall
+        reasons = ["fold" if f else "alpha" if w else "" for f, w in zip(fold, wall)]
+        return vals, reasons, [{name: float(part[j]) for name, has, part in parts if has[j]}
+                               for j in range(len(planes) if keep_rows else 0)]
 
     if X.pl is not None:
-        values = pl_planes
+        route = pl_planes
     elif q == 0:
-        values = lines
+        route = lines
     else:
-        values = each_draw(one, (DegeneratePlaneError, DegenerateDirectionError))
+        route = smooth_planes
+    reject_reasons: dict = {}
+    rows = []
+    n_rejected = 0
+
+    def values(samples: list[int], planes: list[LinearSubspace]):
+        nonlocal n_rejected
+        vals, reasons, parts = route(planes)
+        for j, reason in enumerate(reasons):
+            if reason:
+                n_rejected += 1
+                for r in reason.split("+"):
+                    reject_reasons[r] = reject_reasons.get(r, 0) + 1
+            if keep_rows:
+                rows.append((samples[j], planes[j].basis.copy(), {} if reason else parts[j], reason))
+        return vals, [bool(reason) for reason in reasons]
+
     if q == n - 1:
         vals, flagged = values([0], [LinearSubspace.full(n)])
         if flagged[0]:
-            raise DegeneratePlaneError(msg=f"the whole space is degenerate at q = {q}: "
-                                           + "+".join(reject_reasons))
+            raise DegeneratePlaneError(f"the whole space is degenerate at q = {q}: "
+                                       + "+".join(reject_reasons))
         # the dimensional constant is 1 at q = n - 1
         est = Estimate(float(vals[0]), 0.0, 1, seed, method="full-space")
         return PolarLengthResult(est, 1, 0, rows, {})

@@ -14,7 +14,6 @@ import pytest
 
 from lkpolar import germ, lkmeasure, plstrata, polar
 from lkpolar.geomkit import (
-    DegenerateDirectionError,
     LinearSubspace,
     RandomSource,
     mean_estimate,
@@ -111,14 +110,15 @@ AXIS_PLANES = {
 
 
 def _lone_plane(X, q, P):
-    """(reason, values) of one plane, through the one-plane views."""
+    """(reason, values) of one plane: its span check, then its q-cells on a
+    stack of one plane."""
     sample = polar.polar_sample(X, P)
     if sample.degenerate:
         return "+".join(sample.report.reasons()), None
-    try:
-        return "", polar._pl_cell_values(X, sample.cell_images, np.arange(len(X.pl.cells[q])), P)
-    except DegenerateDirectionError:
-        return "alpha", None
+    bases = P.basis[None]
+    values, flagged = polar._pl_cell_values_many(
+        X, polar._pl_images(X.pl, q, bases), np.arange(len(X.pl.cells[q])), bases)
+    return ("alpha", None) if flagged[0] else ("", values[0])
 
 
 @pytest.mark.parametrize("q", [0, 1])

@@ -358,6 +358,21 @@ def test_out_of_range_order_fails_before_any_work(monkeypatch):
     assert "0..2" in report["error"] and "ellipse:2:1" in report["error"]
 
 
+@pytest.mark.parametrize("argv, orders", [
+    (["measure", "--shape", "cube"], [0, 1, 2, 3]),
+    (["polar", "--shape", "cube"], [0, 1, 2, 3]),
+    (["verify", "--shape", "cube"], [0, 1, 2, 3]),
+    (["verify", "--shape", "ellipse:2:1"], [0, 1, 2]),
+    (["kinematic", "--shape", "cube"], [1, 2]),
+], ids=["measure", "polar", "verify", "verify-ellipse", "kinematic"])
+def test_no_orders_means_every_valid_order(argv, orders):
+    # a run that names no order checks them all, never none
+    report, status = run(argv + ["--samples", "20", "--seed", "3"])
+    assert status in (0, 1), report
+    ks = [row["k"] for row in report["rows"] if row["quantity"] != "kinematic_constancy"]
+    assert ks == orders
+
+
 def test_kinematic_row_fails_on_a_wrong_ratio(monkeypatch):
     import lkpolar.cli as cli
     from lkpolar.geomkit import Estimate

@@ -356,6 +356,22 @@ def test_kinematic_ratio_of_moved_ball():
         assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error) + 1e-9, k
 
 
+def test_kinematic_check_with_a_region_is_not_implemented(monkeypatch):
+    # the slices would count all of the ball while Lambda_(n-k) honours the
+    # region: on the upper half ball the ratio read 1.0, not the constant 0.5
+    import lkpolar.lkmeasure as lkm
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a flat or measure was computed for a region")
+
+    monkeypatch.setattr(lkm, "sample_affine_flats_hitting_ball", no_work)
+    monkeypatch.setattr(lkm, "lk_measure", no_work)
+    half = shape_from_name("ball:1").with_region(lambda p: p[:, 2] > 0)
+    for k in (1, 2):
+        with pytest.raises(NotImplementedError, match="region"):
+            kinematic_check(half, k, 10, RandomSource(51))
+
+
 def test_kinematic_flagged_when_denominator_vanishes():
     r = kinematic_check(shape_from_name("sphere:1"), 2, 300, RandomSource(48))
     assert r.flagged_division

@@ -15,7 +15,6 @@ from lkpolar.polar import (
     DegeneratePlaneError,
     _overlap_fraction,
     _piece_values,
-    _pl_cell_values,
     _span_flags,
     _surface_normals,
     _trace_grid_normals,
@@ -345,8 +344,8 @@ def test_cube_polar_pieces_are_low_cells():
             assert np.array_equal(piece.geometry, K.vertices[list(cell)] @ P.basis.T)
     edges = [cell for cell, found in pieces.items() if found and len(cell) == 2]
     assert len(edges) == 19  # 12 cube edges + 6 face diagonals + main diagonal
-    # the sample carries the images of the q-cells alone, in plan-row order
-    assert sample.pieces == () and sample.cell_images.shape == (19, 2, 2)
+    # the sample of a complex is its span check alone, with no pieces
+    assert sample.pieces == ()
 
 
 def test_cube_diagonal_cells_weigh_nothing():
@@ -467,7 +466,9 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
                 sample = polar_sample(X, P)
                 if sample.degenerate:
                     continue
-                images = sample.cell_images
+                images = polar._pl_images(K, q, P.basis[None])
+                values, flagged = polar._pl_cell_values_many(X, images, rows, P.basis[None])
+                images = images[0]
                 try:
                     reference = [
                         _oracle_alpha(K, cell, _image_normal_alone(K.cell_span(cell), P))
@@ -475,10 +476,10 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
                         for i, cell in enumerate(K.cells[q])
                     ]
                 except DegenerateDirectionError:
-                    with pytest.raises(DegenerateDirectionError):
-                        _pl_cell_values(X, images, rows, P)
+                    assert flagged[0]
                     continue
-                values = _pl_cell_values(X, images, rows, P).tolist()
+                assert not flagged[0]
+                values = values[0].tolist()
                 assert values == reference
                 # the one-cell views read the same rows, bit for bit
                 for i, cell in enumerate(K.cells[q]):
@@ -488,6 +489,33 @@ def test_batched_cell_values_match_per_cell_alpha(kuhn_grid):
                 lone = [_image_normal_alone(K.cell_span(c), P) for c in K.cells[q]]
                 normals, degenerate = image_normals(K.plan.spans[q], P.basis)
                 assert np.array_equal(normals, np.stack(lone)) and not degenerate.any()
+
+
+def test_one_cell_views_read_one_cell(kuhn_grid, monkeypatch):
+    # polar_variety and polar_image_integral on a cell read that cell alone,
+    # with no span check of the whole complex, and over the q-cells they add
+    # up to the chunk route's value of the plane, bit for bit
+    X = Shape(name="grid", pl=kuhn_grid(3))
+    res = polar_length(X, 1, 1, RandomSource(53), keep_rows=True)
+    _, basis, parts, reason = res.per_plane[-1]
+    assert reason == ""
+    P = LinearSubspace(3, basis)
+
+    def no_span_check(*args):
+        raise AssertionError("a one-cell view ran the span check of the complex")
+
+    monkeypatch.setattr(polar, "_pl_span_flags", no_span_check)
+    values = []
+    for cell in X.pl.cells[1]:
+        (piece,) = polar_variety(X, cell, P)
+        assert piece.stratum == cell
+        values.append(polar_image_integral(X, cell, P))
+    assert len(values) == 279
+    assert [v.hex() for v in values] == [v.hex() for v in parts.values()]
+    total = polar._sum_in_order(values)
+    assert total == polar._sum_in_order(list(parts.values()))
+    assert res.estimate.value == pytest.approx(polar.polar_length_constant(3, 1) * total,
+                                               rel=1e-15)
 
 
 def _dense_overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol):

@@ -2,6 +2,8 @@
 blocks of samples evaluated at once, redraws from the same generator, and a
 quota that can run out."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -187,9 +189,57 @@ def test_every_quota_can_run_out(route, monkeypatch):
     assert sum(gen is gens[0] for gen in gens) == MAX_REDRAWS
 
 
-def test_rejected_planes_are_counted_and_kept(monkeypatch):
-    # the first plane of every sample fails its alpha step, the second is used
+def _is_first(basis, first):
+    return any(np.array_equal(basis, F) for F in first)
+
+
+def _flag_alpha(monkeypatch, first):
+    # PL planes: the alpha step of the chunk flags a first plane
     values = polar._pl_cell_values_many
+
+    def step(X, images, rows, bases):
+        vals, flagged = values(X, images, rows, bases)
+        return vals, flagged | [_is_first(B, first) for B in bases]
+
+    monkeypatch.setattr(polar, "_pl_cell_values_many", step)
+
+
+def _flag_wall(monkeypatch, first):
+    # smooth lines: the stacked height pass puts a first line on a wall
+    sums = polar._height_sums
+
+    def step(X, V):
+        parts, fold, wall = sums(X, V)
+        return parts, fold, wall | [_is_first(v[None], first) for v in V]
+
+    monkeypatch.setattr(polar, "_height_sums", step)
+
+
+def _flag_fold(monkeypatch, first):
+    # smooth planes: the genericity checks find a fold violation on a first plane
+    check = polar.check_genericity
+
+    def step(X, P, pieces, **kwargs):
+        report = check(X, P, pieces, **kwargs)
+        if _is_first(P.basis, first):
+            return replace(report, fold_violations=[("test", 0.0)])
+        return report
+
+    monkeypatch.setattr(polar, "check_genericity", step)
+
+
+# route name -> shape, q, flagging patch, the reason it gives
+LEDGER_ROUTES = {
+    "pl-planes": ("cube", 1, _flag_alpha, "alpha"),
+    "smooth-lines": ("sphere:1", 0, _flag_wall, "alpha"),
+    "smooth-planes": ("disk:1", 1, _flag_fold, "fold"),
+}
+
+
+@pytest.mark.parametrize("route", list(LEDGER_ROUTES))
+def test_rejected_planes_are_counted_and_kept(route, monkeypatch):
+    # the first plane of every sample is flagged, the second is used
+    name, q, flag, reason = LEDGER_ROUTES[route]
     sample = polar.sample_grassmannian
     first = []  # the basis of the first plane drawn from each generator
     seen = set()
@@ -201,15 +251,13 @@ def test_rejected_planes_are_counted_and_kept(monkeypatch):
             first.append(P.basis)
         return P
 
-    def fails_first(X, images, rows, bases):
-        vals, flagged = values(X, images, rows, bases)
-        return vals, flagged | [any(np.array_equal(B, F) for F in first) for B in bases]
-
     monkeypatch.setattr(polar, "sample_grassmannian", tagged)
-    monkeypatch.setattr(polar, "_pl_cell_values_many", fails_first)
-    res = polar.polar_length(lkmeasure.shape_from_name("cube"), 1, 4, RandomSource(7),
+    flag(monkeypatch, first)
+    res = polar.polar_length(lkmeasure.shape_from_name(name), q, 4, RandomSource(7),
                              keep_rows=True)
-    assert (res.n_rejected, res.reject_reasons) == (4, {"alpha": 4})
+    assert (res.n_rejected, res.reject_reasons) == (4, {reason: 4})
     # sample then attempt, although a block evaluates its redraws last
-    assert [(i, reason) for i, _, _, reason in res.per_plane] == [
-        (i, reason) for i in range(4) for reason in ("alpha", "")]
+    assert [(i, why) for i, _, _, why in res.per_plane] == [
+        (i, why) for i in range(4) for why in (reason, "")]
+    # a rejected plane keeps no parts, a used one its strata or q-cells
+    assert all(bool(parts) != bool(why) for _, _, parts, why in res.per_plane)
