@@ -349,22 +349,22 @@ def run(argv=None) -> tuple[dict, int]:
         if samples < 1:
             raise ValueError(f"--samples must be >= 1, not {samples}")
         body = args.func(args)
-    # RuntimeError: a resample quota ran out (planes, exchange directions,
-    # germ slices), which a report says as plainly as bad input
-    except (ValueError, NotImplementedError, RuntimeError) as err:
-        report = {"schema": SCHEMA_VERSION, "error": str(err), "config": _config_echo(args)}
-        return report, 2
-    report = {
-        "schema": SCHEMA_VERSION,
-        "config": _config_echo(args),
-        "wall_time_ms": int(1000 * (time.perf_counter() - t0)),
-    }
-    report.update(body)
-    if getattr(args, "report", None):
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
-    if getattr(args, "csv", None) and args.command != "polar":
-        emit_plot_data(report, args.csv)
+        report = {
+            "schema": SCHEMA_VERSION,
+            "config": _config_echo(args),
+            "wall_time_ms": int(1000 * (time.perf_counter() - t0)),
+        }
+        report.update(body)
+        if getattr(args, "report", None):
+            with open(args.report, "w") as fh:
+                json.dump(report, fh, indent=2)
+        if getattr(args, "csv", None) and args.command != "polar":
+            emit_plot_data(report, args.csv)
+    # a report says as plainly as bad input that a resample quota ran out
+    # (RuntimeError) or that an output path cannot be written (OSError)
+    except (ValueError, NotImplementedError, RuntimeError, OSError) as err:
+        error = f"cannot write {err.filename!r}: {err.strerror}" if isinstance(err, OSError) else err
+        return {"schema": SCHEMA_VERSION, "error": str(error), "config": _config_echo(args)}, 2
     status = 0 if all(r.get("pass", True) for r in report.get("rows", [])) else 1
     return report, status
 

@@ -34,6 +34,8 @@ __all__ = [
     "grassmannian_bases",
     "orthogonal_complements",
     "sample_affine_flats_hitting_ball",
+    "draw_affine_flat",
+    "affine_flats_hitting_ball",
     "simplex_volume",
     "simplex_volumes",
     "image_normals",
@@ -41,7 +43,6 @@ __all__ = [
     "fmean",
     "mean_estimate",
     "per_sample_values",
-    "each_draw",
 ]
 
 ORTHO_TOL = 1e-10
@@ -299,31 +300,29 @@ def per_sample_values(n: int, rng: RandomSource, draw, values, what: str) -> lis
     (:meth:`RandomSource.substream_generators`), each bit-equal to numpy's
     ``SeedSequence(master_seed, spawn_key=(stream_id, *path, i))``, and each
     sample keeps its own Generator.
-    The samples run in blocks of at most BLOCK: ``values(samples, draws)``
-    evaluates the draws of a block, in one stacked call where the route has
-    one, and returns their values and a redraw mask.  A flagged draw was a
-    non-generic plane, direction or flat (a measure-zero event): its sample
-    draws again from its own generator, and only the flagged samples are
-    evaluated again.  A value is that of its sample's first unflagged draw,
-    so the values depend neither on the order of the samples nor on the
-    block.  After MAX_REDRAWS draws for one sample the route ``what`` gives
-    up with a RuntimeError that names the lowest such sample.
+    A draw is an array (or a float) or a tuple of them.  The samples run in
+    blocks of at most BLOCK: ``values(samples, draws)`` gets the draws of a
+    block stacked per component, (B, ...) each, and returns their values
+    and a redraw mask.  A flagged draw was a non-generic plane, direction or
+    flat (a measure-zero event): its sample draws again from its own
+    generator, and only the flagged samples are stacked and evaluated again.
+    A value is that of its sample's first unflagged draw, so the values
+    depend neither on the order of the samples nor on the block.  After
+    MAX_REDRAWS draws for one sample the route ``what`` gives up with a
+    RuntimeError that names the lowest such sample.
     """
     out: list[float] = []
     for start in range(0, n, BLOCK):
         gens = rng.substream_generators(start, min(start + BLOCK, n))
         vals = np.empty(len(gens))
         todo = np.arange(len(gens))  # block positions without a value yet
-        draws = [draw(gen) for gen in gens]
-        for attempt in range(1, MAX_REDRAWS + 1):
-            got, redraw = values((start + todo).tolist(), draws)
+        for _ in range(MAX_REDRAWS):
+            got, redraw = values((start + todo).tolist(), _stacked([draw(gens[j]) for j in todo]))
             redraw = np.asarray(redraw, dtype=bool)
             vals[todo[~redraw]] = np.asarray(got, dtype=float)[~redraw]
             todo = todo[redraw]
             if not len(todo):
                 break
-            if attempt < MAX_REDRAWS:
-                draws = [draw(gens[j]) for j in todo]
         else:
             raise RuntimeError(f"{what}: resample quota of {MAX_REDRAWS} draws exceeded at "
                                f"sample {start + todo[0]}")
@@ -331,22 +330,11 @@ def per_sample_values(n: int, rng: RandomSource, draw, values, what: str) -> lis
     return out
 
 
-def each_draw(fn, retry):
-    """A ``values`` for :func:`per_sample_values` that evaluates
-    ``fn(sample, draw)`` one draw at a time and flags the draws whose
-    evaluation raises one of the exceptions ``retry``."""
-
-    def values(samples, draws):
-        vals = np.zeros(len(draws))
-        redraw = np.zeros(len(draws), dtype=bool)
-        for j, (i, d) in enumerate(zip(samples, draws)):
-            try:
-                vals[j] = fn(i, d)
-            except retry:
-                redraw[j] = True
-        return vals, redraw
-
-    return values
+def _stacked(draws: list):
+    """A block of draws stacked per component, as ``values`` receives it."""
+    if isinstance(draws[0], tuple):
+        return tuple(np.stack(part) for part in zip(*draws))
+    return np.stack(draws)
 
 
 def _rng_of(rng: "RandomSource | np.random.Generator") -> np.random.Generator:
@@ -359,7 +347,7 @@ def _orthonormal(bases: np.ndarray) -> np.ndarray:
     """Whether the rows of each (k, n) basis of a stack are orthonormal
     within ORTHO_TOL; written so that a NaN entry fails too."""
     gram = bases @ bases.swapaxes(-1, -2)
-    return np.abs(gram - np.eye(bases.shape[-2])).max(axis=(-2, -1)) <= ORTHO_TOL
+    return np.abs(gram - np.eye(bases.shape[-2])).max(axis=(-2, -1), initial=0.0) <= ORTHO_TOL
 
 
 @dataclass(frozen=True)
@@ -486,7 +474,7 @@ def grassmannian_bases(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     full-rank basis that fails the orthonormality check of LinearSubspace
     raises ValueError."""
     q, r = np.linalg.qr(draws)
-    full = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 1e-10
+    full = (np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-10).all(axis=1)
     bases = q.swapaxes(1, 2)
     if not _orthonormal(bases[full]).all():
         raise ValueError("basis is not orthonormal within 1e-10")
@@ -543,10 +531,9 @@ def image_normals(vectors: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, n
     return (nu / np.sqrt(nu @ nu.swapaxes(-1, -2)))[..., 0, :], degenerate
 
 
-def sample_affine_flats_hitting_ball(
-    n: int, k: int, radius: float, rng
-) -> tuple[AffineFlat, float]:
-    """One random affine k-flat meeting the ball of given radius at 0, plus weight.
+def sample_affine_flats_hitting_ball(n: int, k: int, radius: float, rng) -> tuple[AffineFlat, float]:
+    """One random affine k-flat meeting the ball of given radius at 0, plus
+    weight: the one-flat view of :func:`affine_flats_hitting_ball`.
 
     The direction is uniform on the Grassmannian and the offset uniform in the
     (n-k)-ball of the given radius inside the orthogonal complement, so
@@ -562,12 +549,31 @@ def sample_affine_flats_hitting_ball(
     if radius <= 0:
         raise ValueError("radius must be positive")
     gen = _rng_of(rng)
-    direction = sample_grassmannian(n, k, gen)
-    comp = direction.orthogonal_complement()
-    m = n - k
-    # uniform point in the m-ball: direction times radius * U^(1/m)
-    u = sample_unit_sphere(m, gen)
-    t = radius * gen.uniform() ** (1.0 / m)
-    offset = (t * u) @ comp.basis
-    weight = ball_volume(m) * radius**m
-    return AffineFlat(direction=direction, offset=offset), weight
+    while True:
+        directions, _, offsets, full, weight = affine_flats_hitting_ball(
+            _stacked([draw_affine_flat(n, k, gen)]), radius)
+        if full[0]:
+            return AffineFlat(LinearSubspace(n, directions[0]), offsets[0]), weight
+
+
+def draw_affine_flat(n: int, k: int, gen: np.random.Generator):
+    """The draws of one flat of :func:`affine_flats_hitting_ball`, in order:
+    the Gaussian matrix of its direction, the unit vector and uniform of its offset."""
+    return draw_grassmannian(n, k, gen), sample_unit_sphere(n - k, gen), gen.uniform()
+
+
+def affine_flats_hitting_ball(draws: tuple, radius: float):
+    """The flats of a stack of draws (G (S, n, k), u (S, m), U (S,)) of
+    :func:`draw_affine_flat`, m = n - k: the span of G, offset by t u in
+    its complement, t = radius U^(1/m).  Returns the row bases of the
+    directions (S, k, n) and complements (S, m, n), the offsets (S, n), the
+    mask of the full-rank draws (redraw the others) and the weight b_m
+    radius^m.  Each flat has a lone flat's bits: t is a Python power (numpy's
+    differs in the last bit) and the offsets one matmul (S, 1, m) @ (S, m, n)."""
+    G, u, U = draws
+    directions, full = grassmannian_bases(G)
+    comps = orthogonal_complements(directions)
+    m = comps.shape[1]
+    t = np.array([radius * x ** (1.0 / m) for x in U.tolist()])
+    offsets = ((t[:, None] * u)[:, None, :] @ comps)[:, 0]
+    return directions, comps, offsets, full, ball_volume(m) * radius**m

@@ -369,16 +369,15 @@ def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> E
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range")
 
-    def draw(gen: np.random.Generator):
-        return draw_grassmannian(n, k, gen), sample_unit_sphere(k, gen)
-
     def values(_, draws):
-        A, full = grassmannian_bases(np.stack([g for g, _ in draws]))
-        w = np.stack([u for _, u in draws])
+        G, w = draws
+        A, full = grassmannian_bases(G)
         chi, unstable = _slice_chi_stabilized_many(X, A, (w[:, None, :] @ A)[:, 0])
         return chi, unstable | ~full
 
-    vals = per_sample_values(n_samples, rng, draw, values, "affine slices")
+    vals = per_sample_values(
+        n_samples, rng, lambda gen: (draw_grassmannian(n, k, gen), sample_unit_sphere(k, gen)),
+        values, "affine slices")
     return mean_estimate(vals, seed=rng.master_seed, method="affine-slices")
 
 
@@ -423,8 +422,7 @@ def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> 
 
 
 def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate:
-    def values(_, draws):
-        V = np.stack(draws)
+    def values(_, V):
         chi, unstable = _slice_chi_stabilized_many(X, V[:, None, :], -V)
         return 1.0 - chi, unstable
 
@@ -453,11 +451,9 @@ def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) ->
         return Estimate(0.0, 0.0, 1, rng.master_seed, method="round-exact")
 
     def values(_, draws):
-        bases, full = grassmannian_bases(np.stack(draws))
-        if X.is_round:
-            vals, redraw = _round_local_polar_many(X, bases)
-        else:
-            vals, redraw = _pl_local_polar_many(X, k, bases)
+        bases, full = grassmannian_bases(draws)
+        vals, redraw = (_round_local_polar_many(X, bases) if X.is_round
+                        else _pl_local_polar_many(X, k, bases))
         return vals, redraw | ~full
 
     vals = per_sample_values(n_planes, rng, lambda gen: draw_grassmannian(n, k + 1, gen), values,

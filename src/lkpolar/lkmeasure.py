@@ -31,11 +31,10 @@ import numpy as np
 from .geomkit import (
     Estimate,
     RandomSource,
-    each_draw,
+    affine_flats_hitting_ball,
+    draw_affine_flat,
     mean_estimate,
-    orthogonal_complements,
     per_sample_values,
-    sample_affine_flats_hitting_ball,
     sample_unit_sphere,
     simplex_volumes,
     sphere_volume,
@@ -326,26 +325,21 @@ def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     per chunk of directions (:func:`lkpolar.plstrata.pl_morse_indices_many`)
     sums the indices of the vertices in the region.
     """
-    def heights(_, draws):
-        parts, fold, wall = _height_sums(X, np.array(draws))
-        return sum((morse for _, _, morse, _ in parts), np.zeros(len(draws))), fold | wall
+    def heights(_, V):
+        parts, fold, wall = _height_sums(X, V)
+        return sum((morse for _, _, morse, _ in parts), np.zeros(len(V))), fold | wall
 
-    def pl_heights(_, draws):
-        V = np.array(draws)
+    def pl_heights(_, V):
         sums, degenerate = np.zeros(len(V)), np.zeros(len(V), dtype=bool)
         for part in sample_chunks(X.pl, len(V)):
             index, degenerate[part] = pl_morse_indices_many(X.pl, V[part])
             sums[part] = index[:, keep].sum(axis=1)
         return sums, degenerate
 
-    if X.pl is not None:
-        keep = X.in_region(X.pl.vertices)
-        values = pl_heights
-    else:
-        values = heights
+    keep = X.in_region(X.pl.vertices) if X.pl is not None else None
     values = per_sample_values(
-        n_heights, rng, lambda gen: sample_unit_sphere(X.ambient_dim, gen), values,
-        "exchange formula")
+        n_heights, rng, lambda gen: sample_unit_sphere(X.ambient_dim, gen),
+        heights if X.pl is None else pl_heights, "exchange formula")
     return mean_estimate(values, seed=rng.master_seed, method="morse-counting")
 
 
@@ -354,26 +348,30 @@ def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
 # ---------------------------------------------------------------------------
 
 def slice_euler_characteristic(X: Shape, flat) -> int:
-    """chi of the compact slice of the shape by an affine flat; PL shapes
-    take flats of every dimension (:func:`lkpolar.plstrata.slice_chi`)."""
+    """chi of the compact slice of the shape by an affine flat: on a complex
+    by :func:`lkpolar.plstrata.slice_chi`, else by :func:`_round_slices`."""
     if X.pl is not None:
         A = flat.direction.orthogonal_complement().basis
         return slice_chi(X.pl, A, A @ flat.offset)
-    k = flat.direction.dim
-    # round catalog shapes: the ball and the sphere fill their bounding ball
-    # and bound it, so its centre and radius are theirs
+    center, _ = X.smooth.bounding_ball()
+    chi, tangent = _round_slices(X, flat.direction.dim, np.array([flat.distance_to(center)]))
+    if tangent[0]:
+        raise DegenerateSliceError("tangent flat")
+    return int(chi[0])
+
+
+def _round_slices(X: Shape, k: int, dist: np.ndarray):
+    """chi of the slices of a round catalog shape (the ball or sphere of its
+    bounding ball) by k-flats at the distances ``dist`` (S,) from its centre,
+    and a mask of the tangent ones; thresholds are relative to the radius."""
     kind = X.smooth.name.split(":")[0]
-    center, radius = X.smooth.bounding_ball()
+    _, radius = X.smooth.bounding_ball()
     if kind == "ball":
-        return 1 if flat.distance_to(center) < radius - 1e-12 else 0
+        return (dist < radius * (1 - 1e-12)).astype(int), np.zeros(len(dist), dtype=bool)
     if kind == "sphere":
-        d = flat.distance_to(center)
-        if abs(d - radius) < 1e-9:
-            raise DegenerateSliceError("tangent flat")
-        if d > radius:
-            return 0
-        # transversal slice of the sphere: a (k-1)-sphere
-        return 1 + (-1) ** (k - 1)
+        # a transversal slice of the sphere is a (k-1)-sphere
+        chi = np.where(dist > radius, 0, 1 + (-1) ** (k - 1))
+        return chi, np.abs(dist - radius) < 1e-9 * radius
     raise NotImplementedError(f"slice chi for smooth shape {X.smooth.name}")
 
 
@@ -385,16 +383,15 @@ class KinematicCheck:
     flagged_division: bool
 
 
-def kinematic_check(
-    X: Shape, k: int, n_flats: int, rng: RandomSource
-) -> KinematicCheck:
+def kinematic_check(X: Shape, k: int, n_flats: int, rng: RandomSource) -> KinematicCheck:
     """Monte-Carlo check of the linear kinematic formula at codimension k.
 
     Estimates the flat integral of chi(X ∩ E) over k-flats meeting the
     bounding ball and divides by Lambda_(n-k); the formula says the ratio is
-    a constant depending only on (n, k).  On a complex, a block of flats is
-    sliced in stacked calls: one SVD for their normal spaces and one
-    :func:`lkpolar.plstrata.slice_chi_many` per chunk of flats.  A region
+    a constant depending only on (n, k).  A block of flats is one stacked
+    :func:`lkpolar.geomkit.affine_flats_hitting_ball` call, sliced by one
+    :func:`lkpolar.plstrata.slice_chi_many` per chunk on a complex, by
+    :func:`_round_slices` of the offset norms on a round shape.  A region
     raises NotImplementedError: the slices would count all of X.
     """
     n = X.ambient_dim
@@ -404,28 +401,24 @@ def kinematic_check(
         raise NotImplementedError("region restriction on kinematic slices")
     center, radius = X.bounding_ball()
 
-    def one(_, draw) -> float:
-        flat, weight = draw
-        shifted = type(flat)(direction=flat.direction, offset=flat.offset + (
-            center - flat.direction.project(center)))
-        return weight * slice_euler_characteristic(X, shifted)
+    def values(_, draws):
+        _, A, offsets, full, weight = affine_flats_hitting_ball(draws, radius)
+        if X.pl is None:
+            # the flat through center + offset lies at distance |offset| from the centre
+            chi, flagged = _round_slices(X, k, np.linalg.norm(offsets, axis=1))
+        else:
+            # the flat through center + offset along D is {x : A x = A (center + offset)}
+            at = center + offsets
+            images = X.pl.vertices @ A.swapaxes(1, 2) - (A @ at[:, :, None]).swapaxes(1, 2)
+            chi, wall = np.zeros(len(at), dtype=int), np.zeros(len(at), dtype=int)
+            for part in sample_chunks(X.pl, len(at)):
+                chi[part], wall[part] = slice_chi_many(X.pl, images[part])
+            flagged = wall >= 0
+        return weight * chi, flagged | ~full
 
-    def pl_flats(_, draws):
-        # the flat through center + offset along D is {x : A x = A (center + offset)}
-        D = np.stack([flat.direction.basis for flat, _ in draws])  # (S, k, n)
-        A = orthogonal_complements(D)
-        at = center + np.stack([flat.offset for flat, _ in draws])
-        images = X.pl.vertices @ A.swapaxes(1, 2) - (A @ at[:, :, None]).swapaxes(1, 2)
-        chi, wall = np.zeros(len(draws), dtype=int), np.zeros(len(draws), dtype=int)
-        for part in sample_chunks(X.pl, len(draws)):
-            chi[part], wall[part] = slice_chi_many(X.pl, images[part])
-        return np.array([weight for _, weight in draws]) * chi, wall >= 0
-
-    values = pl_flats if X.pl is not None else each_draw(one, DegenerateSliceError)
     numer = mean_estimate(
-        per_sample_values(n_flats, rng,
-                          lambda gen: sample_affine_flats_hitting_ball(n, k, radius, gen),
-                          values, "kinematic check"),
+        per_sample_values(n_flats, rng, lambda gen: draw_affine_flat(n, k, gen), values,
+                          "kinematic check"),
         seed=rng.master_seed, method="flat-mc",
     )
     denom = lk_measure(X, n - k, RandomSource(rng.master_seed, rng.stream_id + 7919))

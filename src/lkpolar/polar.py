@@ -49,11 +49,12 @@ from .geomkit import (
     Estimate,
     LinearSubspace,
     RandomSource,
+    draw_grassmannian,
+    grassmannian_bases,
     mean_estimate,
     orthogonal_complements,
     per_sample_values,
     polar_length_constant,
-    sample_grassmannian,
     simplex_volumes,
 )
 from .lkmeasure import Shape, _height_sums
@@ -959,9 +960,10 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
     """Monte-Carlo q-th polar length: the dimensional constant times the mean
     over uniform planes of the alpha-weighted polar image volume.
 
-    The route of the shape and q values a block of planes, with a reason
-    for each ("" when it is used) and, under ``keep_rows``, its per-stratum
-    parts; one ledger counts the rejections and keeps the rows.
+    The route of the shape and q values the (B, q + 1, n) bases of one
+    stacked QR of a block of Gaussian draws, with a reason for each plane
+    ("" when used) and, under ``keep_rows``, its per-stratum parts; one
+    ledger counts the rejections and keeps the rows of the full-rank draws.
 
     At q = n - 1 the plane is all of R^n, the same on every draw, so the
     one plane R^n (identity basis) is valued with no draw: the estimate has
@@ -973,8 +975,7 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         raise ValueError(f"q={q} out of range")
     seed = rng.master_seed
     if q == n:
-        vol = _top_volume(X)
-        est = Estimate(vol, 0.0, 1, seed, method="volume")
+        est = Estimate(_top_volume(X), 0.0, 1, seed, method="volume")
         return PolarLengthResult(est, 0, 0, [], {})
     if q > X.dim:
         est = Estimate(0.0, 0.0, 1, seed, method="dimension")
@@ -982,10 +983,10 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
 
     grids: dict = {}  # plane-free geometry of the strata, for every plane
 
-    def smooth_planes(planes: list[LinearSubspace]):
-        vals = np.zeros(len(planes))
+    def smooth_planes(bases: np.ndarray):
+        vals = np.zeros(len(bases))
         reasons, parts = [], []
-        for j, P in enumerate(planes):
+        for j, P in enumerate(LinearSubspace(n, basis) for basis in bases):
             sample = polar_sample(X, P, grids=grids)
             reason, per_stratum = "+".join(sample.report.reasons()), {}
             if not reason:
@@ -1002,18 +1003,16 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
             parts.append(per_stratum)
         return vals, reasons, parts
 
-    def pl_planes(planes: list[LinearSubspace]):
+    def pl_planes(bases: np.ndarray):
         K = X.pl
         q_rows = np.arange(len(K.cells[q]))  # the plan rows of the q-cells, and their CSV keys
         q_keys = [_stratum_key(cell) for cell in K.cells[q]] if keep_rows else []
-        # each basis laid out as a lone plane holds it: the transposed view of its Q
-        bases = np.stack([P.basis.T for P in planes]).swapaxes(1, 2)
-        vals = np.zeros(len(planes))
-        reasons, parts = np.full(len(planes), "", dtype=object), [{}] * len(planes)
-        for part in sample_chunks(K, len(planes)):
+        vals = np.zeros(len(bases))
+        reasons, parts = np.full(len(bases), "", dtype=object), [{}] * len(bases)
+        for part in sample_chunks(K, len(bases)):
             flags = _pl_span_flags(K, bases[part]).values()
             span = np.any([f.any(axis=1) for f, _, _ in flags], axis=0)
-            chunk = np.arange(len(planes))[part]
+            chunk = np.arange(len(bases))[part]
             live = chunk[~span]  # the span check passed
             cells, alpha = _pl_cell_values_many(X, _pl_images(K, q, bases[live]), q_rows,
                                                 bases[live])
@@ -1026,11 +1025,11 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
                     parts[j] = {key: 0.0 + val for key, val in zip(q_keys, values)}
         return vals, reasons, parts
 
-    def lines(planes: list[LinearSubspace]):
-        vals, fold, wall, parts = _q0_values(X, np.array([P.basis[0] for P in planes]))
+    def lines(bases: np.ndarray):
+        vals, fold, wall, parts = _q0_values(X, bases[:, 0])
         reasons = ["fold" if f else "alpha" if w else "" for f, w in zip(fold, wall)]
         return vals, reasons, [{name: float(part[j]) for name, has, part in parts if has[j]}
-                               for j in range(len(planes) if keep_rows else 0)]
+                               for j in range(len(bases) if keep_rows else 0)]
 
     if X.pl is not None:
         route = pl_planes
@@ -1042,20 +1041,20 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
     rows = []
     n_rejected = 0
 
-    def values(samples: list[int], planes: list[LinearSubspace]):
+    def ledger(samples: list[int], bases: np.ndarray, full: np.ndarray):
         nonlocal n_rejected
-        vals, reasons, parts = route(planes)
-        for j, reason in enumerate(reasons):
-            if reason:
+        vals, reasons, parts = route(bases)
+        for j in np.flatnonzero(full):  # a draw of deficient rank is no plane
+            if reason := reasons[j]:
                 n_rejected += 1
                 for r in reason.split("+"):
                     reject_reasons[r] = reject_reasons.get(r, 0) + 1
             if keep_rows:
-                rows.append((samples[j], planes[j].basis.copy(), {} if reason else parts[j], reason))
-        return vals, [bool(reason) for reason in reasons]
+                rows.append((samples[j], bases[j].copy(), {} if reason else parts[j], reason))
+        return vals, ~full | np.array([bool(reason) for reason in reasons], dtype=bool)
 
     if q == n - 1:
-        vals, flagged = values([0], [LinearSubspace.full(n)])
+        vals, flagged = ledger([0], np.eye(n)[None], np.ones(1, dtype=bool))
         if flagged[0]:
             raise DegeneratePlaneError(f"the whole space is degenerate at q = {q}: "
                                        + "+".join(reject_reasons))
@@ -1063,7 +1062,8 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         est = Estimate(float(vals[0]), 0.0, 1, seed, method="full-space")
         return PolarLengthResult(est, 1, 0, rows, {})
     values = per_sample_values(
-        n_planes, rng, lambda gen: sample_grassmannian(n, q + 1, gen), values, "polar planes")
+        n_planes, rng, lambda gen: draw_grassmannian(n, q + 1, gen),
+        lambda samples, draws: ledger(samples, *grassmannian_bases(draws)), "polar planes")
     rows.sort(key=lambda row: row[0])  # a block evaluates its redraws after its first draws
     const = polar_length_constant(n, q)
     est = mean_estimate(values, seed=seed, method="polar-mc").scaled(const)

@@ -37,7 +37,9 @@ the package computes faster, or by another formula:
   intrinsic volumes of ``lk_measure``;
 - :func:`reference_generator` seeds a generator by numpy's own
   ``SeedSequence``, against the vectorised seeding of
-  ``RandomSource.substream_generators``.
+  ``RandomSource.substream_generators``;
+- :func:`kinematic_numerator_loop` builds and slices one flat at a time,
+  against the stacked flats of ``lkmeasure.kinematic_check``.
 """
 
 from __future__ import annotations
@@ -50,18 +52,22 @@ from typing import Callable
 import numpy as np
 
 from lkpolar.geomkit import (
+    MAX_REDRAWS,
+    AffineFlat,
     DegenerateDirectionError,
     Estimate,
     LinearSubspace,
     RandomSource,
+    ball_volume,
     beta_coeff,
     fmean,
     mean_estimate,
     polar_length_constant,
     sample_affine_flats_hitting_ball,
     sample_grassmannian,
+    sample_unit_sphere,
 )
-from lkpolar.lkmeasure import Shape
+from lkpolar.lkmeasure import Shape, slice_euler_characteristic
 from lkpolar.plstrata import (
     DegenerateSliceError,
     NormalLink,
@@ -96,6 +102,38 @@ def reference_generator(rng: RandomSource) -> np.random.Generator:
     hashes the master seed and the spawn key (stream id, *substream path)."""
     ss = np.random.SeedSequence(rng.master_seed, spawn_key=(rng.stream_id, *rng.substream_path))
     return np.random.default_rng(ss)
+
+
+def kinematic_numerator_loop(X: Shape, k: int, n_flats: int, rng: RandomSource) -> Estimate:
+    """The numerator of ``lkmeasure.kinematic_check``, one flat at a time.
+
+    Flat i draws from the generator of ``rng.substream(i)``: a uniform
+    k-plane, then the unit vector and the uniform number of a point of the
+    (n-k)-ball of the bounding radius, mapped into the plane's complement
+    as a lone flat is built.  The shape is sliced by the flat through the
+    bounding centre plus that point with ``slice_euler_characteristic``,
+    and a degenerate slice draws the flat again."""
+    n = X.ambient_dim
+    m = n - k
+    center, radius = X.bounding_ball()
+    weight = ball_volume(m) * radius**m
+    vals = []
+    for i in range(n_flats):
+        gen = rng.substream(i).generator()
+        for _ in range(MAX_REDRAWS):
+            direction = sample_grassmannian(n, k, gen)
+            comp = direction.orthogonal_complement().basis
+            u = sample_unit_sphere(m, gen)
+            offset = (radius * gen.uniform() ** (1.0 / m) * u) @ comp
+            flat = AffineFlat(direction, offset + center - direction.project(center))
+            try:
+                vals.append(weight * slice_euler_characteristic(X, flat))
+                break
+            except DegenerateSliceError:
+                pass
+        else:
+            raise RuntimeError(f"flat {i}: {MAX_REDRAWS} degenerate slices")
+    return mean_estimate(vals, seed=rng.master_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,13 @@ from lkpolar import germ, lkmeasure, plstrata, polar
 from lkpolar.geomkit import (
     LinearSubspace,
     RandomSource,
+    affine_flats_hitting_ball,
+    draw_affine_flat,
+    draw_grassmannian,
+    grassmannian_bases,
     mean_estimate,
     polar_length_constant,
+    sample_affine_flats_hitting_ball,
     sample_grassmannian,
 )
 from lkpolar.plstrata import StratifiedComplex
@@ -100,6 +105,57 @@ def test_estimates_keep_their_bits(key):
     assert (est.value.hex(), est.std_error.hex()) == PINS[key]
 
 
+# (shape, k) -> numerator (value.hex(), std_error.hex()) of kinematic_check at
+# 2500 flats, about ten blocks, recorded when every flat was drawn and
+# sliced alone
+KINEMATIC_PINS = {
+    ('cube', 1): ('0x1.8150a93c3c8b2p+0', '0x1.72f0c5a9b0fb1p-6'),
+    ('cube', 2): ('0x1.89639064069b5p+0', '0x1.6729f93fb0784p-7'),
+    ('ball:1', 1): ('0x1.921fb54442d18p+1', '0x0.0p+0'),
+    ('ball:1', 2): ('0x1.0000000000001p+1', '0x0.0p+0'),
+    ('sphere:1', 1): ('0x1.921fb54442d18p+2', '0x0.0p+0'),
+}
+
+
+@pytest.mark.parametrize("key", list(KINEMATIC_PINS),
+                         ids=["-".join(map(str, key)) for key in KINEMATIC_PINS])
+def test_kinematic_numerators_keep_their_bits(key):
+    name, k = key
+    est = lkmeasure.kinematic_check(lkmeasure.shape_from_name(name), k, 2500,
+                                    RandomSource(107, k)).numerator
+    assert (est.value.hex(), est.std_error.hex()) == KINEMATIC_PINS[key]
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (3, 0)])
+def test_stacked_flats_are_the_lone_flats(n, k):
+    # one stacked call per block of flats gives each flat the bits of
+    # sample_affine_flats_hitting_ball and of the lone construction (a
+    # plane, its complement, then (t u) @ complement), and leaves each
+    # generator at the same next draw
+    radius = 1.7
+    m = n - k
+    stacked = RandomSource(40, n * 10 + k).substream_generators(0, 256)
+    lone = RandomSource(40, n * 10 + k).substream_generators(0, 256)
+    by_hand = RandomSource(40, n * 10 + k).substream_generators(0, 256)
+    draws = tuple(np.stack(part) for part in zip(*[draw_affine_flat(n, k, g) for g in stacked]))
+    directions, comps, offsets, full, weight = affine_flats_hitting_ball(draws, radius)
+    assert full.all()
+    for s in range(len(stacked)):
+        flat, w = sample_affine_flats_hitting_ball(n, k, radius, lone[s])
+        assert np.array_equal(flat.direction.basis, directions[s])
+        assert np.array_equal(flat.offset, offsets[s]) and w == weight
+        g = by_hand[s]
+        P = sample_grassmannian(n, k, g)
+        comp = P.orthogonal_complement().basis
+        u = g.standard_normal(m)
+        u = u / np.sqrt(u.dot(u))
+        t = radius * g.uniform() ** (1.0 / m)
+        assert np.array_equal(P.basis, directions[s]) and np.array_equal(comp, comps[s])
+        assert np.array_equal((t * u) @ comp, offsets[s])
+        nxt = stacked[s].standard_normal()
+        assert nxt == lone[s].standard_normal() == g.standard_normal()
+
+
 # planes that the span check of the cube flags: axis lines, and the
 # axis-aligned planes of the degeneracy criterion
 AXIS_PLANES = {
@@ -128,7 +184,15 @@ def test_a_chunk_of_pl_planes_gives_each_plane_its_lone_bits(q, monkeypatch):
     generic = [sample_grassmannian(3, q + 1, gen) for _ in range(9)]
     axis = [LinearSubspace(3, np.array(basis, dtype=float)) for basis in AXIS_PLANES[q]]
     first = generic[:2] + axis[:1] + generic[2:6] + axis[1:] + generic[6:]
-    sample = polar.sample_grassmannian
+
+    def bases_of(draws):  # a first plane keeps its basis, a redraw gets its QR
+        bases, full = grassmannian_bases(draws)
+        q = bases.swapaxes(1, 2).copy()
+        for s, G in enumerate(draws):
+            for P in first:
+                if np.array_equal(G, P.basis.T):
+                    q[s], full[s] = P.basis.T, True
+        return q.swapaxes(1, 2), full
 
     def run(cap):
         monkeypatch.setattr(plstrata, "PAIR_CAP", cap)
@@ -138,11 +202,13 @@ def test_a_chunk_of_pl_planes_gives_each_plane_its_lone_bits(q, monkeypatch):
             if not any(g is h for h in gens):
                 gens.append(g)
                 drawn.append(first[len(gens) - 1])
-            else:
-                drawn.append(sample(n, k, g))
-            return drawn[-1]
+                return drawn[-1].basis.T
+            G = draw_grassmannian(n, k, g)
+            drawn.append(LinearSubspace(n, grassmannian_bases(G[None])[0][0]))
+            return G
 
-        monkeypatch.setattr(polar, "sample_grassmannian", draw)
+        monkeypatch.setattr(polar, "draw_grassmannian", draw)
+        monkeypatch.setattr(polar, "grassmannian_bases", bases_of)
         return polar.polar_length(X, q, len(first), RandomSource(37, q), keep_rows=True), drawn
 
     res, drawn = run(plstrata.PAIR_CAP)

@@ -437,3 +437,26 @@ def test_flagged_full_space_is_a_json_error(monkeypatch):
     report, status = run(["polar", "--shape", "cube", "--q", "2", "--samples", "3"])
     assert status == 2
     assert "whole space is degenerate at q = 2: alpha" in report["error"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["measure", "--shape", "cube", "--k", "0", "--samples", "1", "--report"], "report.json"),
+    (["measure", "--shape", "cube", "--k", "0", "--samples", "1", "--csv"], "plot.csv"),
+    (["polar", "--shape", "cube", "--q", "0", "--samples", "2", "--csv"], "planes.csv"),
+    (["catalog", "--name", "cube", "--out"], "cube.plstrat"),
+], ids=["measure-report", "measure-csv", "polar-csv", "catalog-out"])
+def test_an_unwritable_output_path_is_a_json_error(argv, path, tmp_path):
+    # a missing directory: exit 2 (bad input), not 1 (a failed row)
+    out = str(tmp_path / "missing" / path)
+    report, status = run(argv + [out])
+    assert status == 2
+    assert out in report["error"]
+    assert "rows" not in report
+
+
+def test_kinematic_on_a_tiny_sphere_runs():
+    # the tangency band scales with the radius; an absolute band of 1e-9
+    # made every line tangent to a sphere of radius 1e-10
+    report, status = run(["kinematic", "--shape", "sphere:1e-10", "--k", "1", "--samples", "50"])
+    assert status == 0
+    assert report["rows"][0]["quantity"] == "kinematic_numerator"

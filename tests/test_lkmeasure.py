@@ -11,10 +11,6 @@ from lkpolar.geomkit import (
     LinearSubspace,
     RandomSource,
     ball_volume,
-    each_draw,
-    mean_estimate,
-    per_sample_values,
-    sample_affine_flats_hitting_ball,
 )
 from lkpolar.plstrata import DegenerateSliceError, StratifiedComplex, slice_chi
 from lkpolar.lkmeasure import (
@@ -27,7 +23,7 @@ from lkpolar.lkmeasure import (
     slice_euler_characteristic,
 )
 
-from oracles import steiner_oracle
+from oracles import kinematic_numerator_loop, steiner_oracle
 
 RNG = RandomSource(1234)
 
@@ -326,17 +322,7 @@ def test_pl_flats_in_chunks_are_the_one_flat_slices(k, monkeypatch):
     # calls; each flat keeps the bits of the one-flat loop, at one flat per
     # chunk, two (the cube has at most 19 cells a dimension) and the default
     X = shape_from_name("cube")
-    center, radius = X.bounding_ball()
-
-    def one(_, draw):
-        flat, weight = draw
-        shifted = AffineFlat(flat.direction, flat.offset + center - flat.direction.project(center))
-        return weight * slice_euler_characteristic(X, shifted)
-
-    loop = mean_estimate(
-        per_sample_values(300, RandomSource(50, k),
-                          lambda gen: sample_affine_flats_hitting_ball(3, k, radius, gen),
-                          each_draw(one, DegenerateSliceError), "one flat at a time"), seed=50)
+    loop = kinematic_numerator_loop(X, k, 300, RandomSource(50, k))
     for cap in (1, 40, plstrata.PAIR_CAP):
         monkeypatch.setattr(plstrata, "PAIR_CAP", cap)
         got = kinematic_check(X, k, 300, RandomSource(50, k)).numerator
@@ -364,12 +350,51 @@ def test_kinematic_check_with_a_region_is_not_implemented(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a flat or measure was computed for a region")
 
-    monkeypatch.setattr(lkm, "sample_affine_flats_hitting_ball", no_work)
+    monkeypatch.setattr(lkm, "draw_affine_flat", no_work)
     monkeypatch.setattr(lkm, "lk_measure", no_work)
     half = shape_from_name("ball:1").with_region(lambda p: p[:, 2] > 0)
     for k in (1, 2):
         with pytest.raises(NotImplementedError, match="region"):
             kinematic_check(half, k, 10, RandomSource(51))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_flat_hits_a_tiny_ball(k):
+    # the ball threshold is relative to the radius: with an absolute margin
+    # of 1e-12, 1.6% (k = 1) and 0.75% (k = 2) of the flats missed a ball of
+    # radius 1e-10
+    X = shape_from_name("ball:1e-10")
+    num = kinematic_check(X, k, 2000, RandomSource(3, k)).numerator
+    weight = ball_volume(3 - k) * 1e-10 ** (3 - k)
+    assert num.std_error == 0.0 and num.value == pytest.approx(weight, rel=1e-12)
+
+
+def test_lines_slice_a_tiny_sphere_in_two_points():
+    # the tangency band is relative to the radius: with an absolute band of
+    # 1e-9, every line through a sphere of radius 1e-10 was tangent, and the
+    # route ran out of draws
+    X = shape_from_name("sphere:1e-10")
+    num = kinematic_check(X, 1, 2000, RandomSource(3, 1)).numerator
+    weight = ball_volume(2) * 1e-20
+    assert num.std_error == 0.0 and num.value == pytest.approx(2 * weight, rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1e-10, 1.0, 2.0, 1e6])
+def test_round_slice_decisions_scale_with_the_radius(radius):
+    # lines at distances d = s * radius from the centre: the ball is hit
+    # below s = 1, the sphere cut in two points, tangent near s = 1 and
+    # missed beyond
+    e3 = LinearSubspace(3, np.array([[0.0, 0.0, 1.0]]))
+    for s, ball, sphere in [(0.0, 1, 2), (0.5, 1, 2), (1 - 1e-6, 1, 2), (1 - 1e-10, 1, None),
+                            (1 + 1e-10, 0, None), (1.5, 0, 0)]:
+        flat = AffineFlat(e3, np.array([s * radius, 0.0, 0.0]))
+        assert slice_euler_characteristic(shape_from_name(f"ball:{radius}"), flat) == ball
+        sph = shape_from_name(f"sphere:{radius}")
+        if sphere is None:
+            with pytest.raises(DegenerateSliceError, match="tangent"):
+                slice_euler_characteristic(sph, flat)
+        else:
+            assert slice_euler_characteristic(sph, flat) == sphere
 
 
 def test_kinematic_flagged_when_denominator_vanishes():

@@ -13,15 +13,12 @@ from lkpolar.geomkit import (
     MAX_REDRAWS,
     DegenerateDirectionError,
     RandomSource,
-    each_draw,
+    draw_grassmannian,
+    grassmannian_bases,
     per_sample_values,
 )
 from lkpolar.plstrata import DegenerateSliceError
 from lkpolar.smoothshape import DegenerateHeightError, HeightCriticalPoints
-
-
-class _Flaky(ValueError):
-    pass
 
 
 def _normal(gen):
@@ -45,22 +42,61 @@ def test_samples_draw_from_their_substreams_and_redraw_from_the_same_generator()
 
 
 def test_other_errors_pass_through():
-    def fn(i, x):
-        raise KeyError(i)
+    def values(samples, draws):
+        raise KeyError(samples[0])
 
     with pytest.raises(KeyError):
-        per_sample_values(2, RandomSource(0), _normal, each_draw(fn, _Flaky), "test")
+        per_sample_values(2, RandomSource(0), _normal, values, "test")
 
 
-def test_each_draw_flags_the_retried_errors_only():
-    def fn(i, x):
-        if i % 2:
-            raise _Flaky
-        return 10.0 * i
+def test_tuple_draws_arrive_stacked_per_component():
+    # a draw of (matrix, vector, float) reaches values as three stacks, on
+    # the first draws and on the redraws alike
+    rng = RandomSource(12, 3)
+    seen = []
 
-    vals, redraw = each_draw(fn, _Flaky)([0, 1, 2, 3], [None] * 4)
-    assert redraw.tolist() == [False, True, False, True]
-    assert vals[~redraw].tolist() == [0.0, 20.0]
+    def draw(gen):
+        return gen.standard_normal((3, 2)), gen.standard_normal(4), gen.uniform()
+
+    def values(samples, draws):
+        seen.append((list(samples), draws))
+        return draws[2], draws[2] < 0.3
+
+    got = per_sample_values(BLOCK + 5, rng, draw, values, "test")
+    gens = {}  # a copy of each sample's generator, to replay its draws in order
+    for samples, draws in seen:
+        assert isinstance(draws, tuple)
+        assert [part.shape for part in draws] == [(len(samples), 3, 2), (len(samples), 4),
+                                                  (len(samples),)]
+        for j, i in enumerate(samples):
+            G, u, t = draw(gens.setdefault(i, rng.substream(i).generator()))
+            assert np.array_equal(G, draws[0][j]) and np.array_equal(u, draws[1][j])
+            assert t == draws[2][j]
+    assert len(seen) > 2 and all(t >= 0.3 for t in got)
+
+
+def test_a_redraw_restacks_only_the_flagged_samples():
+    rng = RandomSource(13)
+    calls = []
+    seen = set()
+
+    def values(samples, draws):
+        calls.append((list(samples), draws.copy()))
+        flagged = [i % 3 == 0 and i not in seen for i in samples]  # on the first draw only
+        seen.update(samples)
+        return draws, np.array(flagged)
+
+    got = per_sample_values(BLOCK + 4, rng, _normal, values, "test")
+    # first draws of the two blocks, then the flagged samples of each alone
+    assert [samples for samples, _ in calls] == [
+        list(range(BLOCK)), [i for i in range(BLOCK) if i % 3 == 0],
+        list(range(BLOCK, BLOCK + 4)), [i for i in range(BLOCK, BLOCK + 4) if i % 3 == 0]]
+    for samples, draws in calls:
+        assert draws.shape == (len(samples),)
+    for i in calls[1][0]:
+        gen = rng.substream(i).generator()
+        gen.standard_normal()
+        assert got[i] == gen.standard_normal()
 
 
 def test_values_do_not_depend_on_the_block():
@@ -95,13 +131,6 @@ def test_every_other_attempt_flagged_takes_the_second_draw():
     assert set(attempts.values()) == {2}
 
 
-def _raise(err):
-    def step(*args, **kwargs):
-        raise err("always degenerate")
-
-    return step
-
-
 def _flag_all(*args):
     # a stacked step: every plane, direction or flat of the stack (its last
     # argument) is degenerate
@@ -133,7 +162,7 @@ ROUTES = {
     "polar_length": (
         lambda: polar.polar_length(lkmeasure.shape_from_name("cube"), 1, 3, RandomSource(1)),
         (polar, "_pl_cell_values_many", _no_cell_values, DegenerateDirectionError),
-        (polar, "sample_grassmannian")),
+        (polar, "draw_grassmannian")),
     "exchange_lambda0": (
         lambda: lkmeasure.exchange_lambda0(lkmeasure.shape_from_name("cube"), 3, RandomSource(2)),
         (lkmeasure, "pl_morse_indices_many", _no_separating_height, DegenerateDirectionError),
@@ -146,18 +175,17 @@ ROUTES = {
     "smooth polar_length q=0": (
         lambda: polar.polar_length(lkmeasure.shape_from_name("sphere:1"), 0, 3, RandomSource(11)),
         (lkmeasure, "height_critical_points_many", _no_morse_height, DegenerateHeightError),
-        (polar, "sample_grassmannian")),
+        (polar, "draw_grassmannian")),
     "kinematic_check": (
         lambda: lkmeasure.kinematic_check(lkmeasure.shape_from_name("ball:1"), 1, 3,
                                           RandomSource(3)),
-        (lkmeasure, "slice_euler_characteristic", _raise(DegenerateSliceError),
-         DegenerateSliceError),
-        (lkmeasure, "sample_affine_flats_hitting_ball")),
+        (lkmeasure, "_round_slices", _flag_all, DegenerateSliceError),
+        (lkmeasure, "draw_affine_flat")),
     "PL kinematic_check": (
         lambda: lkmeasure.kinematic_check(lkmeasure.shape_from_name("cube"), 1, 3,
                                           RandomSource(3)),
         (lkmeasure, "slice_chi_many", _flag_all, DegenerateSliceError),
-        (lkmeasure, "sample_affine_flats_hitting_ball")),
+        (lkmeasure, "draw_affine_flat")),
     "sigma_invariant": (
         lambda: germ.sigma_invariant(germ.germ_from_name("rays:3"), 1, 3, RandomSource(4)),
         (germ, "_slice_chi_stabilized_many", _flag_all, DegenerateSliceError),
@@ -240,18 +268,17 @@ LEDGER_ROUTES = {
 def test_rejected_planes_are_counted_and_kept(route, monkeypatch):
     # the first plane of every sample is flagged, the second is used
     name, q, flag, reason = LEDGER_ROUTES[route]
-    sample = polar.sample_grassmannian
     first = []  # the basis of the first plane drawn from each generator
     seen = set()
 
     def tagged(n, k, gen):
-        P = sample(n, k, gen)
+        G = draw_grassmannian(n, k, gen)
         if id(gen) not in seen:
             seen.add(id(gen))
-            first.append(P.basis)
-        return P
+            first.append(grassmannian_bases(G[None])[0][0])  # a lone QR has the stacked bits
+        return G
 
-    monkeypatch.setattr(polar, "sample_grassmannian", tagged)
+    monkeypatch.setattr(polar, "draw_grassmannian", tagged)
     flag(monkeypatch, first)
     res = polar.polar_length(lkmeasure.shape_from_name(name), q, 4, RandomSource(7),
                              keep_rows=True)
@@ -261,3 +288,34 @@ def test_rejected_planes_are_counted_and_kept(route, monkeypatch):
         (i, why) for i in range(4) for why in (reason, "")]
     # a rejected plane keeps no parts, a used one its strata or q-cells
     assert all(bool(parts) != bool(why) for _, _, parts, why in res.per_plane)
+
+
+@pytest.mark.parametrize("name, q", [("cube", 1), ("sphere:1", 0), ("disk:1", 1)])
+def test_a_draw_of_deficient_rank_is_redrawn_outside_the_ledger(name, q, monkeypatch):
+    # the first draw of every sample is the zero matrix: no plane, so no
+    # rejection; the sample takes its generator's next draw
+    X = lkmeasure.shape_from_name(name)
+    seen = set()
+
+    def zero_first(n, k, gen):
+        G = draw_grassmannian(n, k, gen)
+        if id(gen) not in seen:
+            seen.add(id(gen))
+            return np.zeros_like(G)
+        return G
+
+    def skip_first(n, k, gen):
+        if id(gen) not in seen:
+            seen.add(id(gen))
+            draw_grassmannian(n, k, gen)
+        return draw_grassmannian(n, k, gen)
+
+    monkeypatch.setattr(polar, "draw_grassmannian", zero_first)
+    got = polar.polar_length(X, q, 5, RandomSource(14, q), keep_rows=True)
+    seen.clear()
+    monkeypatch.setattr(polar, "draw_grassmannian", skip_first)
+    want = polar.polar_length(X, q, 5, RandomSource(14, q), keep_rows=True)
+    assert got.estimate == want.estimate
+    assert (got.n_rejected, got.reject_reasons) == (want.n_rejected, want.reject_reasons)
+    assert [(i, b.tobytes(), why) for i, b, _, why in got.per_plane] == [
+        (i, b.tobytes(), why) for i, b, _, why in want.per_plane]
