@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geomkit import (
+    DegenerateDirectionError,
     Estimate,
     RandomSource,
     ball_volume,
@@ -162,12 +163,16 @@ def cone_link_germ(path: str) -> ConeGerm:
 
 def germ_from_name(spec: str) -> ConeGerm:
     head, _, rest = spec.partition(":")
-    if head == "rays":
-        return rays_germ(int(rest))
-    if head == "halfplane":
-        return halfplane_germ(int(rest))
-    if head == "cone-circle":
-        return round_cone_germ(float(rest))
+    try:
+        if head == "rays":
+            return rays_germ(int(rest))
+        if head == "halfplane":
+            return halfplane_germ(int(rest))
+        if head == "cone-circle":
+            return round_cone_germ(float(rest))
+    except ValueError as err:
+        raise ValueError(f"germ {spec!r}: expected rays:<m >= 1>, halfplane:<n >= 2> or "
+                         f"cone-circle:<angle in (0, pi/2)> ({err})") from None
     if head == "cone-link":
         try:
             return cone_link_germ(rest)
@@ -360,14 +365,16 @@ def _slice_chi_stabilized_many(X: ConeGerm, A: np.ndarray, v: np.ndarray):
 
 def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> Estimate:
     """Mean over (H, v) of the Euler characteristic of the slice
-    (H + delta v) cap X cap B_1, H uniform of codimension k.  A block of
-    samples is sliced in stacked calls: one QR, one slice kernel per
-    halving."""
+    (H + delta v) cap X cap B_1, H uniform of codimension k, a block of
+    samples per stacked call (one QR, one slice kernel per halving).  At
+    k > dim X a generic flat misses the germ: exact 0, with no draw."""
     n = X.ambient_dim
     if k == 0:
         return Estimate(1.0, 0.0, 1, rng.master_seed, method="definition")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range")
+    if k > X.dim:
+        return Estimate(0.0, 0.0, 1, rng.master_seed, method="dimension")
 
     def values(_, draws):
         G, w = draws
@@ -385,7 +392,7 @@ def sigma_invariant(X: ConeGerm, k: int, n_samples: int, rng: RandomSource) -> E
 # localized curvature measures
 # ---------------------------------------------------------------------------
 
-def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> Estimate:
+def local_lambda(X: ConeGerm, k: int, rng: RandomSource) -> Estimate:
     """Lambda_k(X, X cap B_1) / b_k on the cone truncated at radius 1.
 
     Lambda_k is homogeneous of degree k, so for a cone the ratio
@@ -396,16 +403,13 @@ def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> 
         raise ValueError(f"k={k} out of range")
     norm = ball_volume(k)
     if X.is_round:
-        if k == 2:
-            # flat normal slices on the sheet: lambda_2 = 1, area pi sin(theta)
-            area = math.pi * math.sin(X.theta)
-            return Estimate(area / norm, 0.0, 1, rng.master_seed, method="round-exact")
-        if k == 1:
-            # sigma_1(II) integrates to zero over the two-point normal sphere
-            return Estimate(0.0, 0.0, 1, rng.master_seed, method="round-exact")
-        if k == 0:
-            return _apex_lambda0_round(X, rng, n_dirs)
-        return Estimate(0.0, 0.0, 1, rng.master_seed)
+        # the apex: a great circle orthogonal to a uniform direction u meets the
+        # link circle when |<u, axis>| < sin(theta), and <u, axis> is uniform on
+        # [-1, 1]; the fold rays: sigma_1(II) integrates to zero over the
+        # two-point normal sphere; the sheet: lambda_2 = 1 on area pi sin(theta)
+        s = math.sin(X.theta)
+        value = {0: 1.0 - s, 2: math.pi * s / norm}.get(k, 0.0)
+        return Estimate(value, 0.0, 1, rng.master_seed, method="round-exact")
     T = X.model
     if k not in T.cells:
         return Estimate(0.0, 0.0, 1, rng.master_seed)
@@ -421,34 +425,31 @@ def local_lambda(X: ConeGerm, k: int, rng: RandomSource, n_dirs: int = 4000) -> 
     return Estimate(value, 0.0, 1, rng.master_seed, method="exterior-angle")
 
 
-def _apex_lambda0_round(X: ConeGerm, rng: RandomSource, n_dirs: int) -> Estimate:
-    def values(_, V):
-        chi, unstable = _slice_chi_stabilized_many(X, V[:, None, :], -V)
-        return 1.0 - chi, unstable
-
-    vals = per_sample_values(n_dirs, rng, lambda gen: sample_unit_sphere(3, gen), values,
-                             "apex slices")
-    return mean_estimate(vals, seed=rng.master_seed, method="apex-slices")
-
-
 # ---------------------------------------------------------------------------
 # localized polar lengths
 # ---------------------------------------------------------------------------
 
 def local_polar_length(X: ConeGerm, k: int, n_planes: int, rng: RandomSource) -> Estimate:
     """Mean over planes P of dimension k+1 of the weighted densities of the
-    projected polar cone components, a block of planes per stacked call."""
+    projected polar cone components, a block of planes per stacked call.
+    At k = n - 1 every plane is R^n, so the identity plane is valued with no
+    draw (method "full-space"); a flag on it raises DegenerateDirectionError."""
     n = X.ambient_dim
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range")
     if k == n:
         return Estimate(density(X, n), 0.0, 1, rng.master_seed, method="density")
     if k > X.dim:
-        return Estimate(0.0, 0.0, 1, rng.master_seed)
-    if X.is_round and k == 1:
-        # fold rays of the round cone: the slice curve has a minimum for one
-        # normal sign and a maximum for the other, so alpha = 0 on them
-        return Estimate(0.0, 0.0, 1, rng.master_seed, method="round-exact")
+        return Estimate(0.0, 0.0, 1, rng.master_seed, method="dimension")
+    if X.is_round and k:
+        # alpha = 0 on the fold rays (k = 1): the slice curve has a minimum for one
+        # normal sign and a maximum for the other; alpha = 1 on the sheet (k = 2)
+        return Estimate(density(X, k), 0.0, 1, rng.master_seed, method="round-exact")
+    if k == n - 1:
+        vals, redraw = _pl_local_polar_many(X, k, np.eye(n)[None])
+        if redraw[0]:
+            raise DegenerateDirectionError(f"the whole space is degenerate for {X.name} at k = {k}")
+        return Estimate(float(vals[0]), 0.0, 1, rng.master_seed, method="full-space")
 
     def values(_, draws):
         bases, full = grassmannian_bases(draws)
@@ -493,10 +494,8 @@ def _pl_local_polar_many(X: ConeGerm, k: int, bases: np.ndarray):
 
 
 def _round_local_polar_many(X: ConeGerm, bases: np.ndarray):
-    """Planes of dimension 3 or 1 (k = 2 or k = 0; k = 1 is exactly 0)."""
-    if bases.shape[1] == 3:
-        # identity projection: one sheet component, point slices, alpha = 1
-        return np.full(len(bases), density(X, 2)), np.zeros(len(bases), dtype=bool)
+    """Lines through the apex (k = 0, the one sampled order of the round
+    cone): alpha is the mean of the apex indices along both directions."""
     v = bases[:, 0]
     down, bad_down = _slice_chi_stabilized_many(X, bases, -v)
     up, bad_up = _slice_chi_stabilized_many(X, bases, v)
@@ -561,7 +560,7 @@ def verify_local_identities(
     for k in range(n + 1):
         sdiff = sigmas[k] - sigmas[k + 1]
         pol = local_polar_length(X, k, n_planes, rng.substream(2000 + k))
-        lam = local_lambda(X, k, rng.substream(3000 + k), n_dirs=n_samples)
+        lam = local_lambda(X, k, rng.substream(3000 + k))
         rows.append(LocalIdentityRow(k=k, sigma_diff=sdiff, polar=pol, curvature=lam))
     refined_rhs = Estimate(1.0, 0.0, 1, rng.master_seed) - sigmas[1]
     return LocalIdentityReport(

@@ -392,7 +392,8 @@ def kinematic_check(X: Shape, k: int, n_flats: int, rng: RandomSource) -> Kinema
     :func:`lkpolar.geomkit.affine_flats_hitting_ball` call, sliced by one
     :func:`lkpolar.plstrata.slice_chi_many` per chunk on a complex, by
     :func:`_round_slices` of the offset norms on a round shape.  A region
-    raises NotImplementedError: the slices would count all of X.
+    raises NotImplementedError: the slices would count all of X.  The
+    division is flagged within 5 se of 0, or below 1e-9 radius^(n-k).
     """
     n = X.ambient_dim
     if not 1 <= k <= n - 1:
@@ -422,7 +423,7 @@ def kinematic_check(X: Shape, k: int, n_flats: int, rng: RandomSource) -> Kinema
         seed=rng.master_seed, method="flat-mc",
     )
     denom = lk_measure(X, n - k, RandomSource(rng.master_seed, rng.stream_id + 7919))
-    flagged = abs(denom.value) <= max(5.0 * denom.std_error, 1e-9)
+    flagged = abs(denom.value) <= max(5.0 * denom.std_error, 1e-9 * radius ** (n - k))
     ratio = None
     if not flagged:
         r = numer.value / denom.value

@@ -456,7 +456,49 @@ def test_an_unwritable_output_path_is_a_json_error(argv, path, tmp_path):
 
 def test_kinematic_on_a_tiny_sphere_runs():
     # the tangency band scales with the radius; an absolute band of 1e-9
-    # made every line tangent to a sphere of radius 1e-10
-    report, status = run(["kinematic", "--shape", "sphere:1e-10", "--k", "1", "--samples", "50"])
+    # made every line tangent to a sphere of radius 1e-10.  Its area keeps
+    # the ratio row at k = 1; Lambda_1 = 0 leaves a numerator row at k = 2
+    report, status = run(["kinematic", "--shape", "sphere:1e-10", "--k", "1,2", "--samples", "50"])
     assert status == 0
-    assert report["rows"][0]["quantity"] == "kinematic_numerator"
+    assert [row["quantity"] for row in report["rows"][:2]] == ["kinematic_ratio",
+                                                               "kinematic_numerator"]
+
+
+def test_kinematic_on_a_tiny_ball_checks_the_ratio(monkeypatch):
+    # the division floor scales as radius^(n - k): a ball of radius 1e-10
+    # keeps its ratio rows, so a 5% error in Lambda_(n-k) fails them
+    import lkpolar.lkmeasure as lkmeasure
+
+    argv = ["kinematic", "--shape", "ball:1e-10", "--samples", "50", "--seed", "1"]
+    report, status = run(argv)
+    assert status == 0
+    rows = [row for row in report["rows"] if row["quantity"] != "kinematic_constancy"]
+    assert [(row["quantity"], row["k"]) for row in rows] == [("kinematic_ratio", 1),
+                                                             ("kinematic_ratio", 2)]
+    assert all(row["value"] == pytest.approx(0.5, rel=1e-9) for row in rows)
+    exact = lkmeasure.lk_measure
+    monkeypatch.setattr(lkmeasure, "lk_measure", lambda X, k, rng: exact(X, k, rng).scaled(1.05))
+    assert run(argv)[1] == 1
+
+
+@pytest.mark.parametrize("spec", ["rays:abc", "rays", "rays:", "halfplane:x", "cone-circle:x"])
+def test_bad_germ_parameter_is_a_json_error(spec):
+    report, status = run(["local", "--germ", spec, "--samples", "10"])
+    assert status == 2
+    assert spec in report["error"] and "expected rays:" in report["error"]
+
+
+def test_flagged_full_space_germ_plane_is_a_json_error(monkeypatch):
+    # at k = n - 1 every plane is R^n, so a flag on it cannot be redrawn away
+    from lkpolar import germ
+
+    values = germ._pl_local_polar_many
+
+    def flag_identity(X, k, bases):
+        vals, redraw = values(X, k, bases)
+        return vals, redraw | [np.array_equal(B, np.eye(len(B))) for B in bases]
+
+    monkeypatch.setattr(germ, "_pl_local_polar_many", flag_identity)
+    report, status = run(["local", "--germ", "rays:3", "--samples", "20"])
+    assert status == 2
+    assert "whole space is degenerate for rays:3 at k = 1" in report["error"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lkpolar.geomkit import RandomSource, ball_volume, sample_grassmannian
+from lkpolar.geomkit import DegenerateDirectionError, RandomSource, ball_volume, sample_grassmannian
 from lkpolar.germ import (
     ConeGerm,
     _pl_local_polar_many,
@@ -189,7 +189,7 @@ def test_round_cone_closed_forms():
         checks = [
             (sigma_invariant(g, 1, 2000, rng.substream(1)), s),
             (sigma_invariant(g, 2, 2000, rng.substream(2)), s),
-            (local_lambda(g, 0, rng.substream(3), n_dirs=2000), 1 - s),
+            (local_lambda(g, 0, rng.substream(3)), 1 - s),
             (local_polar_length(g, 0, 2000, rng.substream(4)), 1 - s),
             (local_lambda(g, 1, rng.substream(5)), 0.0),
             (local_polar_length(g, 1, 2000, rng.substream(6)), 0.0),
@@ -280,6 +280,88 @@ def test_degenerate_local_polar_planes_are_flagged():
                        [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
                        [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]])
     assert _pl_local_polar_many(X, 1, planes)[1].tolist() == [True, True, False]
+
+
+# a spherical triangle in general position: the cone over its rim, and the
+# full-dimensional cone over the triangle itself
+TRIANGLE = np.array([[1.0, 0.2, 0.3], [-0.4, 1.0, 0.1], [-0.3, -0.6, 1.0]])
+
+
+def _triangle_germ(solid):
+    verts = TRIANGLE / np.linalg.norm(TRIANGLE, axis=1)[:, None]
+    cells = [(0, 1, 2)] if solid else [(0, 1), (1, 2), (0, 2)]
+    link = StratifiedComplex.from_maximal_cells(verts, cells)
+    return ConeGerm(name="triangle-solid" if solid else "triangle-rim", ambient_dim=3, link=link)
+
+
+def _germ(name):
+    if name.startswith("triangle"):
+        return _triangle_germ(solid=name == "triangle-solid")
+    return germ_from_name(name)
+
+
+@pytest.mark.parametrize("name", ["rays:1", "rays:2", "rays:3", "rays:5", "halfplane:3",
+                                  "triangle-rim", "triangle-solid"])
+def test_the_full_space_value_is_the_value_of_every_plane(name):
+    # at k = n - 1 the plane is all of R^n: the identity plane, valued with
+    # no draw, gives what every random plane gives
+    X = _germ(name)
+    n = X.ambient_dim
+    est = local_polar_length(X, n - 1, 500, RandomSource(67))
+    assert (est.std_error, est.n_samples, est.method) == (0.0, 1, "full-space")
+    gen = RandomSource(68).generator()
+    bases = np.stack([sample_grassmannian(n, n, gen).basis for _ in range(50)])
+    vals, redraw = _pl_local_polar_many(X, n - 1, bases)
+    assert not redraw.any()
+    assert est.value != 0.0
+    assert np.all(np.abs(vals - est.value) <= 1e-12 * abs(est.value))
+
+
+def test_the_round_sheet_is_its_density():
+    g = round_cone_germ(0.6)
+    est = local_polar_length(g, 2, 500, RandomSource(69))
+    assert (est.value, est.std_error, est.n_samples) == (density(g, 2), 0.0, 1)
+
+
+def test_a_flagged_full_space_raises(monkeypatch):
+    monkeypatch.setattr(germ, "_pl_local_polar_many",
+                        lambda X, k, bases: (np.zeros(len(bases)), np.ones(len(bases), dtype=bool)))
+    with pytest.raises(DegenerateDirectionError, match="whole space is degenerate"):
+        local_polar_length(halfplane_germ(3), 2, 10, RandomSource(70))
+
+
+@pytest.mark.parametrize("name, ks", [("rays:3", [2]), ("rays:5", [2]), ("halfplane:3", [3]),
+                                      ("halfplane:4", [3, 4]), ("cone-circle:0.6", [3])])
+def test_slices_past_the_dimension_are_exact(name, ks):
+    # a generic flat of codimension k > dim X misses the germ
+    X = germ_from_name(name)
+    for k in ks:
+        est = sigma_invariant(X, k, 500, RandomSource(71, k))
+        assert (est.value, est.std_error, est.n_samples, est.method) == (0.0, 0.0, 1, "dimension")
+
+
+def test_point_slices_of_a_solid_cone_are_sampled():
+    # sigma_n of a full-dimensional cone is the chance that a point near the
+    # apex lies in it: its density, not a dimension rule
+    X = _triangle_germ(solid=True)
+    assert X.dim == X.ambient_dim == 3
+    est = sigma_invariant(X, 3, 2000, RandomSource(72))
+    assert (est.n_samples, est.method) == (2000, "affine-slices")
+    assert est.std_error > 0.0 and within(est, density(X, 3))
+
+
+@pytest.mark.parametrize("name, calls", [("rays:3", 2), ("rays:5", 2), ("halfplane:3", 4),
+                                         ("cone-circle:0.6", 3)])
+def test_the_table_samples_only_what_it_cannot_value(name, calls, monkeypatch):
+    # one sampled route per sigma_k with 1 <= k <= dim X, and per L_k^loc with
+    # k <= dim X and k < n - 1 (k = 0 alone on the round cone); every local
+    # Lambda_k is exact
+    counted = []
+    sample = germ.per_sample_values
+    monkeypatch.setattr(germ, "per_sample_values",
+                        lambda *args: counted.append(args[-1]) or sample(*args))
+    verify_local_identities(germ_from_name(name), RandomSource(73), n_samples=40, n_planes=40)
+    assert len(counted) == calls, counted
 
 
 def test_local_polar_round_cone():

@@ -194,11 +194,6 @@ ROUTES = {
         lambda: germ.local_polar_length(germ.germ_from_name("rays:3"), 0, 3, RandomSource(5)),
         (germ, "_pl_local_polar_many", _flag_all, DegenerateDirectionError),
         (germ, "draw_grassmannian")),
-    "round cone apex": (
-        lambda: germ.local_lambda(germ.germ_from_name("cone-circle:0.6"), 0, RandomSource(6),
-                                  n_dirs=3),
-        (germ, "_slice_chi_stabilized_many", _flag_all, DegenerateSliceError),
-        (germ, "sample_unit_sphere")),
 }
 
 
