@@ -48,6 +48,10 @@ def _reference(shape: str, k: int):
 
 
 def combined_pass(a_val, a_se, b_val, b_se, tolerance: float) -> bool:
+    """Whether two estimates agree within ``tolerance`` combined standard
+    errors (plus 1e-9 of their size); a non-finite value or error never does."""
+    if not all(map(math.isfinite, (a_val, a_se, b_val, b_se))):
+        return False
     scale = 1.0 + abs(a_val) + abs(b_val)
     return abs(a_val - b_val) <= tolerance * math.hypot(a_se, b_se) + 1e-9 * scale
 
@@ -61,7 +65,7 @@ def _row(quantity, k, est, *, shape=None, reference=None, ok=True, extra=None):
         "n_samples": est.n_samples,
         "seed": est.seed,
         "method": est.method,
-        "pass": bool(ok),
+        "pass": bool(ok) and math.isfinite(est.value) and math.isfinite(est.std_error),
     }
     if shape is not None:
         row["shape"] = shape
@@ -70,6 +74,18 @@ def _row(quantity, k, est, *, shape=None, reference=None, ok=True, extra=None):
     if extra:
         row.update(extra)
     return row
+
+
+def _strict_json(obj):
+    """``obj`` with every non-finite float replaced by None, so that the
+    report is strict JSON (a NaN or an infinity is not)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
 
 
 def _checked_orders(text: str, name: str, lo: int, hi: int) -> list[int]:
@@ -357,7 +373,7 @@ def run(argv=None) -> tuple[dict, int]:
         report.update(body)
         if getattr(args, "report", None):
             with open(args.report, "w") as fh:
-                json.dump(report, fh, indent=2)
+                json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
         if getattr(args, "csv", None) and args.command != "polar":
             emit_plot_data(report, args.csv)
     # a report says as plainly as bad input that a resample quota ran out

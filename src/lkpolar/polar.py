@@ -67,6 +67,7 @@ from .smoothshape import (
     height_hessian_eigenvalues,
     hypersurface_normals,
     normal_index,
+    normal_index_many,
 )
 
 __all__ = [
@@ -94,7 +95,8 @@ OVERLAP_DISTANCE = 1e-4  # image points this close coincide
 OVERLAP_FRACTION = 0.05  # share of coinciding or aligned points that flags a plane
 SPAN_ANGLE_MIN = 1e-4  # cell spans this close to meeting P-perp are flagged
 SPAN_RANK_TOL = 1e-8  # cosines within this of 1 count as a shared direction
-CURVATURE_TOL = 1e-7  # fold slice curvature below this is a cusp
+CURVATURE_TOL = 1e-7  # fold slice curvature times the shape's radius below this is a cusp
+PLANE_CHUNK = 8  # most planes in one stacked pass of the smooth route at q >= 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,10 @@ class PolarPiece:
     traced fold curve) or "points" (height critical points at q = 0, with
     their Morse indices).
     ``geometry`` lives in P-coordinates.  A closed contour ends with a copy
-    of its first point, so that its closing segment is explicit.
+    of its first point, so that its closing segment is explicit.  A refined
+    contour keeps in ``source_mids`` the chart point of each segment's
+    midpoint that its refinement snapped onto the fold (NaN where it
+    snapped none), so that its length snaps each midpoint once.
     """
 
     stratum: object
@@ -116,6 +121,7 @@ class PolarPiece:
     source_points: np.ndarray | None = None
     closed: bool = False
     morse_indices: np.ndarray | None = None
+    source_mids: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -160,35 +166,39 @@ def _surface_normals(S: SmoothStratum, params: np.ndarray) -> np.ndarray:
 
 
 def _silhouette_value(S: SmoothStratum, params: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """<nu, u> at a stack of chart points, summed point by point: a point's
-    bits then do not depend on its batch, as those of a gemv can."""
+    """<nu, u> at a stack of chart points, with one u (3,) for all of them or
+    one per point (N, 3), summed point by point: a point's bits then depend
+    neither on its batch, as those of a gemv can, nor on sharing its u."""
     N = _surface_normals(S, np.atleast_2d(params))
-    return N[:, 0] * u[0] + N[:, 1] * u[1] + N[:, 2] * u[2]
+    return N[:, 0] * u[..., 0] + N[:, 1] * u[..., 1] + N[:, 2] * u[..., 2]
 
 
 def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25):
-    """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched.
+    """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched,
+    with one u for all points or one per point.
 
     Each point stops on its own once it lies within 1e-12 of the contour,
     after at most ``iters`` steps, so its bits do not depend on its batch."""
-    P = np.atleast_2d(np.asarray(P, dtype=float)).copy()
-    live = np.arange(len(P))
+    P = np.atleast_2d(np.asarray(P, dtype=float)).T.copy()  # as columns (2, N)
+    U = np.broadcast_to(u, (P.shape[1], 3))
+    live = np.arange(P.shape[1])
     h = 1e-7
     e0 = np.array([h, 0.0])
     e1 = np.array([0.0, h])
     for _ in range(iters):
-        Q = P[live]
-        g = _silhouette_value(S, Q, u)
+        # np.take and np.compress gather rows far faster than indexing does
+        Q, V = np.take(P, live, axis=1).T, np.take(U, live, axis=0)
+        g = _silhouette_value(S, Q, V)
         far = np.abs(g) >= 1e-12
         if not np.any(far):
             break
-        live, Q, g = live[far], Q[far], g[far]
-        g0 = (_silhouette_value(S, Q + e0, u) - _silhouette_value(S, Q - e0, u)) / (2 * h)
-        g1 = (_silhouette_value(S, Q + e1, u) - _silhouette_value(S, Q - e1, u)) / (2 * h)
+        live, Q, V, g = (np.compress(far, x, axis=0) for x in (live, Q, V, g))
+        g0 = (_silhouette_value(S, Q + e0, V) - _silhouette_value(S, Q - e0, V)) / (2 * h)
+        g1 = (_silhouette_value(S, Q + e1, V) - _silhouette_value(S, Q - e1, V)) / (2 * h)
         n2 = np.maximum(g0 * g0 + g1 * g1, 1e-18)
-        P[live, 0] = Q[:, 0] - g * g0 / n2
-        P[live, 1] = Q[:, 1] - g * g1 / n2
-    return P
+        P[0, live] = Q[:, 0] - g * g0 / n2
+        P[1, live] = Q[:, 1] - g * g1 / n2
+    return P.T.copy()
 
 
 def _trace_grid_normals(S: SmoothStratum) -> np.ndarray:
@@ -218,83 +228,135 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
 
     The sign grid is ``normals @ u``, from the grid normals of
     :func:`_trace_grid_normals`, which a polar call builds once for all its
-    planes; they are built here when not given, with the same bits.
-    Cells and edges are classified as arrays.  Node (i, j) of the grid is
-    i * nx1 + j; the edge from it along axis 0 has that id, the edge along
-    axis 1 that id plus nx0 * nx1, with indices wrapped on periodic axes."""
+    planes; they are built here when not given, with the same bits.  This
+    is the one-plane case of :func:`_trace_planes`."""
+    if normals is None:
+        normals = _trace_grid_normals(S)
+    (traced,) = _trace_planes(S, np.asarray(u, dtype=float)[None], diameter, normals, refine)
+    return [(params, pts, closed) for params, pts, closed, _ in traced]
+
+
+def _active_cells(vals: np.ndarray, periodic) -> tuple:
+    """The cells of a sign grid (nx0, nx1) with a corner value below 0 and
+    one above, as (rows, columns, corner values (k, 4)), the corners in the
+    order (i, j), (i+1, j), (i+1, j+1), (i, j+1) with indices wrapped on a
+    periodic axis.  The two signs of each node are the two bits of a byte,
+    ORed over the corners of every cell."""
+    sign = (vals < 0).view(np.uint8) | ((vals > 0).view(np.uint8) << 1)
+    if periodic[0]:
+        sign = np.concatenate([sign, sign[:1]], axis=0)
+    if periodic[1]:
+        sign = np.concatenate([sign, sign[:, :1]], axis=1)
+    sign = sign[:-1] | sign[1:]
+    ci, cj = np.divmod(np.flatnonzero((sign[:, :-1] | sign[:, 1:]) == 3), sign.shape[1] - 1)
+    nx1 = vals.shape[1]
+    ip, jp = (ci + 1) % vals.shape[0], (cj + 1) % nx1
+    corners = [ci * nx1 + cj, ip * nx1 + cj, ip * nx1 + jp, ci * nx1 + jp]
+    return ci, cj, np.stack([np.take(vals, k) for k in corners], axis=1)
+
+
+def _trace_planes(S: SmoothStratum, U: np.ndarray, diameter: float, normals: np.ndarray,
+                  refine: bool) -> list:
+    """The fold polylines of a surface stratum on each plane of a stack with
+    unit normals U (B, 3): per plane the list of (params, points, closed,
+    mids) of :func:`trace_silhouette`, where ``mids`` holds the snapped
+    midpoint of each segment that the refinement tested and NaN for the
+    halves of its last round (None unrefined).
+
+    Each plane gets its own gemv ``normals @ u`` (a column of ``normals @
+    U.T`` may differ in its last bits) and its own :func:`_active_cells`.
+    Then one pass serves all planes: their crossed edges
+    (:func:`_crossed_edges`), one :func:`_fold_crossings` call with u given
+    per edge, one :func:`_chain_segments` walk, which lists
+    each plane's chains in the order of its lone walk, the unwrap, the
+    refinement and the chart points.  Every step treats a plane as a lone
+    one, so each plane gets the polylines of a stack of one."""
     chart = S.chart
-    g = TRACE_GRID
     lo = np.array([b[0] for b in chart.bounds])
     hi = np.array([b[1] for b in chart.bounds])
     per = chart.periodic
-    nx0, nx1 = [g if p else g + 1 for p in per]
-    steps = (hi - lo) / g
-    if normals is None:
-        normals = _trace_grid_normals(S)
-    vals = (normals @ u).reshape(nx0, nx1)
+    nx = [TRACE_GRID if p else TRACE_GRID + 1 for p in per]
+    out: list = [[] for _ in U]
+    cells = [_active_cells((normals @ u).reshape(nx), per) for u in U]
+    if not any(len(ci) for ci, _, _ in cells):
+        return out
+    A, B, FA, FB, edge_plane, segments = _crossed_edges(S, U, cells, lo, (hi - lo) / TRACE_GRID, nx)
+    M, _ = _fold_crossings(S, np.take(U, edge_plane, axis=0), A, B, FA, FB)
+    chains = _chain_segments(segments)
+    rows = [np.append(chain, chain[0]) if closed else chain for chain, closed in chains]
+    lengths = np.array([len(r) for r in rows])
+    params = _unwrap_params(np.take(M, np.concatenate(rows), axis=0), lengths, lo, hi, per)
+    if refine:
+        line_u = np.take(U, edge_plane[[chain[0] for chain, _ in chains]], axis=0)
+        params, points, lengths, mids = _refine_polylines(S, params, lengths, line_u,
+                                                          CHORD_TOL * diameter)
+    else:
+        points, mids = chart.r(params), None
+    ends = np.cumsum(lengths)
+    for (chain, closed), a, b in zip(chains, ends - lengths, ends):
+        out[edge_plane[chain[0]]].append(
+            (params[a:b], points[a:b], closed, None if mids is None else mids[a:b - 1]))
+    return out
 
-    # corner signs of every cell, on views of the grid padded by its first
-    # row or column along a periodic axis
-    ext = vals
-    if per[0]:
-        ext = np.concatenate([ext, ext[:1]], axis=0)
-    if per[1]:
-        ext = np.concatenate([ext, ext[:, :1]], axis=1)
-    neg, pos = ext < 0, ext > 0
-    active = ((neg[:-1, :-1] | neg[1:, :-1] | neg[1:, 1:] | neg[:-1, 1:])
-              & (pos[:-1, :-1] | pos[1:, :-1] | pos[1:, 1:] | pos[:-1, 1:]))
-    ci, cj = np.divmod(np.flatnonzero(active), active.shape[1])
-    if len(ci) == 0:
-        return []
-    f = np.stack([ext[ci, cj], ext[ci + 1, cj], ext[ci + 1, cj + 1], ext[ci, cj + 1]], axis=1)
-    ip = (ci + 1) % nx0 if per[0] else ci + 1
-    jp = (cj + 1) % nx1 if per[1] else cj + 1
+
+def _crossed_edges(S: SmoothStratum, U: np.ndarray, cells: list, lo: np.ndarray,
+                   steps: np.ndarray, nx) -> tuple:
+    """The crossed edges of the active cells of a stack of planes, given per
+    plane as (rows, columns, corner values) by :func:`_active_cells`, in the
+    order the cells first name them: the ends A and B of each in chart
+    coordinates, the grid values FA and FB there, its plane, and the fold
+    segments (k, 2) as pairs of edges.
+
+    Node (i, j) of the grid is i * nx1 + j; the edge from it along axis 0
+    has that id, the edge along axis 1 that id plus nx0 * nx1, with indices
+    wrapped on periodic axes, and the ids of plane p are offset by
+    2 p nx0 nx1.  A cell with two crossed edges has one segment, a saddle
+    cell two, paired by the sign at its centre."""
+    nx0, nx1 = nx
     off = nx0 * nx1
+    plane = np.repeat(np.arange(len(U)), [len(ci) for ci, _, _ in cells])
+    ci, cj, f = (np.concatenate(part) for part in zip(*cells))
+    ip, jp = (ci + 1) % nx0, (cj + 1) % nx1
     # the cell's edges in the order bottom, right, top, left
-    ids = np.stack([ci * nx1 + cj, off + ip * nx1 + cj, ci * nx1 + jp, off + ci * nx1 + cj], axis=1)
-    crossed = f[:, [0, 1, 3, 0]] * f[:, [1, 2, 2, 3]] < 0
+    ids = np.stack([ci * nx1 + cj, off + ip * nx1 + cj, ci * nx1 + jp, off + ci * nx1 + cj],
+                   axis=1) + 2 * off * plane[:, None]
+    # each edge's values at its ends; np.take and np.compress gather far
+    # faster than indexing does
+    fa, fb = np.take(f, [0, 1, 3, 0], axis=1), np.take(f, [1, 2, 2, 3], axis=1)
+    crossed = fa * fb < 0
     count = crossed.sum(axis=1)
 
-    # one segment per two-crossing cell, two per saddle cell, paired by the
-    # sign at the cell centre
     segs = np.zeros((len(ci), 2, 2), dtype=np.int64)
     keep = np.zeros((len(ci), 2), dtype=bool)
     two = np.flatnonzero(count == 2)
-    pair = np.argsort(~crossed[two], axis=1, kind="stable")[:, :2]
-    segs[two, 0] = np.take_along_axis(ids[two], pair, axis=1)
+    pair = np.nonzero(np.take(crossed, two, axis=0))[1].reshape(-1, 2)  # the crossed edges
+    segs[two, 0] = np.take_along_axis(np.take(ids, two, axis=0), pair, axis=1)
     keep[two, 0] = True
     four = np.flatnonzero(count == 4)
     if len(four):
         centre = lo + (np.stack([ci[four], cj[four]], axis=1) + 0.5) * steps
-        same = (_silhouette_value(S, centre, u) > 0) == (f[four, 0] > 0)
+        same = (_silhouette_value(S, centre, np.take(U, plane[four], axis=0)) > 0) == (f[four, 0] > 0)
         e = ids[four]
         segs[four, 0] = np.where(same[:, None], e[:, [0, 1]], e[:, [0, 3]])
         segs[four, 1] = np.where(same[:, None], e[:, [2, 3]], e[:, [1, 2]])
         keep[four] = True
 
-    # the crossing of every crossed edge, in the order the cells first name
-    # them, from the grid values at its two ends
-    named = ids[crossed]
-    _, first_seen = np.unique(named, return_index=True)
-    pending = named[np.sort(first_seen)]
+    named = np.compress(crossed.ravel(), ids)
+    uniq, first_seen = np.unique(named, return_index=True)
+    order = np.argsort(first_seen)
+    first = first_seen[order]
+    pending = named[first]
     i, j = np.divmod(pending % off, nx1)
-    along1 = pending >= off
+    along1 = pending % (2 * off) >= off
     i1, j1 = i + ~along1, j + along1
     A = lo + np.stack([i, j], axis=1) * steps
     B = lo + np.stack([i1, j1], axis=1) * steps
-    M, _ = _fold_crossings(S, u, A, B, vals[i, j], vals[i1 % nx0, j1 % nx1])
-    row = np.empty(2 * off, dtype=np.int64)
-    row[pending] = np.arange(len(pending))
-
-    out = []
-    for chain, closed in _chain_segments(segs[keep]):
-        if closed:
-            chain = np.append(chain, chain[0])
-        params = _unwrap_params(M[row[chain]], lo, hi, per)
-        if refine:
-            params = _refine_polyline(S, params, u, CHORD_TOL * diameter)
-        out.append((params, chart.r(params), closed))
-    return out
+    FA = np.compress(crossed.ravel(), fa)[first]
+    FB = np.compress(crossed.ravel(), fb)[first]
+    row = np.empty(len(uniq), dtype=np.int64)
+    row[order] = np.arange(len(uniq))
+    segments = np.compress(keep.ravel(), segs.reshape(-1, 2), axis=0)
+    return A, B, FA, FB, pending // (2 * off), row[np.searchsorted(uniq, segments)]
 
 
 def _fold_crossings(S: SmoothStratum, u: np.ndarray, A: np.ndarray, B: np.ndarray,
@@ -302,13 +364,15 @@ def _fold_crossings(S: SmoothStratum, u: np.ndarray, A: np.ndarray, B: np.ndarra
     """The zeros of <nu, u> on the chart segments A-B, whose values FA and FB
     at the ends have opposite signs, by the Illinois variant of regula falsi
     (Dowell and Jarratt, BIT 11, 1971), which keeps a bracket and converges
-    superlinearly.  A point at A + t (B - A) keeps its bracket [a, b] in t
+    superlinearly; u is one normal for all segments or one per segment.  A
+    point at A + t (B - A) keeps its bracket [a, b] in t
     with b the newest point; a new point on the same side as b halves the
     value kept at a.  Each segment stops on its own once its bracket is at
     most CROSSING_BRACKET or its value is exactly 0, after at most
     CROSSING_EVALS evaluations, so its bits do not depend on its batch.
     Returns the crossings (the newest points) and the evaluations each took."""
     D = B - A
+    U = np.broadcast_to(u, (len(A), 3))
     a = np.zeros(len(A))
     b = np.ones(len(A))
     fa = np.array(FA, dtype=float)
@@ -318,14 +382,16 @@ def _fold_crossings(S: SmoothStratum, u: np.ndarray, A: np.ndarray, B: np.ndarra
     for _ in range(CROSSING_EVALS):
         la, lb, lfa, lfb = a[live], b[live], fa[live], fb[live]
         t = lb - lfb * (lb - la) / (lfb - lfa)
-        ft = _silhouette_value(S, A[live] + t[:, None] * D[live], u)
+        # np.take gathers rows far faster than indexing does
+        ft = _silhouette_value(S, np.take(A, live, axis=0) + t[:, None] * np.take(D, live, axis=0),
+                               np.take(U, live, axis=0))
         evals[live] += 1
         flip = ft * lfb < 0  # the root lies between b and t: b becomes a
         a[live] = np.where(flip, lb, la)
         fa[live] = np.where(flip, lfb, 0.5 * lfa)
         b[live] = t
         fb[live] = ft
-        live = live[(np.abs(t - a[live]) > CROSSING_BRACKET) & (ft != 0)]
+        live = np.compress((np.abs(t - a[live]) > CROSSING_BRACKET) & (ft != 0), live)
         if not len(live):
             break
     return A + b[:, None] * D, evals
@@ -373,43 +439,60 @@ def _chain_segments(segments: np.ndarray) -> list:
     return chains
 
 
-def _unwrap_params(params, lo, hi, periodic):
-    """Shift chart parameters by whole periods so that no step along the
-    polyline jumps by more than half a period."""
+def _unwrap_params(params, lengths, lo, hi, periodic):
+    """Shift the chart parameters of each polyline of a concatenation, with
+    point counts ``lengths``, by whole periods so that no step along it
+    jumps by more than half a period; each jump shifts the rest of its
+    polyline, in order."""
     out = params.copy()
+    ends = np.cumsum(lengths)
     for i in range(params.shape[1]):
         if not periodic[i]:
             continue
         span = hi[i] - lo[i]
         d = np.diff(params[:, i])
+        d[ends[:-1] - 1] = 0.0  # no step from one polyline to the next
         for r in np.flatnonzero(np.abs(d) > span / 2) + 1:
-            out[r:, i] += span if d[r - 1] < 0 else -span
+            out[r:ends[np.searchsorted(ends, r, side="right")], i] += span if d[r - 1] < 0 else -span
     return out
 
 
-def _refine_polyline(S, params, u, tol, max_depth=8):
-    """Split every segment whose snapped midpoint lies farther than tol from
-    its chord, for up to max_depth rounds.
+def _refine_polylines(S, params, lengths, U, tol, max_depth=8):
+    """Split every segment of a concatenation of polylines, with point
+    counts ``lengths`` and fold normals U (one per polyline), whose snapped
+    midpoint lies farther than tol from its chord, for up to max_depth
+    rounds.  Returns the params, their points, the new point counts, and the
+    snapped midpoint of every segment that passed (NaN for the halves made
+    in the last round, and between polylines).
 
     Only open segments are snapped: every segment in the first round, then
     the two halves of each split one, since a segment that passed keeps its
     endpoints, and a snapped point does not depend on its batch."""
     pts = np.asarray(params, dtype=float)
     X = S.chart.r(pts)
-    seg = np.arange(len(pts) - 1)  # the open segments
+    line = np.repeat(np.arange(len(lengths)), lengths)  # the polyline of each point
+    seg = np.flatnonzero(line[:-1] == line[1:])  # the open segments
+    mids = np.full((len(pts) - 1, 2), np.nan)
     for _ in range(max_depth):
-        mids = _snap_to_contour_batch(S, 0.5 * (pts[seg] + pts[seg + 1]), u)
-        Xm = S.chart.r(mids)
-        split = np.linalg.norm(Xm - 0.5 * (X[seg] + X[seg + 1]), axis=1) > tol
+        # np.take and np.compress gather far faster than indexing does
+        snapped = _snap_to_contour_batch(
+            S, 0.5 * (np.take(pts, seg, axis=0) + np.take(pts, seg + 1, axis=0)),
+            np.take(U, line[seg], axis=0))
+        Xm = S.chart.r(snapped)
+        chord_mid = 0.5 * (np.take(X, seg, axis=0) + np.take(X, seg + 1, axis=0))
+        split = np.linalg.norm(Xm - chord_mid, axis=1) > tol
+        mids[np.compress(~split, seg)] = np.compress(~split, snapped, axis=0)
         if not np.any(split):
             break
-        at = seg[split] + 1
-        pts = np.insert(pts, at, mids[split], axis=0)
-        X = np.insert(X, at, Xm[split], axis=0)
+        at = np.compress(split, seg) + 1
+        pts = np.insert(pts, at, np.compress(split, snapped, axis=0), axis=0)
+        X = np.insert(X, at, np.compress(split, Xm, axis=0), axis=0)
+        line = np.insert(line, at, line[at - 1])
+        mids = np.insert(mids, at, np.nan, axis=0)
         # a split segment k becomes k + s and k + s + 1, s splits before it
         seg = at - 1 + np.arange(len(at))
         seg = np.stack([seg, seg + 1], axis=1).ravel()
-    return pts
+    return pts, X, np.bincount(line, minlength=len(lengths)), mids
 
 
 # ---------------------------------------------------------------------------
@@ -476,53 +559,58 @@ def _chart_grid(S: SmoothStratum, resolution: int, grids: dict):
     return _plane_free(grids, ("grid", S.name, resolution), build)
 
 
-def _smooth_polar_pieces(X: Shape, S: SmoothStratum, P: LinearSubspace, q: int,
-                         grids: dict, *, top_flags_only: bool = False) -> list[PolarPiece]:
-    """The polar pieces of one smooth stratum.  ``grids`` holds the
-    plane-free geometry of a polar call (see :func:`_plane_free`): the
-    trace-grid normals of the surface strata and the grid points of the
-    whole ones.  With ``top_flags_only`` the folds of a top stratum, whose
-    value is 0.0, are traced without refinement: far enough for the
-    genericity checks."""
-    n = X.ambient_dim
-    if S.role == "solid":
+def _height_pieces(X: Shape, S: SmoothStratum, basis: np.ndarray) -> list[PolarPiece]:
+    """The "points" piece of one stratum on a line with unit row basis (1, n):
+    the critical points of the height along it, if any."""
+    crits = height_critical_points(S, basis[0], scale=X.diameter)
+    if not crits:
         return []
+    pts = np.array([c.point for c in crits])
+    return [PolarPiece(stratum=S, kind="points", geometry=pts @ basis.T,
+                       source_params=np.array([c.params for c in crits]), source_points=pts,
+                       morse_indices=np.array([c.morse_index for c in crits]))]
+
+
+def _stratum_pieces(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict, *,
+                    top_flags_only: bool = False) -> list[list[PolarPiece]]:
+    """The polar pieces of one smooth stratum on each plane of a stack with
+    orthonormal row bases (B, q + 1, n).  ``grids`` holds the plane-free
+    geometry of a polar call (see :func:`_plane_free`): the trace-grid
+    normals of the surface strata and the grid points of the whole ones.
+    The folds of all planes are traced in one :func:`_trace_planes` pass;
+    with ``top_flags_only`` those of a top stratum, whose value is 0.0, are
+    not refined: far enough for the genericity checks.  At q = 0 a height
+    that is not Morse raises DegenerateHeightError."""
+    n = X.ambient_dim
+    q = bases.shape[1] - 1
+    if S.role == "solid":
+        return [[] for _ in bases]
     if S.dim <= q:
         _, _, pts = _chart_grid(S, 64, grids)
-        return [PolarPiece(stratum=S, kind="whole", geometry=P.coords(pts))]
+        return [[PolarPiece(stratum=S, kind="whole", geometry=pts @ basis.T)] for basis in bases]
     if q == 0:
-        v = P.basis[0]
-        crits = height_critical_points(S, v, scale=X.diameter)
-        if not crits:
-            return []
-        pts = np.array([c.point for c in crits])
-        return [
-            PolarPiece(
-                stratum=S,
-                kind="points",
-                geometry=P.coords(pts),
-                source_params=np.array([c.params for c in crits]),
-                source_points=pts,
-                morse_indices=np.array([c.morse_index for c in crits]),
-            )
-        ]
+        return [_height_pieces(X, S, basis) for basis in bases]
     if S.dim == 2 and n == 3 and q == 1:
-        u = P.orthogonal_complement().basis[0]
         normals = _plane_free(grids, ("normals", S.name), lambda: _trace_grid_normals(S))
-        traced = trace_silhouette(S, u, X.diameter, normals=normals,
-                                  refine=not (top_flags_only and S.role == "top"))
-        return [
-            PolarPiece(
-                stratum=S,
-                kind="contour",
-                geometry=P.coords(pts),
-                source_params=params,
-                source_points=pts,
-                closed=closed,
-            )
-            for params, pts, closed in traced
-        ]
+        traced = _trace_planes(S, orthogonal_complements(bases)[:, 0], X.diameter, normals,
+                               refine=not (top_flags_only and S.role == "top"))
+        return [[PolarPiece(stratum=S, kind="contour", geometry=pts @ basis.T, source_params=params,
+                            source_points=pts, closed=closed, source_mids=mids)
+                 for params, pts, closed, mids in polylines]
+                for basis, polylines in zip(bases, traced)]
     raise NotImplementedError(f"polar set for stratum dim {S.dim}, q={q}")
+
+
+def _smooth_pieces(X: Shape, bases: np.ndarray, grids: dict, *,
+                   top_flags_only: bool = False) -> list[list[PolarPiece]]:
+    """The polar pieces of every stratum on each plane of a stack, in
+    stratum order (see :func:`_stratum_pieces`)."""
+    out: list = [[] for _ in bases]
+    for S in X.smooth.strata:
+        for pieces, more in zip(out, _stratum_pieces(X, S, bases, grids,
+                                                     top_flags_only=top_flags_only)):
+            pieces += more
+    return out
 
 
 def polar_variety(X: Shape, stratum, P: LinearSubspace):
@@ -532,7 +620,7 @@ def polar_variety(X: Shape, stratum, P: LinearSubspace):
     with no genericity check: :func:`polar_sample` flags the plane."""
     q = P.dim - 1
     if X.pl is None:
-        return _smooth_polar_pieces(X, stratum, P, q, {})
+        return _stratum_pieces(X, stratum, P.basis[None], {})[0]
     K = X.pl
     cell = tuple(sorted(stratum))
     if cell not in K.plan.rows or len(cell) - 1 > q:
@@ -545,8 +633,16 @@ def polar_variety(X: Shape, stratum, P: LinearSubspace):
 # degeneracy checks
 # ---------------------------------------------------------------------------
 
-def _polyline_tangents(points: np.ndarray) -> np.ndarray:
-    d = np.gradient(points, axis=0)
+def _polyline_tangents(points: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Unit tangents of a concatenation of polylines of at least two points
+    each, with point counts ``lengths``, by the rule of np.gradient: central
+    differences inside a polyline, one-sided ones at its ends."""
+    d = np.empty_like(points)
+    d[1:-1] = (points[2:] - points[:-2]) / 2.0
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    d[starts] = points[starts + 1] - points[starts]
+    d[ends - 1] = points[ends - 1] - points[ends - 2]
     return d / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
 
 
@@ -566,57 +662,122 @@ def _overlap_fraction(
     src_tol: float,
 ) -> float:
     """Fraction of a's image points lying on b's image at a genuinely
-    different source point.
+    different source point: the one-test case of :func:`_overlap_fractions`.
 
     Probe points of a are tested against the segments of (a decimated copy
     of) b, so coincident stretches are caught at any sampling density; pairs
     with nearby sources are the same neighborhood upstairs (small loops,
-    adjacent samples, endpoint contacts) and do not witness double points.
-    A probe within dist_tol of a segment lies within dist_tol plus half its
-    length of the segment midpoint, so the closest-point and source tests
-    run only on the probe/segment pairs that pass this cheaper test.  Its
-    candidates are windowed: with the midpoints sorted along the first image
-    axis, each probe takes those within the largest reach of it there (two
-    binary searches), widened by a few ulps of the coordinates for rounding,
-    and only those pairs get the midpoint distance, summed axis by axis."""
-    ka = _decimate(np.arange(len(a_img)), 256)
-    kb = _decimate(np.arange(len(b_img)), 512)
-    pa, sa = a_img[ka], a_src[ka]
-    qb, sb = b_img[kb], b_src[kb]
-    if len(pa) == 0 or len(qb) < 2:
-        return 0.0
-    seg_a, seg_b = qb[:-1], qb[1:]
-    seg = seg_b - seg_a  # (M, dim)
-    seg2 = np.sum(seg**2, axis=1)
+    adjacent samples, endpoint contacts) and do not witness double points."""
+    curves = [(a_img, a_src, 0), (b_img, b_src, 0)]
+    return float(_overlap_fractions(curves, [(0, 1)], dist_tol, src_tol)[0])
+
+
+def _overlap_fractions(curves: list, tests: list, dist_tol: float, src_tol: float) -> np.ndarray:
+    """The :func:`_overlap_fraction` of each test (a, b) of a list, a and b
+    indices into ``curves`` of (image, sources, group), in one windowed pass.
+    The curves of a test share a group (a plane's images).
+
+    Every curve is decimated once: to at most 256 probes when it is a test's
+    a, to at most 512 points, whose consecutive pairs are its segments, when
+    it is a test's b.  A probe within dist_tol of a segment lies within
+    dist_tol plus half its length of the segment midpoint, so the
+    closest-point and source tests run only on the probe/segment pairs of a
+    test that pass this cheaper test (:func:`_near_midpoints`); a pair that
+    no test names is dropped.  The images are planar.  A test's fraction is
+    its integer hit count over its probe count, exactly as a lone test gives
+    it."""
+    C = len(curves)
+    index = np.full(C * C, -1)  # the test of each (a, b), at a * C + b
+    for t, (a, b) in enumerate(tests):
+        index[a * C + b] = t
+    is_a = (index.reshape(C, C) >= 0).any(axis=1)
+    is_b = (index.reshape(C, C) >= 0).any(axis=0)
+    probes = [_decimate(np.arange(len(img)), 256) if is_a[c] else np.zeros(0, dtype=int)
+              for c, (img, _, _) in enumerate(curves)]
+    points = [_decimate(np.arange(len(img)), 512) if is_b[c] else np.zeros(0, dtype=int)
+              for c, (img, _, _) in enumerate(curves)]
+    n_probes = np.array([len(k) for k in probes])
+    n_points = np.array([len(k) for k in points])
+    pc, qc = np.repeat(np.arange(C), n_probes), np.repeat(np.arange(C), n_points)
+    group = np.array([g for _, _, g in curves])
+    first = np.flatnonzero(qc[:-1] == qc[1:])  # segment k runs from point k to k + 1
+    if not len(pc) or not len(first):
+        return np.zeros(len(tests))
+    # coordinates are held as rows (dim, count), so that a sum over axes runs
+    # over whole rows, in the order of np.sum over a point's axes; np.take
+    # and np.compress gather far faster than indexing does
+    pa, sa, qb, sb = (np.concatenate([np.take(curve[part], k, axis=0)
+                                      for curve, k in zip(curves, chosen)]).T.copy()
+                      for chosen in (probes, points) for part in (0, 1))
+    sc, pg, sg = qc[first], group[pc], group[qc[first]]
+    seg_a, seg_b = np.take(qb, first, axis=1), np.take(qb, first + 1, axis=1)
+    seg = seg_b - seg_a  # (dim, M)
+    seg2 = np.sum(seg**2, axis=0)
     seg_len2 = np.maximum(seg2, 1e-300)
     mid = 0.5 * (seg_a + seg_b)
     reach = (dist_tol + 0.5 * np.sqrt(seg2)) * (1 + 1e-9)
-    by_x = np.argsort(mid[:, 0], kind="stable")
-    xs = mid[by_x, 0]
-    widest = reach.max()
-    window = widest + 4 * np.spacing(max(np.abs(xs).max(), np.abs(pa[:, 0]).max()) + widest)
-    lo = np.searchsorted(xs, pa[:, 0] - window, side="left")
-    count = np.searchsorted(xs, pa[:, 0] + window, side="right") - lo
-    n = np.repeat(np.arange(len(pa)), count)
-    m = by_x[np.arange(len(n)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    n, m = _near_midpoints(pa, pg, mid, sg, reach)
+    test = index[pc[n] * C + sc[m]]
+    n, m, test = (np.compress(test >= 0, x) for x in (n, m, test))
+    probe, start, step = (np.take(x, i, axis=1) for x, i in ((pa, n), (seg_a, m), (seg, m)))
+    t = np.clip(np.sum((probe - start) * step, axis=0) / seg_len2[m], 0.0, 1.0)
+    d2_img = np.sum((probe - (start + t * step)) ** 2, axis=0)
+    # source separation against both segment endpoints
+    src, end = np.take(sa, n, axis=1), first[m]
+    d2_src = np.minimum(np.sum((src - np.take(sb, end, axis=1)) ** 2, axis=0),
+                        np.sum((src - np.take(sb, end + 1, axis=1)) ** 2, axis=0))
+    hit = (d2_img <= dist_tol**2) & (d2_src >= src_tol**2)
+    hits = np.unique(test[hit] * len(pc) + n[hit]) // len(pc)  # each probe once per test
+    return np.bincount(hits, minlength=len(tests)) / np.maximum(
+        n_probes[[a for a, _ in tests]], 1)
+
+
+def _near_midpoints(pa: np.ndarray, pg: np.ndarray, mid: np.ndarray, sg: np.ndarray,
+                    reach: np.ndarray):
+    """The pairs (n, m) of a probe pa[:, n] (dim, P) and a segment
+    midpoint mid[:, m] (dim, M) of the same group (pg, sg) within the
+    segment's reach, their distance summed axis by axis.
+
+    Only the pairs of a window are measured: each group's window is its
+    largest reach, widened by a few ulps of its coordinates for rounding,
+    so it holds the window of each test of the group, and a pair that
+    passes lies within it on both image axes.  The first axis is cut into
+    columns three windows wide; a midpoint within the window of a probe
+    lies in the probe's column or in the next one on its nearer side.  Each
+    midpoint is listed in its column and the next, sorted by (group,
+    column) and then along the second axis, so that a probe finds its
+    candidates by two binary searches on (group and column, y) pairs, held
+    as complex numbers, which numpy orders lexicographically."""
+    widest = np.zeros(max(pg.max(), sg.max()) + 1)
+    np.maximum.at(widest, sg, reach)
+    scale = np.zeros(len(widest))
+    np.maximum.at(scale, sg, np.maximum(np.abs(mid[0]), np.abs(mid[1])))
+    np.maximum.at(scale, pg, np.maximum(np.abs(pa[0]), np.abs(pa[1])))
+    window = widest + 4 * np.spacing(scale + widest)
+    at = mid[0] / (3 * window[sg])
+    col = np.floor(at).astype(np.int64)
+    lo_col = col.min()
+    span = col.max() - lo_col + 4  # room for an empty column on either side
+    listed = np.concatenate([col, col + 1]) - lo_col + 1 + span * np.concatenate([sg, sg])
+    by_y = np.argsort(np.concatenate([mid[1], mid[1]]))
+    by_y = by_y[np.argsort(listed[by_y].astype(np.min_scalar_type(listed.max())), kind="stable")]
+    keys = np.empty(len(by_y), dtype=complex)
+    keys.real, keys.imag = listed[by_y], np.concatenate([mid[1], mid[1]])[by_y]
+    at = pa[0] / (3 * window[pg])
+    col = np.floor(at) + (at - np.floor(at) >= 0.5)
+    bound = np.empty(len(pg), dtype=complex)
+    bound.real = np.clip(col - lo_col + 1, 0, span - 1) + span * pg
+    bound.imag = pa[1] - window[pg]
+    lo = np.searchsorted(keys, bound, side="left")
+    bound.imag = pa[1] + window[pg]
+    count = np.searchsorted(keys, bound, side="right") - lo
+    n = np.repeat(np.arange(len(pg)), count)
+    m = by_y[np.arange(len(n)) + np.repeat(lo - (np.cumsum(count) - count), count)] % len(sg)
     d2_mid = np.zeros(len(n))
-    for k in range(pa.shape[1]):
-        d2_mid += (pa[n, k] - mid[m, k]) ** 2
+    for probe, centre in zip(pa, mid):
+        d2_mid += (probe[n] - centre[m]) ** 2
     near = d2_mid <= reach[m] ** 2
-    n, m = n[near], m[near]
-    hit = np.zeros(len(pa), dtype=bool)
-    if len(n):
-        rel = pa[n] - seg_a[m]  # (K, dim)
-        t = np.clip(np.einsum("kd,kd->k", rel, seg[m]) / seg_len2[m], 0.0, 1.0)
-        closest = seg_a[m] + t[:, None] * seg[m]
-        d2_img = np.sum((pa[n] - closest) ** 2, axis=1)
-        # source separation against both segment endpoints
-        d2_src = np.minimum(
-            np.sum((sa[n] - sb[m]) ** 2, axis=1),
-            np.sum((sa[n] - sb[m + 1]) ** 2, axis=1),
-        )
-        hit[n[(d2_img <= dist_tol**2) & (d2_src >= src_tol**2)]] = True
-    return float(np.mean(hit))
+    return np.compress(near, n), np.compress(near, m)
 
 
 def check_genericity(X: Shape, P: LinearSubspace, pieces, *,
@@ -628,89 +789,105 @@ def check_genericity(X: Shape, P: LinearSubspace, pieces, *,
     coincidences: wall-aligned cell spans, fold tangents aligned with P-perp
     along a stretch, and image overlap over a length fraction.  ``grids``
     holds the rim samples of a polar call's planes, as in
-    :func:`polar_sample`; a lone plane builds its own.
+    :func:`polar_sample`; a lone plane builds its own.  This is the
+    one-plane case of :func:`_genericity_many`.
     """
     grids = {} if grids is None else grids
-    fold_violations = []
-    double_points = []
-    limit_adjacency = []
+    return _genericity_many(X, P.basis[None], [list(pieces)], grids)[0]
+
+
+def _genericity_many(X: Shape, bases: np.ndarray, pieces: list, grids: dict) -> list:
+    """The :class:`DegeneracyReport` of :func:`check_genericity` for each
+    plane of a stack (B, q + 1, n) with its pieces, in two stacked passes:
+    the fold tangents of every contour against its plane's normal, then one
+    :func:`_overlap_fractions` pass for the self and pair tests of the
+    contours of each stratum and each contour against the rims.  A report
+    lists its flags in the order of a lone plane's."""
     diameter = X.diameter
     dist_tol = OVERLAP_DISTANCE * diameter
+    src_tol = 0.05 * diameter
+    contours = [[p for p in plist if p.kind == "contour"] for plist in pieces]
+    flags: list = [([], [], []) for _ in pieces]  # fold, double, limit
+    if not any(contours):
+        return [DegeneracyReport() for _ in pieces]
+    # contours are traced on surfaces in R^3 at q = 1 only, so each plane
+    # has one normal u
+    U = orthogonal_complements(bases)[:, 0]
 
-    contours = [p for p in pieces if p.kind == "contour"]
-    if contours:
-        # contours are traced on surfaces in R^3 at q = 1 only, so P is a
-        # plane with one normal u
-        u = P.orthogonal_complement().basis[0]
-        for piece in contours:
-            if len(piece.source_points) < 3:
-                continue
-            tangents = _polyline_tangents(piece.source_points)
-            angles = np.arccos(np.clip(np.abs(tangents @ u), 0.0, 1.0))
-            bad = float(np.min(angles))
-            # a single near-tangency is a cusp (generic); a stretch is not
-            if np.mean(angles < FOLD_ANGLE_MIN) > OVERLAP_FRACTION:
-                fold_violations.append((piece.stratum.name, bad))
+    # a single near-tangency is a cusp (generic); a stretch is not
+    checked = [(b, p) for b, plist in enumerate(contours) for p in plist
+               if len(p.source_points) >= 3]
+    if checked:
+        lengths = np.array([len(p.source_points) for _, p in checked])
+        tangents = _polyline_tangents(np.concatenate([p.source_points for _, p in checked]), lengths)
+        u = np.repeat(U[[b for b, _ in checked]], lengths, axis=0)
+        cos = tangents[:, 0] * u[:, 0] + tangents[:, 1] * u[:, 1] + tangents[:, 2] * u[:, 2]
+        angles = np.arccos(np.clip(np.abs(cos), 0.0, 1.0))
+        starts = np.cumsum(lengths) - lengths
+        bad = np.minimum.reduceat(angles, starts)
+        aligned = np.add.reduceat((angles < FOLD_ANGLE_MIN).astype(float), starts) / lengths
+        for (b, piece), worst, share in zip(checked, bad.tolist(), aligned.tolist()):
+            if share > OVERLAP_FRACTION:
+                flags[b][0].append((piece.stratum.name, worst))
 
     # pairwise image overlap within each stratum, and self-overlap: flags fire
-    # only when the coinciding image points have well-separated sources
-    src_tol = 0.05 * diameter
-    by_stratum: dict = {}
-    for piece in pieces:
-        if piece.kind == "contour":
-            by_stratum.setdefault(id(piece.stratum), []).append(piece)
-    for plist in by_stratum.values():
-        for i, a in enumerate(plist):
-            frac = _overlap_fraction(
-                a.geometry, a.source_points, a.geometry, a.source_points, dist_tol, src_tol
-            )
-            if frac > OVERLAP_FRACTION:
-                double_points.append(("self", frac))
-            for b in plist[i + 1:]:
-                frac = _overlap_fraction(
-                    a.geometry, a.source_points, b.geometry, b.source_points, dist_tol, src_tol
-                )
-                if frac > OVERLAP_FRACTION:
-                    double_points.append(("pair", frac))
-
-    # adjacency of contour images to images of frontier-stratum polar sets;
-    # the source-separation condition excludes the generic endpoint contact
-    rims = []
-    if contours:
-        for rim in X.smooth.strata:
-            if rim.role == "rim":
-                _, _, rim_pts = _chart_grid(rim, 256, grids)
-                rims.append((rim.name, rim_pts, P.coords(rim_pts)))
-    for piece in contours:
-        for name, rim_pts, rim_img in rims:
-            frac = _overlap_fraction(
-                piece.geometry, piece.source_points, rim_img, rim_pts, dist_tol, src_tol
-            )
-            if frac > OVERLAP_FRACTION:
-                limit_adjacency.append((piece.stratum.name, name, frac))
-
-    return DegeneracyReport(
-        fold_violations=fold_violations,
-        double_points=double_points,
-        limit_adjacency=limit_adjacency,
-    )
+    # only when the coinciding image points have well-separated sources;
+    # then adjacency of contour images to images of frontier-stratum polar
+    # sets, where the source-separation condition excludes the generic
+    # endpoint contact
+    rims = [S for S in X.smooth.strata if S.role == "rim"]
+    curves, tests, owners = [], [], []
+    for b, plist in enumerate(contours):
+        at = len(curves)
+        curves += [(piece.geometry, piece.source_points, b) for piece in plist]
+        by_stratum: dict = {}
+        for i, piece in enumerate(plist, at):
+            by_stratum.setdefault(id(piece.stratum), []).append(i)
+        for group in by_stratum.values():
+            for k, i in enumerate(group):
+                for j in group[k:]:
+                    tests.append((i, j))
+                    owners.append((b, 1, "self" if i == j else "pair"))
+        rim_at = len(curves)
+        for rim in rims if plist else ():
+            _, _, rim_pts = _chart_grid(rim, 256, grids)
+            curves.append((rim_pts @ bases[b].T, rim_pts, b))
+        for i, piece in enumerate(plist, at):
+            for r, rim in enumerate(rims):
+                tests.append((i, rim_at + r))
+                owners.append((b, 2, (piece.stratum.name, rim.name)))
+    fracs = _overlap_fractions(curves, tests, dist_tol, src_tol)
+    for (b, kind, tag), frac in zip(owners, fracs.tolist()):
+        if frac > OVERLAP_FRACTION:
+            flags[b][kind].append((tag, frac) if kind == 1 else (*tag, frac))
+    return [DegeneracyReport(fold_violations=fold, double_points=double, limit_adjacency=limit)
+            for fold, double, limit in flags]
 
 
 # ---------------------------------------------------------------------------
 # the index alpha
 # ---------------------------------------------------------------------------
 
-def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, J: np.ndarray, P: LinearSubspace) -> np.ndarray:
+WALL = "direction tangent to the inward conormal"  # the error of a normal index on its wall
+
+
+def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, Jp: np.ndarray, bases: np.ndarray):
     """alpha at a stack of points of a stratum of dimension q, with chart
-    Jacobians J: the slice meets the stratum in the point itself, whose
-    index is 1 along both image normals +-nu, so alpha is the half-sum of the
-    normal indices along +-nu: 1 on a top stratum, where the normal index is
-    1 along every direction, and 1/2 on a rim or solid boundary.  The image
-    is a hypersurface of P, so nu is its normal there."""
+    Jacobians Jp (K, q, q + 1) projected to the plane of each point, whose
+    row basis is ``bases`` (K, q + 1, n): the slice meets the stratum in the
+    point itself, whose index is 1 along both image normals +-nu, so alpha
+    is the half-sum of the normal indices along +-nu: 1 on a top stratum,
+    where the normal index is 1 along every direction, and 1/2 on a rim or
+    solid boundary.  The image is a hypersurface of P, so nu is its normal
+    there.  Returns (alphas, wall): the points whose nu lies on the wall of
+    :func:`normal_index` have no index."""
     if S.role == "top":
-        return np.ones(len(params))
-    nu = hypersurface_normals(J @ P.basis.T) @ P.basis
-    return 0.5 * (normal_index(S, params, nu) + normal_index(S, params, -nu))
+        return np.ones(len(params)), np.zeros(len(params), dtype=bool)
+    nu_image = hypersurface_normals(Jp)
+    nu = sum(nu_image[:, j, None] * bases[:, j] for j in range(bases.shape[1]))
+    up, wall_up = normal_index_many(S, params, nu)
+    down, wall_down = normal_index_many(S, params, -nu)
+    return 0.5 * (up + down), wall_up | wall_down
 
 
 def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
@@ -731,15 +908,18 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     params, point = source
     if S.dim == q:
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        return float(_dim_q_alphas(S, params, S.chart.dr(params), P)[0])
-    if q == 0:
+        alphas, wall = _dim_q_alphas(S, params, S.chart.dr(params) @ P.basis.T, P.basis[None])
+    elif q == 0:
         v = P.basis[0]
         crit = CriticalPoint(params, point, height_hessian_eigenvalues(S, params, v))
         return float(_q0_alphas(S, params, v, crit.morse_index)[0])
-    # fold point of a surface stratum
-    alphas, valid = _fold_alphas_batch(S, params, P.orthogonal_complement().basis[0])
-    if not valid[0]:
-        raise DegenerateDirectionError("vanishing fold curvature (cusp)")
+    else:  # fold point of a surface stratum
+        alphas, valid, wall = _fold_alphas_batch(S, params, P.orthogonal_complement().basis[0],
+                                                 X.diameter / 2)
+        if not (wall[0] or valid[0]):
+            raise DegenerateDirectionError("vanishing fold curvature (cusp)")
+    if wall[0]:
+        raise DegenerateDirectionError(WALL)
     return float(alphas[0])
 
 
@@ -799,64 +979,110 @@ def _pl_cell_values_many(X: Shape, images: np.ndarray, rows, bases: np.ndarray):
 def _piece_values(X: Shape, pieces, P: LinearSubspace, grids: dict | None = None) -> list[float]:
     """The alpha-weighted image volume of each piece of a smooth shape, in
     piece order; ``grids`` holds a polar call's plane-free quadrature (see
-    :func:`_plane_free`), built here when not given."""
-    return [_piece_integral(X, piece, P, grids) for piece in pieces]
+    :func:`_plane_free`), built here when not given.  The one-plane case of
+    :func:`_plane_values`: a plane it cannot value raises its error."""
+    (values,), (error,) = _plane_values(X, P.basis[None], [list(pieces)],
+                                        {} if grids is None else grids)
+    if error is not None:
+        raise error
+    return values
 
 
-def _piece_integral(X: Shape, piece: PolarPiece, P: LinearSubspace, grids: dict | None) -> float:
-    """The alpha-weighted image volume of one piece of a smooth shape."""
-    q = P.dim - 1
-    if piece.kind == "points":
-        if q != 0:
-            return 0.0
-        keep = X.in_region(piece.source_points)
-        return float(np.sum(_q0_alphas(piece.stratum, piece.source_params[keep], P.basis[0],
-                                       piece.morse_indices[keep])))
-    if piece.kind == "whole":
-        return _whole_stratum_integral(X, piece.stratum, P, grids)
-    if piece.kind == "contour":
-        if piece.stratum.role == "top":
-            return 0.0  # alpha is 0 at every fold of a top stratum
-        return _contour_integral(X, piece, P)
-    raise ValueError(f"unknown piece kind {piece.kind}")
+def _plane_values(X: Shape, bases: np.ndarray, pieces: list, grids: dict):
+    """The alpha-weighted image volume of each piece of a smooth shape on
+    each plane of a stack (B, q + 1, n), in piece order, and the error of
+    each plane that cannot be valued (None for the others), that of its
+    first such piece: DegenerateDirectionError for a normal on the wall of
+    its normal index, DegeneratePlaneError for a fold image too much of
+    which lies near cusps.  A stratum valued whole is valued for all its
+    planes at once (:func:`_whole_stratum_integrals`), as are the folds of
+    each rim or solid boundary (:func:`_contour_integrals`); a fold of a
+    top stratum is worth 0.0, as alpha is 0 all along it."""
+    q = bases.shape[1] - 1
+    values = [[0.0] * len(plist) for plist in pieces]
+    errors: list = [None] * len(bases)
+    first_bad = [math.inf] * len(bases)
+
+    def fail(b, i, error):
+        if i < first_bad[b]:
+            first_bad[b], errors[b] = i, error
+
+    groups: dict = {}  # (kind, stratum) -> [(plane, piece index, piece)]
+    for b, plist in enumerate(pieces):
+        for i, piece in enumerate(plist):
+            if piece.kind == "points":
+                if q != 0:
+                    continue
+                keep = X.in_region(piece.source_points)
+                try:
+                    values[b][i] = float(np.sum(_q0_alphas(
+                        piece.stratum, piece.source_params[keep], bases[b, 0],
+                        piece.morse_indices[keep])))
+                except DegenerateDirectionError as err:
+                    fail(b, i, err)
+            elif piece.kind == "whole" or (piece.kind == "contour" and piece.stratum.role != "top"):
+                groups.setdefault((piece.kind, id(piece.stratum)), []).append((b, i, piece))
+            elif piece.kind != "contour":
+                raise ValueError(f"unknown piece kind {piece.kind}")
+    for (kind, _), items in groups.items():
+        S = items[0][2].stratum
+        planes = np.array([b for b, _, _ in items])
+        if kind == "whole":
+            vals, bad = _whole_stratum_integrals(X, S, bases[planes], grids)
+        else:
+            vals, bad = _contour_integrals(X, S, bases[planes], [piece for _, _, piece in items])
+        for (b, i, _), val, error in zip(items, vals, bad):
+            values[b][i] = val
+            if error is not None:
+                fail(b, i, error)
+    return values, errors
 
 
-def _whole_stratum_integral(X: Shape, S: SmoothStratum, P: LinearSubspace,
-                            grids: dict | None = None) -> float:
-    """alpha times the image q-volume of a stratum of dimension q, by
-    quadrature on its chart; the nodes, weights, points and chart
-    Jacobians do not depend on the plane, so ``grids`` keeps them for a
-    polar call (see :func:`_plane_free`)."""
-    q = P.dim - 1
+def _whole_stratum_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict):
+    """alpha times the image q-volume of a stratum of dimension q on each
+    plane of a stack (B, q + 1, n), by quadrature on its chart, and the
+    error of each plane whose alpha cannot be found (else None).  The
+    nodes, weights, points and chart Jacobians do not depend on the plane,
+    so ``grids`` keeps them for a polar call (see :func:`_plane_free`); the
+    projected Jacobians of all planes come from one stacked matmul, which
+    gives each plane the bits of its own.  Elements below 1e-14 times the
+    shape's radius to the power q are left out."""
+    q = bases.shape[1] - 1
     if S.dim != q:
-        return 0.0  # image of a lower-dimensional stratum has measure zero
-    grids = {} if grids is None else grids
+        # image of a lower-dimensional stratum has measure zero
+        return [0.0] * len(bases), [None] * len(bases)
     res = 128 if S.dim == 1 else 64
     params, w, pts = _chart_grid(S, res, grids)
     J = _plane_free(grids, ("dr", S.name, res), lambda: S.chart.dr(params))  # (N, d, n)
-    Jp = J @ P.basis.T  # projected chart Jacobian
+    Jp = J @ bases.swapaxes(1, 2)[:, None]  # projected chart Jacobians (B, N, d, q + 1)
     gram = Jp @ np.swapaxes(Jp, -1, -2)
     if S.dim == 1:
         element = np.sqrt(np.maximum(gram[..., 0, 0], 0.0))
     else:
         element = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
     mask = X.in_region(pts)
-    keep = mask & (element >= 1e-14)
-    alphas = np.zeros(len(params))
-    if np.any(keep):
-        alphas[keep] = _dim_q_alphas(S, params[keep], J[keep], P)
-    return float(math.fsum((w * element * alphas * mask).tolist()))
+    keep = mask & (element >= 1e-14 * np.float64(X.diameter / 2) ** S.dim)  # inf past overflow
+    alphas = np.zeros(keep.shape)
+    wall = np.zeros(keep.shape, dtype=bool)
+    plane, node = np.nonzero(keep)
+    alphas[plane, node], wall[plane, node] = _dim_q_alphas(S, params[node], Jp[plane, node],
+                                                           bases[plane])
+    values = [math.fsum(row.tolist()) for row in w * element * alphas * mask]
+    return values, [DegenerateDirectionError(WALL) if bad else None for bad in wall.any(axis=1)]
 
 
-def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray):
-    """(alphas, valid) at a batch of fold points of a surface stratum.
+def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, radius: float):
+    """(alphas, valid, wall) at a batch of fold points of a surface
+    stratum, for one fold normal u (3,) or one per point (N, 3).
 
     At a fold the projection kernel is spanned by u itself, so the slice
     curvature is II_{x,nu}(u, u); a clean fold makes the slice index along
     one normal sign +1 (a minimum) and along the other -1 (a maximum).
     Weighted by the normal indices along +-nu, alpha is 0 on a top stratum
-    and +-1/2 on a solid boundary, where only the inward side counts.  Points
-    with |curvature| below tolerance are cusp-like and flagged invalid.
+    and +-1/2 on a solid boundary, where only the inward side counts.
+    Points whose curvature times the shape's ``radius`` lies below
+    CURVATURE_TOL are cusp-like and flagged invalid; ``wall`` flags the
+    points whose nu lies on the wall of :func:`normal_index`.
     """
     params = np.atleast_2d(params)
     J = S.chart.dr(params)  # (N, 2, 3)
@@ -864,45 +1090,64 @@ def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray):
     H = np.einsum("pijn,pn->pij", S.chart.d2r(params), nu)
     # chart coordinates of u: solve (J J^T) c = J u
     G = J @ np.swapaxes(J, -1, -2)
-    rhs = J @ u
+    rhs = (J @ np.broadcast_to(u, (len(params), 3))[..., None])[..., 0]
     c = np.linalg.solve(G, rhs[..., None])[..., 0]
     c2 = np.einsum("pi,pij,pj->p", c, H, c)
-    # normalize against |u_tangential|^2 so the cusp test is scale-free
+    # normalize against |u_tangential|^2 and the radius so the cusp test is
+    # scale-free
     tang2 = np.einsum("pi,pij,pj->p", c, G, c)
     curv = c2 / np.maximum(tang2, 1e-300)
-    valid = np.abs(curv) > CURVATURE_TOL
+    valid = np.abs(curv) * radius > CURVATURE_TOL
     ind_plus = np.where(curv > 0, 1.0, -1.0)  # +nu conormal: min -> +1, max -> -1
     ind_minus = np.where(-curv > 0, 1.0, -1.0)
-    alphas = 0.5 * (ind_plus * normal_index(S, params, nu)
-                    + ind_minus * normal_index(S, params, -nu))
-    return alphas, valid
+    up, wall_up = normal_index_many(S, params, nu)
+    down, wall_down = normal_index_many(S, params, -nu)
+    return 0.5 * (ind_plus * up + ind_minus * down), valid, wall_up | wall_down
 
 
-def _contour_integral(X: Shape, piece: PolarPiece, P: LinearSubspace) -> float:
-    """alpha times image length over a traced fold curve.  Each segment a-b
-    is measured with its midpoint m snapped onto the fold, by the Richardson
-    step (4 (|a - m| + |m - b|) - |a - b|) / 3 of the inscribed polyline,
-    whose error falls from O(h^2) to O(h^4) in the segment length h."""
-    geo = piece.geometry
-    params = piece.source_params
-    if len(geo) < 2:
-        return 0.0
-    u = P.orthogonal_complement().basis[0]
-    S = piece.stratum
-    mids = _snap_to_contour_batch(S, 0.5 * (params[:-1] + params[1:]), u)
+def _contour_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, pieces: list):
+    """alpha times image length over traced fold curves of one stratum, the
+    piece k on the plane with row basis ``bases[k]``, and the error of each
+    (else None).  Each segment a-b is measured with its midpoint m snapped
+    onto the fold, by the Richardson step (4 (|a - m| + |m - b|) - |a - b|)
+    / 3 of the inscribed polyline, whose error falls from O(h^2) to O(h^4)
+    in the segment length h.  A midpoint that the refinement snapped is
+    taken from ``source_mids``; the others are snapped in one batch, and
+    all fold alphas come from one :func:`_fold_alphas_batch` call.  A
+    piece's image and sums are its own, with the bits of a lone piece."""
+    values, errors = [0.0] * len(pieces), [None] * len(pieces)
+    live = [k for k, piece in enumerate(pieces) if len(piece.geometry) >= 2]
+    if not live:
+        return values, errors
+    U = orthogonal_complements(bases[live])[:, 0]
+    counts = np.array([len(pieces[k].geometry) - 1 for k in live])
+    u = np.repeat(U, counts, axis=0)
+    params = [pieces[k].source_params for k in live]
+    mids = np.concatenate([np.full((n, 2), np.nan) if pieces[k].source_mids is None
+                           else pieces[k].source_mids for k, n in zip(live, counts)])
+    fresh = np.flatnonzero(np.isnan(mids[:, 0]))
+    if len(fresh):
+        middle = np.concatenate([0.5 * (p[:-1] + p[1:]) for p in params])
+        mids[fresh] = _snap_to_contour_batch(S, middle[fresh], u[fresh])
     mid_pts = S.chart.r(mids)
-    m = P.coords(mid_pts)
-    chord = np.linalg.norm(geo[1:] - geo[:-1], axis=1)
-    halves = np.linalg.norm(m - geo[:-1], axis=1) + np.linalg.norm(geo[1:] - m, axis=1)
-    seg_len = (4.0 * halves - chord) / 3.0
-    alphas, valid = _fold_alphas_batch(S, mids, u)
-    mask = X.in_region(mid_pts)
-    length = float(np.sum(seg_len))
-    skipped = float(np.sum(seg_len[~valid]))
-    if length > 0 and skipped > 0.05 * length:
-        raise DegeneratePlaneError("too much of a fold image near cusps")
-    keep = valid & mask
-    return float(math.fsum((alphas[keep] * seg_len[keep]).tolist()))
+    alphas, valid, wall = _fold_alphas_batch(S, mids, u, X.diameter / 2)
+    keep = valid & X.in_region(mid_pts)
+    ends = np.cumsum(counts)
+    for k, basis, a, b in zip(live, bases[live], ends - counts, ends):
+        geo = pieces[k].geometry
+        m = mid_pts[a:b] @ basis.T
+        chord = np.linalg.norm(geo[1:] - geo[:-1], axis=1)
+        halves = np.linalg.norm(m - geo[:-1], axis=1) + np.linalg.norm(geo[1:] - m, axis=1)
+        seg_len = (4.0 * halves - chord) / 3.0
+        length = float(np.sum(seg_len))
+        skipped = float(np.sum(seg_len[~valid[a:b]]))
+        if wall[a:b].any():
+            errors[k] = DegenerateDirectionError(WALL)
+        elif length > 0 and skipped > 0.05 * length:
+            errors[k] = DegeneratePlaneError("too much of a fold image near cusps")
+        else:
+            values[k] = math.fsum((alphas[a:b][keep[a:b]] * seg_len[keep[a:b]]).tolist())
+    return values, errors
 
 
 def _q0_values(X: Shape, V: np.ndarray):
@@ -938,11 +1183,10 @@ def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> P
         return PolarSample(plane=P, pieces=(), report=DegeneracyReport(span_flags=span_flags))
     grids = {} if grids is None else grids
     try:
-        pieces = [piece for S in X.smooth.strata
-                  for piece in _smooth_polar_pieces(X, S, P, q, grids, top_flags_only=True)]
+        (pieces,) = _smooth_pieces(X, P.basis[None], grids, top_flags_only=True)
     except (DegenerateDirectionError, DegenerateHeightError):
         return PolarSample(plane=P, pieces=(), report=DegeneracyReport(fold_violations=["height"]))
-    report = check_genericity(X, P, pieces, grids=grids)
+    (report,) = _genericity_many(X, P.basis[None], [pieces], grids)
     return PolarSample(plane=P, pieces=tuple(pieces) if report.clean else (), report=report)
 
 
@@ -984,23 +1228,28 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
     grids: dict = {}  # plane-free geometry of the strata, for every plane
 
     def smooth_planes(bases: np.ndarray):
+        # the planes of a chunk share each stacked pass of polar_sample and
+        # of the valuation of its pieces
         vals = np.zeros(len(bases))
         reasons, parts = [], []
-        for j, P in enumerate(LinearSubspace(n, basis) for basis in bases):
-            sample = polar_sample(X, P, grids=grids)
-            reason, per_stratum = "+".join(sample.report.reasons()), {}
-            if not reason:
-                try:
-                    piece_vals = _piece_values(X, sample.pieces, P, grids)
-                except (DegeneratePlaneError, DegenerateDirectionError):
-                    reason = "alpha"
-                else:
-                    vals[j] = _sum_in_order(piece_vals)
-                    for piece, val in zip(sample.pieces, piece_vals if keep_rows else ()):
+        for start in range(0, len(bases), PLANE_CHUNK):
+            chunk = bases[start:start + PLANE_CHUNK]
+            pieces = _smooth_pieces(X, chunk, grids, top_flags_only=True)
+            reports = _genericity_many(X, chunk, pieces, grids)
+            pieces = [plist if report.clean else [] for plist, report in zip(pieces, reports)]
+            values, errors = _plane_values(X, chunk, pieces, grids)
+            width = max(map(len, values))
+            sums = _sums_in_order(np.array([v + [0.0] * (width - len(v)) for v in values]))
+            for j, plist, report, piece_vals, error in zip(
+                    range(start, start + len(chunk)), pieces, reports, values, errors):
+                reason, per_stratum = "+".join(report.reasons()) or ("alpha" if error else ""), {}
+                if not reason:
+                    vals[j] = sums[j - start]
+                    for piece, val in zip(plist, piece_vals if keep_rows else ()):
                         key = _stratum_key(piece.stratum)
                         per_stratum[key] = per_stratum.get(key, 0.0) + val
-            reasons.append(reason)
-            parts.append(per_stratum)
+                reasons.append(reason)
+                parts.append(per_stratum)
         return vals, reasons, parts
 
     def pl_planes(bases: np.ndarray):

@@ -61,6 +61,10 @@ PINS = {
     ('ball:1', 'polar_length', 0): ('0x1.0000000000000p+0', '0x0.0p+0'),
     ('ball:1', 'polar_length', 1): ('0x1.ffffffffffe79p+1', '0x1.91ce8f44d84b6p-45'),
     ('torus:2:1', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
+    # recorded while the smooth route at q = 1 still valued one plane at a time
+    ('sphere:1', 'polar_length', 1): ('0x0.0p+0', '0x0.0p+0'),
+    ('circle:1', 'polar_length', 1): ('0x1.963c4cf6a998cp+2', '0x1.715b10afc4f10p-2'),
+    ('ellipse:2:1', 'polar_length', 1): ('0x1.3607c49007bbbp+3', '0x0.0p+0'),
     ('octahedron', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     ('sphere:1', 'exchange', 0): ('0x1.0000000000000p+1', '0x0.0p+0'),
     ('torus:2:1', 'exchange', 0): ('0x0.0p+0', '0x0.0p+0'),
@@ -232,6 +236,92 @@ def test_a_chunk_of_pl_planes_gives_each_plane_its_lone_bits(q, monkeypatch):
         assert [(i, b.tobytes(), [v.hex() for v in c.values()], r)
                 for i, b, c, r in other.per_plane] == [
             (i, b.tobytes(), [v.hex() for v in c.values()], r) for i, b, c, r in res.per_plane]
+
+
+def _lone_smooth_plane(X, P):
+    """(reason, value, per-stratum parts) of one smooth plane at q = 1: its
+    polar_sample, then the valuation of its pieces, on a stack of one."""
+    sample = polar.polar_sample(X, P)
+    if sample.degenerate:
+        return "+".join(sample.report.reasons()), None, {}
+    try:
+        values = polar._piece_values(X, sample.pieces, P)
+    except (polar.DegeneratePlaneError, plstrata.DegenerateDirectionError):
+        return "alpha", None, {}
+    parts = {}
+    for piece, value in zip(sample.pieces, values):
+        parts[piece.stratum.name] = parts.get(piece.stratum.name, 0.0) + value
+    return "", polar._sum_in_order(values), parts
+
+
+# the axis-aligned planes of a sign grid's and a chart's symmetry: some flag
+# (the torus, the disk, the hemisphere), some do not
+SMOOTH_AXIS_PLANES = [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                      [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]
+
+
+@pytest.mark.parametrize("name", ["sphere:1", "torus:2:1", "circle:1", "disk:1",
+                                  "hemisphere:1", "ball:1"])
+def test_a_chunk_of_smooth_planes_gives_each_plane_its_lone_bits(name, monkeypatch):
+    # the smooth route at q = 1 values a block of planes in chunks of at most
+    # polar.PLANE_CHUNK; blocks of 1, 7 and 256 planes, in chunks of 1 and 3
+    # planes, give each plane the reason, value and parts of polar_sample
+    # and its valuation on that plane alone.  The first planes cycle through
+    # ten generic planes and the three axis planes, so that a plane meets
+    # other neighbours in every chunk; a flagged plane's redraw is generic
+    X = lkmeasure.shape_from_name(name)
+    gen = RandomSource(49).generator()
+    generic = [sample_grassmannian(3, 2, gen) for _ in range(10)]
+    axis = [LinearSubspace(3, np.array(basis)) for basis in SMOOTH_AXIS_PLANES]
+    cycle = generic[:3] + axis[:1] + generic[3:7] + axis[1:] + generic[7:]
+    lone = {}
+
+    def run(n, cap):
+        monkeypatch.setattr(polar, "PLANE_CHUNK", cap)
+        gens, drawn = [], {}
+
+        def draw(n_, k, g):  # a sample's first plane from the cycle, a redraw from its generator
+            if not any(g is h for h in gens):
+                gens.append(g)
+                G = cycle[(len(gens) - 1) % len(cycle)].basis.T
+            else:
+                G = draw_grassmannian(n_, k, g)
+            return G
+
+        def bases_of(draws):  # a first plane keeps its basis, a redraw gets its QR
+            bases, full = grassmannian_bases(draws)
+            for s, G in enumerate(draws):
+                for P in cycle:
+                    if np.array_equal(G, P.basis.T):
+                        bases[s], full[s] = P.basis, True
+            for basis in bases:  # a lone plane holds its basis as the block does
+                drawn[basis.tobytes()] = LinearSubspace(3, basis)
+            return bases, full
+
+        monkeypatch.setattr(polar, "draw_grassmannian", draw)
+        monkeypatch.setattr(polar, "grassmannian_bases", bases_of)
+        return polar.polar_length(X, 1, n, RandomSource(50), keep_rows=True), drawn
+
+    for n, caps in ((1, (1, 3)), (7, (1, 3)), (256, (3,))):
+        results = []
+        for cap in caps:
+            res, drawn = run(n, cap)
+            for _, basis, parts, reason in res.per_plane:
+                key = basis.tobytes()
+                if key not in lone:
+                    lone[key] = _lone_smooth_plane(X, drawn[key])
+                lone_reason, value, lone_parts = lone[key]
+                assert reason == lone_reason
+                assert {k: v.hex() for k, v in parts.items()} == {
+                    k: v.hex() for k, v in lone_parts.items()}
+            accepted = [lone[b.tobytes()][1] for _, b, _, reason in res.per_plane if not reason]
+            lone_est = mean_estimate(accepted, seed=50).scaled(polar_length_constant(3, 1))
+            assert res.estimate.value.hex() == lone_est.value.hex()
+            assert res.estimate.std_error.hex() == lone_est.std_error.hex()
+            results.append(res)
+        assert all(r.reject_reasons == results[0].reject_reasons for r in results)
+    flagged = {lone[P.basis.tobytes()][0] for P in axis if P.basis.tobytes() in lone}
+    assert flagged - {""} if name in ("torus:2:1", "disk:1", "hemisphere:1") else flagged == {""}
 
 
 @pytest.mark.parametrize("name", [*lkmeasure.CATALOG, "grid"])

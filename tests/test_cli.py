@@ -502,3 +502,23 @@ def test_flagged_full_space_germ_plane_is_a_json_error(monkeypatch):
     report, status = run(["local", "--germ", "rays:3", "--samples", "20"])
     assert status == 2
     assert "whole space is degenerate for rays:3 at k = 1" in report["error"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["measure", "--shape", "sphere:1e160", "--k", "2"],
+                                  ["verify", "--shape", "sphere:1e160", "--q", "2",
+                                   "--samples", "3"]])
+def test_a_non_finite_estimate_fails_and_the_report_stays_strict_json(argv, tmp_path, capsys):
+    # the area of a sphere of radius 1e160 overflows: the row must fail (exit
+    # 1), whether or not it has a reference, and the report on disk must
+    # parse as strict JSON, with null for each non-finite number
+    path = tmp_path / "report.json"
+    assert main(argv + ["--report", str(path)]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+    on_disk = json.loads(path.read_text(), parse_constant=_reject_constant)
+    (row,) = on_disk["rows"]
+    assert row["pass"] is False and row["value"] is None

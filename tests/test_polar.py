@@ -18,7 +18,6 @@ from lkpolar.polar import (
     _span_flags,
     _surface_normals,
     _trace_grid_normals,
-    _whole_stratum_integral,
     alpha_index,
     check_genericity,
     polar_image_integral,
@@ -252,7 +251,8 @@ def test_fold_crossings_keep_the_precision_of_halving(name, stratum, moved, monk
 def test_a_fold_crossing_keeps_its_bits_alone(name, stratum, moved, monkeypatch):
     # a crossing and its evaluation count do not depend on the other edges
     # of its batch: each edge solved alone, and in runs of 2 and 5, gives
-    # the bits it has among all the edges of the trace
+    # the bits it has among all the edges of the trace; the normal u comes
+    # one per edge, as the planes of a stack share the call
     X, S, normals = _swept_stratum(name, stratum, moved)
     batches = []
     crossings = polar._fold_crossings
@@ -265,7 +265,7 @@ def test_a_fold_crossing_keeps_its_bits_alone(name, stratum, moved, monkeypatch)
     for size in (1, 2, 5):
         for k in range(0, len(M), 3 * size):
             part = slice(k, k + size)
-            alone, steps = crossings(S, u, A[part], B[part], FA[part], FB[part])
+            alone, steps = crossings(S, u[part], A[part], B[part], FA[part], FB[part])
             assert np.array_equal(alone, M[part]) and np.array_equal(steps, taken[part])
 
 
@@ -709,8 +709,8 @@ def test_disk_rim_alpha_half():
 
 
 def _per_node_whole_integral(X, S, P):
-    """Reference for :func:`_whole_stratum_integral`: alpha node by node,
-    with the half-branch rule written out."""
+    """Reference for the value of a stratum of dimension q taken whole:
+    alpha node by node, with the half-branch rule written out."""
     params, w = S.chart.grid(128 if S.dim == 1 else 64)
     Jp = S.chart.dr(params) @ P.basis.T
     gram = Jp @ np.swapaxes(Jp, -1, -2)
@@ -720,7 +720,7 @@ def _per_node_whole_integral(X, S, P):
         element = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
     alphas = np.zeros(len(params))
     for i, p in enumerate(params):
-        if element[i] < 1e-14:
+        if element[i] < 1e-14 * (X.diameter / 2) ** S.dim:
             continue
         if S.role == "top":
             alphas[i] = 1.0
@@ -742,7 +742,7 @@ def test_stacked_whole_stratum_alpha_matches_per_node_loop():
         S = X.smooth.stratum(stratum)
         for _ in range(4):
             P = sample_grassmannian(3, q + 1, gen)
-            value = _whole_stratum_integral(X, S, P)
+            value = polar_image_integral(X, S, P)
             assert value == _per_node_whole_integral(X, S, P), (name, stratum)
             assert value > 0.0
 
@@ -776,7 +776,7 @@ def test_degenerate_rim_node_raises():
     for X, P in ((disk, vertical), (hemi, XY_PLANE)):
         rim = X.smooth.stratum("rim")
         with pytest.raises(DegenerateDirectionError):
-            _whole_stratum_integral(X, rim, P)
+            polar_image_integral(X, rim, P)
         with pytest.raises(DegenerateDirectionError):
             _per_node_whole_integral(X, rim, P)
         p = np.array([0.7])
@@ -1056,6 +1056,20 @@ def test_polar_image_integral_under_similarity(name, seed, shift, scale):
         if a is None or b is None:
             continue
         assert abs(b - scale**q * a) <= 1e-9 * scale**q * abs(a), (name, q, a, b)
+
+
+@pytest.mark.parametrize("name, n", [("ball", 3), ("disk", 12), ("hemisphere", 12),
+                                     ("circle", 40)])
+@pytest.mark.parametrize("s", [1e-20, 1e-15, 1e9, 1e12])
+def test_polar_length_at_q1_scales_with_the_shape(name, n, s):
+    # L_1 is homogeneous of degree 1: the cusp test and the quadrature floor
+    # are relative to the shape's radius, so a tiny or a huge shape gives s
+    # times the unit value on the same planes (neither zero nor a rejection)
+    unit = polar_length(shape_from_name(f"{name}:1"), 1, n, RandomSource(51)).estimate
+    scaled = polar_length(shape_from_name(f"{name}:{s:g}"), 1, n, RandomSource(51)).estimate
+    assert unit.value > 0.0
+    assert abs(scaled.value - s * unit.value) <= 1e-9 * s * unit.value
+    assert abs(scaled.std_error - s * unit.std_error) <= 1e-9 * s * unit.value
 
 
 # ---------------------------------------------------------------------------

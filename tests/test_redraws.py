@@ -239,16 +239,15 @@ def _flag_wall(monkeypatch, first):
 
 
 def _flag_fold(monkeypatch, first):
-    # smooth planes: the genericity checks find a fold violation on a first plane
-    check = polar.check_genericity
+    # smooth planes: the stacked genericity checks find a fold violation on a
+    # first plane
+    check = polar._genericity_many
 
-    def step(X, P, pieces, **kwargs):
-        report = check(X, P, pieces, **kwargs)
-        if _is_first(P.basis, first):
-            return replace(report, fold_violations=[("test", 0.0)])
-        return report
+    def step(X, bases, pieces, grids):
+        return [replace(report, fold_violations=[("test", 0.0)]) if _is_first(B, first) else report
+                for B, report in zip(bases, check(X, bases, pieces, grids))]
 
-    monkeypatch.setattr(polar, "check_genericity", step)
+    monkeypatch.setattr(polar, "_genericity_many", step)
 
 
 # route name -> shape, q, flagging patch, the reason it gives
