@@ -25,11 +25,13 @@ A polar call on a smooth shape shares what does not depend on the plane:
 each surface stratum's trace-grid normals, each rim's samples for the
 overlap test and the quadrature of each stratum valued whole are built once
 per call (see :func:`_plane_free`), and at q = 0 a block of lines runs one
-stacked Newton solve per stratum.  Inside :func:`polar_sample` a fold of a
-top stratum is traced only as far as the genericity checks read it, to the
-sign grid and its edge crossings, without the refinement to the chord
-tolerance, since its value is 0.0 whatever the trace; :func:`polar_variety`
-still refines it.
+stacked Newton solve per stratum.  At q >= 1 a chunk of at most
+PLANE_CHUNK planes shares each stacked pass of the tracing, the genericity
+checks and the valuation, and :func:`polar_sample` is the one-plane case of
+the same passes.  There a fold of a top stratum is traced only as far as
+the genericity checks read it, to the sign grid and its edge crossings,
+without the refinement to the chord tolerance, since its value is 0.0
+whatever the trace; :func:`polar_variety` still refines it.
 
 At q = n - 1 the plane P is all of R^n, so every plane gives the same
 value: :func:`polar_length` values P = R^n once, with no draw and se 0.
@@ -96,7 +98,7 @@ OVERLAP_FRACTION = 0.05  # share of coinciding or aligned points that flags a pl
 SPAN_ANGLE_MIN = 1e-4  # cell spans this close to meeting P-perp are flagged
 SPAN_RANK_TOL = 1e-8  # cosines within this of 1 count as a shared direction
 CURVATURE_TOL = 1e-7  # fold slice curvature times the shape's radius below this is a cusp
-PLANE_CHUNK = 8  # most planes in one stacked pass of the smooth route at q >= 1
+PLANE_CHUNK = 8  # most planes in one stacked pass of the smooth route with folds to trace
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,12 @@ def _active_cells(vals: np.ndarray, periodic) -> tuple:
     order (i, j), (i+1, j), (i+1, j+1), (i, j+1) with indices wrapped on a
     periodic axis.  The two signs of each node are the two bits of a byte,
     ORed over the corners of every cell."""
-    sign = (vals < 0).view(np.uint8) | ((vals > 0).view(np.uint8) << 1)
+    pos, neg = vals > 0, vals < 0
+    if pos.all() or neg.all():  # a flat stratum seen along its normal, say
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 4))
+    sign = pos.view(np.uint8)
+    sign = sign + sign  # a shift of a uint8 array takes longer
+    sign |= neg.view(np.uint8)
     if periodic[0]:
         sign = np.concatenate([sign, sign[:1]], axis=0)
     if periodic[1]:
@@ -1229,11 +1236,15 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
 
     def smooth_planes(bases: np.ndarray):
         # the planes of a chunk share each stacked pass of polar_sample and
-        # of the valuation of its pieces
+        # of the valuation of its pieces; the cap bounds the memory of fold
+        # tracing and overlap tests, so planes with no fold to trace share
+        # one pass
         vals = np.zeros(len(bases))
         reasons, parts = [], []
-        for start in range(0, len(bases), PLANE_CHUNK):
-            chunk = bases[start:start + PLANE_CHUNK]
+        traced = n == 3 and q == 1 and any(S.dim == 2 for S in X.smooth.strata)
+        size = PLANE_CHUNK if traced else len(bases)
+        for start in range(0, len(bases), size):
+            chunk = bases[start:start + size]
             pieces = _smooth_pieces(X, chunk, grids, top_flags_only=True)
             reports = _genericity_many(X, chunk, pieces, grids)
             pieces = [plist if report.clean else [] for plist, report in zip(pieces, reports)]
