@@ -274,10 +274,10 @@ def _trace_planes(S: SmoothStratum, U: np.ndarray, diameter: float, normals: np.
     U.T`` may differ in its last bits) and its own :func:`_active_cells`.
     Then one pass serves all planes: their crossed edges
     (:func:`_crossed_edges`), one :func:`_fold_crossings` call with u given
-    per edge, one :func:`_chain_segments` walk, which lists
-    each plane's chains in the order of its lone walk, the unwrap, the
-    refinement and the chart points.  Every step treats a plane as a lone
-    one, so each plane gets the polylines of a stack of one."""
+    per edge, one :func:`_chain_segments` walk, which lists each plane's
+    chains in the order of its lone walk, the unwrap, the refinement and the
+    chart points.  Every step treats a plane as a lone one, so each plane
+    gets the polylines of a stack of one."""
     chart = S.chart
     lo = np.array([b[0] for b in chart.bounds])
     hi = np.array([b[1] for b in chart.bounds])
@@ -372,9 +372,8 @@ def _fold_crossings(S: SmoothStratum, u: np.ndarray, A: np.ndarray, B: np.ndarra
     at the ends have opposite signs, by the Illinois variant of regula falsi
     (Dowell and Jarratt, BIT 11, 1971), which keeps a bracket and converges
     superlinearly; u is one normal for all segments or one per segment.  A
-    point at A + t (B - A) keeps its bracket [a, b] in t
-    with b the newest point; a new point on the same side as b halves the
-    value kept at a.  Each segment stops on its own once its bracket is at
+    point at A + t (B - A) keeps its bracket [a, b] in t with b the newest
+    point; a new point on the same side as b halves the value kept at a.  Each segment stops on its own once its bracket is at
     most CROSSING_BRACKET or its value is exactly 0, after at most
     CROSSING_EVALS evaluations, so its bits do not depend on its batch.
     Returns the crossings (the newest points) and the evaluations each took."""
@@ -608,14 +607,13 @@ def _stratum_pieces(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict, 
     raise NotImplementedError(f"polar set for stratum dim {S.dim}, q={q}")
 
 
-def _smooth_pieces(X: Shape, bases: np.ndarray, grids: dict, *,
-                   top_flags_only: bool = False) -> list[list[PolarPiece]]:
+def _smooth_pieces(X: Shape, bases: np.ndarray, grids: dict) -> list[list[PolarPiece]]:
     """The polar pieces of every stratum on each plane of a stack, in
-    stratum order (see :func:`_stratum_pieces`)."""
+    stratum order, with the folds of a top stratum traced for their flags
+    only (see :func:`_stratum_pieces`)."""
     out: list = [[] for _ in bases]
     for S in X.smooth.strata:
-        for pieces, more in zip(out, _stratum_pieces(X, S, bases, grids,
-                                                     top_flags_only=top_flags_only)):
+        for pieces, more in zip(out, _stratum_pieces(X, S, bases, grids, top_flags_only=True)):
             pieces += more
     return out
 
@@ -875,7 +873,7 @@ def _genericity_many(X: Shape, bases: np.ndarray, pieces: list, grids: dict) -> 
 # the index alpha
 # ---------------------------------------------------------------------------
 
-WALL = "direction tangent to the inward conormal"  # the error of a normal index on its wall
+_WALL = "direction tangent to the inward conormal"  # the error of a normal index on its wall
 
 
 def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, Jp: np.ndarray, bases: np.ndarray):
@@ -926,7 +924,7 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
         if not (wall[0] or valid[0]):
             raise DegenerateDirectionError("vanishing fold curvature (cusp)")
     if wall[0]:
-        raise DegenerateDirectionError(WALL)
+        raise DegenerateDirectionError(_WALL)
     return float(alphas[0])
 
 
@@ -1075,7 +1073,7 @@ def _whole_stratum_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, grid
     alphas[plane, node], wall[plane, node] = _dim_q_alphas(S, params[node], Jp[plane, node],
                                                            bases[plane])
     values = [math.fsum(row.tolist()) for row in w * element * alphas * mask]
-    return values, [DegenerateDirectionError(WALL) if bad else None for bad in wall.any(axis=1)]
+    return values, [DegenerateDirectionError(_WALL) if bad else None for bad in wall.any(axis=1)]
 
 
 def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, radius: float):
@@ -1149,7 +1147,7 @@ def _contour_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, pieces: li
         length = float(np.sum(seg_len))
         skipped = float(np.sum(seg_len[~valid[a:b]]))
         if wall[a:b].any():
-            errors[k] = DegenerateDirectionError(WALL)
+            errors[k] = DegenerateDirectionError(_WALL)
         elif length > 0 and skipped > 0.05 * length:
             errors[k] = DegeneratePlaneError("too much of a fold image near cusps")
         else:
@@ -1190,7 +1188,7 @@ def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> P
         return PolarSample(plane=P, pieces=(), report=DegeneracyReport(span_flags=span_flags))
     grids = {} if grids is None else grids
     try:
-        (pieces,) = _smooth_pieces(X, P.basis[None], grids, top_flags_only=True)
+        (pieces,) = _smooth_pieces(X, P.basis[None], grids)
     except (DegenerateDirectionError, DegenerateHeightError):
         return PolarSample(plane=P, pieces=(), report=DegeneracyReport(fold_violations=["height"]))
     (report,) = _genericity_many(X, P.basis[None], [pieces], grids)
@@ -1245,7 +1243,7 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
         size = PLANE_CHUNK if traced else len(bases)
         for start in range(0, len(bases), size):
             chunk = bases[start:start + size]
-            pieces = _smooth_pieces(X, chunk, grids, top_flags_only=True)
+            pieces = _smooth_pieces(X, chunk, grids)
             reports = _genericity_many(X, chunk, pieces, grids)
             pieces = [plist if report.clean else [] for plist, report in zip(pieces, reports)]
             values, errors = _plane_values(X, chunk, pieces, grids)
