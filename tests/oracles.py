@@ -75,11 +75,11 @@ from lkpolar.plstrata import (
     normal_link,
     normal_morse_index_many,
 )
-from lkpolar.polar import (
+from lkpolar.polar import SPAN_RANK_TOL
+from lkpolar.silhouette import (
     CHORD_TOL,
     CROSSING_BRACKET,
     CROSSING_EVALS,
-    SPAN_RANK_TOL,
     TRACE_GRID,
     _silhouette_value,
     _surface_normals,

@@ -10,14 +10,12 @@ from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian
 from lkpolar.geomkit import image_normals
 from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_name
 from lkpolar.plstrata import DegenerateDirectionError, normal_link
-from lkpolar import polar
+from lkpolar import polar, silhouette
 from lkpolar.polar import (
     DegeneratePlaneError,
     _overlap_fraction,
     _piece_values,
     _span_flags,
-    _surface_normals,
-    _trace_grid_normals,
     alpha_index,
     check_genericity,
     polar_image_integral,
@@ -27,6 +25,7 @@ from lkpolar.polar import (
     trace_silhouette,
 )
 
+from lkpolar.silhouette import _surface_normals, _trace_grid_normals
 from lkpolar.smoothshape import Chart, SmoothStratum
 
 from oracles import (
@@ -107,7 +106,7 @@ def test_disk_unit_normal_matches_chart_cross_product():
     u = _generic_plane(51).orthogonal_complement().basis[0]
     for shape in (disk, moved):
         S = shape.stratum("disk")
-        params = _trace_grid(S, polar.TRACE_GRID)
+        params = _trace_grid(S, silhouette.TRACE_GRID)
         J = S.chart.dr(params)
         nu = np.cross(J[..., 0, :], J[..., 1, :])
         nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
@@ -183,7 +182,7 @@ def test_trace_silhouette_pairs_saddle_cell_by_centre_sign():
     # cell pairs its bottom edge with its left one and its right edge with
     # its top one: two bent polylines, where skipping the cell would leave
     # four straight ones ending at it
-    step = 1.0 / polar.TRACE_GRID
+    step = 1.0 / silhouette.TRACE_GRID
     s0 = -0.5 + 128.3 * step
     t0 = -0.5 + 100.6 * step
     S = _saddle_stratum(s0, t0)
@@ -219,7 +218,7 @@ def test_fold_crossings_keep_the_precision_of_halving(name, stratum, moved, monk
     # evaluations, and the chains are those of the set-of-tuples walk
     X, S, normals = _swept_stratum(name, stratum, moved)
     evals, chains = [], []
-    crossings, chain = polar._fold_crossings, polar._chain_segments
+    crossings, chain = silhouette._fold_crossings, silhouette._chain_segments
 
     def spy_crossings(*args):
         M, taken = crossings(*args)
@@ -231,8 +230,8 @@ def test_fold_crossings_keep_the_precision_of_halving(name, stratum, moved, monk
         chains.append((segments, out))
         return out
 
-    monkeypatch.setattr(polar, "_fold_crossings", spy_crossings)
-    monkeypatch.setattr(polar, "_chain_segments", spy_chains)
+    monkeypatch.setattr(silhouette, "_fold_crossings", spy_crossings)
+    monkeypatch.setattr(silhouette, "_chain_segments", spy_chains)
     for u in normals:
         traced = trace_silhouette(S, u, X.diameter, refine=False)
         halved = trace_silhouette_loop(S, u, X.diameter, crossing_rule=halving_crossings,
@@ -240,7 +239,7 @@ def test_fold_crossings_keep_the_precision_of_halving(name, stratum, moved, monk
         assert [closed for _, _, closed in traced] == [closed for _, _, closed in halved]
         for (a, _, _), (b, _, _) in zip(traced, halved):
             assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13, u
-    assert all(e.max(initial=0) < polar.CROSSING_EVALS for e in evals)
+    assert all(e.max(initial=0) < silhouette.CROSSING_EVALS for e in evals)
     for segments, out in chains:
         reference = chain_segments_sets(segments.tolist())
         assert [(c.tolist(), closed) for c, closed in out] == reference
@@ -255,8 +254,8 @@ def test_a_fold_crossing_keeps_its_bits_alone(name, stratum, moved, monkeypatch)
     # one per edge, as the planes of a stack share the call
     X, S, normals = _swept_stratum(name, stratum, moved)
     batches = []
-    crossings = polar._fold_crossings
-    monkeypatch.setattr(polar, "_fold_crossings",
+    crossings = silhouette._fold_crossings
+    monkeypatch.setattr(silhouette, "_fold_crossings",
                         lambda *args: batches.append(args) or crossings(*args))
     trace_silhouette(S, normals[0], X.diameter, refine=False)
     (S, u, A, B, FA, FB), = batches
@@ -299,7 +298,7 @@ def _segment_sets(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(segments=_segment_sets())
 def test_chain_walk_matches_the_set_walk(segments):
-    out = polar._chain_segments(np.array(segments, dtype=np.int64))
+    out = silhouette._chain_segments(np.array(segments, dtype=np.int64))
     assert [(c.tolist(), closed) for c, closed in out] == chain_segments_sets(segments)
 
 
