@@ -376,8 +376,8 @@ def _overlap_fractions(curves: list, tests: list, dist_tol: float, src_tol: floa
               for c, (img, _, _) in enumerate(curves)]
     points = [_decimate(np.arange(len(img)), 512) if is_b[c] else np.zeros(0, dtype=int)
               for c, (img, _, _) in enumerate(curves)]
-    n_probes = np.array([len(k) for k in probes])
-    n_points = np.array([len(k) for k in points])
+    n_probes = np.array([len(k) for k in probes], dtype=int)
+    n_points = np.array([len(k) for k in points], dtype=int)
     pc, qc = np.repeat(np.arange(C), n_probes), np.repeat(np.arange(C), n_points)
     group = np.array([g for _, _, g in curves])
     first = np.flatnonzero(qc[:-1] == qc[1:])  # segment k runs from point k to k + 1
