@@ -307,8 +307,7 @@ def _height_sums(X: Shape, V: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]
         fold |= crit.degenerate
         keep = X.in_region(crit.points)
         own, lam, params = crit.direction[keep], crit.morse_indices[keep], crit.params[keep]
-        down, at_wall = normal_index_many(S, params, V[own])
-        up, _ = normal_index_many(S, params, -V[own])
+        down, up, at_wall = normal_index_many(S, params, V[own])
         wall[own[at_wall]] = True
         parts.append((S, np.bincount(crit.direction, minlength=len(V)) > 0,
                       np.bincount(own, weights=(-1.0) ** lam * down, minlength=len(V)),

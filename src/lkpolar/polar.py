@@ -66,6 +66,8 @@ from .smoothshape import (
     CriticalPoint,
     DegenerateHeightError,
     SmoothStratum,
+    chart_gram,
+    chart_solve,
     height_critical_points,
     height_hessian_eigenvalues,
     hypersurface_normals,
@@ -565,9 +567,8 @@ def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, Jp: np.ndarray, bases: n
         return np.ones(len(params)), np.zeros(len(params), dtype=bool)
     nu_image = hypersurface_normals(Jp)
     nu = sum(nu_image[:, j, None] * bases[:, j] for j in range(bases.shape[1]))
-    up, wall_up = normal_index_many(S, params, nu)
-    down, wall_down = normal_index_many(S, params, -nu)
-    return 0.5 * (up + down), wall_up | wall_down
+    up, down, wall = normal_index_many(S, params, nu)
+    return 0.5 * (up + down), wall
 
 
 def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
@@ -768,21 +769,20 @@ def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, radi
     J = S.chart.dr(params)  # (N, 2, 3)
     nu = hypersurface_normals(J)
     H = np.einsum("pijn,pn->pij", S.chart.d2r(params), nu)
-    # chart coordinates of u: solve (J J^T) c = J u
-    G = J @ np.swapaxes(J, -1, -2)
-    rhs = (J @ np.broadcast_to(u, (len(params), 3))[..., None])[..., 0]
-    c = np.linalg.solve(G, rhs[..., None])[..., 0]
-    c2 = np.einsum("pi,pij,pj->p", c, H, c)
-    # normalize against |u_tangential|^2 and the radius so the cusp test is
-    # scale-free
-    tang2 = np.einsum("pi,pij,pj->p", c, G, c)
+    # chart coordinates c of u: (J J^T) c = J u, in closed form
+    Ju = np.einsum("pin,pn->pi", J, np.broadcast_to(u, (len(params), 3)))
+    c = chart_solve(chart_gram(J), Ju)[1]
+    c0, c1 = c[:, 0], c[:, 1]
+    c2 = c0 * c0 * H[:, 0, 0] + 2.0 * c0 * c1 * H[:, 0, 1] + c1 * c1 * H[:, 1, 1]
+    # normalize against |u_tangential|^2 = c^T J u and the radius so the
+    # cusp test is scale-free
+    tang2 = np.einsum("pi,pi->p", c, Ju)
     curv = c2 / np.maximum(tang2, 1e-300)
     valid = np.abs(curv) * radius > CURVATURE_TOL
     ind_plus = np.where(curv > 0, 1.0, -1.0)  # +nu conormal: min -> +1, max -> -1
     ind_minus = np.where(-curv > 0, 1.0, -1.0)
-    up, wall_up = normal_index_many(S, params, nu)
-    down, wall_down = normal_index_many(S, params, -nu)
-    return 0.5 * (ind_plus * up + ind_minus * down), valid, wall_up | wall_down
+    up, down, wall = normal_index_many(S, params, nu)
+    return 0.5 * (ind_plus * up + ind_minus * down), valid, wall
 
 
 def _contour_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, pieces: list):

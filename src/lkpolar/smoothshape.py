@@ -38,6 +38,8 @@ __all__ = [
     "height_critical_points",
     "height_critical_points_many",
     "height_hessian_eigenvalues",
+    "chart_solve",
+    "chart_gram",
     "rim_curvature_vector",
     "sphere_shape",
     "torus_shape",
@@ -281,22 +283,24 @@ def normal_index(S: SmoothStratum, params, vs) -> np.ndarray:
     is empty exactly when <v, w> > 0, so the index is 1 or 0 by that sign.  A
     direction with |<v, w>| < 1e-9 raises DegenerateDirectionError.
     """
-    index, wall = normal_index_many(S, params, vs)
+    index, _, wall = normal_index_many(S, params, vs)
     if np.any(wall):
         raise DegenerateDirectionError("direction tangent to the inward conormal")
     return index
 
 
-def normal_index_many(S: SmoothStratum, params, vs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`normal_index` at a stack of points, and a mask of the points
-    whose direction lies within 1e-9 of the wall <v, w> = 0, where
-    normal_index raises; their index is not to be used."""
+def normal_index_many(S: SmoothStratum, params, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`normal_index` at a stack of points along v and along -v, both
+    from one dot product <v, w> with the inward conormal (negation is exact),
+    and a mask of the points whose direction lies within 1e-9 of the wall
+    <v, w> = 0, where normal_index raises; their indices are not to be used."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if S.role == "top":
-        return np.ones(len(params)), np.zeros(len(params), dtype=bool)
+        ones = np.ones(len(params))
+        return ones, ones, np.zeros(len(params), dtype=bool)
     w = np.atleast_2d(S.inward_conormal(params))
     dots = np.einsum("ij,ij->i", np.broadcast_to(vs, w.shape), w)
-    return (dots > 0).astype(float), np.abs(dots) < 1e-9
+    return (dots > 0).astype(float), (dots < 0).astype(float), np.abs(dots) < 1e-9
 
 
 def normal_circle_moments(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndarray]:
@@ -381,10 +385,52 @@ class DegenerateHeightError(ValueError):
     """Height function is non-Morse on the stratum for this direction."""
 
 
-# multistart Newton of height_critical_points
+# multistart Newton of height_critical_points, with floors that scale with
+# the shape's diameter s: the Hessian determinant in chart coordinates below
+# DET_FLOOR * s^d takes no step, a start whose step is below SETTLE_TOL of
+# each chart axis's range has settled, points closer than CLUSTER_TOL * s are
+# one, and a kept point with a Hessian eigenvalue (a curvature) below
+# EIGEN_FLOOR / s is degenerate
 NEWTON_STARTS_PER_AXIS = 12
 NEWTON_ITERS = 60
-CLUSTER_TOL = 1e-6  # critical points this close (relative to scale) are one
+DET_FLOOR = 1e-14
+SETTLE_TOL = 1e-13
+CLUSTER_TOL = 1e-6
+EIGEN_FLOOR = 1e-8
+
+
+def chart_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det A and A^-1 b for a stack of d x d matrices A (..., d, d) and
+    right-hand sides b (..., d), in closed form: a chart has d <= 2, and
+    Cramer's rule costs a few vector operations where a batched LAPACK call
+    costs one call per item.  Where det A is 0 the solution is inf or NaN
+    and is not to be used."""
+    d = A.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 1:
+            det = A[..., 0, 0]
+            return det, b / det[..., None]
+        if d == 2:
+            a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+            b0, b1 = b[..., 0], b[..., 1]
+            det = a00 * a11 - a01 * a10
+            x = np.empty(b.shape)
+            np.divide(a11 * b0 - a01 * b1, det, out=x[..., 0])
+            np.divide(a00 * b1 - a10 * b0, det, out=x[..., 1])
+            return det, x
+    raise NotImplementedError(f"closed-form chart algebra for a chart of dimension {d}")
+
+
+def chart_gram(J: np.ndarray) -> np.ndarray:
+    """J J^T for a stack of chart Jacobians J (..., d, n), entry by entry:
+    a few dot products, exactly symmetric, where a stacked matmul of small
+    matrices costs more than they do."""
+    d = J.shape[-2]
+    G = np.empty(J.shape[:-1] + (d,))
+    for k in range(d):
+        for m in range(k, d):
+            G[..., k, m] = G[..., m, k] = np.einsum("...n,...n->...", J[..., k, :], J[..., m, :])
+    return G
 
 
 def height_hessian_eigenvalues(S: SmoothStratum, params, v: np.ndarray) -> np.ndarray:
@@ -416,21 +462,23 @@ def height_critical_points_many(S: SmoothStratum, V, scale: float = 1.0) -> Heig
     """Critical points of the heights <v, .> on the stratum along each row v
     of a (D, n) stack, by one multistart Newton over (direction, start).
 
-    Uses the exact chart gradient <v, dr> and Hessian <v, d2r>; every start
-    steps until its clamped position stops moving.  Duplicates are merged
-    greedily in start order, by ambient distance relative to ``scale`` (the
-    shape diameter): each direction takes its first remaining start and
-    drops the starts within CLUSTER_TOL of it, for all directions at once.
-    A direction whose critical points drift into a chart edge, or whose
-    Hessian is near-singular at a kept point, is flagged degenerate so the
-    caller can redraw it.  Every stacked call treats a row as a lone one
-    would, so each direction gets the points of a stack of one.
+    Uses the exact chart gradient <v, dr> and Hessian <v, d2r>, and takes
+    each step by :func:`chart_solve`; every start steps until its clamped
+    position stops moving.  Duplicates are merged greedily in start order,
+    by ambient distance relative to ``scale`` (the shape diameter): each
+    direction takes its first remaining start and drops the starts within
+    CLUSTER_TOL of it, for all directions at once.  A direction whose
+    critical points drift into a chart edge, or whose Hessian is
+    near-singular at a kept point, is flagged degenerate so the caller can
+    redraw it.  Every stacked call treats a row as a lone one would, so each
+    direction gets the points of a stack of one.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     chart = S.chart
     d = chart.dim
     lo = np.array([b[0] for b in chart.bounds])
     hi = np.array([b[1] for b in chart.bounds])
+    span = hi - lo
     axes = [
         np.linspace(lo[i], hi[i], NEWTON_STARTS_PER_AXIS, endpoint=not chart.periodic[i])
         for i in range(d)
@@ -438,78 +486,76 @@ def height_critical_points_many(S: SmoothStratum, V, scale: float = 1.0) -> Heig
     mesh = np.meshgrid(*axes, indexing="ij")
     starts = np.stack([m.ravel() for m in mesh], axis=-1)
     D, N = len(V), len(starts)
-    P = np.broadcast_to(starts, (D, N, d)).copy()
-    caps = 0.2 * (hi - lo)
-    unit = max(scale, 1.0)
+    P = np.tile(starts, (D, 1))  # row k: start k % N of direction k // N
+    caps = 0.2 * span
+    det_floor = DET_FLOOR * np.float64(scale) ** d  # inf past overflow
 
     # iterate only the still-moving starts; quadratic convergence settles the
     # useful ones quickly while strays are cut off by the iteration cap
-    active = np.ones((D, N), dtype=bool)
+    live = np.arange(D * N)
     for _ in range(NEWTON_ITERS):
-        rows = np.nonzero(active)
-        Q0 = P[rows]
-        v = V[rows[0]]
-        g = (chart.dr(Q0) @ v[:, :, None])[..., 0]  # (M, d)
-        H = (chart.d2r(Q0) @ v[:, None, :, None])[..., 0]  # (M, d, d)
-        dets = np.abs(np.linalg.det(H))
-        ok = dets > 1e-14 * unit ** d
-        step = np.zeros_like(Q0)
-        if np.any(ok):
-            step[ok] = np.linalg.solve(H[ok], -g[ok][..., None])[..., 0]
-        step = np.clip(step, -caps, caps)
-        Q = Q0 + step
-        for i in range(d):
-            if chart.periodic[i]:
-                span = hi[i] - lo[i]
-                Q[:, i] = lo[i] + np.mod(Q[:, i] - lo[i], span)
-            else:
-                Q[:, i] = np.clip(Q[:, i], lo[i], hi[i])
-        P[rows] = Q
+        Q0 = np.take(P, live, axis=0)
+        v = np.take(V, live // N, axis=0)
+        g = np.einsum("mkn,mn->mk", chart.dr(Q0), v)
+        det, x = chart_solve(np.einsum("mkln,mn->mkl", chart.d2r(Q0), v), g)
+        step = np.where((np.abs(det) > det_floor)[:, None], -x, 0.0)
+        Q = Q0 + np.clip(step, -caps, caps)
         # a start is done when its clamped position stops moving (this also
         # freezes strays pressed against a chart edge)
         moved = np.zeros(len(Q))
         for i in range(d):
-            di = np.abs(Q[:, i] - Q0[:, i])
             if chart.periodic[i]:
-                di = np.minimum(di, (hi[i] - lo[i]) - di)
-            moved = np.maximum(moved, di)
-        settled = moved < 1e-13 * unit
-        active[rows[0][settled], rows[1][settled]] = False
-        if not np.any(active):
+                Q[:, i] = lo[i] + np.mod(Q[:, i] - lo[i], span[i])
+                di = np.abs(Q[:, i] - Q0[:, i])
+                di = np.minimum(di, span[i] - di)
+            else:
+                Q[:, i] = np.clip(Q[:, i], lo[i], hi[i])
+                di = np.abs(Q[:, i] - Q0[:, i])
+            moved = np.maximum(moved, di / span[i])
+        P[live] = Q
+        live = np.compress(~(moved < SETTLE_TOL), live)
+        if not len(live):
             break
 
-    # criticality is judged by the chart-independent tangential component of v
-    q_all = np.linalg.qr(np.swapaxes(chart.dr(P), -1, -2))[0]  # (D, N, n, d)
-    tang_norm = np.linalg.norm(np.einsum("dpnk,dn->dpk", q_all, V), axis=-1)
-    inside = np.ones((D, N), dtype=bool)
+    # criticality is judged by the chart-independent tangential component of
+    # v: |P_T v|^2 = g^T G^-1 g, with g = J v and G = J J^T
+    J = chart.dr(P)
+    g = np.einsum("mkn,mn->mk", J, np.repeat(V, N, axis=0))
+    tang2 = np.einsum("mk,mk->m", g, chart_solve(chart_gram(J), g)[1])
+    tang2 = tang2.reshape(D, N)
+    inside = np.ones(D * N, dtype=bool)
     for i in range(d):
         if not chart.periodic[i]:
-            margin = 1e-5 * (hi[i] - lo[i])
-            inside &= (P[..., i] > lo[i] + margin) & (P[..., i] < hi[i] - margin)
-    vnorm = np.linalg.norm(V, axis=1)[:, None]
+            margin = 1e-5 * span[i]
+            inside &= (P[:, i] > lo[i] + margin) & (P[:, i] < hi[i] - margin)
+    inside = inside.reshape(D, N)
+    vnorm2 = np.einsum("dn,dn->d", V, V)[:, None]
     # a near-critical point pressed against a chart edge means the direction
     # is unresolvable in this chart: resample rather than silently miss it
-    degenerate = np.any((tang_norm < 1e-4 * vnorm) & ~inside, axis=1)
-    remaining = (tang_norm < 1e-9 * vnorm) & inside
-    pts = np.zeros(P.shape[:2] + (V.shape[1],))
-    pts[remaining] = chart.r(P[remaining])
+    degenerate = np.any((tang2 < 1e-8 * vnorm2) & ~inside, axis=1)
+    remaining = (tang2 < 1e-18 * vnorm2) & inside
+    pts = np.zeros((D * N, V.shape[1]))
+    found = np.flatnonzero(remaining)
+    pts[found] = chart.r(np.take(P, found, axis=0))
+    grouped = pts.reshape(D, N, -1)
 
     kept = np.zeros((D, N), dtype=bool)
+    tol2 = np.square(CLUSTER_TOL * np.float64(scale))
     while np.any(remaining):
         dirs = np.flatnonzero(remaining.any(axis=1))
         first = remaining[dirs].argmax(axis=1)
         kept[dirs, first] = True
-        near = np.linalg.norm(pts[dirs] - pts[dirs, first][:, None], axis=-1) < CLUSTER_TOL * unit
-        remaining[dirs] &= ~near
+        gap = np.take(grouped, dirs, axis=0) - grouped[dirs, first][:, None]
+        remaining[dirs] &= np.einsum("kpn,kpn->kp", gap, gap) >= tol2
 
     own, at = np.nonzero(kept)
-    params = P[own, at]
-    v = V[own]
+    rows = own * N + at
+    params = np.take(P, rows, axis=0)
     eig = np.linalg.eigvalsh(tangent_frame_form(
-        chart.dr(params), (chart.d2r(params) @ v[:, None, :, None])[..., 0])[1])
-    degenerate[own[np.min(np.abs(eig), axis=1, initial=np.inf) < 1e-8 * unit]] = True
+        chart.dr(params), np.einsum("kijn,kn->kij", chart.d2r(params), np.take(V, own, axis=0)))[1])
+    degenerate[own[np.min(np.abs(eig), axis=1, initial=np.inf) < EIGEN_FLOOR / scale]] = True
     good = ~degenerate[own]
-    return HeightCriticalPoints(direction=own[good], params=params[good], points=pts[own, at][good],
+    return HeightCriticalPoints(direction=own[good], params=params[good], points=pts[rows][good],
                                 hessian_eigenvalues=eig[good], degenerate=degenerate)
 
 
@@ -532,33 +578,50 @@ def _chart_2d(bounds, periodic, r, dr, d2r) -> Chart:
     return Chart(dim=2, bounds=bounds, periodic=periodic, r=r, dr=dr, d2r=d2r)
 
 
+def _trig(p, axis: int):
+    """cos and sin of one chart coordinate of a (..., d) parameter array,
+    each computed once; a chart then fills one preallocated array with
+    products of them."""
+    t = np.asarray(p, dtype=float)[..., axis]
+    return np.cos(t), np.sin(t)
+
+
 def sphere_shape(radius: float = 1.0) -> SmoothShape:
     R = float(radius)
 
     def r(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        return R * np.stack(
-            [np.cos(th) * np.sin(ph), np.sin(th) * np.sin(ph), np.cos(ph)], axis=-1
-        )
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        out = np.empty(ct.shape + (3,))
+        out[..., 0] = ct * sp
+        out[..., 1] = st * sp
+        out[..., 2] = cp
+        out *= R
+        return out
 
     def dr(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        dth = R * np.stack([-np.sin(th) * np.sin(ph), np.cos(th) * np.sin(ph), np.zeros_like(th)], axis=-1)
-        dph = R * np.stack([np.cos(th) * np.cos(ph), np.sin(th) * np.cos(ph), -np.sin(ph)], axis=-1)
-        return np.stack([dth, dph], axis=-2)
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        out = np.empty(ct.shape + (2, 3))
+        out[..., 0, 0] = -(st * sp)
+        out[..., 0, 1] = ct * sp
+        out[..., 0, 2] = 0.0
+        out[..., 1, 0] = ct * cp
+        out[..., 1, 1] = st * cp
+        out[..., 1, 2] = -sp
+        out *= R
+        return out
 
     def d2r(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        z = np.zeros_like(th)
-        d_thth = R * np.stack([-np.cos(th) * np.sin(ph), -np.sin(th) * np.sin(ph), z], axis=-1)
-        d_thph = R * np.stack([-np.sin(th) * np.cos(ph), np.cos(th) * np.cos(ph), z], axis=-1)
-        d_phph = R * np.stack([-np.cos(th) * np.sin(ph), -np.sin(th) * np.sin(ph), -np.cos(ph)], axis=-1)
-        row0 = np.stack([d_thth, d_thph], axis=-2)
-        row1 = np.stack([d_thph, d_phph], axis=-2)
-        return np.stack([row0, row1], axis=-3)
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        out = np.empty(ct.shape + (2, 2, 3))
+        out[..., 0, 0, 0] = out[..., 1, 1, 0] = -(ct * sp)
+        out[..., 0, 0, 1] = out[..., 1, 1, 1] = -(st * sp)
+        out[..., 0, 0, 2] = out[..., 0, 1, 2] = 0.0
+        out[..., 0, 1, 0] = -(st * cp)
+        out[..., 0, 1, 1] = ct * cp
+        out[..., 1, 1, 2] = -cp
+        out[..., 1, 0, :] = out[..., 0, 1, :]
+        out *= R
+        return out
 
     chart = _chart_2d(((0.0, 2 * math.pi), (1e-6, math.pi - 1e-6)), (True, False), r, dr, d2r)
     stratum = SmoothStratum(
@@ -577,31 +640,41 @@ def torus_shape(R: float = 2.0, r: float = 1.0) -> SmoothShape:
         raise ValueError("need R > r > 0 for an embedded torus")
 
     def rr(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        w = R + r * np.cos(ph)
-        return np.stack([w * np.cos(th), w * np.sin(th), r * np.sin(ph)], axis=-1)
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        w = R + r * cp
+        out = np.empty(ct.shape + (3,))
+        out[..., 0] = w * ct
+        out[..., 1] = w * st
+        out[..., 2] = r * sp
+        return out
 
     def dr(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        w = R + r * np.cos(ph)
-        z = np.zeros_like(th)
-        dth = np.stack([-w * np.sin(th), w * np.cos(th), z], axis=-1)
-        dph = np.stack([-r * np.sin(ph) * np.cos(th), -r * np.sin(ph) * np.sin(th), r * np.cos(ph)], axis=-1)
-        return np.stack([dth, dph], axis=-2)
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        w, rs = R + r * cp, r * sp
+        out = np.empty(ct.shape + (2, 3))
+        out[..., 0, 0] = -(w * st)
+        out[..., 0, 1] = w * ct
+        out[..., 0, 2] = 0.0
+        out[..., 1, 0] = -(rs * ct)
+        out[..., 1, 1] = -(rs * st)
+        out[..., 1, 2] = r * cp
+        return out
 
     def d2r(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        w = R + r * np.cos(ph)
-        z = np.zeros_like(th)
-        d_thth = np.stack([-w * np.cos(th), -w * np.sin(th), z], axis=-1)
-        d_thph = np.stack([r * np.sin(ph) * np.sin(th), -r * np.sin(ph) * np.cos(th), z], axis=-1)
-        d_phph = np.stack([-r * np.cos(ph) * np.cos(th), -r * np.cos(ph) * np.sin(th), -r * np.sin(ph)], axis=-1)
-        row0 = np.stack([d_thth, d_thph], axis=-2)
-        row1 = np.stack([d_thph, d_phph], axis=-2)
-        return np.stack([row0, row1], axis=-3)
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        rc, rs = r * cp, r * sp
+        w = R + rc
+        out = np.empty(ct.shape + (2, 2, 3))
+        out[..., 0, 0, 0] = -(w * ct)
+        out[..., 0, 0, 1] = -(w * st)
+        out[..., 0, 0, 2] = out[..., 0, 1, 2] = 0.0
+        out[..., 0, 1, 0] = rs * st
+        out[..., 0, 1, 1] = -(rs * ct)
+        out[..., 1, 1, 0] = -(rc * ct)
+        out[..., 1, 1, 1] = -(rc * st)
+        out[..., 1, 1, 2] = -rs
+        out[..., 1, 0, :] = out[..., 0, 1, :]
+        return out
 
     def unit_normal(p):
         p = np.asarray(p, dtype=float)
@@ -618,16 +691,28 @@ def torus_shape(R: float = 2.0, r: float = 1.0) -> SmoothShape:
 def _circle_chart(R: float) -> Chart:
     """The circle of radius R about the origin of the xy-plane of R^3."""
     def r(p):
-        t = np.asarray(p, dtype=float)[..., 0]
-        return np.stack([R * np.cos(t), R * np.sin(t), np.zeros_like(t)], axis=-1)
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (3,))
+        out[..., 0] = R * c
+        out[..., 1] = R * s
+        out[..., 2] = 0.0
+        return out
 
     def dr(p):
-        t = np.asarray(p, dtype=float)[..., 0]
-        return np.stack([-R * np.sin(t), R * np.cos(t), np.zeros_like(t)], axis=-1)[..., None, :]
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 3))
+        out[..., 0, 0] = -R * s
+        out[..., 0, 1] = R * c
+        out[..., 0, 2] = 0.0
+        return out
 
     def d2r(p):
-        t = np.asarray(p, dtype=float)[..., 0]
-        return np.stack([-R * np.cos(t), -R * np.sin(t), np.zeros_like(t)], axis=-1)[..., None, None, :]
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 1, 3))
+        out[..., 0, 0, 0] = -R * c
+        out[..., 0, 0, 1] = -R * s
+        out[..., 0, 0, 2] = 0.0
+        return out
 
     return Chart(dim=1, bounds=((0.0, 2 * math.pi),), periodic=(True,), r=r, dr=dr, d2r=d2r)
 
@@ -643,28 +728,34 @@ def disk_shape(radius: float = 1.0) -> SmoothShape:
     R = float(radius)
 
     def r(p):
-        p = np.asarray(p, dtype=float)
-        rho, psi = p[..., 0], p[..., 1]
-        return np.stack([rho * np.cos(psi), rho * np.sin(psi), np.zeros_like(rho)], axis=-1)
+        rho = np.asarray(p, dtype=float)[..., 0]
+        c, s = _trig(p, 1)
+        out = np.empty(c.shape + (3,))
+        out[..., 0] = rho * c
+        out[..., 1] = rho * s
+        out[..., 2] = 0.0
+        return out
 
     def dr(p):
-        p = np.asarray(p, dtype=float)
-        rho, psi = p[..., 0], p[..., 1]
-        z = np.zeros_like(rho)
-        drho = np.stack([np.cos(psi), np.sin(psi), z], axis=-1)
-        dpsi = np.stack([-rho * np.sin(psi), rho * np.cos(psi), z], axis=-1)
-        return np.stack([drho, dpsi], axis=-2)
+        rho = np.asarray(p, dtype=float)[..., 0]
+        c, s = _trig(p, 1)
+        out = np.empty(c.shape + (2, 3))
+        out[..., 0, 0] = c
+        out[..., 0, 1] = s
+        out[..., 1, 0] = -rho * s
+        out[..., 1, 1] = rho * c
+        out[..., :, 2] = 0.0
+        return out
 
     def d2r(p):
-        p = np.asarray(p, dtype=float)
-        rho, psi = p[..., 0], p[..., 1]
-        z = np.zeros_like(rho)
-        zero3 = np.stack([z, z, z], axis=-1)
-        d_rhopsi = np.stack([-np.sin(psi), np.cos(psi), z], axis=-1)
-        d_psipsi = np.stack([-rho * np.cos(psi), -rho * np.sin(psi), z], axis=-1)
-        row0 = np.stack([zero3, d_rhopsi], axis=-2)
-        row1 = np.stack([d_rhopsi, d_psipsi], axis=-2)
-        return np.stack([row0, row1], axis=-3)
+        rho = np.asarray(p, dtype=float)[..., 0]
+        c, s = _trig(p, 1)
+        out = np.zeros(c.shape + (2, 2, 3))
+        out[..., 0, 1, 0] = out[..., 1, 0, 0] = -s
+        out[..., 0, 1, 1] = out[..., 1, 0, 1] = c
+        out[..., 1, 1, 0] = -rho * c
+        out[..., 1, 1, 1] = -rho * s
+        return out
 
     def unit_normal(p):
         # the chart's normalised cross product d_rho x d_psi is (+-0, +-0, 1)
@@ -672,7 +763,7 @@ def disk_shape(radius: float = 1.0) -> SmoothShape:
         nu[..., 2] = 1.0
         return nu
 
-    top_chart = _chart_2d(((1e-9, R), (0.0, 2 * math.pi)), (False, True), r, dr, d2r)
+    top_chart = _chart_2d(((1e-9 * R, R), (0.0, 2 * math.pi)), (False, True), r, dr, d2r)
     top = SmoothStratum(
         name="disk",
         dim=2,
@@ -722,16 +813,25 @@ def ellipse_shape(a: float = 2.0, b: float = 1.0) -> SmoothShape:
     a, b = float(a), float(b)
 
     def r(p):
-        t = np.asarray(p, dtype=float)[..., 0]
-        return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (2,))
+        out[..., 0] = a * c
+        out[..., 1] = b * s
+        return out
 
     def dr(p):
-        t = np.asarray(p, dtype=float)[..., 0]
-        return np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)[..., None, :]
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 2))
+        out[..., 0, 0] = -a * s
+        out[..., 0, 1] = b * c
+        return out
 
     def d2r(p):
-        t = np.asarray(p, dtype=float)[..., 0]
-        return np.stack([-a * np.cos(t), -b * np.sin(t)], axis=-1)[..., None, None, :]
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 1, 2))
+        out[..., 0, 0, 0] = -a * c
+        out[..., 0, 0, 1] = -b * s
+        return out
 
     chart = Chart(dim=1, bounds=((0.0, 2 * math.pi),), periodic=(True,), r=r, dr=dr, d2r=d2r)
     stratum = SmoothStratum(

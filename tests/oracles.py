@@ -86,8 +86,11 @@ from lkpolar.silhouette import (
 )
 from lkpolar.smoothshape import (
     CLUSTER_TOL,
+    DET_FLOOR,
+    EIGEN_FLOOR,
     NEWTON_ITERS,
     NEWTON_STARTS_PER_AXIS,
+    SETTLE_TOL,
     CriticalPoint,
     DegenerateHeightError,
     SmoothStratum,
@@ -923,8 +926,9 @@ def overlap_fraction_dense(a_img, a_src, b_img, b_src, dist_tol, src_tol) -> flo
 def height_critical_points_loop(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) -> list[CriticalPoint]:
     """Critical points of the height <v, .> on the stratum by multistart Newton.
 
-    Uses the exact chart gradient <v, dr> and Hessian <v, d2r>; duplicates are
-    merged by ambient distance, relative to ``scale`` (the shape diameter).
+    Uses the exact chart gradient <v, dr> and Hessian <v, d2r>, solved by
+    LAPACK; duplicates are merged by ambient distance, relative to ``scale``
+    (the shape diameter), and the floors scale as in the stacked solver.
     Directions whose critical points drift into a chart edge, or whose
     Hessian is near-singular, raise DegenerateHeightError so the caller can
     redraw.
@@ -940,7 +944,8 @@ def height_critical_points_loop(S: SmoothStratum, v: np.ndarray, scale: float = 
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     P = np.stack([m.ravel() for m in mesh], axis=-1)
-    caps = 0.2 * (hi - lo)
+    span = hi - lo
+    caps = 0.2 * span
 
     # iterate only the still-moving starts; quadratic convergence settles the
     # useful ones quickly while strays are cut off by the iteration cap
@@ -950,7 +955,7 @@ def height_critical_points_loop(S: SmoothStratum, v: np.ndarray, scale: float = 
         g = chart.dr(Q0) @ v  # (M, d)
         H = chart.d2r(Q0) @ v  # (M, d, d)
         dets = np.abs(np.linalg.det(H))
-        ok = dets > 1e-14 * max(scale, 1.0) ** d
+        ok = dets > DET_FLOOR * np.float64(scale) ** d
         step = np.zeros_like(Q0)
         if np.any(ok):
             step[ok] = np.linalg.solve(H[ok], -g[ok][..., None])[..., 0]
@@ -958,8 +963,7 @@ def height_critical_points_loop(S: SmoothStratum, v: np.ndarray, scale: float = 
         Q = Q0 + step
         for i in range(d):
             if chart.periodic[i]:
-                span = hi[i] - lo[i]
-                Q[:, i] = lo[i] + np.mod(Q[:, i] - lo[i], span)
+                Q[:, i] = lo[i] + np.mod(Q[:, i] - lo[i], span[i])
             else:
                 Q[:, i] = np.clip(Q[:, i], lo[i], hi[i])
         P[active] = Q
@@ -969,9 +973,9 @@ def height_critical_points_loop(S: SmoothStratum, v: np.ndarray, scale: float = 
         for i in range(d):
             di = np.abs(Q[:, i] - Q0[:, i])
             if chart.periodic[i]:
-                di = np.minimum(di, (hi[i] - lo[i]) - di)
-            moved = np.maximum(moved, di)
-        settled = moved < 1e-13 * max(scale, 1.0)
+                di = np.minimum(di, span[i] - di)
+            moved = np.maximum(moved, di / span[i])
+        settled = moved < SETTLE_TOL
         idx = np.flatnonzero(active)
         active[idx[settled]] = False
         if not np.any(active):
@@ -998,11 +1002,11 @@ def height_critical_points_loop(S: SmoothStratum, v: np.ndarray, scale: float = 
     out: list[CriticalPoint] = []
     taken: list[np.ndarray] = []
     for p, x in zip(P, pts):
-        if any(np.linalg.norm(x - y) < CLUSTER_TOL * max(scale, 1.0) for y in taken):
+        if any(np.linalg.norm(x - y) < CLUSTER_TOL * scale for y in taken):
             continue
         taken.append(x)
         eig = height_hessian_eigenvalues(S, p, v)
-        if np.min(np.abs(eig)) < 1e-8 * max(scale, 1.0):
+        if np.min(np.abs(eig)) < EIGEN_FLOOR / scale:
             raise DegenerateHeightError("near-degenerate height critical point")
         out.append(CriticalPoint(params=p, point=x, hessian_eigenvalues=eig))
     return out

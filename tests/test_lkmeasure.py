@@ -22,6 +22,7 @@ from lkpolar.lkmeasure import (
     shape_from_name,
     slice_euler_characteristic,
 )
+from lkpolar.polar import polar_length
 
 from oracles import kinematic_numerator_loop, steiner_oracle
 
@@ -265,6 +266,32 @@ def test_exchange_torus_four_critical_points():
 def test_exchange_octahedron_constant():
     e = exchange_lambda0(shape_from_name("octahedron"), 500, RandomSource(43))
     assert e.value == 2.0 and e.std_error == 0.0
+
+
+@pytest.mark.parametrize("s", [1e-15, 1e-7, 1e9, 1e12])
+@pytest.mark.parametrize("name, chi", [("sphere", 2.0), ("ball", 1.0), ("hemisphere", 1.0),
+                                       ("disk", 1.0)])
+def test_lambda0_routes_on_a_scaled_shape_give_the_unit_value(name, chi, s):
+    # the Newton floors of the height solver scale with the shape (the
+    # determinant with s^d, the curvature floor with 1/s, the cluster
+    # distance with s, the settle test with the chart's range), so the
+    # exchange route and the polar route at q = 0 count the critical points
+    # of a tiny or a huge shape as they count those of the unit one
+    X = shape_from_name(f"{name}:{s:g}")
+    exchange = exchange_lambda0(X, 40, RandomSource(52))
+    polar = polar_length(X, 0, 40, RandomSource(53)).estimate
+    for est in (exchange, polar):
+        assert (est.value, est.std_error) == (chi, 0.0), (exchange, polar)
+
+
+@pytest.mark.parametrize("radius", [1e-12, 1e-9, 1e9])
+def test_disk_area_at_any_radius(radius):
+    # the disk chart starts at rho = 1e-9 R, so its range is never empty
+    X = shape_from_name(f"disk:{radius:g}")
+    area = math.pi * radius**2
+    for est in (lk_measure(X, 2, RandomSource(54)),
+                polar_length(X, 2, 1, RandomSource(55)).estimate):
+        assert abs(est.value - area) <= 1e-9 * area
 
 
 def test_exchange_matches_lk0_on_catalog():

@@ -349,6 +349,33 @@ def _moved(X):
 
 @pytest.mark.parametrize("moved", [False, True])
 @pytest.mark.parametrize("X", ALL_SHAPES + [ball_shape(1.0)], ids=lambda X: X.name)
+def test_chart_derivatives_match_central_differences(X, moved):
+    # dr is the derivative of r, and d2r that of dr, within 1e-6 of the
+    # largest entry, at random points of every chart; d2r is exactly
+    # symmetric in its two derivative axes
+    if moved:
+        X = _moved(X)
+    gen = RandomSource(67).generator()
+    h = 1e-5
+    for S in X.strata:
+        if S.chart is None:
+            continue
+        p = _random_params(S, gen, 40)
+        J, H = S.chart.dr(p), S.chart.d2r(p)
+        assert J.shape == (40, S.dim, X.ambient_dim)
+        assert H.shape == (40, S.dim, S.dim, X.ambient_dim)
+        for i in range(S.dim):
+            e = np.zeros(S.dim)
+            e[i] = h
+            r_diff = (S.chart.r(p + e) - S.chart.r(p - e)) / (2 * h)
+            dr_diff = (S.chart.dr(p + e) - S.chart.dr(p - e)) / (2 * h)
+            np.testing.assert_allclose(J[:, i], r_diff, rtol=0, atol=1e-6 * np.abs(J).max())
+            np.testing.assert_allclose(H[:, :, i], dr_diff, rtol=0, atol=1e-6 * np.abs(H).max())
+        assert np.array_equal(H, np.swapaxes(H, 1, 2))
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("X", ALL_SHAPES + [ball_shape(1.0)], ids=lambda X: X.name)
 def test_stacked_newton_matches_per_direction_loop(X, moved):
     # one Newton solve over (direction, start) finds, for every direction,
     # the points of a solve of that direction alone, in the same order, and
