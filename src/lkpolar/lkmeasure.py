@@ -9,7 +9,7 @@ of the local density
 where ind_nor is the normal Morse index of the downward slice.  Flat cells
 only contribute at k = dim(cell), where the integral is the exterior-angle
 mean of ind_nor, exact from the link's pairwise angles.  On a smooth stratum
-ind_nor is the half-branch rule of :func:`lkpolar.smoothshape.normal_index`:
+ind_nor is the half-branch rule of :func:`lkpolar.smoothshape.normal_index_many`:
 1 on a top stratum, [<v, inward> > 0] on a rim or a solid boundary.  The
 normal sphere of a hypersurface is the two points +-nu; over the normal
 circle of a curve in R^3 the weighted sigma_0 and sigma_1 integrals are
@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .geomkit import (
+    DegenerateDirectionError,
     Estimate,
     RandomSource,
     affine_flats_hitting_ball,
@@ -57,7 +58,6 @@ from .smoothshape import (
     hypersurface_normals,
     integrate_stratum,
     normal_circle_moments,
-    normal_index,
     normal_index_many,
     rim_curvature_vector,
     tangent_frame_form,
@@ -200,15 +200,19 @@ def lambda_density(X: Shape, stratum, x_params, k: int, rng: RandomSource) -> Es
     return Estimate(value, 0.0, 1, rng.master_seed, method="closed-form")
 
 
+_WALL = "direction tangent to the inward conormal"  # the error of a normal index on its wall
+
+
 def _smooth_lambda_batch(n: int, S: SmoothStratum, params: np.ndarray, k: int) -> np.ndarray:
     """lambda_k at a stack of chart points of a smooth stratum.
 
     The density integrates ind_nor(v) sigma_i(II_{x,v}), i = dim S - k, over
-    the unit normal sphere, with ind_nor from :func:`normal_index`.  A
-    hypersurface has the two normals +-nu, and sigma_i(II_{x,-nu}) is
-    (-1)^i sigma_i(II_{x,nu}).  On the normal circle of a curve in R^3,
-    sigma_0 = 1 and sigma_1(II_{x,v}) = <kappa, v>, so the density is closed
-    in the moments of :func:`normal_circle_moments`.
+    the unit normal sphere, with ind_nor along +-nu from one
+    :func:`normal_index_many` call.  A hypersurface has the two normals
+    +-nu, and sigma_i(II_{x,-nu}) is (-1)^i sigma_i(II_{x,nu}).  On the
+    normal circle of a curve in R^3, sigma_0 = 1 and sigma_1(II_{x,v}) =
+    <kappa, v>, so the density is closed in the moments of
+    :func:`normal_circle_moments`.
     """
     params = np.atleast_2d(params)
     d, i = S.dim, S.dim - k
@@ -222,7 +226,10 @@ def _smooth_lambda_batch(n: int, S: SmoothStratum, params: np.ndarray, k: int) -
             H = np.einsum("pijn,pn->pij", S.chart.d2r(params), nu)  # (N, d, d)
             M = tangent_frame_form(J, H)[1]
             sig = np.trace(M, axis1=-2, axis2=-1) if i == 1 else np.linalg.det(M)
-        weight = normal_index(S, params, nu) + normal_index(S, params, -nu) * (-1.0) ** i
+        along, against, wall = normal_index_many(S, params, nu)
+        if np.any(wall):
+            raise DegenerateDirectionError(_WALL)
+        weight = along + against * (-1.0) ** i
         return sig * weight / norm
     if n == 3 and d == 1:
         m0, m1 = normal_circle_moments(S, params)
@@ -291,12 +298,12 @@ def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> 
 def _height_sums(X: Shape, V: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """One stacked Newton solve per stratum for the heights along a (B, n)
     stack of unit directions on a smooth shape.  Returns (parts, fold, wall):
-    per stratum, (stratum, has points, sum of (-1)^lam ind(v), sum of
-    (-1)^(d - lam) ind(-v)) over the critical points in the region, per
-    direction.  The first sum is the Morse index of the exchange formula;
-    alpha, at q = 0, is half the two.  ``fold`` flags a non-Morse height,
-    ``wall`` a point whose v is on the wall of its normal index.  The sums
-    are of integers, so exact in any order."""
+    per stratum, (stratum, has points, down sum, up sum), the sums of the
+    two weights of :func:`_q0_weights` over the critical points in the
+    region, per direction.  The down sum is the Morse index of the exchange
+    formula; alpha, at q = 0, is half the two.  ``fold`` flags a non-Morse
+    height, ``wall`` a point whose v is on the wall of its normal index.
+    The sums are of integers, so exact in any order."""
     fold = np.zeros(len(V), dtype=bool)
     wall = np.zeros(len(V), dtype=bool)
     parts = []
@@ -306,13 +313,26 @@ def _height_sums(X: Shape, V: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]
         crit = height_critical_points_many(S, V, scale=X.diameter)
         fold |= crit.degenerate
         keep = X.in_region(crit.points)
-        own, lam, params = crit.direction[keep], crit.morse_indices[keep], crit.params[keep]
-        down, up, at_wall = normal_index_many(S, params, V[own])
+        own = crit.direction[keep]
+        down, up, at_wall = _q0_weights(S, crit.params[keep], V[own], crit.morse_indices[keep])
         wall[own[at_wall]] = True
         parts.append((S, np.bincount(crit.direction, minlength=len(V)) > 0,
-                      np.bincount(own, weights=(-1.0) ** lam * down, minlength=len(V)),
-                      np.bincount(own, weights=(-1.0) ** (S.dim - lam) * up, minlength=len(V))))
+                      np.bincount(own, weights=down, minlength=len(V)),
+                      np.bincount(own, weights=up, minlength=len(V))))
     return parts, fold, wall
+
+
+def _q0_weights(S: SmoothStratum, params: np.ndarray, V: np.ndarray, lam: np.ndarray):
+    """The two Morse weights of a stack of critical points of heights on a
+    stratum of dimension d, each of the height along its row of V (or along
+    one v for all), with Morse indices lam: (-1)^lam ind(v), the index of
+    the downward slice, and (-1)^(d - lam) ind(-v), that of the upward
+    one, with ind the half-branch rule read from one
+    :func:`normal_index_many` call; and the mask of the points whose v is
+    on its wall, whose weights are not to be used.  alpha at q = 0 is half
+    their sum."""
+    along, against, wall = normal_index_many(S, params, V)
+    return (-1.0) ** lam * along, (-1.0) ** (S.dim - lam) * against, wall
 
 
 def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:

@@ -24,8 +24,17 @@ For a projection plane P of dimension q+1 the per-stratum pipeline is:
 A polar call on a smooth shape shares what does not depend on the plane:
 each surface stratum's trace-grid normals, each rim's samples for the
 overlap test and the quadrature of each stratum valued whole are built once
-per call (see :func:`_plane_free`), and at q = 0 a block of lines runs one
-stacked Newton solve per stratum.  At q >= 1 a chunk of at most
+per call (see :func:`_plane_free`).
+
+At q = 0 the polar set of a line is the set of critical points of the
+height along it, and alpha at each is half the sum of its two Morse
+weights along +-v, written once in :func:`lkmeasure._q0_weights`.  A block
+of lines is one stacked height pass (:func:`lkmeasure._height_sums`: one
+Newton solve per stratum), and :func:`polar_sample`, :func:`polar_variety`,
+:func:`polar_image_integral` and :func:`alpha_index` are its one-line case:
+the same solve per stratum, split by line, and the same weights.
+
+At q >= 1 a chunk of at most
 PLANE_CHUNK planes shares each stacked pass of the tracing, the genericity
 checks and the valuation, and :func:`polar_sample` is the one-plane case of
 the same passes.  There a fold of a top stratum is traced only as far as
@@ -59,19 +68,17 @@ from .geomkit import (
     polar_length_constant,
     simplex_volumes,
 )
-from .lkmeasure import Shape, _height_sums
+from .lkmeasure import _WALL, Shape, _height_sums, _q0_weights
 from .plstrata import DegenerateDirectionError, _pl_alphas_many, sample_chunks
 from .silhouette import _snap_to_contour_batch, _trace_grid_normals, _trace_planes
 from .smoothshape import (
-    CriticalPoint,
     DegenerateHeightError,
     SmoothStratum,
     chart_gram,
     chart_solve,
-    height_critical_points,
+    height_critical_points_many,
     height_hessian_eigenvalues,
     hypersurface_normals,
-    normal_index,
     normal_index_many,
 )
 
@@ -161,7 +168,7 @@ class DegeneratePlaneError(ValueError):
 # ---------------------------------------------------------------------------
 
 def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
-                     normals: np.ndarray | None = None, refine: bool = True):
+                     refine: bool = True):
     """Polylines of {x in S : normal(x) orthogonal to span(u)} via a sign grid with
     edge crossings, chained per cell and, unless ``refine`` is false, refined
     to the chord tolerance.  Returns a list of (params_array, points_array,
@@ -169,12 +176,11 @@ def trace_silhouette(S: SmoothStratum, u: np.ndarray, diameter: float, *,
     parameters are unwrapped against the last one.
 
     The sign grid is ``normals @ u``, from the grid normals of
-    ``silhouette._trace_grid_normals``, which a polar call builds once for
-    all its planes; they are built here when not given, with the same bits.
-    This is the one-plane case of ``silhouette._trace_planes``."""
-    if normals is None:
-        normals = _trace_grid_normals(S)
-    (traced,) = _trace_planes(S, np.asarray(u, dtype=float)[None], diameter, normals, refine)
+    ``silhouette._trace_grid_normals``, built here with the bits of those
+    that a polar call builds once for all its planes.  This is the
+    one-plane case of ``silhouette._trace_planes``."""
+    (traced,) = _trace_planes(S, np.asarray(u, dtype=float)[None], diameter,
+                              _trace_grid_normals(S), refine)
     return [(params, pts, closed) for params, pts, closed, _ in traced]
 
 
@@ -242,18 +248,6 @@ def _chart_grid(S: SmoothStratum, resolution: int, grids: dict):
     return _plane_free(grids, ("grid", S.name, resolution), build)
 
 
-def _height_pieces(X: Shape, S: SmoothStratum, basis: np.ndarray) -> list[PolarPiece]:
-    """The "points" piece of one stratum on a line with unit row basis (1, n):
-    the critical points of the height along it, if any."""
-    crits = height_critical_points(S, basis[0], scale=X.diameter)
-    if not crits:
-        return []
-    pts = np.array([c.point for c in crits])
-    return [PolarPiece(stratum=S, kind="points", geometry=pts @ basis.T,
-                       source_params=np.array([c.params for c in crits]), source_points=pts,
-                       morse_indices=np.array([c.morse_index for c in crits]))]
-
-
 def _stratum_pieces(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict, *,
                     top_flags_only: bool = False) -> list[list[PolarPiece]]:
     """The polar pieces of one smooth stratum on each plane of a stack with
@@ -262,8 +256,10 @@ def _stratum_pieces(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict, 
     normals of the surface strata and the grid points of the whole ones.
     The folds of all planes are traced in one ``silhouette._trace_planes`` pass;
     with ``top_flags_only`` those of a top stratum, whose value is 0.0, are
-    not refined: far enough for the genericity checks.  At q = 0 a height
-    that is not Morse raises DegenerateHeightError."""
+    not refined: far enough for the genericity checks.  At q = 0 the
+    heights along all the lines are one stacked Newton solve, whose points
+    are split by line, and a height that is not Morse on any line raises
+    DegenerateHeightError."""
     n = X.ambient_dim
     q = bases.shape[1] - 1
     if S.role == "solid":
@@ -272,7 +268,14 @@ def _stratum_pieces(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict, 
         _, _, pts = _chart_grid(S, 64, grids)
         return [[PolarPiece(stratum=S, kind="whole", geometry=pts @ basis.T)] for basis in bases]
     if q == 0:
-        return [_height_pieces(X, S, basis) for basis in bases]
+        crit = height_critical_points_many(S, bases[:, 0], scale=X.diameter)
+        if crit.degenerate.any():
+            raise DegenerateHeightError("critical point at a chart edge, or a degenerate one")
+        owns = [crit.direction == b for b in range(len(bases))]
+        return [[PolarPiece(stratum=S, kind="points", geometry=crit.points[own] @ basis.T,
+                            source_params=crit.params[own], source_points=crit.points[own],
+                            morse_indices=crit.morse_indices[own])] if own.any() else []
+                for basis, own in zip(bases, owns)]
     if S.dim == 2 and n == 3 and q == 1:
         normals = _plane_free(grids, ("normals", S.name), lambda: _trace_grid_normals(S))
         traced = _trace_planes(S, orthogonal_complements(bases)[:, 0], X.diameter, normals,
@@ -335,29 +338,16 @@ def _decimate(points: np.ndarray, target: int) -> np.ndarray:
     return points[idx]
 
 
-def _overlap_fraction(
-    a_img: np.ndarray,
-    a_src: np.ndarray,
-    b_img: np.ndarray,
-    b_src: np.ndarray,
-    dist_tol: float,
-    src_tol: float,
-) -> float:
-    """Fraction of a's image points lying on b's image at a genuinely
-    different source point: the one-test case of :func:`_overlap_fractions`.
+def _overlap_fractions(curves: list, tests: list, dist_tol: float, src_tol: float) -> np.ndarray:
+    """For each test (a, b) of a list, the fraction of a's image points
+    lying on b's image at a genuinely different source point, a and b
+    indices into ``curves`` of (image, sources, group), in one windowed pass.
+    The curves of a test share a group (a plane's images).
 
     Probe points of a are tested against the segments of (a decimated copy
     of) b, so coincident stretches are caught at any sampling density; pairs
     with nearby sources are the same neighborhood upstairs (small loops,
-    adjacent samples, endpoint contacts) and do not witness double points."""
-    curves = [(a_img, a_src, 0), (b_img, b_src, 0)]
-    return float(_overlap_fractions(curves, [(0, 1)], dist_tol, src_tol)[0])
-
-
-def _overlap_fractions(curves: list, tests: list, dist_tol: float, src_tol: float) -> np.ndarray:
-    """The :func:`_overlap_fraction` of each test (a, b) of a list, a and b
-    indices into ``curves`` of (image, sources, group), in one windowed pass.
-    The curves of a test share a group (a plane's images).
+    adjacent samples, endpoint contacts) and do not witness double points.
 
     Every curve is decimated once: to at most 256 probes when it is a test's
     a, to at most 512 points, whose consecutive pairs are its segments, when
@@ -462,20 +452,16 @@ def _near_midpoints(pa: np.ndarray, pg: np.ndarray, mid: np.ndarray, sg: np.ndar
     return np.compress(near, n), np.compress(near, m)
 
 
-def check_genericity(X: Shape, P: LinearSubspace, pieces, *,
-                     grids: dict | None = None) -> DegeneracyReport:
+def check_genericity(X: Shape, P: LinearSubspace, pieces) -> DegeneracyReport:
     """Clearance checks on the polar pieces of a sampled plane.
 
     Isolated transversal contacts (image crossings, endpoint adjacency) are
     the generic picture and pass; flags fire on near-positive-dimensional
     coincidences: wall-aligned cell spans, fold tangents aligned with P-perp
-    along a stretch, and image overlap over a length fraction.  ``grids``
-    holds the rim samples of a polar call's planes, as in
-    :func:`polar_sample`; a lone plane builds its own.  This is the
-    one-plane case of :func:`_genericity_many`.
+    along a stretch, and image overlap over a length fraction.  This is the
+    one-plane case of :func:`_genericity_many`, with rim samples of its own.
     """
-    grids = {} if grids is None else grids
-    return _genericity_many(X, P.basis[None], [list(pieces)], grids)[0]
+    return _genericity_many(X, P.basis[None], [list(pieces)], {})[0]
 
 
 def _genericity_many(X: Shape, bases: np.ndarray, pieces: list, grids: dict) -> list:
@@ -550,9 +536,6 @@ def _genericity_many(X: Shape, bases: np.ndarray, pieces: list, grids: dict) -> 
 # the index alpha
 # ---------------------------------------------------------------------------
 
-_WALL = "direction tangent to the inward conormal"  # the error of a normal index on its wall
-
-
 def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, Jp: np.ndarray, bases: np.ndarray):
     """alpha at a stack of points of a stratum of dimension q, with chart
     Jacobians Jp (K, q, q + 1) projected to the plane of each point, whose
@@ -562,7 +545,7 @@ def _dim_q_alphas(S: SmoothStratum, params: np.ndarray, Jp: np.ndarray, bases: n
     where the normal index is 1 along every direction, and 1/2 on a rim or
     solid boundary.  The image is a hypersurface of P, so nu is its normal
     there.  Returns (alphas, wall): the points whose nu lies on the wall of
-    :func:`normal_index` have no index."""
+    :func:`normal_index_many` have no index."""
     if S.role == "top":
         return np.ones(len(params)), np.zeros(len(params), dtype=bool)
     nu_image = hypersurface_normals(Jp)
@@ -586,14 +569,15 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
             raise DegenerateDirectionError("image normal degenerate or on a wall of its link")
         return float(alphas[0, 0])
     S = stratum
-    params, point = source
+    params, _ = source
     if S.dim == q:
         params = np.atleast_2d(np.asarray(params, dtype=float))
         alphas, wall = _dim_q_alphas(S, params, S.chart.dr(params) @ P.basis.T, P.basis[None])
     elif q == 0:
         v = P.basis[0]
-        crit = CriticalPoint(params, point, height_hessian_eigenvalues(S, params, v))
-        return float(_q0_alphas(S, params, v, crit.morse_index)[0])
+        lam = np.sum(height_hessian_eigenvalues(S, params, v) < 0.0)
+        down, up, wall = _q0_weights(S, params, v, lam)
+        alphas = 0.5 * (down + up)
     else:  # fold point of a surface stratum
         alphas, valid, wall = _fold_alphas_batch(S, params, P.orthogonal_complement().basis[0],
                                                  X.diameter / 2)
@@ -602,16 +586,6 @@ def alpha_index(X: Shape, stratum, source, P: LinearSubspace) -> float:
     if wall[0]:
         raise DegenerateDirectionError(_WALL)
     return float(alphas[0])
-
-
-def _q0_alphas(S: SmoothStratum, params, v: np.ndarray, morse_indices) -> np.ndarray:
-    """alpha at a stack of critical points of the height <v, .> with the
-    given Morse indices lam: the half-sum of the downward slice index
-    (-1)^lam times the normal index along v and the upward one
-    (-1)^(dim - lam) times the normal index along -v."""
-    down = (-1.0) ** morse_indices * normal_index(S, params, v)
-    up = (-1.0) ** (S.dim - morse_indices) * normal_index(S, params, -v)
-    return 0.5 * (down + up)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +631,11 @@ def _pl_cell_values_many(X: Shape, images: np.ndarray, rows, bases: np.ndarray):
     return alphas * simplex_volumes(images), degenerate
 
 
-def _piece_values(X: Shape, pieces, P: LinearSubspace, grids: dict | None = None) -> list[float]:
+def _piece_values(X: Shape, pieces, P: LinearSubspace) -> list[float]:
     """The alpha-weighted image volume of each piece of a smooth shape, in
-    piece order; ``grids`` holds a polar call's plane-free quadrature (see
-    :func:`_plane_free`), built here when not given.  The one-plane case of
+    piece order, with quadrature of its own.  The one-plane case of
     :func:`_plane_values`: a plane it cannot value raises its error."""
-    (values,), (error,) = _plane_values(X, P.basis[None], [list(pieces)],
-                                        {} if grids is None else grids)
+    (values,), (error,) = _plane_values(X, P.basis[None], [list(pieces)], {})
     if error is not None:
         raise error
     return values
@@ -695,12 +667,12 @@ def _plane_values(X: Shape, bases: np.ndarray, pieces: list, grids: dict):
                 if q != 0:
                     continue
                 keep = X.in_region(piece.source_points)
-                try:
-                    values[b][i] = float(np.sum(_q0_alphas(
-                        piece.stratum, piece.source_params[keep], bases[b, 0],
-                        piece.morse_indices[keep])))
-                except DegenerateDirectionError as err:
-                    fail(b, i, err)
+                down, up, wall = _q0_weights(piece.stratum, piece.source_params[keep],
+                                             bases[b, 0], piece.morse_indices[keep])
+                if wall.any():
+                    fail(b, i, DegenerateDirectionError(_WALL))
+                else:
+                    values[b][i] = float(np.sum(0.5 * (down + up)))
             elif piece.kind == "whole" or (piece.kind == "contour" and piece.stratum.role != "top"):
                 groups.setdefault((piece.kind, id(piece.stratum)), []).append((b, i, piece))
             elif piece.kind != "contour":
@@ -763,7 +735,7 @@ def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, radi
     and +-1/2 on a solid boundary, where only the inward side counts.
     Points whose curvature times the shape's ``radius`` lies below
     CURVATURE_TOL are cusp-like and flagged invalid; ``wall`` flags the
-    points whose nu lies on the wall of :func:`normal_index`.
+    points whose nu lies on the wall of :func:`normal_index_many`.
     """
     params = np.atleast_2d(params)
     J = S.chart.dr(params)  # (N, 2, 3)
@@ -834,18 +806,18 @@ def _q0_values(X: Shape, V: np.ndarray):
     """The q = 0 value of each line of a stack, with unit directions V
     (B, n), on a smooth shape: the alpha sum of :func:`lkmeasure._height_sums`.
     Returns (values, fold, wall, parts): ``fold`` is the "fold" rejection of
-    :func:`polar_sample`, ``wall`` the points where :func:`_q0_alphas`
-    raises, and ``parts`` (stratum name, has points, alpha sum) per stratum,
-    the one "points" piece of a line when it has points."""
+    :func:`polar_sample`, ``wall`` the "alpha" one of its valuation (a
+    point on the wall of its normal index), and ``parts`` (stratum name,
+    has points, alpha sum) per stratum, the one "points" piece of a line
+    when it has points."""
     sums, fold, wall = _height_sums(X, V)
     parts = [(S.name, has, 0.5 * (down + up)) for S, has, down, up in sums]
     return sum((part for _, _, part in parts), np.zeros(len(V))), fold, wall, parts
 
 
-def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> PolarSample:
+def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
     """The polar set of the shape for one plane, with genericity checks
-    attached.  ``grids`` holds the plane-free geometry of a polar call's
-    planes (see :func:`_plane_free`); a lone plane builds its own.
+    attached, and plane-free geometry of its own (see :func:`_plane_free`).
 
     The folds of a top stratum are traced for their genericity flags only:
     the sign grid and its edge crossings, not refined to the chord
@@ -861,7 +833,7 @@ def polar_sample(X: Shape, P: LinearSubspace, *, grids: dict | None = None) -> P
             for i in np.flatnonzero(flags[0])
         ]
         return PolarSample(plane=P, pieces=(), report=DegeneracyReport(span_flags=span_flags))
-    grids = {} if grids is None else grids
+    grids: dict = {}
     try:
         (pieces,) = _smooth_pieces(X, P.basis[None], grids)
     except (DegenerateDirectionError, DegenerateHeightError):

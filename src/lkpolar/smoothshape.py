@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geomkit import DegenerateDirectionError, Estimate, sphere_volume
+from .geomkit import Estimate, sphere_volume
 
 __all__ = [
     "Chart",
@@ -31,7 +31,6 @@ __all__ = [
     "second_form",
     "tangent_frame_form",
     "hypersurface_normals",
-    "normal_index",
     "normal_index_many",
     "normal_circle_moments",
     "integrate_stratum",
@@ -271,29 +270,20 @@ def hypersurface_normals(J: np.ndarray) -> np.ndarray:
     return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
 
 
-def normal_index(S: SmoothStratum, params, vs) -> np.ndarray:
+def normal_index_many(S: SmoothStratum, params, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normal Morse index of the stratum at each of a stack of chart points,
-    along the normal direction given for it (one direction may serve all).
+    along the normal direction v given for it (one direction may serve all)
+    and along -v, and a mask of the points on the wall of the rule.
 
     This is the half-branch rule, the smooth counterpart of
     :func:`lkpolar.plstrata.normal_morse_index`: the index is 1 - chi of the
     part of the normal slice below the point along v.  A top stratum has the
     point itself as normal slice, so the index is 1.  A rim or a solid
     boundary has the half-line along the inward conormal w, whose lower part
-    is empty exactly when <v, w> > 0, so the index is 1 or 0 by that sign.  A
-    direction with |<v, w>| < 1e-9 raises DegenerateDirectionError.
-    """
-    index, _, wall = normal_index_many(S, params, vs)
-    if np.any(wall):
-        raise DegenerateDirectionError("direction tangent to the inward conormal")
-    return index
-
-
-def normal_index_many(S: SmoothStratum, params, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`normal_index` at a stack of points along v and along -v, both
-    from one dot product <v, w> with the inward conormal (negation is exact),
-    and a mask of the points whose direction lies within 1e-9 of the wall
-    <v, w> = 0, where normal_index raises; their indices are not to be used."""
+    is empty exactly when <v, w> > 0, so the index is 1 or 0 by that sign.
+    Both signs come from one dot product <v, w> (negation is exact).  A
+    direction with |<v, w>| < 1e-9 lies on the wall: its indices are not to
+    be used, and a caller raises DegenerateDirectionError or redraws."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if S.role == "top":
         ones = np.ones(len(params))
@@ -306,7 +296,7 @@ def normal_index_many(S: SmoothStratum, params, vs) -> tuple[np.ndarray, np.ndar
 def normal_circle_moments(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of ind(v) and of ind(v) v over the unit normal circle of a
     curve in R^3, at each of a stack of chart points, with ind the
-    half-branch rule of :func:`normal_index`: (2 pi, 0) on a top curve, and
+    half-branch rule of :func:`normal_index_many`: (2 pi, 0) on a top curve, and
     (pi, 2 w) on a rim, whose half circle {<v, w> > 0} has its centroid
     along the inward conormal w."""
     params = np.atleast_2d(np.asarray(params, dtype=float))

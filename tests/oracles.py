@@ -885,10 +885,11 @@ def chain_segments_sets(segments: list) -> list:
 
 
 def overlap_fraction_dense(a_img, a_src, b_img, b_src, dist_tol, src_tol) -> float:
-    """The reference of ``polar._overlap_fraction``, with its midpoint
-    prefilter taken densely: every probe against every segment midpoint, in
-    one (probes, segments) distance array summed axis by axis, before the
-    closest-point and source tests of the pairs that pass."""
+    """The reference of one test (a, b) of ``polar._overlap_fractions``,
+    with its midpoint prefilter taken densely: every probe against every
+    segment midpoint, in one (probes, segments) distance array summed axis
+    by axis, before the closest-point and source tests of the pairs that
+    pass."""
     ka = np.linspace(0, len(a_img) - 1, min(len(a_img), 256)).astype(int)
     kb = np.linspace(0, len(b_img) - 1, min(len(b_img), 512)).astype(int)
     pa, sa = a_img[ka], a_src[ka]

@@ -3,6 +3,7 @@ functions that the benchmark's tracer wraps.  A rename or a move that breaks
 ``perfbench/run.py --trace 1`` fails here first.  Also: no module keeps state
 of its own that could grow."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -15,7 +16,8 @@ import lkpolar
 from lkpolar import cli, germ, lkmeasure, polar
 from lkpolar.plstrata import StratifiedComplex
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -105,3 +107,41 @@ def test_benchmark_reads_still_exist():
                                      (germ.LocalIdentityReport, report.passes, False)):
         assert isinstance(owner.__dict__["passes"], property)
         assert verdict is expected
+
+
+def _names_used(tree) -> set:
+    """The names a module's code reads: identifiers, attributes and string
+    constants (a getattr by name, a tracer's table), outside ``__all__``;
+    an import alone does not count."""
+    exported = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                for node in ast.walk(stmt)}
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_function_has_a_caller():
+    # a function of lkpolar that no code in src, tests or perfbench names,
+    # other than its own def and an __all__, is dead: a view left behind
+    # when its callers moved to a stacked kernel fails here at once
+    defined = {}
+    for path in sorted((ROOT / "src" / "lkpolar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used |= _names_used(ast.parse(path.read_text()))
+    assert len(defined) > 100
+    assert not {name: where for name, where in defined.items() if name not in used}

@@ -10,10 +10,10 @@ from lkpolar.geomkit import LinearSubspace, RandomSource, sample_grassmannian
 from lkpolar.geomkit import image_normals
 from lkpolar.lkmeasure import Shape, exchange_lambda0, lk_measure, shape_from_name
 from lkpolar.plstrata import DegenerateDirectionError, normal_link
-from lkpolar import polar, silhouette
+from lkpolar import polar, silhouette, smoothshape
 from lkpolar.polar import (
     DegeneratePlaneError,
-    _overlap_fraction,
+    _overlap_fractions,
     _piece_values,
     _span_flags,
     alpha_index,
@@ -26,7 +26,7 @@ from lkpolar.polar import (
 )
 
 from lkpolar.silhouette import _surface_normals, _trace_grid_normals
-from lkpolar.smoothshape import Chart, SmoothStratum
+from lkpolar.smoothshape import Chart, DegenerateHeightError, SmoothStratum
 
 from oracles import (
     chain_segments_sets,
@@ -34,6 +34,7 @@ from oracles import (
     fold_alpha_slice_chi,
     geometric_normal_index,
     halving_crossings,
+    height_critical_points_loop,
     overlap_fraction_dense,
     projected_volume,
     span_intersection,
@@ -135,8 +136,8 @@ TRACED_STRATA = [("sphere:1", "sphere"), ("torus:2:1", "torus"), ("disk:1", "dis
 def test_trace_silhouette_matches_cell_loop(name, stratum, moved):
     # the array tracer returns the per-cell loop's polylines bit for bit, on
     # seeded planes, the XY plane and the axial torus plane; so does tracing
-    # the seeded planes from one build of the grid normals, as a polar call
-    # does
+    # the seeded planes as one stack from one build of the grid normals, as a
+    # polar call does
     X = shape_from_name(name).smooth
     if moved:
         rot = np.linalg.qr(RandomSource(57).generator().standard_normal((3, 3)))[0]
@@ -150,9 +151,10 @@ def test_trace_silhouette_matches_cell_loop(name, stratum, moved):
         assert _same_polylines(traced, trace_silhouette_loop(S, u, X.diameter)), u
         if k < 8 and name != "disk:1":
             assert traced  # a seeded plane sees a fold on every curved stratum
-    grid = _trace_grid_normals(S)
-    for u in normals[:8]:
-        assert _same_polylines(trace_silhouette(S, u, X.diameter, normals=grid),
+    stacked = silhouette._trace_planes(S, np.array(normals[:8]), X.diameter,
+                                       _trace_grid_normals(S), True)
+    for u, polylines in zip(normals[:8], stacked):
+        assert _same_polylines([(params, pts, closed) for params, pts, closed, _ in polylines],
                                trace_silhouette_loop(S, u, X.diameter)), u
 
 
@@ -318,8 +320,6 @@ def test_sphere_antipodal_critical_points_at_q0():
 def test_sphere_chart_seam_direction_resampled():
     # a height along the chart seam presses its critical points against the
     # chart edge; the finder raises so the caller resamples the direction
-    from lkpolar.smoothshape import DegenerateHeightError
-
     sph = shape_from_name("sphere:1")
     P = LinearSubspace(3, np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(DegenerateHeightError):
@@ -517,9 +517,15 @@ def test_one_cell_views_read_one_cell(kuhn_grid, monkeypatch):
                                                rel=1e-15)
 
 
+def _one_overlap(a_img, a_src, b_img, b_src, dist_tol, src_tol):
+    """The fraction of the one test (a, b) of :func:`_overlap_fractions`."""
+    curves = [(a_img, a_src, 0), (b_img, b_src, 0)]
+    return _overlap_fractions(curves, [(0, 1)], dist_tol, src_tol)[0]
+
+
 def _dense_overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol):
-    """Reference for :func:`_overlap_fraction`: every probe against every
-    segment, in (probes, segments, dim) tensors."""
+    """Reference for one test of :func:`_overlap_fractions`: every probe
+    against every segment, in (probes, segments, dim) tensors."""
     ka = np.linspace(0, len(a_img) - 1, min(len(a_img), 256)).astype(int)
     kb = np.linspace(0, len(b_img) - 1, min(len(b_img), 512)).astype(int)
     pa, sa = a_img[ka], a_src[ka]
@@ -584,7 +590,7 @@ def test_pruned_overlap_matches_dense_reference():
     fired = 0
     cases = list(_overlap_cases()) + list(_coincident_polylines())
     for a_img, a_src, b_img, b_src, dist_tol, src_tol in cases:
-        frac = _overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol)
+        frac = _one_overlap(a_img, a_src, b_img, b_src, dist_tol, src_tol)
         assert frac == _dense_overlap_fraction(a_img, a_src, b_img, b_src, dist_tol, src_tol)
         fired += frac > polar.OVERLAP_FRACTION
     assert len(cases) > 20
@@ -597,7 +603,7 @@ def test_windowed_overlap_matches_the_dense_prefilter():
     # on the recorded contour, cap/rim and torus inputs, bit for bit
     cases = list(_overlap_cases()) + list(_coincident_polylines())
     for case in cases:
-        assert _overlap_fraction(*case) == overlap_fraction_dense(*case)
+        assert _one_overlap(*case) == overlap_fraction_dense(*case)
 
 
 @st.composite
@@ -628,8 +634,8 @@ def _overlapping_polylines(draw):
 @given(case=_overlapping_polylines())
 def test_windowed_overlap_matches_the_dense_prefilter_on_drawn_polylines(case):
     a, a_src, b, b_src, dist_tol, src_tol = case
-    assert _overlap_fraction(*case) == overlap_fraction_dense(*case)
-    assert _overlap_fraction(a, a_src, a, a_src, dist_tol, src_tol) == overlap_fraction_dense(
+    assert _one_overlap(*case) == overlap_fraction_dense(*case)
+    assert _one_overlap(a, a_src, a, a_src, dist_tol, src_tol) == overlap_fraction_dense(
         a, a_src, a, a_src, dist_tol, src_tol)
 
 
@@ -939,6 +945,86 @@ def test_stacked_q0_route_matches_one_plane_route(name):
         assert not sample.degenerate
         keys = [p.stratum.name for p in sample.pieces]
         assert per_stratum == dict(zip(keys, _piece_values(X, sample.pieces, P)))
+
+
+Q0_SHAPES = ["sphere:1", "torus:2:1", "circle:1", "disk:1", "hemisphere:1", "ball:1"]
+
+
+@pytest.mark.parametrize("name", Q0_SHAPES)
+def test_one_line_views_at_q0_read_one_stacked_newton_per_stratum(name, monkeypatch):
+    # polar_sample and polar_variety at q = 0 take their points from the
+    # stacked Newton solve, once per stratum, and never from its
+    # one-direction view
+    def never(*args, **kwargs):
+        raise AssertionError("called the one-direction view")
+
+    X = shape_from_name(name)
+    solves = []
+    stacked = polar.height_critical_points_many
+    monkeypatch.setattr(polar, "height_critical_points_many", lambda S, V, scale=1.0: (
+        solves.append((S.name, len(V))) or stacked(S, V, scale=scale)))
+    for module in (smoothshape, polar):
+        monkeypatch.setattr(module, "height_critical_points", never, raising=False)
+    P = LinearSubspace(3, np.array([[0.6, 0.48, 0.64]]))
+    curved = [(S.name, 1) for S in X.smooth.strata if S.role != "solid"]
+    sample = polar_sample(X, P)
+    assert not sample.degenerate and sample.pieces
+    assert solves == curved
+    for S in X.smooth.strata:
+        polar_variety(X, S, P)
+    assert solves == curved * 2
+
+
+def _q0_reference(X, S, v):
+    """The q = 0 value of one stratum on the line along v, from the
+    per-direction Newton loop of the oracles and the half-branch rule
+    written out per point: alpha = ((-1)^lam ind(v) + (-1)^(d - lam)
+    ind(-v)) / 2, ind 1 on a top stratum and [<v, w> > 0] along the inward
+    conormal w else, summed over the points in the region.  Raises
+    DegenerateHeightError for a non-Morse height, DegenerateDirectionError
+    for a point on the wall |<v, w>| < 1e-9."""
+    if S.role == "solid":
+        return 0.0
+    total = 0.0
+    for crit in height_critical_points_loop(S, v, scale=X.diameter):
+        if not X.in_region(crit.point[None])[0]:
+            continue
+        down = up = 1.0
+        if S.role != "top":
+            dot = float(np.dot(v, S.inward_conormal(crit.params[None])[0]))
+            if abs(dot) < 1e-9:
+                raise DegenerateDirectionError("on the wall")
+            down, up = float(dot > 0), float(dot < 0)
+        lam = crit.morse_index
+        total += 0.5 * ((-1) ** lam * down + (-1) ** (S.dim - lam) * up)
+    return total
+
+
+def test_q0_image_integral_matches_the_per_point_half_branch_rule():
+    # the q = 0 value shares its code with the stacked route, so it is
+    # checked against a reference that shares none: on seeded lines and the
+    # axes (non-Morse on every shape, and e1 meets the hemisphere rim on the
+    # wall of its conormal e3), and on a hemisphere cut by a region
+    gen = RandomSource(63).generator()
+    lines = [sample_grassmannian(3, 1, gen).basis[0] for _ in range(3)] + list(np.eye(3))
+    shapes = [shape_from_name(name) for name in Q0_SHAPES]
+    shapes.append(shapes[4].with_region(lambda pts: pts[:, 0] > 0.1))
+    raised, valued = set(), 0
+    for X in shapes:
+        for v in lines:
+            P = LinearSubspace(3, v[None])
+            for S in X.smooth.strata:
+                try:
+                    expected = _q0_reference(X, S, v)
+                except (DegenerateHeightError, DegenerateDirectionError) as err:
+                    with pytest.raises(type(err)):
+                        polar_image_integral(X, S, P)
+                    raised.add(type(err))
+                    continue
+                assert polar_image_integral(X, S, P) == expected, (X.name, S.name, v)
+                valued += expected != 0.0
+    assert raised == {DegenerateHeightError, DegenerateDirectionError}
+    assert valued > 20
 
 
 def test_polar_call_builds_each_trace_grid_once(monkeypatch):

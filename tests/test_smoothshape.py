@@ -14,7 +14,7 @@ from lkpolar.smoothshape import (
     hemisphere_shape,
     integrate_stratum,
     normal_circle_moments,
-    normal_index,
+    normal_index_many,
     rim_curvature_vector,
     second_form,
     sphere_shape,
@@ -271,22 +271,30 @@ def test_rim_curvature_vector_disk():
 
 
 def test_normal_index_half_branch_rule():
-    from lkpolar.geomkit import DegenerateDirectionError
+    def index(S, params, vs):
+        # the index along v, and along -v, off the wall
+        along, against, wall = normal_index_many(S, params, vs)
+        assert not wall.any()
+        return along, against
 
     # top stratum: the normal slice is the point itself
     sph = sphere_shape(1.0).stratum("sphere")
     params = np.array([[0.3, 1.2], [2.0, 0.5]])
-    assert np.array_equal(normal_index(sph, params, np.array([[0.0, 0.0, 1.0]] * 2)), [1.0, 1.0])
+    for ind in index(sph, params, np.array([[0.0, 0.0, 1.0]] * 2)):
+        assert np.array_equal(ind, [1.0, 1.0])
     # rim: 1 along directions into the surface, 0 out of it
     rim = disk_shape(1.0).stratum("rim")
     p = np.array([[0.0], [math.pi / 2]])
     w = rim.inward_conormal(p)
     tilt = np.array([0.0, 0.0, 0.3])
-    assert np.array_equal(normal_index(rim, p, w + tilt), [1.0, 1.0])
-    assert np.array_equal(normal_index(rim, p, -w + tilt), [0.0, 0.0])
-    assert np.array_equal(normal_index(rim, p[:1], w[0]), [1.0])
-    with pytest.raises(DegenerateDirectionError):
-        normal_index(rim, p, np.array([[0.0, 0.0, 1.0], w[1]]))
+    for vs, expected in ((w + tilt, [1.0, 1.0]), (-w + tilt, [0.0, 0.0])):
+        along, against = index(rim, p, vs)
+        assert np.array_equal(along, expected)
+        assert np.array_equal(against, 1.0 - along)
+    assert np.array_equal(index(rim, p[:1], w[0])[0], [1.0])
+    # a direction orthogonal to the conormal lies on the wall
+    along, _, wall = normal_index_many(rim, p, np.array([[0.0, 0.0, 1.0], w[1]]))
+    assert wall.tolist() == [True, False] and along[1] == 1.0
     # the two moments of the rule over the normal circle of a curve
     m0, m1 = normal_circle_moments(rim, p)
     np.testing.assert_allclose(m0, math.pi, rtol=1e-15)
@@ -295,7 +303,7 @@ def test_normal_index_half_branch_rule():
     t = (np.arange(4096) + 0.5) * (2 * math.pi / 4096)
     normal = frames(rim, p[1])[1]
     vs = np.cos(t)[:, None] * normal[0] + np.sin(t)[:, None] * normal[1]
-    ind = normal_index(rim, np.repeat(p[1:], len(t), axis=0), vs)
+    ind = index(rim, np.repeat(p[1:], len(t), axis=0), vs)[0]
     assert abs(ind.sum() * (2 * math.pi / 4096) - m0[1]) < 1e-2
     np.testing.assert_allclose(ind @ vs * (2 * math.pi / 4096), m1[1], atol=1e-2)
     m0, m1 = normal_circle_moments(circle_shape(1.0).stratum("circle"), p)
