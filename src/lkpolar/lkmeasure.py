@@ -295,33 +295,6 @@ def _lk_measure_smooth(X: Shape, k: int, rng: RandomSource, resolution: int) -> 
 # exchange formula
 # ---------------------------------------------------------------------------
 
-def _height_sums(X: Shape, V: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """One stacked Newton solve per stratum for the heights along a (B, n)
-    stack of unit directions on a smooth shape.  Returns (parts, fold, wall):
-    per stratum, (stratum, has points, down sum, up sum), the sums of the
-    two weights of :func:`_q0_weights` over the critical points in the
-    region, per direction.  The down sum is the Morse index of the exchange
-    formula; alpha, at q = 0, is half the two.  ``fold`` flags a non-Morse
-    height, ``wall`` a point whose v is on the wall of its normal index.
-    The sums are of integers, so exact in any order."""
-    fold = np.zeros(len(V), dtype=bool)
-    wall = np.zeros(len(V), dtype=bool)
-    parts = []
-    for S in X.smooth.strata:
-        if S.role == "solid":
-            continue  # a linear height has no interior critical points
-        crit = height_critical_points_many(S, V, scale=X.diameter)
-        fold |= crit.degenerate
-        keep = X.in_region(crit.points)
-        own = crit.direction[keep]
-        down, up, at_wall = _q0_weights(S, crit.params[keep], V[own], crit.morse_indices[keep])
-        wall[own[at_wall]] = True
-        parts.append((S, np.bincount(crit.direction, minlength=len(V)) > 0,
-                      np.bincount(own, weights=down, minlength=len(V)),
-                      np.bincount(own, weights=up, minlength=len(V))))
-    return parts, fold, wall
-
-
 def _q0_weights(S: SmoothStratum, params: np.ndarray, V: np.ndarray, lam: np.ndarray):
     """The two Morse weights of a stack of critical points of heights on a
     stratum of dimension d, each of the height along its row of V (or along
@@ -342,11 +315,24 @@ def exchange_lambda0(X: Shape, n_heights: int, rng: RandomSource) -> Estimate:
     non-generic directions are redrawn within their substream.  A block of
     directions is evaluated at once: on a complex, one stacked Morse pass
     per chunk of directions (:func:`lkpolar.plstrata.pl_morse_indices_many`)
-    sums the indices of the vertices in the region.
+    sums the indices of the vertices in the region.  On a smooth shape, one
+    stacked Newton solve per stratum finds the critical points of every
+    height, whose downward weights (:func:`_q0_weights`) in the region are
+    summed, exactly; a non-Morse height or a point on the wall flags it.
     """
     def heights(_, V):
-        parts, fold, wall = _height_sums(X, V)
-        return sum((morse for _, _, morse, _ in parts), np.zeros(len(V))), fold | wall
+        sums, flagged = np.zeros(len(V)), np.zeros(len(V), dtype=bool)
+        for S in X.smooth.strata:
+            if S.role == "solid":
+                continue  # a linear height has no interior critical points
+            crit = height_critical_points_many(S, V, scale=X.diameter)
+            keep = X.in_region(crit.points)
+            own = crit.direction[keep]
+            down, _, wall = _q0_weights(S, crit.params[keep], V[own], crit.morse_indices[keep])
+            sums += np.bincount(own, weights=down, minlength=len(V))
+            flagged |= crit.degenerate
+            flagged[own[wall]] = True
+        return sums, flagged
 
     def pl_heights(_, V):
         sums, degenerate = np.zeros(len(V)), np.zeros(len(V), dtype=bool)
@@ -380,18 +366,30 @@ def slice_euler_characteristic(X: Shape, flat) -> int:
 
 
 def _round_slices(X: Shape, k: int, dist: np.ndarray):
-    """chi of the slices of a round catalog shape (the ball or sphere of its
+    """chi of the slices of a round shape (the ball or sphere of its
     bounding ball) by k-flats at the distances ``dist`` (S,) from its centre,
-    and a mask of the tangent ones; thresholds are relative to the radius."""
-    kind = X.smooth.name.split(":")[0]
-    _, radius = X.smooth.bounding_ball()
-    if kind == "ball":
+    and a mask of the tangent ones; thresholds are relative to the radius.
+
+    The strata tell the shape: it is round when every stratum but a solid
+    one is a hypersurface whose chart grid points lie on the bounding
+    sphere, within 1e-9 of the radius plus a few ulps of their coordinates
+    (a small sphere far from the origin rounds its points at that scale),
+    and a solid stratum makes it the ball."""
+    center, radius = X.smooth.bounding_ball()
+    for S in X.smooth.strata:
+        if S.role == "solid":
+            continue
+        if S.dim == X.ambient_dim - 1:
+            pts = S.chart.r(S.chart.grid(8)[0])
+            off = np.abs(np.linalg.norm(pts - center, axis=1) - radius)
+            if np.all(off <= 1e-9 * radius + 16 * np.spacing(np.max(np.abs(pts)))):
+                continue
+        raise NotImplementedError(f"slice chi for smooth shape {X.smooth.name}")
+    if any(S.role == "solid" for S in X.smooth.strata):
         return (dist < radius * (1 - 1e-12)).astype(int), np.zeros(len(dist), dtype=bool)
-    if kind == "sphere":
-        # a transversal slice of the sphere is a (k-1)-sphere
-        chi = np.where(dist > radius, 0, 1 + (-1) ** (k - 1))
-        return chi, np.abs(dist - radius) < 1e-9 * radius
-    raise NotImplementedError(f"slice chi for smooth shape {X.smooth.name}")
+    # a transversal slice of the sphere is a (k-1)-sphere
+    chi = np.where(dist > radius, 0, 1 + (-1) ** (k - 1))
+    return chi, np.abs(dist - radius) < 1e-9 * radius
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,16 @@ per call (see :func:`_plane_free`).
 
 At q = 0 the polar set of a line is the set of critical points of the
 height along it, and alpha at each is half the sum of its two Morse
-weights along +-v, written once in :func:`lkmeasure._q0_weights`.  A block
-of lines is one stacked height pass (:func:`lkmeasure._height_sums`: one
-Newton solve per stratum), and :func:`polar_sample`, :func:`polar_variety`,
-:func:`polar_image_integral` and :func:`alpha_index` are its one-line case:
-the same solve per stratum, split by line, and the same weights.
+weights along +-v, written once in :func:`lkmeasure._q0_weights`: the
+0-dimensional case of the same pipeline.  The lines of a block are one
+stacked Newton solve per stratum, cut by line into "points" pieces, and
+each stratum's points are weighted for all lines with one call; a line
+whose height is not Morse is flagged "fold" and redrawn.
 
-At q >= 1 a chunk of at most
-PLANE_CHUNK planes shares each stacked pass of the tracing, the genericity
-checks and the valuation, and :func:`polar_sample` is the one-plane case of
-the same passes.  There a fold of a top stratum is traced only as far as
+A chunk of at most PLANE_CHUNK planes (every line of a block at q = 0)
+shares each stacked pass of the pieces, the genericity checks and the
+valuation, and :func:`polar_sample` is the one-plane case of the same
+passes.  At q = 1 a fold of a top stratum is traced only as far as
 the genericity checks read it, to the sign grid and its edge crossings,
 without the refinement to the chord tolerance, since its value is 0.0
 whatever the trace; :func:`polar_variety` still refines it.
@@ -68,7 +68,7 @@ from .geomkit import (
     polar_length_constant,
     simplex_volumes,
 )
-from .lkmeasure import _WALL, Shape, _height_sums, _q0_weights
+from .lkmeasure import _WALL, Shape, _q0_weights
 from .plstrata import DegenerateDirectionError, _pl_alphas_many, sample_chunks
 from .silhouette import _snap_to_contour_batch, _trace_grid_normals, _trace_planes
 from .smoothshape import (
@@ -141,7 +141,8 @@ class DegeneracyReport:
 
     @property
     def clean(self) -> bool:
-        return not self.reasons()
+        return not (self.fold_violations or self.double_points or self.limit_adjacency
+                    or self.span_flags)
 
     def reasons(self) -> list[str]:
         flags = (self.fold_violations, self.double_points, self.limit_adjacency, self.span_flags)
@@ -249,33 +250,35 @@ def _chart_grid(S: SmoothStratum, resolution: int, grids: dict):
 
 
 def _stratum_pieces(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict, *,
-                    top_flags_only: bool = False) -> list[list[PolarPiece]]:
+                    top_flags_only: bool = False):
     """The polar pieces of one smooth stratum on each plane of a stack with
-    orthonormal row bases (B, q + 1, n).  ``grids`` holds the plane-free
-    geometry of a polar call (see :func:`_plane_free`): the trace-grid
-    normals of the surface strata and the grid points of the whole ones.
-    The folds of all planes are traced in one ``silhouette._trace_planes`` pass;
-    with ``top_flags_only`` those of a top stratum, whose value is 0.0, are
-    not refined: far enough for the genericity checks.  At q = 0 the
-    heights along all the lines are one stacked Newton solve, whose points
-    are split by line, and a height that is not Morse on any line raises
-    DegenerateHeightError."""
+    orthonormal row bases (B, q + 1, n), and a mask (B,) of the lines whose
+    height is not Morse on the stratum, which get no pieces (none but at
+    q = 0).  ``grids`` holds the plane-free geometry of a polar call (see
+    :func:`_plane_free`): the trace-grid normals of the surface strata and
+    the grid points of the whole ones.  The folds of all planes are traced
+    in one ``silhouette._trace_planes`` pass; with ``top_flags_only`` those
+    of a top stratum, whose value is 0.0, are not refined: far enough for
+    the genericity checks.  At q = 0 the heights along all the lines are one
+    stacked Newton solve, whose points come in line order and are cut by
+    line."""
     n = X.ambient_dim
     q = bases.shape[1] - 1
+    no_flags = np.zeros(len(bases), dtype=bool)
     if S.role == "solid":
-        return [[] for _ in bases]
+        return [[] for _ in bases], no_flags
     if S.dim <= q:
         _, _, pts = _chart_grid(S, 64, grids)
-        return [[PolarPiece(stratum=S, kind="whole", geometry=pts @ basis.T)] for basis in bases]
+        return [[PolarPiece(stratum=S, kind="whole", geometry=pts @ basis.T)]
+                for basis in bases], no_flags
     if q == 0:
         crit = height_critical_points_many(S, bases[:, 0], scale=X.diameter)
-        if crit.degenerate.any():
-            raise DegenerateHeightError("critical point at a chart edge, or a degenerate one")
-        owns = [crit.direction == b for b in range(len(bases))]
-        return [[PolarPiece(stratum=S, kind="points", geometry=crit.points[own] @ basis.T,
-                            source_params=crit.params[own], source_points=crit.points[own],
-                            morse_indices=crit.morse_indices[own])] if own.any() else []
-                for basis, own in zip(bases, owns)]
+        lam = crit.morse_indices
+        cuts = np.searchsorted(crit.direction, np.arange(len(bases) + 1)).tolist()
+        return [[PolarPiece(stratum=S, kind="points", geometry=crit.points[a:b] @ basis.T,
+                            source_params=crit.params[a:b], source_points=crit.points[a:b],
+                            morse_indices=lam[a:b])] if b > a else []
+                for basis, a, b in zip(bases, cuts[:-1], cuts[1:])], crit.degenerate
     if S.dim == 2 and n == 3 and q == 1:
         normals = _plane_free(grids, ("normals", S.name), lambda: _trace_grid_normals(S))
         traced = _trace_planes(S, orthogonal_complements(bases)[:, 0], X.diameter, normals,
@@ -283,19 +286,27 @@ def _stratum_pieces(X: Shape, S: SmoothStratum, bases: np.ndarray, grids: dict, 
         return [[PolarPiece(stratum=S, kind="contour", geometry=pts @ basis.T, source_params=params,
                             source_points=pts, closed=closed, source_mids=mids)
                  for params, pts, closed, mids in polylines]
-                for basis, polylines in zip(bases, traced)]
+                for basis, polylines in zip(bases, traced)], no_flags
     raise NotImplementedError(f"polar set for stratum dim {S.dim}, q={q}")
 
 
-def _smooth_pieces(X: Shape, bases: np.ndarray, grids: dict) -> list[list[PolarPiece]]:
+def _smooth_pieces(X: Shape, bases: np.ndarray, grids: dict):
     """The polar pieces of every stratum on each plane of a stack, in
     stratum order, with the folds of a top stratum traced for their flags
-    only (see :func:`_stratum_pieces`)."""
+    only (see :func:`_stratum_pieces`), and the :class:`DegeneracyReport`
+    of each plane: that of :func:`_genericity_many`, or a "fold" one for a
+    line whose height is not Morse on some stratum.  A plane that is not
+    clean keeps no pieces."""
     out: list = [[] for _ in bases]
+    height = np.zeros(len(bases), dtype=bool)
     for S in X.smooth.strata:
-        for pieces, more in zip(out, _stratum_pieces(X, S, bases, grids, top_flags_only=True)):
-            pieces += more
-    return out
+        pieces, flagged = _stratum_pieces(X, S, bases, grids, top_flags_only=True)
+        height |= flagged
+        for plist, more in zip(out, pieces):
+            plist += more
+    reports = [DegeneracyReport(fold_violations=["height"]) if flagged else report
+               for flagged, report in zip(height.tolist(), _genericity_many(X, bases, out, grids))]
+    return [plist if report.clean else [] for plist, report in zip(out, reports)], reports
 
 
 def polar_variety(X: Shape, stratum, P: LinearSubspace):
@@ -305,7 +316,10 @@ def polar_variety(X: Shape, stratum, P: LinearSubspace):
     with no genericity check: :func:`polar_sample` flags the plane."""
     q = P.dim - 1
     if X.pl is None:
-        return _stratum_pieces(X, stratum, P.basis[None], {})[0]
+        (pieces,), (flagged,) = _stratum_pieces(X, stratum, P.basis[None], {})
+        if flagged:
+            raise DegenerateHeightError("critical point at a chart edge, or a degenerate one")
+        return pieces
     K = X.pl
     cell = tuple(sorted(stratum))
     if cell not in K.plan.rows or len(cell) - 1 > q:
@@ -476,8 +490,8 @@ def _genericity_many(X: Shape, bases: np.ndarray, pieces: list, grids: dict) -> 
     src_tol = 0.05 * diameter
     contours = [[p for p in plist if p.kind == "contour"] for plist in pieces]
     flags: list = [([], [], []) for _ in pieces]  # fold, double, limit
-    if not any(contours):
-        return [DegeneracyReport() for _ in pieces]
+    if not any(contours):  # no flag: one clean report serves every plane
+        return [DegeneracyReport()] * len(pieces)
     # contours are traced on surfaces in R^3 at q = 1 only, so each plane
     # has one normal u
     U = orthogonal_complements(bases)[:, 0]
@@ -648,10 +662,10 @@ def _plane_values(X: Shape, bases: np.ndarray, pieces: list, grids: dict):
     first such piece: DegenerateDirectionError for a normal on the wall of
     its normal index, DegeneratePlaneError for a fold image too much of
     which lies near cusps.  A stratum valued whole is valued for all its
-    planes at once (:func:`_whole_stratum_integrals`), as are the folds of
+    planes at once (:func:`_whole_stratum_integrals`), as are the height
+    critical points of each stratum (:func:`_point_sums`) and the folds of
     each rim or solid boundary (:func:`_contour_integrals`); a fold of a
     top stratum is worth 0.0, as alpha is 0 all along it."""
-    q = bases.shape[1] - 1
     values = [[0.0] * len(plist) for plist in pieces]
     errors: list = [None] * len(bases)
     first_bad = [math.inf] * len(bases)
@@ -663,17 +677,8 @@ def _plane_values(X: Shape, bases: np.ndarray, pieces: list, grids: dict):
     groups: dict = {}  # (kind, stratum) -> [(plane, piece index, piece)]
     for b, plist in enumerate(pieces):
         for i, piece in enumerate(plist):
-            if piece.kind == "points":
-                if q != 0:
-                    continue
-                keep = X.in_region(piece.source_points)
-                down, up, wall = _q0_weights(piece.stratum, piece.source_params[keep],
-                                             bases[b, 0], piece.morse_indices[keep])
-                if wall.any():
-                    fail(b, i, DegenerateDirectionError(_WALL))
-                else:
-                    values[b][i] = float(np.sum(0.5 * (down + up)))
-            elif piece.kind == "whole" or (piece.kind == "contour" and piece.stratum.role != "top"):
+            if piece.kind in ("whole", "points") or (
+                    piece.kind == "contour" and piece.stratum.role != "top"):
                 groups.setdefault((piece.kind, id(piece.stratum)), []).append((b, i, piece))
             elif piece.kind != "contour":
                 raise ValueError(f"unknown piece kind {piece.kind}")
@@ -683,7 +688,8 @@ def _plane_values(X: Shape, bases: np.ndarray, pieces: list, grids: dict):
         if kind == "whole":
             vals, bad = _whole_stratum_integrals(X, S, bases[planes], grids)
         else:
-            vals, bad = _contour_integrals(X, S, bases[planes], [piece for _, _, piece in items])
+            valuer = _point_sums if kind == "points" else _contour_integrals
+            vals, bad = valuer(X, S, bases[planes], [piece for _, _, piece in items])
         for (b, i, _), val, error in zip(items, vals, bad):
             values[b][i] = val
             if error is not None:
@@ -722,6 +728,25 @@ def _whole_stratum_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, grid
                                                            bases[plane])
     values = [math.fsum(row.tolist()) for row in w * element * alphas * mask]
     return values, [DegenerateDirectionError(_WALL) if bad else None for bad in wall.any(axis=1)]
+
+
+def _point_sums(X: Shape, S: SmoothStratum, bases: np.ndarray, pieces: list):
+    """alpha summed over the height critical points in the region of one
+    stratum, the piece k on the line along ``bases[k, 0]``, and the error of
+    each (else None): DegenerateDirectionError when a point's v lies on the
+    wall of its normal index.  The weights of all pieces come from one
+    :func:`lkmeasure._q0_weights` call; a sum is of half-integers, so exact
+    in any order."""
+    counts = [len(piece.source_params) for piece in pieces]
+    line = np.repeat(np.arange(len(pieces)), counts)
+    params, points, lam = (np.concatenate([getattr(piece, part) for piece in pieces])
+                           for part in ("source_params", "source_points", "morse_indices"))
+    keep = X.in_region(points)
+    own = line[keep]
+    down, up, wall = _q0_weights(S, params[keep], bases[own, 0], lam[keep])
+    sums = np.bincount(own, weights=0.5 * (down + up), minlength=len(pieces))
+    walled = np.bincount(own[wall], minlength=len(pieces)) > 0
+    return sums.tolist(), [DegenerateDirectionError(_WALL) if bad else None for bad in walled]
 
 
 def _fold_alphas_batch(S: SmoothStratum, params: np.ndarray, u: np.ndarray, radius: float):
@@ -802,19 +827,6 @@ def _contour_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, pieces: li
     return values, errors
 
 
-def _q0_values(X: Shape, V: np.ndarray):
-    """The q = 0 value of each line of a stack, with unit directions V
-    (B, n), on a smooth shape: the alpha sum of :func:`lkmeasure._height_sums`.
-    Returns (values, fold, wall, parts): ``fold`` is the "fold" rejection of
-    :func:`polar_sample`, ``wall`` the "alpha" one of its valuation (a
-    point on the wall of its normal index), and ``parts`` (stratum name,
-    has points, alpha sum) per stratum, the one "points" piece of a line
-    when it has points."""
-    sums, fold, wall = _height_sums(X, V)
-    parts = [(S.name, has, 0.5 * (down + up)) for S, has, down, up in sums]
-    return sum((part for _, _, part in parts), np.zeros(len(V))), fold, wall, parts
-
-
 def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
     """The polar set of the shape for one plane, with genericity checks
     attached, and plane-free geometry of its own (see :func:`_plane_free`).
@@ -822,8 +834,9 @@ def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
     The folds of a top stratum are traced for their genericity flags only:
     the sign grid and its edge crossings, not refined to the chord
     tolerance, since alpha is 0 all along them.  :func:`polar_variety`
-    still refines them, for a fold length.  On a complex the sample is the
-    span check alone, with no pieces: :func:`polar_variety` gives a cell's."""
+    still refines them, for a fold length.  A line whose height is not Morse
+    is flagged "fold".  On a complex the sample is the span check alone,
+    with no pieces: :func:`polar_variety` gives a cell's."""
     q = P.dim - 1
     if X.pl is not None:
         K = X.pl
@@ -833,13 +846,8 @@ def polar_sample(X: Shape, P: LinearSubspace) -> PolarSample:
             for i in np.flatnonzero(flags[0])
         ]
         return PolarSample(plane=P, pieces=(), report=DegeneracyReport(span_flags=span_flags))
-    grids: dict = {}
-    try:
-        (pieces,) = _smooth_pieces(X, P.basis[None], grids)
-    except (DegenerateDirectionError, DegenerateHeightError):
-        return PolarSample(plane=P, pieces=(), report=DegeneracyReport(fold_violations=["height"]))
-    (report,) = _genericity_many(X, P.basis[None], [pieces], grids)
-    return PolarSample(plane=P, pieces=tuple(pieces) if report.clean else (), report=report)
+    (pieces,), (report,) = _smooth_pieces(X, P.basis[None], {})
+    return PolarSample(plane=P, pieces=tuple(pieces), report=report)
 
 
 @dataclass(frozen=True)
@@ -856,10 +864,11 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
     """Monte-Carlo q-th polar length: the dimensional constant times the mean
     over uniform planes of the alpha-weighted polar image volume.
 
-    The route of the shape and q values the (B, q + 1, n) bases of one
-    stacked QR of a block of Gaussian draws, with a reason for each plane
-    ("" when used) and, under ``keep_rows``, its per-stratum parts; one
-    ledger counts the rejections and keeps the rows of the full-rank draws.
+    The route of the shape, one for complexes and one for smooth shapes at
+    every q, values the (B, q + 1, n) bases of one stacked QR of a block of
+    Gaussian draws, with a reason for each plane ("" when used) and, under
+    ``keep_rows``, its per-stratum parts; one ledger counts the rejections
+    and keeps the rows of the full-rank draws.
 
     At q = n - 1 the plane is all of R^n, the same on every draw, so the
     one plane R^n (identity basis) is valued with no draw: the estimate has
@@ -882,17 +891,15 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
     def smooth_planes(bases: np.ndarray):
         # the planes of a chunk share each stacked pass of polar_sample and
         # of the valuation of its pieces; the cap bounds the memory of fold
-        # tracing and overlap tests, so planes with no fold to trace share
-        # one pass
+        # tracing and overlap tests, so planes with no fold to trace (the
+        # lines at q = 0 among them) share one pass
         vals = np.zeros(len(bases))
         reasons, parts = [], []
         traced = n == 3 and q == 1 and any(S.dim == 2 for S in X.smooth.strata)
         size = PLANE_CHUNK if traced else len(bases)
         for start in range(0, len(bases), size):
             chunk = bases[start:start + size]
-            pieces = _smooth_pieces(X, chunk, grids)
-            reports = _genericity_many(X, chunk, pieces, grids)
-            pieces = [plist if report.clean else [] for plist, report in zip(pieces, reports)]
+            pieces, reports = _smooth_pieces(X, chunk, grids)
             values, errors = _plane_values(X, chunk, pieces, grids)
             width = max(map(len, values))
             sums = _sums_in_order(np.array([v + [0.0] * (width - len(v)) for v in values]))
@@ -930,18 +937,7 @@ def polar_length(X: Shape, q: int, n_planes: int, rng: RandomSource,
                     parts[j] = {key: 0.0 + val for key, val in zip(q_keys, values)}
         return vals, reasons, parts
 
-    def lines(bases: np.ndarray):
-        vals, fold, wall, parts = _q0_values(X, bases[:, 0])
-        reasons = ["fold" if f else "alpha" if w else "" for f, w in zip(fold, wall)]
-        return vals, reasons, [{name: float(part[j]) for name, has, part in parts if has[j]}
-                               for j in range(len(bases) if keep_rows else 0)]
-
-    if X.pl is not None:
-        route = pl_planes
-    elif q == 0:
-        route = lines
-    else:
-        route = smooth_planes
+    route = smooth_planes if X.pl is None else pl_planes
     reject_reasons: dict = {}
     rows = []
     n_rejected = 0

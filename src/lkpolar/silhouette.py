@@ -23,6 +23,8 @@ TRACE_GRID = 256  # sign-grid cells per chart axis of silhouette tracing
 CHORD_TOL = 1e-6  # largest gap between a traced polyline and its fold
 CROSSING_BRACKET = 2.0**-40  # a fold crossing's last bracket, as a share of its edge
 CROSSING_EVALS = 40  # most evaluations of <nu, u> per fold crossing
+SNAP_STEPS = 25  # most gradient steps of a chart point snapped onto a fold
+REFINE_ROUNDS = 8  # most rounds of segment halving in a polyline's refinement
 
 
 def _surface_normals(S: SmoothStratum, params: np.ndarray) -> np.ndarray:
@@ -39,19 +41,19 @@ def _silhouette_value(S: SmoothStratum, params: np.ndarray, u: np.ndarray) -> np
     return N[:, 0] * u[..., 0] + N[:, 1] * u[..., 1] + N[:, 2] * u[..., 2]
 
 
-def _snap_to_contour_batch(S, P: np.ndarray, u, iters=25):
+def _snap_to_contour_batch(S, P: np.ndarray, u):
     """Gradient-step refinement of chart points onto {<nu, u> = 0}, batched,
     with one u for all points or one per point.
 
     Each point stops on its own once it lies within 1e-12 of the contour,
-    after at most ``iters`` steps, so its bits do not depend on its batch."""
+    after at most SNAP_STEPS steps, so its bits do not depend on its batch."""
     P = np.atleast_2d(np.asarray(P, dtype=float)).T.copy()  # as columns (2, N)
     U = np.broadcast_to(u, (P.shape[1], 3))
     live = np.arange(P.shape[1])
     h = 1e-7
     e0 = np.array([h, 0.0])
     e1 = np.array([0.0, h])
-    for _ in range(iters):
+    for _ in range(SNAP_STEPS):
         # np.take and np.compress gather rows far faster than indexing does
         Q, V = np.take(P, live, axis=1).T, np.take(U, live, axis=0)
         g = _silhouette_value(S, Q, V)
@@ -308,10 +310,10 @@ def _unwrap_params(params, lengths, lo, hi, periodic):
     return out
 
 
-def _refine_polylines(S, params, lengths, U, tol, max_depth=8):
+def _refine_polylines(S, params, lengths, U, tol):
     """Split every segment of a concatenation of polylines, with point
     counts ``lengths`` and fold normals U (one per polyline), whose snapped
-    midpoint lies farther than tol from its chord, for up to max_depth
+    midpoint lies farther than tol from its chord, for up to REFINE_ROUNDS
     rounds.  Returns the params, their points, the new point counts, and the
     snapped midpoint of every segment that passed (NaN for the halves made
     in the last round, and between polylines).
@@ -324,7 +326,7 @@ def _refine_polylines(S, params, lengths, U, tol, max_depth=8):
     line = np.repeat(np.arange(len(lengths)), lengths)  # the polyline of each point
     seg = np.flatnonzero(line[:-1] == line[1:])  # the open segments
     mids = np.full((len(pts) - 1, 2), np.nan)
-    for _ in range(max_depth):
+    for _ in range(REFINE_ROUNDS):
         # np.take and np.compress gather far faster than indexing does
         snapped = _snap_to_contour_batch(
             S, 0.5 * (np.take(pts, seg, axis=0) + np.take(pts, seg + 1, axis=0)),

@@ -564,10 +564,6 @@ def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) 
 # catalog
 # ---------------------------------------------------------------------------
 
-def _chart_2d(bounds, periodic, r, dr, d2r) -> Chart:
-    return Chart(dim=2, bounds=bounds, periodic=periodic, r=r, dr=dr, d2r=d2r)
-
-
 def _trig(p, axis: int):
     """cos and sin of one chart coordinate of a (..., d) parameter array,
     each computed once; a chart then fills one preallocated array with
@@ -613,7 +609,8 @@ def sphere_shape(radius: float = 1.0) -> SmoothShape:
         out *= R
         return out
 
-    chart = _chart_2d(((0.0, 2 * math.pi), (1e-6, math.pi - 1e-6)), (True, False), r, dr, d2r)
+    chart = Chart(dim=2, bounds=((0.0, 2 * math.pi), (1e-6, math.pi - 1e-6)),
+                  periodic=(True, False), r=r, dr=dr, d2r=d2r)
     stratum = SmoothStratum(
         name="sphere",
         dim=2,
@@ -673,7 +670,8 @@ def torus_shape(R: float = 2.0, r: float = 1.0) -> SmoothShape:
             [np.cos(ph) * np.cos(th), np.cos(ph) * np.sin(th), np.sin(ph)], axis=-1
         )
 
-    chart = _chart_2d(((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True), rr, dr, d2r)
+    chart = Chart(dim=2, bounds=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+                  periodic=(True, True), r=rr, dr=dr, d2r=d2r)
     stratum = SmoothStratum(name="torus", dim=2, chart=chart, role="top", unit_normal=unit_normal)
     return SmoothShape(3, (stratum,), f"torus:{R:g}:{r:g}", 2 * (R + r))
 
@@ -753,7 +751,8 @@ def disk_shape(radius: float = 1.0) -> SmoothShape:
         nu[..., 2] = 1.0
         return nu
 
-    top_chart = _chart_2d(((1e-9 * R, R), (0.0, 2 * math.pi)), (False, True), r, dr, d2r)
+    top_chart = Chart(dim=2, bounds=((1e-9 * R, R), (0.0, 2 * math.pi)),
+                      periodic=(False, True), r=r, dr=dr, d2r=d2r)
     top = SmoothStratum(
         name="disk",
         dim=2,

@@ -129,19 +129,48 @@ def _names_used(tree) -> set:
     return used
 
 
-def test_every_function_has_a_caller():
-    # a function of lkpolar that no code in src, tests or perfbench names,
-    # other than its own def and an __all__, is dead: a view left behind
-    # when its callers moved to a stacked kernel fails here at once
+def _defined_functions() -> dict:
+    """Each function defined in src/lkpolar, dunders aside: name -> where."""
     defined = {}
     for path in sorted((ROOT / "src" / "lkpolar").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                     node.name.startswith("__") and node.name.endswith("__")):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    return defined
+
+
+def _used_in(*tops) -> set:
     used = set()
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             used |= _names_used(ast.parse(path.read_text()))
+    return used
+
+
+def test_every_function_has_a_caller():
+    # a function of lkpolar that no code in src, tests or perfbench names,
+    # other than its own def and an __all__, is dead: a view left behind
+    # when its callers moved to a stacked kernel fails here at once
+    defined = _defined_functions()
+    used = _used_in("src", "tests", "perfbench")
     assert len(defined) > 100
     assert not {name: where for name, where in defined.items() if name not in used}
+
+
+# the functions of src/lkpolar that only tests name: public API that no
+# module or benchmark calls, and the one-item views that tests read; a
+# helper that loses its last caller in src or perfbench joins this set and
+# fails the test below, rather than living on through its tests
+TEST_ONLY_FUNCTIONS = {
+    "beta_coeff", "sample_affine_flats_hitting_ball", "generate_state", "from_vectors",
+    "lambda_density", "slice_euler_characteristic", "with_region", "euler_characteristic",
+    "polar_image_integral", "frames", "second_form", "morse_index",
+}
+
+
+def test_functions_named_only_by_tests_are_pinned():
+    defined = _defined_functions()
+    used = _used_in("src", "perfbench")
+    tested = _used_in("tests")
+    assert {name for name in defined if name not in used and name in tested} == TEST_ONLY_FUNCTIONS

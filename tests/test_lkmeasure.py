@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -422,6 +423,37 @@ def test_round_slice_decisions_scale_with_the_radius(radius):
                 slice_euler_characteristic(sph, flat)
         else:
             assert slice_euler_characteristic(sph, flat) == sphere
+
+
+def test_round_slices_read_the_strata_not_the_name():
+    # the sphere or ball rule comes from the strata: a torus named like a
+    # sphere is no round shape, a renamed sphere or ball keeps its rule, a
+    # tiny sphere far from the origin (its points rounded at the scale of
+    # the offset) is still a sphere, and the unit circle of R^2 slices like
+    # a sphere
+    def shape(name, smooth):
+        return Shape(name=name, smooth=smooth)
+
+    e3 = LinearSubspace(3, np.array([[0.0, 0.0, 1.0]]))
+    torus = shape_from_name("torus:2:1")
+    with pytest.raises(NotImplementedError):
+        slice_euler_characteristic(shape("sphere:1", replace(torus.smooth, name="sphere:1")),
+                                   AffineFlat(e3, np.array([0.5, 0.0, 0.0])))
+    for name, inside in (("sphere:2", 2), ("ball:2", 1)):
+        renamed = shape("globe", replace(shape_from_name(name).smooth, name="globe"))
+        for s, chi in ((0.5, inside), (1.5, 0)):
+            assert slice_euler_characteristic(renamed, AffineFlat(e3, np.array([s * 2, 0, 0]))) == chi
+    far = shape_from_name("sphere:1e-10").transformed(translation=[0.3, 0.0, 0.0])
+    for s, chi in ((0.5, 2), (1.5, 0)):
+        flat = AffineFlat(e3, np.array([0.3 + s * 1e-10, 0.0, 0.0]))
+        assert slice_euler_characteristic(far, flat) == chi
+    ey = LinearSubspace(2, np.array([[0.0, 1.0]]))
+    for s, chi in ((0.5, 2), (1.5, 0)):
+        flat = AffineFlat(ey, np.array([s, 0.0]))
+        assert slice_euler_characteristic(shape_from_name("ellipse:1:1"), flat) == chi
+    with pytest.raises(NotImplementedError):
+        slice_euler_characteristic(shape_from_name("ellipse:2:1"),
+                                   AffineFlat(ey, np.array([0.5, 0.0])))
 
 
 def test_kinematic_flagged_when_denominator_vanishes():

@@ -924,7 +924,10 @@ def test_stacked_q0_route_matches_one_plane_route(name):
     # the axes include non-Morse heights: e3 on every shape, e1 and e2 on the
     # hemisphere, whose cap then has critical points on its chart edge
     V = np.concatenate([np.eye(3), [[0.6, 0.0, 0.8]]])
-    vals, fold, _, _ = polar._q0_values(X, V)
+    pieces, reports = polar._smooth_pieces(X, V[:, None], {})
+    values, _ = polar._plane_values(X, V[:, None], pieces, {})
+    vals = [polar._sum_in_order(v) for v in values]
+    fold = [not report.clean for report in reports]
     assert fold[2]
     for v, val, flagged in zip(V, vals, fold):
         sample = polar_sample(X, LinearSubspace(3, v[None]))
@@ -948,6 +951,52 @@ def test_stacked_q0_route_matches_one_plane_route(name):
 
 
 Q0_SHAPES = ["sphere:1", "torus:2:1", "circle:1", "disk:1", "hemisphere:1", "ball:1"]
+
+
+@pytest.mark.parametrize("name", Q0_SHAPES)
+def test_a_non_morse_line_flags_only_itself_in_a_stack(name):
+    # e3 is not Morse on any of these shapes; in a stack of seeded lines it
+    # is the one line flagged, on each stratum as alone, and every other
+    # line gets the pieces and the value of its lone call
+    X = shape_from_name(name)
+    gen = RandomSource(64).generator()
+    V = np.array([sample_grassmannian(3, 1, gen).basis[0] for _ in range(5)])
+    V = np.insert(V, 2, [0.0, 0.0, 1.0], axis=0)
+    bases = V[:, None]
+    for S in X.smooth.strata:
+        pieces, flagged = polar._stratum_pieces(X, S, bases, {})
+        for b in range(len(V)):
+            (lone,), (lone_flag,) = polar._stratum_pieces(X, S, bases[b:b + 1], {})
+            assert flagged[b] == lone_flag and len(pieces[b]) == len(lone)
+            for got, want in zip(pieces[b], lone):
+                for part in ("geometry", "source_params", "source_points", "morse_indices"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part))
+    pieces, reports = polar._smooth_pieces(X, bases, {})
+    assert [report.reasons() for report in reports] == [["fold"] if b == 2 else []
+                                                        for b in range(len(V))]
+    values, errors = polar._plane_values(X, bases, pieces, {})
+    for v, plist, piece_vals, error in zip(V, pieces, values, errors):
+        sample = polar_sample(X, LinearSubspace(3, v[None]))
+        assert [p.stratum.name for p in plist] == [p.stratum.name for p in sample.pieces]
+        assert error is None
+        assert piece_vals == _piece_values(X, sample.pieces, sample.plane)
+
+
+@pytest.mark.parametrize("name", Q0_SHAPES)
+def test_polar_length_at_q0_solves_each_curved_stratum_once_per_block(name, monkeypatch):
+    # every line of a block (first draws or redraws) shares one stacked
+    # Newton solve per stratum that is not solid
+    X = shape_from_name(name)
+    solves, blocks = [], []
+    stacked, qr = polar.height_critical_points_many, polar.grassmannian_bases
+    monkeypatch.setattr(polar, "height_critical_points_many", lambda S, V, scale=1.0: (
+        solves.append((S.name, len(V))) or stacked(S, V, scale=scale)))
+    monkeypatch.setattr(polar, "grassmannian_bases", lambda draws: (
+        blocks.append(len(draws)) or qr(draws)))
+    polar_length(X, 0, 40, RandomSource(65))
+    curved = [S.name for S in X.smooth.strata if S.role != "solid"]
+    assert blocks[0] == 40
+    assert solves == [(S, size) for size in blocks for S in curved]
 
 
 @pytest.mark.parametrize("name", Q0_SHAPES)

@@ -174,7 +174,7 @@ ROUTES = {
         (lkmeasure, "sample_unit_sphere")),
     "smooth polar_length q=0": (
         lambda: polar.polar_length(lkmeasure.shape_from_name("sphere:1"), 0, 3, RandomSource(11)),
-        (lkmeasure, "height_critical_points_many", _no_morse_height, DegenerateHeightError),
+        (polar, "height_critical_points_many", _no_morse_height, DegenerateHeightError),
         (polar, "draw_grassmannian")),
     "kinematic_check": (
         lambda: lkmeasure.kinematic_check(lkmeasure.shape_from_name("ball:1"), 1, 3,
@@ -228,14 +228,16 @@ def _flag_alpha(monkeypatch, first):
 
 
 def _flag_wall(monkeypatch, first):
-    # smooth lines: the stacked height pass puts a first line on a wall
-    sums = polar._height_sums
+    # smooth lines: the stacked valuation of a stratum's critical points
+    # puts a point of a first line on a wall
+    sums = polar._point_sums
 
-    def step(X, V):
-        parts, fold, wall = sums(X, V)
-        return parts, fold, wall | [_is_first(v[None], first) for v in V]
+    def step(X, S, bases, pieces):
+        vals, errors = sums(X, S, bases, pieces)
+        return vals, [DegenerateDirectionError("on the wall") if _is_first(B, first) else error
+                      for B, error in zip(bases, errors)]
 
-    monkeypatch.setattr(polar, "_height_sums", step)
+    monkeypatch.setattr(polar, "_point_sums", step)
 
 
 def _flag_fold(monkeypatch, first):
