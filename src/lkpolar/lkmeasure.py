@@ -158,7 +158,10 @@ def shape_from_name(spec: str) -> Shape:
     if head not in CATALOG:
         raise ValueError(f"unknown shape {spec!r}")
     build, most = CATALOG[head]
-    args = [float(a) for a in rest.split(":")] if rest else []
+    try:
+        args = [float(a) for a in rest.split(":")] if rest else []
+    except ValueError as err:
+        raise ValueError(f"shape {spec!r}: every parameter must be a number ({err})") from None
     if len(args) > most:
         raise ValueError(f"shape {spec!r}: {head} takes at most {most} parameters")
     if not all(math.isfinite(a) and a > 0 for a in args):

@@ -95,7 +95,6 @@ class StratifiedComplex:
 
     vertices: np.ndarray  # (V, n)
     cells: dict[int, list[tuple[int, ...]]] = field(repr=False)
-    _cell_set: frozenset = field(init=False, repr=False, compare=False)
     _links: dict = field(init=False, repr=False, compare=False)
     _plan: "ComplexPlan | None" = field(init=False, repr=False, compare=False)
 
@@ -108,13 +107,12 @@ class StratifiedComplex:
             if cs
         }
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_cell_set", frozenset(c for cs in cells.values() for c in cs))
         object.__setattr__(self, "_links", {})
         object.__setattr__(self, "_plan", None)
         self._validate()
 
     def _validate(self):
-        have = self._cell_set
+        have = {c for cs in self.cells.values() for c in cs}
         n_verts = len(self.vertices)
         for d, cs in self.cells.items():
             for c in cs:
@@ -165,7 +163,7 @@ class StratifiedComplex:
             yield from self.cells[d]
 
     def has_cell(self, cell) -> bool:
-        return tuple(sorted(cell)) in self._cell_set
+        return tuple(sorted(cell)) in self.plan.rows
 
     @property
     def plan(self) -> "ComplexPlan":

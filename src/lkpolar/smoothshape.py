@@ -1,9 +1,12 @@
 """Catalog of smooth shapes with exact differential data.
 
-Each shape is a list of strata; every stratum carries a chart with closed-form
+Each shape is a list of strata; every stratum carries a chart with exact
 first and second derivatives, so tangent/normal frames, second fundamental
 forms and curvature integrands are evaluated without numerical
-differentiation.  Quadrature uses the trapezoid rule on periodic chart axes
+differentiation.  Every catalog chart is a product chart: each coordinate is
+a constant times one function of each chart parameter, and
+:func:`_product_chart` gets the chart's derivatives from its factors' by the
+product rule.  Quadrature uses the trapezoid rule on periodic chart axes
 (spectrally exact for the trigonometric integrands of the catalog) and
 Gauss-Legendre nodes otherwise.
 """
@@ -564,60 +567,104 @@ def height_critical_points(S: SmoothStratum, v: np.ndarray, scale: float = 1.0) 
 # catalog
 # ---------------------------------------------------------------------------
 
-def _trig(p, axis: int):
-    """cos and sin of one chart coordinate of a (..., d) parameter array,
-    each computed once; a chart then fills one preallocated array with
-    products of them."""
-    t = np.asarray(p, dtype=float)[..., axis]
-    return np.cos(t), np.sin(t)
+def _cos(c, s):
+    """cos t as a product factor, from c = cos t and s = sin t."""
+    return (1, c), (-1, s), (-1, c)
+
+
+def _sin(c, s):
+    """sin t as a product factor, from c = cos t and s = sin t."""
+    return (1, s), (1, c), (-1, s)
+
+
+def _product_entry(out, coord, orders):
+    """Write into ``out`` the partial derivative, of the given order in each
+    parameter, of one product coordinate (c, f_0, f_1, ...) (see
+    :func:`_product_chart`): the product of its factors' terms in order,
+    times c, or times -c when their signs multiply to -1.  Where it is
+    identically 0, ``out`` keeps its +0.0."""
+    c, arrays = coord[0], []
+    for factor, m in zip(coord[1:], orders):
+        if factor is None:
+            if m:
+                return
+            continue
+        term = factor[m]
+        if term is None:
+            return
+        if term[0] < 0:
+            c = -c
+        arrays.append(term[1])
+    if c != 1.0 or not arrays:
+        arrays.append(c)
+    if len(arrays) == 1:
+        out[...] = arrays[0]
+    else:
+        np.multiply(functools.reduce(np.multiply, arrays[:-1]), arrays[-1], out=out)
+
+
+def _product_chart(bounds, periodic, coords) -> Chart:
+    """Chart whose coordinates are products x_k = c_k f_k(p_0) g_k(p_1) of
+    one function of each parameter, with dr and d2r by the product rule.
+
+    ``coords(*columns)`` takes the parameter columns of a (..., d) array and
+    returns one entry per coordinate: None for a coordinate that is
+    identically 0, else (c_k, f_k, g_k) with a factor per parameter.  A
+    factor is None for the constant 1, else its value, first and second
+    derivative, each (sign, array or 1.0), or None where that derivative is
+    identically 0.  Every entry is the product of its factors' arrays in
+    order, then times c_k, or times -c_k when the signs of its factors'
+    terms multiply to -1: -(a b c) and (-a) b c round alike, so the sign can
+    ride on the scalar.  An entry that is identically 0 is +0.0."""
+    d = len(bounds)
+    axes = range(d)
+
+    def deriv(*wrt):
+        """the order of d/dp_wrt[0] d/dp_wrt[1] ... in each parameter"""
+        return tuple(wrt.count(i) for i in axes)
+
+    def filled(shape, slots):
+        """p -> the (..., *shape, n) array that holds, for each (orders,
+        index, *mirrors) of ``slots``, the derivatives of those orders at
+        ``out[index]``, copied to each ``out[mirror]``; the others stay +0.0."""
+        def f(p):
+            p = np.asarray(p, dtype=float)
+            cs = coords(*(p[..., i] for i in axes))
+            out = np.zeros(p.shape[:-1] + shape + (len(cs),))
+            for k, coord in enumerate(cs):
+                if coord is not None:
+                    for orders, index, *mirrors in slots:
+                        entry = out[index + (k,)]
+                        _product_entry(entry, coord, orders)
+                        for mirror in mirrors:
+                            out[mirror + (k,)] = entry
+            return out
+
+        return f
+
+    # d2r is symmetric: an entry off the diagonal is written once and copied
+    second = [(deriv(i, j), (..., i, j)) + (((..., j, i),) if i < j else ())
+              for i in axes for j in axes[i:]]
+    return Chart(dim=d, bounds=tuple(bounds), periodic=tuple(periodic),
+                 r=filled((), [(deriv(), (...,))]),
+                 dr=filled((d,), [(deriv(i), (..., i)) for i in axes]), d2r=filled((d, d), second))
+
+
+def _sphere_chart(R: float) -> Chart:
+    """The sphere of radius R about the origin of R^3, by longitude theta
+    and colatitude phi: R (cos theta sin phi, sin theta sin phi, cos phi)."""
+    def coords(theta, phi):
+        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+        return (R, _cos(ct, st), _sin(cp, sp)), (R, _sin(ct, st), _sin(cp, sp)), (R, None, _cos(cp, sp))
+
+    return _product_chart(((0.0, 2 * math.pi), (1e-6, math.pi - 1e-6)), (True, False), coords)
 
 
 def sphere_shape(radius: float = 1.0) -> SmoothShape:
     R = float(radius)
-
-    def r(p):
-        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
-        out = np.empty(ct.shape + (3,))
-        out[..., 0] = ct * sp
-        out[..., 1] = st * sp
-        out[..., 2] = cp
-        out *= R
-        return out
-
-    def dr(p):
-        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
-        out = np.empty(ct.shape + (2, 3))
-        out[..., 0, 0] = -(st * sp)
-        out[..., 0, 1] = ct * sp
-        out[..., 0, 2] = 0.0
-        out[..., 1, 0] = ct * cp
-        out[..., 1, 1] = st * cp
-        out[..., 1, 2] = -sp
-        out *= R
-        return out
-
-    def d2r(p):
-        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
-        out = np.empty(ct.shape + (2, 2, 3))
-        out[..., 0, 0, 0] = out[..., 1, 1, 0] = -(ct * sp)
-        out[..., 0, 0, 1] = out[..., 1, 1, 1] = -(st * sp)
-        out[..., 0, 0, 2] = out[..., 0, 1, 2] = 0.0
-        out[..., 0, 1, 0] = -(st * cp)
-        out[..., 0, 1, 1] = ct * cp
-        out[..., 1, 1, 2] = -cp
-        out[..., 1, 0, :] = out[..., 0, 1, :]
-        out *= R
-        return out
-
-    chart = Chart(dim=2, bounds=((0.0, 2 * math.pi), (1e-6, math.pi - 1e-6)),
-                  periodic=(True, False), r=r, dr=dr, d2r=d2r)
-    stratum = SmoothStratum(
-        name="sphere",
-        dim=2,
-        chart=chart,
-        role="top",
-        unit_normal=lambda p: r(p) / R,
-    )
+    chart = _sphere_chart(R)
+    stratum = SmoothStratum(name="sphere", dim=2, chart=chart, role="top",
+                            unit_normal=lambda p: chart.r(p) / R)
     return SmoothShape(3, (stratum,), f"sphere:{radius:g}", 2 * R)
 
 
@@ -626,227 +673,77 @@ def torus_shape(R: float = 2.0, r: float = 1.0) -> SmoothShape:
     if not R > r > 0:
         raise ValueError("need R > r > 0 for an embedded torus")
 
-    def rr(p):
-        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
-        w = R + r * cp
-        out = np.empty(ct.shape + (3,))
-        out[..., 0] = w * ct
-        out[..., 1] = w * st
-        out[..., 2] = r * sp
-        return out
-
-    def dr(p):
-        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
-        w, rs = R + r * cp, r * sp
-        out = np.empty(ct.shape + (2, 3))
-        out[..., 0, 0] = -(w * st)
-        out[..., 0, 1] = w * ct
-        out[..., 0, 2] = 0.0
-        out[..., 1, 0] = -(rs * ct)
-        out[..., 1, 1] = -(rs * st)
-        out[..., 1, 2] = r * cp
-        return out
-
-    def d2r(p):
-        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+    def coords(theta, phi):
+        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
         rc, rs = r * cp, r * sp
-        w = R + rc
-        out = np.empty(ct.shape + (2, 2, 3))
-        out[..., 0, 0, 0] = -(w * ct)
-        out[..., 0, 0, 1] = -(w * st)
-        out[..., 0, 0, 2] = out[..., 0, 1, 2] = 0.0
-        out[..., 0, 1, 0] = rs * st
-        out[..., 0, 1, 1] = -(rs * ct)
-        out[..., 1, 1, 0] = -(rc * ct)
-        out[..., 1, 1, 1] = -(rc * st)
-        out[..., 1, 1, 2] = -rs
-        out[..., 1, 0, :] = out[..., 0, 1, :]
-        return out
+        w = (1, R + rc), (-1, rs), (-1, rc)  # R + r cos phi
+        return (1.0, _cos(ct, st), w), (1.0, _sin(ct, st), w), (r, None, _sin(cp, sp))
 
-    def unit_normal(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        return np.stack(
-            [np.cos(ph) * np.cos(th), np.cos(ph) * np.sin(th), np.sin(ph)], axis=-1
-        )
+    def normal(theta, phi):
+        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+        return (1.0, _cos(ct, st), _cos(cp, sp)), (1.0, _sin(ct, st), _cos(cp, sp)), (1.0, None, _sin(cp, sp))
 
-    chart = Chart(dim=2, bounds=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
-                  periodic=(True, True), r=rr, dr=dr, d2r=d2r)
-    stratum = SmoothStratum(name="torus", dim=2, chart=chart, role="top", unit_normal=unit_normal)
+    bounds, periodic = ((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True)
+    stratum = SmoothStratum(name="torus", dim=2, chart=_product_chart(bounds, periodic, coords),
+                            role="top", unit_normal=_product_chart(bounds, periodic, normal).r)
     return SmoothShape(3, (stratum,), f"torus:{R:g}:{r:g}", 2 * (R + r))
 
 
-def _circle_chart(R: float) -> Chart:
-    """The circle of radius R about the origin of the xy-plane of R^3."""
-    def r(p):
-        c, s = _trig(p, 0)
-        out = np.empty(c.shape + (3,))
-        out[..., 0] = R * c
-        out[..., 1] = R * s
-        out[..., 2] = 0.0
-        return out
+def _circle_chart(a: float, b: float, n: int) -> Chart:
+    """The ellipse (a cos t, b sin t) about the origin of R^2, or of the
+    xy-plane of R^3 when n = 3."""
+    def coords(t):
+        c, s = np.cos(t), np.sin(t)
+        return ((a, _cos(c, s)), (b, _sin(c, s))) + (None,) * (n - 2)
 
-    def dr(p):
-        c, s = _trig(p, 0)
-        out = np.empty(c.shape + (1, 3))
-        out[..., 0, 0] = -R * s
-        out[..., 0, 1] = R * c
-        out[..., 0, 2] = 0.0
-        return out
-
-    def d2r(p):
-        c, s = _trig(p, 0)
-        out = np.empty(c.shape + (1, 1, 3))
-        out[..., 0, 0, 0] = -R * c
-        out[..., 0, 0, 1] = -R * s
-        out[..., 0, 0, 2] = 0.0
-        return out
-
-    return Chart(dim=1, bounds=((0.0, 2 * math.pi),), periodic=(True,), r=r, dr=dr, d2r=d2r)
+    return _product_chart(((0.0, 2 * math.pi),), (True,), coords)
 
 
 def circle_shape(radius: float = 1.0) -> SmoothShape:
     """The circle of the given radius in the xy-plane of R^3."""
     R = float(radius)
-    stratum = SmoothStratum(name="circle", dim=1, chart=_circle_chart(R), role="top")
+    stratum = SmoothStratum(name="circle", dim=1, chart=_circle_chart(R, R, 3), role="top")
     return SmoothShape(3, (stratum,), f"circle:{radius:g}", 2 * R)
 
 
 def disk_shape(radius: float = 1.0) -> SmoothShape:
     R = float(radius)
 
-    def r(p):
-        rho = np.asarray(p, dtype=float)[..., 0]
-        c, s = _trig(p, 1)
-        out = np.empty(c.shape + (3,))
-        out[..., 0] = rho * c
-        out[..., 1] = rho * s
-        out[..., 2] = 0.0
-        return out
+    def coords(rho, psi):
+        c, s = np.cos(psi), np.sin(psi)
+        linear = (1, rho), (1, 1.0), None
+        return (1.0, linear, _cos(c, s)), (1.0, linear, _sin(c, s)), None
 
-    def dr(p):
-        rho = np.asarray(p, dtype=float)[..., 0]
-        c, s = _trig(p, 1)
-        out = np.empty(c.shape + (2, 3))
-        out[..., 0, 0] = c
-        out[..., 0, 1] = s
-        out[..., 1, 0] = -rho * s
-        out[..., 1, 1] = rho * c
-        out[..., :, 2] = 0.0
-        return out
-
-    def d2r(p):
-        rho = np.asarray(p, dtype=float)[..., 0]
-        c, s = _trig(p, 1)
-        out = np.zeros(c.shape + (2, 2, 3))
-        out[..., 0, 1, 0] = out[..., 1, 0, 0] = -s
-        out[..., 0, 1, 1] = out[..., 1, 0, 1] = c
-        out[..., 1, 1, 0] = -rho * c
-        out[..., 1, 1, 1] = -rho * s
-        return out
-
-    def unit_normal(p):
-        # the chart's normalised cross product d_rho x d_psi is (+-0, +-0, 1)
-        nu = np.zeros(np.shape(p)[:-1] + (3,))
-        nu[..., 2] = 1.0
-        return nu
-
-    top_chart = Chart(dim=2, bounds=((1e-9 * R, R), (0.0, 2 * math.pi)),
-                      periodic=(False, True), r=r, dr=dr, d2r=d2r)
-    top = SmoothStratum(
-        name="disk",
-        dim=2,
-        chart=top_chart,
-        role="top",
-        unit_normal=unit_normal,
-    )
-
-    def rim_conormal(p):
-        t = np.asarray(p, dtype=float)[..., 0]
-        return np.stack([-np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1)
-
-    rim = SmoothStratum(
-        name="rim",
-        dim=1,
-        chart=_circle_chart(R),
-        role="rim",
-        inward_conormal=rim_conormal,
-    )
+    bounds, periodic = ((1e-9 * R, R), (0.0, 2 * math.pi)), (False, True)
+    # the chart's normalised cross product d_rho x d_psi is (+-0, +-0, 1)
+    up = _product_chart(bounds, periodic, lambda rho, psi: (None, None, (1.0, None, None))).r
+    top = SmoothStratum(name="disk", dim=2, chart=_product_chart(bounds, periodic, coords), role="top",
+                        unit_normal=up)
+    rim = SmoothStratum(name="rim", dim=1, chart=_circle_chart(R, R, 3), role="rim",
+                        inward_conormal=_circle_chart(-1.0, -1.0, 3).r)
     return SmoothShape(3, (top, rim), f"disk:{radius:g}", 2 * R)
 
 
 def hemisphere_shape(radius: float = 1.0) -> SmoothShape:
     R = float(radius)
-    base = sphere_shape(R)
-    sph = base.stratum("sphere")
-    top_chart = replace(sph.chart, bounds=((0.0, 2 * math.pi), (1e-6, math.pi / 2)))
-    top = replace(sph, name="cap", chart=top_chart)
-
-    def rim_conormal(p):
-        # tangent to the sphere at the equator, pointing toward the pole
-        t = np.asarray(p, dtype=float)[..., 0]
-        z = np.zeros_like(t)
-        return np.stack([z, z, np.ones_like(t)], axis=-1)
-
-    rim = SmoothStratum(
-        name="rim",
-        dim=1,
-        chart=_circle_chart(R),
-        role="rim",
-        inward_conormal=rim_conormal,
-    )
+    sph = sphere_shape(R).stratum("sphere")
+    top = replace(sph, name="cap", chart=replace(sph.chart, bounds=((0.0, 2 * math.pi), (1e-6, math.pi / 2))))
+    # the rim's conormal is tangent to the sphere at the equator, toward the pole
+    pole = _product_chart(((0.0, 2 * math.pi),), (True,), lambda t: (None, None, (1.0, None))).r
+    rim = SmoothStratum(name="rim", dim=1, chart=_circle_chart(R, R, 3), role="rim", inward_conormal=pole)
     return SmoothShape(3, (top, rim), f"hemisphere:{radius:g}", 2 * R)
 
 
 def ellipse_shape(a: float = 2.0, b: float = 1.0) -> SmoothShape:
     a, b = float(a), float(b)
-
-    def r(p):
-        c, s = _trig(p, 0)
-        out = np.empty(c.shape + (2,))
-        out[..., 0] = a * c
-        out[..., 1] = b * s
-        return out
-
-    def dr(p):
-        c, s = _trig(p, 0)
-        out = np.empty(c.shape + (1, 2))
-        out[..., 0, 0] = -a * s
-        out[..., 0, 1] = b * c
-        return out
-
-    def d2r(p):
-        c, s = _trig(p, 0)
-        out = np.empty(c.shape + (1, 1, 2))
-        out[..., 0, 0, 0] = -a * c
-        out[..., 0, 0, 1] = -b * s
-        return out
-
-    chart = Chart(dim=1, bounds=((0.0, 2 * math.pi),), periodic=(True,), r=r, dr=dr, d2r=d2r)
-    stratum = SmoothStratum(
-        name="ellipse",
-        dim=1,
-        chart=chart,
-        role="top",
-    )
+    stratum = SmoothStratum(name="ellipse", dim=1, chart=_circle_chart(a, b, 2), role="top")
     return SmoothShape(2, (stratum,), f"ellipse:{a:g}:{b:g}", 2 * max(a, b))
 
 
 def ball_shape(radius: float = 1.0) -> SmoothShape:
     R = float(radius)
-    boundary = sphere_shape(R).stratum("sphere")
-
-    def inward(p):
-        p = np.asarray(p, dtype=float)
-        th, ph = p[..., 0], p[..., 1]
-        return -np.stack([np.cos(th) * np.sin(ph), np.sin(th) * np.sin(ph), np.cos(ph)], axis=-1)
-
-    boundary = replace(boundary, name="boundary", role="solid_boundary", inward_conormal=inward)
-    interior = SmoothStratum(
-        name="interior",
-        dim=3,
-        chart=None,
-        role="solid",
-        volume=4.0 / 3.0 * math.pi * R**3,
-    )
+    boundary = replace(sphere_shape(R).stratum("sphere"), name="boundary", role="solid_boundary",
+                       inward_conormal=_sphere_chart(-1.0).r)
+    interior = SmoothStratum(name="interior", dim=3, chart=None, role="solid",
+                             volume=4.0 / 3.0 * math.pi * R**3)
     return SmoothShape(3, (boundary, interior), f"ball:{radius:g}", 2 * R)

@@ -39,14 +39,18 @@ the package computes faster, or by another formula:
   ``SeedSequence``, against the vectorised seeding of
   ``RandomSource.substream_generators``;
 - :func:`kinematic_numerator_loop` builds and slices one flat at a time,
-  against the stacked flats of ``lkmeasure.kinematic_check``.
+  against the stacked flats of ``lkmeasure.kinematic_check``;
+- the hand-written catalog builders (:func:`sphere_shape` to
+  :func:`ball_shape`) write every first and second chart derivative, normal
+  and conormal out entry by entry, against the product charts of
+  ``smoothshape``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -91,8 +95,10 @@ from lkpolar.smoothshape import (
     NEWTON_ITERS,
     NEWTON_STARTS_PER_AXIS,
     SETTLE_TOL,
+    Chart,
     CriticalPoint,
     DegenerateHeightError,
+    SmoothShape,
     SmoothStratum,
     frames,
     height_hessian_eigenvalues,
@@ -1116,3 +1122,295 @@ def steiner_oracle(X: Shape, epsilons, n_mc: int, rng: RandomSource) -> SteinerF
         n_samples=n_mc,
         seed=rng.master_seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# the catalog's charts, written out by hand
+# ---------------------------------------------------------------------------
+
+def _trig(p, axis: int):
+    """cos and sin of one chart coordinate of a (..., d) parameter array,
+    each computed once; a chart then fills one preallocated array with
+    products of them."""
+    t = np.asarray(p, dtype=float)[..., axis]
+    return np.cos(t), np.sin(t)
+
+
+def sphere_shape(radius: float = 1.0) -> SmoothShape:
+    R = float(radius)
+
+    def r(p):
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        out = np.empty(ct.shape + (3,))
+        out[..., 0] = ct * sp
+        out[..., 1] = st * sp
+        out[..., 2] = cp
+        out *= R
+        return out
+
+    def dr(p):
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        out = np.empty(ct.shape + (2, 3))
+        out[..., 0, 0] = -(st * sp)
+        out[..., 0, 1] = ct * sp
+        out[..., 0, 2] = 0.0
+        out[..., 1, 0] = ct * cp
+        out[..., 1, 1] = st * cp
+        out[..., 1, 2] = -sp
+        out *= R
+        return out
+
+    def d2r(p):
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        out = np.empty(ct.shape + (2, 2, 3))
+        out[..., 0, 0, 0] = out[..., 1, 1, 0] = -(ct * sp)
+        out[..., 0, 0, 1] = out[..., 1, 1, 1] = -(st * sp)
+        out[..., 0, 0, 2] = out[..., 0, 1, 2] = 0.0
+        out[..., 0, 1, 0] = -(st * cp)
+        out[..., 0, 1, 1] = ct * cp
+        out[..., 1, 1, 2] = -cp
+        out[..., 1, 0, :] = out[..., 0, 1, :]
+        out *= R
+        return out
+
+    chart = Chart(dim=2, bounds=((0.0, 2 * math.pi), (1e-6, math.pi - 1e-6)),
+                  periodic=(True, False), r=r, dr=dr, d2r=d2r)
+    stratum = SmoothStratum(
+        name="sphere",
+        dim=2,
+        chart=chart,
+        role="top",
+        unit_normal=lambda p: r(p) / R,
+    )
+    return SmoothShape(3, (stratum,), f"sphere:{radius:g}", 2 * R)
+
+
+def torus_shape(R: float = 2.0, r: float = 1.0) -> SmoothShape:
+    R, r = float(R), float(r)
+    if not R > r > 0:
+        raise ValueError("need R > r > 0 for an embedded torus")
+
+    def rr(p):
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        w = R + r * cp
+        out = np.empty(ct.shape + (3,))
+        out[..., 0] = w * ct
+        out[..., 1] = w * st
+        out[..., 2] = r * sp
+        return out
+
+    def dr(p):
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        w, rs = R + r * cp, r * sp
+        out = np.empty(ct.shape + (2, 3))
+        out[..., 0, 0] = -(w * st)
+        out[..., 0, 1] = w * ct
+        out[..., 0, 2] = 0.0
+        out[..., 1, 0] = -(rs * ct)
+        out[..., 1, 1] = -(rs * st)
+        out[..., 1, 2] = r * cp
+        return out
+
+    def d2r(p):
+        (ct, st), (cp, sp) = _trig(p, 0), _trig(p, 1)
+        rc, rs = r * cp, r * sp
+        w = R + rc
+        out = np.empty(ct.shape + (2, 2, 3))
+        out[..., 0, 0, 0] = -(w * ct)
+        out[..., 0, 0, 1] = -(w * st)
+        out[..., 0, 0, 2] = out[..., 0, 1, 2] = 0.0
+        out[..., 0, 1, 0] = rs * st
+        out[..., 0, 1, 1] = -(rs * ct)
+        out[..., 1, 1, 0] = -(rc * ct)
+        out[..., 1, 1, 1] = -(rc * st)
+        out[..., 1, 1, 2] = -rs
+        out[..., 1, 0, :] = out[..., 0, 1, :]
+        return out
+
+    def unit_normal(p):
+        p = np.asarray(p, dtype=float)
+        th, ph = p[..., 0], p[..., 1]
+        return np.stack(
+            [np.cos(ph) * np.cos(th), np.cos(ph) * np.sin(th), np.sin(ph)], axis=-1
+        )
+
+    chart = Chart(dim=2, bounds=((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+                  periodic=(True, True), r=rr, dr=dr, d2r=d2r)
+    stratum = SmoothStratum(name="torus", dim=2, chart=chart, role="top", unit_normal=unit_normal)
+    return SmoothShape(3, (stratum,), f"torus:{R:g}:{r:g}", 2 * (R + r))
+
+
+def _circle_chart(R: float) -> Chart:
+    """The circle of radius R about the origin of the xy-plane of R^3."""
+    def r(p):
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (3,))
+        out[..., 0] = R * c
+        out[..., 1] = R * s
+        out[..., 2] = 0.0
+        return out
+
+    def dr(p):
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 3))
+        out[..., 0, 0] = -R * s
+        out[..., 0, 1] = R * c
+        out[..., 0, 2] = 0.0
+        return out
+
+    def d2r(p):
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 1, 3))
+        out[..., 0, 0, 0] = -R * c
+        out[..., 0, 0, 1] = -R * s
+        out[..., 0, 0, 2] = 0.0
+        return out
+
+    return Chart(dim=1, bounds=((0.0, 2 * math.pi),), periodic=(True,), r=r, dr=dr, d2r=d2r)
+
+
+def circle_shape(radius: float = 1.0) -> SmoothShape:
+    """The circle of the given radius in the xy-plane of R^3."""
+    R = float(radius)
+    stratum = SmoothStratum(name="circle", dim=1, chart=_circle_chart(R), role="top")
+    return SmoothShape(3, (stratum,), f"circle:{radius:g}", 2 * R)
+
+
+def disk_shape(radius: float = 1.0) -> SmoothShape:
+    R = float(radius)
+
+    def r(p):
+        rho = np.asarray(p, dtype=float)[..., 0]
+        c, s = _trig(p, 1)
+        out = np.empty(c.shape + (3,))
+        out[..., 0] = rho * c
+        out[..., 1] = rho * s
+        out[..., 2] = 0.0
+        return out
+
+    def dr(p):
+        rho = np.asarray(p, dtype=float)[..., 0]
+        c, s = _trig(p, 1)
+        out = np.empty(c.shape + (2, 3))
+        out[..., 0, 0] = c
+        out[..., 0, 1] = s
+        out[..., 1, 0] = -rho * s
+        out[..., 1, 1] = rho * c
+        out[..., :, 2] = 0.0
+        return out
+
+    def d2r(p):
+        rho = np.asarray(p, dtype=float)[..., 0]
+        c, s = _trig(p, 1)
+        out = np.zeros(c.shape + (2, 2, 3))
+        out[..., 0, 1, 0] = out[..., 1, 0, 0] = -s
+        out[..., 0, 1, 1] = out[..., 1, 0, 1] = c
+        out[..., 1, 1, 0] = -rho * c
+        out[..., 1, 1, 1] = -rho * s
+        return out
+
+    def unit_normal(p):
+        # the chart's normalised cross product d_rho x d_psi is (+-0, +-0, 1)
+        nu = np.zeros(np.shape(p)[:-1] + (3,))
+        nu[..., 2] = 1.0
+        return nu
+
+    top_chart = Chart(dim=2, bounds=((1e-9 * R, R), (0.0, 2 * math.pi)),
+                      periodic=(False, True), r=r, dr=dr, d2r=d2r)
+    top = SmoothStratum(
+        name="disk",
+        dim=2,
+        chart=top_chart,
+        role="top",
+        unit_normal=unit_normal,
+    )
+
+    def rim_conormal(p):
+        t = np.asarray(p, dtype=float)[..., 0]
+        return np.stack([-np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1)
+
+    rim = SmoothStratum(
+        name="rim",
+        dim=1,
+        chart=_circle_chart(R),
+        role="rim",
+        inward_conormal=rim_conormal,
+    )
+    return SmoothShape(3, (top, rim), f"disk:{radius:g}", 2 * R)
+
+
+def hemisphere_shape(radius: float = 1.0) -> SmoothShape:
+    R = float(radius)
+    base = sphere_shape(R)
+    sph = base.stratum("sphere")
+    top_chart = replace(sph.chart, bounds=((0.0, 2 * math.pi), (1e-6, math.pi / 2)))
+    top = replace(sph, name="cap", chart=top_chart)
+
+    def rim_conormal(p):
+        # tangent to the sphere at the equator, pointing toward the pole
+        t = np.asarray(p, dtype=float)[..., 0]
+        z = np.zeros_like(t)
+        return np.stack([z, z, np.ones_like(t)], axis=-1)
+
+    rim = SmoothStratum(
+        name="rim",
+        dim=1,
+        chart=_circle_chart(R),
+        role="rim",
+        inward_conormal=rim_conormal,
+    )
+    return SmoothShape(3, (top, rim), f"hemisphere:{radius:g}", 2 * R)
+
+
+def ellipse_shape(a: float = 2.0, b: float = 1.0) -> SmoothShape:
+    a, b = float(a), float(b)
+
+    def r(p):
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (2,))
+        out[..., 0] = a * c
+        out[..., 1] = b * s
+        return out
+
+    def dr(p):
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 2))
+        out[..., 0, 0] = -a * s
+        out[..., 0, 1] = b * c
+        return out
+
+    def d2r(p):
+        c, s = _trig(p, 0)
+        out = np.empty(c.shape + (1, 1, 2))
+        out[..., 0, 0, 0] = -a * c
+        out[..., 0, 0, 1] = -b * s
+        return out
+
+    chart = Chart(dim=1, bounds=((0.0, 2 * math.pi),), periodic=(True,), r=r, dr=dr, d2r=d2r)
+    stratum = SmoothStratum(
+        name="ellipse",
+        dim=1,
+        chart=chart,
+        role="top",
+    )
+    return SmoothShape(2, (stratum,), f"ellipse:{a:g}:{b:g}", 2 * max(a, b))
+
+
+def ball_shape(radius: float = 1.0) -> SmoothShape:
+    R = float(radius)
+    boundary = sphere_shape(R).stratum("sphere")
+
+    def inward(p):
+        p = np.asarray(p, dtype=float)
+        th, ph = p[..., 0], p[..., 1]
+        return -np.stack([np.cos(th) * np.sin(ph), np.sin(th) * np.sin(ph), np.cos(ph)], axis=-1)
+
+    boundary = replace(boundary, name="boundary", role="solid_boundary", inward_conormal=inward)
+    interior = SmoothStratum(
+        name="interior",
+        dim=3,
+        chart=None,
+        role="solid",
+        volume=4.0 / 3.0 * math.pi * R**3,
+    )
+    return SmoothShape(3, (boundary, interior), f"ball:{radius:g}", 2 * R)

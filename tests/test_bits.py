@@ -415,3 +415,27 @@ def test_stacked_products_are_the_lone_products(n, k):
         assert np.array_equal(Av[s], lone @ v[s])
         assert np.array_equal(images[s], verts @ lone.T)
         assert dots[s] == v[s] @ v[s]
+
+
+def test_negation_and_order_do_not_move_a_product():
+    # the product charts of smoothshape write -(a b c) as (a b) (-c), where
+    # the hand-written charts wrote -(a b) c, (-a) b or b a c: the premise is
+    # that round-to-nearest is symmetric about 0 and that a product does not
+    # depend on the order of its two factors, for +-0, subnormals and values
+    # near overflow too, with an array or a scalar factor
+    gen = np.random.default_rng(9)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1.7e308, 1.0, -1.0])
+
+    def draw():
+        wide = gen.standard_normal(4000) * 10.0 ** gen.integers(-300, 300, 4000)
+        return np.concatenate([special, wide])
+
+    a, b = draw(), draw()
+    with np.errstate(over="ignore", under="ignore"):
+        for x, y in [(a, b), (a, b[::-1]), (a, special[:, None])] + [(a, float(c)) for c in b[:50]]:
+            bits = (x * y).view(np.uint64)
+            assert np.array_equal((-(x * y)).view(np.uint64), ((-x) * y).view(np.uint64)), \
+                "-(a * b) is not (-a) * b"
+            assert np.array_equal((-(x * y)).view(np.uint64), (x * -y).view(np.uint64)), \
+                "-(a * b) is not a * (-b)"
+            assert np.array_equal(bits, (y * x).view(np.uint64)), "a * b is not b * a"

@@ -150,7 +150,8 @@ def test_unknown_shape_nonzero_exit():
 
 
 @pytest.mark.parametrize("spec", ["cube:0", "cube-boundary:0", "cube:nan", "disk:0", "circle:0",
-                                  "sphere:inf", "sphere:0", "ball:0", "hemisphere:-2"])
+                                  "sphere:inf", "sphere:0", "ball:0", "hemisphere:-2",
+                                  "sphere:abc", "sphere:1:", "torus:2:x"])
 def test_bad_catalog_parameter_is_a_json_error(spec):
     report, status = run(["measure", "--shape", spec, "--k", "1", "--samples", "10"])
     assert status == 2

@@ -21,6 +21,7 @@ from lkpolar.smoothshape import (
     torus_shape,
 )
 
+import oracles
 from oracles import height_critical_points_loop, lkw_curvature
 
 ALL_SHAPES = [
@@ -417,3 +418,40 @@ def test_stacked_newton_matches_per_direction_loop(X, moved):
         for j in np.flatnonzero(many.degenerate)[:3]:
             with pytest.raises(smoothshape.DegenerateHeightError):
                 smoothshape.height_critical_points(S, V[j], scale=X.diameter)
+
+
+# (builder name, parameters) of the catalog shapes the product charts are
+# checked on, bit for bit, against the hand-written builders of the oracles
+HAND_CHECKED = [
+    ("sphere_shape", (1.0,)), ("sphere_shape", (2.7,)), ("sphere_shape", (1e-10,)),
+    ("torus_shape", (2.0, 1.0)), ("torus_shape", (3.3, 0.7)),
+    ("circle_shape", (1.0,)), ("circle_shape", (5.0,)),
+    ("disk_shape", (1.0,)), ("disk_shape", (0.3,)),
+    ("hemisphere_shape", (1.0,)), ("hemisphere_shape", (2.2,)),
+    ("ball_shape", (1.0,)), ("ball_shape", (1e12,)),
+    ("ellipse_shape", (2.0, 1.0)), ("ellipse_shape", (0.3, 7.0)),
+]
+
+
+@pytest.mark.parametrize("name, args", HAND_CHECKED, ids=lambda v: str(v))
+def test_product_charts_keep_the_bits_of_the_hand_written_charts(name, args):
+    # every field of every stratum, compared as uint64 so that -0.0 against
+    # +0.0 fails, at seeded random points, at grid points and at a lone point
+    X, ref = getattr(smoothshape, name)(*args), getattr(oracles, name)(*args)
+    assert [S.name for S in X.strata] == [S.name for S in ref.strata]
+    gen = np.random.default_rng(5)
+    for S, T in zip(X.strata, ref.strata):
+        assert (S.dim, S.role, S.volume) == (T.dim, T.role, T.volume)
+        if T.chart is None:
+            assert S.chart is None
+            continue
+        assert (S.chart.bounds, S.chart.periodic) == (T.chart.bounds, T.chart.periodic)
+        fields = ["unit_normal", "inward_conormal"]
+        assert [getattr(S, f) is None for f in fields] == [getattr(T, f) is None for f in fields]
+        calls = [(getattr(S.chart, f), getattr(T.chart, f)) for f in ("r", "dr", "d2r")]
+        calls += [(getattr(S, f), getattr(T, f)) for f in fields if getattr(T, f) is not None]
+        for p in (_random_params(S, gen, 5000), S.chart.grid(16)[0], _random_params(S, gen, 1)[0]):
+            for mine, theirs in calls:
+                a, b = np.asarray(mine(p)), np.asarray(theirs(p))
+                assert a.shape == b.shape and a.dtype == b.dtype == np.float64, (S.name, p.shape)
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (S.name, p.shape)
