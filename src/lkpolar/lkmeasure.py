@@ -13,7 +13,10 @@ ind_nor is the half-branch rule of :func:`lkpolar.smoothshape.normal_index_many`
 1 on a top stratum, [<v, inward> > 0] on a rim or a solid boundary.  The
 normal sphere of a hypersurface is the two points +-nu; over the normal
 circle of a curve in R^3 the weighted sigma_0 and sigma_1 integrals are
-closed forms.  The module
+closed forms.  The sigma_i of a hypersurface are those of the Weingarten map
+G^-1 H, G the chart Gram matrix and H = <d2r, nu>: sigma_1 = tr(G^-1 H) and
+sigma_2 = det H / det G, written out for charts of dimension <= 2, as is the
+area element sqrt(det G) of the chart quadrature.  The module
 also hosts the independent checks: the exchange formula (Morse counting over
 random heights) and the linear kinematic formula (random flats).  The
 Steiner dilation-volume oracle for convex bodies lives with the other test
@@ -54,13 +57,14 @@ from . import smoothshape as sm
 from .smoothshape import (
     SmoothShape,
     SmoothStratum,
+    chart_det,
+    chart_gram,
     height_critical_points_many,
     hypersurface_normals,
     integrate_stratum,
     normal_circle_moments,
     normal_index_many,
     rim_curvature_vector,
-    tangent_frame_form,
 )
 
 __all__ = [
@@ -212,7 +216,13 @@ def _smooth_lambda_batch(n: int, S: SmoothStratum, params: np.ndarray, k: int) -
     The density integrates ind_nor(v) sigma_i(II_{x,v}), i = dim S - k, over
     the unit normal sphere, with ind_nor along +-nu from one
     :func:`normal_index_many` call.  A hypersurface has the two normals
-    +-nu, and sigma_i(II_{x,-nu}) is (-1)^i sigma_i(II_{x,nu}).  On the
+    +-nu, and sigma_i(II_{x,-nu}) is (-1)^i sigma_i(II_{x,nu}).  The
+    sigma_i of the Weingarten map G^-1 H, with G = J J^T from
+    :func:`chart_gram` and H = <d2r, nu>, are written out, with no batched
+    LAPACK call: sigma_1 = H / G on a curve in the plane, and on a surface
+    sigma_1 = tr(G^-1 H) = (G_11 H_00 - 2 G_01 H_01 + G_00 H_11) / det G and
+    sigma_2 = det H / det G; a chart of dimension above 2 raises
+    NotImplementedError.  On the
     normal circle of a curve in R^3, sigma_0 = 1 and sigma_1(II_{x,v}) =
     <kappa, v>, so the density is closed in the moments of
     :func:`normal_circle_moments`.
@@ -226,9 +236,14 @@ def _smooth_lambda_batch(n: int, S: SmoothStratum, params: np.ndarray, k: int) -
         if i == 0:
             sig = np.ones(len(params))
         else:
+            G = chart_gram(J)
+            det_g = chart_det(G)
             H = np.einsum("pijn,pn->pij", S.chart.d2r(params), nu)  # (N, d, d)
-            M = tangent_frame_form(J, H)[1]
-            sig = np.trace(M, axis1=-2, axis2=-1) if i == 1 else np.linalg.det(M)
+            if i == d:
+                sig = chart_det(H) / det_g
+            else:  # i = 1 on a surface: tr(adj(G) H) / det G
+                sig = (G[:, 1, 1] * H[:, 0, 0] - 2.0 * G[:, 0, 1] * H[:, 0, 1]
+                       + G[:, 0, 0] * H[:, 1, 1]) / det_g
         along, against, wall = normal_index_many(S, params, nu)
         if np.any(wall):
             raise DegenerateDirectionError(_WALL)

@@ -74,6 +74,7 @@ from .silhouette import _snap_to_contour_batch, _trace_grid_normals, _trace_plan
 from .smoothshape import (
     DegenerateHeightError,
     SmoothStratum,
+    area_element,
     chart_gram,
     chart_solve,
     height_critical_points_many,
@@ -714,11 +715,7 @@ def _whole_stratum_integrals(X: Shape, S: SmoothStratum, bases: np.ndarray, grid
     params, w, pts = _chart_grid(S, res, grids)
     J = _plane_free(grids, ("dr", S.name, res), lambda: S.chart.dr(params))  # (N, d, n)
     Jp = J @ bases.swapaxes(1, 2)[:, None]  # projected chart Jacobians (B, N, d, q + 1)
-    gram = Jp @ np.swapaxes(Jp, -1, -2)
-    if S.dim == 1:
-        element = np.sqrt(np.maximum(gram[..., 0, 0], 0.0))
-    else:
-        element = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    element = area_element(Jp)
     mask = X.in_region(pts)
     keep = mask & (element >= 1e-14 * np.float64(X.diameter / 2) ** S.dim)  # inf past overflow
     alphas = np.zeros(keep.shape)

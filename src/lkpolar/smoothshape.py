@@ -41,7 +41,9 @@ __all__ = [
     "height_critical_points_many",
     "height_hessian_eigenvalues",
     "chart_solve",
+    "chart_det",
     "chart_gram",
+    "area_element",
     "rim_curvature_vector",
     "sphere_shape",
     "torus_shape",
@@ -219,7 +221,8 @@ def frames(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndarray]:
     params = np.asarray(params, dtype=float)
     J = S.chart.dr(params)  # (d, n)
     q, r = np.linalg.qr(J.T)
-    if np.min(np.abs(np.diag(r))) <= 1e-10:
+    # relative to the longest chart tangent, so that the test holds at any scale
+    if np.min(np.abs(np.diag(r))) <= 1e-10 * np.max(np.linalg.norm(J, axis=-1)):
         raise ValueError("rank-deficient chart Jacobian (degenerate chart point)")
     tangent = q.T  # (d, n)
     u, _, _ = np.linalg.svd(tangent.T, full_matrices=True)
@@ -309,13 +312,12 @@ def normal_circle_moments(S: SmoothStratum, params) -> tuple[np.ndarray, np.ndar
     return np.full(len(params), 0.5 * sphere_volume(1)), 2.0 * w
 
 
-def area_element(S: SmoothStratum, params_batch: np.ndarray) -> np.ndarray:
-    """Riemannian volume element sqrt(det J J^T) at a batch of chart points."""
-    J = S.chart.dr(params_batch)  # (N, d, n)
-    gram = J @ np.swapaxes(J, -1, -2)
-    if S.dim == 1:
-        return np.sqrt(gram[..., 0, 0])
-    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+def area_element(J: np.ndarray) -> np.ndarray:
+    """Volume element sqrt(det G) of a stack of chart Jacobians J (..., d, n),
+    with G = :func:`chart_gram` (J) and det G by :func:`chart_det`: |J_0| on
+    a curve, sqrt(G_00 G_11 - G_01^2) on a surface, clamped at 0 against
+    rounding."""
+    return np.sqrt(np.maximum(chart_det(chart_gram(J)), 0.0))
 
 
 def integrate_stratum(
@@ -336,7 +338,7 @@ def integrate_stratum(
         params, w = S.chart.grid(res)
         pts = S.chart.r(params)
         dens = np.asarray(density(pts, params), dtype=float)
-        vals = w * area_element(S, params) * dens
+        vals = w * area_element(S.chart.dr(params)) * dens
         if region is not None:
             vals = vals * np.asarray(region(pts), dtype=bool)
         return float(math.fsum(vals.tolist()))
@@ -392,26 +394,33 @@ CLUSTER_TOL = 1e-6
 EIGEN_FLOOR = 1e-8
 
 
+def chart_det(A: np.ndarray) -> np.ndarray:
+    """det A for a stack of d x d matrices A (..., d, d), written out: a
+    chart has d <= 2, and a 2 x 2 determinant costs a few vector operations
+    where a batched LAPACK call costs one call per item."""
+    d = A.shape[-1]
+    if d == 1:
+        return A[..., 0, 0]
+    if d == 2:
+        return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    raise NotImplementedError(f"closed-form chart algebra for a chart of dimension {d}")
+
+
 def chart_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det A and A^-1 b for a stack of d x d matrices A (..., d, d) and
-    right-hand sides b (..., d), in closed form: a chart has d <= 2, and
-    Cramer's rule costs a few vector operations where a batched LAPACK call
-    costs one call per item.  Where det A is 0 the solution is inf or NaN
-    and is not to be used."""
-    d = A.shape[-1]
+    right-hand sides b (..., d), in closed form by Cramer's rule (see
+    :func:`chart_det`).  Where det A is 0 the solution is inf or NaN and is
+    not to be used."""
+    det = chart_det(A)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if d == 1:
-            det = A[..., 0, 0]
+        if A.shape[-1] == 1:
             return det, b / det[..., None]
-        if d == 2:
-            a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-            b0, b1 = b[..., 0], b[..., 1]
-            det = a00 * a11 - a01 * a10
-            x = np.empty(b.shape)
-            np.divide(a11 * b0 - a01 * b1, det, out=x[..., 0])
-            np.divide(a00 * b1 - a10 * b0, det, out=x[..., 1])
-            return det, x
-    raise NotImplementedError(f"closed-form chart algebra for a chart of dimension {d}")
+        a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        b0, b1 = b[..., 0], b[..., 1]
+        x = np.empty(b.shape)
+        np.divide(a11 * b0 - a01 * b1, det, out=x[..., 0])
+        np.divide(a00 * b1 - a10 * b0, det, out=x[..., 1])
+        return det, x
 
 
 def chart_gram(J: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ the package computes faster, or by another formula:
   slice rule ``plstrata.slice_chi``;
 - :func:`crofton_volume` and :func:`projected_volume` measure lengths by
   Cauchy-Crofton line counts and by averaged projections;
-- :func:`lkw_curvature` integrates sigma_i of the second fundamental form
-  over the normal sphere one point and one direction at a time, against the
+- :func:`lkw_curvature` integrates sigma_i of the second fundamental form,
+  weighted by the normal index, over the normal sphere one point and one
+  direction at a time (QR frames and eigenvalues), against the closed-form
   stacked smooth densities;
 - :func:`trace_silhouette_loop` classifies the cells of the sign grid one at
   a time, finds each edge crossing on its own and re-snaps every segment
@@ -520,27 +521,36 @@ def sigma_of_form(S: SmoothStratum, params, v: np.ndarray, i: int) -> float:
 
 
 def lkw_curvature(S: SmoothStratum, params, i: int, circle_rule: int = 64) -> float:
-    """Integral of sigma_i(II_{x,v}) over the unit normal sphere at the point,
-    one point and one direction at a time: the test oracle of the stacked
-    curvature densities.
+    """Integral of ind_nor(v) sigma_i(II_{x,v}) over the unit normal sphere
+    at the point, one point and one direction at a time: the test oracle of
+    the stacked curvature densities.  ind_nor(v) is 1 on a top stratum and
+    [<v, w> > 0] on a rim or a solid boundary, w its inward conormal.
 
-    Codimension 1 uses the exact two-point rule; a curve in R^3 uses a uniform
-    circle rule, exact here because the integrand is a trigonometric
-    polynomial of degree <= 1 in the normal angle.
+    Codimension 1 uses the exact two-point rule.  A curve in R^3 uses a
+    uniform circle rule on a top stratum, and a Gauss-Legendre rule in the
+    angle from w over the half circle {<v, w> > 0} on a rim; both are exact
+    to rounding here, as the integrand is a trigonometric polynomial of
+    degree <= 1 in the normal angle.
     """
     if not 0 <= i <= S.dim:
         raise ValueError(f"curvature order {i} out of range for dim {S.dim}")
-    _, normal = frames(S, params)
+    tangent, normal = frames(S, params)
     codim = normal.shape[0]
+    w = None if S.role == "top" else S.inward_conormal(params)
     if codim == 1:
         nu = normal[0]
-        return sigma_of_form(S, params, nu, i) + sigma_of_form(S, params, -nu, i)
+        return float(sum(sigma_of_form(S, params, v, i) for v in (nu, -nu) if w is None or v @ w > 0))
     if codim == 2 and S.dim == 1:
-        total = 0.0
-        for t in np.arange(circle_rule) * (2 * math.pi / circle_rule):
-            v = math.cos(t) * normal[0] + math.sin(t) * normal[1]
-            total += sigma_of_form(S, params, v, i)
-        return total * (2 * math.pi / circle_rule)
+        if w is None:
+            angles = np.arange(circle_rule) * (2 * math.pi / circle_rule)
+            weights = np.full(circle_rule, 2 * math.pi / circle_rule)
+            e0, e1 = normal
+        else:
+            t, weights = np.polynomial.legendre.leggauss(circle_rule)
+            angles, weights = 0.5 * math.pi * t, 0.5 * math.pi * weights
+            e0, e1 = w, np.cross(tangent[0], w)
+        return float(sum(wt * sigma_of_form(S, params, math.cos(t) * e0 + math.sin(t) * e1, i)
+                         for t, wt in zip(angles, weights)))
     raise NotImplementedError(f"normal sphere quadrature for codimension {codim}")
 
 

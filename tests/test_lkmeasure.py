@@ -65,24 +65,121 @@ def test_disk_rim_density():
     assert est.value == pytest.approx(0.5, abs=1e-12)
 
 
+SMOOTH_CATALOG = ("sphere:1", "torus:2:1", "disk:1", "hemisphere:1", "ball:1", "circle:1",
+                  "ellipse:2:1")
+
+
 def test_stacked_density_matches_point_oracle():
-    # lambda_k of the stacked density against lkw_curvature, which integrates
-    # sigma_i over the normal sphere one point and one direction at a time
+    # lambda_k of the closed-form stacked density on every charted stratum
+    # (cap and rim, disk and rim, ball boundary, sphere, torus, ellipse,
+    # circle) against lkw_curvature, which integrates ind_nor sigma_i over
+    # the normal sphere one point and one direction at a time, through QR
+    # frames and eigenvalues; a moved copy is rotated and shifted, at scale
+    # 1, 1e-12 or 1e12.  The density of order k scales as s^(k - d).
     from lkpolar.geomkit import sphere_volume
     from lkpolar.lkmeasure import _smooth_lambda_batch
     from oracles import lkw_curvature
 
     gen = RandomSource(3).generator()
-    for name in ("sphere:2", "torus:2:1", "ellipse:2:1", "circle:1"):
+    for name in SMOOTH_CATALOG:
+        for scale in (None, 1.0, 1e-12, 1e12):
+            X = shape_from_name(name)
+            n = X.ambient_dim
+            if scale is not None:
+                X = X.transformed(rotation=_rotation(17, n), translation=np.full(n, 0.3 * scale),
+                                  scale=scale)
+            s = 1.0 if scale is None else scale
+            for S in X.smooth.strata:
+                if S.chart is None:
+                    continue
+                lo, hi = np.array(S.chart.bounds).T
+                params = lo + (hi - lo) * gen.uniform(0.1, 0.9, size=(5, S.dim))
+                for k in range(S.dim + 1):
+                    unit = s ** (S.dim - k)
+                    stacked = _smooth_lambda_batch(n, S, params, k) * unit
+                    oracle = [lkw_curvature(S, p, S.dim - k) / sphere_volume(n - k - 1) * unit
+                              for p in params]
+                    np.testing.assert_allclose(stacked, oracle, rtol=1e-12, atol=1e-12,
+                                               err_msg=f"{name} at {scale} {S.name} k={k}")
+
+
+def test_stacked_density_matches_point_oracle_on_a_skew_chart():
+    # every catalog chart is orthogonal (G_01 = 0); the graph of
+    # z = x^2 + xy/2 - y^2/3 + x y^2 over a box is not, so the G_01 H_01
+    # term of sigma_1 = tr(G^-1 H) is checked here
+    from lkpolar.geomkit import sphere_volume
+    from lkpolar.lkmeasure import _smooth_lambda_batch
+    from lkpolar.smoothshape import Chart, SmoothStratum
+    from oracles import lkw_curvature
+
+    def r(p):
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([x, y, x * x + x * y / 2 - y * y / 3 + x * y * y], axis=-1)
+
+    def dr(p):
+        x, y = p[..., 0], p[..., 1]
+        out = np.zeros(p.shape[:-1] + (2, 3))
+        out[..., 0, 0] = out[..., 1, 1] = 1.0
+        out[..., 0, 2] = 2 * x + y / 2 + y * y
+        out[..., 1, 2] = x / 2 - 2 * y / 3 + 2 * x * y
+        return out
+
+    def d2r(p):
+        x, y = p[..., 0], p[..., 1]
+        out = np.zeros(p.shape[:-1] + (2, 2, 3))
+        out[..., 0, 0, 2] = 2.0
+        out[..., 0, 1, 2] = out[..., 1, 0, 2] = 0.5 + 2 * y
+        out[..., 1, 1, 2] = -2 / 3 + 2 * x
+        return out
+
+    def up(p):  # the body lies above the graph
+        J = dr(p)
+        nu = np.stack([-J[..., 0, 2], -J[..., 1, 2], np.ones(p.shape[:-1])], axis=-1)
+        return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+
+    # on a top stratum the density of sigma_1 has weight 0, so the graph bounds a body
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)), (False, False), r, dr, d2r)
+    S = SmoothStratum(name="graph", dim=2, chart=chart, role="solid_boundary", inward_conormal=up)
+    params = RandomSource(4).generator().uniform(-0.9, 0.9, size=(6, 2))
+    assert np.min(np.abs(dr(params)[:, 0, 2] * dr(params)[:, 1, 2])) > 1e-3
+    for k in range(3):
+        stacked = _smooth_lambda_batch(3, S, params, k)
+        oracle = [lkw_curvature(S, p, 2 - k) / sphere_volume(2 - k) for p in params]
+        np.testing.assert_allclose(stacked, oracle, rtol=1e-12, atol=1e-12, err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize("s", [1e-15, 1e-7, 1e9, 1e12])
+@pytest.mark.parametrize("name", SMOOTH_CATALOG)
+def test_curvature_route_is_scale_equivariant(name, s):
+    # Lambda_k(s X) = s^k Lambda_k(X) at every order, far outside 0.1..10
+    X = shape_from_name(name)
+    scaled = X.transformed(scale=s)
+    for k in range(X.ambient_dim + 1):
+        a = lk_measure(X, k, RandomSource(56, k)).value
+        b = lk_measure(scaled, k, RandomSource(56, k)).value
+        assert abs(b - s**k * a) <= 1e-12 * s**k * (1.0 + abs(a)), (k, a, b)
+
+
+def test_curvature_route_makes_no_batched_lapack_call(monkeypatch):
+    # the densities and area elements are written out from chart_gram, so
+    # lk_measure on every smooth shape at every order, and polar_length at
+    # q = dim, never reach a per-item LAPACK factorisation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("batched LAPACK call on the smooth curvature route")
+
+    qr = np.linalg.qr
+    for name in SMOOTH_CATALOG:
         X = shape_from_name(name)
-        S = X.smooth.strata[0]
-        n = X.ambient_dim
-        lo, hi = np.array(S.chart.bounds).T
-        params = lo + (hi - lo) * gen.uniform(0.1, 0.9, size=(5, S.dim))
-        for k in range(S.dim + 1):
-            stacked = _smooth_lambda_batch(n, S, params, k)
-            oracle = [lkw_curvature(S, p, S.dim - k) / sphere_volume(n - k - 1) for p in params]
-            np.testing.assert_allclose(stacked, oracle, rtol=1e-12, atol=1e-12, err_msg=name)
+        with monkeypatch.context() as m:
+            for fn in ("qr", "inv", "det"):
+                m.setattr(np.linalg, fn, forbidden)
+            for k in range(X.ambient_dim + 1):
+                assert math.isfinite(lk_measure(X, k, RandomSource(57, k)).value), (name, k)
+            if X.dim < X.ambient_dim - 1:
+                # the circle's lines at q = 1 are drawn through one QR per
+                # draw (geomkit.grassmannian_bases); its area elements are not
+                m.setattr(np.linalg, "qr", qr)
+            assert math.isfinite(polar_length(X, X.dim, 2, RandomSource(58)).estimate.value), name
 
 
 def test_density_vanishes_above_dimension():

@@ -96,6 +96,18 @@ def test_frames_sphere_north_pole():
     assert abs(abs(normal[0, 2]) - 1.0) < 1e-5
 
 
+@pytest.mark.parametrize("radius", [1e-12, 1.0, 1e12])
+def test_frames_rank_test_is_scale_free(radius):
+    # a regular point has frames at any radius; the pole, where the
+    # longitude tangent vanishes, raises at every radius
+    s = sphere_shape(radius).stratum("sphere")
+    tangent, normal = frames(s, np.array([1.0, 0.5]))
+    np.testing.assert_allclose(tangent @ tangent.T, np.eye(2), atol=1e-12)
+    assert abs(normal[0] @ s.chart.r(np.array([1.0, 0.5]))) == pytest.approx(radius, rel=1e-12)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        frames(s, np.array([1.0, 0.0]))
+
+
 def test_frames_circle():
     s = circle_shape(1.0).stratum("circle")
     tangent, normal = frames(s, np.array([0.0]))
@@ -231,6 +243,18 @@ def test_integrate_stratum_areas():
     assert disk.value == pytest.approx(math.pi, abs=1e-9)
     ell = integrate_stratum(ellipse_shape(1.0, 1.0).stratum("ellipse"), one)
     assert ell.value == pytest.approx(2 * math.pi, abs=1e-9)
+
+
+def test_area_element_is_written_out_up_to_chart_dimension_two():
+    # sqrt(det J J^T) is the product of the singular values of J; a chart of
+    # dimension 3 raises, naming it
+    J = RandomSource(6).generator().standard_normal((7, 2, 3))
+    sv = np.linalg.svd(J, compute_uv=False)
+    np.testing.assert_allclose(smoothshape.area_element(J), sv[:, 0] * sv[:, 1], rtol=1e-13)
+    np.testing.assert_allclose(smoothshape.area_element(J[:, :1]), np.linalg.norm(J[:, 0], axis=-1),
+                               rtol=1e-15)
+    with pytest.raises(NotImplementedError, match="dimension 3"):
+        smoothshape.area_element(np.ones((4, 3, 4)))
 
 
 def test_chart_grid_reuses_read_only_gauss_legendre_rule():
